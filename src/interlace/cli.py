@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -34,6 +35,8 @@ from .relations import (
 from .rootfind import zeros_general, zeros_orthogonal
 
 FAMILY_CHOICES = families.ALL_KINDS
+PARAM_FLAGS = tuple(f"--{name}" for name in ("alpha", "beta", "p", "N", "t", "w"))
+NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
 ORACLE_MODES = {
     "pair-up": "pair-up",
     "down-one": "down-one",
@@ -66,8 +69,8 @@ def resolve_floor(value: float | None) -> float:
 def _add_family_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--family", required=True, choices=FAMILY_CHOICES)
     sub.add_argument("--n", required=True, type=int)
-    for name in ("alpha", "beta", "p", "N", "t", "w"):
-        sub.add_argument(f"--{name}", default=None)
+    for flag in PARAM_FLAGS:
+        sub.add_argument(flag, default=None)
 
 
 def _spec_from_args(args) -> FamilySpec:
@@ -268,34 +271,39 @@ def _sweep_grid(spec: dict) -> list[tuple[int, dict]]:
     return points
 
 
+def _error_result(exc: Exception) -> str:
+    """Result cell for a point that raised; invalid input is named by its message."""
+    if isinstance(exc, InvalidParameterError):
+        return f"error: {exc}"
+    return f"error: {type(exc).__name__}: {exc}"
+
+
 def _run_sweep_point(check_id: str, n: int, params: dict, floor: float) -> list[dict]:
     base = {"check": check_id, "n": n}
     try:
         report = run_check(check_id, n, params, floor)
-    except InvalidParameterError as exc:
+    except Exception as exc:
         row = dict(base)
         row.update({k: str(v) for k, v in params.items()})
-        row.update({"clause": "build", "result": f"error: {exc}"})
+        row.update({"clause": "build", "result": _error_result(exc)})
         return [row]
     return report.csv_rows(base)
 
 
 def _run_oracle_point(mode: str, n: int, seed: int, floor: float) -> list[dict]:
-    if mode == "pair-up":
-        rel = oracle_pair_up(n, seed)
-        report = check_pair_up(rel, floor)
-    else:
-        rel = oracle_down_one(n, seed)
-        report = check_relation(rel, floor)
-    return [
-        {
-            "oracle": mode,
-            "n": n,
-            "seed": seed,
-            "orientation": rel.params.get("orientation") or rel.params.get("e_region") or "",
-            "result": "pass" if report.passed else "fail",
-        }
-    ]
+    row = {"oracle": mode, "n": n, "seed": seed, "orientation": ""}
+    try:
+        if mode == "pair-up":
+            rel = oracle_pair_up(n, seed)
+            report = check_pair_up(rel, floor)
+        else:
+            rel = oracle_down_one(n, seed)
+            report = check_relation(rel, floor)
+    except Exception as exc:
+        return [{**row, "result": _error_result(exc)}]
+    row["orientation"] = rel.params.get("orientation") or rel.params.get("e_region") or ""
+    row["result"] = "pass" if report.passed else "fail"
+    return [row]
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
@@ -386,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run one named interlacing check")
     p_check.add_argument("check_id", choices=sorted(CHECK_IDS))
     p_check.add_argument("--n", required=True, type=int)
-    for name in ("alpha", "beta", "p", "N", "t", "w"):
-        p_check.add_argument(f"--{name}", default=None)
+    for flag in PARAM_FLAGS:
+        p_check.add_argument(flag, default=None)
     p_check.add_argument("--json", action="store_true")
     p_check.add_argument("--floor", type=float, default=None)
     p_check.set_defaults(func=cmd_check)
@@ -411,9 +419,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_fractions(argv: list[str]) -> list[str]:
+    """Rewrite "--alpha -1/2" as "--alpha=-1/2".
+
+    argparse takes a token starting with "-" for an option unless it looks
+    like a negative decimal, so a separate negative "num/den" value would be
+    read as a missing argument.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in PARAM_FLAGS and NEGATIVE_FRACTION.fullmatch(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_fractions(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except InvalidParameterError as exc:

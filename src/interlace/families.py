@@ -9,6 +9,7 @@ every supported named check live here as well.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -187,8 +188,14 @@ def jacobi_step_coeffs(alpha: Fraction, beta: Fraction, k: int) -> tuple[Fractio
     return ck, lk
 
 
+# A check builds at most three specs and then solves each; a sweep runs a few
+# checks at once.  The bound only has to cover that reuse.
+@functools.lru_cache(maxsize=32)
 def recurrence_coeffs(spec: FamilySpec) -> RecurrenceCoeffs:
-    """Exact recurrence coefficients c_1..c_n and l_1..l_n for ``spec``."""
+    """Exact recurrence coefficients c_1..c_n and l_1..l_n for ``spec``.
+
+    Memoised per spec: construction and the eigensolve share one computation.
+    """
     kind, n = spec.kind, spec.n
     cs: list[Fraction] = []
     ls: list[Fraction] = []
@@ -223,13 +230,7 @@ def recurrence_coeffs(spec: FamilySpec) -> RecurrenceCoeffs:
 def monic_by_recurrence(spec: FamilySpec) -> Polynomial:
     """Build the degree-n member of ``spec`` by forward recurrence, exactly."""
     if spec.kind in ORTHOGONAL_KINDS:
-        rc = recurrence_coeffs(spec)
-        p_prev = Polynomial.zero(RATIONAL)
-        p_cur = Polynomial.constant(1)
-        for k in range(spec.n):
-            nxt = p_cur.mul_linear(rc.c[k]) - p_prev.scale(rc.lam[k])
-            p_prev, p_cur = p_cur, nxt
-        return p_cur
+        return _monic_orthogonal(recurrence_coeffs(spec))
     if spec.kind == "narayana":
         return _narayana_raw(spec.n)
     if spec.kind == "narayana-reduced":
@@ -239,6 +240,37 @@ def monic_by_recurrence(spec: FamilySpec) -> Polynomial:
     if spec.kind == "narayana-perturbed":
         return narayana_perturbed(spec.n)
     raise InvalidParameterError(f"unknown family kind {spec.kind!r}")
+
+
+def _monic_orthogonal(rc: RecurrenceCoeffs) -> Polynomial:
+    """Run P_{k+1} = (x - c_k) P_k - l_k P_{k-1} on integer numerators.
+
+    Each member is kept as an integer vector over one common denominator.
+    Members are monic, so that denominator is the leading entry and needs no
+    storage of its own.  A step brings both terms over the lcm of their
+    denominators and divides out the content, so the denominator stays the
+    least common one and Fractions are formed only once, at the end.
+    """
+    prev: list[int] = []
+    cur = [1]
+    for c, lam in zip(rc.c, rc.lam):
+        a, b = c.numerator, c.denominator
+        u, v = lam.numerator, lam.denominator
+        cur_den = b * cur[-1]  # (x - a/b) P_k = (b x - a) cur / cur_den
+        den = math.lcm(cur_den, v * prev[-1]) if u else cur_den
+        scale = den // cur_den
+        bs, as_ = b * scale, a * scale
+        nxt = [-as_ * cur[0]]
+        nxt += [bs * hi - as_ * lo for hi, lo in zip(cur, cur[1:])]
+        nxt.append(bs * cur[-1])
+        if u:
+            up = u * (den // (v * prev[-1]))
+            for i, q in enumerate(prev):
+                nxt[i] -= up * q
+        g = math.gcd(*nxt)
+        prev, cur = cur, [x // g for x in nxt] if g > 1 else nxt
+    den = cur[-1]
+    return Polynomial([Fraction(x, den) for x in cur])
 
 
 def _narayana_step(m: int, cur: Polynomial, prev: Polynomial) -> Polynomial:

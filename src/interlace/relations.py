@@ -66,6 +66,9 @@ class DegenerateDrawError(RuntimeError):
     """The random generator exhausted its retries without a valid instance."""
 
 
+_IDENTITY_TERMS = frozenset(("sign", "A", "B", "H", "E", "P", "G", "Q"))
+
+
 @dataclass
 class MixedRelation:
     """One concrete relation A*P = B*G + sign*(x-E)*Q, all rational."""
@@ -83,6 +86,14 @@ class MixedRelation:
     specs: dict = field(default_factory=dict)
     support: tuple = (None, None)
     params: dict = field(default_factory=dict)
+    #: exact identity verdict for the current terms; None until it is run
+    certified: bool | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        # Replacing a term voids the verdict reached for the old one.
+        if name in _IDENTITY_TERMS:
+            object.__setattr__(self, "certified", None)
+        object.__setattr__(self, name, value)
 
     def __post_init__(self):
         n = self.P.degree
@@ -105,8 +116,15 @@ def verify_identity(rel: MixedRelation) -> bool:
     return is_identically_zero(residual)
 
 
+def identity_certified(rel: MixedRelation) -> bool:
+    """The exact identity verdict for ``rel``, computed once per set of terms."""
+    if rel.certified is None:
+        rel.certified = verify_identity(rel)
+    return rel.certified
+
+
 def _finish(rel: MixedRelation) -> MixedRelation:
-    if not verify_identity(rel):
+    if not identity_certified(rel):
         raise IdentityError(f"{rel.rel_id}: exact identity failed for {rel.params}")
     return rel
 
@@ -503,7 +521,7 @@ def _base_report(rel: MixedRelation, floor: float) -> tuple[CheckReport, ZeroSet
         params=dict(rel.params),
         e_value=rel.E,
     )
-    report.identity_ok = verify_identity(rel)
+    report.identity_ok = identity_certified(rel)
     zg = _zeros_for(rel, "G")
     zq = _zeros_for(rel, "Q")
     zp = _zeros_for(rel, "P")
@@ -834,7 +852,7 @@ def check_narayana_even_quotient(n: int, floor: float = DEFAULT_FLOOR) -> CheckR
         params=dict(rel.params),
         e_value=rel.E,
     )
-    report.identity_ok = verify_identity(rel)
+    report.identity_ok = identity_certified(rel)
     report.premise_kind = "even-quotient"
     shared = rel.P.evaluate(Fraction(-1)) == 0 and rel.G.evaluate(Fraction(-1)) == 0
     report.clauses["common_zero_at_minus_one"] = PASS if shared else FAIL_CLAUSE

@@ -1,5 +1,7 @@
 """Command line behavior: outputs, exit codes, determinism, the floor override."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -258,3 +260,68 @@ class TestSweepCommand:
         _, first, _ = run_cli(capsys, "sweep", str(spec), "--workers", "4")
         _, second, _ = run_cli(capsys, "sweep", str(spec), "--workers", "1")
         assert first == second
+
+    def test_point_exception_becomes_error_row(self, capsys, tmp_path):
+        # The companion path gives up on the Christoffel relation past n = 50;
+        # the failing points must become rows, not end the sweep.
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"check": "narayana-3.3", "n": [50, 52]}))
+        code, out, err = run_cli(capsys, "sweep", str(spec), "--workers", "1")
+        rows = out.strip().splitlines()[1:]
+        assert {row.split(",")[1] for row in rows} == {"50", "51", "52"}
+        assert any(row.startswith("narayana-3.3,50,identity,") for row in rows)
+        errors = [row for row in rows if ",error: " in row]
+        assert errors and all(",build,error: RootComputationError: " in row for row in errors)
+        assert f"{len(errors)} error" in err
+        assert code in (0, 1)
+
+    def test_oracle_exception_becomes_error_row(self, capsys, monkeypatch):
+        from interlace import cli
+        from interlace.relations import DegenerateDrawError
+
+        real = cli.oracle_pair_up
+
+        def flaky(n, seed, *args, **kwargs):
+            if seed == 1:
+                raise DegenerateDrawError(f"no draw at n={n}, seed={seed}")
+            return real(n, seed, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "oracle_pair_up", flaky)
+        code, out, err = run_cli(
+            capsys, "sweep", "--oracle", "pair-up", "--n", "2", "--seeds", "3"
+        )
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["result"] for row in rows] == [
+            "pass",
+            "error: DegenerateDrawError: no draw at n=2, seed=1",
+            "pass",
+        ]
+        assert rows[1]["orientation"] == ""
+        assert "1 error" in err
+        assert code == 0
+
+
+class TestNegativeRationals:
+    def test_space_separated_negative_fraction(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "jacobi-3.6", "--n", "6", "--alpha", "-1/2", "--beta", "14", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["params"]["alpha"] == "-1/2"
+
+    def test_same_as_joined_and_decimal_forms(self, capsys):
+        outs = set()
+        for alpha in (["--alpha", "-1/2"], ["--alpha=-1/2"], ["--alpha", "-0.5"]):
+            code, out, _ = run_cli(
+                capsys, "zeros", "--family", "jacobi", *alpha, "--beta", "-1/3", "--n", "5"
+            )
+            assert code == 0
+            outs.add(out)
+        assert len(outs) == 1
+
+    def test_negative_fraction_still_validated(self, capsys):
+        code, _, err = run_cli(
+            capsys, "poly", "--family", "laguerre", "--alpha", "-3/2", "--n", "2"
+        )
+        assert code == 2
+        assert "alpha > -1" in err

@@ -98,6 +98,66 @@ class TestRecurrence:
             meixner(1, 1, 3)
 
 
+def _reference_monic(spec):
+    """Plain Fraction run of P_{k+1} = (x - c_k) P_k - l_k P_{k-1}, ascending."""
+    rc = recurrence_coeffs(spec)
+    prev, cur = [], [F(1)]
+    for c, lam in zip(rc.c, rc.lam):
+        nxt = [F(0)] + cur
+        for i, a in enumerate(cur):
+            nxt[i] -= c * a
+        for i, a in enumerate(prev):
+            nxt[i] -= lam * a
+        prev, cur = cur, nxt
+    return Polynomial(cur)
+
+
+KERNEL_NS = (0, 1, 2, 3, 20, 60)
+KERNEL_SPECS = [
+    # alpha + beta + 1 = 0 and alpha + beta = 0 hit the cancelled low steps
+    lambda n: jacobi(F(-1, 2), F(-1, 2), n),
+    lambda n: jacobi(F(1, 3), F(-1, 3), n),
+    lambda n: jacobi(2, 14, n),
+    lambda n: laguerre(F(-1, 2), n),
+    lambda n: laguerre(F(5, 2), n),
+    lambda n: krawtchouk(F(1, 3), max(n, 1), n),  # n = N: last member
+    lambda n: krawtchouk(F(3, 4), n + 3, n),
+    lambda n: meixner(1, F(1, 2), n),
+    lambda n: meixner(F(1, 2), F(3, 4), n),
+]
+
+
+class TestExactKernel:
+    """The integer common-denominator recurrence against a Fraction reference."""
+
+    @pytest.mark.parametrize("n", KERNEL_NS)
+    @pytest.mark.parametrize("make", KERNEL_SPECS)
+    def test_matches_fraction_reference(self, make, n):
+        spec = make(n)
+        got = monic_by_recurrence(spec)
+        assert got == _reference_monic(spec)
+        assert got.degree == n and got.is_monic
+        assert all(type(c) is F for c in got.coeffs)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            krawtchouk(F(1, 3), 43, 40),
+            krawtchouk(F(2, 5), 40, 40),
+            meixner(1, F(1, 2), 40),
+            meixner(F(1, 2), F(3, 4), 40),
+        ],
+    )
+    def test_hypergeometric_route_agrees_at_degree_40(self, spec):
+        assert hypergeometric_check(spec) == monic_by_recurrence(spec)
+
+    def test_recurrence_coeffs_cached_per_spec(self):
+        first = recurrence_coeffs(jacobi(2, 14, 12))
+        assert recurrence_coeffs(jacobi(2, 14, 12)) is first
+        assert recurrence_coeffs(jacobi(2, 14, 13)) is not first
+        assert isinstance(first.c, tuple) and isinstance(first.lam, tuple)
+
+
 class TestNarayana:
     def test_coeff_values(self):
         assert narayana_coeff(3, 2) == 3

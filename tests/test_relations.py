@@ -28,7 +28,7 @@ from interlace.relations import (
     verify_identity,
 )
 from interlace.rootfind import sign_at_zeros, zeros_general, zeros_orthogonal
-from interlace import families
+from interlace import families, relations
 
 
 class TestBuildRelation:
@@ -102,6 +102,51 @@ class TestVerifyIdentity:
     )
     def test_sample_points_exact(self, pair, n, params):
         assert verify_identity(build_relation(pair, n, params))
+
+    def test_report_describes_reassigned_polynomial(self):
+        rel = build_relation("meixner", 3, {"t": 2, "w": F(1, 3)})
+        bumped = list(rel.P.coeffs)
+        bumped[0] += F(1, 10**6)
+        rel.P = Polynomial(bumped)
+        report = check_relation(rel)
+        assert not report.identity_ok
+        assert not report.passed
+
+
+class TestCertifiedOnce:
+    """Each check runs the exact identity test once, at build time or in the report."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counting(rel):
+            seen.append(rel.rel_id)
+            return verify_identity(rel)
+
+        monkeypatch.setattr(relations, "verify_identity", counting)
+        return seen
+
+    @pytest.mark.parametrize(
+        "check_id,n,params",
+        [
+            ("jacobi-3.6", 6, {"alpha": 2, "beta": 14}),
+            ("krawtchouk-3.1", 4, {"p": F(1, 3), "N": 7}),
+            ("narayana-3.4", 4, {}),
+            ("narayana-3.4", 5, {}),
+        ],
+    )
+    def test_named_check(self, calls, check_id, n, params):
+        report = run_check(check_id, n, params)
+        assert report.identity_ok
+        assert len(calls) == 1
+
+    def test_oracle_relation(self, calls):
+        rel = oracle_pair_up(4, 0)
+        assert calls == []
+        report = check_pair_up(rel)
+        assert report.identity_ok
+        assert calls == ["oracle-pair-up"]
 
 
 class TestPairUpChecker:

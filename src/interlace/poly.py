@@ -17,6 +17,7 @@ explicit ``to_float()`` call.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -50,6 +51,22 @@ def _as_float(value) -> float:
     raise ModeMismatchError(
         f"float mode cannot absorb {type(value).__name__} {value!r}"
     )
+
+
+def _integer_form(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over the lcm of their denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two integer coefficient vectors."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def coerce_scalar(value: Scalar, mode: str):
@@ -93,11 +110,23 @@ class Polynomial:
 
     @classmethod
     def from_roots(cls, roots: Sequence[Scalar], mode: str = RATIONAL) -> "Polynomial":
-        """Monic polynomial with the given roots, built by linear factors."""
-        p = cls([1], mode)
-        for r in roots:
-            p = p.mul_linear(r)
-        return p
+        """Monic polynomial with the given roots, built by linear factors.
+
+        In rational mode the roots are scaled to integers a_i over their
+        common denominator D, the product of (D x - a_i) is formed over
+        ``int``, and coefficient k is that product's c_k over D^(n-k).
+        """
+        if mode != RATIONAL:
+            p = cls([1], mode)
+            for r in roots:
+                p = p.mul_linear(r)
+            return p
+        nums, den = _integer_form([_as_rational(r) for r in roots])
+        c = [1]
+        for a in nums:  # c <- (y - a) c, with y = D x
+            c = [-a * c[0]] + [lo - a * hi for lo, hi in zip(c, c[1:])] + [1]
+        n = len(nums)
+        return cls([Fraction(ck, den ** (n - k)) for k, ck in enumerate(c)], RATIONAL)
 
     # -- structure ---------------------------------------------------------
 
@@ -161,6 +190,11 @@ class Polynomial:
             self._require_same_mode(other)
             if self.is_zero or other.is_zero:
                 return Polynomial.zero(self.mode)
+            if self.mode == RATIONAL:
+                a, da = _integer_form(self.coeffs)
+                b, db = _integer_form(other.coeffs)
+                den = da * db
+                return Polynomial([Fraction(c, den) for c in _convolve(a, b)], RATIONAL)
             out = [coerce_scalar(0, self.mode)] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 for j, b in enumerate(other.coeffs):
@@ -260,3 +294,26 @@ def is_identically_zero(p: Polynomial) -> bool:
     if p.mode != RATIONAL:
         raise ModeMismatchError("identity checks require rational mode")
     return p.is_zero
+
+
+def products_cancel(terms: Iterable[tuple[int, Polynomial, Polynomial]]) -> bool:
+    """True iff the sum of ``weight * left * right`` is exactly zero.
+
+    Rational mode only.  Each product is formed on integer numerators over
+    its own denominator and the products are compared over the lcm of those,
+    so the verdict is exact and no ``Fraction`` is built.
+    """
+    products = []
+    for weight, left, right in terms:
+        if left.mode != RATIONAL or right.mode != RATIONAL:
+            raise ModeMismatchError("identity checks require rational mode")
+        a, da = _integer_form(left.coeffs)
+        b, db = _integer_form(right.coeffs)
+        products.append((weight, _convolve(a, b), da * db))
+    den = math.lcm(*(d for _, _, d in products))
+    total = [0] * max((len(c) for _, c, _ in products), default=0)
+    for weight, coeffs, d in products:
+        factor = weight * (den // d)
+        for k, c in enumerate(coeffs):
+            total[k] += factor * c
+    return not any(total)

@@ -20,6 +20,7 @@ constructive property-test oracle for the checkers.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,7 +47,7 @@ from .interlacing import (
     interlaces_down,
     locate_point,
 )
-from .poly import Polynomial, is_identically_zero, monic_linear
+from .poly import Polynomial, monic_linear, products_cancel
 from .rootfind import METHOD_COMPANION, ZeroSet, zeros_general, zeros_orthogonal
 
 PAIR_UP = "pair_up"
@@ -112,8 +113,7 @@ class MixedRelation:
 
 def verify_identity(rel: MixedRelation) -> bool:
     """True iff A*P - B*G - sign*(x-E)*Q is exactly the zero polynomial."""
-    residual = rel.A * rel.P - rel.B * rel.G - (rel.H * rel.Q).scale(rel.sign)
-    return is_identically_zero(residual)
+    return products_cancel(((1, rel.A, rel.P), (-1, rel.B, rel.G), (-rel.sign, rel.H, rel.Q)))
 
 
 def identity_certified(rel: MixedRelation) -> bool:
@@ -896,12 +896,18 @@ def _rational_uniform(rng: random.Random, lo: Fraction, hi: Fraction, denom: int
 
 
 def _draw_chain(rng: random.Random, total: int) -> list[Fraction]:
-    """Strictly increasing rational points: uniform slots in (-1, 1), jittered."""
-    lo, hi = Fraction(-1), Fraction(1)
-    step = (hi - lo) / (total + 1)
-    jitter = min(Fraction(1, 100), step / 4)
+    """Strictly increasing rational points: uniform slots in (-1, 1), jittered.
+
+    Point i is -1 + 2(i+1)/(total+1) plus a jitter uniform on 4097 levels of
+    [-1/J, 1/J], where 1/J = min(1/100, step/4) and step = 2/(total+1).  It
+    is formed as one integer numerator over lcm(total+1, 2048 J).
+    """
+    slots = total + 1
+    J = max(100, 2 * slots)
+    den = math.lcm(slots, 2048 * J)
+    slot, tick = den // slots, den // (2048 * J)
     return [
-        lo + step * (i + 1) + _rational_uniform(rng, -jitter, jitter)
+        Fraction(-den + 2 * (i + 1) * slot + (rng.randrange(4097) - 2048) * tick, den)
         for i in range(total)
     ]
 

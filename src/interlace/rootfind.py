@@ -26,6 +26,10 @@ from .poly import FLOAT, Polynomial
 #: companion eigenvalues with |Im| <= REALITY_THRESHOLD * max(1, |Re|) count as real.
 REALITY_THRESHOLD = 1e-8
 
+#: double-precision constants for the Newton stop test and residual bounds
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
 METHOD_JACOBI = "JacobiMatrix"
 METHOD_COMPANION = "Companion"
 
@@ -83,8 +87,7 @@ def _horner_with_errbound(coeffs: tuple[float, ...], x: float) -> tuple[float, f
     for c in reversed(coeffs):
         acc = acc * x + c
         mag = mag * ax + abs(c)
-    eps = np.finfo(float).eps
-    return acc, (2 * len(coeffs) + 1) * eps * mag
+    return acc, (2 * len(coeffs) + 1) * _EPS * mag
 
 
 def _recurrence_pair(cs: list[float], ls: list[float], x: float) -> tuple[float, float]:
@@ -109,10 +112,10 @@ def _newton_polish(x: float, value_fn, steps: int = 3) -> tuple[float, float]:
         if not math.isfinite(step):
             break
         x -= step
-        if abs(step) <= 4 * np.finfo(float).eps * max(1.0, abs(x)):
+        if abs(step) <= 4 * _EPS * max(1.0, abs(x)):
             break
     p, dp = value_fn(x)
-    bound = abs(p) / max(abs(dp), np.finfo(float).tiny)
+    bound = abs(p) / max(abs(dp), _TINY)
     return x, bound
 
 
@@ -180,17 +183,6 @@ def zeros_general(p: Polynomial) -> ZeroSet:
     zeros = tuple(z for z, _ in polished)
     bound = max((b for _, b in polished), default=0.0)
     return ZeroSet(zeros, bound, METHOD_COMPANION, p)
-
-
-def zeros_of(spec_or_poly) -> ZeroSet:
-    """Dispatch to the spectral path for recurrence families, else companion."""
-    if isinstance(spec_or_poly, FamilySpec):
-        if spec_or_poly.kind in ORTHOGONAL_KINDS:
-            return zeros_orthogonal(spec_or_poly)
-        from .families import monic_by_recurrence
-
-        return zeros_general(monic_by_recurrence(spec_or_poly))
-    return zeros_general(spec_or_poly)
 
 
 def sign_at_zeros(p: Polynomial, zs: ZeroSet) -> list[int]:

@@ -13,11 +13,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
+from itertools import starmap
 
 from . import families
 from .families import FamilySpec, InvalidParameterError, ORTHOGONAL_KINDS, extra_point
@@ -319,18 +321,43 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
+def _map_points(func, points: list[tuple], workers: int) -> list:
+    """``func(*point)`` for every point, in input order.
+
+    One worker, or fewer than two points, runs in this process.  Otherwise the
+    points go in chunks to up to ``workers`` forked processes; ``func`` must be
+    a module-level function or a ``partial`` of one, since it is pickled by name.
+    """
+    if workers < 2 or len(points) < 2:
+        return list(starmap(func, points))
+    # Imported here: loading the pool modules costs start-up time that a check
+    # or a one-worker sweep never needs.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    n_chunks = 4 * workers
+    # Deal the points round-robin into the chunks.  Sweeps list degrees in
+    # increasing order and a point costs more the higher its degree, so
+    # contiguous chunks would leave the costliest one running alone at the end.
+    order = sorted(range(len(points)), key=lambda i: i % n_chunks)
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(points)), mp_context=multiprocessing.get_context("fork")
+    ) as pool:
+        dealt = pool.map(
+            func, *zip(*(points[i] for i in order)), chunksize=math.ceil(len(points) / n_chunks)
+        )
+        results = dict(zip(order, dealt))
+    return [results[i] for i in range(len(points))]
+
+
 def cmd_sweep(args) -> int:
     floor = resolve_floor(args.floor)
     workers = max(args.workers, 1)
     if args.oracle:
         mode = ORACLE_MODES[args.oracle]
         ns = _parse_n_range(args.n or "1..8")
-        seeds = range(args.seeds)
-        tasks = [(n, seed) for n in ns for seed in seeds]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(lambda item: _run_oracle_point(mode, item[0], item[1], floor), tasks)
-            )
+        tasks = [(n, seed) for n in ns for seed in range(args.seeds)]
+        chunks = _map_points(partial(_run_oracle_point, mode, floor=floor), tasks, workers)
     else:
         if not args.spec_file:
             raise InvalidParameterError("sweep needs a spec file or --oracle")
@@ -346,12 +373,7 @@ def cmd_sweep(args) -> int:
             raise InvalidParameterError(f"unknown check id {check_id!r} in sweep spec")
         grid = _sweep_grid(spec)
         wanted = set(spec.get("clauses", []))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(
-                    lambda item: _run_sweep_point(check_id, item[0], item[1], floor), grid
-                )
-            )
+        chunks = _map_points(partial(_run_sweep_point, check_id, floor=floor), grid, workers)
         if wanted:
             keep = wanted | {"build"}
             chunks = [[row for row in rows if row["clause"] in keep] for rows in chunks]
@@ -411,7 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--oracle", choices=sorted(ORACLE_MODES), default=None)
     p_sweep.add_argument("--n", default=None, help="range like 1..8 (oracle mode)")
     p_sweep.add_argument("--seeds", type=int, default=100)
-    p_sweep.add_argument("--workers", type=int, default=4)
+    p_sweep.add_argument(
+        "--workers",
+        type=int,
+        default=4,
+        help="fork up to this many processes (POSIX fork); 1 runs the points in "
+        "this process; row order does not depend on it",
+    )
     p_sweep.add_argument("--output", default=None)
     p_sweep.add_argument("--floor", type=float, default=None)
     p_sweep.set_defaults(func=cmd_sweep)

@@ -3,8 +3,14 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
+
+import interlace
 
 from interlace.cli import main, parse_fraction, table2_data
 from interlace.families import InvalidParameterError
@@ -299,6 +305,50 @@ class TestSweepCommand:
         assert rows[1]["orientation"] == ""
         assert "1 error" in err
         assert code == 0
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["grid-with-errors", "oracle"])
+    def test_output_identical_across_worker_counts(self, capsys, tmp_path, oracle):
+        if oracle:
+            argv = ["--oracle", "pair-up", "--n", "1..6", "--seeds", "5"]
+        else:
+            # narayana-3.3 raises RootComputationError at n = 51 and 52, so error
+            # rows are built in the workers and must cross the process boundary.
+            spec = tmp_path / "sweep.json"
+            spec.write_text(json.dumps({"check": "narayana-3.3", "n": [50, 52]}))
+            argv = [str(spec)]
+        runs = [run_cli(capsys, "sweep", *argv, "--workers", w) for w in ("1", "2", "3")]
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+        assert runs[0][0] == 0 and runs[0][1].count("\n") > 2
+
+    def test_pooled_sweep_emits_no_warnings(self, capsys):
+        # Recorded rather than raised: Python 3.12 issues its "fork() in a
+        # multi-threaded process" DeprecationWarning after the fork, where an
+        # "error" filter does not stop the call, and a ResourceWarning from a
+        # finalizer only reaches sys.unraisablehook.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run_cli(
+                capsys, "sweep", "--oracle", "pair-up", "--n", "1..4", "--seeds", "3", "--workers", "2"
+            )
+        assert code == 0
+        assert [f"{w.category.__name__}: {w.message}" for w in caught] == []
+
+    def test_import_leaves_process_pool_unloaded(self):
+        probe = (
+            "import sys, interlace.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules))"
+        )
+        src = Path(interlace.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            cwd=src,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout == "[]\n"
 
 
 class TestNegativeRationals:

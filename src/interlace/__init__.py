@@ -1,6 +1,6 @@
 """Polynomial families, their real zeros, and machine-checked interlacing."""
 
-from .families import ExtraPoint, FamilySpec, extra_point, monic_by_recurrence
+from .families import FamilySpec, monic_by_recurrence
 from .interlacing import (
     DEFAULT_FLOOR,
     Verdict,
@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckReport",
     "DEFAULT_FLOOR",
-    "ExtraPoint",
     "FLOAT",
     "FamilySpec",
     "MixedRelation",
@@ -36,7 +35,6 @@ __all__ = [
     "alternates",
     "build_relation",
     "check_relation",
-    "extra_point",
     "interlaces_down",
     "is_identically_zero",
     "linear_combine",

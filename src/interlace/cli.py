@@ -1,10 +1,11 @@
 """Command line front end: construct, solve, check, sweep, and tabulate.
 
 Exit codes are a stable contract: 0 all requested checks pass, 1 a clause or
-check failed, 2 invalid input.  Rational parameters are given as "num/den"
-strings; plain decimals are parsed as exact decimal fractions (0.4 becomes
-2/5), never as binary floats.  The environment variable INTERLACE_FLOOR
-overrides the default separation floor of 1e-9.
+check failed, 2 invalid input, 3 a sweep point raised and no clause failed.
+Rational parameters are given as "num/den" strings; plain decimals are parsed
+as exact decimal fractions (0.4 becomes 2/5), never as binary floats.  The
+environment variable INTERLACE_FLOOR overrides the default separation floor
+of 1e-9.
 """
 
 from __future__ import annotations
@@ -22,30 +23,28 @@ from functools import partial
 from itertools import starmap
 
 from . import families
-from .families import FamilySpec, InvalidParameterError, ORTHOGONAL_KINDS, extra_point
+from .families import FamilySpec, InvalidParameterError
 from .interlacing import DEFAULT_FLOOR
-from .poly import Polynomial
 from .relations import (
     CHECK_IDS,
+    CHECK_TO_PAIR,
+    PAIRS,
     CheckReport,
     run_check,
     oracle_down_one,
     oracle_pair_up,
     check_relation,
     check_pair_up,
+    zero_set,
 )
-from .rootfind import zeros_general, zeros_orthogonal
 
-FAMILY_CHOICES = families.ALL_KINDS
+# zeros_general is not called here, but the benchmark's span tracer
+# (perfbench/tracer.py) wraps it under this module's name.
+from .rootfind import zeros_general, zeros_orthogonal  # noqa: F401
+
 PARAM_FLAGS = tuple(f"--{name}" for name in ("alpha", "beta", "p", "N", "t", "w"))
 NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
-ORACLE_MODES = {
-    "pair-up": "pair-up",
-    "down-one": "down-one",
-    # spelled aliases kept for sweep files written against older scripts
-    "thm1": "pair-up",
-    "thm2star": "down-one",
-}
+ORACLE_MODES = ("down-one", "pair-up")
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -69,20 +68,24 @@ def resolve_floor(value: float | None) -> float:
 
 
 def _add_family_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", required=True, choices=FAMILY_CHOICES)
+    sub.add_argument("--family", required=True, choices=families.ALL_KINDS)
     sub.add_argument("--n", required=True, type=int)
     for flag in PARAM_FLAGS:
         sub.add_argument(flag, default=None)
 
 
-def _spec_from_args(args) -> FamilySpec:
-    names = families.PARAM_NAMES[args.family]
+def _params_from_args(args, names: tuple[str, ...], what: str) -> dict:
     params = {}
     for name in names:
         raw = getattr(args, name)
         if raw is None:
-            raise InvalidParameterError(f"{args.family} requires --{name}")
+            raise InvalidParameterError(f"{what} requires --{name}")
         params[name] = parse_fraction(raw)
+    return params
+
+
+def _spec_from_args(args) -> FamilySpec:
+    params = _params_from_args(args, families.PARAM_NAMES[args.family], args.family)
     return FamilySpec.make(args.family, args.n, **params)
 
 
@@ -112,12 +115,6 @@ def cmd_poly(args) -> int:
     return 0
 
 
-def _zero_set_for(spec: FamilySpec):
-    if spec.kind in ORTHOGONAL_KINDS:
-        return zeros_orthogonal(spec)
-    return zeros_general(families.monic_by_recurrence(spec))
-
-
 def _family_label(spec: FamilySpec) -> str:
     bits = [spec.kind] + [f"{k}={v}" for k, v in spec.params] + [f"n={spec.n}"]
     return ";".join(bits)
@@ -125,7 +122,7 @@ def _family_label(spec: FamilySpec) -> str:
 
 def cmd_zeros(args) -> int:
     spec = _spec_from_args(args)
-    zs = _zero_set_for(spec)
+    zs = zero_set(spec)
     digits = args.digits
     if args.plot_data:
         label = _family_label(spec)
@@ -139,20 +136,6 @@ def cmd_zeros(args) -> int:
     }
     print(json.dumps(payload))
     return 0
-
-
-def _check_params_from_args(check_id: str, args) -> dict:
-    from .relations import CHECK_TO_PAIR, PAIR_BUILDERS
-
-    pair = CHECK_TO_PAIR[check_id]
-    names = PAIR_BUILDERS[pair][1]
-    params = {}
-    for name in names:
-        raw = getattr(args, name)
-        if raw is None:
-            raise InvalidParameterError(f"check {check_id} requires --{name}")
-        params[name] = parse_fraction(raw)
-    return params
 
 
 def _report_text(report: CheckReport) -> str:
@@ -177,7 +160,8 @@ def _report_text(report: CheckReport) -> str:
 
 def cmd_check(args) -> int:
     floor = resolve_floor(args.floor)
-    params = _check_params_from_args(args.check_id, args)
+    names = PAIRS[CHECK_TO_PAIR[args.check_id]].param_names
+    params = _params_from_args(args, names, f"check {args.check_id}")
     report = run_check(args.check_id, args.n, params, floor)
     if args.json:
         print(json.dumps(report.to_json()))
@@ -192,7 +176,7 @@ TABLE2_BLOCKS = (
 )
 
 
-def table2_data(floor: float = DEFAULT_FLOOR) -> list[dict]:
+def table2_data() -> list[dict]:
     """Both comparison blocks: zeros of the base and shifted families plus
     the occupancy of the two extreme intervals by shifted-family zeros."""
     out = []
@@ -200,7 +184,7 @@ def table2_data(floor: float = DEFAULT_FLOOR) -> list[dict]:
         n, alpha, beta = blk["n"], blk["alpha"], blk["beta"]
         base = zeros_orthogonal(families.jacobi(alpha, beta, n))
         shifted = zeros_orthogonal(families.jacobi(alpha + 1, beta + 1, n))
-        e = extra_point(families.jacobi(alpha, beta, n), "jacobi-3.6").value
+        e = PAIRS["jacobi-shift"].E(n, alpha=alpha, beta=beta)
         out.append(
             {
                 "block": blk["block"],
@@ -220,7 +204,7 @@ def table2_data(floor: float = DEFAULT_FLOOR) -> list[dict]:
 def cmd_table2(args) -> int:
     digits = args.digits
     rows = []
-    for blk in table2_data(resolve_floor(args.floor)):
+    for blk in table2_data():
         for k, (x, z) in enumerate(zip(blk["x"], blk["z"]), start=1):
             rows.append(
                 {
@@ -236,11 +220,7 @@ def cmd_table2(args) -> int:
                     "right_occupied": str(blk["right_occupied"]).lower(),
                 }
             )
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
-    _emit(buffer.getvalue(), args.output)
+    _emit(_rows_to_csv(rows), args.output)
     return 0
 
 
@@ -354,10 +334,9 @@ def cmd_sweep(args) -> int:
     floor = resolve_floor(args.floor)
     workers = max(args.workers, 1)
     if args.oracle:
-        mode = ORACLE_MODES[args.oracle]
         ns = _parse_n_range(args.n or "1..8")
         tasks = [(n, seed) for n in ns for seed in range(args.seeds)]
-        chunks = _map_points(partial(_run_oracle_point, mode, floor=floor), tasks, workers)
+        chunks = _map_points(partial(_run_oracle_point, args.oracle, floor=floor), tasks, workers)
     else:
         if not args.spec_file:
             raise InvalidParameterError("sweep needs a spec file or --oracle")
@@ -386,7 +365,9 @@ def cmd_sweep(args) -> int:
         f"sweep: {passed} pass, {failed} fail, {errored} error, {len(rows)} rows",
         file=sys.stderr,
     )
-    return 1 if failed else 0
+    if failed:
+        return 1
+    return 3 if errored else 0
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p_zeros)
     p_zeros.add_argument("--digits", type=int, default=6)
     p_zeros.add_argument("--plot-data", action="store_true", dest="plot_data")
-    p_zeros.add_argument("--floor", type=float, default=None)
     p_zeros.set_defaults(func=cmd_zeros)
 
     p_check = sub.add_parser("check", help="run one named interlacing check")
@@ -425,12 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table2", help="emit the two-block zero comparison table")
     p_table.add_argument("--digits", type=int, default=6)
     p_table.add_argument("--output", default=None)
-    p_table.add_argument("--floor", type=float, default=None)
     p_table.set_defaults(func=cmd_table2)
 
     p_sweep = sub.add_parser("sweep", help="run a check over a parameter grid")
     p_sweep.add_argument("spec_file", nargs="?", default=None)
-    p_sweep.add_argument("--oracle", choices=sorted(ORACLE_MODES), default=None)
+    p_sweep.add_argument("--oracle", choices=ORACLE_MODES, default=None)
     p_sweep.add_argument("--n", default=None, help="range like 1..8 (oracle mode)")
     p_sweep.add_argument("--seeds", type=int, default=100)
     p_sweep.add_argument(
@@ -468,10 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_join_negative_fractions(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # InvalidParameterError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,18 +3,17 @@
 Each family is built monic from its three-term recurrence with exact rational
 coefficients.  Cross-check routes (terminating hypergeometric sums, closed
 form coefficients) are provided where available and must agree exactly with
-the recurrence route.  Discrete weights and the added interlacing point E of
-every supported named check live here as well.
+the recurrence route.  Discrete weights live here as well.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import RATIONAL, Polynomial, monic_linear
+from .poly import RATIONAL, Polynomial
 
 ORTHOGONAL_KINDS = ("jacobi", "laguerre", "krawtchouk", "meixner")
 NARAYANA_KINDS = (
@@ -441,61 +440,3 @@ def weight_at(spec: FamilySpec, x: int) -> Fraction:
 def krawtchouk_edge_value(k: int, p: Fraction, M: int) -> Fraction:
     """Value of the degree-k member with parameter M evaluated at x = M."""
     return Fraction(math.factorial(k)) * math.comb(M, k) * (1 - p) ** k
-
-
-# ---------------------------------------------------------------------------
-# Added interlacing points
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExtraPoint:
-    """The added interlacing point E for one (family, check) pairing."""
-
-    family: FamilySpec
-    value: Fraction
-    slot_hint: str
-
-
-#: check id -> family kind expected to carry that check's polynomial P.
-EXTRA_POINT_KINDS = {
-    "krawtchouk-3.1": "krawtchouk",
-    "meixner-3.2": "meixner",
-    "narayana-3.3": "narayana-christoffel",
-    "narayana-3.4": "narayana-perturbed",
-    "jacobi-3.5": "jacobi",
-    "jacobi-3.6": "jacobi",
-    "laguerre-3.7": "laguerre",
-}
-
-
-def extra_point(spec: FamilySpec, check_id: str) -> ExtraPoint:
-    """Closed-form E for the given check, as an exact rational."""
-    expected = EXTRA_POINT_KINDS.get(check_id)
-    if expected is None:
-        raise InvalidParameterError(f"unknown check id {check_id!r}")
-    if spec.kind != expected:
-        raise InvalidParameterError(
-            f"check {check_id} pairs with family {expected!r}, not {spec.kind!r}"
-        )
-    n = spec.n
-    if check_id == "krawtchouk-3.1":
-        p, N = spec.param("p"), spec.param("N")
-        value = N + 1 - p * (n + 1)
-    elif check_id == "meixner-3.2":
-        t, w = spec.param("t"), spec.param("w")
-        value = -t + w * (n + 1) / (1 - w)
-    elif check_id == "jacobi-3.5":
-        alpha, beta = spec.param("alpha"), spec.param("beta")
-        s = 2 * n + alpha + beta
-        value = -1 + 2 * (n + 1) * (n + alpha + 1) / ((s + 2) * (s + 3))
-    elif check_id == "jacobi-3.6":
-        alpha, beta = spec.param("alpha"), spec.param("beta")
-        value = (alpha - beta) / (2 * n + alpha + beta + 2)
-    elif check_id == "laguerre-3.7":
-        value = Fraction(n + 1)
-    elif check_id == "narayana-3.3":
-        value = Fraction(1)
-    else:  # narayana-3.4
-        value = Fraction(-1)
-    return ExtraPoint(spec, value, check_id)

@@ -19,12 +19,11 @@ INTERLACE_DOWN = "InterlaceDown"
 ADDED_LEFT = "AddedPointLeft"
 ADDED_INTERIOR = "AddedPointInterior"
 ADDED_RIGHT = "AddedPointRight"
-FULL_INTERLACE = "FullInterlace"
 FAIL = "Fail"
 INCONCLUSIVE = "Inconclusive"
 
 #: added_point_interlace verdict kinds that mean the merged test passed.
-ADDED_OK_KINDS = frozenset({ADDED_LEFT, ADDED_INTERIOR, ADDED_RIGHT, FULL_INTERLACE})
+ADDED_OK_KINDS = frozenset({ADDED_LEFT, ADDED_INTERIOR, ADDED_RIGHT})
 
 
 class CommonPointError(ValueError):
@@ -48,10 +47,6 @@ class Verdict:
     e_used: float | None = None
     e_position: str | None = None
     orientation: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.kind in (ALTERNATE, INTERLACE_DOWN) or self.kind in ADDED_OK_KINDS
 
     def to_json(self) -> dict:
         return {

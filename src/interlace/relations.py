@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,7 +31,6 @@ from .families import (
     FamilySpec,
     InvalidParameterError,
     ORTHOGONAL_KINDS,
-    jacobi_step_coeffs,
     monic_by_recurrence,
 )
 from .interlacing import (
@@ -48,11 +48,14 @@ from .interlacing import (
     locate_point,
 )
 from .poly import Polynomial, monic_linear, products_cancel
-from .rootfind import METHOD_COMPANION, ZeroSet, zeros_general, zeros_orthogonal
+from .rootfind import ZeroSet, zeros_general, zeros_orthogonal
 
 PAIR_UP = "pair_up"
 DOWN_ONE = "down_one"
 UP_ONE = "up_one"
+
+#: shape -> (sign, deg G - deg P, deg Q - deg P)
+SHAPES = {PAIR_UP: (1, 1, 1), DOWN_ONE: (-1, 0, -1), UP_ONE: (-1, 0, 1)}
 
 PASS = "pass"
 FAIL_CLAUSE = "fail"
@@ -67,7 +70,7 @@ class DegenerateDrawError(RuntimeError):
     """The random generator exhausted its retries without a valid instance."""
 
 
-_IDENTITY_TERMS = frozenset(("sign", "A", "B", "H", "E", "P", "G", "Q"))
+_IDENTITY_TERMS = frozenset(("sign", "A", "B", "E", "P", "G", "Q"))
 
 
 @dataclass
@@ -79,7 +82,6 @@ class MixedRelation:
     sign: int
     A: Polynomial
     B: Polynomial
-    H: Polynomial
     E: Fraction
     P: Polynomial
     G: Polynomial
@@ -98,17 +100,19 @@ class MixedRelation:
 
     def __post_init__(self):
         n = self.P.degree
-        want = {
-            PAIR_UP: (n + 1, n + 1),
-            DOWN_ONE: (n, n - 1),
-            UP_ONE: (n, n + 1),
-        }[self.shape]
+        _, dg, dq = SHAPES[self.shape]
+        want = (n + dg, n + dq)
         got = (self.G.degree, self.Q.degree)
         if got != want:
             raise IdentityError(
                 f"{self.rel_id}: degrees {got} do not match shape {self.shape} "
                 f"with deg P = {n} (expected {want})"
             )
+
+    @property
+    def H(self) -> Polynomial:
+        """The factor x - E."""
+        return monic_linear(self.E)
 
 
 def verify_identity(rel: MixedRelation) -> bool:
@@ -123,267 +127,255 @@ def identity_certified(rel: MixedRelation) -> bool:
     return rel.certified
 
 
-def _finish(rel: MixedRelation) -> MixedRelation:
-    if not identity_certified(rel):
-        raise IdentityError(f"{rel.rel_id}: exact identity failed for {rel.params}")
-    return rel
-
-
 # ---------------------------------------------------------------------------
-# Relation builders, one per transcribed display
+# The named relations, one table entry per transcribed display
 # ---------------------------------------------------------------------------
 
 
-def _build_krawtchouk(n: int, p: Fraction, N: Fraction) -> MixedRelation:
-    Ni = int(N)
-    if N.denominator != 1 or Ni < 1:
+@dataclass(frozen=True)
+class PairEntry:
+    """One named relation as a function of the degree index n and its parameters.
+
+    Every callable is called as ``f(n, **params)``, with the parameters that
+    ``families.PARAM_NAMES`` lists for ``family`` as Fractions.  ``P``, ``G``
+    and ``Q`` give the member specs, ``A`` and ``B`` coefficient lists, and
+    ``check`` raises ``InvalidParameterError`` on parameters the relation
+    excludes.  With ``min_n`` None the members' own check on the degree index
+    applies.
+    """
+
+    shape: str
+    family: str
+    P: Callable
+    G: Callable
+    Q: Callable
+    A: Callable
+    B: Callable
+    E: Callable
+    #: float interval the members' weight lives on; None marks an open end
+    support: Callable = lambda n, **_: (None, None)
+    min_n: int | None = None
+    check: Callable | None = None
+    #: the named check this relation serves, if any
+    check_id: str | None = None
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return families.PARAM_NAMES[self.family]
+
+
+def _krawtchouk_check(n, p, N):
+    if N.denominator != 1 or N < 1:
         raise InvalidParameterError(f"krawtchouk relation needs integer N >= 1 (got N={N})")
-    if n + 1 > Ni:
+    if n + 1 > N:
         raise InvalidParameterError(
             f"krawtchouk relation needs n + 1 <= N so both parameter columns exist "
-            f"(got n={n}, N={Ni})"
+            f"(got n={n}, N={N})"
         )
-    p_spec = families.krawtchouk(p, Ni + 1, n)
-    g_spec = families.krawtchouk(p, Ni, n + 1)
-    q_spec = families.krawtchouk(p, Ni + 1, n + 1)
-    E = Ni + 1 - p * (n + 1)
-    rel = MixedRelation(
-        rel_id="krawtchouk",
-        shape=PAIR_UP,
-        sign=1,
-        A=Polynomial.constant(p * (1 - p) * (n + 1) * (Ni + 1 - n)),
-        B=Polynomial([Ni + 1, -1]),
-        H=monic_linear(E),
-        E=E,
-        P=monic_by_recurrence(p_spec),
-        G=monic_by_recurrence(g_spec),
-        Q=monic_by_recurrence(q_spec),
-        specs={"P": p_spec, "G": g_spec, "Q": q_spec},
-        support=(0.0, float(Ni + 1)),
-        params={"n": n, "p": p, "N": Ni},
-    )
-    return _finish(rel)
 
 
-def _build_meixner(n: int, t: Fraction, w: Fraction) -> MixedRelation:
-    p_spec = families.meixner(t, w, n)
-    g_spec = families.meixner(t + 1, w, n + 1)
-    q_spec = families.meixner(t, w, n + 1)
-    E = -t + w * (n + 1) / (1 - w)
-    rel = MixedRelation(
-        rel_id="meixner",
-        shape=PAIR_UP,
-        sign=1,
-        A=Polynomial.constant(w * (n + 1) * (n + t) / (1 - w) ** 2),
-        B=Polynomial([-t, -1]),
-        H=monic_linear(E),
-        E=E,
-        P=monic_by_recurrence(p_spec),
-        G=monic_by_recurrence(g_spec),
-        Q=monic_by_recurrence(q_spec),
-        specs={"P": p_spec, "G": g_spec, "Q": q_spec},
-        support=(0.0, None),
-        params={"n": n, "t": t, "w": w},
-    )
-    return _finish(rel)
-
-
-def _build_laguerre(n: int, alpha: Fraction) -> MixedRelation:
-    p_spec = families.laguerre(alpha, n)
-    g_spec = families.laguerre(alpha + 1, n + 1)
-    q_spec = families.laguerre(alpha, n + 1)
-    E = Fraction(n + 1)
-    rel = MixedRelation(
-        rel_id="laguerre",
-        shape=PAIR_UP,
-        sign=1,
-        A=Polynomial.constant((n + 1) * (n + alpha + 1)),
-        B=Polynomial([0, -1]),
-        H=monic_linear(E),
-        E=E,
-        P=monic_by_recurrence(p_spec),
-        G=monic_by_recurrence(g_spec),
-        Q=monic_by_recurrence(q_spec),
-        specs={"P": p_spec, "G": g_spec, "Q": q_spec},
-        support=(0.0, None),
-        params={"n": n, "alpha": alpha},
-    )
-    return _finish(rel)
-
-
-def _build_jacobi_beta(n: int, alpha: Fraction, beta: Fraction) -> MixedRelation:
-    if n < 1:
-        raise InvalidParameterError(f"jacobi-beta relation needs n >= 1 (got n={n})")
+def _jacobi_beta_check(n, alpha, beta):
     if beta <= 0:
         raise InvalidParameterError(
             f"jacobi-beta relation needs beta > 0 so the lowered parameter stays valid "
             f"(got beta={beta})"
         )
-    s = alpha + beta
+
+
+def _jacobi_beta_a(n, alpha, beta):
     # Scalar normalizer for monic members; the added point E and the root
     # of A follow the usual display of this relation, whose own scalars
     # belong to a non-monic normalization and fail the exact residual here.
+    s = alpha + beta
     M = 2 * (n + 1) * (n + alpha + 1) / ((2 * n + s + 1) * (2 * n + s + 2))
-    E = -1 + 2 * (n + 1) * (n + alpha + 1) / ((2 * n + s + 2) * (2 * n + s + 3))
-    p_spec = families.jacobi(alpha, beta, n)
-    g_spec = families.jacobi(alpha, beta + 1, n + 1)
-    q_spec = families.jacobi(alpha, beta - 1, n + 1)
-    rel = MixedRelation(
-        rel_id="jacobi-beta",
+    return [M * (1 + 2 * beta / (2 * n + s + 3)), M]
+
+
+def _jacobi_beta_e(n, alpha, beta):
+    s = alpha + beta
+    return -1 + 2 * (n + 1) * (n + alpha + 1) / ((2 * n + s + 2) * (2 * n + s + 3))
+
+
+def _jacobi_shift_e(n, alpha, beta):
+    return (alpha - beta) / (2 * n + alpha + beta + 2)
+
+
+def _jacobi_shift_up_b(n, alpha, beta):
+    _, lp = families.jacobi_step_coeffs(alpha + 1, beta + 1, n)
+    s = alpha + beta
+    return [(2 * n + s + 3) * (n + s + 1) * lp / ((n + s + 2) * n)]
+
+
+_HALF_LINE = lambda n, **_: (0.0, None)  # noqa: E731
+_JACOBI_INTERVAL = lambda n, **_: (-1.0, 1.0)  # noqa: E731
+
+#: pair id -> relation, in the order of the named checks
+PAIRS = {
+    "krawtchouk": PairEntry(
+        check_id="krawtchouk-3.1",
         shape=PAIR_UP,
-        sign=1,
-        A=Polynomial([M * (1 + 2 * beta / (2 * n + s + 3)), M]),
-        B=Polynomial([-1, -1]),
-        H=monic_linear(E),
-        E=E,
-        P=monic_by_recurrence(p_spec),
-        G=monic_by_recurrence(g_spec),
-        Q=monic_by_recurrence(q_spec),
-        specs={"P": p_spec, "G": g_spec, "Q": q_spec},
-        support=(-1.0, 1.0),
-        params={"n": n, "alpha": alpha, "beta": beta},
-    )
-    return _finish(rel)
-
-
-def _build_jacobi_shift(n: int, alpha: Fraction, beta: Fraction) -> MixedRelation:
-    if n < 1:
-        raise InvalidParameterError(f"jacobi-shift relation needs n >= 1 (got n={n})")
-    s = alpha + beta
-    E = (alpha - beta) / (2 * n + s + 2)
-    p_spec = families.jacobi(alpha, beta, n)
-    g_spec = families.jacobi(alpha + 1, beta + 1, n)
-    q_spec = families.jacobi(alpha + 1, beta + 1, n - 1)
-    rel = MixedRelation(
-        rel_id="jacobi-shift",
+        family="krawtchouk",
+        check=_krawtchouk_check,
+        P=lambda n, p, N: families.krawtchouk(p, N + 1, n),
+        G=lambda n, p, N: families.krawtchouk(p, N, n + 1),
+        Q=lambda n, p, N: families.krawtchouk(p, N + 1, n + 1),
+        A=lambda n, p, N: [p * (1 - p) * (n + 1) * (N + 1 - n)],
+        B=lambda n, p, N: [N + 1, -1],
+        E=lambda n, p, N: N + 1 - p * (n + 1),
+        support=lambda n, p, N: (0.0, float(N + 1)),
+    ),
+    "meixner": PairEntry(
+        check_id="meixner-3.2",
+        shape=PAIR_UP,
+        family="meixner",
+        P=lambda n, t, w: families.meixner(t, w, n),
+        G=lambda n, t, w: families.meixner(t + 1, w, n + 1),
+        Q=lambda n, t, w: families.meixner(t, w, n + 1),
+        A=lambda n, t, w: [w * (n + 1) * (n + t) / (1 - w) ** 2],
+        B=lambda n, t, w: [-t, -1],
+        E=lambda n, t, w: -t + w * (n + 1) / (1 - w),
+        support=_HALF_LINE,
+    ),
+    "narayana-christoffel": PairEntry(
+        check_id="narayana-3.3",
         shape=DOWN_ONE,
-        sign=-1,
-        A=Polynomial.constant((n + s + 1) / Fraction(n)),
-        B=Polynomial.constant((2 * n + s + 1) / Fraction(n)),
-        H=monic_linear(E),
-        E=E,
-        P=monic_by_recurrence(p_spec),
-        G=monic_by_recurrence(g_spec),
-        Q=monic_by_recurrence(q_spec),
-        specs={"P": p_spec, "G": g_spec, "Q": q_spec},
-        support=(-1.0, 1.0),
-        params={"n": n, "alpha": alpha, "beta": beta},
-    )
-    return _finish(rel)
-
-
-def _build_jacobi_shift_up(n: int, alpha: Fraction, beta: Fraction) -> MixedRelation:
-    """Equal-degree Jacobi pair against the one-degree-up neighbour.
-
-    Obtained by eliminating the index n-1 member between the parameter-shift
-    relation at two consecutive indices and the shifted family's recurrence.
-    The elimination collapses A to the weight-ratio factor 1 - x^2, positive
-    on the open support interval; the identity is certified exactly below.
-    """
-    if n < 1:
-        raise InvalidParameterError(f"jacobi-shift-up relation needs n >= 1 (got n={n})")
-    s = alpha + beta
-    e_n = (alpha - beta) / (2 * n + s + 2)
-    _, lp = jacobi_step_coeffs(alpha + 1, beta + 1, n)
-    b0 = (2 * n + s + 3) * (n + s + 1) * lp / ((n + s + 2) * Fraction(n))
-    p_spec = families.jacobi(alpha + 1, beta + 1, n)
-    g_spec = families.jacobi(alpha, beta, n)
-    q_spec = families.jacobi(alpha, beta, n + 1)
-    rel = MixedRelation(
-        rel_id="jacobi-shift-up",
+        family="narayana-christoffel",
+        min_n=2,
+        P=lambda n: families.narayana_spec("narayana-christoffel", n),
+        G=lambda n: families.narayana_spec("narayana-reduced", n),
+        Q=lambda n: families.narayana_spec("narayana-reduced", n - 1),
+        A=lambda n: [Fraction(n + 2, n - 1)],
+        B=lambda n: [Fraction(2 * n + 1, n - 1)],
+        E=lambda n: Fraction(1),
+    ),
+    "narayana-perturbed": PairEntry(
+        check_id="narayana-3.4",
+        shape=DOWN_ONE,
+        family="narayana-perturbed",
+        min_n=2,
+        P=lambda n: families.narayana_spec("narayana-perturbed", n),
+        G=lambda n: families.narayana_spec("narayana-reduced", n),
+        Q=lambda n: families.narayana_spec("narayana-reduced", n - 1),
+        A=lambda n: [Fraction(1, n - 1)],
+        B=lambda n: [Fraction(n, n - 1)],
+        E=lambda n: Fraction(-1),
+    ),
+    "jacobi-beta": PairEntry(
+        check_id="jacobi-3.5",
+        shape=PAIR_UP,
+        family="jacobi",
+        min_n=1,
+        check=_jacobi_beta_check,
+        P=lambda n, alpha, beta: families.jacobi(alpha, beta, n),
+        G=lambda n, alpha, beta: families.jacobi(alpha, beta + 1, n + 1),
+        Q=lambda n, alpha, beta: families.jacobi(alpha, beta - 1, n + 1),
+        A=_jacobi_beta_a,
+        B=lambda n, alpha, beta: [-1, -1],
+        E=_jacobi_beta_e,
+        support=_JACOBI_INTERVAL,
+    ),
+    "jacobi-shift": PairEntry(
+        check_id="jacobi-3.6",
+        shape=DOWN_ONE,
+        family="jacobi",
+        min_n=1,
+        P=lambda n, alpha, beta: families.jacobi(alpha, beta, n),
+        G=lambda n, alpha, beta: families.jacobi(alpha + 1, beta + 1, n),
+        Q=lambda n, alpha, beta: families.jacobi(alpha + 1, beta + 1, n - 1),
+        A=lambda n, alpha, beta: [(n + alpha + beta + 1) / n],
+        B=lambda n, alpha, beta: [(2 * n + alpha + beta + 1) / n],
+        E=_jacobi_shift_e,
+        support=_JACOBI_INTERVAL,
+    ),
+    "laguerre": PairEntry(
+        check_id="laguerre-3.7",
+        shape=PAIR_UP,
+        family="laguerre",
+        P=lambda n, alpha: families.laguerre(alpha, n),
+        G=lambda n, alpha: families.laguerre(alpha + 1, n + 1),
+        Q=lambda n, alpha: families.laguerre(alpha, n + 1),
+        A=lambda n, alpha: [(n + 1) * (n + alpha + 1)],
+        B=lambda n, alpha: [0, -1],
+        E=lambda n, alpha: Fraction(n + 1),
+        support=_HALF_LINE,
+    ),
+    # Equal-degree Jacobi pair against the one-degree-up neighbour, obtained
+    # by eliminating the index n-1 member between the parameter-shift
+    # relation at two consecutive indices and the shifted family's
+    # recurrence.  The elimination collapses A to the weight-ratio factor
+    # 1 - x^2, positive on the open support interval.
+    "jacobi-shift-up": PairEntry(
         shape=UP_ONE,
-        sign=-1,
-        A=Polynomial([1, 0, -1]),
-        B=Polynomial.constant(b0),
-        H=monic_linear(e_n),
-        E=e_n,
-        P=monic_by_recurrence(p_spec),
-        G=monic_by_recurrence(g_spec),
-        Q=monic_by_recurrence(q_spec),
-        specs={"P": p_spec, "G": g_spec, "Q": q_spec},
-        support=(-1.0, 1.0),
-        params={"n": n, "alpha": alpha, "beta": beta},
-    )
-    return _finish(rel)
-
-
-def _build_narayana_christoffel(n: int) -> MixedRelation:
-    if n < 2:
-        raise InvalidParameterError(f"narayana-christoffel relation needs n >= 2 (got n={n})")
-    E = Fraction(1)
-    rel = MixedRelation(
-        rel_id="narayana-christoffel",
-        shape=DOWN_ONE,
-        sign=-1,
-        A=Polynomial.constant(Fraction(n + 2, n - 1)),
-        B=Polynomial.constant(Fraction(2 * n + 1, n - 1)),
-        H=monic_linear(E),
-        E=E,
-        P=families.narayana_christoffel(n),
-        G=families.narayana_reduced(n),
-        Q=families.narayana_reduced(n - 1),
-        specs={
-            "P": families.narayana_spec("narayana-christoffel", n),
-            "G": families.narayana_spec("narayana-reduced", n),
-            "Q": families.narayana_spec("narayana-reduced", n - 1),
-        },
-        support=(None, None),
-        params={"n": n},
-    )
-    return _finish(rel)
-
-
-def _build_narayana_perturbed(n: int) -> MixedRelation:
-    if n < 2:
-        raise InvalidParameterError(f"narayana-perturbed relation needs n >= 2 (got n={n})")
-    E = Fraction(-1)
-    rel = MixedRelation(
-        rel_id="narayana-perturbed",
-        shape=DOWN_ONE,
-        sign=-1,
-        A=Polynomial.constant(Fraction(1, n - 1)),
-        B=Polynomial.constant(Fraction(n, n - 1)),
-        H=monic_linear(E),
-        E=E,
-        P=families.narayana_perturbed(n),
-        G=families.narayana_reduced(n),
-        Q=families.narayana_reduced(n - 1),
-        specs={
-            "P": families.narayana_spec("narayana-perturbed", n),
-            "G": families.narayana_spec("narayana-reduced", n),
-            "Q": families.narayana_spec("narayana-reduced", n - 1),
-        },
-        support=(None, None),
-        params={"n": n},
-    )
-    return _finish(rel)
-
-
-#: pair id -> (builder, required parameter names)
-PAIR_BUILDERS = {
-    "krawtchouk": (_build_krawtchouk, ("p", "N")),
-    "meixner": (_build_meixner, ("t", "w")),
-    "laguerre": (_build_laguerre, ("alpha",)),
-    "jacobi-beta": (_build_jacobi_beta, ("alpha", "beta")),
-    "jacobi-shift": (_build_jacobi_shift, ("alpha", "beta")),
-    "jacobi-shift-up": (_build_jacobi_shift_up, ("alpha", "beta")),
-    "narayana-christoffel": (_build_narayana_christoffel, ()),
-    "narayana-perturbed": (_build_narayana_perturbed, ()),
+        family="jacobi",
+        min_n=1,
+        P=lambda n, alpha, beta: families.jacobi(alpha + 1, beta + 1, n),
+        G=lambda n, alpha, beta: families.jacobi(alpha, beta, n),
+        Q=lambda n, alpha, beta: families.jacobi(alpha, beta, n + 1),
+        A=lambda n, alpha, beta: [1, 0, -1],
+        B=_jacobi_shift_up_b,
+        E=_jacobi_shift_e,
+        support=_JACOBI_INTERVAL,
+    ),
 }
+
+#: named check id -> pair id
+CHECK_TO_PAIR = {entry.check_id: pair_id for pair_id, entry in PAIRS.items() if entry.check_id}
+CHECK_IDS = tuple(CHECK_TO_PAIR)
+
+
+def _member(spec: FamilySpec) -> Polynomial:
+    # The closed form: the Narayana recurrence costs hundreds of times more at
+    # high degree.
+    if spec.kind == "narayana-reduced":
+        return families.narayana_reduced(spec.n)
+    return monic_by_recurrence(spec)
 
 
 def build_relation(pair_id: str, n: int, params: dict | None = None) -> MixedRelation:
     """Construct and exactly verify the named relation at one grid point."""
-    if pair_id not in PAIR_BUILDERS:
+    entry = PAIRS.get(pair_id)
+    if entry is None:
         raise InvalidParameterError(f"unknown relation pair {pair_id!r}")
-    builder, names = PAIR_BUILDERS[pair_id]
+    names = entry.param_names
     params = dict(params or {})
     if set(params) != set(names):
         raise InvalidParameterError(
             f"{pair_id} expects parameters {names}, got {tuple(sorted(params))}"
         )
-    kwargs = {name: Fraction(params[name]) for name in names}
-    return builder(n, **kwargs)
+    kw = {name: Fraction(params[name]) for name in names}
+    if entry.min_n is not None and n < entry.min_n:
+        raise InvalidParameterError(f"{pair_id} relation needs n >= {entry.min_n} (got n={n})")
+    if entry.check is not None:
+        entry.check(n, **kw)
+    p_spec, g_spec, q_spec = entry.P(n, **kw), entry.G(n, **kw), entry.Q(n, **kw)
+    rel = MixedRelation(
+        rel_id=pair_id,
+        shape=entry.shape,
+        sign=SHAPES[entry.shape][0],
+        A=Polynomial(entry.A(n, **kw)),
+        B=Polynomial(entry.B(n, **kw)),
+        E=entry.E(n, **kw),
+        P=_member(p_spec),
+        G=_member(g_spec),
+        Q=_member(q_spec),
+        specs={"P": p_spec, "G": g_spec, "Q": q_spec},
+        support=entry.support(n, **kw),
+        params={"n": n, **kw},
+    )
+    if not identity_certified(rel):
+        raise IdentityError(f"{rel.rel_id}: exact identity failed for {rel.params}")
+    return rel
+
+
+def zero_set(spec: FamilySpec | None, poly: Polynomial | None = None) -> ZeroSet:
+    """Real zeros of a family member, of ``poly`` when given.
+
+    Orthogonal kinds take the tridiagonal path; everything else the companion
+    path, on ``poly`` or else on the member built from ``spec``.
+    """
+    if spec is not None and spec.kind in ORTHOGONAL_KINDS:
+        return zeros_orthogonal(spec)
+    return zeros_general(_member(spec) if poly is None else poly)
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +462,6 @@ class CheckReport:
         return rows
 
 
-def _zeros_for(rel: MixedRelation, which: str) -> ZeroSet:
-    spec = rel.specs.get(which)
-    if spec is not None and spec.kind in ORTHOGONAL_KINDS:
-        return zeros_orthogonal(spec)
-    poly = getattr(rel, which)
-    if poly.degree == 0:
-        return ZeroSet((), 0.0, METHOD_COMPANION, poly)
-    return zeros_general(poly)
-
-
 def _min_cross_gap(za: ZeroSet, zb: ZeroSet) -> float:
     if not za.zeros or not zb.zeros:
         return float("inf")
@@ -514,17 +496,21 @@ def _a_positive(rel: MixedRelation, zg: ZeroSet, grid_points: int = 32) -> bool:
     return True
 
 
-def _base_report(rel: MixedRelation, floor: float) -> tuple[CheckReport, ZeroSet, ZeroSet, ZeroSet]:
-    report = CheckReport(
-        check_id=rel.rel_id,
+def _new_report(rel: MixedRelation, check_id: str) -> CheckReport:
+    return CheckReport(
+        check_id=check_id,
         shape=rel.shape,
         params=dict(rel.params),
         e_value=rel.E,
+        identity_ok=identity_certified(rel),
     )
-    report.identity_ok = identity_certified(rel)
-    zg = _zeros_for(rel, "G")
-    zq = _zeros_for(rel, "Q")
-    zp = _zeros_for(rel, "P")
+
+
+def _base_report(rel: MixedRelation, floor: float) -> tuple[CheckReport, ZeroSet, ZeroSet, ZeroSet]:
+    report = _new_report(rel, rel.rel_id)
+    zg = zero_set(rel.specs.get("G"), rel.G)
+    zq = zero_set(rel.specs.get("Q"), rel.Q)
+    zp = zero_set(rel.specs.get("P"), rel.P)
     e_float = float(rel.E)
     report.hypotheses["b_at_e_nonzero"] = rel.B.evaluate(rel.E) != 0
     report.hypotheses["e_not_on_g_zero"] = all(abs(e_float - g) > floor for g in zg.zeros)
@@ -549,6 +535,13 @@ def _verdict_clause(verdict: Verdict, want_kind) -> str:
     return PASS if verdict.kind in kinds else FAIL_CLAUSE
 
 
+def _skip_rest(report: CheckReport, names) -> CheckReport:
+    """Mark each clause in ``names`` that is not yet decided as skipped."""
+    for name in names:
+        report.clauses.setdefault(name, SKIPPED)
+    return report
+
+
 def check_pair_up(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckReport:
     """Checker for the shape with G and Q one degree above P.
 
@@ -571,9 +564,7 @@ def check_pair_up(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckRepo
         else:
             report.premise = prem_qg if prem_qg.kind == INCONCLUSIVE else prem_gq
             report.notes.append("premise failed: zero sets of Q and G do not alternate")
-            for name in ("e_position", "added_point", "full_iff"):
-                report.clauses[name] = SKIPPED
-            return report
+            return _skip_rest(report, ("e_position", "added_point", "full_iff"))
 
     case_low = report.premise_kind == "q_below_g"
 
@@ -592,17 +583,13 @@ def check_pair_up(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckRepo
     )
 
     if not report.hypotheses_ok:
-        report.clauses.setdefault("added_point", SKIPPED)
-        report.clauses.setdefault("full_iff", SKIPPED)
-        return report
+        return _skip_rest(report, ("added_point", "full_iff"))
 
     try:
         ap = added_point_interlace(zp, rel.E, zg, floor)
     except CommonPointError:
         report.hypotheses["e_not_on_g_zero"] = False
-        report.clauses["added_point"] = SKIPPED
-        report.clauses["full_iff"] = SKIPPED
-        return report
+        return _skip_rest(report, ("added_point", "full_iff"))
     want = "P_below_G" if case_low else "G_below_P"
     if ap.kind == INCONCLUSIVE:
         report.clauses["added_point"] = SKIPPED
@@ -625,6 +612,9 @@ def check_pair_up(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckRepo
     return report
 
 
+DOWN_ONE_CLAUSES = ("added_point", "full_when_e_above", "full_when_e_below")
+
+
 def check_down_one(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckReport:
     """Checker for the shape with G at P's degree and Q one degree below."""
     if rel.shape != DOWN_ONE:
@@ -636,16 +626,11 @@ def check_down_one(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckRep
     if premise.kind != INTERLACE_DOWN:
         report.premise = premise
         report.notes.append("premise failed: zeros of Q do not interlace below G")
-        for name in ("added_point", "full_when_e_above", "full_when_e_below"):
-            report.clauses[name] = SKIPPED
-        return report
+        return _skip_rest(report, DOWN_ONE_CLAUSES)
     report.premise_kind, report.premise = "g_then_q", premise
 
     if not report.hypotheses_ok:
-        report.clauses["added_point"] = SKIPPED
-        report.clauses["full_when_e_above"] = SKIPPED
-        report.clauses["full_when_e_below"] = SKIPPED
-        return report
+        return _skip_rest(report, DOWN_ONE_CLAUSES)
 
     try:
         ap = added_point_interlace(zp, rel.E, zg, floor)
@@ -736,15 +721,11 @@ def check_up_one(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckRepor
     if premise.kind != INTERLACE_DOWN:
         report.premise = premise
         report.notes.append("premise failed: zeros of Q do not interlace above G")
-        for name in UP_ONE_CLAUSES:
-            report.clauses[name] = SKIPPED
-        return report
+        return _skip_rest(report, UP_ONE_CLAUSES)
     report.premise_kind, report.premise = "q_then_g", premise
 
     if not report.hypotheses_ok:
-        for name in UP_ONE_CLAUSES:
-            report.clauses[name] = SKIPPED
-        return report
+        return _skip_rest(report, UP_ONE_CLAUSES)
 
     below, gaps, above, ambiguous = _classify_regions(zp, zg, floor)
     report.notes.append(f"zero layout: below={below}, gaps={gaps}, above={above}")
@@ -829,30 +810,11 @@ def check_relation(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckRep
 # ---------------------------------------------------------------------------
 
 
-CHECK_TO_PAIR = {
-    "krawtchouk-3.1": "krawtchouk",
-    "meixner-3.2": "meixner",
-    "narayana-3.3": "narayana-christoffel",
-    "narayana-3.4": "narayana-perturbed",
-    "jacobi-3.5": "jacobi-beta",
-    "jacobi-3.6": "jacobi-shift",
-    "laguerre-3.7": "laguerre",
-}
-
-CHECK_IDS = tuple(CHECK_TO_PAIR)
-
-
 def check_narayana_even_quotient(n: int, floor: float = DEFAULT_FLOOR) -> CheckReport:
     """Even-index branch: P and G share the zero -1, so the reference set is
     the exact quotient of G by (x + 1) and the claim is plain interlacing."""
-    rel = _build_narayana_perturbed(n)
-    report = CheckReport(
-        check_id="narayana-3.4",
-        shape=rel.shape,
-        params=dict(rel.params),
-        e_value=rel.E,
-    )
-    report.identity_ok = identity_certified(rel)
+    rel = build_relation("narayana-perturbed", n)
+    report = _new_report(rel, "narayana-3.4")
     report.premise_kind = "even-quotient"
     shared = rel.P.evaluate(Fraction(-1)) == 0 and rel.G.evaluate(Fraction(-1)) == 0
     report.clauses["common_zero_at_minus_one"] = PASS if shared else FAIL_CLAUSE
@@ -862,9 +824,7 @@ def check_narayana_even_quotient(n: int, floor: float = DEFAULT_FLOOR) -> CheckR
         report.notes.append("reference polynomial not divisible by (x + 1)")
         return report
     zp = zeros_general(rel.P)
-    zq = zeros_general(quotient) if quotient.degree >= 1 else ZeroSet(
-        (), 0.0, METHOD_COMPANION, quotient
-    )
+    zq = zeros_general(quotient)
     report.clauses["quotient_interlace"] = _verdict_clause(
         interlaces_down(zp, zq, floor), INTERLACE_DOWN
     )
@@ -912,9 +872,22 @@ def _draw_chain(rng: random.Random, total: int) -> list[Fraction]:
     ]
 
 
-def _support_hull(zero_groups, e: Fraction) -> tuple[float, float]:
-    values = [float(z) for group in zero_groups for z in group] + [float(e)]
-    return min(values) - 1.0, max(values) + 1.0
+def _oracle_relation(shape, A, B, e, P, G, Q, zeros) -> MixedRelation:
+    """A synthetic relation; its support is the hull of ``zeros`` and E, widened by 1."""
+    values = [float(z) for z in zeros] + [float(e)]
+    return MixedRelation(
+        rel_id="oracle-" + shape.replace("_", "-"),
+        shape=shape,
+        sign=SHAPES[shape][0],
+        A=A,
+        B=B,
+        E=e,
+        P=P,
+        G=G,
+        Q=Q,
+        support=(min(values) - 1.0, max(values) + 1.0),
+        params={"n": P.degree},
+    )
 
 
 def assemble_pair_up(
@@ -937,27 +910,15 @@ def assemble_pair_up(
     B = Polynomial([b_const, -1])
     if B.evaluate(e) == 0:
         return None
-    H = monic_linear(e)
-    combo = B * G + H * Q
+    combo = B * G + monic_linear(e) * Q
     if combo.degree != n:
         return None
     a_const = combo.leading_coefficient
     if require_positive_a and a_const <= 0:
         return None
     P = combo.scale(1 / a_const)
-    return MixedRelation(
-        rel_id="oracle-pair-up",
-        shape=PAIR_UP,
-        sign=1,
-        A=Polynomial.constant(a_const),
-        B=B,
-        H=H,
-        E=e,
-        P=P,
-        G=G,
-        Q=Q,
-        support=_support_hull((g_zeros, q_zeros), e),
-        params={"n": n},
+    return _oracle_relation(
+        PAIR_UP, Polynomial.constant(a_const), B, e, P, G, Q, [*g_zeros, *q_zeros]
     )
 
 
@@ -983,12 +944,9 @@ def oracle_pair_up(
             q_zeros, g_zeros = pts[0::2], pts[1::2]
         else:
             g_zeros, q_zeros = pts[0::2], pts[1::2]
-        if force_e == "above_max":
-            e = g_zeros[-1] + _rational_uniform(rng, Fraction(1, 20), Fraction(1, 2))
-        else:
-            e = _rational_uniform(rng, Fraction(-6, 5), Fraction(6, 5))
-            if min(abs(e - g) for g in g_zeros) < Fraction(1, 100):
-                continue
+        e = _draw_e(rng, g_zeros, "above" if force_e == "above_max" else None)
+        if e is None:
+            continue
         rel = assemble_pair_up(g_zeros, q_zeros, e, require_positive_a=force_e is None)
         if rel is not None:
             rel.params.update({"seed": seed, "orientation": orient, "forced": force_e})
@@ -1001,29 +959,22 @@ def assemble_down_one(g_zeros, q_zeros, e: Fraction, b_const: Fraction) -> Mixed
     n = len(g_zeros)
     G = Polynomial.from_roots(g_zeros)
     Q = Polynomial.from_roots(q_zeros)
-    if b_const == 0:
-        return None
-    H = monic_linear(e)
-    combo = G.scale(b_const) - H * Q
+    combo = G.scale(b_const) - monic_linear(e) * Q
     if combo.degree != n:
         return None
     a_const = combo.leading_coefficient
     if a_const <= 0:
         return None
     P = combo.scale(1 / a_const)
-    return MixedRelation(
-        rel_id="oracle-down-one",
-        shape=DOWN_ONE,
-        sign=-1,
-        A=Polynomial.constant(a_const),
-        B=Polynomial.constant(b_const),
-        H=H,
-        E=e,
-        P=P,
-        G=G,
-        Q=Q,
-        support=_support_hull((g_zeros, q_zeros), e),
-        params={"n": n},
+    return _oracle_relation(
+        DOWN_ONE,
+        Polynomial.constant(a_const),
+        Polynomial.constant(b_const),
+        e,
+        P,
+        G,
+        Q,
+        [*g_zeros, *q_zeros],
     )
 
 
@@ -1088,23 +1039,11 @@ def assemble_up_one(g_zeros, q_zeros, e: Fraction) -> MixedRelation | None:
     B = Polynomial([b0, b1, 1])
     if B.evaluate(e) == 0:
         return None
-    H = monic_linear(e)
-    combo = B * G - H * Q
+    combo = B * G - monic_linear(e) * Q
     if combo.degree != n or combo.leading_coefficient != 1:
         return None
-    return MixedRelation(
-        rel_id="oracle-up-one",
-        shape=UP_ONE,
-        sign=-1,
-        A=Polynomial.constant(Fraction(1)),
-        B=B,
-        H=H,
-        E=e,
-        P=combo,
-        G=G,
-        Q=Q,
-        support=_support_hull((g_zeros, q_zeros), e),
-        params={"n": n},
+    return _oracle_relation(
+        UP_ONE, Polynomial.constant(Fraction(1)), B, e, combo, G, Q, [*g_zeros, *q_zeros]
     )
 
 

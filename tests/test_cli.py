@@ -223,7 +223,7 @@ class TestSweepCommand:
             )
         )
         code, out, err = run_cli(capsys, "sweep", str(spec))
-        assert code == 0  # build errors are recorded, not fatal
+        assert code == 3  # build errors are recorded, not fatal, and not passes
         assert "error: krawtchouk relation needs n + 1 <= N" in out
         assert "1 error" in err
 
@@ -241,7 +241,7 @@ class TestSweepCommand:
 
     def test_oracle_mode(self, capsys):
         code, out, err = run_cli(
-            capsys, "sweep", "--oracle", "thm1", "--n", "1..2", "--seeds", "4"
+            capsys, "sweep", "--oracle", "pair-up", "--n", "1..2", "--seeds", "4"
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -279,7 +279,7 @@ class TestSweepCommand:
         errors = [row for row in rows if ",error: " in row]
         assert errors and all(",build,error: RootComputationError: " in row for row in errors)
         assert f"{len(errors)} error" in err
-        assert code in (0, 1)
+        assert code == 3
 
     def test_oracle_exception_becomes_error_row(self, capsys, monkeypatch):
         from interlace import cli
@@ -304,7 +304,7 @@ class TestSweepCommand:
         ]
         assert rows[1]["orientation"] == ""
         assert "1 error" in err
-        assert code == 0
+        assert code == 3
 
     @pytest.mark.parametrize("oracle", [False, True], ids=["grid-with-errors", "oracle"])
     def test_output_identical_across_worker_counts(self, capsys, tmp_path, oracle):
@@ -319,7 +319,7 @@ class TestSweepCommand:
         runs = [run_cli(capsys, "sweep", *argv, "--workers", w) for w in ("1", "2", "3")]
         assert runs[1] == runs[0]
         assert runs[2] == runs[0]
-        assert runs[0][0] == 0 and runs[0][1].count("\n") > 2
+        assert runs[0][0] == (0 if oracle else 3) and runs[0][1].count("\n") > 2
 
     def test_pooled_sweep_emits_no_warnings(self, capsys):
         # Recorded rather than raised: Python 3.12 issues its "fork() in a

@@ -150,6 +150,16 @@ def _relation_n24():
     return oracle_pair_up(24, 0)
 
 
+def _float_term(rel, term: str) -> tuple:
+    """The field to replace, and its float value, to put ``term`` in float mode.
+
+    H is derived as x - E, so a float H comes from a float E.
+    """
+    if term == "H":
+        return "E", float(rel.E)
+    return term, getattr(rel, term).to_float()
+
+
 def _perturb(p: Polynomial, index: int, delta: F) -> Polynomial:
     coeffs = list(p.coeffs)
     coeffs[index] += delta
@@ -182,13 +192,13 @@ class TestVerifyIdentity:
     @pytest.mark.parametrize("term", ["A", "B", "H", "P", "G", "Q"])
     def test_float_term_refused(self, term):
         rel = _relation_n24()
-        bad = dataclasses.replace(rel, **{term: getattr(rel, term).to_float()})
+        bad = dataclasses.replace(rel, **dict([_float_term(rel, term)]))
         with pytest.raises(ModeMismatchError):
             verify_identity(bad)
 
     def test_all_float_terms_refused(self):
         rel = _relation_n24()
-        floats = {t: getattr(rel, t).to_float() for t in ("A", "B", "H", "P", "G", "Q")}
+        floats = dict(_float_term(rel, t) for t in ("A", "B", "H", "P", "G", "Q"))
         with pytest.raises(ModeMismatchError):
             verify_identity(dataclasses.replace(rel, **floats))
 

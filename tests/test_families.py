@@ -6,11 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 from interlace import families
+from interlace.relations import PAIRS
 from interlace.families import (
     ConstructionError,
     FamilySpec,
     InvalidParameterError,
-    extra_point,
     hypergeometric_check,
     hypergeometric_poly,
     jacobi,
@@ -313,29 +313,29 @@ class TestPochhammer:
 
 
 class TestExtraPoint:
+    """The added point E of each named relation, read from the relation table."""
+
+    @staticmethod
+    def extra_point(pair_id, n, **params):
+        return PAIRS[pair_id].E(n, **{k: F(v) for k, v in params.items()})
+
     def test_jacobi_shift_values(self):
-        assert extra_point(jacobi(2, 14, 6), "jacobi-3.6").value == F(-2, 5)
-        assert extra_point(jacobi(14, 2, 7), "jacobi-3.6").value == F(3, 8)
+        assert self.extra_point("jacobi-shift", 6, alpha=2, beta=14) == F(-2, 5)
+        assert self.extra_point("jacobi-shift", 7, alpha=14, beta=2) == F(3, 8)
 
     def test_laguerre_value(self):
-        assert extra_point(laguerre(0, 5), "laguerre-3.7").value == 6
+        assert self.extra_point("laguerre", 5, alpha=0) == 6
 
     def test_krawtchouk_value(self):
-        assert extra_point(krawtchouk(F(1, 2), 4, 2), "krawtchouk-3.1").value == F(7, 2)
+        assert self.extra_point("krawtchouk", 2, p=F(1, 2), N=4) == F(7, 2)
 
     def test_meixner_value(self):
-        got = extra_point(meixner(1, F(1, 2), 0), "meixner-3.2").value
+        got = self.extra_point("meixner", 0, t=1, w=F(1, 2))
         assert got == 0
 
     def test_narayana_values(self):
-        assert extra_point(narayana_spec("narayana-christoffel", 4), "narayana-3.3").value == 1
-        assert extra_point(narayana_spec("narayana-perturbed", 4), "narayana-3.4").value == -1
-
-    def test_wrong_pairing(self):
-        with pytest.raises(InvalidParameterError):
-            extra_point(laguerre(0, 5), "jacobi-3.6")
-        with pytest.raises(InvalidParameterError):
-            extra_point(laguerre(0, 5), "no-such-check")
+        assert self.extra_point("narayana-christoffel", 4) == 1
+        assert self.extra_point("narayana-perturbed", 4) == -1
 
 
 class TestSpecSerialization:

@@ -6,7 +6,10 @@ the degree ladder of ``check --json`` runs, ``zeros`` of the four orthogonal
 families at n = 40, ``table2`` and a small pair-up oracle sweep.  A further
 file pins the oracle relations themselves, which the sweep output (pass/fail
 and orientation only) cannot: one line per instance with its E and a digest
-of every term.  A change meant to leave output alone (a faster construction,
+of every term.  A third pins every named relation: its shape, sign, E,
+support, member specs and a digest of its terms at a few degrees and
+parameter sets, and the exact error text of each invalid point, which sweep
+error rows print.  A change meant to leave output alone (a faster construction,
 a refactor) must pass this module unchanged.  After a deliberate output
 change, re-record with
 
@@ -16,13 +19,20 @@ change, re-record with
 import contextlib
 import hashlib
 import io
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 from interlace.cli import main
-from interlace.relations import CHECK_IDS, oracle_down_one, oracle_pair_up, oracle_up_one
+from interlace.relations import (
+    CHECK_IDS,
+    build_relation,
+    oracle_down_one,
+    oracle_pair_up,
+    oracle_up_one,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -92,6 +102,12 @@ ORACLE_RELATIONS = (
 ORACLE_SEEDS = range(5)
 
 
+def _term_digest(rel) -> str:
+    terms = (rel.A, rel.B, rel.P, rel.G, rel.Q)
+    text = "|".join(" ".join(str(c) for c in t.coeffs) for t in terms)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
 def oracle_relations() -> str:
     """One line per oracle instance: mode, n, seed, E and a term digest."""
     lines = []
@@ -99,10 +115,80 @@ def oracle_relations() -> str:
         for n in ns:
             for seed in ORACLE_SEEDS:
                 rel = draw(n, seed)
-                terms = (rel.A, rel.B, rel.P, rel.G, rel.Q)
-                text = "|".join(" ".join(str(c) for c in t.coeffs) for t in terms)
-                digest = hashlib.sha256(text.encode("ascii")).hexdigest()
-                lines.append(f"{mode} {n} {seed} {rel.E} {digest}\n")
+                lines.append(f"{mode} {n} {seed} {rel.E} {_term_digest(rel)}\n")
+    return "".join(lines)
+
+
+# (pair id, degrees, parameter sets) for every named relation.
+NAMED_RELATIONS = (
+    ("krawtchouk", (0, 1, 5, 20), ({"p": "1/3", "N": "25"}, {"p": "1/2", "N": "21"})),
+    ("meixner", (0, 1, 5, 20), ({"t": "1", "w": "1/2"}, {"t": "5/2", "w": "1/3"})),
+    ("laguerre", (0, 1, 5, 20), ({"alpha": "0"}, {"alpha": "-1/2"}, {"alpha": "3"})),
+    ("jacobi-beta", (1, 2, 5, 20), ({"alpha": "2", "beta": "14"}, {"alpha": "-1/2", "beta": "1/2"})),
+    ("jacobi-shift", (1, 2, 5, 20), ({"alpha": "2", "beta": "14"}, {"alpha": "-1/2", "beta": "-1/2"})),
+    ("jacobi-shift-up", (1, 2, 5, 20), ({"alpha": "2", "beta": "14"}, {"alpha": "14", "beta": "2"})),
+    ("narayana-christoffel", (2, 3, 8, 20, 60), ({},)),
+    ("narayana-perturbed", (2, 3, 8, 20, 60), ({},)),
+)
+# (pair id, n, parameters) that must be refused, in the order the checks fire:
+# each entry's minimum degree, the extra parameter checks, then the members'
+# own parameter checks.
+INVALID_RELATIONS = (
+    ("no-such-pair", 3, {}),
+    ("laguerre", 3, {}),
+    ("laguerre", 3, {"alpha": "0", "beta": "1"}),
+    ("krawtchouk", -1, {"p": "1/3", "N": "5"}),
+    ("krawtchouk", -1, {"p": "1/3", "N": "5/2"}),
+    ("krawtchouk", 3, {"p": "1/3", "N": "5/2"}),
+    ("krawtchouk", 3, {"p": "1/3", "N": "0"}),
+    ("krawtchouk", 5, {"p": "1/3", "N": "5"}),
+    ("krawtchouk", 6, {"p": "1/3", "N": "5"}),
+    ("krawtchouk", 3, {"p": "3/2", "N": "5"}),
+    ("meixner", -1, {"t": "1", "w": "1/2"}),
+    ("meixner", 3, {"t": "1", "w": "1"}),
+    ("meixner", 3, {"t": "0", "w": "1/2"}),
+    ("laguerre", -1, {"alpha": "0"}),
+    ("laguerre", 3, {"alpha": "-1"}),
+    ("jacobi-beta", 0, {"alpha": "2", "beta": "14"}),
+    ("jacobi-beta", 0, {"alpha": "2", "beta": "0"}),
+    ("jacobi-beta", 3, {"alpha": "2", "beta": "0"}),
+    ("jacobi-beta", 3, {"alpha": "2", "beta": "-1/2"}),
+    ("jacobi-beta", 3, {"alpha": "-1", "beta": "1"}),
+    ("jacobi-shift", 0, {"alpha": "2", "beta": "14"}),
+    ("jacobi-shift", 3, {"alpha": "2", "beta": "-1"}),
+    ("jacobi-shift-up", 0, {"alpha": "2", "beta": "14"}),
+    ("jacobi-shift-up", 3, {"alpha": "-1", "beta": "2"}),
+    ("narayana-christoffel", 1, {}),
+    ("narayana-christoffel", -1, {}),
+    ("narayana-perturbed", 1, {}),
+    ("narayana-perturbed", 0, {}),
+)
+
+
+def named_relations() -> str:
+    """One line per named relation point, then one per refused point."""
+    lines = []
+    for pair_id, ns, param_sets in NAMED_RELATIONS:
+        for params in param_sets:
+            for n in ns:
+                rel = build_relation(pair_id, n, params)
+                specs = json.dumps(
+                    {k: spec.to_json() for k, spec in rel.specs.items()}, sort_keys=True
+                )
+                shown = json.dumps({k: str(v) for k, v in rel.params.items()})
+                lines.append(
+                    f"{pair_id} n={n} shape={rel.shape} sign={rel.sign} E={rel.E} "
+                    f"support={rel.support} params={shown} specs={specs} "
+                    f"{_term_digest(rel)}\n"
+                )
+    for pair_id, n, params in INVALID_RELATIONS:
+        try:
+            build_relation(pair_id, n, params)
+        except Exception as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        else:
+            outcome = "built"
+        lines.append(f"{pair_id} n={n} params={json.dumps(params)} -> {outcome}\n")
     return "".join(lines)
 
 
@@ -121,6 +207,11 @@ def test_oracle_relations_match_golden():
     assert oracle_relations() == want
 
 
+def test_named_relations_match_golden():
+    want = (GOLDEN / "relations.txt").read_bytes().decode("ascii")
+    assert named_relations() == want
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, commands in CASES.items():
@@ -128,3 +219,5 @@ if __name__ == "__main__":
         print(f"recorded {name}", file=sys.stderr)
     (GOLDEN / "oracle_relations.txt").write_bytes(oracle_relations().encode("ascii"))
     print("recorded oracle_relations.txt", file=sys.stderr)
+    (GOLDEN / "relations.txt").write_bytes(named_relations().encode("ascii"))
+    print("recorded relations.txt", file=sys.stderr)

@@ -77,6 +77,13 @@ class TestBuildRelation:
         with pytest.raises(InvalidParameterError, match="beta > 0"):
             build_relation("jacobi-beta", 3, {"alpha": 0, "beta": 0})
 
+    @pytest.mark.parametrize("pair_id", ["jacobi-beta", "jacobi-shift", "jacobi-shift-up"])
+    def test_member_parameters_checked_before_scalars(self, pair_id):
+        # alpha + beta = -4 puts a zero in the denominators of A, B or E at
+        # n = 1; the invalid member must be named before any of them is formed.
+        with pytest.raises(InvalidParameterError, match="alpha > -1"):
+            build_relation(pair_id, 1, {"alpha": -5, "beta": 1})
+
 
 class TestVerifyIdentity:
     def test_perturbation_breaks_identity(self):

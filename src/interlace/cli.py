@@ -5,7 +5,7 @@ check failed, 2 invalid input, 3 a sweep point raised and no clause failed.
 Rational parameters are given as "num/den" strings; plain decimals are parsed
 as exact decimal fractions (0.4 becomes 2/5), never as binary floats.  The
 environment variable INTERLACE_FLOOR overrides the default separation floor
-of 1e-9.
+of 1e-9; a floor, from there or from --floor, must be finite and >= 0.
 """
 
 from __future__ import annotations
@@ -56,15 +56,24 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def resolve_floor(value: float | None) -> float:
-    if value is not None:
-        return value
-    env = os.environ.get("INTERLACE_FLOOR")
-    if env:
+    """The separation floor from ``--floor``, else INTERLACE_FLOOR, else the default.
+
+    NaN or infinity would make every gap test vacuous and a negative floor
+    would decide gaps the floats cannot see, so only finite floors >= 0 pass.
+    """
+    source = "--floor"
+    if value is None:
+        env = os.environ.get("INTERLACE_FLOOR")
+        if not env:
+            return DEFAULT_FLOOR
+        source = "INTERLACE_FLOOR"
         try:
-            return float(env)
+            value = float(env)
         except ValueError as exc:
             raise InvalidParameterError(f"bad INTERLACE_FLOOR {env!r}") from exc
-    return DEFAULT_FLOOR
+    if not (math.isfinite(value) and value >= 0):
+        raise InvalidParameterError(f"{source} must be finite and >= 0 (got {value!r})")
+    return value
 
 
 def _add_family_flags(sub: argparse.ArgumentParser) -> None:

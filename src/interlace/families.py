@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import RATIONAL, Polynomial
+from .poly import RATIONAL, Polynomial, _integer_form
 
 ORTHOGONAL_KINDS = ("jacobi", "laguerre", "krawtchouk", "meixner")
 NARAYANA_KINDS = (
@@ -45,7 +45,8 @@ class ConstructionError(RuntimeError):
     """Two independent construction routes for one polynomial disagree."""
 
 
-def _frac(value) -> Fraction:
+def exact_rational(value) -> Fraction:
+    """``Fraction(value)``, refusing binary floats rather than reading their exact value."""
     if isinstance(value, float):
         raise InvalidParameterError(
             f"parameters must be exact rationals, got float {value!r}"
@@ -70,7 +71,7 @@ class FamilySpec:
             raise InvalidParameterError(
                 f"{kind} expects parameters {names}, got {tuple(sorted(params))}"
             )
-        as_fracs = tuple((name, _frac(params[name])) for name in names)
+        as_fracs = tuple((name, exact_rational(params[name])) for name in names)
         spec = cls(kind, as_fracs, int(n))
         spec.validate()
         return spec
@@ -167,24 +168,30 @@ class RecurrenceCoeffs:
     lam: tuple[Fraction, ...]
 
 
+def _jacobi_step(a: int, b: int, d: int, k: int) -> tuple[Fraction, Fraction]:
+    # alpha = a/d, beta = b/d; s = d (2k + alpha + beta)
+    if k == 0:
+        return Fraction(b - a, a + b + 2 * d), Fraction(0)
+    s = 2 * k * d + a + b
+    ck = Fraction(b * b - a * a, s * (s + 2 * d))
+    if k == 1:
+        e = a + b + 2 * d
+        return ck, Fraction(4 * d * (d + a) * (d + b), e * e * (e + d))
+    kd = k * d
+    return ck, Fraction(4 * kd * (kd + a) * (kd + b) * (kd + a + b), s * s * (s + d) * (s - d))
+
+
 def jacobi_step_coeffs(alpha: Fraction, beta: Fraction, k: int) -> tuple[Fraction, Fraction]:
     """(c_{k+1}, l_{k+1}) for the monic recurrence with weight (1-x)^a (1+x)^b.
 
-    The k = 0 diagonal and k = 1 off-diagonal use the cancelled forms of the
-    general expressions, which are 0/0 there when alpha + beta hits 0 or -1.
+    Each is one Fraction of integers: alpha and beta are brought over their
+    common denominator d, and both sides of every formula scaled by a power
+    of d.  The k = 0 diagonal and k = 1 off-diagonal use the cancelled forms
+    of the general expressions, which are 0/0 there when alpha + beta hits 0
+    or -1.
     """
-    if k == 0:
-        return (beta - alpha) / (alpha + beta + 2), Fraction(0)
-    s = 2 * k + alpha + beta
-    ck = (beta * beta - alpha * alpha) / (s * (s + 2))
-    if k == 1:
-        lk = 4 * (1 + alpha) * (1 + beta) / ((alpha + beta + 2) ** 2 * (alpha + beta + 3))
-    else:
-        lk = (
-            4 * k * (k + alpha) * (k + beta) * (k + alpha + beta)
-            / (s * s * (s + 1) * (s - 1))
-        )
-    return ck, lk
+    (a, b), d = _integer_form((alpha, beta))
+    return _jacobi_step(a, b, d, k)
 
 
 # A check builds at most three specs and then solves each; a sweep runs a few
@@ -193,32 +200,37 @@ def jacobi_step_coeffs(alpha: Fraction, beta: Fraction, k: int) -> tuple[Fractio
 def recurrence_coeffs(spec: FamilySpec) -> RecurrenceCoeffs:
     """Exact recurrence coefficients c_1..c_n and l_1..l_n for ``spec``.
 
-    Memoised per spec: construction and the eigensolve share one computation.
+    Every coefficient is formed as one Fraction from integer numerators of the
+    parameters, never by Fraction arithmetic.  Memoised per spec: construction
+    and the eigensolve share one computation.
     """
     kind, n = spec.kind, spec.n
-    cs: list[Fraction] = []
-    ls: list[Fraction] = []
     if kind == "jacobi":
-        alpha, beta = spec.param("alpha"), spec.param("beta")
-        for k in range(n):
-            ck, lk = jacobi_step_coeffs(alpha, beta, k)
-            cs.append(ck)
-            ls.append(lk)
+        (a, b), d = _integer_form((spec.param("alpha"), spec.param("beta")))
+        steps = [_jacobi_step(a, b, d, k) for k in range(n)]
+        cs = [c for c, _ in steps]
+        ls = [lam for _, lam in steps]
     elif kind == "laguerre":
+        # alpha = a/d: c = 2k + alpha + 1, l = k (k + alpha)
         alpha = spec.param("alpha")
-        for k in range(n):
-            cs.append(2 * k + alpha + 1)
-            ls.append(Fraction(k) * (k + alpha))
+        a, d = alpha.numerator, alpha.denominator
+        cs = [Fraction(2 * k * d + a + d, d) for k in range(n)]
+        ls = [Fraction(k * (k * d + a), d) for k in range(n)]
     elif kind == "krawtchouk":
-        p, N = spec.param("p"), spec.param("N")
-        for k in range(n):
-            cs.append(p * (N - k) + k * (1 - p))
-            ls.append(k * p * (1 - p) * (N + 1 - k))
+        # p = u/v: c = p (N - k) + k (1 - p), l = k p (1 - p) (N + 1 - k)
+        p, N = spec.param("p"), spec.param("N").numerator
+        u, v = p.numerator, p.denominator
+        cs = [Fraction(u * (N - k) + k * (v - u), v) for k in range(n)]
+        ls = [Fraction(k * u * (v - u) * (N + 1 - k), v * v) for k in range(n)]
     elif kind == "meixner":
+        # t = a/d, w = u/v: c = (k + w (k + t)) / (1 - w),
+        # l = w k (k + t - 1) / (1 - w)^2
         t, w = spec.param("t"), spec.param("w")
-        for k in range(n):
-            cs.append((k + w * (k + t)) / (1 - w))
-            ls.append(w * k * (k + t - 1) / (1 - w) ** 2)
+        a, d = t.numerator, t.denominator
+        u, v = w.numerator, w.denominator
+        c_den = d * (v - u)
+        cs = [Fraction(k * v * d + u * (k * d + a), c_den) for k in range(n)]
+        ls = [Fraction(u * v * k * (k * d + a - d), c_den * (v - u)) for k in range(n)]
     else:
         raise InvalidParameterError(
             f"{kind} has no classical three-term recurrence coefficients"

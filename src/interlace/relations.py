@@ -31,6 +31,7 @@ from .families import (
     FamilySpec,
     InvalidParameterError,
     ORTHOGONAL_KINDS,
+    exact_rational,
     monic_by_recurrence,
 )
 from .interlacing import (
@@ -342,7 +343,7 @@ def build_relation(pair_id: str, n: int, params: dict | None = None) -> MixedRel
         raise InvalidParameterError(
             f"{pair_id} expects parameters {names}, got {tuple(sorted(params))}"
         )
-    kw = {name: Fraction(params[name]) for name in names}
+    kw = {name: exact_rational(params[name]) for name in names}
     if entry.min_n is not None and n < entry.min_n:
         raise InvalidParameterError(f"{pair_id} relation needs n >= {entry.min_n} (got n={n})")
     if entry.check is not None:

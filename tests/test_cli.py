@@ -157,6 +157,32 @@ class TestCheckCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("floor", ["nan", "inf", "-inf", "-1", "-1e-12"])
+    def test_unusable_floor_flag_exits_two(self, capsys, floor):
+        # a NaN or infinite floor skipped every hypothesis-dependent clause
+        # and printed PASS; a negative one evaluated clauses it should skip
+        code, out, err = run_cli(
+            capsys, "check", "jacobi-3.6", "--n", "8", "--alpha", "2", "--beta", "14",
+            f"--floor={floor}",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: --floor must be finite and >= 0")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("floor", ["nan", "inf", "-1"])
+    def test_unusable_floor_env_exits_two(self, capsys, monkeypatch, floor):
+        monkeypatch.setenv("INTERLACE_FLOOR", floor)
+        code, out, err = run_cli(capsys, "check", "laguerre-3.7", "--n", "4", "--alpha", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: INTERLACE_FLOOR must be finite and >= 0")
+        assert err.count("\n") == 1
+
+    def test_zero_floor_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "laguerre-3.7", "--n", "4", "--alpha", "0", "--floor", "0",
+        )
+        assert code == 0 and "result: PASS" in out
+
 
 class TestTable2Command:
     def test_csv_shape_and_values(self, capsys):
@@ -226,6 +252,25 @@ class TestSweepCommand:
         assert code == 3  # build errors are recorded, not fatal, and not passes
         assert "error: krawtchouk relation needs n + 1 <= N" in out
         assert "1 error" in err
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_unusable_floor_exits_two(self, capsys, monkeypatch, tmp_path, oracle):
+        if oracle:
+            argv = ["sweep", "--oracle", "pair-up", "--n", "1..2", "--seeds", "2"]
+        else:
+            spec = tmp_path / "sweep.json"
+            spec.write_text(
+                json.dumps({"check": "laguerre-3.7", "n": [2], "params": {"alpha": [0]}})
+            )
+            argv = ["sweep", str(spec), "--workers", "1"]
+        for floor in ("nan", "inf", "-1"):
+            code, out, err = run_cli(capsys, *argv, f"--floor={floor}")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: --floor must be finite and >= 0")
+        monkeypatch.setenv("INTERLACE_FLOOR", "nan")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: INTERLACE_FLOOR must be finite and >= 0 (got nan)\n"
 
     def test_malformed_spec_exits_two(self, capsys, tmp_path):
         spec = tmp_path / "bad.json"

@@ -98,11 +98,46 @@ class TestRecurrence:
             meixner(1, 1, 3)
 
 
+def _reference_jacobi_step(alpha, beta, k):
+    """Fraction transcription of the Jacobi (c_{k+1}, l_{k+1}), cancelled at k = 0, 1."""
+    if k == 0:
+        return (beta - alpha) / (alpha + beta + 2), F(0)
+    s = 2 * k + alpha + beta
+    ck = (beta * beta - alpha * alpha) / (s * (s + 2))
+    if k == 1:
+        lk = 4 * (1 + alpha) * (1 + beta) / ((alpha + beta + 2) ** 2 * (alpha + beta + 3))
+    else:
+        lk = 4 * k * (k + alpha) * (k + beta) * (k + alpha + beta) / (s * s * (s + 1) * (s - 1))
+    return ck, lk
+
+
+def _reference_coeffs(spec):
+    """The recurrence coefficients by plain Fraction arithmetic, as (c, lam) lists."""
+    par = dict(spec.params)
+    ks = range(spec.n)
+    if spec.kind == "jacobi":
+        steps = [_reference_jacobi_step(par["alpha"], par["beta"], k) for k in ks]
+        return [c for c, _ in steps], [lam for _, lam in steps]
+    if spec.kind == "laguerre":
+        alpha = par["alpha"]
+        return [2 * k + alpha + 1 for k in ks], [F(k) * (k + alpha) for k in ks]
+    if spec.kind == "krawtchouk":
+        p, N = par["p"], par["N"]
+        return (
+            [p * (N - k) + k * (1 - p) for k in ks],
+            [k * p * (1 - p) * (N + 1 - k) for k in ks],
+        )
+    t, w = par["t"], par["w"]
+    return (
+        [(k + w * (k + t)) / (1 - w) for k in ks],
+        [w * k * (k + t - 1) / (1 - w) ** 2 for k in ks],
+    )
+
+
 def _reference_monic(spec):
     """Plain Fraction run of P_{k+1} = (x - c_k) P_k - l_k P_{k-1}, ascending."""
-    rc = recurrence_coeffs(spec)
     prev, cur = [], [F(1)]
-    for c, lam in zip(rc.c, rc.lam):
+    for c, lam in zip(*_reference_coeffs(spec)):
         nxt = [F(0)] + cur
         for i, a in enumerate(cur):
             nxt[i] -= c * a
@@ -110,6 +145,55 @@ def _reference_monic(spec):
             nxt[i] -= lam * a
         prev, cur = cur, nxt
     return Polynomial(cur)
+
+
+COEFF_SPECS = [
+    # alpha + beta = -1 and alpha + beta = 0 take the cancelled k = 0, 1 steps
+    lambda n: jacobi(F(-1, 2), F(-1, 2), n),
+    lambda n: jacobi(F(-2, 3), F(-1, 3), n),
+    lambda n: jacobi(F(1, 3), F(-1, 3), n),
+    lambda n: jacobi(F(-3, 4), F(3, 4), n),
+    lambda n: jacobi(F(-1, 2), F(5, 3), n),
+    lambda n: jacobi(14, 14, n),
+    lambda n: jacobi(2, 14, n),
+    lambda n: jacobi(F(-99, 100), F(7, 10), n),
+    lambda n: laguerre(F(-1, 2), n),
+    lambda n: laguerre(0, n),
+    lambda n: laguerre(F(-99, 100), n),
+    lambda n: laguerre(F(5, 2), n),
+    lambda n: krawtchouk(F(1, 3), max(n, 1), n),  # n = N: last member
+    lambda n: krawtchouk(F(1, 2), n + 1, n),
+    lambda n: krawtchouk(F(99, 100), n + 7, n),
+    lambda n: krawtchouk(F(2, 7), 80, n),
+    lambda n: meixner(1, F(1, 2), n),
+    lambda n: meixner(F(1, 2), F(3, 4), n),
+    lambda n: meixner(F(1, 100), F(99, 100), n),  # w near 1
+    lambda n: meixner(F(7, 3), F(999, 1000), n),
+    lambda n: meixner(3, F(1, 1000), n),
+]
+
+
+class TestRecurrenceCoeffs:
+    """The integer-numerator coefficients against the Fraction transcription."""
+
+    @pytest.mark.parametrize("make", COEFF_SPECS)
+    def test_match_fraction_reference(self, make):
+        for n in range(61):
+            spec = make(n)
+            rc = recurrence_coeffs(spec)
+            ref_c, ref_lam = _reference_coeffs(spec)
+            assert list(rc.c) == ref_c and list(rc.lam) == ref_lam, spec
+            assert all(type(x) is F for x in rc.c + rc.lam), spec
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [(F(-1, 2), F(-1, 2)), (F(1, 3), F(-1, 3)), (F(-1, 2), F(5, 3)), (F(14), F(14))],
+    )
+    def test_jacobi_step_coeffs_match_fraction_reference(self, alpha, beta):
+        for k in range(61):
+            got = families.jacobi_step_coeffs(alpha, beta, k)
+            assert got == _reference_jacobi_step(alpha, beta, k)
+            assert all(type(x) is F for x in got)
 
 
 KERNEL_NS = (0, 1, 2, 3, 20, 60)

@@ -77,6 +77,20 @@ class TestBuildRelation:
         with pytest.raises(InvalidParameterError, match="beta > 0"):
             build_relation("jacobi-beta", 3, {"alpha": 0, "beta": 0})
 
+    @pytest.mark.parametrize(
+        "pair_id, params",
+        [
+            ("laguerre", {"alpha": 0.1}),
+            ("krawtchouk", {"p": F(1, 2), "N": 8.0}),
+            ("jacobi-shift", {"alpha": F(1, 2), "beta": 0.5}),
+        ],
+    )
+    def test_float_parameters_refused(self, pair_id, params):
+        # a binary float is never read as the rational it approximates,
+        # the same rule the family constructors apply
+        with pytest.raises(InvalidParameterError, match="exact rationals, got float"):
+            build_relation(pair_id, 3, params)
+
     @pytest.mark.parametrize("pair_id", ["jacobi-beta", "jacobi-shift", "jacobi-shift-up"])
     def test_member_parameters_checked_before_scalars(self, pair_id):
         # alpha + beta = -4 puts a zero in the denominators of A, B or E at

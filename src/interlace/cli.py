@@ -234,13 +234,22 @@ def cmd_table2(args) -> int:
 
 
 def _parse_n_range(text) -> list[int]:
+    """Degrees from "N", "lo..hi" or a [lo, hi] pair; an empty range is refused."""
     if isinstance(text, list):
-        lo, hi = int(text[0]), int(text[1])
-        return list(range(lo, hi + 1))
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+        bounds = text
+    else:
+        bounds = str(text).split("..", 1)
+        if len(bounds) == 1:  # "N" is the range N..N
+            bounds *= 2
+    try:
+        lo, hi = (int(b) for b in bounds)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"degree range must be N or lo..hi with integers (got {text!r})"
+        ) from None
+    if lo > hi:
+        raise InvalidParameterError(f"degree range {text!r} is empty")
+    return list(range(lo, hi + 1))
 
 
 def _sweep_grid(spec: dict) -> list[tuple[int, dict]]:
@@ -254,6 +263,8 @@ def _sweep_grid(spec: dict) -> list[tuple[int, dict]]:
                 points.append((n, dict(prefix)))
             return
         name = remaining[0]
+        if not spec["params"][name]:
+            raise InvalidParameterError(f"sweep spec parameter {name!r} lists no values")
         for raw in spec["params"][name]:
             expand({**prefix, name: parse_fraction(str(raw))}, remaining[1:])
 
@@ -341,8 +352,12 @@ def _map_points(func, points: list[tuple], workers: int) -> list:
 
 def cmd_sweep(args) -> int:
     floor = resolve_floor(args.floor)
-    workers = max(args.workers, 1)
+    workers = args.workers
+    if workers < 1:
+        raise InvalidParameterError(f"--workers must be >= 1 (got {workers})")
     if args.oracle:
+        if args.seeds < 1:
+            raise InvalidParameterError(f"--seeds must be >= 1 (got {args.seeds})")
         ns = _parse_n_range(args.n or "1..8")
         tasks = [(n, seed) for n in ns for seed in range(args.seeds)]
         chunks = _map_points(partial(_run_oracle_point, args.oracle, floor=floor), tasks, workers)
@@ -424,9 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--workers",
         type=int,
-        default=4,
-        help="fork up to this many processes (POSIX fork); 1 runs the points in "
-        "this process; row order does not depend on it",
+        default=2,
+        help="fork up to this many processes (POSIX fork; default 2, faster than 4 "
+        "on every measured sweep); 1 runs the points in this process; row order "
+        "does not depend on it",
     )
     p_sweep.add_argument("--output", default=None)
     p_sweep.add_argument("--floor", type=float, default=None)

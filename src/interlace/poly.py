@@ -59,6 +59,14 @@ def _integer_form(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def root_product(nums: Sequence[int]) -> list[int]:
+    """Ascending integer coefficients of the product of (y - a) over ``nums``."""
+    c = [1]
+    for a in nums:  # c <- (y - a) c
+        c = [-a * c[0]] + [lo - a * hi for lo, hi in zip(c, c[1:])] + [1]
+    return c
+
+
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Coefficients of the product of two integer coefficient vectors."""
     out = [0] * (len(a) + len(b) - 1)
@@ -122,11 +130,22 @@ class Polynomial:
                 p = p.mul_linear(r)
             return p
         nums, den = _integer_form([_as_rational(r) for r in roots])
-        c = [1]
-        for a in nums:  # c <- (y - a) c, with y = D x
-            c = [-a * c[0]] + [lo - a * hi for lo, hi in zip(c, c[1:])] + [1]
-        n = len(nums)
-        return cls([Fraction(ck, den ** (n - k)) for k, ck in enumerate(c)], RATIONAL)
+        return cls.from_scaled(root_product(nums), den)
+
+    @classmethod
+    def from_scaled(cls, c: Sequence[int], den: int, lead: int = 1) -> "Polynomial":
+        """The rational polynomial c(den x) / (lead den^m), m = len(c) - 1.
+
+        Coefficient k is c_k / (lead den^(m-k)), one ``Fraction`` of integers
+        each.  With ``c`` the root product of integers a_i and lead 1 this is
+        the monic polynomial with roots a_i / den.
+        """
+        out = []
+        scale = lead
+        for ck in reversed(c):
+            out.append(Fraction(ck, scale))
+            scale *= den
+        return cls(out[::-1], RATIONAL)
 
     # -- structure ---------------------------------------------------------
 

@@ -13,18 +13,22 @@ relative to deg P = n:
 * ``down_one``: deg G = n, deg Q = n - 1, sign -
 * ``up_one``:   deg G = n, deg Q = n + 1, sign -
 
-Seed-deterministic random generators build synthetic instances of the first
-two shapes from scratch (interlaced rational zero draws), giving a
-constructive property-test oracle for the checkers.
+Seed-deterministic random generators build synthetic instances of all three
+shapes from scratch (interlaced rational zero draws), giving a constructive
+property-test oracle for the checkers.  They form every term on integers over
+the draw's common denominator and keep the drawn zeros of G and Q, which the
+checkers round to floats in place of solving for them.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import families
 from .families import (
@@ -48,8 +52,15 @@ from .interlacing import (
     interlaces_down,
     locate_point,
 )
-from .poly import Polynomial, monic_linear, products_cancel
-from .rootfind import ZeroSet, zeros_general, zeros_orthogonal
+from .poly import (
+    Polynomial,
+    _convolve,
+    _integer_form,
+    monic_linear,
+    products_cancel,
+    root_product,
+)
+from .rootfind import ZeroSet, zeros_exact, zeros_general, zeros_orthogonal
 
 PAIR_UP = "pair_up"
 DOWN_ONE = "down_one"
@@ -92,11 +103,17 @@ class MixedRelation:
     params: dict = field(default_factory=dict)
     #: exact identity verdict for the current terms; None until it is run
     certified: bool | None = field(default=None, init=False, repr=False, compare=False)
+    #: term name ("G", "Q") -> the exact rational zeros it was built from
+    roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __setattr__(self, name, value):
-        # Replacing a term voids the verdict reached for the old one.
+        # Replacing a term voids the verdict reached for the old one, and the
+        # zeros the old one was built from.
         if name in _IDENTITY_TERMS:
             object.__setattr__(self, "certified", None)
+            roots = self.__dict__.get("roots")
+            if roots and name in roots:
+                object.__setattr__(self, "roots", {k: v for k, v in roots.items() if k != name})
         object.__setattr__(self, name, value)
 
     def __post_init__(self):
@@ -507,11 +524,19 @@ def _new_report(rel: MixedRelation, check_id: str) -> CheckReport:
     )
 
 
+def _term_zeros(rel: MixedRelation, name: str) -> ZeroSet:
+    """Zeros of term ``name``: the exact ones it was built from, else by its zero path."""
+    roots = rel.roots.get(name)
+    if roots is not None:
+        return zeros_exact(roots)
+    return zero_set(rel.specs.get(name), getattr(rel, name))
+
+
 def _base_report(rel: MixedRelation, floor: float) -> tuple[CheckReport, ZeroSet, ZeroSet, ZeroSet]:
     report = _new_report(rel, rel.rel_id)
-    zg = zero_set(rel.specs.get("G"), rel.G)
-    zq = zero_set(rel.specs.get("Q"), rel.Q)
-    zp = zero_set(rel.specs.get("P"), rel.P)
+    zg = _term_zeros(rel, "G")
+    zq = _term_zeros(rel, "Q")
+    zp = _term_zeros(rel, "P")
     e_float = float(rel.E)
     report.hypotheses["b_at_e_nonzero"] = rel.B.evaluate(rel.E) != 0
     report.hypotheses["e_not_on_g_zero"] = all(abs(e_float - g) > floor for g in zg.zeros)
@@ -873,22 +898,63 @@ def _draw_chain(rng: random.Random, total: int) -> list[Fraction]:
     ]
 
 
-def _oracle_relation(shape, A, B, e, P, G, Q, zeros) -> MixedRelation:
-    """A synthetic relation; its support is the hull of ``zeros`` and E, widened by 1."""
-    values = [float(z) for z in zeros] + [float(e)]
-    return MixedRelation(
+class _Draw(NamedTuple):
+    """Drawn zeros of G and Q and the added point E over their common denominator D.
+
+    With y = D x, G = g(y) / D^deg G and Q = q(y) / D^deg Q.
+    """
+
+    g: list[int]
+    q: list[int]
+    de: int  # D E
+    den: int  # D
+    roots: dict  # term name -> its drawn zeros
+    support: tuple[float, float]  # hull of the zeros and E, widened by 1
+
+
+def _scaled_draw(g_zeros, q_zeros, e: Fraction) -> _Draw:
+    nums, den = _integer_form([*g_zeros, *q_zeros, e])
+    split = len(g_zeros)
+    return _Draw(
+        g=root_product(nums[:split]),
+        q=root_product(nums[split:-1]),
+        de=nums[-1],
+        den=den,
+        roots={"G": tuple(g_zeros), "Q": tuple(q_zeros)},
+        support=(min(nums) / den - 1.0, max(nums) / den + 1.0),
+    )
+
+
+def _combination(*pairs) -> list[int]:
+    """The integer coefficients of the sum of the products f g over ``pairs``, trimmed."""
+    out: list[int] = []
+    for f, g in pairs:
+        product = _convolve(f, g)
+        out += [0] * (len(product) - len(out))
+        for k, c in enumerate(product):
+            out[k] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _oracle_relation(shape, A, B, e, c, draw: _Draw) -> MixedRelation:
+    """A synthetic relation whose monic P is c(D x) up to scale."""
+    rel = MixedRelation(
         rel_id="oracle-" + shape.replace("_", "-"),
         shape=shape,
         sign=SHAPES[shape][0],
         A=A,
         B=B,
         E=e,
-        P=P,
-        G=G,
-        Q=Q,
-        support=(min(values) - 1.0, max(values) + 1.0),
-        params={"n": P.degree},
+        P=Polynomial.from_scaled(c, draw.den, c[-1]),
+        G=Polynomial.from_scaled(draw.g, draw.den),
+        Q=Polynomial.from_scaled(draw.q, draw.den),
+        support=draw.support,
+        params={"n": len(c) - 1},
     )
+    rel.roots = draw.roots
+    return rel
 
 
 def assemble_pair_up(
@@ -899,28 +965,26 @@ def assemble_pair_up(
     B is the monic-negative linear polynomial whose constant kills the top
     two coefficients of B*G + (x-E)*Q, leaving a degree-n combination; its
     leading coefficient becomes the constant A and P is the monic quotient.
-    Returns None on a degenerate draw (degree collapse, A of the wrong sign
-    when one is required, or B(E) = 0).
+    Returns None on a degenerate draw (B(E) = 0, degree collapse, or A of
+    the wrong sign when one is required).
+
+    Over y = D x, B = (b - y) / D with b = D (G_n - Q_n + E), and the
+    combination is c(y) / D^(n+2) with c = (b - y) g + (y - D E) q, so
+    A = c_n / D^2 and P_k = c_k / (c_n D^(n-k)).
     """
     n = len(g_zeros) - 1
-    G = Polynomial.from_roots(g_zeros)
-    Q = Polynomial.from_roots(q_zeros)
-    g1 = G.coeffs[n]
-    q1 = Q.coeffs[n]
-    b_const = g1 - q1 + e
-    B = Polynomial([b_const, -1])
-    if B.evaluate(e) == 0:
+    draw = _scaled_draw(g_zeros, q_zeros, e)
+    g, q, de, den = draw.g, draw.q, draw.de, draw.den
+    b = g[n] - q[n] + de
+    if b == de:  # B(E) = 0
         return None
-    combo = B * G + monic_linear(e) * Q
-    if combo.degree != n:
+    c = _combination(([b, -1], g), ([-de, 1], q))
+    if len(c) != n + 1:
         return None
-    a_const = combo.leading_coefficient
-    if require_positive_a and a_const <= 0:
+    if require_positive_a and c[-1] <= 0:
         return None
-    P = combo.scale(1 / a_const)
-    return _oracle_relation(
-        PAIR_UP, Polynomial.constant(a_const), B, e, P, G, Q, [*g_zeros, *q_zeros]
-    )
+    A = Polynomial([Fraction(c[-1], den * den)])
+    return _oracle_relation(PAIR_UP, A, Polynomial([Fraction(b, den), -1]), e, c, draw)
 
 
 def oracle_pair_up(
@@ -956,27 +1020,19 @@ def oracle_pair_up(
 
 
 def assemble_down_one(g_zeros, q_zeros, e: Fraction, b_const: Fraction) -> MixedRelation | None:
-    """Build a down-one relation with a constant B > 1 from explicit zeros."""
+    """Build a down-one relation with a constant B > 1 from explicit zeros.
+
+    With B = u / v and y = D x, B G - (x - E) Q = c(y) / (v D^n) where
+    c = u g - v (y - D E) q, so A = c_n / v and P_k = c_k / (c_n D^(n-k)).
+    """
     n = len(g_zeros)
-    G = Polynomial.from_roots(g_zeros)
-    Q = Polynomial.from_roots(q_zeros)
-    combo = G.scale(b_const) - monic_linear(e) * Q
-    if combo.degree != n:
+    draw = _scaled_draw(g_zeros, q_zeros, e)
+    u, v = b_const.numerator, b_const.denominator
+    c = _combination(([u], draw.g), ([v * draw.de, -v], draw.q))
+    if len(c) != n + 1 or c[-1] <= 0:
         return None
-    a_const = combo.leading_coefficient
-    if a_const <= 0:
-        return None
-    P = combo.scale(1 / a_const)
-    return _oracle_relation(
-        DOWN_ONE,
-        Polynomial.constant(a_const),
-        Polynomial.constant(b_const),
-        e,
-        P,
-        G,
-        Q,
-        [*g_zeros, *q_zeros],
-    )
+    A = Polynomial([Fraction(c[-1], v)])
+    return _oracle_relation(DOWN_ONE, A, Polynomial([b_const]), e, c, draw)
 
 
 def _draw_e(rng: random.Random, g_zeros, e_region: str | None) -> Fraction | None:
@@ -992,7 +1048,9 @@ def _draw_e(rng: random.Random, g_zeros, e_region: str | None) -> Fraction | Non
             rng, Fraction(1, 4), Fraction(3, 4)
         )
     e = _rational_uniform(rng, Fraction(-6, 5), Fraction(6, 5))
-    if min(abs(e - g) for g in g_zeros) < Fraction(1, 100):
+    # The zeros of G ascend, so the nearest one is a neighbour of E.
+    k = bisect_left(g_zeros, e)
+    if any(abs(e - g) < Fraction(1, 100) for g in g_zeros[max(k - 1, 0) : k + 1]):
         return None
     return e
 
@@ -1025,27 +1083,29 @@ def oracle_down_one(
 
 
 def assemble_up_one(g_zeros, q_zeros, e: Fraction) -> MixedRelation | None:
-    """Build an up-one relation with constant A = 1 and monic quadratic B."""
+    """Build an up-one relation with constant A = 1 and monic quadratic B.
+
+    Over y = D x, B = (y^2 + b1 y + b0) / D^2, where b1 and b0 cancel the top
+    two coefficients of B G - (x - E) Q and leave D^2 at y^n.  The combination
+    is c(y) / D^(n+2) with c = (y^2 + b1 y + b0) g - (y - D E) q and c_n = D^2,
+    so P_k = c_k / (c_n D^(n-k)) is monic.
+    """
     n = len(g_zeros)
-    G = Polynomial.from_roots(g_zeros)
-    Q = Polynomial.from_roots(q_zeros)
+    draw = _scaled_draw(g_zeros, q_zeros, e)
+    g, q, de, den = draw.g, draw.q, draw.de, draw.den
 
-    def coeff(poly: Polynomial, k: int) -> Fraction:
-        return poly.coeffs[k] if 0 <= k < len(poly.coeffs) else Fraction(0)
+    def coeff(c: list[int], k: int) -> int:
+        return c[k] if 0 <= k < len(c) else 0
 
-    g1, g2 = coeff(G, n - 1), coeff(G, n - 2)
-    q1, q2 = coeff(Q, n), coeff(Q, n - 1)
-    b1 = q1 - e - g1
-    b0 = 1 - g2 - b1 * g1 + q2 - e * q1
-    B = Polynomial([b0, b1, 1])
-    if B.evaluate(e) == 0:
+    g1, g2 = coeff(g, n - 1), coeff(g, n - 2)
+    q1, q2 = q[n], coeff(q, n - 1)
+    b1 = q1 - de - g1
+    b0 = den * den - g2 - b1 * g1 + q2 - de * q1
+    if de * de + b1 * de + b0 == 0:  # B(E) = 0
         return None
-    combo = B * G - monic_linear(e) * Q
-    if combo.degree != n or combo.leading_coefficient != 1:
-        return None
-    return _oracle_relation(
-        UP_ONE, Polynomial.constant(Fraction(1)), B, e, combo, G, Q, [*g_zeros, *q_zeros]
-    )
+    c = _combination(([b0, b1, 1], g), ([de, -1], q))
+    B = Polynomial([Fraction(b0, den * den), Fraction(b1, den), 1])
+    return _oracle_relation(UP_ONE, Polynomial.constant(Fraction(1)), B, e, c, draw)
 
 
 def oracle_up_one(

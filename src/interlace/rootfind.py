@@ -1,10 +1,12 @@
 """Real zeros of the constructed polynomials, with certified ordering.
 
-Two paths: a symmetric tridiagonal eigensolve for families with a classical
-three-term recurrence (zeros are the eigenvalues of the Jacobi matrix built
-from the recurrence coefficients), and a balanced companion-matrix eigensolve
-for everything else.  Both paths finish with a short Newton polish and report
-a residual-based accuracy bound per zero set.
+Two numerical paths: a symmetric tridiagonal eigensolve for families with a
+classical three-term recurrence (zeros are the eigenvalues of the Jacobi
+matrix built from the recurrence coefficients), and a balanced
+companion-matrix eigensolve for everything else.  Both finish with a short
+Newton polish and report a residual-based accuracy bound per zero set.  A
+polynomial built from known rational zeros skips both: its zero set is those
+zeros rounded to floats, bounded by half an ulp.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ _TINY = float(np.finfo(float).tiny)
 
 METHOD_JACOBI = "JacobiMatrix"
 METHOD_COMPANION = "Companion"
+METHOD_EXACT = "Exact"
 
 
 class RootComputationError(RuntimeError):
@@ -183,6 +186,18 @@ def zeros_general(p: Polynomial) -> ZeroSet:
     zeros = tuple(z for z, _ in polished)
     bound = max((b for _, b in polished), default=0.0)
     return ZeroSet(zeros, bound, METHOD_COMPANION, p)
+
+
+def zeros_exact(roots) -> ZeroSet:
+    """The zero set of a polynomial whose zeros are known as exact rationals.
+
+    Each zero is ``float(r)``, which is correctly rounded, so the exact zero
+    is within half an ulp of it; the largest such half ulp is the bound.
+    """
+    # numerator / denominator is float(r), without the generic Rational path
+    zeros = tuple(sorted(r.numerator / r.denominator for r in roots))
+    bound = max((math.ulp(z) / 2 for z in zeros), default=0.0)
+    return ZeroSet(zeros, bound, METHOD_EXACT, roots)
 
 
 def sign_at_zeros(p: Polynomial, zs: ZeroSet) -> list[int]:

@@ -12,7 +12,7 @@ import pytest
 
 import interlace
 
-from interlace.cli import main, parse_fraction, table2_data
+from interlace.cli import build_parser, main, parse_fraction, table2_data
 from interlace.families import InvalidParameterError
 
 from fractions import Fraction as F
@@ -283,6 +283,47 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep")
         assert code == 2
         assert "spec file or --oracle" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--n", "1..2", "--seeds", "0"], "error: --seeds must be >= 1 (got 0)\n"),
+            (["--n", "1..2", "--seeds", "-1"], "error: --seeds must be >= 1 (got -1)\n"),
+            (["--n", "3..1"], "error: degree range '3..1' is empty\n"),
+            (["--n", "2", "--workers", "0"], "error: --workers must be >= 1 (got 0)\n"),
+            (["--n", "2", "--workers", "-3"], "error: --workers must be >= 1 (got -3)\n"),
+            (["--n", "x"], "error: degree range must be N or lo..hi with integers (got 'x')\n"),
+            (["--n", "1..x"], "error: degree range must be N or lo..hi with integers (got '1..x')\n"),
+        ],
+    )
+    def test_empty_or_malformed_oracle_sweep_exits_two(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "sweep", "--oracle", "pair-up", *argv)
+        assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"n": "3..1", "params": {"alpha": [0]}}, "error: degree range '3..1' is empty\n"),
+            ({"n": [3, 1], "params": {"alpha": [0]}}, "error: degree range [3, 1] is empty\n"),
+            (
+                {"n": "1..3", "params": {"alpha": []}},
+                "error: sweep spec parameter 'alpha' lists no values\n",
+            ),
+            (
+                {"n": [3], "params": {"alpha": [0]}},
+                "error: degree range must be N or lo..hi with integers (got [3])\n",
+            ),
+        ],
+    )
+    def test_empty_or_malformed_grid_sweep_exits_two(self, capsys, tmp_path, spec, message):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"check": "laguerre-3.7", **spec}))
+        code, out, err = run_cli(capsys, "sweep", str(path), "--workers", "1")
+        assert (code, out, err) == (2, "", message)
+
+    def test_workers_default_is_two(self):
+        args = build_parser().parse_args(["sweep", "--oracle", "pair-up"])
+        assert args.workers == 2
 
     def test_oracle_mode(self, capsys):
         code, out, err = run_cli(

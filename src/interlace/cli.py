@@ -1,7 +1,8 @@
 """Command line front end: construct, solve, check, sweep, and tabulate.
 
 Exit codes are a stable contract: 0 all requested checks pass, 1 a clause or
-check failed, 2 invalid input, 3 a sweep point raised and no clause failed.
+check failed, 2 invalid input, 3 a sweep point raised and no clause failed, or
+a sweep worker process died.
 Rational parameters are given as "num/den" strings; plain decimals are parsed
 as exact decimal fractions (0.4 becomes 2/5), never as binary floats.  The
 environment variable INTERLACE_FLOOR overrides the default separation floor
@@ -16,7 +17,9 @@ import io
 import json
 import math
 import os
+import pickle
 import re
+import signal
 import sys
 from fractions import Fraction
 from functools import partial
@@ -321,33 +324,99 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
+class SweepWorkerError(RuntimeError):
+    """A forked sweep worker died or sent back no readable results."""
+
+
+def _share_of(i: int, workers: int) -> int:
+    """The share that point ``i`` goes to: a snake deal 0, 1, .., w-1, w-1, .., 0, 0, ...
+
+    Sweeps list degrees in increasing order inside each parameter set and a
+    point costs more the higher its degree; dealing back and forth gives every
+    share the same mix of cheap and costly points, where round-robin would hand
+    the last share the costliest point of every w.
+    """
+    turn, k = divmod(i, workers)
+    return workers - 1 - k if turn % 2 else k
+
+
+def _fork_share(func, share: list[tuple]) -> tuple[int, int]:
+    """Fork a child that runs ``share`` and pickles its results to a pipe.
+
+    Returns the child's pid and the read end of its pipe.  The child leaves
+    through ``os._exit`` whatever happens, so it never runs the parent's exit
+    handlers or flushes the stdio buffers it inherited.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    code = 1  # kept if anything below raises; the parent reports the exit code
+    try:
+        os.close(read_fd)
+        payload = pickle.dumps(list(starmap(func, share)))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _join_share(number: int, pid: int, read_fd: int) -> list:
+    """Read a child's results to EOF, reap it, and refuse a death or a bad payload."""
+    try:
+        with open(read_fd, "rb") as pipe:
+            payload = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        raise SweepWorkerError(f"sweep worker {number} was killed by signal {-code}")
+    if code:
+        raise SweepWorkerError(f"sweep worker {number} exited with code {code}")
+    try:
+        return pickle.loads(payload)
+    except Exception as exc:  # bad data raises UnpicklingError, EOFError, IndexError, ...
+        raise SweepWorkerError(
+            f"sweep worker {number} sent unreadable results ({len(payload)} bytes): {exc}"
+        ) from None
+
+
 def _map_points(func, points: list[tuple], workers: int) -> list:
     """``func(*point)`` for every point, in input order.
 
-    One worker, or fewer than two points, runs in this process.  Otherwise the
-    points go in chunks to up to ``workers`` forked processes; ``func`` must be
-    a module-level function or a ``partial`` of one, since it is pickled by name.
+    ``workers`` N means N processes: this one plus N - 1 forked children
+    (POSIX ``fork``).  The points are dealt into min(N, points) shares; this
+    process runs share 0 while each child runs one other share, then collects
+    the children's pickled results.  One worker, or fewer than two points,
+    runs everything here.  A child that dies raises ``SweepWorkerError`` once
+    every child is reaped.
     """
-    if workers < 2 or len(points) < 2:
+    workers = min(workers, len(points))
+    if workers < 2:
         return list(starmap(func, points))
-    # Imported here: loading the pool modules costs start-up time that a check
-    # or a one-worker sweep never needs.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    n_chunks = 4 * workers
-    # Deal the points round-robin into the chunks.  Sweeps list degrees in
-    # increasing order and a point costs more the higher its degree, so
-    # contiguous chunks would leave the costliest one running alone at the end.
-    order = sorted(range(len(points)), key=lambda i: i % n_chunks)
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(points)), mp_context=multiprocessing.get_context("fork")
-    ) as pool:
-        dealt = pool.map(
-            func, *zip(*(points[i] for i in order)), chunksize=math.ceil(len(points) / n_chunks)
-        )
-        results = dict(zip(order, dealt))
-    return [results[i] for i in range(len(points))]
+    owner = [_share_of(i, workers) for i in range(len(points))]
+    shares: list[list[tuple]] = [[] for _ in range(workers)]
+    for point, k in zip(points, owner):
+        shares[k].append(point)
+    children: list[tuple[int, int]] = []
+    try:
+        for share in shares[1:]:
+            children.append(_fork_share(func, share))
+        results = [list(starmap(func, shares[0]))]
+        while children:
+            pid, read_fd = children.pop(0)
+            results.append(_join_share(len(results), pid, read_fd))
+    finally:
+        # Only left on an error: stop and reap the children not yet joined.
+        # An unreaped child keeps its pid, so the kill cannot hit another process.
+        for pid, read_fd in children:
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    dealt = [iter(rows) for rows in results]
+    return [next(dealt[k]) for k in owner]
 
 
 def cmd_sweep(args) -> int:
@@ -440,9 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=2,
-        help="fork up to this many processes (POSIX fork; default 2, faster than 4 "
-        "on every measured sweep); 1 runs the points in this process; row order "
-        "does not depend on it",
+        help="N processes: this one plus N - 1 forked children (POSIX fork; "
+        "default 2); 1 runs the points in this process; row order does not "
+        "depend on it",
     )
     p_sweep.add_argument("--output", default=None)
     p_sweep.add_argument("--floor", type=float, default=None)
@@ -475,6 +544,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # InvalidParameterError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SweepWorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -105,8 +105,25 @@ def _recurrence_pair(cs: list[float], ls: list[float], x: float) -> tuple[float,
     return p_cur, d_cur
 
 
-def _newton_polish(x: float, value_fn, steps: int = 3) -> tuple[float, float]:
-    """Up to ``steps`` Newton corrections; returns (zero, residual bound)."""
+def _horner_bound(coeffs: tuple[float, ...], x: float) -> float:
+    """Newton bound (|p(x)| + Horner's rounding bound) / |p'(x)| at x."""
+    acc = 0.0
+    dacc = 0.0
+    mag = 0.0
+    ax = abs(x)
+    for c in reversed(coeffs):
+        dacc = dacc * x + acc
+        acc = acc * x + c
+        mag = mag * ax + abs(c)
+    rounding = (2 * len(coeffs) + 1) * _EPS * mag
+    return (abs(acc) + rounding) / max(abs(dacc), _TINY)
+
+
+def _newton_polish(x: float, value_fn, bound_fn=None, steps: int = 3) -> tuple[float, float]:
+    """Up to ``steps`` Newton corrections; returns (zero, residual bound).
+
+    The bound is ``bound_fn(zero)`` if given, else |p| / |p'| at the zero.
+    """
     for _ in range(steps):
         p, dp = value_fn(x)
         if dp == 0.0 or not math.isfinite(p) or not math.isfinite(dp):
@@ -117,6 +134,8 @@ def _newton_polish(x: float, value_fn, steps: int = 3) -> tuple[float, float]:
         x -= step
         if abs(step) <= 4 * _EPS * max(1.0, abs(x)):
             break
+    if bound_fn is not None:
+        return x, bound_fn(x)
     p, dp = value_fn(x)
     bound = abs(p) / max(abs(dp), _TINY)
     return x, bound
@@ -182,7 +201,9 @@ def zeros_general(p: Polynomial) -> ZeroSet:
             f"found {len(raw)} real zeros for a degree {deg} polynomial"
         )
     value_fn = lambda x: _horner_pair(pf.coeffs, x)
-    polished = [_newton_polish(x, value_fn) for x in sorted(raw)]
+    # The value at a zero is mostly rounding error, so the bound counts it.
+    bound_fn = lambda x: _horner_bound(pf.coeffs, x)
+    polished = [_newton_polish(x, value_fn, bound_fn) for x in sorted(raw)]
     zeros = tuple(z for z, _ in polished)
     bound = max((b for _, b in polished), default=0.0)
     return ZeroSet(zeros, bound, METHOD_COMPANION, p)

@@ -3,8 +3,11 @@
 import csv
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -22,6 +25,25 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _interrupt():
+    raise KeyboardInterrupt("stop")
+
+
+def _exit_in_child(func, how):
+    """``func``, except that in a forked child it ends the process by ``how``
+    (an exit code, or a callable that ends the process or raises)."""
+    parent = os.getpid()
+
+    def point(*args, **kwargs):
+        if os.getpid() != parent:
+            if callable(how):
+                how()
+            os._exit(how)
+        return func(*args, **kwargs)
+
+    return point
 
 
 class TestParseFraction:
@@ -392,8 +414,13 @@ class TestSweepCommand:
         assert "1 error" in err
         assert code == 3
 
-    @pytest.mark.parametrize("oracle", [False, True], ids=["grid-with-errors", "oracle"])
-    def test_output_identical_across_worker_counts(self, capsys, tmp_path, oracle):
+    @pytest.mark.parametrize(
+        "oracle, counts",
+        # The grid has 3 points, so 4 and 5 workers ask for more processes than points.
+        [(False, ("1", "2", "3", "4", "5")), (True, ("1", "2", "3", "4"))],
+        ids=["grid-with-errors", "oracle"],
+    )
+    def test_output_identical_across_worker_counts(self, capsys, tmp_path, oracle, counts):
         if oracle:
             argv = ["--oracle", "pair-up", "--n", "1..6", "--seeds", "5"]
         else:
@@ -402,10 +429,71 @@ class TestSweepCommand:
             spec = tmp_path / "sweep.json"
             spec.write_text(json.dumps({"check": "narayana-3.3", "n": [50, 52]}))
             argv = [str(spec)]
-        runs = [run_cli(capsys, "sweep", *argv, "--workers", w) for w in ("1", "2", "3")]
-        assert runs[1] == runs[0]
-        assert runs[2] == runs[0]
+        runs = [run_cli(capsys, "sweep", *argv, "--workers", w) for w in counts]
+        for run in runs[1:]:
+            assert run == runs[0]
         assert runs[0][0] == (0 if oracle else 3) and runs[0][1].count("\n") > 2
+
+    def test_pooled_sweep_reaps_every_child(self, capsys):
+        code, _, _ = run_cli(
+            capsys, "sweep", "--oracle", "pair-up", "--n", "1..3", "--seeds", "4", "--workers", "3"
+        )
+        assert code == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc")
+    @pytest.mark.parametrize("dead", [False, True], ids=["clean", "dead-worker"])
+    def test_pooled_sweep_leaks_no_descriptor(self, capsys, monkeypatch, dead):
+        from interlace import cli
+
+        if dead:
+            monkeypatch.setattr(cli, "_run_oracle_point", _exit_in_child(cli._run_oracle_point, 7))
+        argv = ["sweep", "--oracle", "pair-up", "--n", "1..3", "--seeds", "4", "--workers", "4"]
+        run_cli(capsys, *argv)  # warm up: imports and caches may open descriptors once
+        before = len(list(Path("/proc/self/fd").iterdir()))
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == (3 if dead else 0)
+        assert len(list(Path("/proc/self/fd").iterdir())) == before
+
+    @pytest.mark.parametrize(
+        "how, message",
+        [
+            (lambda: os._exit(7), "exited with code 7"),
+            (lambda: os.kill(os.getpid(), signal.SIGKILL), f"was killed by signal {int(signal.SIGKILL)}"),
+            (_interrupt, "exited with code 1"),
+        ],
+        ids=["exit-7", "sigkill", "interrupt"],
+    )
+    def test_dead_worker_exits_three(self, capsys, monkeypatch, how, message):
+        from interlace import cli
+
+        monkeypatch.setattr(cli, "_run_oracle_point", _exit_in_child(cli._run_oracle_point, how))
+        code, out, err = run_cli(
+            capsys, "sweep", "--oracle", "pair-up", "--n", "1..4", "--seeds", "3", "--workers", "3"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: sweep worker ") and message in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_truncated_results_are_refused(self, monkeypatch):
+        from interlace import cli
+
+        real_dumps = cli.pickle.dumps
+        parent = os.getpid()
+
+        def truncating(obj, *args):
+            data = real_dumps(obj, *args)
+            return data[: len(data) // 2] if os.getpid() != parent else data
+
+        monkeypatch.setattr(cli.pickle, "dumps", truncating)
+        with pytest.raises(cli.SweepWorkerError, match="sweep worker 1 sent unreadable results"):
+            cli._map_points(pow, [(2, k) for k in range(6)], 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_pooled_sweep_emits_no_warnings(self, capsys):
         # Recorded rather than raised: Python 3.12 issues its "fork() in a
@@ -421,10 +509,18 @@ class TestSweepCommand:
         assert [f"{w.category.__name__}: {w.message}" for w in caught] == []
 
     def test_import_leaves_process_pool_unloaded(self):
-        probe = (
-            "import sys, interlace.cli; "
-            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
-            "if m in sys.modules))"
+        # A fresh interpreter runs a two-worker sweep; had any path to a
+        # multiprocessing pool survived, its modules would now be loaded.
+        probe = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            from interlace.cli import main
+            argv = ["sweep", "--oracle", "pair-up", "--n", "1..3", "--seeds", "3", "--workers", "2"]
+            with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            pools = ("multiprocessing", "concurrent.futures.process")
+            print(code, out.getvalue().count("pass"), sorted(m for m in pools if m in sys.modules))
+            """
         )
         src = Path(interlace.__file__).resolve().parent.parent
         result = subprocess.run(
@@ -434,7 +530,7 @@ class TestSweepCommand:
             text=True,
             check=True,
         )
-        assert result.stdout == "[]\n"
+        assert result.stdout == "0 9 []\n"
 
 
 class TestNegativeRationals:

@@ -246,9 +246,7 @@ class TestZerosExact:
 
     @pytest.mark.parametrize("n", [1, 12, 24, 40])
     def test_agrees_with_companion_path_on_oracle_terms(self, n):
-        # The companion set's own bound, |p(z)| / |p'(z)| in floats, is an
-        # estimate: on these terms the exact zeros lie up to 2.3 times that far
-        # from it.  The first-order bound that adds Horner's rounding error to
+        # Per zero, the first-order bound that adds Horner's rounding error to
         # |p(z)| holds.
         for seed in range(3):
             rel = oracle_pair_up(n, seed)
@@ -262,6 +260,18 @@ class TestZerosExact:
                     _, slope = _horner_pair(coeffs, z)
                     bound = (abs(value) + rounding) / abs(slope)
                     assert abs(x - z) <= bound + math.ulp(z), (term, seed, x, z)
+
+    @pytest.mark.parametrize("n", [1, 12, 24, 40])
+    def test_companion_bound_covers_exact_zeros(self, n):
+        # The companion set's bound counts Horner's rounding error at each
+        # polished zero, so the drawn zeros lie within the set's own bound.
+        for seed in range(3):
+            rel = oracle_pair_up(n, seed)
+            for term in ("G", "Q"):
+                exact = zeros_exact(rel.roots[term])
+                companion = zeros_general(getattr(rel, term))
+                for x, z in zip(exact.zeros, companion.zeros):
+                    assert abs(x - z) <= companion.bound, (term, seed, x, z, companion.bound)
 
     def test_every_oracle_draws_its_roots(self):
         for rel in (oracle_pair_up(5, 0), oracle_down_one(5, 0), oracle_up_one(5, 0)):

@@ -281,7 +281,7 @@ def _monic_orthogonal(rc: RecurrenceCoeffs) -> Polynomial:
         g = math.gcd(*nxt)
         prev, cur = cur, [x // g for x in nxt] if g > 1 else nxt
     den = cur[-1]
-    return Polynomial([Fraction(x, den) for x in cur])
+    return Polynomial._of(tuple(Fraction(x, den) for x in cur), RATIONAL)
 
 
 def _narayana_step(m: int, cur: Polynomial, prev: Polynomial) -> Polynomial:

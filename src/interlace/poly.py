@@ -77,6 +77,14 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+def _stripped(coeffs: tuple) -> tuple:
+    """``coeffs`` without its trailing zeros."""
+    end = len(coeffs)
+    while end and coeffs[end - 1] == 0:
+        end -= 1
+    return coeffs[:end]
+
+
 def coerce_scalar(value: Scalar, mode: str):
     """Coerce ``value`` into the scalar type of ``mode`` or raise on a mix."""
     if mode == RATIONAL:
@@ -97,14 +105,25 @@ class Polynomial:
             mode = FLOAT if any(isinstance(c, float) for c in items) else RATIONAL
         if mode not in (RATIONAL, FLOAT):
             raise ValueError(f"unknown scalar mode {mode!r}")
-        norm = [coerce_scalar(c, mode) for c in items]
-        while norm and norm[-1] == 0:
-            norm.pop()
-        object.__setattr__(self, "coeffs", tuple(norm))
+        norm = tuple(coerce_scalar(c, mode) for c in items)
+        object.__setattr__(self, "coeffs", _stripped(norm))
         object.__setattr__(self, "mode", mode)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Polynomial is immutable")
+
+    @classmethod
+    def _of(cls, coeffs: tuple, mode: str) -> "Polynomial":
+        """Store ``coeffs`` as they are, only stripping trailing zeros.
+
+        For coefficients the caller has just formed in ``mode``'s scalar type
+        (``Fraction`` in rational mode, ``float`` in float mode), so they skip
+        the per-value checks of the public constructor.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", _stripped(coeffs))
+        object.__setattr__(self, "mode", mode)
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -145,7 +164,7 @@ class Polynomial:
         for ck in reversed(c):
             out.append(Fraction(ck, scale))
             scale *= den
-        return cls(out[::-1], RATIONAL)
+        return cls._of(tuple(out[::-1]), RATIONAL)
 
     # -- structure ---------------------------------------------------------
 
@@ -213,7 +232,7 @@ class Polynomial:
                 a, da = _integer_form(self.coeffs)
                 b, db = _integer_form(other.coeffs)
                 den = da * db
-                return Polynomial([Fraction(c, den) for c in _convolve(a, b)], RATIONAL)
+                return Polynomial._of(tuple(Fraction(c, den) for c in _convolve(a, b)), RATIONAL)
             out = [coerce_scalar(0, self.mode)] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 for j, b in enumerate(other.coeffs):
@@ -262,7 +281,18 @@ class Polynomial:
         """Demote to float mode; the single sanctioned exact-to-float crossing."""
         if self.mode == FLOAT:
             return self
-        return Polynomial([float(c) for c in self.coeffs], FLOAT)
+        return Polynomial._of(self.float_coeffs(), FLOAT)
+
+    def float_coeffs(self) -> tuple[float, ...]:
+        """The coefficients of ``to_float()``, without building the polynomial.
+
+        A rational coefficient becomes ``numerator / denominator``, which is
+        ``float(c)`` without the generic ``Rational`` path; one too small for
+        a double rounds to zero and is stripped if it leads.
+        """
+        if self.mode == FLOAT:
+            return self.coeffs
+        return _stripped(tuple(c.numerator / c.denominator for c in self.coeffs))
 
     # -- serialization -----------------------------------------------------
 

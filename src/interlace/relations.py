@@ -481,9 +481,17 @@ class CheckReport:
 
 
 def _min_cross_gap(za: ZeroSet, zb: ZeroSet) -> float:
-    if not za.zeros or not zb.zeros:
-        return float("inf")
-    return min(abs(a - b) for a in za.zeros for b in zb.zeros)
+    """Smallest |a - b| over a zero a of ``za`` and b of ``zb``; inf if one is empty.
+
+    The closest cross pair is adjacent in the merged order of the two sets,
+    and float subtraction is monotone, so the neighbours from different sets
+    give the same float the all-pairs minimum gives.
+    """
+    merged = sorted([(a, 0) for a in za.zeros] + [(b, 1) for b in zb.zeros])
+    return min(
+        (y - x for (x, s), (y, t) in zip(merged, merged[1:]) if s != t),
+        default=float("inf"),
+    )
 
 
 def _sample_interval(rel: MixedRelation, zg: ZeroSet) -> tuple[float, float]:
@@ -500,16 +508,16 @@ def _sample_interval(rel: MixedRelation, zg: ZeroSet) -> tuple[float, float]:
 
 def _a_positive(rel: MixedRelation, zg: ZeroSet, grid_points: int = 32) -> bool:
     """A > 0 at every zero of G plus a fixed grid over the working interval."""
-    a_float = rel.A.to_float()
-    for z in zg.zeros:
-        if a_float.evaluate(z) <= 0:
-            return False
+    desc = rel.A.float_coeffs()[::-1]
     lo, hi = _sample_interval(rel, zg)
     margin = (hi - lo) / (4 * grid_points)
     lo, hi = lo + margin, hi - margin
-    for i in range(grid_points):
-        x = lo + (hi - lo) * i / (grid_points - 1)
-        if a_float.evaluate(x) <= 0:
+    samples = [lo + (hi - lo) * i / (grid_points - 1) for i in range(grid_points)]
+    for x in (*zg.zeros, *samples):
+        acc = 0.0
+        for c in desc:  # Horner's scheme, as Polynomial.evaluate runs it in float mode
+            acc = acc * x + c
+        if acc <= 0:
             return False
     return True
 

@@ -1,12 +1,19 @@
 """Real zeros of the constructed polynomials, with certified ordering.
 
-Two numerical paths: a symmetric tridiagonal eigensolve for families with a
-classical three-term recurrence (zeros are the eigenvalues of the Jacobi
-matrix built from the recurrence coefficients), and a balanced
-companion-matrix eigensolve for everything else.  Both finish with a short
-Newton polish and report a residual-based accuracy bound per zero set.  A
-polynomial built from known rational zeros skips both: its zero set is those
-zeros rounded to floats, bounded by half an ulp.
+Two numerical paths, each one eigensolve and one inlined Newton loop per
+zero, at most three steps:
+
+* Families with a classical three-term recurrence: the zeros are the
+  eigenvalues of the Jacobi matrix built from the recurrence coefficients
+  (Golub-Welsch), found by LAPACK ``?stevd``.  Each polish step runs the
+  recurrence for p and p'; the bound is |p(z)| / |p'(z)| at the zero.
+* Everything else: the eigenvalues of the balanced companion matrix
+  (``np.roots``), polished by Horner's scheme.  The bound is
+  (|p(z)| + eps (2 mu - |p(z)|)) / |p'(z)|, where mu is Higham's running
+  error bound for the final Horner pass (mu <- mu |z| + |acc|).
+
+A polynomial built from known rational zeros skips both: its zero set is
+those zeros rounded to floats, bounded by half an ulp.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import get_lapack_funcs
 
 from .families import (
     FamilySpec,
@@ -31,6 +38,15 @@ REALITY_THRESHOLD = 1e-8
 #: double-precision constants for the Newton stop test and residual bounds
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+
+#: Newton corrections per zero, and the step size below which they stop
+_STEPS = 3
+_STEP_TOL = 4 * _EPS
+
+#: LAPACK's divide-and-conquer tridiagonal eigensolver in double precision,
+#: the driver scipy's ``eigh_tridiagonal(d, e, eigvals_only=True)`` selects;
+#: called directly, so no wrapper validates or copies per zero set.
+(_stevd,) = get_lapack_funcs(("stevd",), (np.empty(0),))
 
 METHOD_JACOBI = "JacobiMatrix"
 METHOD_COMPANION = "Companion"
@@ -72,16 +88,6 @@ class ZeroSet:
         return {"zeros": list(self.zeros), "bound": self.bound, "method": self.method}
 
 
-def _horner_pair(coeffs: tuple[float, ...], x: float) -> tuple[float, float]:
-    """Value and derivative of the ascending-coefficient polynomial at x."""
-    acc = 0.0
-    dacc = 0.0
-    for c in reversed(coeffs):
-        dacc = dacc * x + acc
-        acc = acc * x + c
-    return acc, dacc
-
-
 def _horner_with_errbound(coeffs: tuple[float, ...], x: float) -> tuple[float, float]:
     """Horner value plus a running floating-point error bound for it."""
     acc = 0.0
@@ -93,52 +99,65 @@ def _horner_with_errbound(coeffs: tuple[float, ...], x: float) -> tuple[float, f
     return acc, (2 * len(coeffs) + 1) * _EPS * mag
 
 
-def _recurrence_pair(cs: list[float], ls: list[float], x: float) -> tuple[float, float]:
-    """Value and derivative of the monic recurrence polynomial at x."""
-    p_prev, p_cur = 0.0, 1.0
-    d_prev, d_cur = 0.0, 0.0
-    for c, l in zip(cs, ls):
-        p_next = (x - c) * p_cur - l * p_prev
-        d_next = p_cur + (x - c) * d_cur - l * d_prev
-        p_prev, p_cur = p_cur, p_next
-        d_prev, d_cur = d_cur, d_next
-    return p_cur, d_cur
+def _polish_recurrence(cl: tuple[tuple[float, float], ...], x: float) -> tuple[float, float]:
+    """Newton-polish the eigenvalue ``x`` of a Jacobi matrix; returns (zero, bound).
 
-
-def _horner_bound(coeffs: tuple[float, ...], x: float) -> float:
-    """Newton bound (|p(x)| + Horner's rounding bound) / |p'(x)| at x."""
-    acc = 0.0
-    dacc = 0.0
-    mag = 0.0
-    ax = abs(x)
-    for c in reversed(coeffs):
-        dacc = dacc * x + acc
-        acc = acc * x + c
-        mag = mag * ax + abs(c)
-    rounding = (2 * len(coeffs) + 1) * _EPS * mag
-    return (abs(acc) + rounding) / max(abs(dacc), _TINY)
-
-
-def _newton_polish(x: float, value_fn, bound_fn=None, steps: int = 3) -> tuple[float, float]:
-    """Up to ``steps`` Newton corrections; returns (zero, residual bound).
-
-    The bound is ``bound_fn(zero)`` if given, else |p| / |p'| at the zero.
+    ``cl`` holds the step pairs (c_k, l_k) of the monic recurrence
+    p_{k+1} = (x - c_k) p_k - l_k p_{k-1}, which runs inline for p and p'.
+    At most ``_STEPS`` corrections are taken.  The bound is |p| / |p'| at the
+    zero, from the evaluation after the last step, or from the last
+    evaluation when no step was taken.
     """
-    for _ in range(steps):
-        p, dp = value_fn(x)
-        if dp == 0.0 or not math.isfinite(p) or not math.isfinite(dp):
+    isfinite = math.isfinite
+    converged = False
+    for steps_left in range(_STEPS, -1, -1):
+        p_prev, p, d_prev, d = 0.0, 1.0, 0.0, 0.0
+        for c, l in cl:
+            t = x - c
+            d_prev, d = d, p + t * d - l * d_prev
+            p_prev, p = p, t * p - l * p_prev
+        if converged or not steps_left or d == 0.0 or not isfinite(p) or not isfinite(d):
             break
-        step = p / dp
-        if not math.isfinite(step):
+        step = p / d
+        if not isfinite(step):
             break
         x -= step
-        if abs(step) <= 4 * _EPS * max(1.0, abs(x)):
+        converged = abs(step) <= _STEP_TOL * max(1.0, abs(x))
+    return x, abs(p) / max(abs(d), _TINY)
+
+
+def _polish_horner(desc: tuple[float, ...], x: float) -> tuple[float, float]:
+    """Newton-polish the companion eigenvalue ``x``; returns (zero, bound).
+
+    ``desc`` holds the coefficients from the leading one down; Horner's
+    scheme runs inline for p and p'.  At most ``_STEPS`` corrections are
+    taken, then one more pass carries Higham's running error bound
+    mu <- mu |x| + |p|, so |p(x) - p| <= eps (2 mu - |p|).  The bound is
+    (|p| + eps (2 mu - |p|)) / |p'| at the zero: the value there is mostly
+    rounding error, so the bound counts it.
+    """
+    isfinite = math.isfinite
+    for _ in range(_STEPS):
+        acc = dacc = 0.0
+        for c in desc:
+            dacc = dacc * x + acc
+            acc = acc * x + c
+        if dacc == 0.0 or not isfinite(acc) or not isfinite(dacc):
             break
-    if bound_fn is not None:
-        return x, bound_fn(x)
-    p, dp = value_fn(x)
-    bound = abs(p) / max(abs(dp), _TINY)
-    return x, bound
+        step = acc / dacc
+        if not isfinite(step):
+            break
+        x -= step
+        if abs(step) <= _STEP_TOL * max(1.0, abs(x)):
+            break
+    acc = dacc = mu = 0.0
+    ax = abs(x)
+    for c in desc:
+        dacc = dacc * x + acc
+        acc = acc * x + c
+        mu = mu * ax + abs(acc)
+    size = abs(acc)
+    return x, (size + _EPS * (2 * mu - size)) / max(abs(dacc), _TINY)
 
 
 def zeros_orthogonal(spec: FamilySpec) -> ZeroSet:
@@ -149,7 +168,8 @@ def zeros_orthogonal(spec: FamilySpec) -> ZeroSet:
         )
     rc = recurrence_coeffs(spec)
     for k, lam in enumerate(rc.lam):
-        if k > 0 and lam <= 0:
+        # a Fraction's denominator is positive, so its numerator carries the sign
+        if k > 0 and lam.numerator <= 0:
             raise InvalidParameterError(
                 f"off-diagonal recurrence term {k + 1} is not positive ({lam}); "
                 f"parameters outside the orthogonality region"
@@ -157,17 +177,25 @@ def zeros_orthogonal(spec: FamilySpec) -> ZeroSet:
     n = spec.n
     if n == 0:
         return ZeroSet((), 0.0, METHOD_JACOBI, spec)
-    diag = [float(c) for c in rc.c]
+    # numerator / denominator is float(Fraction), without the generic Rational path
+    cl = tuple(
+        (c.numerator / c.denominator, l.numerator / l.denominator)
+        for c, l in zip(rc.c, rc.lam)
+    )
     if n == 1:
-        raw = [diag[0]]
+        raw = [cl[0][0]]
     else:
-        off = [math.sqrt(float(l)) for l in rc.lam[1:]]
-        raw = list(eigh_tridiagonal(diag, off, eigvals_only=True))
-    ls = [float(l) for l in rc.lam]
-    value_fn = lambda x: _recurrence_pair(diag, ls, x)
-    polished = [_newton_polish(float(x), value_fn) for x in sorted(raw)]
+        off = [math.sqrt(l) for _, l in cl[1:]]
+        w, _, info = _stevd([c for c, _ in cl], off, compute_v=0)
+        if info:
+            raise RootComputationError(
+                f"LAPACK ?stevd failed (info={info}) on the Jacobi matrix of "
+                f"{spec.kind} n={n}"
+            )
+        raw = sorted(w.tolist())
+    polished = [_polish_recurrence(cl, x) for x in raw]
     zeros = tuple(z for z, _ in polished)
-    bound = max((b for _, b in polished), default=0.0)
+    bound = max(b for _, b in polished)
     return ZeroSet(zeros, bound, METHOD_JACOBI, spec)
 
 
@@ -177,20 +205,20 @@ def zeros_general(p: Polynomial) -> ZeroSet:
     The families fed through this path are real rooted, so an eigenvalue with
     imaginary part above the reality threshold is an error, not data to drop.
     """
-    pf = p.to_float()
-    deg = pf.degree
+    coeffs = p.float_coeffs()
+    deg = len(coeffs) - 1
     if deg < 0:
         raise RootComputationError("zero polynomial has no well-defined zero set")
     if deg == 0:
         return ZeroSet((), 0.0, METHOD_COMPANION, p)
+    desc = coeffs[::-1]
     if deg == 1:
-        raw = [-pf.coeffs[0] / pf.coeffs[1]]
+        raw = [-coeffs[0] / coeffs[1]]
     else:
-        raw_complex = np.roots(list(reversed(pf.coeffs)))
         raw = []
-        for z in raw_complex:
+        for z in np.roots(desc).tolist():
             if abs(z.imag) <= REALITY_THRESHOLD * max(1.0, abs(z.real)):
-                raw.append(float(z.real))
+                raw.append(z.real)
             else:
                 raise RootComputationError(
                     f"companion eigenvalue {z} is not real within threshold "
@@ -200,12 +228,9 @@ def zeros_general(p: Polynomial) -> ZeroSet:
         raise RootComputationError(
             f"found {len(raw)} real zeros for a degree {deg} polynomial"
         )
-    value_fn = lambda x: _horner_pair(pf.coeffs, x)
-    # The value at a zero is mostly rounding error, so the bound counts it.
-    bound_fn = lambda x: _horner_bound(pf.coeffs, x)
-    polished = [_newton_polish(x, value_fn, bound_fn) for x in sorted(raw)]
+    polished = [_polish_horner(desc, x) for x in sorted(raw)]
     zeros = tuple(z for z, _ in polished)
-    bound = max((b for _, b in polished), default=0.0)
+    bound = max(b for _, b in polished)
     return ZeroSet(zeros, bound, METHOD_COMPANION, p)
 
 

@@ -36,11 +36,12 @@ from interlace.relations import (
 from interlace.rootfind import (
     METHOD_EXACT,
     RootComputationError,
-    _horner_pair,
     _horner_with_errbound,
     zeros_exact,
     zeros_general,
 )
+
+from float_reference import horner_pair
 
 # -- the reference ----------------------------------------------------------
 
@@ -257,7 +258,7 @@ class TestZerosExact:
                 coeffs = getattr(rel, term).to_float().coeffs
                 for x, z in zip(exact.zeros, companion.zeros):
                     value, rounding = _horner_with_errbound(coeffs, z)
-                    _, slope = _horner_pair(coeffs, z)
+                    _, slope = horner_pair(coeffs, z)
                     bound = (abs(value) + rounding) / abs(slope)
                     assert abs(x - z) <= bound + math.ulp(z), (term, seed, x, z)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interlace.families import jacobi, monic_by_recurrence
 from interlace.poly import (
     FLOAT,
     RATIONAL,
@@ -175,6 +176,49 @@ class TestStructure:
 
     def test_monic_linear(self):
         assert monic_linear(F(1, 2)) == Polynomial([F(-1, 2), 1])
+
+
+class TestTrustedConstructor:
+    """``Polynomial._of`` stores coefficients formed in-module without re-coercing them."""
+
+    @given(coeff_lists, st.integers(min_value=0, max_value=3))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_to_public_route(self, coeffs, zeros):
+        padded = coeffs + [F(0)] * zeros  # trailing zeros are still stripped
+        for mode, values in ((RATIONAL, padded), (FLOAT, [float(c) for c in padded])):
+            trusted = Polynomial._of(tuple(values), mode)
+            public = Polynomial(values, mode)
+            assert trusted == public and hash(trusted) == hash(public)
+            assert trusted.coeffs == public.coeffs and trusted.mode == mode
+
+    @given(coeff_lists, coeff_lists)
+    @settings(max_examples=50, deadline=None)
+    def test_constructing_callers_match_public_route(self, a, b):
+        pa, pb = Polynomial(a), Polynomial(b)
+        product = pa * pb
+        assert product == Polynomial(list(product.coeffs))
+        assert pa.to_float() == Polynomial([float(c) for c in pa.coeffs], FLOAT)
+        assert pa.float_coeffs() == pa.to_float().coeffs
+
+    def test_from_scaled_and_recurrence_match_public_route(self):
+        scaled = Polynomial.from_scaled([1, -3, 2], 5, lead=7)
+        assert scaled == Polynomial([F(1, 7 * 25), F(-3, 7 * 5), F(2, 7)])
+        assert hash(scaled) == hash(Polynomial(list(scaled.coeffs)))
+        member = monic_by_recurrence(jacobi(F(1, 2), F(-1, 3), 6))
+        assert member == Polynomial(list(member.coeffs))
+        assert hash(member) == hash(Polynomial(list(member.coeffs)))
+
+    def test_float_coeffs_strips_a_leading_underflow(self):
+        p = Polynomial([1, F(1, 10**400)])
+        assert p.degree == 1
+        assert p.float_coeffs() == (1.0,)
+        assert p.to_float() == Polynomial([1.0])
+
+    def test_public_constructor_still_refuses_mixed_input(self):
+        with pytest.raises(ModeMismatchError):
+            Polynomial([F(1, 2), 0.5])
+        with pytest.raises(ModeMismatchError):
+            Polynomial([1, F(1, 3)], mode=FLOAT)
 
 
 class TestSerialization:

@@ -5,15 +5,18 @@ zero, at most three steps:
 
 * Families with a classical three-term recurrence: the zeros are the
   eigenvalues of the Jacobi matrix built from the recurrence coefficients
-  (Golub-Welsch), found by LAPACK ``?stevd``.  Each polish step runs the
-  recurrence for p and p'; the bound is |p(z)| / |p'(z)| at the zero.
+  (Golub-Welsch), found by numpy's ``eigvalsh`` (LAPACK ``?syevd``) on the
+  dense matrix with its lower triangle filled, bit for bit those of the
+  tridiagonal solver ``?stevd``.  Each polish step runs the recurrence for
+  p and p'; the bound is |p(z)| / |p'(z)| at the zero.
 * Everything else: the eigenvalues of the balanced companion matrix
   (``np.roots``), polished by Horner's scheme.  The bound is
   (|p(z)| + eps (2 mu - |p(z)|)) / |p'(z)|, where mu is Higham's running
   error bound for the final Horner pass (mu <- mu |z| + |acc|).
 
-A polynomial built from known rational zeros skips both: its zero set is
-those zeros rounded to floats, bounded by half an ulp.
+A zero set's bound is the largest of its zeros' bounds, or inf when one of
+them is not finite.  A polynomial built from known rational zeros skips both
+paths: its zero set is those zeros rounded to floats, bounded by half an ulp.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .families import (
     FamilySpec,
@@ -42,11 +44,6 @@ _TINY = float(np.finfo(float).tiny)
 #: Newton corrections per zero, and the step size below which they stop
 _STEPS = 3
 _STEP_TOL = 4 * _EPS
-
-#: LAPACK's divide-and-conquer tridiagonal eigensolver in double precision,
-#: the driver scipy's ``eigh_tridiagonal(d, e, eigvals_only=True)`` selects;
-#: called directly, so no wrapper validates or copies per zero set.
-(_stevd,) = get_lapack_funcs(("stevd",), (np.empty(0),))
 
 METHOD_JACOBI = "JacobiMatrix"
 METHOD_COMPANION = "Companion"
@@ -160,6 +157,35 @@ def _polish_horner(desc: tuple[float, ...], x: float) -> tuple[float, float]:
     return x, (size + _EPS * (2 * mu - size)) / max(abs(dacc), _TINY)
 
 
+def _tridiagonal_eigenvalues(diag: list[float], off: list[float]) -> list[float]:
+    """Ascending eigenvalues of the symmetric tridiagonal matrix (diag, off).
+
+    numpy's ``eigvalsh`` runs LAPACK ``?syevd`` on the dense matrix, reading
+    its lower triangle.  ``?syevd`` reduces it by ``?sytrd``, whose
+    reflectors are all the identity (tau = 0) on a tridiagonal input, then
+    hands the same diagonal and subdiagonal to ``?sterf`` after the same
+    scaling test as ``?stevd``: the eigenvalues are bit for bit those of
+    ``?stevd``.  The one exception seen is a -0.0 on the diagonal, which
+    ``zeros_orthogonal`` never builds.  Raises ``np.linalg.LinAlgError``
+    when ``?sterf`` fails.
+    """
+    n = len(diag)
+    matrix = np.zeros((n, n))
+    matrix.flat[:: n + 1] = diag
+    matrix.flat[n :: n + 1] = off
+    return np.linalg.eigvalsh(matrix).tolist()
+
+
+def _set_bound(bounds: list[float]) -> float:
+    """The largest per-zero bound, or inf when some zero has no finite bound.
+
+    ``max`` alone would drop a NaN bound that is not first.
+    """
+    if all(map(math.isfinite, bounds)):
+        return max(bounds)
+    return math.inf
+
+
 def zeros_orthogonal(spec: FamilySpec) -> ZeroSet:
     """All n zeros of the recurrence family member, via its Jacobi matrix."""
     if spec.kind not in ORTHOGONAL_KINDS:
@@ -185,18 +211,18 @@ def zeros_orthogonal(spec: FamilySpec) -> ZeroSet:
     if n == 1:
         raw = [cl[0][0]]
     else:
-        off = [math.sqrt(l) for _, l in cl[1:]]
-        w, _, info = _stevd([c for c, _ in cl], off, compute_v=0)
-        if info:
-            raise RootComputationError(
-                f"LAPACK ?stevd failed (info={info}) on the Jacobi matrix of "
-                f"{spec.kind} n={n}"
+        try:
+            raw = _tridiagonal_eigenvalues(
+                [c for c, _ in cl], [math.sqrt(l) for _, l in cl[1:]]
             )
-        raw = sorted(w.tolist())
+        except np.linalg.LinAlgError as exc:
+            raise RootComputationError(
+                f"LAPACK ?syevd failed ({exc}) on the Jacobi matrix of "
+                f"{spec.kind} n={n}"
+            ) from exc
     polished = [_polish_recurrence(cl, x) for x in raw]
     zeros = tuple(z for z, _ in polished)
-    bound = max(b for _, b in polished)
-    return ZeroSet(zeros, bound, METHOD_JACOBI, spec)
+    return ZeroSet(zeros, _set_bound([b for _, b in polished]), METHOD_JACOBI, spec)
 
 
 def zeros_general(p: Polynomial) -> ZeroSet:
@@ -230,8 +256,7 @@ def zeros_general(p: Polynomial) -> ZeroSet:
         )
     polished = [_polish_horner(desc, x) for x in sorted(raw)]
     zeros = tuple(z for z, _ in polished)
-    bound = max(b for _, b in polished)
-    return ZeroSet(zeros, bound, METHOD_COMPANION, p)
+    return ZeroSet(zeros, _set_bound([b for _, b in polished]), METHOD_COMPANION, p)
 
 
 def zeros_exact(roots) -> ZeroSet:

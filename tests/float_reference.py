@@ -1,15 +1,19 @@
 """Reference float kernels: the zero paths as written before they were fused.
 
-``rootfind`` now calls LAPACK ``?stevd`` directly and polishes each zero in
-one inlined loop.  The routes it replaced are kept here, unchanged, so tests
-can assert that the fused kernels give the same zeros bit for bit:
+``rootfind`` gets the Jacobi-matrix eigenvalues from numpy's ``eigvalsh``
+and polishes each zero in one inlined loop.  The routes it replaced are kept
+here, so tests can assert that the fused kernels give the same zeros bit for
+bit:
 
-* ``zeros_orthogonal``: scipy's ``eigh_tridiagonal`` on ``float(Fraction)``
-  entries, then ``newton_polish`` with ``recurrence_pair`` as the value
-  function, bound |p| / |p'|;
+* ``zeros_orthogonal``: scipy's ``eigh_tridiagonal`` (LAPACK ``?stevd``) on
+  ``float(Fraction)`` entries, then ``newton_polish`` with
+  ``recurrence_pair`` as the value function, bound |p| / |p'|;
 * ``zeros_general``: ``np.roots`` on ``to_float()`` coefficients, then
   ``newton_polish`` with ``horner_pair`` (the bound differs: see
   ``companion_bound``).
+
+A zero set's bound is ``set_bound`` of its per-zero bounds: the largest, or
+inf when some zero has no finite bound.  scipy is needed by the tests only.
 """
 
 import math
@@ -89,6 +93,13 @@ def companion_bound(coeffs, x):
     return (abs(acc) + EPS * (2 * mu - abs(acc))) / max(abs(dacc), TINY)
 
 
+def set_bound(bounds):
+    """The largest bound, or inf when any bound is NaN or inf."""
+    if any(math.isnan(b) or math.isinf(b) for b in bounds):
+        return math.inf
+    return max(bounds)
+
+
 def zeros_orthogonal(spec):
     """(zeros, bound) of a recurrence family member by the reference route."""
     rc = recurrence_coeffs(spec)
@@ -104,7 +115,7 @@ def zeros_orthogonal(spec):
     polished = [
         newton_polish(float(x), lambda x: recurrence_pair(diag, ls, x)) for x in sorted(raw)
     ]
-    return tuple(z for z, _ in polished), max(b for _, b in polished)
+    return tuple(z for z, _ in polished), set_bound([b for _, b in polished])
 
 
 def zeros_general(p, bound_fn=companion_bound):
@@ -121,4 +132,4 @@ def zeros_general(p, bound_fn=companion_bound):
             assert abs(z.imag) <= REALITY_THRESHOLD * max(1.0, abs(z.real)), z
             raw.append(float(z.real))
     zeros = tuple(newton_polish(x, lambda x: horner_pair(coeffs, x))[0] for x in sorted(raw))
-    return zeros, max(bound_fn(coeffs, z) for z in zeros)
+    return zeros, set_bound([bound_fn(coeffs, z) for z in zeros])

@@ -1,14 +1,16 @@
 """The fused float kernels against the routes they replaced, bit for bit.
 
-``rootfind.zeros_orthogonal`` calls LAPACK ``?stevd`` directly and polishes
-each eigenvalue by one inlined recurrence loop; ``rootfind.zeros_general``
-polishes each companion eigenvalue by one inlined Horner loop.  The reference
-routes in ``float_reference`` (scipy's ``eigh_tridiagonal`` and the generic
-Newton polish) must give the same zeros with ``==``, and the same tridiagonal
-bound.  The hypothesis scans of ``relations._base_report`` are checked the
-same way against their plain forms.
+``rootfind.zeros_orthogonal`` takes the Jacobi-matrix eigenvalues from
+numpy's ``eigvalsh`` (LAPACK ``?syevd``) and polishes each eigenvalue by one
+inlined recurrence loop; ``rootfind.zeros_general`` polishes each companion
+eigenvalue by one inlined Horner loop.  The reference routes in
+``float_reference`` (scipy's ``eigh_tridiagonal``, which calls ``?stevd``,
+and the generic Newton polish) must give the same zeros with ``==``, and the
+same tridiagonal bound.  The hypothesis scans of ``relations._base_report``
+are checked the same way against their plain forms.
 """
 
+import json
 import math
 import types
 from fractions import Fraction as F
@@ -17,8 +19,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
-from interlace import cli, relations, rootfind
+from interlace import cli, relations
 from interlace.families import (
     jacobi,
     krawtchouk,
@@ -29,14 +32,15 @@ from interlace.families import (
 )
 from interlace.poly import Polynomial
 from interlace.relations import CHECK_TO_PAIR, _a_positive, _min_cross_gap, build_relation
-from interlace.rootfind import RootComputationError, ZeroSet, zeros_general, zeros_orthogonal
+from interlace.rootfind import (
+    RootComputationError,
+    ZeroSet,
+    _tridiagonal_eigenvalues,
+    zeros_general,
+    zeros_orthogonal,
+)
 
 import float_reference as ref
-
-
-def same_float(a: float, b: float) -> bool:
-    """Bitwise the same double; a NaN bound equals a NaN bound."""
-    return a == b or (math.isnan(a) and math.isnan(b))
 
 
 # -- tridiagonal path --------------------------------------------------------
@@ -91,31 +95,91 @@ def test_tridiagonal_path_matches_reference(spec):
     got = zeros_orthogonal(spec)
     zeros, bound = ref.zeros_orthogonal(spec)
     assert got.zeros == zeros
-    assert same_float(got.bound, bound), (got.bound, bound)
+    assert got.bound == bound
+
+
+@st.composite
+def raw_tridiagonals(draw):
+    """(diag, off) at n = 2..80 with entries scaled from 1e-6 to 1e6, or
+    near 1e+-155 and 1e+-300, where LAPACK scales the matrix first.
+
+    Entries are drawn as ``zeros_orthogonal`` forms them: the diagonal never
+    holds -0.0 (an int numerator over an int denominator) and the
+    off-diagonal is a square root, so not negative.  A -0.0 on the diagonal
+    is where the two routes part: at n = 62 with the diagonal zero but
+    d[60] = -0.0 and e[59] = e[60] = 1, ``?syevd`` gives -1.4142135623730951
+    where ``?stevd`` gives -1.4142135623730954.
+    """
+    n = draw(st.integers(min_value=2, max_value=80))
+    exponent = draw(
+        st.one_of(
+            st.floats(min_value=-6, max_value=6),
+            st.sampled_from([-300, -155, 155, 300]).flatmap(
+                lambda e: st.floats(min_value=e - 2, max_value=e + 2)
+            ),
+        )
+    )
+    scale = 10.0**exponent
+    unit = st.floats(min_value=-1, max_value=1)
+    diag = draw(st.lists(unit, min_size=n, max_size=n))
+    off = draw(st.lists(unit, min_size=n - 1, max_size=n - 1))
+    return [x * scale + 0.0 for x in diag], [abs(x) * scale for x in off]
+
+
+@given(raw_tridiagonals())
+@settings(max_examples=300, deadline=None)
+@example(([1e300, -1e300, 1e300], [1e300, 1e300]))
+@example(([1e-300, 0.0, -1e-300], [1e-300, 2e-300]))
+@example(([0.0] * 80, [1.0] * 79))
+def test_tridiagonal_eigenvalues_match_stevd(matrix):
+    diag, off = matrix
+    want = eigh_tridiagonal(diag, off, eigvals_only=True).tolist()
+    assert _tridiagonal_eigenvalues(diag, off) == want
+
+
+def _eigvalsh_fails(a, UPLO="L"):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
 def test_lapack_failure_is_a_root_computation_error(monkeypatch):
-    real = rootfind._stevd
-
-    def failing(d, e, compute_v=1):
-        w, z, _ = real(d, e, compute_v=compute_v)
-        return w, z, 1
-
-    monkeypatch.setattr(rootfind, "_stevd", failing)
-    with pytest.raises(RootComputationError, match=r"\?stevd failed \(info=1\)"):
+    monkeypatch.setattr(np.linalg, "eigvalsh", _eigvalsh_fails)
+    with pytest.raises(
+        RootComputationError, match=r"\?syevd failed \(Eigenvalues did not converge\)"
+    ):
         zeros_orthogonal(jacobi(2, 14, 5))
     # n = 1 needs no eigensolve
     assert zeros_orthogonal(jacobi(2, 14, 1)).zeros == ref.zeros_orthogonal(jacobi(2, 14, 1))[0]
 
 
 def test_lapack_failure_becomes_a_sweep_error_row(monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(rootfind, "_stevd", lambda d, e, compute_v=1: (np.zeros(len(d)), None, 1))
+    # LinAlgError is a ValueError, which the CLI would report as invalid input.
+    monkeypatch.setattr(np.linalg, "eigvalsh", _eigvalsh_fails)
     spec = tmp_path / "sweep.json"
     spec.write_text('{"check": "laguerre-3.7", "n": "2..3", "params": {"alpha": [1]}}')
     code = cli.main(["sweep", str(spec), "--workers", "1"])
     out = capsys.readouterr().out
-    assert ",build,error: RootComputationError: LAPACK ?stevd failed" in out
+    assert ",build,error: RootComputationError: LAPACK ?syevd failed" in out
     assert code == 3
+
+
+def test_bound_is_inf_when_a_zero_has_none():
+    # The monic recurrence overflows at the largest zeros (2.2e5 at n = 60),
+    # where p and p' are inf and that zero's own bound is NaN.
+    zs = zeros_orthogonal(meixner(F(1, 3), F(999, 1000), 60))
+    assert zs.bound == math.inf
+    # At n = 40 every zero has a finite bound: the set's bound is their largest.
+    zs = zeros_orthogonal(meixner(F(1, 3), F(999, 1000), 40))
+    _, bound = ref.zeros_orthogonal(meixner(F(1, 3), F(999, 1000), 40))
+    assert math.isfinite(zs.bound) and zs.bound == bound
+    # Companion path: Horner overflows at the zero 1e155.
+    zs = zeros_general(Polynomial.from_roots([F(1), F(2), F(10**155)]))
+    assert zs.max == 1e155 and zs.bound == math.inf
+
+
+def test_zeros_command_prints_an_inf_bound(capsys):
+    argv = ["zeros", "--family", "meixner", "--t", "1/3", "--w", "999/1000", "--n", "60"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["bound"] == math.inf
 
 
 # -- companion path ----------------------------------------------------------

@@ -9,9 +9,10 @@ and orientation only) cannot: one line per instance with its E and a digest
 of every term.  A third pins every named relation: its shape, sign, E,
 support, member specs and a digest of its terms at a few degrees and
 parameter sets, and the exact error text of each invalid point, which sweep
-error rows print.  A change meant to leave output alone (a faster construction,
-a refactor) must pass this module unchanged.  After a deliberate output
-change, re-record with
+error rows print.  Three of the commands are also run in an interpreter where
+scipy cannot be imported, since the program does not depend on it.  A change
+meant to leave output alone (a faster construction, a refactor) must pass this
+module unchanged.  After a deliberate output change, re-record with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -20,7 +21,9 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -210,6 +213,49 @@ def test_oracle_relations_match_golden():
 def test_named_relations_match_golden():
     want = (GOLDEN / "relations.txt").read_bytes().decode("ascii")
     assert named_relations() == want
+
+
+def golden_blocks(name: str) -> dict[str, str]:
+    """Each command's transcript in a golden file, keyed by its ``$`` line."""
+    text = (GOLDEN / name).read_bytes().decode("utf-8")
+    blocks = ["$ interlace " + part for part in text.split("$ interlace ")[1:]]
+    return {block.split("\n", 1)[0]: block for block in blocks}
+
+
+WITHOUT_SCIPY = (
+    ("zeros.txt", ["zeros", "--family", "jacobi", "--alpha", "2", "--beta", "14", "--n", "40"]),
+    ("check.txt", ["check", "jacobi-3.6", "--n", "8", "--json", "--alpha", "2", "--beta", "14"]),
+    ("sweep_oracle.txt", CASES["sweep_oracle.txt"][0]),
+)
+
+
+def test_program_runs_without_scipy():
+    # A fresh interpreter in which every scipy import raises runs a zero
+    # set, a check and a forked two-worker sweep, then lists what it loaded.
+    commands = [argv for _, argv in WITHOUT_SCIPY]
+    probe = textwrap.dedent(
+        f"""
+        import json, sys
+        sys.modules["scipy"] = None
+        sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+        from test_golden import transcript
+        text = transcript({commands!r})
+        loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod]
+        print(json.dumps([text, loaded]))
+        """
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=src,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    text, loaded = json.loads(result.stdout)
+    want = "".join(golden_blocks(name)[f"$ interlace {' '.join(argv)}"] for name, argv in WITHOUT_SCIPY)
+    assert text == want
+    assert loaded == []
 
 
 if __name__ == "__main__":

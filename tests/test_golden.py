@@ -3,7 +3,9 @@ output byte for byte.
 
 The transcripts under ``tests/golden/`` pin what the command line prints for
 the degree ladder of ``check --json`` runs, ``zeros`` of the four orthogonal
-families at n = 40, ``table2`` and a small pair-up oracle sweep.  A further
+families at n = 40, ``table2``, a small pair-up oracle sweep, and the exact
+and float coefficients (``poly`` and ``poly --float``) of every family kind
+at n = 8 and 40.  A further
 file pins the oracle relations themselves, which the sweep output (pass/fail
 and orientation only) cannot: one line per instance with its E and a digest
 of every term.  A third pins every named relation: its shape, sign, E,
@@ -66,6 +68,28 @@ def _ladder() -> list[list[str]]:
     return out
 
 
+POLY_FAMILIES = (
+    ["--family", "jacobi", "--alpha", "2", "--beta", "14"],
+    ["--family", "laguerre", "--alpha", "0"],
+    ["--family", "krawtchouk", "--p", "1/3", "--N", "43"],
+    ["--family", "meixner", "--t", "1", "--w", "1/2"],
+    ["--family", "narayana"],
+    ["--family", "narayana-reduced"],
+    ["--family", "narayana-christoffel"],
+    ["--family", "narayana-perturbed"],
+)
+
+
+def _poly_commands() -> list[list[str]]:
+    """``poly`` and ``poly --float`` for every family kind at n = 8 and 40."""
+    out = []
+    for family in POLY_FAMILIES:
+        for n in ("8", "40"):
+            out.append(["poly", *family, "--n", n])
+            out.append(["poly", *family, "--n", n, "--float"])
+    return out
+
+
 CASES = {
     "check.txt": _ladder(),
     "zeros.txt": [
@@ -78,6 +102,7 @@ CASES = {
     "sweep_oracle.txt": [
         ["sweep", "--oracle", "pair-up", "--n", "1..6", "--seeds", "5", "--workers", "2"]
     ],
+    "poly.txt": _poly_commands(),
 }
 
 

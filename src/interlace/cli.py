@@ -12,6 +12,7 @@ of 1e-9; a floor, from there or from --floor, must be finite and >= 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -105,12 +106,18 @@ def _round_float(value: float, digits: int) -> float:
     return float(f"{value:.{digits}g}")
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Standard output, or ``path`` opened for writing before the work starts."""
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        handle = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write --output {path}: {exc.strerror}") from None
+    with handle:
+        yield handle
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +221,12 @@ def table2_data() -> list[dict]:
 
 
 def cmd_table2(args) -> int:
-    digits = args.digits
+    with _output(args.output) as out:
+        out.write(_rows_to_csv(_table2_rows(args.digits)))
+    return 0
+
+
+def _table2_rows(digits: int) -> list[dict]:
     rows = []
     for blk in table2_data():
         for k, (x, z) in enumerate(zip(blk["x"], blk["z"]), start=1):
@@ -232,8 +244,7 @@ def cmd_table2(args) -> int:
                     "right_occupied": str(blk["right_occupied"]).lower(),
                 }
             )
-    _emit(_rows_to_csv(rows), args.output)
-    return 0
+    return rows
 
 
 def _parse_n_range(text) -> list[int]:
@@ -257,7 +268,17 @@ def _parse_n_range(text) -> list[int]:
 
 def _sweep_grid(spec: dict) -> list[tuple[int, dict]]:
     ns = _parse_n_range(spec["n"])
-    names = sorted(spec.get("params", {}))
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise InvalidParameterError(
+            f"sweep spec 'params' must map each parameter to a list of values (got {params!r})"
+        )
+    for name, values in params.items():
+        if not isinstance(values, list):
+            raise InvalidParameterError(
+                f"sweep spec parameter {name!r} must be a list of values (got {values!r})"
+            )
+    names = sorted(params)
     points: list[tuple[int, dict]] = []
 
     def expand(prefix: dict, remaining: list[str]):
@@ -266,9 +287,9 @@ def _sweep_grid(spec: dict) -> list[tuple[int, dict]]:
                 points.append((n, dict(prefix)))
             return
         name = remaining[0]
-        if not spec["params"][name]:
+        if not params[name]:
             raise InvalidParameterError(f"sweep spec parameter {name!r} lists no values")
-        for raw in spec["params"][name]:
+        for raw in params[name]:
             expand({**prefix, name: parse_fraction(str(raw))}, remaining[1:])
 
     expand({}, names)
@@ -424,12 +445,13 @@ def cmd_sweep(args) -> int:
     workers = args.workers
     if workers < 1:
         raise InvalidParameterError(f"--workers must be >= 1 (got {workers})")
+    keep = None
     if args.oracle:
         if args.seeds < 1:
             raise InvalidParameterError(f"--seeds must be >= 1 (got {args.seeds})")
         ns = _parse_n_range(args.n or "1..8")
-        tasks = [(n, seed) for n in ns for seed in range(args.seeds)]
-        chunks = _map_points(partial(_run_oracle_point, args.oracle, floor=floor), tasks, workers)
+        points = [(n, seed) for n in ns for seed in range(args.seeds)]
+        run = partial(_run_oracle_point, args.oracle, floor=floor)
     else:
         if not args.spec_file:
             raise InvalidParameterError("sweep needs a spec file or --oracle")
@@ -443,14 +465,17 @@ def cmd_sweep(args) -> int:
         check_id = spec["check"]
         if check_id not in CHECK_IDS:
             raise InvalidParameterError(f"unknown check id {check_id!r} in sweep spec")
-        grid = _sweep_grid(spec)
+        points = _sweep_grid(spec)
+        run = partial(_run_sweep_point, check_id, floor=floor)
         wanted = set(spec.get("clauses", []))
-        chunks = _map_points(partial(_run_sweep_point, check_id, floor=floor), grid, workers)
         if wanted:
             keep = wanted | {"build"}
+    with _output(args.output) as out:
+        chunks = _map_points(run, points, workers)
+        if keep:
             chunks = [[row for row in rows if row["clause"] in keep] for rows in chunks]
-    rows = [row for rows in chunks for row in rows]
-    _emit(_rows_to_csv(rows), args.output)
+        rows = [row for rows in chunks for row in rows]
+        out.write(_rows_to_csv(rows))
     passed = sum(1 for row in rows if row["result"] == "pass")
     failed = sum(1 for row in rows if row["result"] == "fail")
     errored = sum(1 for row in rows if str(row["result"]).startswith("error"))

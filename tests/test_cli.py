@@ -15,6 +15,7 @@ import pytest
 
 import interlace
 
+from interlace import cli
 from interlace.cli import build_parser, main, parse_fraction, table2_data
 from interlace.families import InvalidParameterError
 
@@ -233,6 +234,12 @@ class TestTable2Command:
         assert out == ""
         assert target.read_text().startswith("block,")
 
+    def test_unwritable_output_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "table.csv"
+        code, out, err = run_cli(capsys, "table2", "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write --output {target}: No such file or directory\n"
+
     def test_data_helper(self):
         blocks = table2_data()
         assert blocks[0]["left_occupied"] and not blocks[0]["right_occupied"]
@@ -342,6 +349,41 @@ class TestSweepCommand:
         path.write_text(json.dumps({"check": "laguerre-3.7", **spec}))
         code, out, err = run_cli(capsys, "sweep", str(path), "--workers", "1")
         assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"alpha": "14"}, "error: sweep spec parameter 'alpha' must be a list of values (got '14')\n"),
+            ({"alpha": 3}, "error: sweep spec parameter 'alpha' must be a list of values (got 3)\n"),
+            (["alpha"], "error: sweep spec 'params' must map each parameter to a list of values (got ['alpha'])\n"),
+        ],
+        ids=["string", "number", "list-of-names"],
+    )
+    def test_parameter_values_must_be_a_list(self, capsys, tmp_path, params, message):
+        # A string was iterated character by character (alpha = 1 and 4);
+        # a number or a list of names ended in a TypeError traceback.
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"check": "laguerre-3.7", "n": "2", "params": params}))
+        code, out, err = run_cli(capsys, "sweep", str(path), "--workers", "1")
+        assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_unwritable_output_exits_two_before_the_work(self, capsys, monkeypatch, tmp_path, oracle):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(cli, "_run_oracle_point", refuse)
+        monkeypatch.setattr(cli, "_run_sweep_point", refuse)
+        if oracle:
+            argv = ["sweep", "--oracle", "pair-up", "--n", "1..2", "--seeds", "2", "--workers", "1"]
+        else:
+            spec = tmp_path / "sweep.json"
+            spec.write_text(json.dumps({"check": "laguerre-3.7", "n": "2", "params": {"alpha": [0]}}))
+            argv = ["sweep", str(spec), "--workers", "1"]
+        target = tmp_path / "missing" / "rows.csv"
+        code, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write --output {target}: No such file or directory\n"
 
     def test_workers_default_is_two(self):
         args = build_parser().parse_args(["sweep", "--oracle", "pair-up"])

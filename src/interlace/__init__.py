@@ -8,7 +8,7 @@ from .interlacing import (
     alternates,
     interlaces_down,
 )
-from .poly import FLOAT, RATIONAL, Polynomial, is_identically_zero, linear_combine
+from .poly import RATIONAL, Polynomial
 from .relations import (
     CheckReport,
     MixedRelation,
@@ -17,14 +17,13 @@ from .relations import (
     run_check,
     verify_identity,
 )
-from .rootfind import ZeroSet, sign_at_zeros, zeros_general, zeros_orthogonal
+from .rootfind import ZeroSet, zeros_general, zeros_orthogonal
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CheckReport",
     "DEFAULT_FLOOR",
-    "FLOAT",
     "FamilySpec",
     "MixedRelation",
     "Polynomial",
@@ -36,11 +35,8 @@ __all__ = [
     "build_relation",
     "check_relation",
     "interlaces_down",
-    "is_identically_zero",
-    "linear_combine",
     "monic_by_recurrence",
     "run_check",
-    "sign_at_zeros",
     "verify_identity",
     "zeros_general",
     "zeros_orthogonal",

@@ -129,8 +129,9 @@ def cmd_poly(args) -> int:
     spec = _spec_from_args(args)
     poly = families.monic_by_recurrence(spec)
     if args.float:
-        poly = poly.to_float()
-    print(json.dumps(poly.to_json()))
+        print(json.dumps({"mode": "float", "coeffs": list(poly.float_coeffs())}))
+    else:
+        print(json.dumps(poly.to_json()))
     return 0
 
 
@@ -502,7 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_poly = sub.add_parser("poly", help="print a family member's coefficients")
     _add_family_flags(p_poly)
-    p_poly.add_argument("--float", action="store_true", help="demote to float mode")
+    p_poly.add_argument(
+        "--float", action="store_true", help="print the coefficients as correctly rounded doubles"
+    )
     p_poly.set_defaults(func=cmd_poly)
 
     p_zeros = sub.add_parser("zeros", help="print a family member's real zeros")

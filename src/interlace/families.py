@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import RATIONAL, Polynomial, _integer_form
+from .poly import Polynomial, _integer_form
 
 ORTHOGONAL_KINDS = ("jacobi", "laguerre", "krawtchouk", "meixner")
 NARAYANA_KINDS = (
@@ -259,8 +259,9 @@ def _monic_orthogonal(rc: RecurrenceCoeffs) -> Polynomial:
     Each member is kept as an integer vector over one common denominator.
     Members are monic, so that denominator is the leading entry and needs no
     storage of its own.  A step brings both terms over the lcm of their
-    denominators and divides out the content, so the denominator stays the
-    least common one and Fractions are formed only once, at the end.
+    denominators and divides out the content, so the vector stays primitive:
+    it is the polynomial's stored form as it stands, with the leading entry
+    as its denominator.
     """
     prev: list[int] = []
     cur = [1]
@@ -280,8 +281,7 @@ def _monic_orthogonal(rc: RecurrenceCoeffs) -> Polynomial:
                 nxt[i] -= up * q
         g = math.gcd(*nxt)
         prev, cur = cur, [x // g for x in nxt] if g > 1 else nxt
-    den = cur[-1]
-    return Polynomial._of(tuple(Fraction(x, den) for x in cur), RATIONAL)
+    return Polynomial._of(tuple(cur), cur[-1])
 
 
 def _narayana_step(m: int, cur: Polynomial, prev: Polynomial) -> Polynomial:
@@ -293,7 +293,7 @@ def _narayana_step(m: int, cur: Polynomial, prev: Polynomial) -> Polynomial:
 
 
 def _narayana_raw(n: int) -> Polynomial:
-    prev = Polynomial.zero(RATIONAL)  # N_0, the empty sum
+    prev = Polynomial.zero()  # N_0, the empty sum
     cur = Polynomial([0, 1])  # N_1 = x
     if n == 1:
         return cur
@@ -406,7 +406,7 @@ def hypergeometric_poly(spec: FamilySpec) -> Polynomial:
         raise InvalidParameterError(
             f"hypergeometric route applies to krawtchouk/meixner, not {spec.kind}"
         )
-    acc = Polynomial.zero(RATIONAL)
+    acc = Polynomial.zero()
     falling = Polynomial.constant(1)  # product of (i - x) over i < k
     coef = Fraction(1)
     for k in range(n + 1):

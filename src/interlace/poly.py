@@ -1,18 +1,19 @@
-"""Dense univariate polynomial arithmetic over exact rationals or floats.
+"""Dense univariate polynomials with exact rational coefficients.
 
-Coefficients are stored ascending by degree, with trailing zeros stripped so
-the leading coefficient of a nonzero polynomial is never zero (the empty
-coefficient vector is the zero polynomial).  Every polynomial carries one of
-two scalar modes:
+A polynomial is stored as one canonical integer vector: numerators ``nums``,
+ascending by degree with trailing zeros stripped, over one positive
+denominator ``den``, with gcd(nums..., den) = 1.  The zero polynomial is ``()``
+over 1.  Each rational polynomial so has exactly one stored form, equality
+compares vectors, and every kernel (products, Horner's scheme, the identity
+certificate) runs on integers.  The vector is the primitive part of
+``den`` times the polynomial, and 1/den its content up to the gcd of the
+numerators (Knuth, TAOCP Vol. 2, 4.6.1).
 
-* ``"rational"``: arbitrary-precision ``fractions.Fraction`` coefficients,
-  used wherever an identity has to hold exactly.
-* ``"float"``: binary doubles, used on the numerical side (zero finding,
-  sign evaluation).
-
-The two modes never mix silently.  Combining a rational value with a float
-value raises ``ModeMismatchError``; crossing the boundary is always an
-explicit ``to_float()`` call.
+``coeffs`` is the tuple of reduced ``Fraction`` coefficients, formed on first
+use and kept, for serialization and for readers that want them one by one.
+``float_coeffs`` gives the correctly rounded doubles the numerical side works
+on.  Values enter only as ``int`` or ``Fraction``; a binary float raises
+``ModeMismatchError``, so nothing rounded reaches an exact identity.
 """
 
 from __future__ import annotations
@@ -21,39 +22,23 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+#: the ``mode`` tag of the JSON form
 RATIONAL = "rational"
-FLOAT = "float"
 
-Scalar = Union[int, float, Fraction]
+Scalar = Union[int, Fraction]
 
 
 class ModeMismatchError(TypeError):
-    """Exact and float scalars met without an explicit demotion."""
+    """A binary float was offered where only exact values are allowed."""
 
 
-def _as_rational(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_rational(value) -> Scalar:
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise ModeMismatchError(
-        f"rational mode cannot absorb {type(value).__name__} {value!r}"
-    )
+    raise ModeMismatchError(f"exact polynomials cannot absorb {type(value).__name__} {value!r}")
 
 
-def _as_float(value) -> float:
-    if isinstance(value, Fraction):
-        raise ModeMismatchError(
-            f"float mode cannot absorb Fraction {value!r}; call to_float() explicitly"
-        )
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise ModeMismatchError(
-        f"float mode cannot absorb {type(value).__name__} {value!r}"
-    )
-
-
-def _integer_form(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def _integer_form(values: Sequence[Scalar]) -> tuple[list[int], int]:
     """Integer numerators of ``values`` over the lcm of their denominators."""
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
@@ -85,69 +70,64 @@ def _stripped(coeffs: tuple) -> tuple:
     return coeffs[:end]
 
 
-def coerce_scalar(value: Scalar, mode: str):
-    """Coerce ``value`` into the scalar type of ``mode`` or raise on a mix."""
-    if mode == RATIONAL:
-        return _as_rational(value)
-    if mode == FLOAT:
-        return _as_float(value)
-    raise ValueError(f"unknown scalar mode {mode!r}")
-
-
 class Polynomial:
-    """Immutable dense polynomial; ``coeffs[k]`` is the coefficient of x^k."""
+    """Immutable dense polynomial: coefficient k is ``nums[k] / den``."""
 
-    __slots__ = ("coeffs", "mode")
+    __slots__ = ("nums", "den", "_coeffs")
 
-    def __init__(self, coeffs: Iterable[Scalar] = (), mode: str | None = None):
-        items = list(coeffs)
-        if mode is None:
-            mode = FLOAT if any(isinstance(c, float) for c in items) else RATIONAL
-        if mode not in (RATIONAL, FLOAT):
-            raise ValueError(f"unknown scalar mode {mode!r}")
-        norm = tuple(coerce_scalar(c, mode) for c in items)
-        object.__setattr__(self, "coeffs", _stripped(norm))
-        object.__setattr__(self, "mode", mode)
+    def __init__(self, coeffs: Iterable[Scalar] = ()):
+        nums, den = _integer_form([_as_rational(c) for c in coeffs])
+        # Reduced coefficients over the lcm of their denominators share no
+        # factor with it, so the vector is already canonical.
+        self._set(_stripped(tuple(nums)), den)
+
+    def _set(self, nums: tuple, den: int) -> None:
+        setter = object.__setattr__
+        setter(self, "nums", nums)
+        setter(self, "den", den)
+        setter(self, "_coeffs", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
-    def _of(cls, coeffs: tuple, mode: str) -> "Polynomial":
-        """Store ``coeffs`` as they are, only stripping trailing zeros.
-
-        For coefficients the caller has just formed in ``mode``'s scalar type
-        (``Fraction`` in rational mode, ``float`` in float mode), so they skip
-        the per-value checks of the public constructor.
-        """
+    def _of(cls, nums: tuple, den: int) -> "Polynomial":
+        """Store a vector the caller has formed canonical, as it is."""
         self = object.__new__(cls)
-        object.__setattr__(self, "coeffs", _stripped(coeffs))
-        object.__setattr__(self, "mode", mode)
+        self._set(nums, den)
         return self
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, mode: str = RATIONAL) -> "Polynomial":
-        return cls((), mode)
+    def from_ints(cls, nums: Sequence[int], den: int = 1) -> "Polynomial":
+        """The polynomial with coefficients ``nums[k] / den``, for any nonzero ``den``."""
+        nums = list(_stripped(tuple(nums)))
+        if not nums:
+            return cls._of((), 1)
+        if den < 0:
+            nums, den = [-x for x in nums], -den
+        g = math.gcd(den, *nums)
+        if g > 1:
+            nums, den = [x // g for x in nums], den // g
+        return cls._of(tuple(nums), den)
 
     @classmethod
-    def constant(cls, value: Scalar, mode: str | None = None) -> "Polynomial":
-        return cls([value], mode)
+    def zero(cls) -> "Polynomial":
+        return cls._of((), 1)
 
     @classmethod
-    def from_roots(cls, roots: Sequence[Scalar], mode: str = RATIONAL) -> "Polynomial":
-        """Monic polynomial with the given roots, built by linear factors.
+    def constant(cls, value: Scalar) -> "Polynomial":
+        return cls([value])
 
-        In rational mode the roots are scaled to integers a_i over their
-        common denominator D, the product of (D x - a_i) is formed over
-        ``int``, and coefficient k is that product's c_k over D^(n-k).
+    @classmethod
+    def from_roots(cls, roots: Sequence[Scalar]) -> "Polynomial":
+        """Monic polynomial with the given roots.
+
+        The roots are scaled to integers a_i over their common denominator D
+        and the product of (y - a_i) is formed over ``int``; see
+        ``from_scaled``.
         """
-        if mode != RATIONAL:
-            p = cls([1], mode)
-            for r in roots:
-                p = p.mul_linear(r)
-            return p
         nums, den = _integer_form([_as_rational(r) for r in roots])
         return cls.from_scaled(root_product(nums), den)
 
@@ -155,210 +135,189 @@ class Polynomial:
     def from_scaled(cls, c: Sequence[int], den: int, lead: int = 1) -> "Polynomial":
         """The rational polynomial c(den x) / (lead den^m), m = len(c) - 1.
 
-        Coefficient k is c_k / (lead den^(m-k)), one ``Fraction`` of integers
-        each.  With ``c`` the root product of integers a_i and lead 1 this is
-        the monic polynomial with roots a_i / den.
+        Coefficient k is c_k den^k / (lead den^m), so the integer vector is
+        formed directly.  With ``c`` the root product of integers a_i and
+        lead 1 this is the monic polynomial with roots a_i / den.
         """
-        out = []
-        scale = lead
-        for ck in reversed(c):
-            out.append(Fraction(ck, scale))
-            scale *= den
-        return cls._of(tuple(out[::-1]), RATIONAL)
+        nums = []
+        power = 1
+        for ck in c:
+            nums.append(ck * power)
+            power *= den
+        return cls.from_ints(nums, lead * (power // den))
 
     # -- structure ---------------------------------------------------------
 
     @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced ``Fraction``s, ascending by degree."""
+        coeffs = self._coeffs
+        if coeffs is None:
+            den = self.den
+            coeffs = tuple(Fraction(x, den) for x in self.nums)
+            object.__setattr__(self, "_coeffs", coeffs)
+        return coeffs
 
     @property
-    def leading_coefficient(self):
-        if not self.coeffs:
+    def degree(self) -> int:
+        """Degree of the polynomial; -1 for the zero polynomial."""
+        return len(self.nums) - 1
+
+    @property
+    def leading_coefficient(self) -> Fraction:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.nums) and self.nums[-1] == self.den
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, x: Scalar):
-        """Evaluate at ``x`` by Horner's scheme; exact in rational mode."""
-        xv = coerce_scalar(x, self.mode)
-        acc = coerce_scalar(0, self.mode)
-        for c in reversed(self.coeffs):
-            acc = acc * xv + c
-        return acc
+    def evaluate(self, x: Scalar) -> Fraction:
+        """The exact value at ``x``, by Horner's scheme on integers.
+
+        With x = a/b and degree m the scheme forms
+        sum nums_k a^k b^(m-k), and the value is that over den b^m.
+        """
+        x = _as_rational(x)
+        a, b = x.numerator, x.denominator
+        acc = 0
+        power = 1  # b^(m-k) at step k
+        for c in reversed(self.nums):
+            acc = acc * a + c * power
+            power *= b
+        return Fraction(acc * b, self.den * power)  # power = b^(m+1) here
 
     __call__ = evaluate
 
     # -- arithmetic --------------------------------------------------------
 
-    def _require_same_mode(self, other: "Polynomial") -> None:
-        if self.mode != other.mode:
-            raise ModeMismatchError(
-                f"cannot combine {self.mode} and {other.mode} polynomials"
-            )
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * (den // other.den)
+        out = [x * sa for x in self.nums]
+        out += [0] * (len(other.nums) - len(out))
+        for k, y in enumerate(other.nums):
+            out[k] += y * sb
+        return Polynomial.from_ints(out, den)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._require_same_mode(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(out, self.mode)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs], self.mode)
+        return Polynomial._of(tuple(-x for x in self.nums), self.den)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            self._require_same_mode(other)
             if self.is_zero or other.is_zero:
-                return Polynomial.zero(self.mode)
-            if self.mode == RATIONAL:
-                a, da = _integer_form(self.coeffs)
-                b, db = _integer_form(other.coeffs)
-                den = da * db
-                return Polynomial._of(tuple(Fraction(c, den) for c in _convolve(a, b)), RATIONAL)
-            out = [coerce_scalar(0, self.mode)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Polynomial(out, self.mode)
+                return Polynomial.zero()
+            return Polynomial.from_ints(_convolve(self.nums, other.nums), self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, factor: Scalar) -> "Polynomial":
-        f = coerce_scalar(factor, self.mode)
-        return Polynomial([c * f for c in self.coeffs], self.mode)
+        f = _as_rational(factor)
+        return Polynomial.from_ints([x * f.numerator for x in self.nums], self.den * f.denominator)
 
     def mul_linear(self, root: Scalar) -> "Polynomial":
         """Return ``(x - root) * self``; degree grows by one for nonzero self."""
-        r = coerce_scalar(root, self.mode)
-        if self.is_zero:
-            return self
-        zero = coerce_scalar(0, self.mode)
-        out = [zero] * (len(self.coeffs) + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i + 1] = out[i + 1] + c
-            out[i] = out[i] - r * c
-        return Polynomial(out, self.mode)
+        r = _as_rational(root)
+        a, b = r.numerator, r.denominator
+        out = [0] * (len(self.nums) + 1)
+        for i, c in enumerate(self.nums):  # (b x - a) N over den b
+            out[i + 1] += b * c
+            out[i] -= a * c
+        return Polynomial.from_ints(out, self.den * b)
 
-    def divide_linear(self, root: Scalar) -> tuple["Polynomial", Scalar]:
+    def divide_linear(self, root: Scalar) -> tuple["Polynomial", Fraction]:
         """Synthetic division by ``(x - root)``; returns (quotient, remainder).
 
-        Exact in rational mode, so ``remainder == 0`` certifies divisibility.
+        Exact, so ``remainder == 0`` certifies divisibility.  With root a/b and
+        degree n the scheme runs on the integer carries Q_i = q_i den b^(n-1-i):
+        Q_(n-1) = nums_n and Q_(i-1) = nums_i b^(n-i) + a Q_i.  So q_i is
+        Q_i b^i over den b^(n-1), and the remainder is Q_(-1) over den b^n.
         """
-        r = coerce_scalar(root, self.mode)
+        r = _as_rational(root)
         if self.is_zero:
-            return self, coerce_scalar(0, self.mode)
-        n = self.degree
-        q = [coerce_scalar(0, self.mode)] * n
-        carry = self.coeffs[-1]
+            return self, Fraction(0)
+        a, b = r.numerator, r.denominator
+        nums = self.nums
+        n = len(nums) - 1
+        q = [0] * n
+        carry = nums[-1]
+        power = 1  # b^(n-1-i) for carry i
         for i in range(n - 1, -1, -1):
             q[i] = carry
-            carry = self.coeffs[i] + r * carry
-        return Polynomial(q, self.mode), carry
+            power *= b
+            carry = nums[i] * power + a * carry
+        quotient = Polynomial.from_ints([c * b**i for i, c in enumerate(q)], self.den * (power // b))
+        return quotient, Fraction(carry, self.den * power)
 
-    # -- mode boundary -----------------------------------------------------
-
-    def to_float(self) -> "Polynomial":
-        """Demote to float mode; the single sanctioned exact-to-float crossing."""
-        if self.mode == FLOAT:
-            return self
-        return Polynomial._of(self.float_coeffs(), FLOAT)
+    # -- numerical side ----------------------------------------------------
 
     def float_coeffs(self) -> tuple[float, ...]:
-        """The coefficients of ``to_float()``, without building the polynomial.
+        """The coefficients as correctly rounded doubles.
 
-        A rational coefficient becomes ``numerator / denominator``, which is
-        ``float(c)`` without the generic ``Rational`` path; one too small for
-        a double rounds to zero and is stripped if it leads.
+        ``int / int`` is correctly rounded, so each is bit for bit
+        ``float(c)`` of the reduced coefficient; one too small for a double
+        rounds to zero and is stripped if it leads.
         """
-        if self.mode == FLOAT:
-            return self.coeffs
-        return _stripped(tuple(c.numerator / c.denominator for c in self.coeffs))
+        den = self.den
+        return _stripped(tuple(x / den for x in self.nums))
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.mode == RATIONAL:
-            return {"mode": RATIONAL, "coeffs": [str(c) for c in self.coeffs]}
-        return {"mode": FLOAT, "coeffs": [float(c) for c in self.coeffs]}
+        return {"mode": RATIONAL, "coeffs": [str(c) for c in self.coeffs]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Polynomial":
-        mode = obj["mode"]
-        if mode == RATIONAL:
-            return cls([Fraction(c) for c in obj["coeffs"]], RATIONAL)
-        if mode == FLOAT:
-            return cls([float(c) for c in obj["coeffs"]], FLOAT)
-        raise ValueError(f"unknown scalar mode {mode!r}")
+        if obj["mode"] != RATIONAL:
+            raise ValueError(f"unknown scalar mode {obj['mode']!r}")
+        return cls([Fraction(c) for c in obj["coeffs"]])
 
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.mode == other.mode and self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.mode, self.coeffs))
+        return hash((self.nums, self.den))
 
     def __repr__(self) -> str:
-        return f"Polynomial({list(self.coeffs)!r}, mode={self.mode!r})"
+        return f"Polynomial({list(self.coeffs)!r})"
 
 
-def monic_linear(root: Scalar, mode: str = RATIONAL) -> Polynomial:
+def monic_linear(root: Scalar) -> Polynomial:
     """The monic linear polynomial ``x - root``."""
-    r = coerce_scalar(root, mode)
-    one = coerce_scalar(1, mode)
-    return Polynomial([-r, one], mode)
-
-
-def linear_combine(a: Scalar, p: Polynomial, b, q: Polynomial) -> Polynomial:
-    """Return ``a*p + b*q`` where ``b`` may be a scalar or a Polynomial."""
-    left = p.scale(a)
-    right = b * q if isinstance(b, Polynomial) else q.scale(b)
-    return left + right
-
-
-def is_identically_zero(p: Polynomial) -> bool:
-    """True iff every coefficient is exactly zero.  Rational mode only."""
-    if p.mode != RATIONAL:
-        raise ModeMismatchError("identity checks require rational mode")
-    return p.is_zero
+    r = _as_rational(root)
+    return Polynomial._of((-r.numerator, r.denominator), r.denominator)
 
 
 def products_cancel(terms: Iterable[tuple[int, Polynomial, Polynomial]]) -> bool:
     """True iff the sum of ``weight * left * right`` is exactly zero.
 
-    Rational mode only.  Each product is formed on integer numerators over
-    its own denominator and the products are compared over the lcm of those,
+    Each product is the convolution of the stored vectors over the product
+    of their denominators; the products are compared over the lcm of those,
     so the verdict is exact and no ``Fraction`` is built.
     """
-    products = []
-    for weight, left, right in terms:
-        if left.mode != RATIONAL or right.mode != RATIONAL:
-            raise ModeMismatchError("identity checks require rational mode")
-        a, da = _integer_form(left.coeffs)
-        b, db = _integer_form(right.coeffs)
-        products.append((weight, _convolve(a, b), da * db))
+    products = [
+        (weight, _convolve(left.nums, right.nums), left.den * right.den)
+        for weight, left, right in terms
+    ]
     den = math.lcm(*(d for _, _, d in products))
     total = [0] * max((len(c) for _, c, _ in products), default=0)
     for weight, coeffs, d in products:

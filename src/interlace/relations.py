@@ -1,10 +1,10 @@
 """Mixed recurrence relations A*P = B*G +- (x-E)*Q and their checkers.
 
-A relation is stored with all polynomials in rational mode so the identity
-itself can be certified exactly (coefficientwise zero residual).  The
-checkers then move to floats: they compute the zero sets, test the stated
-hypotheses, and evaluate every conclusion clause of the matching
-interlacing statement, producing a witness-carrying report.
+A relation is stored with all polynomials exact (integer vectors over one
+denominator) so the identity itself can be certified exactly (coefficientwise
+zero residual).  The checkers then move to floats: they compute the zero
+sets, test the stated hypotheses, and evaluate every conclusion clause of the
+matching interlacing statement, producing a witness-carrying report.
 
 Three relation shapes are supported, named by the degrees of G and Q
 relative to deg P = n:
@@ -15,9 +15,10 @@ relative to deg P = n:
 
 Seed-deterministic random generators build synthetic instances of all three
 shapes from scratch (interlaced rational zero draws), giving a constructive
-property-test oracle for the checkers.  They form every term on integers over
-the draw's common denominator and keep the drawn zeros of G and Q, which the
-checkers round to floats in place of solving for them.
+property-test oracle for the checkers.  The points are drawn as integer
+numerators over one denominator, every term is formed on integers over it,
+and the drawn zeros of G and Q are kept, which the checkers round to floats
+in place of solving for them.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .interlacing import (
 from .poly import (
     Polynomial,
     _convolve,
-    _integer_form,
     monic_linear,
     products_cancel,
     root_product,
@@ -103,7 +103,7 @@ class MixedRelation:
     params: dict = field(default_factory=dict)
     #: exact identity verdict for the current terms; None until it is run
     certified: bool | None = field(default=None, init=False, repr=False, compare=False)
-    #: term name ("G", "Q") -> the exact rational zeros it was built from
+    #: term name ("G", "Q") -> (nums, den): its exact zeros nums[i] / den
     roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __setattr__(self, name, value):
@@ -515,7 +515,7 @@ def _a_positive(rel: MixedRelation, zg: ZeroSet, grid_points: int = 32) -> bool:
     samples = [lo + (hi - lo) * i / (grid_points - 1) for i in range(grid_points)]
     for x in (*zg.zeros, *samples):
         acc = 0.0
-        for c in desc:  # Horner's scheme, as Polynomial.evaluate runs it in float mode
+        for c in desc:  # Horner's scheme on the float coefficients
             acc = acc * x + c
         if acc <= 0:
             return False
@@ -536,7 +536,7 @@ def _term_zeros(rel: MixedRelation, name: str) -> ZeroSet:
     """Zeros of term ``name``: the exact ones it was built from, else by its zero path."""
     roots = rel.roots.get(name)
     if roots is not None:
-        return zeros_exact(roots)
+        return zeros_exact(*roots)
     return zero_set(rel.specs.get(name), getattr(rel, name))
 
 
@@ -889,21 +889,20 @@ def _rational_uniform(rng: random.Random, lo: Fraction, hi: Fraction, denom: int
     return lo + (hi - lo) * Fraction(rng.randrange(denom + 1), denom)
 
 
-def _draw_chain(rng: random.Random, total: int) -> list[Fraction]:
+def _draw_chain(rng: random.Random, total: int) -> tuple[list[int], int]:
     """Strictly increasing rational points: uniform slots in (-1, 1), jittered.
 
     Point i is -1 + 2(i+1)/(total+1) plus a jitter uniform on 4097 levels of
-    [-1/J, 1/J], where 1/J = min(1/100, step/4) and step = 2/(total+1).  It
-    is formed as one integer numerator over lcm(total+1, 2048 J).
+    [-1/J, 1/J], where 1/J = min(1/100, step/4) and step = 2/(total+1).
+    Returns the points' integer numerators over their common denominator
+    lcm(total+1, 2048 J).
     """
     slots = total + 1
     J = max(100, 2 * slots)
     den = math.lcm(slots, 2048 * J)
     slot, tick = den // slots, den // (2048 * J)
-    return [
-        Fraction(-den + 2 * (i + 1) * slot + (rng.randrange(4097) - 2048) * tick, den)
-        for i in range(total)
-    ]
+    nums = [-den + 2 * (i + 1) * slot + (rng.randrange(4097) - 2048) * tick for i in range(total)]
+    return nums, den
 
 
 class _Draw(NamedTuple):
@@ -916,20 +915,26 @@ class _Draw(NamedTuple):
     q: list[int]
     de: int  # D E
     den: int  # D
-    roots: dict  # term name -> its drawn zeros
+    roots: dict  # term name -> (numerators of its drawn zeros, D)
     support: tuple[float, float]  # hull of the zeros and E, widened by 1
 
 
-def _scaled_draw(g_zeros, q_zeros, e: Fraction) -> _Draw:
-    nums, den = _integer_form([*g_zeros, *q_zeros, e])
-    split = len(g_zeros)
+def _scaled_draw(g_nums, q_nums, den: int, e: Fraction) -> _Draw:
+    """The draw with zeros g_nums / den and q_nums / den, brought over lcm(den, den of E)."""
+    big = math.lcm(den, e.denominator)
+    if big != den:
+        scale = big // den
+        g_nums = [x * scale for x in g_nums]
+        q_nums = [x * scale for x in q_nums]
+    de = e.numerator * (big // e.denominator)
+    hull = (*g_nums, *q_nums, de)
     return _Draw(
-        g=root_product(nums[:split]),
-        q=root_product(nums[split:-1]),
-        de=nums[-1],
-        den=den,
-        roots={"G": tuple(g_zeros), "Q": tuple(q_zeros)},
-        support=(min(nums) / den - 1.0, max(nums) / den + 1.0),
+        g=root_product(g_nums),
+        q=root_product(q_nums),
+        de=de,
+        den=big,
+        roots={"G": (tuple(g_nums), big), "Q": (tuple(q_nums), big)},
+        support=(min(hull) / big - 1.0, max(hull) / big + 1.0),
     )
 
 
@@ -966,9 +971,9 @@ def _oracle_relation(shape, A, B, e, c, draw: _Draw) -> MixedRelation:
 
 
 def assemble_pair_up(
-    g_zeros, q_zeros, e: Fraction, require_positive_a: bool = True
+    g_nums, q_nums, den: int, e: Fraction, require_positive_a: bool = True
 ) -> MixedRelation | None:
-    """Build a pair-up relation from explicit zero sets and an added point.
+    """Build a pair-up relation from the zeros g_nums / den and q_nums / den and E.
 
     B is the monic-negative linear polynomial whose constant kills the top
     two coefficients of B*G + (x-E)*Q, leaving a degree-n combination; its
@@ -980,8 +985,8 @@ def assemble_pair_up(
     combination is c(y) / D^(n+2) with c = (b - y) g + (y - D E) q, so
     A = c_n / D^2 and P_k = c_k / (c_n D^(n-k)).
     """
-    n = len(g_zeros) - 1
-    draw = _scaled_draw(g_zeros, q_zeros, e)
+    n = len(g_nums) - 1
+    draw = _scaled_draw(g_nums, q_nums, den, e)
     g, q, de, den = draw.g, draw.q, draw.de, draw.den
     b = g[n] - q[n] + de
     if b == de:  # B(E) = 0
@@ -991,8 +996,8 @@ def assemble_pair_up(
         return None
     if require_positive_a and c[-1] <= 0:
         return None
-    A = Polynomial([Fraction(c[-1], den * den)])
-    return _oracle_relation(PAIR_UP, A, Polynomial([Fraction(b, den), -1]), e, c, draw)
+    A = Polynomial.from_ints([c[-1]], den * den)
+    return _oracle_relation(PAIR_UP, A, Polynomial.from_ints([b, -den], den), e, c, draw)
 
 
 def oracle_pair_up(
@@ -1012,55 +1017,74 @@ def oracle_pair_up(
     rng = random.Random(f"pair-up:{n}:{seed}:{orientation}:{force_e}")
     for _ in range(max_tries):
         orient = orientation or rng.choice(("q_below_g", "g_below_q"))
-        pts = _draw_chain(rng, 2 * (n + 1))
+        pts, den = _draw_chain(rng, 2 * (n + 1))
         if orient == "q_below_g":
-            q_zeros, g_zeros = pts[0::2], pts[1::2]
+            q_nums, g_nums = pts[0::2], pts[1::2]
         else:
-            g_zeros, q_zeros = pts[0::2], pts[1::2]
-        e = _draw_e(rng, g_zeros, "above" if force_e == "above_max" else None)
+            g_nums, q_nums = pts[0::2], pts[1::2]
+        e = _draw_e(rng, g_nums, den, "above" if force_e == "above_max" else None)
         if e is None:
             continue
-        rel = assemble_pair_up(g_zeros, q_zeros, e, require_positive_a=force_e is None)
+        rel = assemble_pair_up(g_nums, q_nums, den, e, require_positive_a=force_e is None)
         if rel is not None:
             rel.params.update({"seed": seed, "orientation": orient, "forced": force_e})
             return rel
     raise DegenerateDrawError(f"pair-up oracle exhausted retries at n={n}, seed={seed}")
 
 
-def assemble_down_one(g_zeros, q_zeros, e: Fraction, b_const: Fraction) -> MixedRelation | None:
-    """Build a down-one relation with a constant B > 1 from explicit zeros.
+def assemble_down_one(
+    g_nums, q_nums, den: int, e: Fraction, b_const: Fraction
+) -> MixedRelation | None:
+    """Build a down-one relation with a constant B from the zeros g_nums / den and q_nums / den.
 
     With B = u / v and y = D x, B G - (x - E) Q = c(y) / (v D^n) where
     c = u g - v (y - D E) q, so A = c_n / v and P_k = c_k / (c_n D^(n-k)).
     """
-    n = len(g_zeros)
-    draw = _scaled_draw(g_zeros, q_zeros, e)
+    n = len(g_nums)
+    draw = _scaled_draw(g_nums, q_nums, den, e)
     u, v = b_const.numerator, b_const.denominator
     c = _combination(([u], draw.g), ([v * draw.de, -v], draw.q))
     if len(c) != n + 1 or c[-1] <= 0:
         return None
-    A = Polynomial([Fraction(c[-1], v)])
+    A = Polynomial.from_ints([c[-1]], v)
     return _oracle_relation(DOWN_ONE, A, Polynomial([b_const]), e, c, draw)
 
 
-def _draw_e(rng: random.Random, g_zeros, e_region: str | None) -> Fraction | None:
+#: the default added point E = -6/5 + (12/5) r / 4096, r uniform on 0..4096,
+#: is (12 r - 24576) / _E_DEN
+_E_DEN = 20480
+
+
+def _draw_e(rng: random.Random, g_nums, den: int, e_region: str | None) -> Fraction | None:
+    """An added point for G, whose zeros are g_nums / den in ascending order.
+
+    ``e_region`` pins E below every zero, inside a gap or above every zero.
+    Otherwise E is drawn on (-6/5, 6/5) and refused (None) within 1/100 of a
+    zero of G.
+    """
+
+    def zero(k: int) -> Fraction:
+        return Fraction(g_nums[k], den)
+
     if e_region == "below":
-        return g_zeros[0] - _rational_uniform(rng, Fraction(1, 20), Fraction(1, 2))
+        return zero(0) - _rational_uniform(rng, Fraction(1, 20), Fraction(1, 2))
     if e_region == "above":
-        return g_zeros[-1] + _rational_uniform(rng, Fraction(1, 20), Fraction(1, 2))
+        return zero(-1) + _rational_uniform(rng, Fraction(1, 20), Fraction(1, 2))
     if e_region == "interior":
-        if len(g_zeros) < 2:
+        if len(g_nums) < 2:
             return None
-        k = rng.randrange(len(g_zeros) - 1)
-        return g_zeros[k] + (g_zeros[k + 1] - g_zeros[k]) * _rational_uniform(
+        k = rng.randrange(len(g_nums) - 1)
+        return zero(k) + (zero(k + 1) - zero(k)) * _rational_uniform(
             rng, Fraction(1, 4), Fraction(3, 4)
         )
-    e = _rational_uniform(rng, Fraction(-6, 5), Fraction(6, 5))
-    # The zeros of G ascend, so the nearest one is a neighbour of E.
-    k = bisect_left(g_zeros, e)
-    if any(abs(e - g) < Fraction(1, 100) for g in g_zeros[max(k - 1, 0) : k + 1]):
-        return None
-    return e
+    u = 12 * rng.randrange(4097) - 24576
+    # The zeros ascend, so the nearest one to E is a neighbour of its slot:
+    # the first zero with g / den >= u / _E_DEN, and the one before.
+    k = bisect_left(g_nums, -(-u * den // _E_DEN))
+    for g in g_nums[max(k - 1, 0) : k + 1]:
+        if 100 * abs(u * den - g * _E_DEN) < _E_DEN * den:  # |E - g / den| < 1/100
+            return None
+    return Fraction(u, _E_DEN)
 
 
 def oracle_down_one(
@@ -1077,29 +1101,30 @@ def oracle_down_one(
         raise InvalidParameterError("down-one oracle needs n >= 1")
     rng = random.Random(f"down-one:{n}:{seed}:{e_region}")
     for _ in range(max_tries):
-        pts = _draw_chain(rng, 2 * n - 1)
-        g_zeros, q_zeros = pts[0::2], pts[1::2]
-        e = _draw_e(rng, g_zeros, e_region)
+        pts, den = _draw_chain(rng, 2 * n - 1)
+        g_nums, q_nums = pts[0::2], pts[1::2]
+        e = _draw_e(rng, g_nums, den, e_region)
         if e is None:
             continue
         b_const = _rational_uniform(rng, Fraction(6, 5), Fraction(3))
-        rel = assemble_down_one(g_zeros, q_zeros, e, b_const)
+        rel = assemble_down_one(g_nums, q_nums, den, e, b_const)
         if rel is not None:
             rel.params.update({"seed": seed, "e_region": e_region})
             return rel
     raise DegenerateDrawError(f"down-one oracle exhausted retries at n={n}, seed={seed}")
 
 
-def assemble_up_one(g_zeros, q_zeros, e: Fraction) -> MixedRelation | None:
-    """Build an up-one relation with constant A = 1 and monic quadratic B.
+def assemble_up_one(g_nums, q_nums, den: int, e: Fraction) -> MixedRelation | None:
+    """Build an up-one relation with constant A = 1 and monic quadratic B from
+    the zeros g_nums / den and q_nums / den.
 
     Over y = D x, B = (y^2 + b1 y + b0) / D^2, where b1 and b0 cancel the top
     two coefficients of B G - (x - E) Q and leave D^2 at y^n.  The combination
     is c(y) / D^(n+2) with c = (y^2 + b1 y + b0) g - (y - D E) q and c_n = D^2,
     so P_k = c_k / (c_n D^(n-k)) is monic.
     """
-    n = len(g_zeros)
-    draw = _scaled_draw(g_zeros, q_zeros, e)
+    n = len(g_nums)
+    draw = _scaled_draw(g_nums, q_nums, den, e)
     g, q, de, den = draw.g, draw.q, draw.de, draw.den
 
     def coeff(c: list[int], k: int) -> int:
@@ -1112,8 +1137,8 @@ def assemble_up_one(g_zeros, q_zeros, e: Fraction) -> MixedRelation | None:
     if de * de + b1 * de + b0 == 0:  # B(E) = 0
         return None
     c = _combination(([b0, b1, 1], g), ([de, -1], q))
-    B = Polynomial([Fraction(b0, den * den), Fraction(b1, den), 1])
-    return _oracle_relation(UP_ONE, Polynomial.constant(Fraction(1)), B, e, c, draw)
+    B = Polynomial.from_ints([b0, b1 * den, den * den], den * den)
+    return _oracle_relation(UP_ONE, Polynomial.constant(1), B, e, c, draw)
 
 
 def oracle_up_one(
@@ -1127,12 +1152,12 @@ def oracle_up_one(
         raise InvalidParameterError("up-one oracle needs n >= 2")
     rng = random.Random(f"up-one:{n}:{seed}:{e_region}")
     for _ in range(max_tries):
-        pts = _draw_chain(rng, 2 * n + 1)
-        q_zeros, g_zeros = pts[0::2], pts[1::2]
-        e = _draw_e(rng, g_zeros, e_region)
+        pts, den = _draw_chain(rng, 2 * n + 1)
+        q_nums, g_nums = pts[0::2], pts[1::2]
+        e = _draw_e(rng, g_nums, den, e_region)
         if e is None:
             continue
-        rel = assemble_up_one(g_zeros, q_zeros, e)
+        rel = assemble_up_one(g_nums, q_nums, den, e)
         if rel is None:
             continue
         try:

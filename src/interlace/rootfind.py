@@ -32,7 +32,7 @@ from .families import (
     ORTHOGONAL_KINDS,
     recurrence_coeffs,
 )
-from .poly import FLOAT, Polynomial
+from .poly import Polynomial
 
 #: companion eigenvalues with |Im| <= REALITY_THRESHOLD * max(1, |Re|) count as real.
 REALITY_THRESHOLD = 1e-8
@@ -83,17 +83,6 @@ class ZeroSet:
 
     def to_json(self) -> dict:
         return {"zeros": list(self.zeros), "bound": self.bound, "method": self.method}
-
-
-def _horner_with_errbound(coeffs: tuple[float, ...], x: float) -> tuple[float, float]:
-    """Horner value plus a running floating-point error bound for it."""
-    acc = 0.0
-    mag = 0.0
-    ax = abs(x)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-        mag = mag * ax + abs(c)
-    return acc, (2 * len(coeffs) + 1) * _EPS * mag
 
 
 def _polish_recurrence(cl: tuple[tuple[float, float], ...], x: float) -> tuple[float, float]:
@@ -259,29 +248,12 @@ def zeros_general(p: Polynomial) -> ZeroSet:
     return ZeroSet(zeros, _set_bound([b for _, b in polished]), METHOD_COMPANION, p)
 
 
-def zeros_exact(roots) -> ZeroSet:
-    """The zero set of a polynomial whose zeros are known as exact rationals.
+def zeros_exact(nums, den: int) -> ZeroSet:
+    """The zero set of a polynomial whose zeros are the exact rationals nums[i] / den.
 
-    Each zero is ``float(r)``, which is correctly rounded, so the exact zero
-    is within half an ulp of it; the largest such half ulp is the bound.
+    Each zero is ``nums[i] / den``, which is correctly rounded, so the exact
+    zero is within half an ulp of it; the largest such half ulp is the bound.
     """
-    # numerator / denominator is float(r), without the generic Rational path
-    zeros = tuple(sorted(r.numerator / r.denominator for r in roots))
+    zeros = tuple(sorted(x / den for x in nums))
     bound = max((math.ulp(z) / 2 for z in zeros), default=0.0)
-    return ZeroSet(zeros, bound, METHOD_EXACT, roots)
-
-
-def sign_at_zeros(p: Polynomial, zs: ZeroSet) -> list[int]:
-    """Sign of ``p`` at each zero of ``zs``: -1, 0 within tolerance, or +1."""
-    if p.mode != FLOAT:
-        raise InvalidParameterError("sign_at_zeros expects a float-mode polynomial")
-    signs = []
-    for z in zs.zeros:
-        value, errbound = _horner_with_errbound(p.coeffs, z)
-        if abs(value) <= 4 * errbound:
-            signs.append(0)
-        elif value > 0:
-            signs.append(1)
-        else:
-            signs.append(-1)
-    return signs
+    return ZeroSet(zeros, bound, METHOD_EXACT, (nums, den))

@@ -8,12 +8,14 @@ bit:
 * ``zeros_orthogonal``: scipy's ``eigh_tridiagonal`` (LAPACK ``?stevd``) on
   ``float(Fraction)`` entries, then ``newton_polish`` with
   ``recurrence_pair`` as the value function, bound |p| / |p'|;
-* ``zeros_general``: ``np.roots`` on ``to_float()`` coefficients, then
+* ``zeros_general``: ``np.roots`` on ``float_coeffs()``, then
   ``newton_polish`` with ``horner_pair`` (the bound differs: see
   ``companion_bound``).
 
 A zero set's bound is ``set_bound`` of its per-zero bounds: the largest, or
-inf when some zero has no finite bound.  scipy is needed by the tests only.
+inf when some zero has no finite bound.  ``sign_at_zeros`` is the float sign
+test with an a-priori Horner error bound that the program used before its
+polynomials became exact only.  scipy is needed by the tests only.
 """
 
 import math
@@ -93,6 +95,33 @@ def companion_bound(coeffs, x):
     return (abs(acc) + EPS * (2 * mu - abs(acc))) / max(abs(dacc), TINY)
 
 
+def horner_with_errbound(coeffs, x):
+    """Horner value of the ascending float coefficients at x, and a running
+    a-priori bound (2n+1) eps sum |c_k||x|^k on its rounding error."""
+    acc = 0.0
+    mag = 0.0
+    ax = abs(x)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+        mag = mag * ax + abs(c)
+    return acc, (2 * len(coeffs) + 1) * EPS * mag
+
+
+def sign_at_zeros(p, zs):
+    """Sign of ``p`` on its float coefficients at each zero of ``zs``:
+    -1, 0 within four times the Horner error bound, or +1."""
+    signs = []
+    for z in zs.zeros:
+        value, errbound = horner_with_errbound(p.float_coeffs(), z)
+        if abs(value) <= 4 * errbound:
+            signs.append(0)
+        elif value > 0:
+            signs.append(1)
+        else:
+            signs.append(-1)
+    return signs
+
+
 def set_bound(bounds):
     """The largest bound, or inf when any bound is NaN or inf."""
     if any(math.isnan(b) or math.isinf(b) for b in bounds):
@@ -120,7 +149,7 @@ def zeros_orthogonal(spec):
 
 def zeros_general(p, bound_fn=companion_bound):
     """(zeros, bound) of ``p`` by the reference companion route."""
-    coeffs = p.to_float().coeffs
+    coeffs = p.float_coeffs()
     deg = len(coeffs) - 1
     if deg < 1:
         return (), 0.0

@@ -302,7 +302,7 @@ def test_criterion_7_root_path_equivalence():
             if all(abs(cand - r) >= F(1, 1000) for r in roots):
                 roots.append(cand)
         roots.sort()
-        zs = zeros_general(Polynomial.from_roots(roots).to_float())
+        zs = zeros_general(Polynomial.from_roots(roots))
         for got, want in zip(zs.zeros, [float(r) for r in roots]):
             recovered += 1
             if abs(got - want) > 1e-10 * max(1.0, abs(want)):

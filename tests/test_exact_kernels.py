@@ -1,11 +1,12 @@
 """The integer kernels of the exact layer against plain Fraction references.
 
-``Polynomial.from_roots`` and ``Polynomial.__mul__`` in rational mode, the
-exact cancellation test ``products_cancel`` behind the identity certificate
-``verify_identity``, and the oracle point draw all run on
-integer numerators over a common denominator.  Each is checked here against
-the straightforward per-coefficient ``Fraction`` computation it replaces,
-written out inside the test.
+A ``Polynomial`` is stored as integer numerators over one denominator.
+``Polynomial.from_roots``, ``Polynomial.__mul__``, the exact cancellation
+test ``products_cancel`` behind the identity certificate
+``verify_identity``, and the oracle point draw all run on integers.  Each
+is checked here against the straightforward per-coefficient ``Fraction``
+computation it replaces, written out inside the test, and every operation
+is checked to leave the stored vector in its one canonical form.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interlace.poly import FLOAT, RATIONAL, ModeMismatchError, Polynomial, products_cancel
+from interlace.poly import ModeMismatchError, Polynomial, products_cancel
 from interlace.relations import _draw_chain, oracle_pair_up, verify_identity
 
 # Mixed denominators, zero and negative values; integers as plain ints too.
@@ -61,7 +62,6 @@ class TestFromRoots:
     @settings(max_examples=200)
     def test_matches_fraction_reference(self, rs):
         p = Polynomial.from_roots(rs)
-        assert p.mode == RATIONAL
         assert list(p.coeffs) == reference_from_roots(rs)
         assert all(type(c) is F for c in p.coeffs)
 
@@ -82,16 +82,6 @@ class TestFromRoots:
         with pytest.raises(ModeMismatchError):
             Polynomial.from_roots([F(1, 2), 0.5])
 
-    @given(st.lists(st.floats(min_value=-4, max_value=4, allow_nan=False), max_size=10))
-    @settings(max_examples=100)
-    def test_float_mode_is_the_linear_factor_loop(self, rs):
-        want = Polynomial([1.0], FLOAT)
-        for r in rs:
-            want = want.mul_linear(r)
-        got = Polynomial.from_roots(rs, FLOAT)
-        assert got.mode == FLOAT
-        assert got.coeffs == want.coeffs
-
 
 class TestMul:
     @given(coeff_lists, coeff_lists)
@@ -100,7 +90,6 @@ class TestMul:
         got = Polynomial(a) * Polynomial(b)
         want = reference_mul(Polynomial(a).coeffs, Polynomial(b).coeffs)
         assert list(got.coeffs) == want
-        assert got.mode == RATIONAL
 
     def test_zero_polynomial_annihilates(self):
         p = Polynomial([F(1, 3), 2, F(-5, 7)])
@@ -114,14 +103,69 @@ class TestMul:
             [F(1, 6)]
         )
 
-    def test_float_mode_unchanged(self):
-        got = Polynomial([0.5, 1.0], FLOAT) * Polynomial([0.25, 0.0, 2.0], FLOAT)
-        assert got.mode == FLOAT
-        assert got.coeffs == (0.125, 0.25, 1.0, 2.0)
-
     def test_mode_mix_refused(self):
+        # A float enters neither as a factor nor as a coefficient.
         with pytest.raises(ModeMismatchError):
-            Polynomial([1, 2]) * Polynomial([1.0], FLOAT)
+            Polynomial([1, 2]) * 0.5
+        with pytest.raises(ModeMismatchError):
+            Polynomial([1, 2]) * Polynomial([1.0])
+
+
+def assert_canonical(p: Polynomial) -> None:
+    """``p`` is stored in its one form: trailing zeros stripped, a positive
+    denominator, no factor common to it and every numerator."""
+    assert type(p.nums) is tuple and all(type(x) is int for x in p.nums)
+    assert type(p.den) is int and p.den > 0
+    if p.nums:
+        assert p.nums[-1] != 0
+        assert math.gcd(p.den, *p.nums) == 1
+    else:
+        assert p.den == 1
+    assert p.coeffs == tuple(F(x, p.den) for x in p.nums)
+
+
+class TestIntegerVector:
+    @given(coeff_lists, coeff_lists, fractions)
+    @settings(max_examples=100)
+    def test_every_operation_stores_the_canonical_form(self, a, b, r):
+        pa, pb = Polynomial(a), Polynomial(b)
+        quotient, remainder = pa.divide_linear(r)
+        results = (
+            pa, pa + pb, pa - pb, -pa, pa * pb, pa.scale(r), pa.mul_linear(r), quotient,
+            Polynomial.from_roots(a), Polynomial.from_json(pa.to_json()),
+        )
+        for p in results:
+            assert_canonical(p)
+        assert remainder == pa.evaluate(r)
+        assert quotient.mul_linear(r) + Polynomial([remainder]) == pa
+
+    @given(coeff_lists, st.integers(min_value=-50, max_value=50).filter(bool), st.integers(0, 3))
+    @settings(max_examples=100)
+    def test_from_ints_takes_any_scaled_vector(self, a, k, zeros):
+        p = Polynomial(a)
+        scaled = Polynomial.from_ints([x * k for x in p.nums] + [0] * zeros, p.den * k)
+        assert_canonical(scaled)
+        assert scaled == p and hash(scaled) == hash(p)
+
+    @given(coeff_lists, fractions)
+    @settings(max_examples=100)
+    def test_evaluate_is_the_fraction_horner(self, a, x):
+        want = F(0)
+        for c in reversed(Polynomial(a).coeffs):
+            want = want * x + c
+        assert Polynomial(a).evaluate(x) == want
+        assert type(Polynomial(a).evaluate(x)) is F
+
+    @given(coeff_lists)
+    @settings(max_examples=100)
+    def test_float_coeffs_are_the_rounded_fractions(self, a):
+        p = Polynomial(a)
+        assert p.float_coeffs() == tuple(float(c) for c in p.coeffs)
+
+    def test_monic_member_is_stored_over_its_leading_entry(self):
+        p = Polynomial.from_roots([F(1, 6), F(-1, 10)])
+        # (x - 1/6)(x + 1/10) = x^2 - x/15 - 1/60
+        assert p.nums == (-1, -4, 60) and p.den == 60 and p.is_monic
 
 
 class TestProductsCancel:
@@ -151,13 +195,14 @@ def _relation_n24():
 
 
 def _float_term(rel, term: str) -> tuple:
-    """The field to replace, and its float value, to put ``term`` in float mode.
+    """The field to replace, and ``term`` rounded to floats to put in it.
 
-    H is derived as x - E, so a float H comes from a float E.
+    H is derived as x - E, so a float H comes from a float E.  A polynomial
+    refuses float coefficients, so a float P, say, is refused here already.
     """
     if term == "H":
         return "E", float(rel.E)
-    return term, getattr(rel, term).to_float()
+    return term, Polynomial(getattr(rel, term).float_coeffs())
 
 
 def _perturb(p: Polynomial, index: int, delta: F) -> Polynomial:
@@ -192,14 +237,13 @@ class TestVerifyIdentity:
     @pytest.mark.parametrize("term", ["A", "B", "H", "P", "G", "Q"])
     def test_float_term_refused(self, term):
         rel = _relation_n24()
-        bad = dataclasses.replace(rel, **dict([_float_term(rel, term)]))
         with pytest.raises(ModeMismatchError):
-            verify_identity(bad)
+            verify_identity(dataclasses.replace(rel, **dict([_float_term(rel, term)])))
 
     def test_all_float_terms_refused(self):
         rel = _relation_n24()
-        floats = dict(_float_term(rel, t) for t in ("A", "B", "H", "P", "G", "Q"))
         with pytest.raises(ModeMismatchError):
+            floats = dict(_float_term(rel, t) for t in ("A", "B", "H", "P", "G", "Q"))
             verify_identity(dataclasses.replace(rel, **floats))
 
 
@@ -218,6 +262,7 @@ def reference_draw_chain(rng: random.Random, total: int) -> list[F]:
 def test_draw_chain_matches_fraction_reference(total):
     for seed in range(4):
         got_rng, want_rng = random.Random(seed), random.Random(seed)
-        assert _draw_chain(got_rng, total) == reference_draw_chain(want_rng, total)
+        nums, den = _draw_chain(got_rng, total)
+        assert [F(x, den) for x in nums] == reference_draw_chain(want_rng, total)
         # the same number of draws, so every later draw is unchanged too
         assert got_rng.random() == want_rng.random()

@@ -207,16 +207,17 @@ def test_companion_path_matches_reference_on_oracle_p(seed):
 
 
 def test_companion_path_takes_float_polynomials():
+    # The path works on the correctly rounded coefficients, each float(c).
     p = Polynomial([F(-3, 7), F(1, 5), 2, 1])
-    assert_companion_matches(p.to_float())
-    assert zeros_general(p.to_float()).zeros == zeros_general(p).zeros
+    assert p.float_coeffs() == tuple(float(c) for c in p.coeffs)
+    assert_companion_matches(p)
 
 
 def test_running_bound_is_tighter_than_the_a_priori_one():
     for kind in ("narayana-reduced", "narayana-christoffel", "narayana-perturbed"):
         p = monic_by_recurrence(narayana_spec(kind, 40))
         zs = zeros_general(p)
-        coeffs = p.to_float().coeffs
+        coeffs = p.float_coeffs()
         old = max(ref.a_priori_bound(coeffs, z) for z in zs.zeros)
         assert zs.bound < old / 10, (kind, zs.bound, old)
 
@@ -263,17 +264,21 @@ def test_min_cross_gap_is_the_all_pairs_minimum(za, zb):
 
 
 def a_positive_reference(rel, zg, grid_points=32):
-    """The scan through ``Polynomial.evaluate`` on ``A.to_float()``."""
-    a_float = rel.A.to_float()
+    """The scan by the reference Horner loop on ``A.float_coeffs()``."""
+    coeffs = rel.A.float_coeffs()
+
+    def value(x):
+        return ref.horner_pair(coeffs, x)[0]
+
     for z in zg.zeros:
-        if a_float.evaluate(z) <= 0:
+        if value(z) <= 0:
             return False
     lo, hi = relations._sample_interval(rel, zg)
     margin = (hi - lo) / (4 * grid_points)
     lo, hi = lo + margin, hi - margin
     for i in range(grid_points):
         x = lo + (hi - lo) * i / (grid_points - 1)
-        if a_float.evaluate(x) <= 0:
+        if value(x) <= 0:
             return False
     return True
 

@@ -1,8 +1,9 @@
 """The oracle assemblers against their Fraction reference, and the zero sets
 of the terms an oracle builds from drawn zeros.
 
-``assemble_pair_up``, ``assemble_down_one`` and ``assemble_up_one`` form
-their terms on integer root products over one common denominator.  The
+``assemble_pair_up``, ``assemble_down_one`` and ``assemble_up_one`` take
+the drawn zeros as integer numerators over one denominator and form their
+terms on integer root products over it.  The
 references below are the straightforward ``Polynomial``-level sums they
 replace, written with per-coefficient ``Fraction`` arithmetic only
 (``mul_linear``, ``scale``, ``+``), so they share no kernel with the code
@@ -21,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interlace import relations
-from interlace.poly import Polynomial
+from interlace.poly import Polynomial, _integer_form
 from interlace.relations import (
     _draw_chain,
     _draw_e,
@@ -36,12 +37,11 @@ from interlace.relations import (
 from interlace.rootfind import (
     METHOD_EXACT,
     RootComputationError,
-    _horner_with_errbound,
     zeros_exact,
     zeros_general,
 )
 
-from float_reference import horner_pair
+from float_reference import horner_pair, horner_with_errbound
 
 # -- the reference ----------------------------------------------------------
 
@@ -103,6 +103,17 @@ def reference_up_one(g_zeros, q_zeros, e):
     return Polynomial([1]), B, combo, G, Q
 
 
+def _over_one_den(g_zeros, q_zeros) -> tuple[list[int], list[int], int]:
+    """The zeros as the assemblers take them: numerators over one denominator."""
+    nums, den = _integer_form([*g_zeros, *q_zeros])
+    return nums[: len(g_zeros)], nums[len(g_zeros) :], den
+
+
+def _as_fractions(roots) -> tuple:
+    nums, den = roots
+    return tuple(F(x, den) for x in nums)
+
+
 def _agrees(rel, want, g_zeros, q_zeros, e) -> None:
     """``rel`` is None exactly when ``want`` is a rejection, else equal term by term."""
     if isinstance(want, str):
@@ -112,7 +123,10 @@ def _agrees(rel, want, g_zeros, q_zeros, e) -> None:
     assert (rel.A, rel.B, rel.P, rel.G, rel.Q) == want
     assert rel.E == e
     assert rel.params == {"n": want[2].degree}
-    assert rel.roots == {"G": tuple(g_zeros), "Q": tuple(q_zeros)}
+    assert {term: _as_fractions(roots) for term, roots in rel.roots.items()} == {
+        "G": tuple(g_zeros),
+        "Q": tuple(q_zeros),
+    }
     hull = [float(z) for z in (*g_zeros, *q_zeros, e)]
     assert rel.support == (min(hull) - 1.0, max(hull) + 1.0)
     for term in (*rel.A.coeffs, *rel.B.coeffs, *rel.P.coeffs, *rel.G.coeffs, *rel.Q.coeffs):
@@ -139,7 +153,8 @@ def chain_draws(draw, n_g, n_q):
     """Interlaced zeros and an added point drawn the way the oracles draw them."""
     n = draw(st.integers(1, 30))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    pts = _draw_chain(rng, 2 * n + n_g + n_q)
+    nums, den = _draw_chain(rng, 2 * n + n_g + n_q)
+    pts = [F(x, den) for x in nums]
     first, second = (pts[0::2], pts[1::2]) if draw(st.booleans()) else (pts[1::2], pts[0::2])
     g, q = (first, second) if len(first) == n + n_g else (second, first)
     return g, q, draw(st.sampled_from((F(-6, 5), F(0), F(6, 5)))) + F(draw(st.integers(-99, 99)), 4096)
@@ -158,7 +173,7 @@ class TestPairUp:
     def test_matches_reference(self, draw, positive):
         g, q, e = draw
         want = reference_pair_up(g, q, e, positive)
-        _agrees(assemble_pair_up(g, q, e, require_positive_a=positive), want, g, q, e)
+        _agrees(assemble_pair_up(*_over_one_den(g, q), e, require_positive_a=positive), want, g, q, e)
 
     def test_every_rejection_reached(self):
         reasons = set()
@@ -167,7 +182,7 @@ class TestPairUp:
             for q in itertools.product(pool, repeat=2):
                 for e in pool:
                     want = reference_pair_up(list(g), list(q), e)
-                    _agrees(assemble_pair_up(list(g), list(q), e), want, g, q, e)
+                    _agrees(assemble_pair_up(*_over_one_den(g, q), e), want, g, q, e)
                     reasons.add(want if isinstance(want, str) else "accepted")
         assert reasons == {"B(E) = 0", "degree", "sign of A", "accepted"}
 
@@ -179,7 +194,7 @@ class TestDownOne:
     @example(([F(0)], [], F(1)), F(1, 2))  # A < 0
     def test_matches_reference(self, draw, b):
         g, q, e = draw
-        _agrees(assemble_down_one(g, q, e, b), reference_down_one(g, q, e, b), g, q, e)
+        _agrees(assemble_down_one(*_over_one_den(g, q), e, b), reference_down_one(g, q, e, b), g, q, e)
 
     def test_every_rejection_reached(self):
         reasons = set()
@@ -187,7 +202,7 @@ class TestDownOne:
         for g in itertools.product(pool, repeat=2):
             for q, e, b in itertools.product(pool, pool, (F(1, 2), F(1), F(3, 2))):
                 want = reference_down_one(list(g), [q], e, b)
-                _agrees(assemble_down_one(list(g), [q], e, b), want, g, (q,), e)
+                _agrees(assemble_down_one(*_over_one_den(g, [q]), e, b), want, g, (q,), e)
                 reasons.add(want if isinstance(want, str) else "accepted")
         assert reasons == {"degree", "sign of A", "accepted"}
 
@@ -198,14 +213,14 @@ class TestUpOne:
     @example(([F(0)], [F(0), F(0)], F(0)))  # B(E) = 0
     def test_matches_reference(self, draw):
         g, q, e = draw
-        _agrees(assemble_up_one(g, q, e), reference_up_one(g, q, e), g, q, e)
+        _agrees(assemble_up_one(*_over_one_den(g, q), e), reference_up_one(g, q, e), g, q, e)
 
     def test_every_rejection_reached(self):
         reasons = set()
         pool = (F(-1), F(0), F(1))
         for g, q1, q2, e in itertools.product(pool, repeat=4):
             want = reference_up_one([g], [q1, q2], e)
-            _agrees(assemble_up_one([g], [q1, q2], e), want, (g,), (q1, q2), e)
+            _agrees(assemble_up_one(*_over_one_den([g], [q1, q2]), e), want, (g,), (q1, q2), e)
             reasons.add(want if isinstance(want, str) else "accepted")
         # B G - (x - E) Q keeps degree n and leading coefficient 1 by construction
         assert reasons == {"B(E) = 0", "accepted"}
@@ -220,9 +235,10 @@ def reference_draw_e(rng, g_zeros):
 @pytest.mark.parametrize("total", [1, 3, 9, 49])
 def test_draw_e_matches_nearest_zero_reference(total):
     for seed in range(200):
-        g_zeros = _draw_chain(random.Random(-seed), total)
+        nums, den = _draw_chain(random.Random(-seed), total)
         got_rng, want_rng = random.Random(seed), random.Random(seed)
-        assert _draw_e(got_rng, g_zeros, None) == reference_draw_e(want_rng, g_zeros)
+        want = reference_draw_e(want_rng, [F(x, den) for x in nums])
+        assert _draw_e(got_rng, nums, den, None) == want
         assert got_rng.random() == want_rng.random()
 
 
@@ -232,18 +248,18 @@ def test_draw_e_matches_nearest_zero_reference(total):
 class TestZerosExact:
     def test_each_zero_is_the_rounded_rational(self):
         roots = (F(1, 3), F(-2, 7), 5, F(10**30 + 1, 10**30))
-        zs = zeros_exact(roots)
+        zs = zeros_exact(*_integer_form(roots))
         assert zs.zeros == tuple(sorted(float(r) for r in roots))
         assert zs.bound == max(math.ulp(float(r)) / 2 for r in roots)
         assert zs.method == METHOD_EXACT
 
     def test_empty(self):
-        zs = zeros_exact(())
+        zs = zeros_exact((), 1)
         assert (zs.zeros, zs.bound) == ((), 0.0)
 
     def test_zeros_that_round_together_are_refused(self):
         with pytest.raises(RootComputationError):
-            zeros_exact((F(1), F(10**20 + 1, 10**20)))
+            zeros_exact(*_integer_form((F(1), F(10**20 + 1, 10**20))))
 
     @pytest.mark.parametrize("n", [1, 12, 24, 40])
     def test_agrees_with_companion_path_on_oracle_terms(self, n):
@@ -252,12 +268,12 @@ class TestZerosExact:
         for seed in range(3):
             rel = oracle_pair_up(n, seed)
             for term in ("G", "Q"):
-                exact = zeros_exact(rel.roots[term])
+                exact = zeros_exact(*rel.roots[term])
                 companion = zeros_general(getattr(rel, term))
                 assert len(exact) == len(companion) == n + 1
-                coeffs = getattr(rel, term).to_float().coeffs
+                coeffs = getattr(rel, term).float_coeffs()
                 for x, z in zip(exact.zeros, companion.zeros):
-                    value, rounding = _horner_with_errbound(coeffs, z)
+                    value, rounding = horner_with_errbound(coeffs, z)
                     _, slope = horner_pair(coeffs, z)
                     bound = (abs(value) + rounding) / abs(slope)
                     assert abs(x - z) <= bound + math.ulp(z), (term, seed, x, z)
@@ -269,7 +285,7 @@ class TestZerosExact:
         for seed in range(3):
             rel = oracle_pair_up(n, seed)
             for term in ("G", "Q"):
-                exact = zeros_exact(rel.roots[term])
+                exact = zeros_exact(*rel.roots[term])
                 companion = zeros_general(getattr(rel, term))
                 for x, z in zip(exact.zeros, companion.zeros):
                     assert abs(x - z) <= companion.bound, (term, seed, x, z, companion.bound)
@@ -278,7 +294,7 @@ class TestZerosExact:
         for rel in (oracle_pair_up(5, 0), oracle_down_one(5, 0), oracle_up_one(5, 0)):
             assert set(rel.roots) == {"G", "Q"}
             for term in ("G", "Q"):
-                assert _from_roots(rel.roots[term]) == getattr(rel, term)
+                assert _from_roots(_as_fractions(rel.roots[term])) == getattr(rel, term)
 
 
 class TestReplacedTerms:
@@ -287,9 +303,9 @@ class TestReplacedTerms:
         calls = []
         exact, general = relations.zeros_exact, relations.zeros_general
 
-        def spy_exact(roots):
-            calls.append(("exact", tuple(roots)))
-            return exact(roots)
+        def spy_exact(nums, den):
+            calls.append(("exact", (nums, den)))
+            return exact(nums, den)
 
         def spy_general(p):
             calls.append(("general", p))

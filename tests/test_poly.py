@@ -1,4 +1,4 @@
-"""Core polynomial arithmetic: exactness, mode discipline, frozen small cases."""
+"""Core polynomial arithmetic: exactness, no floats, frozen small cases."""
 
 from fractions import Fraction as F
 
@@ -7,18 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interlace.families import jacobi, monic_by_recurrence
-from interlace.poly import (
-    FLOAT,
-    RATIONAL,
-    ModeMismatchError,
-    Polynomial,
-    is_identically_zero,
-    linear_combine,
-    monic_linear,
-)
+from interlace.poly import ModeMismatchError, Polynomial, monic_linear
 
 small_fraction = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 coeff_lists = st.lists(small_fraction, min_size=0, max_size=13)
+
+
+def linear_combine(a, p: Polynomial, b, q: Polynomial) -> Polynomial:
+    """a p + b q, where b is a scalar or a polynomial."""
+    return p.scale(a) + b * q
 
 
 def eval_powersum(p: Polynomial, x: F) -> F:
@@ -44,15 +41,11 @@ class TestEvaluate:
         p = Polynomial(coeffs)
         assert p.evaluate(x) == eval_powersum(p, x)
 
-    def test_float_mode(self):
-        p = Polynomial([1.0, 2.0])
-        assert p.evaluate(3.0) == 7.0
-
     def test_mode_mismatch(self):
         with pytest.raises(ModeMismatchError):
             Polynomial([1, 2]).evaluate(0.5)
         with pytest.raises(ModeMismatchError):
-            Polynomial([1.0]).evaluate(F(1, 2))
+            Polynomial([1.0])
 
 
 class TestMulLinear:
@@ -110,15 +103,15 @@ class TestLinearCombine:
 
 class TestIdenticallyZero:
     def test_zero_polynomial(self):
-        assert is_identically_zero(Polynomial.zero())
+        assert Polynomial.zero().is_zero
 
     def test_tiny_rational_is_not_zero(self):
         # exactness means no thresholding
-        assert not is_identically_zero(Polynomial([0, F(1, 10**30)]))
+        assert not Polynomial([0, F(1, 10**30)]).is_zero
 
     def test_float_mode_rejected(self):
         with pytest.raises(ModeMismatchError):
-            is_identically_zero(Polynomial([0.0]))
+            Polynomial([0.0])
 
     def test_discrete_relation_residual(self):
         # frozen hand expansion of the N -> N+1 mixed relation at
@@ -131,26 +124,24 @@ class TestIdenticallyZero:
         B = Polynomial([5, -1])
         H = Polynomial([F(-7, 2), 1])
         residual = P.scale(A) - B * G - H * Q
-        assert is_identically_zero(residual)
+        assert residual.is_zero
 
 
 class TestModeDiscipline:
     def test_no_silent_promotion_on_construction(self):
         with pytest.raises(ModeMismatchError):
-            Polynomial([F(1, 2)], mode=FLOAT)
+            Polynomial([0.5])
         with pytest.raises(ModeMismatchError):
-            Polynomial([0.5], mode=RATIONAL)
+            Polynomial.from_roots([0.5])
 
     def test_no_cross_mode_arithmetic(self):
         with pytest.raises(ModeMismatchError):
-            Polynomial([1]) + Polynomial([1.0])
+            Polynomial([1]).mul_linear(0.5)
         with pytest.raises(ModeMismatchError):
             Polynomial([1]).scale(0.5)
 
     def test_explicit_demotion(self):
-        p = Polynomial([F(1, 2), 3]).to_float()
-        assert p.mode == FLOAT
-        assert p.coeffs == (0.5, 3.0)
+        assert Polynomial([F(1, 2), 3]).float_coeffs() == (0.5, 3.0)
 
 
 class TestStructure:
@@ -179,17 +170,20 @@ class TestStructure:
 
 
 class TestTrustedConstructor:
-    """``Polynomial._of`` stores coefficients formed in-module without re-coercing them."""
+    """``Polynomial._of`` stores a canonical vector formed in-module as it is;
+    ``Polynomial.from_ints`` brings any integer vector to that form."""
 
     @given(coeff_lists, st.integers(min_value=0, max_value=3))
     @settings(max_examples=100, deadline=None)
     def test_equal_to_public_route(self, coeffs, zeros):
         padded = coeffs + [F(0)] * zeros  # trailing zeros are still stripped
-        for mode, values in ((RATIONAL, padded), (FLOAT, [float(c) for c in padded])):
-            trusted = Polynomial._of(tuple(values), mode)
-            public = Polynomial(values, mode)
-            assert trusted == public and hash(trusted) == hash(public)
-            assert trusted.coeffs == public.coeffs and trusted.mode == mode
+        public = Polynomial(padded)
+        trusted = Polynomial._of(public.nums, public.den)
+        assert trusted == public and hash(trusted) == hash(public)
+        assert trusted.coeffs == public.coeffs
+        den = 6 * public.den
+        scaled = Polynomial.from_ints([c.numerator * (den // c.denominator) for c in padded], den)
+        assert scaled == public and scaled.coeffs == public.coeffs
 
     @given(coeff_lists, coeff_lists)
     @settings(max_examples=50, deadline=None)
@@ -197,8 +191,7 @@ class TestTrustedConstructor:
         pa, pb = Polynomial(a), Polynomial(b)
         product = pa * pb
         assert product == Polynomial(list(product.coeffs))
-        assert pa.to_float() == Polynomial([float(c) for c in pa.coeffs], FLOAT)
-        assert pa.float_coeffs() == pa.to_float().coeffs
+        assert pa.float_coeffs() == tuple(float(c) for c in pa.coeffs)
 
     def test_from_scaled_and_recurrence_match_public_route(self):
         scaled = Polynomial.from_scaled([1, -3, 2], 5, lead=7)
@@ -212,13 +205,12 @@ class TestTrustedConstructor:
         p = Polynomial([1, F(1, 10**400)])
         assert p.degree == 1
         assert p.float_coeffs() == (1.0,)
-        assert p.to_float() == Polynomial([1.0])
 
     def test_public_constructor_still_refuses_mixed_input(self):
         with pytest.raises(ModeMismatchError):
             Polynomial([F(1, 2), 0.5])
         with pytest.raises(ModeMismatchError):
-            Polynomial([1, F(1, 3)], mode=FLOAT)
+            Polynomial.constant(0.5)
 
 
 class TestSerialization:
@@ -228,11 +220,9 @@ class TestSerialization:
         assert obj == {"mode": "rational", "coeffs": ["1/2", "-3", "7/5"]}
         assert Polynomial.from_json(obj) == p
 
-    def test_float_roundtrip(self):
-        p = Polynomial([0.5, -3.0])
-        obj = p.to_json()
-        assert obj == {"mode": "float", "coeffs": [0.5, -3.0]}
-        assert Polynomial.from_json(obj) == p
+    def test_only_the_rational_form_is_read(self):
+        with pytest.raises(ValueError, match="unknown scalar mode 'float'"):
+            Polynomial.from_json({"mode": "float", "coeffs": [0.5, -3.0]})
 
     def test_integer_coefficients_render_without_denominator(self):
         assert Polynomial([1, 3, 1]).to_json()["coeffs"] == ["1", "3", "1"]

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from interlace.families import InvalidParameterError
-from interlace.poly import Polynomial
+from interlace.poly import Polynomial, _integer_form
 from interlace.relations import (
     DOWN_ONE,
     PAIR_UP,
@@ -27,8 +27,10 @@ from interlace.relations import (
     run_check,
     verify_identity,
 )
-from interlace.rootfind import sign_at_zeros, zeros_general, zeros_orthogonal
+from interlace.rootfind import zeros_general, zeros_orthogonal
 from interlace import families, relations
+
+from float_reference import sign_at_zeros
 
 
 class TestBuildRelation:
@@ -337,7 +339,7 @@ class TestOracles:
         for seed in range(10):
             rel = oracle_pair_up(4, seed, orientation="q_below_g")
             zg = zeros_general(rel.G)
-            signs = sign_at_zeros(rel.Q.to_float(), zg)
+            signs = sign_at_zeros(rel.Q, zg)
             assert 0 not in signs
             assert all(a * b < 0 for a, b in zip(signs, signs[1:]))
 
@@ -364,16 +366,25 @@ class TestAffineInvariance:
     def _transform(self, zeros, a, b):
         return [a * z + b for z in zeros]
 
+    @staticmethod
+    def _assemble(assemble, g_zeros, q_zeros, *rest):
+        """``assemble`` on the zeros brought to numerators over one denominator."""
+        nums, den = _integer_form([*g_zeros, *q_zeros])
+        return assemble(nums[: len(g_zeros)], nums[len(g_zeros) :], den, *rest)
+
     def test_pair_up_reports_match(self):
         a, b = F(2), F(1, 3)
         g_zeros = [F(-3, 4), F(-1, 4), F(1, 4), F(3, 4)]
         q_zeros = [F(-7, 8), F(-3, 8), F(1, 8), F(5, 8)]
         e = F(1, 16)
-        first = assemble_pair_up(g_zeros, q_zeros, e)
+        first = self._assemble(assemble_pair_up, g_zeros, q_zeros, e)
         assert first is not None and verify_identity(first)
         report_one = check_pair_up(first)
-        second = assemble_pair_up(
-            self._transform(g_zeros, a, b), self._transform(q_zeros, a, b), a * e + b
+        second = self._assemble(
+            assemble_pair_up,
+            self._transform(g_zeros, a, b),
+            self._transform(q_zeros, a, b),
+            a * e + b,
         )
         assert second is not None and verify_identity(second)
         report_two = check_pair_up(second)
@@ -386,8 +397,9 @@ class TestAffineInvariance:
         g_zeros = [F(-2, 3), F(-1, 6), F(1, 2)]
         q_zeros = [F(-1, 3), F(1, 6)]
         e = F(7, 8)
-        first = assemble_down_one(g_zeros, q_zeros, e, F(2))
-        second = assemble_down_one(
+        first = self._assemble(assemble_down_one, g_zeros, q_zeros, e, F(2))
+        second = self._assemble(
+            assemble_down_one,
             self._transform(g_zeros, a, b),
             self._transform(q_zeros, a, b),
             a * e + b,

@@ -5,9 +5,9 @@ ascending by degree with trailing zeros stripped, over one positive
 denominator ``den``, with gcd(nums..., den) = 1.  The zero polynomial is ``()``
 over 1.  Each rational polynomial so has exactly one stored form, equality
 compares vectors, and every kernel (products, Horner's scheme, the identity
-certificate) runs on integers.  The vector is the primitive part of
-``den`` times the polynomial, and 1/den its content up to the gcd of the
-numerators (Knuth, TAOCP Vol. 2, 4.6.1).
+certificate) runs on integers.  ``den`` times the polynomial has the
+integer coefficients ``nums``, so its content is gcd(nums)/den and its
+primitive part nums/gcd(nums) (Knuth, TAOCP Vol. 2, 4.6.1).
 
 ``coeffs`` is the tuple of reduced ``Fraction`` coefficients, formed on first
 use and kept, for serialization and for readers that want them one by one.
@@ -104,7 +104,7 @@ class Polynomial:
         """The polynomial with coefficients ``nums[k] / den``, for any nonzero ``den``."""
         nums = list(_stripped(tuple(nums)))
         if not nums:
-            return cls._of((), 1)
+            return cls.zero()
         if den < 0:
             nums, den = [-x for x in nums], -den
         g = math.gcd(den, *nums)

@@ -129,7 +129,11 @@ def cmd_poly(args) -> int:
     spec = _spec_from_args(args)
     poly = families.monic_by_recurrence(spec)
     if args.float:
-        print(json.dumps({"mode": "float", "coeffs": list(poly.float_coeffs())}))
+        try:
+            coeffs = poly.float_coeffs()
+        except OverflowError as exc:
+            raise InvalidParameterError(f"poly --float: {exc}") from None
+        print(json.dumps({"mode": "float", "coeffs": list(coeffs)}))
     else:
         print(json.dumps(poly.to_json()))
     return 0
@@ -461,16 +465,22 @@ def cmd_sweep(args) -> int:
                 spec = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidParameterError(f"cannot read sweep spec: {exc}") from exc
+        if not isinstance(spec, dict):
+            raise InvalidParameterError(f"sweep spec must be a JSON object (got {spec!r})")
         if "check" not in spec or "n" not in spec:
             raise InvalidParameterError("sweep spec needs 'check' and 'n' fields")
         check_id = spec["check"]
         if check_id not in CHECK_IDS:
             raise InvalidParameterError(f"unknown check id {check_id!r} in sweep spec")
+        wanted = spec.get("clauses", [])
+        if not (isinstance(wanted, list) and all(isinstance(c, str) for c in wanted)):
+            raise InvalidParameterError(
+                f"sweep spec 'clauses' must be a list of clause names (got {wanted!r})"
+            )
         points = _sweep_grid(spec)
         run = partial(_run_sweep_point, check_id, floor=floor)
-        wanted = set(spec.get("clauses", []))
         if wanted:
-            keep = wanted | {"build"}
+            keep = {*wanted, "build"}
     with _output(args.output) as out:
         chunks = _map_points(run, points, workers)
         if keep:

@@ -1,9 +1,10 @@
 """Constructors for the polynomial families under study.
 
-Each family is built monic from its three-term recurrence with exact rational
-coefficients.  Cross-check routes (terminating hypergeometric sums, closed
-form coefficients) are provided where available and must agree exactly with
-the recurrence route.  Discrete weights live here as well.
+Each member is built monic with exact rational coefficients, one route per
+kind: the orthogonal families and the raw Narayana polynomial from their
+three-term recurrences, the reduced and perturbed Narayana polynomials from
+their closed-form coefficients.  The Christoffel variant is built two
+independent ways that must agree exactly.
 """
 
 from __future__ import annotations
@@ -181,19 +182,6 @@ def _jacobi_step(a: int, b: int, d: int, k: int) -> tuple[Fraction, Fraction]:
     return ck, Fraction(4 * kd * (kd + a) * (kd + b) * (kd + a + b), s * s * (s + d) * (s - d))
 
 
-def jacobi_step_coeffs(alpha: Fraction, beta: Fraction, k: int) -> tuple[Fraction, Fraction]:
-    """(c_{k+1}, l_{k+1}) for the monic recurrence with weight (1-x)^a (1+x)^b.
-
-    Each is one Fraction of integers: alpha and beta are brought over their
-    common denominator d, and both sides of every formula scaled by a power
-    of d.  The k = 0 diagonal and k = 1 off-diagonal use the cancelled forms
-    of the general expressions, which are 0/0 there when alpha + beta hits 0
-    or -1.
-    """
-    (a, b), d = _integer_form((alpha, beta))
-    return _jacobi_step(a, b, d, k)
-
-
 # A check builds at most three specs and then solves each; a sweep runs a few
 # checks at once.  The bound only has to cover that reuse.
 @functools.lru_cache(maxsize=32)
@@ -239,13 +227,17 @@ def recurrence_coeffs(spec: FamilySpec) -> RecurrenceCoeffs:
 
 
 def monic_by_recurrence(spec: FamilySpec) -> Polynomial:
-    """Build the degree-n member of ``spec`` by forward recurrence, exactly."""
+    """Build the degree-n member of ``spec`` exactly.
+
+    The orthogonal kinds and the raw Narayana polynomial run their forward
+    recurrences; the other Narayana kinds take their closed forms.
+    """
     if spec.kind in ORTHOGONAL_KINDS:
         return _monic_orthogonal(recurrence_coeffs(spec))
     if spec.kind == "narayana":
         return _narayana_raw(spec.n)
     if spec.kind == "narayana-reduced":
-        return _narayana_reduced_by_recurrence(spec.n)
+        return narayana_reduced(spec.n)
     if spec.kind == "narayana-christoffel":
         return narayana_christoffel(spec.n)
     if spec.kind == "narayana-perturbed":
@@ -298,16 +290,6 @@ def _narayana_raw(n: int) -> Polynomial:
     if n == 1:
         return cur
     for m in range(1, n):
-        prev, cur = cur, _narayana_step(m, cur, prev)
-    return cur
-
-
-def _narayana_reduced_by_recurrence(n: int) -> Polynomial:
-    prev = Polynomial.constant(1)  # reduced index 1
-    if n == 1:
-        return prev
-    cur = Polynomial([1, 1])  # reduced index 2
-    for m in range(2, n):
         prev, cur = cur, _narayana_step(m, cur, prev)
     return cur
 
@@ -374,81 +356,3 @@ def narayana_perturbed(n: int) -> Polynomial:
         for j in range(n)
     ]
     return Polynomial(coeffs)
-
-
-# ---------------------------------------------------------------------------
-# Hypergeometric cross-check route
-# ---------------------------------------------------------------------------
-
-
-def pochhammer(a: Fraction, k: int) -> Fraction:
-    """Rising product a (a+1) ... (a+k-1); the k = 0 product is 1."""
-    out = Fraction(1)
-    for i in range(k):
-        out *= a + i
-    return out
-
-
-def hypergeometric_poly(spec: FamilySpec) -> Polynomial:
-    """Expand the terminating 2F1 sum for the spec into powers of x."""
-    n = spec.n
-    if spec.kind == "krawtchouk":
-        p, N = spec.param("p"), spec.param("N")
-        prefactor = pochhammer(Fraction(-N), n) * p**n
-        z = 1 / p
-        lower = Fraction(-N)
-    elif spec.kind == "meixner":
-        t, w = spec.param("t"), spec.param("w")
-        prefactor = pochhammer(t, n) * w**n / (w - 1) ** n
-        z = (w - 1) / w
-        lower = t
-    else:
-        raise InvalidParameterError(
-            f"hypergeometric route applies to krawtchouk/meixner, not {spec.kind}"
-        )
-    acc = Polynomial.zero()
-    falling = Polynomial.constant(1)  # product of (i - x) over i < k
-    coef = Fraction(1)
-    for k in range(n + 1):
-        if k > 0:
-            coef *= Fraction(-n + k - 1) * z / ((lower + k - 1) * k)
-        acc = acc + falling.scale(coef)
-        falling = falling * Polynomial([k, -1])
-    return acc.scale(prefactor)
-
-
-def hypergeometric_check(spec: FamilySpec) -> Polynomial:
-    """Hypergeometric route; raises if it differs from the recurrence route."""
-    via_sum = hypergeometric_poly(spec)
-    via_recurrence = monic_by_recurrence(spec)
-    if via_sum != via_recurrence:
-        raise ConstructionError(
-            f"hypergeometric and recurrence routes disagree for {spec}"
-        )
-    return via_sum
-
-
-# ---------------------------------------------------------------------------
-# Discrete weights
-# ---------------------------------------------------------------------------
-
-
-def weight_at(spec: FamilySpec, x: int) -> Fraction:
-    """Exact weight value at the integer support point x."""
-    if spec.kind == "krawtchouk":
-        p, N = spec.param("p"), spec.param("N")
-        Ni = int(N)
-        if not (0 <= x <= Ni):
-            raise InvalidParameterError(f"krawtchouk weight support is 0..{Ni} (got x={x})")
-        return math.comb(Ni, x) * p**x * (1 - p) ** (Ni - x)
-    if spec.kind == "meixner":
-        t, w = spec.param("t"), spec.param("w")
-        if x < 0:
-            raise InvalidParameterError(f"meixner weight support is x >= 0 (got x={x})")
-        return pochhammer(t, x) * w**x / math.factorial(x)
-    raise InvalidParameterError(f"no discrete weight for family {spec.kind}")
-
-
-def krawtchouk_edge_value(k: int, p: Fraction, M: int) -> Fraction:
-    """Value of the degree-k member with parameter M evaluated at x = M."""
-    return Fraction(math.factorial(k)) * math.comb(M, k) * (1 - p) ** k

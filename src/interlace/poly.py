@@ -271,10 +271,17 @@ class Polynomial:
 
         ``int / int`` is correctly rounded, so each is bit for bit
         ``float(c)`` of the reduced coefficient; one too small for a double
-        rounds to zero and is stripped if it leads.
+        rounds to zero and is stripped if it leads.  One too large raises
+        ``OverflowError`` naming its power of x.
         """
         den = self.den
-        return _stripped(tuple(x / den for x in self.nums))
+        out = []
+        for k, x in enumerate(self.nums):
+            try:
+                out.append(x / den)
+            except OverflowError:
+                raise OverflowError(f"the coefficient of x^{k} does not fit in a double") from None
+        return _stripped(tuple(out))
 
     # -- serialization -----------------------------------------------------
 

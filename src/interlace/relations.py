@@ -6,14 +6,13 @@ zero residual).  The checkers then move to floats: they compute the zero
 sets, test the stated hypotheses, and evaluate every conclusion clause of the
 matching interlacing statement, producing a witness-carrying report.
 
-Three relation shapes are supported, named by the degrees of G and Q
+Two relation shapes are supported, named by the degrees of G and Q
 relative to deg P = n:
 
 * ``pair_up``:  deg G = deg Q = n + 1, sign +
 * ``down_one``: deg G = n, deg Q = n - 1, sign -
-* ``up_one``:   deg G = n, deg Q = n + 1, sign -
 
-Seed-deterministic random generators build synthetic instances of all three
+Seed-deterministic random generators build synthetic instances of both
 shapes from scratch (interlaced rational zero draws), giving a constructive
 property-test oracle for the checkers.  The points are drawn as integer
 numerators over one denominator, every term is formed on integers over it,
@@ -43,7 +42,6 @@ from .interlacing import (
     ADDED_OK_KINDS,
     ALTERNATE,
     DEFAULT_FLOOR,
-    FAIL,
     INCONCLUSIVE,
     INTERLACE_DOWN,
     CommonPointError,
@@ -64,10 +62,9 @@ from .rootfind import ZeroSet, zeros_exact, zeros_general, zeros_orthogonal
 
 PAIR_UP = "pair_up"
 DOWN_ONE = "down_one"
-UP_ONE = "up_one"
 
 #: shape -> (sign, deg G - deg P, deg Q - deg P)
-SHAPES = {PAIR_UP: (1, 1, 1), DOWN_ONE: (-1, 0, -1), UP_ONE: (-1, 0, 1)}
+SHAPES = {PAIR_UP: (1, 1, 1), DOWN_ONE: (-1, 0, -1)}
 
 PASS = "pass"
 FAIL_CLAUSE = "fail"
@@ -162,6 +159,8 @@ class PairEntry:
     applies.
     """
 
+    #: the named check this relation serves
+    check_id: str
     shape: str
     family: str
     P: Callable
@@ -174,8 +173,6 @@ class PairEntry:
     support: Callable = lambda n, **_: (None, None)
     min_n: int | None = None
     check: Callable | None = None
-    #: the named check this relation serves, if any
-    check_id: str | None = None
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -216,12 +213,6 @@ def _jacobi_beta_e(n, alpha, beta):
 
 def _jacobi_shift_e(n, alpha, beta):
     return (alpha - beta) / (2 * n + alpha + beta + 2)
-
-
-def _jacobi_shift_up_b(n, alpha, beta):
-    _, lp = families.jacobi_step_coeffs(alpha + 1, beta + 1, n)
-    s = alpha + beta
-    return [(2 * n + s + 3) * (n + s + 1) * lp / ((n + s + 2) * n)]
 
 
 _HALF_LINE = lambda n, **_: (0.0, None)  # noqa: E731
@@ -317,36 +308,11 @@ PAIRS = {
         E=lambda n, alpha: Fraction(n + 1),
         support=_HALF_LINE,
     ),
-    # Equal-degree Jacobi pair against the one-degree-up neighbour, obtained
-    # by eliminating the index n-1 member between the parameter-shift
-    # relation at two consecutive indices and the shifted family's
-    # recurrence.  The elimination collapses A to the weight-ratio factor
-    # 1 - x^2, positive on the open support interval.
-    "jacobi-shift-up": PairEntry(
-        shape=UP_ONE,
-        family="jacobi",
-        min_n=1,
-        P=lambda n, alpha, beta: families.jacobi(alpha + 1, beta + 1, n),
-        G=lambda n, alpha, beta: families.jacobi(alpha, beta, n),
-        Q=lambda n, alpha, beta: families.jacobi(alpha, beta, n + 1),
-        A=lambda n, alpha, beta: [1, 0, -1],
-        B=_jacobi_shift_up_b,
-        E=_jacobi_shift_e,
-        support=_JACOBI_INTERVAL,
-    ),
 }
 
 #: named check id -> pair id
-CHECK_TO_PAIR = {entry.check_id: pair_id for pair_id, entry in PAIRS.items() if entry.check_id}
+CHECK_TO_PAIR = {entry.check_id: pair_id for pair_id, entry in PAIRS.items()}
 CHECK_IDS = tuple(CHECK_TO_PAIR)
-
-
-def _member(spec: FamilySpec) -> Polynomial:
-    # The closed form: the Narayana recurrence costs hundreds of times more at
-    # high degree.
-    if spec.kind == "narayana-reduced":
-        return families.narayana_reduced(spec.n)
-    return monic_by_recurrence(spec)
 
 
 def build_relation(pair_id: str, n: int, params: dict | None = None) -> MixedRelation:
@@ -373,9 +339,9 @@ def build_relation(pair_id: str, n: int, params: dict | None = None) -> MixedRel
         A=Polynomial(entry.A(n, **kw)),
         B=Polynomial(entry.B(n, **kw)),
         E=entry.E(n, **kw),
-        P=_member(p_spec),
-        G=_member(g_spec),
-        Q=_member(q_spec),
+        P=monic_by_recurrence(p_spec),
+        G=monic_by_recurrence(g_spec),
+        Q=monic_by_recurrence(q_spec),
         specs={"P": p_spec, "G": g_spec, "Q": q_spec},
         support=entry.support(n, **kw),
         params={"n": n, **kw},
@@ -393,7 +359,7 @@ def zero_set(spec: FamilySpec | None, poly: Polynomial | None = None) -> ZeroSet
     """
     if spec is not None and spec.kind in ORTHOGONAL_KINDS:
         return zeros_orthogonal(spec)
-    return zeros_general(_member(spec) if poly is None else poly)
+    return zeros_general(monic_by_recurrence(spec) if poly is None else poly)
 
 
 # ---------------------------------------------------------------------------
@@ -688,150 +654,9 @@ def check_down_one(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckRep
     return report
 
 
-def _classify_regions(zp: ZeroSet, zg: ZeroSet, floor: float):
-    """Counts of P zeros below G, inside each G gap, and above G."""
-    below = above = 0
-    gaps = [0] * max(len(zg.zeros) - 1, 0)
-    ambiguous = False
-    g = zg.zeros
-    for z in zp.zeros:
-        if any(abs(z - x) <= floor for x in g):
-            ambiguous = True
-            continue
-        if z < g[0]:
-            below += 1
-        elif z > g[-1]:
-            above += 1
-        else:
-            for i in range(len(g) - 1):
-                if g[i] < z < g[i + 1]:
-                    gaps[i] += 1
-                    break
-    return below, gaps, above, ambiguous
-
-
-UP_ONE_CLAUSES = (
-    "gap_occupancy",
-    "config_enumerated",
-    "straddle_added_point",
-    "full_when_e_below",
-    "full_when_e_above",
-    "one_extreme_side",
-)
-
-
-def _enumerated_config(below, gaps, above, kprime) -> str | None:
-    """Name of the zero layout if it is one the interior-E case analysis allows."""
-    others_one = all(c == 1 for i, c in enumerate(gaps) if i != kprime)
-    if below == 0 and above == 0 and gaps[kprime] == 2 and others_one:
-        return "pair-in-e-gap"
-    if below == 2 and above == 0 and gaps[kprime] == 0 and others_one:
-        return "pair-below"
-    if below == 0 and above == 2 and gaps[kprime] == 0 and others_one:
-        return "pair-above"
-    if below == 0 and above == 0 and gaps[kprime] == 0:
-        triples = [i for i, c in enumerate(gaps) if c == 3 and i != kprime]
-        rest_one = all(
-            c == 1 for i, c in enumerate(gaps) if i != kprime and i not in triples
-        )
-        if len(triples) == 1 and rest_one:
-            return "triple-in-one-gap"
-    return None
-
-
-def check_up_one(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckReport:
-    """Checker for the shape with G at P's degree and Q one degree above.
-
-    Clause one (the merged added-point statement with E adjoined to G) is
-    asserted only in the straddling configuration; otherwise the observed
-    configuration is recorded and matched against the allowed layouts.
-    """
-    if rel.shape != UP_ONE:
-        raise InvalidParameterError(f"check_up_one got shape {rel.shape}")
-    report, zg, zq, zp = _base_report(rel, floor)
-    e_float = float(rel.E)
-
-    premise = interlaces_down(zq, zg, floor)
-    if premise.kind != INTERLACE_DOWN:
-        report.premise = premise
-        report.notes.append("premise failed: zeros of Q do not interlace above G")
-        return _skip_rest(report, UP_ONE_CLAUSES)
-    report.premise_kind, report.premise = "q_then_g", premise
-
-    if not report.hypotheses_ok:
-        return _skip_rest(report, UP_ONE_CLAUSES)
-
-    below, gaps, above, ambiguous = _classify_regions(zp, zg, floor)
-    report.notes.append(f"zero layout: below={below}, gaps={gaps}, above={above}")
-    position, slot = locate_point(e_float, zg, floor)
-
-    occupied = sum(1 for c in gaps if c >= 1)
-    n = len(zg.zeros)
-    if ambiguous:
-        report.clauses["gap_occupancy"] = SKIPPED
-    else:
-        report.clauses["gap_occupancy"] = PASS if occupied >= n - 2 else FAIL_CLAUSE
-
-    straddle = False
-    if ambiguous or position == "unknown":
-        report.clauses["config_enumerated"] = SKIPPED
-    elif position == "interior":
-        kprime = slot - 1
-        config = _enumerated_config(below, gaps, above, kprime)
-        report.clauses["config_enumerated"] = PASS if config else FAIL_CLAUSE
-        if config:
-            report.notes.append(f"interior configuration: {config}")
-        else:
-            report.notes.append("configuration outside the allowed interior layouts")
-        if gaps[kprime] == 2:
-            g = zg.zeros
-            in_gap = [z for z in zp.zeros if g[kprime] < z < g[kprime + 1]]
-            left = [z for z in in_gap if z < e_float - floor]
-            right = [z for z in in_gap if z > e_float + floor]
-            straddle = len(left) == 1 and len(right) == 1
-    else:
-        expected = (
-            below == 1 and above == 0 if position == "below" else below == 0 and above == 1
-        )
-        layout_ok = expected and all(c == 1 for c in gaps)
-        report.clauses["config_enumerated"] = PASS if layout_ok else FAIL_CLAUSE
-
-    if straddle:
-        try:
-            merged = added_point_interlace(zg, rel.E, zp, floor)
-            report.clauses["straddle_added_point"] = _verdict_clause(
-                merged, ADDED_OK_KINDS
-            )
-        except CommonPointError:
-            report.clauses["straddle_added_point"] = SKIPPED
-    else:
-        report.clauses["straddle_added_point"] = SKIPPED
-
-    if position == "below":
-        report.clauses["full_when_e_below"] = _verdict_clause(
-            alternates(zp, zg, floor), ALTERNATE
-        )
-    else:
-        report.clauses["full_when_e_below"] = SKIPPED
-    if position == "above":
-        report.clauses["full_when_e_above"] = _verdict_clause(
-            alternates(zg, zp, floor), ALTERNATE
-        )
-    else:
-        report.clauses["full_when_e_above"] = SKIPPED
-
-    if position in ("below", "above") and not ambiguous:
-        sides = (below > 0, above > 0)
-        report.clauses["one_extreme_side"] = PASS if sides.count(True) == 1 else FAIL_CLAUSE
-    else:
-        report.clauses["one_extreme_side"] = SKIPPED
-    return report
-
-
 SHAPE_CHECKERS = {
     PAIR_UP: check_pair_up,
     DOWN_ONE: check_down_one,
-    UP_ONE: check_up_one,
 }
 
 
@@ -1112,58 +937,3 @@ def oracle_down_one(
             rel.params.update({"seed": seed, "e_region": e_region})
             return rel
     raise DegenerateDrawError(f"down-one oracle exhausted retries at n={n}, seed={seed}")
-
-
-def assemble_up_one(g_nums, q_nums, den: int, e: Fraction) -> MixedRelation | None:
-    """Build an up-one relation with constant A = 1 and monic quadratic B from
-    the zeros g_nums / den and q_nums / den.
-
-    Over y = D x, B = (y^2 + b1 y + b0) / D^2, where b1 and b0 cancel the top
-    two coefficients of B G - (x - E) Q and leave D^2 at y^n.  The combination
-    is c(y) / D^(n+2) with c = (y^2 + b1 y + b0) g - (y - D E) q and c_n = D^2,
-    so P_k = c_k / (c_n D^(n-k)) is monic.
-    """
-    n = len(g_nums)
-    draw = _scaled_draw(g_nums, q_nums, den, e)
-    g, q, de, den = draw.g, draw.q, draw.de, draw.den
-
-    def coeff(c: list[int], k: int) -> int:
-        return c[k] if 0 <= k < len(c) else 0
-
-    g1, g2 = coeff(g, n - 1), coeff(g, n - 2)
-    q1, q2 = q[n], coeff(q, n - 1)
-    b1 = q1 - de - g1
-    b0 = den * den - g2 - b1 * g1 + q2 - de * q1
-    if de * de + b1 * de + b0 == 0:  # B(E) = 0
-        return None
-    c = _combination(([b0, b1, 1], g), ([de, -1], q))
-    B = Polynomial.from_ints([b0, b1 * den, den * den], den * den)
-    return _oracle_relation(UP_ONE, Polynomial.constant(1), B, e, c, draw)
-
-
-def oracle_up_one(
-    n: int,
-    seed: int,
-    e_region: str | None = None,
-    max_tries: int = 64,
-) -> MixedRelation:
-    """Random verified up-one instance whose P is confirmed real rooted."""
-    if n < 2:
-        raise InvalidParameterError("up-one oracle needs n >= 2")
-    rng = random.Random(f"up-one:{n}:{seed}:{e_region}")
-    for _ in range(max_tries):
-        pts, den = _draw_chain(rng, 2 * n + 1)
-        q_nums, g_nums = pts[0::2], pts[1::2]
-        e = _draw_e(rng, g_nums, den, e_region)
-        if e is None:
-            continue
-        rel = assemble_up_one(g_nums, q_nums, den, e)
-        if rel is None:
-            continue
-        try:
-            zeros_general(rel.P)
-        except Exception:
-            continue  # P picked up a complex pair; hypotheses unmet, redraw
-        rel.params.update({"seed": seed, "e_region": e_region})
-        return rel
-    raise DegenerateDrawError(f"up-one oracle exhausted retries at n={n}, seed={seed}")

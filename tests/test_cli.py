@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -89,6 +90,17 @@ class TestPolyCommand:
             capsys, "poly", "--family", "laguerre", "--alpha", "0", "--n", "1", "--float"
         )
         assert json.loads(out) == {"mode": "float", "coeffs": [-1.0, 1.0]}
+
+    def test_float_overflow_exits_two(self, capsys):
+        # The constant term of the monic Laguerre member at n = 200 is 200!,
+        # beyond the largest double; it left the CLI as an OverflowError.
+        argv = ("poly", "--family", "laguerre", "--alpha", "0", "--n", "200")
+        code, out, err = run_cli(capsys, *argv, "--float")
+        assert (code, out) == (2, "")
+        assert err == "error: poly --float: the coefficient of x^0 does not fit in a double\n"
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["coeffs"][0] == str(math.factorial(200))
 
 
 class TestZerosCommand:
@@ -342,6 +354,17 @@ class TestSweepCommand:
                 {"n": [3], "params": {"alpha": [0]}},
                 "error: degree range must be N or lo..hi with integers (got [3])\n",
             ),
+            # A string of clauses was split into characters and a number
+            # matched no clause: every row was filtered out and the sweep
+            # exited 0.
+            (
+                {"n": "2", "params": {"alpha": [0]}, "clauses": "premise"},
+                "error: sweep spec 'clauses' must be a list of clause names (got 'premise')\n",
+            ),
+            (
+                {"n": "2", "params": {"alpha": [0]}, "clauses": [1]},
+                "error: sweep spec 'clauses' must be a list of clause names (got [1])\n",
+            ),
         ],
     )
     def test_empty_or_malformed_grid_sweep_exits_two(self, capsys, tmp_path, spec, message):
@@ -366,6 +389,15 @@ class TestSweepCommand:
         path.write_text(json.dumps({"check": "laguerre-3.7", "n": "2", "params": params}))
         code, out, err = run_cli(capsys, "sweep", str(path), "--workers", "1")
         assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize("spec", [3, ["check", "n"]], ids=["number", "list"])
+    def test_spec_must_be_a_json_object(self, capsys, tmp_path, spec):
+        # Anything but an object ended in a TypeError traceback.
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "sweep", str(path), "--workers", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: sweep spec must be a JSON object (got {spec!r})\n"
 
     @pytest.mark.parametrize("oracle", [False, True])
     def test_unwritable_output_exits_two_before_the_work(self, capsys, monkeypatch, tmp_path, oracle):

@@ -36,7 +36,6 @@ from interlace.relations import (
     build_relation,
     oracle_down_one,
     oracle_pair_up,
-    oracle_up_one,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -125,7 +124,6 @@ def transcript(commands: list[list[str]]) -> str:
 ORACLE_RELATIONS = (
     ("pair-up", oracle_pair_up, (1, 2, 12, 23, 24, 25, 30)),
     ("down-one", oracle_down_one, (1, 8, 25, 26)),
-    ("up-one", oracle_up_one, (2, 8, 24, 25)),
 )
 ORACLE_SEEDS = range(5)
 
@@ -154,7 +152,6 @@ NAMED_RELATIONS = (
     ("laguerre", (0, 1, 5, 20), ({"alpha": "0"}, {"alpha": "-1/2"}, {"alpha": "3"})),
     ("jacobi-beta", (1, 2, 5, 20), ({"alpha": "2", "beta": "14"}, {"alpha": "-1/2", "beta": "1/2"})),
     ("jacobi-shift", (1, 2, 5, 20), ({"alpha": "2", "beta": "14"}, {"alpha": "-1/2", "beta": "-1/2"})),
-    ("jacobi-shift-up", (1, 2, 5, 20), ({"alpha": "2", "beta": "14"}, {"alpha": "14", "beta": "2"})),
     ("narayana-christoffel", (2, 3, 8, 20, 60), ({},)),
     ("narayana-perturbed", (2, 3, 8, 20, 60), ({},)),
 )
@@ -184,8 +181,6 @@ INVALID_RELATIONS = (
     ("jacobi-beta", 3, {"alpha": "-1", "beta": "1"}),
     ("jacobi-shift", 0, {"alpha": "2", "beta": "14"}),
     ("jacobi-shift", 3, {"alpha": "2", "beta": "-1"}),
-    ("jacobi-shift-up", 0, {"alpha": "2", "beta": "14"}),
-    ("jacobi-shift-up", 3, {"alpha": "-1", "beta": "2"}),
     ("narayana-christoffel", 1, {}),
     ("narayana-christoffel", -1, {}),
     ("narayana-perturbed", 1, {}),

@@ -1,14 +1,13 @@
 """The oracle assemblers against their Fraction reference, and the zero sets
 of the terms an oracle builds from drawn zeros.
 
-``assemble_pair_up``, ``assemble_down_one`` and ``assemble_up_one`` take
-the drawn zeros as integer numerators over one denominator and form their
-terms on integer root products over it.  The
-references below are the straightforward ``Polynomial``-level sums they
-replace, written with per-coefficient ``Fraction`` arithmetic only
-(``mul_linear``, ``scale``, ``+``), so they share no kernel with the code
-under test.  Each reference returns the reason for a rejected draw, so the
-tests can tell that every rejection branch is reached.
+``assemble_pair_up`` and ``assemble_down_one`` take the drawn zeros as
+integer numerators over one denominator and form their terms on integer root
+products over it.  The references below are the straightforward
+``Polynomial``-level sums they replace, written with per-coefficient
+``Fraction`` arithmetic only (``mul_linear``, ``scale``, ``+``), so they share
+no kernel with the code under test.  Each reference returns the reason for a
+rejected draw, so the tests can tell that every rejection branch is reached.
 """
 
 import dataclasses
@@ -28,11 +27,9 @@ from interlace.relations import (
     _draw_e,
     assemble_down_one,
     assemble_pair_up,
-    assemble_up_one,
     check_pair_up,
     oracle_down_one,
     oracle_pair_up,
-    oracle_up_one,
 )
 from interlace.rootfind import (
     METHOD_EXACT,
@@ -83,24 +80,6 @@ def reference_down_one(g_zeros, q_zeros, e, b):
     if a <= 0:
         return "sign of A"
     return Polynomial([a]), Polynomial([b]), combo.scale(1 / a), G, Q
-
-
-def reference_up_one(g_zeros, q_zeros, e):
-    n = len(g_zeros)
-    G, Q = _from_roots(g_zeros), _from_roots(q_zeros)
-    g1, g2 = _coeff(G, n - 1), _coeff(G, n - 2)
-    q1, q2 = _coeff(Q, n), _coeff(Q, n - 1)
-    b1 = q1 - e - g1
-    b0 = 1 - g2 - b1 * g1 + q2 - e * q1
-    B = Polynomial([b0, b1, 1])
-    if B.evaluate(e) == 0:
-        return "B(E) = 0"
-    # B G = x^2 G + b1 x G + b0 G
-    xg = G.mul_linear(0)
-    combo = xg.mul_linear(0) + xg.scale(b1) + G.scale(b0) - Q.mul_linear(e)
-    if combo.degree != n or combo.leading_coefficient != 1:
-        return "degree"
-    return Polynomial([1]), B, combo, G, Q
 
 
 def _over_one_den(g_zeros, q_zeros) -> tuple[list[int], list[int], int]:
@@ -207,25 +186,6 @@ class TestDownOne:
         assert reasons == {"degree", "sign of A", "accepted"}
 
 
-class TestUpOne:
-    @given(st.one_of(small_draws(1, 2), chain_draws(1, 2)))
-    @settings(max_examples=300, deadline=None)
-    @example(([F(0)], [F(0), F(0)], F(0)))  # B(E) = 0
-    def test_matches_reference(self, draw):
-        g, q, e = draw
-        _agrees(assemble_up_one(*_over_one_den(g, q), e), reference_up_one(g, q, e), g, q, e)
-
-    def test_every_rejection_reached(self):
-        reasons = set()
-        pool = (F(-1), F(0), F(1))
-        for g, q1, q2, e in itertools.product(pool, repeat=4):
-            want = reference_up_one([g], [q1, q2], e)
-            _agrees(assemble_up_one(*_over_one_den([g], [q1, q2]), e), want, (g,), (q1, q2), e)
-            reasons.add(want if isinstance(want, str) else "accepted")
-        # B G - (x - E) Q keeps degree n and leading coefficient 1 by construction
-        assert reasons == {"B(E) = 0", "accepted"}
-
-
 def reference_draw_e(rng, g_zeros):
     e = rng.randrange(4097)
     e = F(-6, 5) + F(12, 5) * F(e, 4096)
@@ -291,7 +251,7 @@ class TestZerosExact:
                     assert abs(x - z) <= companion.bound, (term, seed, x, z, companion.bound)
 
     def test_every_oracle_draws_its_roots(self):
-        for rel in (oracle_pair_up(5, 0), oracle_down_one(5, 0), oracle_up_one(5, 0)):
+        for rel in (oracle_pair_up(5, 0), oracle_down_one(5, 0)):
             assert set(rel.roots) == {"G", "Q"}
             for term in ("G", "Q"):
                 assert _from_roots(_as_fractions(rel.roots[term])) == getattr(rel, term)

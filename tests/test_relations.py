@@ -9,21 +9,17 @@ from interlace.poly import Polynomial, _integer_form
 from interlace.relations import (
     DOWN_ONE,
     PAIR_UP,
-    UP_ONE,
     DegenerateDrawError,
     MixedRelation,
     assemble_down_one,
     assemble_pair_up,
-    assemble_up_one,
     build_relation,
     check_down_one,
     check_narayana_even_quotient,
     check_pair_up,
     check_relation,
-    check_up_one,
     oracle_down_one,
     oracle_pair_up,
-    oracle_up_one,
     run_check,
     verify_identity,
 )
@@ -93,7 +89,7 @@ class TestBuildRelation:
         with pytest.raises(InvalidParameterError, match="exact rationals, got float"):
             build_relation(pair_id, 3, params)
 
-    @pytest.mark.parametrize("pair_id", ["jacobi-beta", "jacobi-shift", "jacobi-shift-up"])
+    @pytest.mark.parametrize("pair_id", ["jacobi-beta", "jacobi-shift"])
     def test_member_parameters_checked_before_scalars(self, pair_id):
         # alpha + beta = -4 puts a zero in the denominators of A, B or E at
         # n = 1; the invalid member must be named before any of them is formed.
@@ -118,7 +114,7 @@ class TestVerifyIdentity:
             ("laguerre", 5, {"alpha": F(5, 2)}),
             ("jacobi-shift", 5, {"alpha": F(-1, 2), "beta": F(14)}),
             ("jacobi-beta", 5, {"alpha": F(-1, 2), "beta": F(5, 2)}),
-            ("jacobi-shift-up", 5, {"alpha": F(-1, 2), "beta": F(14)}),
+            ("jacobi-shift", 7, {"alpha": F(14), "beta": F(2)}),  # Table 2, block 2
             ("narayana-christoffel", 7, {}),
             ("narayana-perturbed", 7, {}),
         ],
@@ -250,60 +246,6 @@ class TestNarayanaEvenBranch:
         report = run_check("narayana-3.4", 4, {})
         assert report.premise_kind == "even-quotient"
         assert report.passed
-
-
-class TestUpOneChecker:
-    def test_block_one_extreme_side_left(self):
-        rel = build_relation("jacobi-shift-up", 6, {"alpha": 2, "beta": 14})
-        report = check_up_one(rel)
-        assert report.passed
-        assert report.e_position == "below"
-        assert report.clauses["one_extreme_side"] == "pass"
-        assert report.clauses["full_when_e_below"] == "pass"
-        assert any("below=1" in note for note in report.notes)
-
-    def test_block_two_extreme_side_right(self):
-        rel = build_relation("jacobi-shift-up", 7, {"alpha": 14, "beta": 2})
-        report = check_up_one(rel)
-        assert report.passed
-        assert report.e_position == "above"
-        assert report.clauses["one_extreme_side"] == "pass"
-        assert report.clauses["full_when_e_above"] == "pass"
-        assert any("above=1" in note for note in report.notes)
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_gap_occupancy_over_grid(self, n):
-        for alpha, beta in ((F(-1, 2), F(1)), (F(5, 2), F(14)), (F(1), F(1))):
-            rel = build_relation("jacobi-shift-up", n, {"alpha": alpha, "beta": beta})
-            report = check_up_one(rel)
-            assert report.identity_ok
-            if report.hypotheses_ok:
-                assert report.clauses["gap_occupancy"] in ("pass", "skipped")
-                assert report.clauses["config_enumerated"] in ("pass", "skipped")
-                assert report.passed
-
-    def test_synthetic_exterior_regions(self):
-        for seed in range(10):
-            rel = oracle_up_one(4, seed, e_region="above")
-            report = check_up_one(rel)
-            assert report.passed
-            assert report.clauses["full_when_e_above"] == "pass"
-            rel = oracle_up_one(4, seed, e_region="below")
-            report = check_up_one(rel)
-            assert report.passed
-            assert report.clauses["full_when_e_below"] == "pass"
-
-    def test_synthetic_interior_configs(self):
-        seen = set()
-        for seed in range(40):
-            rel = oracle_up_one(5, seed, e_region="interior")
-            report = check_up_one(rel)
-            assert report.passed, (seed, report.to_json())
-            assert report.clauses["config_enumerated"] in ("pass", "skipped")
-            for note in report.notes:
-                if note.startswith("interior configuration:"):
-                    seen.add(note.split(": ")[1])
-        assert seen  # at least one allowed interior layout observed
 
 
 class TestOracles:

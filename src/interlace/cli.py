@@ -1,8 +1,9 @@
 """Command line front end: construct, solve, check, sweep, and tabulate.
 
 Exit codes are a stable contract: 0 all requested checks pass, 1 a clause or
-check failed, 2 invalid input, 3 a sweep point raised and no clause failed, or
-a sweep worker process died.
+check failed, 2 invalid input, 3 a sweep point raised and no clause failed, a
+sweep worker process died, or ``zeros`` could not compute a zero set.
+Each command builds every recurrence chain it needs once (``families.chain_scope``).
 Rational parameters are given as "num/den" strings; plain decimals are parsed
 as exact decimal fractions (0.4 becomes 2/5), never as binary floats.  The
 environment variable INTERLACE_FLOOR overrides the default separation floor
@@ -30,10 +31,12 @@ from . import families
 from .families import FamilySpec, InvalidParameterError
 from .interlacing import DEFAULT_FLOOR
 from .relations import (
+    BUILD_ROW,
     CHECK_IDS,
     CHECK_TO_PAIR,
     PAIRS,
     CheckReport,
+    clause_names,
     run_check,
     oracle_down_one,
     oracle_pair_up,
@@ -41,6 +44,8 @@ from .relations import (
     check_pair_up,
     zero_set,
 )
+
+from .rootfind import RootComputationError
 
 # zeros_general is not called here, but the benchmark's span tracer
 # (perfbench/tracer.py) wraps it under this module's name.
@@ -146,7 +151,13 @@ def _family_label(spec: FamilySpec) -> str:
 
 def cmd_zeros(args) -> int:
     spec = _spec_from_args(args)
-    zs = zero_set(spec)
+    try:
+        zs = zero_set(spec)
+    except OverflowError as exc:
+        raise InvalidParameterError(f"zeros: {exc}") from None
+    except RootComputationError as exc:
+        print(f"error: zeros: {exc}", file=sys.stderr)
+        return 3
     digits = args.digits
     if args.plot_data:
         label = _family_label(spec)
@@ -316,7 +327,7 @@ def _run_sweep_point(check_id: str, n: int, params: dict, floor: float) -> list[
     except Exception as exc:
         row = dict(base)
         row.update({k: str(v) for k, v in params.items()})
-        row.update({"clause": "build", "result": _error_result(exc)})
+        row.update({"clause": BUILD_ROW, "result": _error_result(exc)})
         return [row]
     return report.csv_rows(base)
 
@@ -477,10 +488,17 @@ def cmd_sweep(args) -> int:
             raise InvalidParameterError(
                 f"sweep spec 'clauses' must be a list of clause names (got {wanted!r})"
             )
+        names = clause_names(check_id)
+        unknown = [c for c in wanted if c not in names]
+        if unknown:
+            raise InvalidParameterError(
+                f"sweep spec 'clauses' names {', '.join(map(repr, unknown))}, not a clause of "
+                f"{check_id} (its clauses: {', '.join(names)})"
+            )
         points = _sweep_grid(spec)
         run = partial(_run_sweep_point, check_id, floor=floor)
         if wanted:
-            keep = {*wanted, "build"}
+            keep = {*wanted, BUILD_ROW}
     with _output(args.output) as out:
         chunks = _map_points(run, points, workers)
         if keep:
@@ -578,7 +596,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_fractions(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        with families.chain_scope():
+            return args.func(args)
     except ValueError as exc:  # InvalidParameterError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,12 +5,20 @@ kind: the orthogonal families and the raw Narayana polynomial from their
 three-term recurrences, the reduced and perturbed Narayana polynomials from
 their closed-form coefficients.  The Christoffel variant is built two
 independent ways that must agree exactly.
+
+An orthogonal family's recurrence coefficients depend on the step and the
+parameters only, so one forward run per (kind, parameters) yields every
+member and every coefficient prefix.  Inside ``chain_scope()`` that run is
+kept and extended on demand; outside one, each call runs it afresh.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -153,7 +161,7 @@ def narayana_spec(kind: str, n: int) -> FamilySpec:
 
 
 # ---------------------------------------------------------------------------
-# Three-term recurrence coefficients: P_{k+1} = (x - c_{k+1}) P_k - l_{k+1} P_{k-1}
+# Three-term recurrence: P_{k+1} = (x - c_{k+1}) P_k - l_{k+1} P_{k-1}
 # ---------------------------------------------------------------------------
 
 
@@ -169,71 +177,178 @@ class RecurrenceCoeffs:
     lam: tuple[Fraction, ...]
 
 
-def _jacobi_step(a: int, b: int, d: int, k: int) -> tuple[Fraction, Fraction]:
+#: one recurrence step (a, b, u, v): c_k = a / b and l_k = u / v, each in lowest
+#: terms over a positive denominator
+Step = tuple[int, int, int, int]
+
+
+def _step(a: int, b: int, u: int, v: int) -> Step:
+    """The step c = a / b, l = u / v in its stored form, as ``Fraction`` would reduce it."""
+    g, h = math.gcd(a, b), math.gcd(u, v)
+    if b < 0:
+        g = -g
+    if v < 0:
+        h = -h
+    return a // g, b // g, u // h, v // h
+
+
+def _jacobi_step(a: int, b: int, d: int, k: int) -> Step:
     # alpha = a/d, beta = b/d; s = d (2k + alpha + beta)
     if k == 0:
-        return Fraction(b - a, a + b + 2 * d), Fraction(0)
+        return _step(b - a, a + b + 2 * d, 0, 1)
     s = 2 * k * d + a + b
-    ck = Fraction(b * b - a * a, s * (s + 2 * d))
     if k == 1:
         e = a + b + 2 * d
-        return ck, Fraction(4 * d * (d + a) * (d + b), e * e * (e + d))
+        return _step(b * b - a * a, s * (s + 2 * d), 4 * d * (d + a) * (d + b), e * e * (e + d))
     kd = k * d
-    return ck, Fraction(4 * kd * (kd + a) * (kd + b) * (kd + a + b), s * s * (s + d) * (s - d))
+    l_num = 4 * kd * (kd + a) * (kd + b) * (kd + a + b)
+    return _step(b * b - a * a, s * (s + 2 * d), l_num, s * s * (s + d) * (s - d))
 
 
-# A check builds at most three specs and then solves each; a sweep runs a few
-# checks at once.  The bound only has to cover that reuse.
-@functools.lru_cache(maxsize=32)
-def recurrence_coeffs(spec: FamilySpec) -> RecurrenceCoeffs:
-    """Exact recurrence coefficients c_1..c_n and l_1..l_n for ``spec``.
+def _step_rule(spec: FamilySpec) -> Callable[[int], Step]:
+    """The map k -> step k of ``spec``'s recurrence.
 
-    Every coefficient is formed as one Fraction from integer numerators of the
-    parameters, never by Fraction arithmetic.  Memoised per spec: construction
-    and the eigensolve share one computation.
+    Every step is formed from integer numerators of the parameters; it
+    depends on k and the parameters only, never on the degree n.
     """
-    kind, n = spec.kind, spec.n
+    kind = spec.kind
     if kind == "jacobi":
         (a, b), d = _integer_form((spec.param("alpha"), spec.param("beta")))
-        steps = [_jacobi_step(a, b, d, k) for k in range(n)]
-        cs = [c for c, _ in steps]
-        ls = [lam for _, lam in steps]
-    elif kind == "laguerre":
+        return functools.partial(_jacobi_step, a, b, d)
+    if kind == "laguerre":
         # alpha = a/d: c = 2k + alpha + 1, l = k (k + alpha)
         alpha = spec.param("alpha")
         a, d = alpha.numerator, alpha.denominator
-        cs = [Fraction(2 * k * d + a + d, d) for k in range(n)]
-        ls = [Fraction(k * (k * d + a), d) for k in range(n)]
-    elif kind == "krawtchouk":
+        return lambda k: _step(2 * k * d + a + d, d, k * (k * d + a), d)
+    if kind == "krawtchouk":
         # p = u/v: c = p (N - k) + k (1 - p), l = k p (1 - p) (N + 1 - k)
         p, N = spec.param("p"), spec.param("N").numerator
         u, v = p.numerator, p.denominator
-        cs = [Fraction(u * (N - k) + k * (v - u), v) for k in range(n)]
-        ls = [Fraction(k * u * (v - u) * (N + 1 - k), v * v) for k in range(n)]
-    elif kind == "meixner":
+        return lambda k: _step(u * (N - k) + k * (v - u), v, k * u * (v - u) * (N + 1 - k), v * v)
+    if kind == "meixner":
         # t = a/d, w = u/v: c = (k + w (k + t)) / (1 - w),
         # l = w k (k + t - 1) / (1 - w)^2
         t, w = spec.param("t"), spec.param("w")
         a, d = t.numerator, t.denominator
         u, v = w.numerator, w.denominator
         c_den = d * (v - u)
-        cs = [Fraction(k * v * d + u * (k * d + a), c_den) for k in range(n)]
-        ls = [Fraction(u * v * k * (k * d + a - d), c_den * (v - u)) for k in range(n)]
-    else:
-        raise InvalidParameterError(
-            f"{kind} has no classical three-term recurrence coefficients"
+        return lambda k: _step(
+            k * v * d + u * (k * d + a), c_den, u * v * k * (k * d + a - d), c_den * (v - u)
         )
-    return RecurrenceCoeffs(tuple(cs), tuple(ls))
+    raise InvalidParameterError(f"{kind} has no classical three-term recurrence coefficients")
+
+
+class _Chain:
+    """The recurrence of one (kind, parameters), run forward as far as asked.
+
+    ``steps[k]`` drives the step to degree k + 1 and ``members[k]`` is the
+    monic member of degree k.  Both only grow, so the member and the
+    coefficients of any degree are prefixes of one run.
+    """
+
+    __slots__ = ("rule", "steps", "members")
+
+    def __init__(self, rule: Callable[[int], Step]):
+        self.rule = rule
+        self.steps: list[Step] = []
+        self.members = [Polynomial._of((1,), 1)]
+
+    def steps_to(self, n: int) -> list[Step]:
+        """The first n steps."""
+        steps = self.steps
+        while len(steps) < n:
+            steps.append(self.rule(len(steps)))
+        return steps[:n]
+
+    def member(self, n: int) -> Polynomial:
+        """The monic member of degree n.
+
+        The recurrence runs on integer numerators.  Each member is kept as an
+        integer vector over one common denominator; members are monic, so
+        that denominator is the leading entry and needs no storage of its
+        own.  A step brings both terms over the lcm of their denominators and
+        divides out the content, so the vector stays primitive: it is the
+        polynomial's stored form as it stands, with the leading entry as its
+        denominator.
+        """
+        members = self.members
+        built = len(members) - 1
+        if n > built:
+            prev = members[-2].nums if built else ()
+            cur = members[-1].nums
+            for a, b, u, v in self.steps_to(n)[built:]:
+                cur_den = b * cur[-1]  # (x - a/b) P_k = (b x - a) cur / cur_den
+                den = math.lcm(cur_den, v * prev[-1]) if u else cur_den
+                scale = den // cur_den
+                bs, as_ = b * scale, a * scale
+                nxt = [-as_ * cur[0]]
+                nxt += [bs * hi - as_ * lo for hi, lo in zip(cur, cur[1:])]
+                nxt.append(bs * cur[-1])
+                if u:
+                    up = u * (den // (v * prev[-1]))
+                    for i, q in enumerate(prev):
+                        nxt[i] -= up * q
+                g = math.gcd(*nxt)
+                prev, cur = cur, tuple(x // g for x in nxt) if g > 1 else tuple(nxt)
+                members.append(Polynomial._of(cur, cur[-1]))
+        return members[n]
+
+
+#: (kind, parameters) -> its chain, while a chain scope is open.  A context
+#: variable, so a thread that opens no scope of its own shares no chain.
+_CHAINS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("chains", default=None)
+
+
+@contextlib.contextmanager
+def chain_scope():
+    """Share one recurrence chain per (kind, parameters) among the calls inside.
+
+    Outside a scope every call runs its recurrence afresh, so no chain
+    outlives the block that opened the scope; a scope opened inside another
+    starts empty, and the outer one is back on exit.  A forked child inherits
+    the open scope and fills its own copy.
+    """
+    token = _CHAINS.set({})
+    try:
+        yield
+    finally:
+        _CHAINS.reset(token)
+
+
+def _chain(spec: FamilySpec) -> _Chain:
+    chains = _CHAINS.get()
+    if chains is None:
+        return _Chain(_step_rule(spec))
+    key = (spec.kind, spec.params)
+    chain = chains.get(key)
+    if chain is None:
+        chain = chains[key] = _Chain(_step_rule(spec))
+    return chain
+
+
+def recurrence_steps(spec: FamilySpec) -> list[Step]:
+    """The integer steps (a, b, u, v) of c_1..c_n and l_1..l_n for ``spec``."""
+    return _chain(spec).steps_to(spec.n)
+
+
+def recurrence_coeffs(spec: FamilySpec) -> RecurrenceCoeffs:
+    """Exact recurrence coefficients c_1..c_n and l_1..l_n for ``spec``, as Fractions."""
+    steps = recurrence_steps(spec)
+    return RecurrenceCoeffs(
+        tuple(Fraction(a, b) for a, b, _, _ in steps),
+        tuple(Fraction(u, v) for _, _, u, v in steps),
+    )
 
 
 def monic_by_recurrence(spec: FamilySpec) -> Polynomial:
     """Build the degree-n member of ``spec`` exactly.
 
-    The orthogonal kinds and the raw Narayana polynomial run their forward
-    recurrences; the other Narayana kinds take their closed forms.
+    The orthogonal kinds take their member from the chain of their
+    parameters, and the raw Narayana polynomial runs its own forward
+    recurrence; the other Narayana kinds take their closed forms.
     """
     if spec.kind in ORTHOGONAL_KINDS:
-        return _monic_orthogonal(recurrence_coeffs(spec))
+        return _chain(spec).member(spec.n)
     if spec.kind == "narayana":
         return _narayana_raw(spec.n)
     if spec.kind == "narayana-reduced":
@@ -243,37 +358,6 @@ def monic_by_recurrence(spec: FamilySpec) -> Polynomial:
     if spec.kind == "narayana-perturbed":
         return narayana_perturbed(spec.n)
     raise InvalidParameterError(f"unknown family kind {spec.kind!r}")
-
-
-def _monic_orthogonal(rc: RecurrenceCoeffs) -> Polynomial:
-    """Run P_{k+1} = (x - c_k) P_k - l_k P_{k-1} on integer numerators.
-
-    Each member is kept as an integer vector over one common denominator.
-    Members are monic, so that denominator is the leading entry and needs no
-    storage of its own.  A step brings both terms over the lcm of their
-    denominators and divides out the content, so the vector stays primitive:
-    it is the polynomial's stored form as it stands, with the leading entry
-    as its denominator.
-    """
-    prev: list[int] = []
-    cur = [1]
-    for c, lam in zip(rc.c, rc.lam):
-        a, b = c.numerator, c.denominator
-        u, v = lam.numerator, lam.denominator
-        cur_den = b * cur[-1]  # (x - a/b) P_k = (b x - a) cur / cur_den
-        den = math.lcm(cur_den, v * prev[-1]) if u else cur_den
-        scale = den // cur_den
-        bs, as_ = b * scale, a * scale
-        nxt = [-as_ * cur[0]]
-        nxt += [bs * hi - as_ * lo for hi, lo in zip(cur, cur[1:])]
-        nxt.append(bs * cur[-1])
-        if u:
-            up = u * (den // (v * prev[-1]))
-            for i, q in enumerate(prev):
-                nxt[i] -= up * q
-        g = math.gcd(*nxt)
-        prev, cur = cur, [x // g for x in nxt] if g > 1 else nxt
-    return Polynomial._of(tuple(cur), cur[-1])
 
 
 def _narayana_step(m: int, cur: Polynomial, prev: Polynomial) -> Polynomial:
@@ -308,10 +392,15 @@ def narayana_reduced(n: int) -> Polynomial:
     return Polynomial([narayana_coeff(n, j + 1) for j in range(n)])
 
 
-def narayana_rho(n: int) -> Fraction:
-    """Ratio of reduced-polynomial values at x = 1 for indices n+1 and n."""
+def narayana_rho(n: int, reduced: tuple[Polynomial, Polynomial] | None = None) -> Fraction:
+    """Ratio of reduced-polynomial values at x = 1 for indices n+1 and n.
+
+    ``reduced`` is the pair (narayana_reduced(n), narayana_reduced(n + 1))
+    when the caller has built it already.
+    """
+    low, high = reduced or (narayana_reduced(n), narayana_reduced(n + 1))
     closed = Fraction(2 * (2 * n + 1), n + 2)
-    direct = narayana_reduced(n + 1).evaluate(1) / narayana_reduced(n).evaluate(1)
+    direct = high.evaluate(1) / low.evaluate(1)
     if closed != direct:
         raise ConstructionError(f"rho closed form disagrees with its definition at n={n}")
     return closed
@@ -326,8 +415,9 @@ def narayana_christoffel(n: int) -> Polynomial:
     """
     if n < 2:
         raise InvalidParameterError(f"narayana_christoffel requires n >= 2 (got n={n})")
-    rho = narayana_rho(n)
-    numer = narayana_reduced(n + 1) - narayana_reduced(n).scale(rho)
+    low, high = narayana_reduced(n), narayana_reduced(n + 1)
+    rho = narayana_rho(n, (low, high))
+    numer = high - low.scale(rho)
     if numer.evaluate(1) != 0:
         raise ConstructionError(f"combination does not vanish at 1 for n={n}")
     by_division, remainder = numer.divide_linear(1)

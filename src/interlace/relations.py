@@ -70,6 +70,17 @@ PASS = "pass"
 FAIL_CLAUSE = "fail"
 SKIPPED = "skipped"
 
+# Every row name a check can write, in the order its rows come.
+#: the rows of every report, ahead of its clauses (``CheckReport.csv_rows``)
+REPORT_ROWS = ("identity", "hypotheses", "premise")
+PAIR_UP_CLAUSES = ("e_position", "added_point", "full_iff")
+DOWN_ONE_CLAUSES = ("added_point", "full_when_e_above", "full_when_e_below")
+#: narayana-3.4 at even n (``check_narayana_even_quotient``)
+EVEN_QUOTIENT_CHECK = "narayana-3.4"
+EVEN_QUOTIENT_CLAUSES = ("common_zero_at_minus_one", "quotient_interlace")
+#: the one row of a sweep point that raised, in place of its report
+BUILD_ROW = "build"
+
 
 class IdentityError(RuntimeError):
     """A transcribed relation failed its exact identity check (fatal)."""
@@ -436,10 +447,10 @@ class CheckReport:
             prem_result = PASS
         else:
             prem_result = SKIPPED if not self.hypotheses_ok else FAIL_CLAUSE
+        results = (PASS if self.identity_ok else FAIL_CLAUSE, hyp_result, prem_result)
         rows = [
-            {**base, "clause": "identity", "result": PASS if self.identity_ok else FAIL_CLAUSE},
-            {**base, "clause": "hypotheses", "result": hyp_result},
-            {**base, "clause": "premise", "result": prem_result},
+            {**base, "clause": name, "result": result}
+            for name, result in zip(REPORT_ROWS, results)
         ]
         for name, result in self.clauses.items():
             rows.append({**base, "clause": name, "result": result})
@@ -564,7 +575,7 @@ def check_pair_up(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckRepo
         else:
             report.premise = prem_qg if prem_qg.kind == INCONCLUSIVE else prem_gq
             report.notes.append("premise failed: zero sets of Q and G do not alternate")
-            return _skip_rest(report, ("e_position", "added_point", "full_iff"))
+            return _skip_rest(report, PAIR_UP_CLAUSES)
 
     case_low = report.premise_kind == "q_below_g"
 
@@ -583,13 +594,13 @@ def check_pair_up(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckRepo
     )
 
     if not report.hypotheses_ok:
-        return _skip_rest(report, ("added_point", "full_iff"))
+        return _skip_rest(report, PAIR_UP_CLAUSES)
 
     try:
         ap = added_point_interlace(zp, rel.E, zg, floor)
     except CommonPointError:
         report.hypotheses["e_not_on_g_zero"] = False
-        return _skip_rest(report, ("added_point", "full_iff"))
+        return _skip_rest(report, PAIR_UP_CLAUSES)
     want = "P_below_G" if case_low else "G_below_P"
     if ap.kind == INCONCLUSIVE:
         report.clauses["added_point"] = SKIPPED
@@ -610,9 +621,6 @@ def check_pair_up(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckRepo
             PASS if (side_gap > 0) == (full.kind == INTERLACE_DOWN) else FAIL_CLAUSE
         )
     return report
-
-
-DOWN_ONE_CLAUSES = ("added_point", "full_when_e_above", "full_when_e_below")
 
 
 def check_down_one(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckReport:
@@ -658,6 +666,7 @@ SHAPE_CHECKERS = {
     PAIR_UP: check_pair_up,
     DOWN_ONE: check_down_one,
 }
+SHAPE_CLAUSES = {PAIR_UP: PAIR_UP_CLAUSES, DOWN_ONE: DOWN_ONE_CLAUSES}
 
 
 def check_relation(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckReport:
@@ -673,7 +682,7 @@ def check_narayana_even_quotient(n: int, floor: float = DEFAULT_FLOOR) -> CheckR
     """Even-index branch: P and G share the zero -1, so the reference set is
     the exact quotient of G by (x + 1) and the claim is plain interlacing."""
     rel = build_relation("narayana-perturbed", n)
-    report = _new_report(rel, "narayana-3.4")
+    report = _new_report(rel, EVEN_QUOTIENT_CHECK)
     report.premise_kind = "even-quotient"
     shared = rel.P.evaluate(Fraction(-1)) == 0 and rel.G.evaluate(Fraction(-1)) == 0
     report.clauses["common_zero_at_minus_one"] = PASS if shared else FAIL_CLAUSE
@@ -697,12 +706,20 @@ def run_check(
     """Build the relation behind a named check and run its shape checker."""
     if check_id not in CHECK_TO_PAIR:
         raise InvalidParameterError(f"unknown check id {check_id!r}")
-    if check_id == "narayana-3.4" and n % 2 == 0:
+    if check_id == EVEN_QUOTIENT_CHECK and n % 2 == 0:
         return check_narayana_even_quotient(n, floor)
     rel = build_relation(CHECK_TO_PAIR[check_id], n, params)
     report = check_relation(rel, floor)
     report.check_id = check_id
     return report
+
+
+def clause_names(check_id: str) -> tuple[str, ...]:
+    """Every row name a sweep of ``check_id`` can write, in row order."""
+    names = REPORT_ROWS + SHAPE_CLAUSES[PAIRS[CHECK_TO_PAIR[check_id]].shape]
+    if check_id == EVEN_QUOTIENT_CHECK:
+        names += EVEN_QUOTIENT_CLAUSES
+    return names + (BUILD_ROW,)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -30,8 +31,12 @@ from .families import (
     FamilySpec,
     InvalidParameterError,
     ORTHOGONAL_KINDS,
-    recurrence_coeffs,
+    recurrence_steps,
 )
+
+# recurrence_coeffs is not called here, but the benchmark's span tracer
+# (perfbench/tracer.py) wraps it under this module's name.
+from .families import recurrence_coeffs  # noqa: F401
 from .poly import Polynomial
 
 #: companion eigenvalues with |Im| <= REALITY_THRESHOLD * max(1, |Re|) count as real.
@@ -181,22 +186,19 @@ def zeros_orthogonal(spec: FamilySpec) -> ZeroSet:
         raise InvalidParameterError(
             f"zeros_orthogonal needs a recurrence family, not {spec.kind}"
         )
-    rc = recurrence_coeffs(spec)
-    for k, lam in enumerate(rc.lam):
-        # a Fraction's denominator is positive, so its numerator carries the sign
-        if k > 0 and lam.numerator <= 0:
+    steps = recurrence_steps(spec)
+    for k, (_, _, u, v) in enumerate(steps[1:], start=1):
+        # a step's denominator is positive, so its numerator carries the sign
+        if u <= 0:
             raise InvalidParameterError(
-                f"off-diagonal recurrence term {k + 1} is not positive ({lam}); "
+                f"off-diagonal recurrence term {k + 1} is not positive ({Fraction(u, v)}); "
                 f"parameters outside the orthogonality region"
             )
     n = spec.n
     if n == 0:
         return ZeroSet((), 0.0, METHOD_JACOBI, spec)
-    # numerator / denominator is float(Fraction), without the generic Rational path
-    cl = tuple(
-        (c.numerator / c.denominator, l.numerator / l.denominator)
-        for c, l in zip(rc.c, rc.lam)
-    )
+    # int / int rounds correctly: each double is bit for bit float(Fraction(a, b))
+    cl = tuple((a / b, u / v) for a, b, u, v in steps)
     if n == 1:
         raw = [cl[0][0]]
     else:

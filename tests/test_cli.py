@@ -16,9 +16,10 @@ import pytest
 
 import interlace
 
-from interlace import cli
+from interlace import cli, families, relations
 from interlace.cli import build_parser, main, parse_fraction, table2_data
 from interlace.families import InvalidParameterError
+from interlace.rootfind import RootComputationError
 
 from fractions import Fraction as F
 
@@ -136,6 +137,21 @@ class TestZerosCommand:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+    def test_failed_zero_computation_exits_three(self, capsys, monkeypatch):
+        # An internal error, which must not share exit 1 with a clause failure
+        def fail(poly):
+            raise RootComputationError("companion eigenvalue 1j is not real")
+
+        monkeypatch.setattr(relations, "zeros_general", fail)
+        code, out, err = run_cli(capsys, "zeros", "--family", "narayana-reduced", "--n", "5")
+        assert (code, out) == (3, "")
+        assert err == "error: zeros: companion eigenvalue 1j is not real\n"
+
+    def test_coefficient_beyond_a_double_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "zeros", "--family", "narayana-reduced", "--n", "600")
+        assert (code, out) == (2, "")
+        assert err == "error: zeros: the coefficient of x^174 does not fit in a double\n"
 
 
 class TestCheckCommand:
@@ -364,6 +380,14 @@ class TestSweepCommand:
             (
                 {"n": "2", "params": {"alpha": [0]}, "clauses": [1]},
                 "error: sweep spec 'clauses' must be a list of clause names (got [1])\n",
+            ),
+            # A misspelt clause matched no row: the sweep checked nothing and
+            # exited 0.
+            (
+                {"n": "2", "params": {"alpha": [0]}, "clauses": ["added_piont", "premise"]},
+                "error: sweep spec 'clauses' names 'added_piont', not a clause of laguerre-3.7 "
+                "(its clauses: identity, hypotheses, premise, e_position, added_point, "
+                "full_iff, build)\n",
             ),
         ],
     )
@@ -605,6 +629,52 @@ class TestSweepCommand:
             check=True,
         )
         assert result.stdout == "0 9 []\n"
+
+
+class TestChainScope:
+    """Each command shares its recurrence chains, and none outlives it."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("check", "jacobi-3.6", "--n", "6", "--alpha", "2", "--beta", "14"), 0),
+            (("zeros", "--family", "laguerre", "--alpha", "0", "--n", "4"), 0),
+            (("poly", "--family", "jacobi", "--alpha", "-2", "--beta", "0", "--n", "3"), 2),
+        ],
+    )
+    def test_no_chain_held_after_main(self, capsys, monkeypatch, argv, code):
+        seen = []
+        build = families.monic_by_recurrence
+
+        def watched(spec):
+            seen.append(families._CHAINS.get() is not None)
+            return build(spec)
+
+        monkeypatch.setattr(families, "monic_by_recurrence", watched)
+        monkeypatch.setattr(relations, "monic_by_recurrence", watched)
+        assert families._CHAINS.get() is None
+        assert run_cli(capsys, *argv)[0] == code
+        assert families._CHAINS.get() is None
+        assert all(seen)
+
+    def test_check_builds_each_shared_member_once(self, capsys, monkeypatch):
+        # jacobi-3.6: G and Q come from one chain, P from another
+        made = []
+        rule = families._step_rule
+
+        def counted(spec):
+            made.append((spec.kind, spec.params))
+            return rule(spec)
+
+        monkeypatch.setattr(families, "_step_rule", counted)
+        code, _, _ = run_cli(capsys, "check", "jacobi-3.6", "--n", "6", "--alpha", "2", "--beta", "14")
+        assert code == 0
+        assert sorted(made) == sorted(
+            [
+                ("jacobi", (("alpha", F(2)), ("beta", F(14)))),
+                ("jacobi", (("alpha", F(3)), ("beta", F(15)))),
+            ]
+        )
 
 
 class TestNegativeRationals:

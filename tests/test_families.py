@@ -11,6 +11,7 @@ from interlace.families import (
     ConstructionError,
     FamilySpec,
     InvalidParameterError,
+    chain_scope,
     jacobi,
     krawtchouk,
     laguerre,
@@ -24,6 +25,7 @@ from interlace.families import (
     narayana_spec,
     recurrence_coeffs,
 )
+from interlace.rootfind import zeros_orthogonal
 from interlace.poly import Polynomial, _integer_form
 
 from exact_reference import (
@@ -196,8 +198,12 @@ class TestRecurrenceCoeffs:
         (a, b), d = _integer_form((alpha, beta))
         for k in range(61):
             got = families._jacobi_step(a, b, d, k)
-            assert got == _reference_jacobi_step(alpha, beta, k)
-            assert all(type(x) is F for x in got)
+            assert all(type(x) is int for x in got)
+            c_num, c_den, l_num, l_den = got
+            # each ratio in lowest terms over a positive denominator
+            assert c_den > 0 and l_den > 0
+            assert math.gcd(c_num, c_den) == 1 and math.gcd(l_num, l_den) == 1
+            assert (F(c_num, c_den), F(l_num, l_den)) == _reference_jacobi_step(alpha, beta, k)
 
 
 KERNEL_NS = (0, 1, 2, 3, 20, 60)
@@ -239,11 +245,77 @@ class TestExactKernel:
     def test_hypergeometric_route_agrees_at_degree_40(self, spec):
         assert hypergeometric_check(spec) == monic_by_recurrence(spec)
 
-    def test_recurrence_coeffs_cached_per_spec(self):
-        first = recurrence_coeffs(jacobi(2, 14, 12))
-        assert recurrence_coeffs(jacobi(2, 14, 12)) is first
-        assert recurrence_coeffs(jacobi(2, 14, 13)) is not first
-        assert isinstance(first.c, tuple) and isinstance(first.lam, tuple)
+
+#: degrees asked of one chain out of order: it extends, answers from its
+#: prefix, then extends again
+OUT_OF_ORDER = (40, 8, 41)
+
+
+class TestChain:
+    """Members and coefficients shared through ``chain_scope`` against fresh runs."""
+
+    def test_members_shared_within_a_scope_only(self):
+        with chain_scope():
+            first = monic_by_recurrence(jacobi(2, 14, 12))
+            assert monic_by_recurrence(jacobi(2, 14, 12)) is first
+            assert monic_by_recurrence(jacobi(2, 14, 13)) is not first
+            assert families._CHAINS.get() is not None
+        assert families._CHAINS.get() is None
+        assert monic_by_recurrence(jacobi(2, 14, 12)) is not first
+        assert monic_by_recurrence(jacobi(2, 14, 12)) == first
+        rc = recurrence_coeffs(jacobi(2, 14, 12))
+        assert isinstance(rc.c, tuple) and isinstance(rc.lam, tuple)
+
+    def test_one_chain_per_kind_and_parameters(self):
+        with chain_scope():
+            monic_by_recurrence(jacobi(2, 14, 5))
+            monic_by_recurrence(jacobi(3, 15, 4))
+            recurrence_coeffs(jacobi(2, 14, 9))
+            zeros_orthogonal(laguerre(F(1, 2), 3))
+            chains = families._CHAINS.get()
+            assert set(chains) == {
+                ("jacobi", (("alpha", F(2)), ("beta", F(14)))),
+                ("jacobi", (("alpha", F(3)), ("beta", F(15)))),
+                ("laguerre", (("alpha", F(1, 2)),)),
+            }
+            longest = chains["jacobi", (("alpha", F(2)), ("beta", F(14)))]
+            assert (len(longest.steps), len(longest.members)) == (9, 6)
+            # members past the built ones run on the steps already formed
+            assert monic_by_recurrence(jacobi(2, 14, 9)) == _reference_monic(jacobi(2, 14, 9))
+            assert (len(longest.steps), len(longest.members)) == (9, 10)
+
+    def test_nested_scope_starts_empty_and_restores(self):
+        with chain_scope():
+            monic_by_recurrence(jacobi(2, 14, 5))
+            outer = families._CHAINS.get()
+            with chain_scope():
+                assert families._CHAINS.get() == {}
+                monic_by_recurrence(laguerre(0, 3))
+            assert families._CHAINS.get() is outer and len(outer) == 1
+
+    @pytest.mark.parametrize("make", COEFF_SPECS)
+    def test_members_out_of_order_match_fresh_builds(self, make):
+        with chain_scope():
+            shared = [monic_by_recurrence(make(n)) for n in OUT_OF_ORDER]
+        for n, member in zip(OUT_OF_ORDER, shared):
+            fresh = monic_by_recurrence(make(n))
+            assert (member.nums, member.den) == (fresh.nums, fresh.den), make(n)
+            assert member.degree == n and member.is_monic
+
+    @pytest.mark.parametrize("make", COEFF_SPECS)
+    def test_coefficient_prefixes_match_fraction_reference(self, make):
+        with chain_scope():
+            for n in (*OUT_OF_ORDER, 0, 60):
+                spec = make(n)
+                rc = recurrence_coeffs(spec)
+                ref_c, ref_lam = _reference_coeffs(spec)
+                assert list(rc.c) == ref_c and list(rc.lam) == ref_lam, spec
+
+    @pytest.mark.parametrize("make", COEFF_SPECS)
+    def test_zeros_out_of_order_match_fresh_solves(self, make):
+        with chain_scope():
+            shared = [zeros_orthogonal(make(n)) for n in OUT_OF_ORDER]
+        assert shared == [zeros_orthogonal(make(n)) for n in OUT_OF_ORDER]
 
 
 class TestNarayana:

@@ -373,3 +373,36 @@ class TestReportSerialization:
     def test_unknown_check_id(self):
         with pytest.raises(InvalidParameterError):
             run_check("lagrange-9.9", 4, {})
+
+
+def _is_subsequence(names, of):
+    rest = iter(of)
+    return all(name in rest for name in names)
+
+
+class TestClauseNames:
+    """``clause_names`` lists every row a check writes, in row order."""
+
+    @pytest.mark.parametrize(
+        "check_id, n, params",
+        [
+            ("krawtchouk-3.1", 3, {"p": F(1, 2), "N": 6}),
+            ("meixner-3.2", 3, {"t": 1, "w": F(1, 2)}),
+            ("narayana-3.3", 5, {}),
+            ("narayana-3.4", 4, {}),  # even: the quotient branch
+            ("narayana-3.4", 5, {}),
+            ("jacobi-3.5", 4, {"alpha": 1, "beta": 2}),
+            ("jacobi-3.6", 4, {"alpha": 2, "beta": 14}),
+            ("jacobi-3.6", 3, {"alpha": 2, "beta": 2}),  # E a common zero of G and P
+            ("laguerre-3.7", 3, {"alpha": 0}),
+            ("laguerre-3.7", 8, {"alpha": F(-1, 2)}),
+        ],
+    )
+    def test_every_row_is_listed_in_order(self, check_id, n, params):
+        rows = [row["clause"] for row in run_check(check_id, n, params).csv_rows()]
+        assert rows[:3] == list(relations.REPORT_ROWS)
+        assert _is_subsequence(rows, relations.clause_names(check_id)), rows
+
+    def test_build_row_ends_every_list(self):
+        for check_id in relations.CHECK_IDS:
+            assert relations.clause_names(check_id)[-1] == relations.BUILD_ROW

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -62,6 +63,20 @@ class TestSpectralPath:
     def test_rejects_narayana_kind(self):
         with pytest.raises(InvalidParameterError):
             zeros_orthogonal(families.narayana_spec("narayana-reduced", 3))
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            # l_2 = 1 (1 - 3) = -2
+            ("laguerre", (("alpha", F(-3)),), "term 2 is not positive (-2)"),
+            # l_2 = 16 / -48: the formula puts the sign in the denominator
+            ("jacobi", (("alpha", F(-3)), ("beta", F(-3))), "term 2 is not positive (-1/3)"),
+        ],
+    )
+    def test_rejects_a_nonpositive_offdiagonal_term(self, kind, params, message):
+        spec = families.FamilySpec(kind, params, 2)  # unvalidated, outside the region
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            zeros_orthogonal(spec)
 
     @pytest.mark.parametrize("n", [1, 5, 12, 25])
     def test_zeros_inside_family_support(self, n):

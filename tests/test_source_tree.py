@@ -90,3 +90,11 @@ def test_every_shape_is_reachable():
     for mode in _assigned(cli, "ORACLE_MODES").elts:
         reached.add(value(mode).replace("-", "_"))
     assert shapes - reached == set()
+
+
+def test_no_cache_outlives_a_command():
+    """Shared results live in ``families.chain_scope``, which each command
+    opens and drops; a process-wide memo would outlive the command."""
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "lru_cache" not in text and "functools.cache" not in text, path.name

@@ -54,6 +54,7 @@ from .rootfind import zeros_general, zeros_orthogonal  # noqa: F401
 PARAM_FLAGS = tuple(f"--{name}" for name in ("alpha", "beta", "p", "N", "t", "w"))
 NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
 ORACLE_MODES = ("down-one", "pair-up")
+ORACLE_SEEDS = 100
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -93,6 +94,14 @@ def _add_family_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _params_from_args(args, names: tuple[str, ...], what: str) -> dict:
+    """The parameters ``names`` from their flags; a flag ``what`` does not take is refused."""
+    unused = [
+        flag
+        for flag in PARAM_FLAGS
+        if flag[2:] not in names and getattr(args, flag[2:]) is not None
+    ]
+    if unused:
+        raise InvalidParameterError(f"{what} does not take {', '.join(unused)}")
     params = {}
     for name in names:
         raw = getattr(args, name)
@@ -264,19 +273,26 @@ def _table2_rows(digits: int) -> list[dict]:
 
 
 def _parse_n_range(text) -> list[int]:
-    """Degrees from "N", "lo..hi" or a [lo, hi] pair; an empty range is refused."""
+    """Degrees from "N", "lo..hi" or a [lo, hi] pair; an empty range is refused.
+
+    A pair's bounds must be JSON integers: ``int`` would truncate 1.9 and read
+    true as 1.
+    """
+    malformed = InvalidParameterError(
+        f"degree range must be N or lo..hi with integers (got {text!r})"
+    )
     if isinstance(text, list):
-        bounds = text
+        if len(text) != 2 or not all(type(b) is int for b in text):
+            raise malformed
+        lo, hi = text
     else:
         bounds = str(text).split("..", 1)
         if len(bounds) == 1:  # "N" is the range N..N
             bounds *= 2
-    try:
-        lo, hi = (int(b) for b in bounds)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(
-            f"degree range must be N or lo..hi with integers (got {text!r})"
-        ) from None
+        try:
+            lo, hi = (int(b) for b in bounds)
+        except ValueError:
+            raise malformed from None
     if lo > hi:
         raise InvalidParameterError(f"degree range {text!r} is empty")
     return list(range(lo, hi + 1))
@@ -463,14 +479,22 @@ def cmd_sweep(args) -> int:
         raise InvalidParameterError(f"--workers must be >= 1 (got {workers})")
     keep = None
     if args.oracle:
-        if args.seeds < 1:
-            raise InvalidParameterError(f"--seeds must be >= 1 (got {args.seeds})")
+        if args.spec_file:
+            raise InvalidParameterError("sweep takes a spec file or --oracle, not both")
+        seeds = ORACLE_SEEDS if args.seeds is None else args.seeds
+        if seeds < 1:
+            raise InvalidParameterError(f"--seeds must be >= 1 (got {seeds})")
         ns = _parse_n_range(args.n or "1..8")
-        points = [(n, seed) for n in ns for seed in range(args.seeds)]
+        points = [(n, seed) for n in ns for seed in range(seeds)]
         run = partial(_run_oracle_point, args.oracle, floor=floor)
     else:
         if not args.spec_file:
             raise InvalidParameterError("sweep needs a spec file or --oracle")
+        given = [flag for flag in ("--n", "--seeds") if getattr(args, flag[2:]) is not None]
+        if given:
+            raise InvalidParameterError(
+                f"a spec-file sweep does not take {', '.join(given)} (oracle degrees and seeds)"
+            )
         try:
             with open(args.spec_file, "r", encoding="utf-8") as handle:
                 spec = json.load(handle)
@@ -560,7 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("spec_file", nargs="?", default=None)
     p_sweep.add_argument("--oracle", choices=ORACLE_MODES, default=None)
     p_sweep.add_argument("--n", default=None, help="range like 1..8 (oracle mode)")
-    p_sweep.add_argument("--seeds", type=int, default=100)
+    p_sweep.add_argument(
+        "--seeds", type=int, default=None, help=f"oracle seeds per degree (default {ORACLE_SEEDS})"
+    )
     p_sweep.add_argument(
         "--workers",
         type=int,

@@ -55,7 +55,12 @@ class ConstructionError(RuntimeError):
 
 
 def exact_rational(value) -> Fraction:
-    """``Fraction(value)``, refusing binary floats rather than reading their exact value."""
+    """``Fraction(value)``, refusing binary floats rather than reading their exact value.
+
+    A ``Fraction`` is already exact and comes back as the same object.
+    """
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise InvalidParameterError(
             f"parameters must be exact rationals, got float {value!r}"
@@ -92,33 +97,35 @@ class FamilySpec:
         raise KeyError(name)
 
     def validate(self) -> None:
+        # Each bound is tested on a parameter's numerator against its positive
+        # denominator: x > -1 iff num > -den, and 0 < x < 1 iff 0 < num < den.
         n = self.n
         if n < 0:
             raise InvalidParameterError(f"degree index must be nonnegative, got n={n}")
         kind = self.kind
         if kind == "jacobi":
             alpha, beta = self.param("alpha"), self.param("beta")
-            if alpha <= -1:
+            if alpha.numerator <= -alpha.denominator:
                 raise InvalidParameterError(f"jacobi requires alpha > -1 (got alpha={alpha})")
-            if beta <= -1:
+            if beta.numerator <= -beta.denominator:
                 raise InvalidParameterError(f"jacobi requires beta > -1 (got beta={beta})")
         elif kind == "laguerre":
             alpha = self.param("alpha")
-            if alpha <= -1:
+            if alpha.numerator <= -alpha.denominator:
                 raise InvalidParameterError(f"laguerre requires alpha > -1 (got alpha={alpha})")
         elif kind == "krawtchouk":
             p, N = self.param("p"), self.param("N")
-            if not (0 < p < 1):
+            if not (0 < p.numerator < p.denominator):
                 raise InvalidParameterError(f"krawtchouk requires 0 < p < 1 (got p={p})")
-            if N.denominator != 1 or N < 1:
+            if N.denominator != 1 or N.numerator < 1:
                 raise InvalidParameterError(f"krawtchouk requires integer N >= 1 (got N={N})")
-            if n > N:
+            if n > N.numerator:
                 raise InvalidParameterError(f"krawtchouk requires n <= N (got n={n}, N={N})")
         elif kind == "meixner":
             t, w = self.param("t"), self.param("w")
-            if t <= 0:
+            if t.numerator <= 0:
                 raise InvalidParameterError(f"meixner requires t > 0 (got t={t})")
-            if not (0 < w < 1):
+            if not (0 < w.numerator < w.denominator):
                 raise InvalidParameterError(f"meixner requires 0 < w < 1 (got w={w})")
         elif kind == "narayana" or kind == "narayana-reduced":
             if n < 1:
@@ -294,8 +301,9 @@ class _Chain:
         return members[n]
 
 
-#: (kind, parameters) -> its chain, while a chain scope is open.  A context
-#: variable, so a thread that opens no scope of its own shares no chain.
+#: (kind, numerator, denominator, ... of each parameter) -> its chain, while a
+#: chain scope is open.  A context variable, so a thread that opens no scope of
+#: its own shares no chain.
 _CHAINS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("chains", default=None)
 
 
@@ -319,7 +327,8 @@ def _chain(spec: FamilySpec) -> _Chain:
     chains = _CHAINS.get()
     if chains is None:
         return _Chain(_step_rule(spec))
-    key = (spec.kind, spec.params)
+    # Keyed on integers: a Fraction hashes through a modular inverse on every call.
+    key = (spec.kind, *[x for _, v in spec.params for x in (v.numerator, v.denominator)])
     chain = chains.get(key)
     if chain is None:
         chain = chains[key] = _Chain(_step_rule(spec))

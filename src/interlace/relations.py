@@ -54,6 +54,7 @@ from .interlacing import (
 from .poly import (
     Polynomial,
     _convolve,
+    _integer_form,
     monic_linear,
     products_cancel,
     root_product,
@@ -190,18 +191,53 @@ class PairEntry:
         return families.PARAM_NAMES[self.family]
 
 
+# Every scalar and shifted parameter below is formed from the parameters'
+# integer numerators over their common denominator, one Fraction per stored
+# value, as ``families._step_rule`` forms the recurrence steps; the comment
+# beside each gives the display it transcribes.
+
+
+def _shift(x: Fraction, k: int) -> Fraction:
+    """The shifted parameter x + k."""
+    return Fraction(x.numerator + k * x.denominator, x.denominator)
+
+
 def _krawtchouk_check(n, p, N):
-    if N.denominator != 1 or N < 1:
+    if N.denominator != 1 or N.numerator < 1:
         raise InvalidParameterError(f"krawtchouk relation needs integer N >= 1 (got N={N})")
-    if n + 1 > N:
+    if n + 1 > N.numerator:
         raise InvalidParameterError(
             f"krawtchouk relation needs n + 1 <= N so both parameter columns exist "
             f"(got n={n}, N={N})"
         )
 
 
+def _krawtchouk_a(n, p, N):
+    # p (1 - p) (n + 1) (N + 1 - n), with p = u/v
+    u, v = p.numerator, p.denominator
+    return [Fraction(u * (v - u) * (n + 1) * (N.numerator + 1 - n), v * v)]
+
+
+def _krawtchouk_e(n, p, N):
+    # N + 1 - p (n + 1)
+    u, v = p.numerator, p.denominator
+    return Fraction((N.numerator + 1) * v - u * (n + 1), v)
+
+
+def _meixner_a(n, t, w):
+    # w (n + 1) (n + t) / (1 - w)^2, with t = a/d and w = u/v
+    a, d, u, v = t.numerator, t.denominator, w.numerator, w.denominator
+    return [Fraction(u * v * (n + 1) * (n * d + a), d * (v - u) ** 2)]
+
+
+def _meixner_e(n, t, w):
+    # -t + w (n + 1) / (1 - w)
+    a, d, u, v = t.numerator, t.denominator, w.numerator, w.denominator
+    return Fraction(d * u * (n + 1) - a * (v - u), d * (v - u))
+
+
 def _jacobi_beta_check(n, alpha, beta):
-    if beta <= 0:
+    if beta.numerator <= 0:
         raise InvalidParameterError(
             f"jacobi-beta relation needs beta > 0 so the lowered parameter stays valid "
             f"(got beta={beta})"
@@ -212,18 +248,45 @@ def _jacobi_beta_a(n, alpha, beta):
     # Scalar normalizer for monic members; the added point E and the root
     # of A follow the usual display of this relation, whose own scalars
     # belong to a non-monic normalization and fail the exact residual here.
-    s = alpha + beta
-    M = 2 * (n + 1) * (n + alpha + 1) / ((2 * n + s + 1) * (2 * n + s + 2))
-    return [M * (1 + 2 * beta / (2 * n + s + 3)), M]
+    # M = 2 (n + 1) (n + alpha + 1) / ((2n + alpha + beta + 1) (2n + alpha + beta + 2)),
+    # A = [M (1 + 2 beta / (2n + alpha + beta + 3)), M];
+    # alpha = a/d, beta = b/d and s = d (2n + alpha + beta)
+    (a, b), d = _integer_form((alpha, beta))
+    s = 2 * n * d + a + b
+    m_num, m_den = 2 * d * (n + 1) * (n * d + a + d), (s + d) * (s + 2 * d)
+    return [Fraction(m_num * (s + 3 * d + 2 * b), m_den * (s + 3 * d)), Fraction(m_num, m_den)]
 
 
 def _jacobi_beta_e(n, alpha, beta):
-    s = alpha + beta
-    return -1 + 2 * (n + 1) * (n + alpha + 1) / ((2 * n + s + 2) * (2 * n + s + 3))
+    # -1 + 2 (n + 1) (n + alpha + 1) / ((2n + alpha + beta + 2) (2n + alpha + beta + 3))
+    (a, b), d = _integer_form((alpha, beta))
+    s = 2 * n * d + a + b
+    den = (s + 2 * d) * (s + 3 * d)
+    return Fraction(2 * d * (n + 1) * (n * d + a + d) - den, den)
+
+
+def _jacobi_shift_a(n, alpha, beta):
+    # (n + alpha + beta + 1) / n
+    (a, b), d = _integer_form((alpha, beta))
+    return [Fraction(n * d + a + b + d, n * d)]
+
+
+def _jacobi_shift_b(n, alpha, beta):
+    # (2n + alpha + beta + 1) / n
+    (a, b), d = _integer_form((alpha, beta))
+    return [Fraction(2 * n * d + a + b + d, n * d)]
 
 
 def _jacobi_shift_e(n, alpha, beta):
-    return (alpha - beta) / (2 * n + alpha + beta + 2)
+    # (alpha - beta) / (2n + alpha + beta + 2)
+    (a, b), d = _integer_form((alpha, beta))
+    return Fraction(a - b, 2 * n * d + a + b + 2 * d)
+
+
+def _laguerre_a(n, alpha):
+    # (n + 1) (n + alpha + 1)
+    a, d = alpha.numerator, alpha.denominator
+    return [Fraction((n + 1) * (n * d + a + d), d)]
 
 
 _HALF_LINE = lambda n, **_: (0.0, None)  # noqa: E731
@@ -236,24 +299,24 @@ PAIRS = {
         shape=PAIR_UP,
         family="krawtchouk",
         check=_krawtchouk_check,
-        P=lambda n, p, N: families.krawtchouk(p, N + 1, n),
+        P=lambda n, p, N: families.krawtchouk(p, N.numerator + 1, n),
         G=lambda n, p, N: families.krawtchouk(p, N, n + 1),
-        Q=lambda n, p, N: families.krawtchouk(p, N + 1, n + 1),
-        A=lambda n, p, N: [p * (1 - p) * (n + 1) * (N + 1 - n)],
-        B=lambda n, p, N: [N + 1, -1],
-        E=lambda n, p, N: N + 1 - p * (n + 1),
-        support=lambda n, p, N: (0.0, float(N + 1)),
+        Q=lambda n, p, N: families.krawtchouk(p, N.numerator + 1, n + 1),
+        A=_krawtchouk_a,
+        B=lambda n, p, N: [N.numerator + 1, -1],
+        E=_krawtchouk_e,
+        support=lambda n, p, N: (0.0, float(N.numerator + 1)),
     ),
     "meixner": PairEntry(
         check_id="meixner-3.2",
         shape=PAIR_UP,
         family="meixner",
         P=lambda n, t, w: families.meixner(t, w, n),
-        G=lambda n, t, w: families.meixner(t + 1, w, n + 1),
+        G=lambda n, t, w: families.meixner(_shift(t, 1), w, n + 1),
         Q=lambda n, t, w: families.meixner(t, w, n + 1),
-        A=lambda n, t, w: [w * (n + 1) * (n + t) / (1 - w) ** 2],
+        A=_meixner_a,
         B=lambda n, t, w: [-t, -1],
-        E=lambda n, t, w: -t + w * (n + 1) / (1 - w),
+        E=_meixner_e,
         support=_HALF_LINE,
     ),
     "narayana-christoffel": PairEntry(
@@ -287,8 +350,8 @@ PAIRS = {
         min_n=1,
         check=_jacobi_beta_check,
         P=lambda n, alpha, beta: families.jacobi(alpha, beta, n),
-        G=lambda n, alpha, beta: families.jacobi(alpha, beta + 1, n + 1),
-        Q=lambda n, alpha, beta: families.jacobi(alpha, beta - 1, n + 1),
+        G=lambda n, alpha, beta: families.jacobi(alpha, _shift(beta, 1), n + 1),
+        Q=lambda n, alpha, beta: families.jacobi(alpha, _shift(beta, -1), n + 1),
         A=_jacobi_beta_a,
         B=lambda n, alpha, beta: [-1, -1],
         E=_jacobi_beta_e,
@@ -300,10 +363,10 @@ PAIRS = {
         family="jacobi",
         min_n=1,
         P=lambda n, alpha, beta: families.jacobi(alpha, beta, n),
-        G=lambda n, alpha, beta: families.jacobi(alpha + 1, beta + 1, n),
-        Q=lambda n, alpha, beta: families.jacobi(alpha + 1, beta + 1, n - 1),
-        A=lambda n, alpha, beta: [(n + alpha + beta + 1) / n],
-        B=lambda n, alpha, beta: [(2 * n + alpha + beta + 1) / n],
+        G=lambda n, alpha, beta: families.jacobi(_shift(alpha, 1), _shift(beta, 1), n),
+        Q=lambda n, alpha, beta: families.jacobi(_shift(alpha, 1), _shift(beta, 1), n - 1),
+        A=_jacobi_shift_a,
+        B=_jacobi_shift_b,
         E=_jacobi_shift_e,
         support=_JACOBI_INTERVAL,
     ),
@@ -312,9 +375,9 @@ PAIRS = {
         shape=PAIR_UP,
         family="laguerre",
         P=lambda n, alpha: families.laguerre(alpha, n),
-        G=lambda n, alpha: families.laguerre(alpha + 1, n + 1),
+        G=lambda n, alpha: families.laguerre(_shift(alpha, 1), n + 1),
         Q=lambda n, alpha: families.laguerre(alpha, n + 1),
-        A=lambda n, alpha: [(n + 1) * (n + alpha + 1)],
+        A=_laguerre_a,
         B=lambda n, alpha: [0, -1],
         E=lambda n, alpha: Fraction(n + 1),
         support=_HALF_LINE,

@@ -5,12 +5,15 @@ recurrence.  The terminating 2F1 sums below are a second, independent route
 to the same monic polynomials, and ``hypergeometric_check`` asserts that the
 two agree.  The discrete weights and the closed-form value of a Krawtchouk
 member at its support edge give further exact facts to test the recurrence
-members against.
+members against.  ``PAIRS_REFERENCE`` transcribes each named relation's
+displays in ``Fraction`` arithmetic, the form the program's integer table
+must reproduce.
 """
 
 import math
 from fractions import Fraction
 
+from interlace import families
 from interlace.families import (
     ConstructionError,
     FamilySpec,
@@ -95,3 +98,83 @@ def weight_at(spec: FamilySpec, x: int) -> Fraction:
 def krawtchouk_edge_value(k: int, p: Fraction, M: int) -> Fraction:
     """Value of the degree-k member with parameter M evaluated at x = M."""
     return Fraction(math.factorial(k)) * math.comb(M, k) * (1 - p) ** k
+
+
+# ---------------------------------------------------------------------------
+# The relation table in Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _jacobi_beta_a(n, alpha, beta):
+    s = alpha + beta
+    M = 2 * (n + 1) * (n + alpha + 1) / ((2 * n + s + 1) * (2 * n + s + 2))
+    return [M * (1 + 2 * beta / (2 * n + s + 3)), M]
+
+
+def _jacobi_beta_e(n, alpha, beta):
+    s = alpha + beta
+    return -1 + 2 * (n + 1) * (n + alpha + 1) / ((2 * n + s + 2) * (2 * n + s + 3))
+
+
+#: pair id -> {term: f(n, **params)}: the member specs P, G and Q, the
+#: coefficient lists A and B, the added point E and a support that depends on
+#: the parameters, each display written directly in Fraction arithmetic
+PAIRS_REFERENCE = {
+    "krawtchouk": dict(
+        P=lambda n, p, N: families.krawtchouk(p, N + 1, n),
+        G=lambda n, p, N: families.krawtchouk(p, N, n + 1),
+        Q=lambda n, p, N: families.krawtchouk(p, N + 1, n + 1),
+        A=lambda n, p, N: [p * (1 - p) * (n + 1) * (N + 1 - n)],
+        B=lambda n, p, N: [N + 1, -1],
+        E=lambda n, p, N: N + 1 - p * (n + 1),
+        support=lambda n, p, N: (0.0, float(N + 1)),
+    ),
+    "meixner": dict(
+        P=lambda n, t, w: families.meixner(t, w, n),
+        G=lambda n, t, w: families.meixner(t + 1, w, n + 1),
+        Q=lambda n, t, w: families.meixner(t, w, n + 1),
+        A=lambda n, t, w: [w * (n + 1) * (n + t) / (1 - w) ** 2],
+        B=lambda n, t, w: [-t, -1],
+        E=lambda n, t, w: -t + w * (n + 1) / (1 - w),
+    ),
+    "narayana-christoffel": dict(
+        P=lambda n: families.narayana_spec("narayana-christoffel", n),
+        G=lambda n: families.narayana_spec("narayana-reduced", n),
+        Q=lambda n: families.narayana_spec("narayana-reduced", n - 1),
+        A=lambda n: [Fraction(n + 2, n - 1)],
+        B=lambda n: [Fraction(2 * n + 1, n - 1)],
+        E=lambda n: Fraction(1),
+    ),
+    "narayana-perturbed": dict(
+        P=lambda n: families.narayana_spec("narayana-perturbed", n),
+        G=lambda n: families.narayana_spec("narayana-reduced", n),
+        Q=lambda n: families.narayana_spec("narayana-reduced", n - 1),
+        A=lambda n: [Fraction(1, n - 1)],
+        B=lambda n: [Fraction(n, n - 1)],
+        E=lambda n: Fraction(-1),
+    ),
+    "jacobi-beta": dict(
+        P=lambda n, alpha, beta: families.jacobi(alpha, beta, n),
+        G=lambda n, alpha, beta: families.jacobi(alpha, beta + 1, n + 1),
+        Q=lambda n, alpha, beta: families.jacobi(alpha, beta - 1, n + 1),
+        A=_jacobi_beta_a,
+        B=lambda n, alpha, beta: [-1, -1],
+        E=_jacobi_beta_e,
+    ),
+    "jacobi-shift": dict(
+        P=lambda n, alpha, beta: families.jacobi(alpha, beta, n),
+        G=lambda n, alpha, beta: families.jacobi(alpha + 1, beta + 1, n),
+        Q=lambda n, alpha, beta: families.jacobi(alpha + 1, beta + 1, n - 1),
+        A=lambda n, alpha, beta: [(n + alpha + beta + 1) / n],
+        B=lambda n, alpha, beta: [(2 * n + alpha + beta + 1) / n],
+        E=lambda n, alpha, beta: (alpha - beta) / (2 * n + alpha + beta + 2),
+    ),
+    "laguerre": dict(
+        P=lambda n, alpha: families.laguerre(alpha, n),
+        G=lambda n, alpha: families.laguerre(alpha + 1, n + 1),
+        Q=lambda n, alpha: families.laguerre(alpha, n + 1),
+        A=lambda n, alpha: [(n + 1) * (n + alpha + 1)],
+        B=lambda n, alpha: [0, -1],
+        E=lambda n, alpha: Fraction(n + 1),
+    ),
+}

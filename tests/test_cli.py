@@ -235,6 +235,36 @@ class TestCheckCommand:
         assert code == 0 and "result: PASS" in out
 
 
+class TestUnusedParameterFlags:
+    """A parameter flag the check or family does not take was silently dropped."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["check", "laguerre-3.7", "--n", "3", "--alpha", "0", "--beta", "7", "--p", "1/3"],
+                "error: check laguerre-3.7 does not take --beta, --p\n",
+            ),
+            (
+                ["check", "narayana-3.3", "--n", "3", "--alpha", "2"],
+                "error: check narayana-3.3 does not take --alpha\n",
+            ),
+            (
+                ["poly", "--family", "laguerre", "--n", "2", "--alpha", "0", "--t", "5"],
+                "error: laguerre does not take --t\n",
+            ),
+            (
+                ["zeros", "--family", "jacobi", "--n", "3", "--alpha", "0", "--beta", "1", "--N", "4"],
+                "error: jacobi does not take --N\n",
+            ),
+        ],
+        ids=["check-laguerre", "check-narayana", "poly", "zeros"],
+    )
+    def test_refused_with_exit_two(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", message)
+
+
 class TestTable2Command:
     def test_csv_shape_and_values(self, capsys):
         code, out, _ = run_cli(capsys, "table2")
@@ -336,6 +366,33 @@ class TestSweepCommand:
         assert code == 2
         assert "sweep spec" in err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--oracle", "pair-up"], "error: sweep takes a spec file or --oracle, not both\n"),
+            (
+                ["--n", "5", "--seeds", "3"],
+                "error: a spec-file sweep does not take --n, --seeds (oracle degrees and seeds)\n",
+            ),
+            (
+                ["--seeds", "100"],
+                "error: a spec-file sweep does not take --seeds (oracle degrees and seeds)\n",
+            ),
+        ],
+        ids=["oracle", "n-and-seeds", "seeds-at-default-value"],
+    )
+    def test_other_modes_inputs_exit_two(self, capsys, tmp_path, extra, message):
+        # The oracle ran and ignored the spec; a spec sweep ignored --n and --seeds.
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"check": "laguerre-3.7", "n": [1, 2], "params": {"alpha": [0]}}))
+        code, out, err = run_cli(capsys, "sweep", str(path), "--workers", "1", *extra)
+        assert (code, out, err) == (2, "", message)
+
+    def test_oracle_seeds_default_to_one_hundred(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--oracle", "down-one", "--n", "2", "--workers", "1")
+        assert code == 0
+        assert sorted(int(row["seed"]) for row in csv.DictReader(io.StringIO(out))) == list(range(100))
+
     def test_missing_input_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "sweep")
         assert code == 2
@@ -388,6 +445,20 @@ class TestSweepCommand:
                 "error: sweep spec 'clauses' names 'added_piont', not a clause of laguerre-3.7 "
                 "(its clauses: identity, hypotheses, premise, e_position, added_point, "
                 "full_iff, build)\n",
+            ),
+            # int() truncated a fractional bound and read true as 1: these
+            # swept n = 1..2 and 1..3.
+            (
+                {"n": [1.9, 2], "params": {"alpha": [0]}},
+                "error: degree range must be N or lo..hi with integers (got [1.9, 2])\n",
+            ),
+            (
+                {"n": [True, 3], "params": {"alpha": [0]}},
+                "error: degree range must be N or lo..hi with integers (got [True, 3])\n",
+            ),
+            (
+                {"n": ["1", "3"], "params": {"alpha": [0]}},
+                "error: degree range must be N or lo..hi with integers (got ['1', '3'])\n",
             ),
         ],
     )

@@ -103,6 +103,35 @@ class TestRecurrence:
             meixner(1, 1, 3)
 
 
+BOUND_VALUES = [F(x) for x in ("-2", "-7/5", "-1", "-5/7", "-1/2", "0", "1/3", "1", "4/3", "5", "11/2")]
+
+
+def _accepted(make) -> bool:
+    try:
+        make()
+    except InvalidParameterError:
+        return False
+    return True
+
+
+class TestValidateBounds:
+    """``FamilySpec.validate`` tests each bound on integers; Fraction comparisons decide the same."""
+
+    @pytest.mark.parametrize("x", BOUND_VALUES)
+    def test_jacobi_laguerre_meixner(self, x):
+        assert _accepted(lambda: laguerre(x, 2)) == (x > -1)
+        for y in BOUND_VALUES:
+            assert _accepted(lambda: jacobi(x, y, 2)) == (x > -1 and y > -1), y
+            assert _accepted(lambda: meixner(x, y, 2)) == (x > 0 and 0 < y < 1), y
+
+    @pytest.mark.parametrize("p", BOUND_VALUES)
+    def test_krawtchouk(self, p):
+        for N in BOUND_VALUES:
+            for n in (0, 1, 5, 6):
+                want = 0 < p < 1 and N.denominator == 1 and N >= 1 and n <= N
+                assert _accepted(lambda: krawtchouk(p, N, n)) == want, (N, n)
+
+
 def _reference_jacobi_step(alpha, beta, k):
     """Fraction transcription of the Jacobi (c_{k+1}, l_{k+1}), cancelled at k = 0, 1."""
     if k == 0:
@@ -273,12 +302,13 @@ class TestChain:
             recurrence_coeffs(jacobi(2, 14, 9))
             zeros_orthogonal(laguerre(F(1, 2), 3))
             chains = families._CHAINS.get()
+            # keyed on each parameter's numerator and denominator, in order
             assert set(chains) == {
-                ("jacobi", (("alpha", F(2)), ("beta", F(14)))),
-                ("jacobi", (("alpha", F(3)), ("beta", F(15)))),
-                ("laguerre", (("alpha", F(1, 2)),)),
+                ("jacobi", 2, 1, 14, 1),
+                ("jacobi", 3, 1, 15, 1),
+                ("laguerre", 1, 2),
             }
-            longest = chains["jacobi", (("alpha", F(2)), ("beta", F(14)))]
+            longest = chains["jacobi", 2, 1, 14, 1]
             assert (len(longest.steps), len(longest.members)) == (9, 6)
             # members past the built ones run on the steps already formed
             assert monic_by_recurrence(jacobi(2, 14, 9)) == _reference_monic(jacobi(2, 14, 9))
@@ -510,3 +540,19 @@ class TestSpecSerialization:
     def test_float_parameters_rejected(self):
         with pytest.raises(InvalidParameterError):
             FamilySpec.make("laguerre", 2, alpha=0.5)
+
+
+class TestExactRational:
+    def test_fraction_comes_back_as_the_same_object(self):
+        value = F(-7, 3)
+        assert families.exact_rational(value) is value
+
+    @pytest.mark.parametrize("value, want", [(3, F(3)), ("2/5", F(2, 5)), ("0.4", F(2, 5))])
+    def test_other_exact_input_becomes_a_fraction(self, value, want):
+        got = families.exact_rational(value)
+        assert type(got) is F and got == want
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, float("nan")])
+    def test_float_refused(self, value):
+        with pytest.raises(InvalidParameterError, match="exact rationals, got float"):
+            families.exact_rational(value)

@@ -9,6 +9,7 @@ from interlace.poly import Polynomial, _integer_form
 from interlace.relations import (
     DOWN_ONE,
     PAIR_UP,
+    PAIRS,
     DegenerateDrawError,
     MixedRelation,
     assemble_down_one,
@@ -26,7 +27,29 @@ from interlace.relations import (
 from interlace.rootfind import zeros_general, zeros_orthogonal
 from interlace import families, relations
 
+from exact_reference import PAIRS_REFERENCE
 from float_reference import sign_at_zeros
+
+# The benchmark grid's parameter pools, with negative and fractional values
+# (alpha = -1/2, beta = -1/3, t = 1/3, p = 4/5) among them.
+JACOBI_POOL = [
+    F(x) for x in ("-1/2", "-1/3", "0", "1", "2", "3/2", "5/2", "7/2", "13", "14", "15")
+]
+TABLE_POOLS = {
+    "krawtchouk": {
+        "p": [F(x) for x in ("1/4", "1/5", "1/2", "2/5", "3/4", "4/5")],
+        "N": [F(9), F(10), F(11), F(13)],
+    },
+    "meixner": {
+        "t": [F(x) for x in ("1/2", "1/3", "1", "2", "3", "4")],
+        "w": [F(x) for x in ("1/4", "1/5", "1/2", "1/3", "3/4", "2/3")],
+    },
+    "narayana-christoffel": {},
+    "narayana-perturbed": {},
+    "jacobi-beta": {"alpha": JACOBI_POOL, "beta": [b for b in JACOBI_POOL if b > 0]},
+    "jacobi-shift": {"alpha": JACOBI_POOL, "beta": JACOBI_POOL},
+    "laguerre": {"alpha": JACOBI_POOL},
+}
 
 
 class TestBuildRelation:
@@ -95,6 +118,36 @@ class TestBuildRelation:
         # n = 1; the invalid member must be named before any of them is formed.
         with pytest.raises(InvalidParameterError, match="alpha > -1"):
             build_relation(pair_id, 1, {"alpha": -5, "beta": 1})
+
+
+class TestIntegerTable:
+    """Each ``PAIRS`` entry, formed on integer numerators, against its Fraction display."""
+
+    def test_pools_cover_every_entry(self):
+        assert set(TABLE_POOLS) == set(PAIRS) == set(PAIRS_REFERENCE)
+
+    @pytest.mark.parametrize("pair_id", list(PAIRS))
+    def test_terms_equal_fraction_reference(self, pair_id):
+        entry, ref = PAIRS[pair_id], PAIRS_REFERENCE[pair_id]
+        grid = [{}]
+        for name, values in TABLE_POOLS[pair_id].items():
+            grid = [{**point, name: v} for point in grid for v in values]
+        compared = 0
+        for params in grid:
+            for n in range(entry.min_n or 1, 13):
+                if entry.check is not None:
+                    try:
+                        entry.check(n, **params)
+                    except InvalidParameterError:
+                        continue
+                for term in ("P", "G", "Q", "A", "B", "support"):
+                    if term in ref:
+                        got, want = getattr(entry, term)(n, **params), ref[term](n, **params)
+                        assert got == want, (term, n, params)
+                e = entry.E(n, **params)
+                assert type(e) is F and e == ref["E"](n, **params), (n, params)
+                compared += 1
+        assert compared >= 11
 
 
 class TestVerifyIdentity:

@@ -4,6 +4,8 @@ Exit codes are a stable contract: 0 all requested checks pass, 1 a clause or
 check failed, 2 invalid input, 3 a sweep point raised and no clause failed, a
 sweep worker process died, or ``zeros`` could not compute a zero set.
 Each command builds every recurrence chain it needs once (``families.chain_scope``).
+The argparse parser is built once per process, on first use, and shared by
+every ``main`` call (``build_parser``).
 Rational parameters are given as "num/den" strings; plain decimals are parsed
 as exact decimal fractions (0.4 becomes 2/5), never as binary floats.  The
 environment variable INTERLACE_FLOOR overrides the default separation floor
@@ -20,11 +22,10 @@ import json
 import math
 import os
 import pickle
-import re
 import signal
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import starmap
 
 from . import families
@@ -38,6 +39,7 @@ from .relations import (
     CheckReport,
     clause_names,
     run_check,
+    check_oracle_degree,
     oracle_down_one,
     oracle_pair_up,
     check_relation,
@@ -52,7 +54,6 @@ from .rootfind import RootComputationError
 from .rootfind import zeros_general, zeros_orthogonal  # noqa: F401
 
 PARAM_FLAGS = tuple(f"--{name}" for name in ("alpha", "beta", "p", "N", "t", "w"))
-NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
 ORACLE_MODES = ("down-one", "pair-up")
 ORACLE_SEEDS = 100
 
@@ -120,6 +121,13 @@ def _round_float(value: float, digits: int) -> float:
     return float(f"{value:.{digits}g}")
 
 
+def _digits(args) -> int:
+    """``--digits``, refused below 1: "{:.0g}" prints one digit and "{:.-1g}" is no format."""
+    if args.digits < 1:
+        raise InvalidParameterError(f"--digits must be >= 1 (got {args.digits})")
+    return args.digits
+
+
 @contextlib.contextmanager
 def _output(path: str | None):
     """Standard output, or ``path`` opened for writing before the work starts."""
@@ -160,6 +168,7 @@ def _family_label(spec: FamilySpec) -> str:
 
 def cmd_zeros(args) -> int:
     spec = _spec_from_args(args)
+    digits = _digits(args)
     try:
         zs = zero_set(spec)
     except OverflowError as exc:
@@ -167,7 +176,6 @@ def cmd_zeros(args) -> int:
     except RootComputationError as exc:
         print(f"error: zeros: {exc}", file=sys.stderr)
         return 3
-    digits = args.digits
     if args.plot_data:
         label = _family_label(spec)
         lines = [f"{_round_float(z, digits)},{label}" for z in zs.zeros]
@@ -246,8 +254,9 @@ def table2_data() -> list[dict]:
 
 
 def cmd_table2(args) -> int:
+    digits = _digits(args)
     with _output(args.output) as out:
-        out.write(_rows_to_csv(_table2_rows(args.digits)))
+        out.write(_rows_to_csv(_table2_rows(digits)))
     return 0
 
 
@@ -485,6 +494,7 @@ def cmd_sweep(args) -> int:
         if seeds < 1:
             raise InvalidParameterError(f"--seeds must be >= 1 (got {seeds})")
         ns = _parse_n_range(args.n or "1..8")
+        check_oracle_degree(args.oracle, ns[0])
         points = [(n, seed) for n in ns for seed in range(seeds)]
         run = partial(_run_oracle_point, args.oracle, floor=floor)
     else:
@@ -546,7 +556,17 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built on the first call and shared.
+
+    Parsing reads the parser and never changes it, so one build serves the
+    whole process; it must not be mutated (no ``add_argument`` or
+    ``set_defaults`` on it or its subparsers).  Each subparser binds its
+    ``cmd_*`` function at that first build, and those functions look up
+    ``run_check``, ``oracle_pair_up`` and the rest as module globals when
+    they run, so a later patch of those names still takes effect.
+    """
     parser = argparse.ArgumentParser(
         prog="interlace",
         description="Polynomial families, real zeros, and interlacing checks.",
@@ -602,16 +622,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_negative_rational(token: str) -> bool:
+    if not token.startswith("-"):
+        return False
+    try:
+        parse_fraction(token)
+    except InvalidParameterError:
+        return False
+    return True
+
+
 def _join_negative_fractions(argv: list[str]) -> list[str]:
-    """Rewrite "--alpha -1/2" as "--alpha=-1/2".
+    """Rewrite "--alpha -1/2" as "--alpha=-1/2", and so every negative rational.
 
     argparse takes a token starting with "-" for an option unless it looks
-    like a negative decimal, so a separate negative "num/den" value would be
-    read as a missing argument.
+    like a negative integer or plain decimal, so a separate "-1/2" or "-5e-1"
+    would be read as a missing argument.  Every negative token that
+    ``parse_fraction`` accepts is joined to the parameter flag before it.
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in PARAM_FLAGS and NEGATIVE_FRACTION.fullmatch(token):
+        if out and out[-1] in PARAM_FLAGS and _is_negative_rational(token):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
@@ -619,8 +650,7 @@ def _join_negative_fractions(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_negative_fractions(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_join_negative_fractions(sys.argv[1:] if argv is None else argv))
     try:
         with families.chain_scope():
             return args.func(args)

@@ -905,6 +905,18 @@ def assemble_pair_up(
     return _oracle_relation(PAIR_UP, A, Polynomial.from_ints([b, -den], den), e, c, draw)
 
 
+#: the lowest degree n each oracle draws at: deg G = deg Q = n + 1 for pair-up,
+#: deg G = n and deg Q = n - 1 for down-one
+ORACLE_MIN_N = {"down-one": 1, "pair-up": 0}
+
+
+def check_oracle_degree(mode: str, n: int) -> None:
+    """Refuse a degree below ``mode``'s lowest, where every draw would be retried in vain."""
+    low = ORACLE_MIN_N[mode]
+    if n < low:
+        raise InvalidParameterError(f"{mode} oracle needs n >= {low} (got n={n})")
+
+
 def oracle_pair_up(
     n: int,
     seed: int,
@@ -919,6 +931,7 @@ def oracle_pair_up(
     places E above every zero of G and disables the positive-A resample,
     which is how the impossible-region property is exercised.
     """
+    check_oracle_degree("pair-up", n)
     rng = random.Random(f"pair-up:{n}:{seed}:{orientation}:{force_e}")
     for _ in range(max_tries):
         orient = orientation or rng.choice(("q_below_g", "g_below_q"))
@@ -1002,8 +1015,7 @@ def oracle_down_one(
 
     ``e_region`` pins E below all zeros of G, inside a gap, or above all.
     """
-    if n < 1:
-        raise InvalidParameterError("down-one oracle needs n >= 1")
+    check_oracle_degree("down-one", n)
     rng = random.Random(f"down-one:{n}:{seed}:{e_region}")
     for _ in range(max_tries):
         pts, den = _draw_chain(rng, 2 * n - 1)

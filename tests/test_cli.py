@@ -153,6 +153,21 @@ class TestZerosCommand:
         assert (code, out) == (2, "")
         assert err == "error: zeros: the coefficient of x^174 does not fit in a double\n"
 
+    @pytest.mark.parametrize("digits", ["0", "-1"])
+    def test_digits_below_one_exits_two(self, capsys, digits):
+        # -1 exited 2 with "Format specifier missing precision"; 0 printed one digit
+        code, out, err = run_cli(
+            capsys, "zeros", "--family", "laguerre", "--alpha", "0", "--n", "4", "--digits", digits
+        )
+        assert (code, out, err) == (2, "", f"error: --digits must be >= 1 (got {digits})\n")
+
+    def test_one_digit_accepted(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "zeros", "--family", "laguerre", "--alpha", "0", "--n", "2", "--digits", "1"
+        )
+        assert code == 0
+        assert json.loads(out)["zeros"] == [0.6, 3.0]
+
 
 class TestCheckCommand:
     def test_jacobi_shift_passes(self, capsys):
@@ -298,6 +313,13 @@ class TestTable2Command:
         assert (code, out) == (2, "")
         assert err == f"error: cannot write --output {target}: No such file or directory\n"
 
+    @pytest.mark.parametrize("digits", ["0", "-1"])
+    def test_digits_below_one_exits_two_before_writing(self, capsys, tmp_path, digits):
+        target = tmp_path / "table.csv"
+        code, out, err = run_cli(capsys, "table2", "--digits", digits, "--output", str(target))
+        assert (code, out, err) == (2, "", f"error: --digits must be >= 1 (got {digits})\n")
+        assert not target.exists()
+
     def test_data_helper(self):
         blocks = table2_data()
         assert blocks[0]["left_occupied"] and not blocks[0]["right_occupied"]
@@ -413,6 +435,32 @@ class TestSweepCommand:
     def test_empty_or_malformed_oracle_sweep_exits_two(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "sweep", "--oracle", "pair-up", *argv)
         assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize(
+        "oracle, degrees, message",
+        [
+            # pair-up used up all 64 draws at each n < 0 and printed error rows (exit 3)
+            ("pair-up", "--n=-2..0", "error: pair-up oracle needs n >= 0 (got n=-2)\n"),
+            ("pair-up", "--n=-1", "error: pair-up oracle needs n >= 0 (got n=-1)\n"),
+            ("down-one", "--n=0..2", "error: down-one oracle needs n >= 1 (got n=0)\n"),
+        ],
+    )
+    def test_oracle_degree_below_the_mode_minimum_exits_two(
+        self, capsys, monkeypatch, oracle, degrees, message
+    ):
+        monkeypatch.setattr(cli, "_run_oracle_point", lambda *a, **k: pytest.fail("a point ran"))
+        code, out, err = run_cli(
+            capsys, "sweep", "--oracle", oracle, degrees, "--seeds", "1", "--workers", "1"
+        )
+        assert (code, out, err) == (2, "", message)
+
+    def test_pair_up_oracle_sweeps_degree_zero(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--oracle", "pair-up", "--n", "0", "--seeds", "3", "--workers", "1"
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["result"] for row in rows] == ["pass"] * 3
 
     @pytest.mark.parametrize(
         "spec, message",
@@ -748,6 +796,65 @@ class TestChainScope:
         )
 
 
+class TestSharedParser:
+    """One parser serves every ``main`` call of a process and carries nothing
+    from one command to the next."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    @staticmethod
+    def _outcome(capsys, argv, target):
+        """Exit code, stdout, stderr and the --output file of one ``main(argv)``."""
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = None
+        if target.exists():
+            written = target.read_bytes().decode()
+            target.unlink()
+        return code, captured.out, captured.err, written
+
+    def test_reuse_leaks_nothing_between_commands(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("INTERLACE_FLOOR", raising=False)
+        target = tmp_path / "rows.csv"
+        jacobi = ("check", "jacobi-3.6", "--n", "6", "--alpha", "2", "--beta", "14")
+        laguerre = ("zeros", "--family", "laguerre", "--alpha", "0", "--n", "3")
+        oracle = ("sweep", "--oracle", "pair-up", "--n", "1..2", "--seeds", "2", "--workers", "1")
+        sequence = [
+            jacobi,
+            (*jacobi, "--json"),
+            (*jacobi, "--floor", "0.5"),
+            jacobi,
+            (*oracle, "--output", str(target)),
+            oracle,
+            (*laguerre, "--plot-data"),
+            laguerre,
+            ("check", "no-such-check", "--n", "3"),
+            (*jacobi, "--json"),
+            ("zeros", "--family", "laguerre", "--n", "3"),
+            laguerre,
+        ]
+        alone = []
+        for argv in sequence:
+            build_parser.cache_clear()
+            alone.append(self._outcome(capsys, argv, target))
+        shared = build_parser()
+        reused = [self._outcome(capsys, argv, target) for argv in sequence]
+        assert build_parser() is shared
+        assert reused == alone
+        # every option in the sequence changes what its command prints
+        assert [code for code, *_ in alone] == [0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0]
+        assert len({alone[0][1], alone[1][1], alone[2][1]}) == 3
+        assert "premise: FAILED" in alone[2][1] and "premise: g_then_q" in alone[3][1]
+        assert alone[4][1] == "" and alone[4][3] == alone[5][1] and alone[5][3] is None
+        assert alone[6][1].startswith("x,family\n") and alone[7][1].startswith('{"zeros"')
+        assert "invalid choice: 'no-such-check'" in alone[8][2]
+        assert alone[10][2] == "error: laguerre requires --alpha\n"
+
+
 class TestNegativeRationals:
     def test_space_separated_negative_fraction(self, capsys):
         code, out, _ = run_cli(
@@ -765,6 +872,15 @@ class TestNegativeRationals:
             assert code == 0
             outs.add(out)
         assert len(outs) == 1
+
+    @pytest.mark.parametrize("alpha", ["-5e-1", "-5E-1", "-0.05e1", "-.5"])
+    def test_negative_exponent_and_decimal_forms(self, capsys, alpha):
+        # "--alpha -5e-1" failed in argparse: "expected one argument"
+        argv = ("check", "jacobi-3.6", "--n", "4", "--beta", "2", "--json")
+        code, out, err = run_cli(capsys, *argv, "--alpha", alpha)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["params"]["alpha"] == "-1/2"
+        assert run_cli(capsys, *argv, f"--alpha={alpha}") == (code, out, err)
 
     def test_negative_fraction_still_validated(self, capsys):
         code, _, err = run_cli(

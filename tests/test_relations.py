@@ -351,6 +351,12 @@ class TestOracles:
                 assert report.clauses["e_position"] == "fail"
                 assert not report.passed
 
+    @pytest.mark.parametrize("oracle, n", [(oracle_pair_up, -1), (oracle_down_one, 0)])
+    def test_degree_below_the_minimum_refused(self, oracle, n):
+        # pair-up used to retry all 64 draws and raise DegenerateDrawError
+        with pytest.raises(InvalidParameterError, match=r"oracle needs n >= \d \(got n="):
+            oracle(n, 0)
+
     def test_determinism(self):
         a = oracle_pair_up(4, 123)
         b = oracle_pair_up(4, 123)

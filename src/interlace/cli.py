@@ -1,15 +1,16 @@
 """Command line front end: construct, solve, check, sweep, and tabulate.
 
 Exit codes are a stable contract: 0 all requested checks pass, 1 a clause or
-check failed, 2 invalid input, 3 a sweep point raised and no clause failed, a
-sweep worker process died, or ``zeros`` could not compute a zero set.
+check failed, 2 invalid input (a coefficient beyond the largest double
+included), 3 a sweep point raised and no clause failed, a sweep worker process
+died, or ``zeros`` could not compute a zero set.
 Each command builds every recurrence chain it needs once (``families.chain_scope``).
 The argparse parser is built once per process, on first use, and shared by
 every ``main`` call (``build_parser``).
 Rational parameters are given as "num/den" strings; plain decimals are parsed
-as exact decimal fractions (0.4 becomes 2/5), never as binary floats.  The
-environment variable INTERLACE_FLOOR overrides the default separation floor
-of 1e-9; a floor, from there or from --floor, must be finite and >= 0.
+as exact decimal fractions (0.4 becomes 2/5), never as binary floats.
+Orderings are decided against the one fixed separation floor,
+``interlacing.DEFAULT_FLOOR`` (1e-9); no flag or environment variable sets it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import contextlib
 import csv
 import io
 import json
-import math
 import os
 import pickle
 import signal
@@ -30,7 +30,6 @@ from itertools import starmap
 
 from . import families
 from .families import FamilySpec, InvalidParameterError
-from .interlacing import DEFAULT_FLOOR
 from .relations import (
     BUILD_ROW,
     CHECK_IDS,
@@ -64,27 +63,6 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidParameterError(f"cannot parse rational {text!r}: {exc}") from exc
-
-
-def resolve_floor(value: float | None) -> float:
-    """The separation floor from ``--floor``, else INTERLACE_FLOOR, else the default.
-
-    NaN or infinity would make every gap test vacuous and a negative floor
-    would decide gaps the floats cannot see, so only finite floors >= 0 pass.
-    """
-    source = "--floor"
-    if value is None:
-        env = os.environ.get("INTERLACE_FLOOR")
-        if not env:
-            return DEFAULT_FLOOR
-        source = "INTERLACE_FLOOR"
-        try:
-            value = float(env)
-        except ValueError as exc:
-            raise InvalidParameterError(f"bad INTERLACE_FLOOR {env!r}") from exc
-    if not (math.isfinite(value) and value >= 0):
-        raise InvalidParameterError(f"{source} must be finite and >= 0 (got {value!r})")
-    return value
 
 
 def _add_family_flags(sub: argparse.ArgumentParser) -> None:
@@ -211,10 +189,12 @@ def _report_text(report: CheckReport) -> str:
 
 
 def cmd_check(args) -> int:
-    floor = resolve_floor(args.floor)
     names = PAIRS[CHECK_TO_PAIR[args.check_id]].param_names
     params = _params_from_args(args, names, f"check {args.check_id}")
-    report = run_check(args.check_id, args.n, params, floor)
+    try:
+        report = run_check(args.check_id, args.n, params)
+    except OverflowError as exc:
+        raise InvalidParameterError(f"check: {exc}") from None
     if args.json:
         print(json.dumps(report.to_json()))
     else:
@@ -345,10 +325,10 @@ def _error_result(exc: Exception) -> str:
     return f"error: {type(exc).__name__}: {exc}"
 
 
-def _run_sweep_point(check_id: str, n: int, params: dict, floor: float) -> list[dict]:
+def _run_sweep_point(check_id: str, n: int, params: dict) -> list[dict]:
     base = {"check": check_id, "n": n}
     try:
-        report = run_check(check_id, n, params, floor)
+        report = run_check(check_id, n, params)
     except Exception as exc:
         row = dict(base)
         row.update({k: str(v) for k, v in params.items()})
@@ -357,15 +337,15 @@ def _run_sweep_point(check_id: str, n: int, params: dict, floor: float) -> list[
     return report.csv_rows(base)
 
 
-def _run_oracle_point(mode: str, n: int, seed: int, floor: float) -> list[dict]:
+def _run_oracle_point(mode: str, n: int, seed: int) -> list[dict]:
     row = {"oracle": mode, "n": n, "seed": seed, "orientation": ""}
     try:
         if mode == "pair-up":
             rel = oracle_pair_up(n, seed)
-            report = check_pair_up(rel, floor)
+            report = check_pair_up(rel)
         else:
             rel = oracle_down_one(n, seed)
-            report = check_relation(rel, floor)
+            report = check_relation(rel)
     except Exception as exc:
         return [{**row, "result": _error_result(exc)}]
     row["orientation"] = rel.params.get("orientation") or rel.params.get("e_region") or ""
@@ -482,7 +462,6 @@ def _map_points(func, points: list[tuple], workers: int) -> list:
 
 
 def cmd_sweep(args) -> int:
-    floor = resolve_floor(args.floor)
     workers = args.workers
     if workers < 1:
         raise InvalidParameterError(f"--workers must be >= 1 (got {workers})")
@@ -496,7 +475,7 @@ def cmd_sweep(args) -> int:
         ns = _parse_n_range(args.n or "1..8")
         check_oracle_degree(args.oracle, ns[0])
         points = [(n, seed) for n in ns for seed in range(seeds)]
-        run = partial(_run_oracle_point, args.oracle, floor=floor)
+        run = partial(_run_oracle_point, args.oracle)
     else:
         if not args.spec_file:
             raise InvalidParameterError("sweep needs a spec file or --oracle")
@@ -530,7 +509,14 @@ def cmd_sweep(args) -> int:
                 f"{check_id} (its clauses: {', '.join(names)})"
             )
         points = _sweep_grid(spec)
-        run = partial(_run_sweep_point, check_id, floor=floor)
+        takes = PAIRS[CHECK_TO_PAIR[check_id]].param_names
+        named = sorted(spec.get("params", {}))
+        if set(named) != set(takes):
+            raise InvalidParameterError(
+                f"sweep spec 'params' names {', '.join(named) or 'no parameter'}, but "
+                f"{check_id} takes {', '.join(takes) or 'no parameter'}"
+            )
+        run = partial(_run_sweep_point, check_id)
         if wanted:
             keep = {*wanted, BUILD_ROW}
     with _output(args.output) as out:
@@ -592,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in PARAM_FLAGS:
         p_check.add_argument(flag, default=None)
     p_check.add_argument("--json", action="store_true")
-    p_check.add_argument("--floor", type=float, default=None)
     p_check.set_defaults(func=cmd_check)
 
     p_table = sub.add_parser("table2", help="emit the two-block zero comparison table")
@@ -616,7 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
         "depend on it",
     )
     p_sweep.add_argument("--output", default=None)
-    p_sweep.add_argument("--floor", type=float, default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

@@ -1,9 +1,10 @@
 """Strict interlacing decisions between zero sets, with witnesses.
 
-All orderings are decided against a separation floor: a comparison whose gap
-falls below the floor is reported Inconclusive rather than pushed to either
-side, because strict inequalities cannot be certified below numerical
-resolution.  Failures carry the first violating index pair.
+All orderings are decided against one fixed separation floor,
+``DEFAULT_FLOOR``: a comparison whose gap falls below it is reported
+Inconclusive rather than pushed to either side, because strict inequalities
+cannot be certified below numerical resolution.  Failures carry the first
+violating index pair.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-#: Default separation floor shared with the zero finder.
+#: The one separation floor, tied to double resolution; nothing resets it.
 DEFAULT_FLOOR = 1e-9
 
 ALTERNATE = "Alternate"
@@ -64,7 +65,7 @@ def _zeros_list(zs) -> list[float]:
     return [float(z) for z in zs]
 
 
-def _scan_chain(chain, floor):
+def _scan_chain(chain):
     """Walk an interleaved chain of (value, set_label, index) entries.
 
     Returns None when every adjacent pair is strictly increasing beyond the
@@ -72,16 +73,16 @@ def _scan_chain(chain, floor):
     """
     for (v1, lab1, i1), (v2, lab2, i2) in zip(chain, chain[1:]):
         gap = v2 - v1
-        if gap > floor:
+        if gap > DEFAULT_FLOOR:
             continue
         witness = (i1, i2) if lab1 == "p" else (i2, i1)
-        if abs(gap) <= floor:
+        if abs(gap) <= DEFAULT_FLOOR:
             return Verdict(INCONCLUSIVE, witness=witness, gap=gap)
         return Verdict(FAIL, witness=witness, gap=gap)
     return None
 
 
-def alternates(zp, zq, floor: float = DEFAULT_FLOOR) -> Verdict:
+def alternates(zp, zq) -> Verdict:
     """Equal-degree alternation: p1 < q1 < p2 < q2 < ... < pn < qn strictly."""
     p, q = _zeros_list(zp), _zeros_list(zq)
     if len(p) != len(q):
@@ -90,11 +91,11 @@ def alternates(zp, zq, floor: float = DEFAULT_FLOOR) -> Verdict:
     for i in range(len(p)):
         chain.append((p[i], "p", i))
         chain.append((q[i], "q", i))
-    bad = _scan_chain(chain, floor)
+    bad = _scan_chain(chain)
     return bad if bad is not None else Verdict(ALTERNATE)
 
 
-def interlaces_down(zp, zq, floor: float = DEFAULT_FLOOR) -> Verdict:
+def interlaces_down(zp, zq) -> Verdict:
     """One-degree-down interlacing: p1 < q1 < p2 < ... < q_{n-1} < pn strictly."""
     p, q = _zeros_list(zp), _zeros_list(zq)
     if len(p) != len(q) + 1:
@@ -107,11 +108,11 @@ def interlaces_down(zp, zq, floor: float = DEFAULT_FLOOR) -> Verdict:
         chain.append((q[i], "q", i))
     if p:
         chain.append((p[-1], "p", len(p) - 1))
-    bad = _scan_chain(chain, floor)
+    bad = _scan_chain(chain)
     return bad if bad is not None else Verdict(INTERLACE_DOWN)
 
 
-def locate_point(e: float, zg, floor: float = DEFAULT_FLOOR) -> tuple[str, int | None]:
+def locate_point(e: float, zg) -> tuple[str, int | None]:
     """Position of e against a zero set: below / interior (with 1-based slot) / above.
 
     Returns ("unknown", None) when e sits within the floor of a set member,
@@ -120,7 +121,7 @@ def locate_point(e: float, zg, floor: float = DEFAULT_FLOOR) -> tuple[str, int |
     g = _zeros_list(zg)
     if not g:
         return "unknown", None
-    if any(abs(e - x) <= floor for x in g):
+    if any(abs(e - x) <= DEFAULT_FLOOR for x in g):
         return "unknown", None
     if e < g[0]:
         return "below", None
@@ -132,7 +133,7 @@ def locate_point(e: float, zg, floor: float = DEFAULT_FLOOR) -> tuple[str, int |
     return "unknown", None
 
 
-def added_point_interlace(zp, e, zg, floor: float = DEFAULT_FLOOR) -> Verdict:
+def added_point_interlace(zp, e, zg) -> Verdict:
     """Merge the point e into zp's zeros and test strict interlacing with zg.
 
     Two admissible shapes: |zp| + 1 == |zg| (the merged set alternates with
@@ -148,29 +149,29 @@ def added_point_interlace(zp, e, zg, floor: float = DEFAULT_FLOOR) -> Verdict:
         raise ValueError(
             f"added point needs sizes (n, n+1) or (n, n), got {len(p)} and {len(g)}"
         )
-    if any(abs(e - x) <= floor for x in g):
+    if any(abs(e - x) <= DEFAULT_FLOOR for x in g):
         raise CommonPointError(
             f"added point {e} coincides with a zero of the reference set"
         )
     merged = sorted(p + [e])
     for a, b in zip(merged, merged[1:]):
-        if b - a <= floor:
+        if b - a <= DEFAULT_FLOOR:
             return Verdict(
                 INCONCLUSIVE,
                 gap=b - a,
                 e_used=e,
-                e_position=locate_point(e, g, floor)[0],
+                e_position=locate_point(e, g)[0],
             )
-    position, slot = locate_point(e, g, floor)
+    position, slot = locate_point(e, g)
     if len(merged) == len(g):
-        verdict = alternates(merged, g, floor)
+        verdict = alternates(merged, g)
         orientation = "P_below_G"
         if verdict.kind != ALTERNATE and verdict.kind != INCONCLUSIVE:
-            flipped = alternates(g, merged, floor)
+            flipped = alternates(g, merged)
             if flipped.kind in (ALTERNATE, INCONCLUSIVE):
                 verdict, orientation = flipped, "G_below_P"
     else:
-        verdict = interlaces_down(merged, g, floor)
+        verdict = interlaces_down(merged, g)
         orientation = "P_below_G"
     if verdict.kind in (FAIL, INCONCLUSIVE):
         return Verdict(

@@ -44,7 +44,6 @@ from .interlacing import (
     DEFAULT_FLOOR,
     INCONCLUSIVE,
     INTERLACE_DOWN,
-    CommonPointError,
     Verdict,
     added_point_interlace,
     alternates,
@@ -91,12 +90,13 @@ class DegenerateDrawError(RuntimeError):
     """The random generator exhausted its retries without a valid instance."""
 
 
-_IDENTITY_TERMS = frozenset(("sign", "A", "B", "E", "P", "G", "Q"))
-
-
-@dataclass
+@dataclass(frozen=True)
 class MixedRelation:
-    """One concrete relation A*P = B*G + sign*(x-E)*Q, all rational."""
+    """One concrete relation A*P = B*G + sign*(x-E)*Q, all rational.
+
+    A frozen value: ``dataclasses.replace`` gives a copy with other terms,
+    which is certified afresh and carries no zeros.
+    """
 
     rel_id: str
     shape: str
@@ -110,20 +110,10 @@ class MixedRelation:
     specs: dict = field(default_factory=dict)
     support: tuple = (None, None)
     params: dict = field(default_factory=dict)
-    #: exact identity verdict for the current terms; None until it is run
-    certified: bool | None = field(default=None, init=False, repr=False, compare=False)
+    #: exact identity verdict, reached once at construction
+    certified: bool = field(init=False, repr=False, compare=False)
     #: term name ("G", "Q") -> (nums, den): its exact zeros nums[i] / den
     roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __setattr__(self, name, value):
-        # Replacing a term voids the verdict reached for the old one, and the
-        # zeros the old one was built from.
-        if name in _IDENTITY_TERMS:
-            object.__setattr__(self, "certified", None)
-            roots = self.__dict__.get("roots")
-            if roots and name in roots:
-                object.__setattr__(self, "roots", {k: v for k, v in roots.items() if k != name})
-        object.__setattr__(self, name, value)
 
     def __post_init__(self):
         n = self.P.degree
@@ -135,6 +125,7 @@ class MixedRelation:
                 f"{self.rel_id}: degrees {got} do not match shape {self.shape} "
                 f"with deg P = {n} (expected {want})"
             )
+        object.__setattr__(self, "certified", verify_identity(self))
 
     @property
     def H(self) -> Polynomial:
@@ -145,13 +136,6 @@ class MixedRelation:
 def verify_identity(rel: MixedRelation) -> bool:
     """True iff A*P - B*G - sign*(x-E)*Q is exactly the zero polynomial."""
     return products_cancel(((1, rel.A, rel.P), (-1, rel.B, rel.G), (-rel.sign, rel.H, rel.Q)))
-
-
-def identity_certified(rel: MixedRelation) -> bool:
-    """The exact identity verdict for ``rel``, computed once per set of terms."""
-    if rel.certified is None:
-        rel.certified = verify_identity(rel)
-    return rel.certified
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +404,7 @@ def build_relation(pair_id: str, n: int, params: dict | None = None) -> MixedRel
         support=entry.support(n, **kw),
         params={"n": n, **kw},
     )
-    if not identity_certified(rel):
+    if not rel.certified:
         raise IdentityError(f"{rel.rel_id}: exact identity failed for {rel.params}")
     return rel
 
@@ -568,7 +552,7 @@ def _new_report(rel: MixedRelation, check_id: str) -> CheckReport:
         shape=rel.shape,
         params=dict(rel.params),
         e_value=rel.E,
-        identity_ok=identity_certified(rel),
+        identity_ok=rel.certified,
     )
 
 
@@ -580,19 +564,19 @@ def _term_zeros(rel: MixedRelation, name: str) -> ZeroSet:
     return zero_set(rel.specs.get(name), getattr(rel, name))
 
 
-def _base_report(rel: MixedRelation, floor: float) -> tuple[CheckReport, ZeroSet, ZeroSet, ZeroSet]:
+def _base_report(rel: MixedRelation) -> tuple[CheckReport, ZeroSet, ZeroSet, ZeroSet]:
     report = _new_report(rel, rel.rel_id)
     zg = _term_zeros(rel, "G")
     zq = _term_zeros(rel, "Q")
     zp = _term_zeros(rel, "P")
     e_float = float(rel.E)
     report.hypotheses["b_at_e_nonzero"] = rel.B.evaluate(rel.E) != 0
-    report.hypotheses["e_not_on_g_zero"] = all(abs(e_float - g) > floor for g in zg.zeros)
-    report.hypotheses["no_common_zeros_g_p"] = _min_cross_gap(zg, zp) > floor
+    report.hypotheses["e_not_on_g_zero"] = all(abs(e_float - g) > DEFAULT_FLOOR for g in zg.zeros)
+    report.hypotheses["no_common_zeros_g_p"] = _min_cross_gap(zg, zp) > DEFAULT_FLOOR
     report.hypotheses["a_positive"] = _a_positive(rel, zg)
-    position, slot = locate_point(e_float, zg, floor)
+    position, slot = locate_point(e_float, zg)
     report.e_position = position if slot is None else f"{position}({slot})"
-    if any(abs(e_float - q) <= floor for q in zq.zeros):
+    if any(abs(e_float - q) <= DEFAULT_FLOOR for q in zq.zeros):
         report.notes.append("E sits on a zero of Q (permitted, logged)")
     if not report.hypotheses_ok:
         violated = sorted(k for k, v in report.hypotheses.items() if not v)
@@ -616,7 +600,7 @@ def _skip_rest(report: CheckReport, names) -> CheckReport:
     return report
 
 
-def check_pair_up(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckReport:
+def check_pair_up(rel: MixedRelation) -> CheckReport:
     """Checker for the shape with G and Q one degree above P.
 
     The premise is alternation of Q and G in either orientation; the clauses
@@ -625,14 +609,14 @@ def check_pair_up(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckRepo
     """
     if rel.shape != PAIR_UP:
         raise InvalidParameterError(f"check_pair_up got shape {rel.shape}")
-    report, zg, zq, zp = _base_report(rel, floor)
+    report, zg, zq, zp = _base_report(rel)
     e_float = float(rel.E)
 
-    prem_qg = alternates(zq, zg, floor)
+    prem_qg = alternates(zq, zg)
     if prem_qg.kind == ALTERNATE:
         report.premise_kind, report.premise = "q_below_g", prem_qg
     else:
-        prem_gq = alternates(zg, zq, floor)
+        prem_gq = alternates(zg, zq)
         if prem_gq.kind == ALTERNATE:
             report.premise_kind, report.premise = "g_below_q", prem_gq
         else:
@@ -647,7 +631,7 @@ def check_pair_up(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckRepo
     # impossible-region property rests on this clause.
     bound = zg.max if case_low else zg.min
     delta = (bound - e_float) if case_low else (e_float - bound)
-    if abs(delta) <= floor:
+    if abs(delta) <= DEFAULT_FLOOR:
         report.clauses["e_position"] = SKIPPED
     else:
         report.clauses["e_position"] = PASS if delta > 0 else FAIL_CLAUSE
@@ -659,11 +643,9 @@ def check_pair_up(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckRepo
     if not report.hypotheses_ok:
         return _skip_rest(report, PAIR_UP_CLAUSES)
 
-    try:
-        ap = added_point_interlace(zp, rel.E, zg, floor)
-    except CommonPointError:
-        report.hypotheses["e_not_on_g_zero"] = False
-        return _skip_rest(report, PAIR_UP_CLAUSES)
+    # e_not_on_g_zero holds here, on the floats and floor that
+    # added_point_interlace tests, so it raises no CommonPointError.
+    ap = added_point_interlace(zp, rel.E, zg)
     want = "P_below_G" if case_low else "G_below_P"
     if ap.kind == INCONCLUSIVE:
         report.clauses["added_point"] = SKIPPED
@@ -676,8 +658,8 @@ def check_pair_up(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckRepo
     # outside the zero range of G on the case's side.
     side_bound = zg.min if case_low else zg.max
     side_gap = (side_bound - e_float) if case_low else (e_float - side_bound)
-    full = interlaces_down(zg, zp, floor)
-    if abs(side_gap) <= floor or full.kind == INCONCLUSIVE:
+    full = interlaces_down(zg, zp)
+    if abs(side_gap) <= DEFAULT_FLOOR or full.kind == INCONCLUSIVE:
         report.clauses["full_iff"] = SKIPPED
     else:
         report.clauses["full_iff"] = (
@@ -686,14 +668,14 @@ def check_pair_up(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckRepo
     return report
 
 
-def check_down_one(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckReport:
+def check_down_one(rel: MixedRelation) -> CheckReport:
     """Checker for the shape with G at P's degree and Q one degree below."""
     if rel.shape != DOWN_ONE:
         raise InvalidParameterError(f"check_down_one got shape {rel.shape}")
-    report, zg, zq, zp = _base_report(rel, floor)
+    report, zg, zq, zp = _base_report(rel)
     e_float = float(rel.E)
 
-    premise = interlaces_down(zg, zq, floor)
+    premise = interlaces_down(zg, zq)
     if premise.kind != INTERLACE_DOWN:
         report.premise = premise
         report.notes.append("premise failed: zeros of Q do not interlace below G")
@@ -703,23 +685,15 @@ def check_down_one(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckRep
     if not report.hypotheses_ok:
         return _skip_rest(report, DOWN_ONE_CLAUSES)
 
-    try:
-        ap = added_point_interlace(zp, rel.E, zg, floor)
-    except CommonPointError:
-        report.hypotheses["e_not_on_g_zero"] = False
-        return report
+    ap = added_point_interlace(zp, rel.E, zg)  # no CommonPointError, as in check_pair_up
     report.clauses["added_point"] = _verdict_clause(ap, ADDED_OK_KINDS)
 
-    if zg.zeros and e_float > zg.max + floor:
-        report.clauses["full_when_e_above"] = _verdict_clause(
-            alternates(zp, zg, floor), ALTERNATE
-        )
+    if zg.zeros and e_float > zg.max + DEFAULT_FLOOR:
+        report.clauses["full_when_e_above"] = _verdict_clause(alternates(zp, zg), ALTERNATE)
     else:
         report.clauses["full_when_e_above"] = SKIPPED
-    if zg.zeros and e_float < zg.min - floor:
-        report.clauses["full_when_e_below"] = _verdict_clause(
-            alternates(zg, zp, floor), ALTERNATE
-        )
+    if zg.zeros and e_float < zg.min - DEFAULT_FLOOR:
+        report.clauses["full_when_e_below"] = _verdict_clause(alternates(zg, zp), ALTERNATE)
     else:
         report.clauses["full_when_e_below"] = SKIPPED
     return report
@@ -732,8 +706,8 @@ SHAPE_CHECKERS = {
 SHAPE_CLAUSES = {PAIR_UP: PAIR_UP_CLAUSES, DOWN_ONE: DOWN_ONE_CLAUSES}
 
 
-def check_relation(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckReport:
-    return SHAPE_CHECKERS[rel.shape](rel, floor)
+def check_relation(rel: MixedRelation) -> CheckReport:
+    return SHAPE_CHECKERS[rel.shape](rel)
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +715,7 @@ def check_relation(rel: MixedRelation, floor: float = DEFAULT_FLOOR) -> CheckRep
 # ---------------------------------------------------------------------------
 
 
-def check_narayana_even_quotient(n: int, floor: float = DEFAULT_FLOOR) -> CheckReport:
+def check_narayana_even_quotient(n: int) -> CheckReport:
     """Even-index branch: P and G share the zero -1, so the reference set is
     the exact quotient of G by (x + 1) and the claim is plain interlacing."""
     rel = build_relation("narayana-perturbed", n)
@@ -756,23 +730,19 @@ def check_narayana_even_quotient(n: int, floor: float = DEFAULT_FLOOR) -> CheckR
         return report
     zp = zeros_general(rel.P)
     zq = zeros_general(quotient)
-    report.clauses["quotient_interlace"] = _verdict_clause(
-        interlaces_down(zp, zq, floor), INTERLACE_DOWN
-    )
+    report.clauses["quotient_interlace"] = _verdict_clause(interlaces_down(zp, zq), INTERLACE_DOWN)
     report.notes.append("even branch: zeros of P against zeros of G/(x+1)")
     return report
 
 
-def run_check(
-    check_id: str, n: int, params: dict | None = None, floor: float = DEFAULT_FLOOR
-) -> CheckReport:
+def run_check(check_id: str, n: int, params: dict | None = None) -> CheckReport:
     """Build the relation behind a named check and run its shape checker."""
     if check_id not in CHECK_TO_PAIR:
         raise InvalidParameterError(f"unknown check id {check_id!r}")
     if check_id == EVEN_QUOTIENT_CHECK and n % 2 == 0:
-        return check_narayana_even_quotient(n, floor)
+        return check_narayana_even_quotient(n)
     rel = build_relation(CHECK_TO_PAIR[check_id], n, params)
-    report = check_relation(rel, floor)
+    report = check_relation(rel)
     report.check_id = check_id
     return report
 
@@ -871,7 +841,7 @@ def _oracle_relation(shape, A, B, e, c, draw: _Draw) -> MixedRelation:
         support=draw.support,
         params={"n": len(c) - 1},
     )
-    rel.roots = draw.roots
+    object.__setattr__(rel, "roots", draw.roots)
     return rel
 
 

@@ -159,7 +159,7 @@ def test_criterion_4_named_check_clause_suite():
                 failures.append((check_id, n, params, report.clauses))
             return
         rel = build_relation(pair, n, params)
-        report = check_relation(rel, 1e-9)
+        report = check_relation(rel)
         if not report.passed:
             failures.append((check_id, n, params, report.clauses, report.hypotheses))
             return
@@ -224,13 +224,13 @@ def test_criterion_5_oracle_property_suite():
             for seed in range(50):
                 runs += 1
                 rel = oracle_pair_up(n, seed, orientation=orientation)
-                report = check_pair_up(rel, 1e-9)
+                report = check_pair_up(rel)
                 if not (report.passed and report.premise_kind == orientation):
                     failures.append(("pair-up", n, orientation, seed, report.clauses))
         for seed in range(100):
             runs += 1
             rel = oracle_down_one(n, seed)
-            report = check_relation(rel, 1e-9)
+            report = check_relation(rel)
             if not report.passed:
                 failures.append(("down-one", n, seed, report.clauses))
     forced = 0
@@ -238,7 +238,7 @@ def test_criterion_5_oracle_property_suite():
         for seed in range(25):
             forced += 1
             rel = oracle_pair_up(n, seed, orientation="q_below_g", force_e="above_max")
-            report = check_pair_up(rel, 1e-9)
+            report = check_pair_up(rel)
             a_const = rel.A.coeffs[0]
             if a_const > 0 or report.clauses.get("e_position") != "fail" or report.passed:
                 failures.append(("forced", n, seed, a_const, report.clauses))

@@ -1,4 +1,4 @@
-"""Command line behavior: outputs, exit codes, determinism, the floor override."""
+"""Command line behavior: outputs, exit codes, determinism, the fixed floor."""
 
 import csv
 import io
@@ -28,6 +28,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_refused(capsys, *argv):
+    """Exit code, stdout and stderr of a command line that argparse refuses."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
 
 
 def _interrupt():
@@ -203,51 +211,32 @@ class TestCheckCommand:
         assert code == 2
         assert "n + 1 <= N" in err
 
-    def test_floor_env_override(self, capsys, monkeypatch):
-        # a floor of 1 makes nothing strictly decidable: the premise is
-        # inconclusive and E can no longer be separated from the zeros of G
+    def test_floor_env_ignored(self, capsys, monkeypatch):
+        # the separation floor is fixed: a floor of 1 from the environment
+        # once made the premise inconclusive and printed "premise: FAILED"
+        argv = ("check", "laguerre-3.7", "--n", "4", "--alpha", "0")
+        monkeypatch.delenv("INTERLACE_FLOOR", raising=False)
+        plain = run_cli(capsys, *argv)
         monkeypatch.setenv("INTERLACE_FLOOR", "1.0")
-        _, coarse, _ = run_cli(capsys, "check", "laguerre-3.7", "--n", "4", "--alpha", "0")
-        assert "premise: FAILED" in coarse
-        assert "e_not_on_g_zero=NO" in coarse
-        monkeypatch.delenv("INTERLACE_FLOOR")
-        code, fine, _ = run_cli(capsys, "check", "laguerre-3.7", "--n", "4", "--alpha", "0")
-        assert code == 0
-        assert "result: PASS" in fine and "premise: q_below_g" in fine
+        assert run_cli(capsys, *argv) == plain
+        assert plain[0] == 0 and "premise: q_below_g" in plain[1]
 
-    def test_floor_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("INTERLACE_FLOOR", "1.0")
-        code, _, _ = run_cli(
-            capsys,
-            "check", "laguerre-3.7", "--n", "4", "--alpha", "0", "--floor", "1e-9",
-        )
-        assert code == 0
-
-    @pytest.mark.parametrize("floor", ["nan", "inf", "-inf", "-1", "-1e-12"])
+    @pytest.mark.parametrize("floor", ["nan", "inf", "-inf", "-1", "-1e-12", "1e-9"])
     def test_unusable_floor_flag_exits_two(self, capsys, floor):
-        # a NaN or infinite floor skipped every hypothesis-dependent clause
-        # and printed PASS; a negative one evaluated clauses it should skip
-        code, out, err = run_cli(
-            capsys, "check", "jacobi-3.6", "--n", "8", "--alpha", "2", "--beta", "14",
-            f"--floor={floor}",
-        )
-        assert code == 2 and out == ""
-        assert err.startswith("error: --floor must be finite and >= 0")
-        assert err.count("\n") == 1
+        # the separation floor is fixed: --floor is no option, in either
+        # form, even with the fixed floor's own value
+        check = ("check", "jacobi-3.6", "--n", "8", "--alpha", "2", "--beta", "14")
+        for flag in ([f"--floor={floor}"], ["--floor", floor]):
+            code, out, err = run_refused(capsys, *check, *flag)
+            assert code == 2 and out == ""
+            assert f"error: unrecognized arguments: {' '.join(flag)}" in err
 
-    @pytest.mark.parametrize("floor", ["nan", "inf", "-1"])
-    def test_unusable_floor_env_exits_two(self, capsys, monkeypatch, floor):
-        monkeypatch.setenv("INTERLACE_FLOOR", floor)
-        code, out, err = run_cli(capsys, "check", "laguerre-3.7", "--n", "4", "--alpha", "0")
-        assert code == 2 and out == ""
-        assert err.startswith("error: INTERLACE_FLOOR must be finite and >= 0")
-        assert err.count("\n") == 1
-
-    def test_zero_floor_accepted(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "check", "laguerre-3.7", "--n", "4", "--alpha", "0", "--floor", "0",
-        )
-        assert code == 0 and "result: PASS" in out
+    def test_coefficient_overflow_exits_two(self, capsys):
+        # the coefficient of x^210 of the degree-540 reduced Narayana member
+        # is beyond the largest double; this was a traceback with exit 1
+        code, out, err = run_cli(capsys, "check", "narayana-3.4", "--n", "541")
+        assert (code, out) == (2, "")
+        assert err == "error: check: the coefficient of x^210 does not fit in a double\n"
 
 
 class TestUnusedParameterFlags:
@@ -364,22 +353,48 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("oracle", [False, True])
     def test_unusable_floor_exits_two(self, capsys, monkeypatch, tmp_path, oracle):
+        # the separation floor is fixed: --floor is no option and
+        # INTERLACE_FLOOR is not read
         if oracle:
             argv = ["sweep", "--oracle", "pair-up", "--n", "1..2", "--seeds", "2"]
         else:
             spec = tmp_path / "sweep.json"
             spec.write_text(
-                json.dumps({"check": "laguerre-3.7", "n": [2], "params": {"alpha": [0]}})
+                json.dumps({"check": "laguerre-3.7", "n": "2", "params": {"alpha": [0]}})
             )
             argv = ["sweep", str(spec), "--workers", "1"]
-        for floor in ("nan", "inf", "-1"):
-            code, out, err = run_cli(capsys, *argv, f"--floor={floor}")
+        monkeypatch.delenv("INTERLACE_FLOOR", raising=False)
+        plain = run_cli(capsys, *argv)
+        assert plain[0] == 0
+        for flag in (["--floor=nan"], ["--floor", "1e-9"]):
+            code, out, err = run_refused(capsys, *argv, *flag)
             assert (code, out) == (2, "")
-            assert err.startswith("error: --floor must be finite and >= 0")
+            assert "error: unrecognized arguments: --floor" in err
         monkeypatch.setenv("INTERLACE_FLOOR", "nan")
-        code, out, err = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv) == plain
+
+    @pytest.mark.parametrize(
+        "check_id, params, message",
+        [
+            ("laguerre-3.7", {"beta": [1]}, "names beta, but laguerre-3.7 takes alpha"),
+            ("laguerre-3.7", None, "names no parameter, but laguerre-3.7 takes alpha"),
+            ("narayana-3.3", {"alpha": [1]}, "names alpha, but narayana-3.3 takes no parameter"),
+            ("narayana-3.4", {"alpha": [1]}, "names alpha, but narayana-3.4 takes no parameter"),
+            ("jacobi-3.6", {"alpha": [1]}, "names alpha, but jacobi-3.6 takes alpha, beta"),
+        ],
+        ids=["beta-for-alpha", "none-for-alpha", "alpha-for-none", "alpha-for-none-even", "short"],
+    )
+    def test_wrong_parameter_names_exit_two(self, capsys, tmp_path, check_id, params, message):
+        # each point used to fail on its own: an error row per point and
+        # exit 3 (narayana-3.4 passed its even points, ignoring the names)
+        spec = {"check": check_id, "n": "2..3"}
+        if params is not None:
+            spec["params"] = params
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "sweep", str(path), "--workers", "1")
         assert (code, out) == (2, "")
-        assert err == "error: INTERLACE_FLOOR must be finite and >= 0 (got nan)\n"
+        assert err == f"error: sweep spec 'params' {message}\n"
 
     def test_malformed_spec_exits_two(self, capsys, tmp_path):
         spec = tmp_path / "bad.json"
@@ -817,8 +832,7 @@ class TestSharedParser:
             target.unlink()
         return code, captured.out, captured.err, written
 
-    def test_reuse_leaks_nothing_between_commands(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.delenv("INTERLACE_FLOOR", raising=False)
+    def test_reuse_leaks_nothing_between_commands(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
         jacobi = ("check", "jacobi-3.6", "--n", "6", "--alpha", "2", "--beta", "14")
         laguerre = ("zeros", "--family", "laguerre", "--alpha", "0", "--n", "3")
@@ -826,7 +840,7 @@ class TestSharedParser:
         sequence = [
             jacobi,
             (*jacobi, "--json"),
-            (*jacobi, "--floor", "0.5"),
+            ("check", "jacobi-3.6", "--n", "6", "--alpha", "1/2", "--beta", "-1/3"),
             jacobi,
             (*oracle, "--output", str(target)),
             oracle,
@@ -848,7 +862,7 @@ class TestSharedParser:
         # every option in the sequence changes what its command prints
         assert [code for code, *_ in alone] == [0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0]
         assert len({alone[0][1], alone[1][1], alone[2][1]}) == 3
-        assert "premise: FAILED" in alone[2][1] and "premise: g_then_q" in alone[3][1]
+        assert "alpha=1/2 beta=-1/3" in alone[2][1] and "alpha=2 beta=14" in alone[3][1]
         assert alone[4][1] == "" and alone[4][3] == alone[5][1] and alone[5][3] is None
         assert alone[6][1].startswith("x,family\n") and alone[7][1].startswith('{"zeros"')
         assert "invalid choice: 'no-such-check'" in alone[8][2]

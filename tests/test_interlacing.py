@@ -57,7 +57,7 @@ class TestAlternates:
         assert alternates(zs, zs).kind == INCONCLUSIVE
 
     def test_inconclusive_below_floor(self):
-        v = alternates([0.0, 1.0], [5e-10, 2.0], floor=1e-9)
+        v = alternates([0.0, 1.0], [5e-10, 2.0])
         assert v.kind == INCONCLUSIVE
         assert v.gap == pytest.approx(5e-10)
         assert v.witness == (0, 0)

@@ -277,20 +277,19 @@ class TestReplacedTerms:
 
     def test_reassigned_g_uses_the_new_zeros(self, monkeypatch):
         rel, other = oracle_pair_up(4, 0), oracle_pair_up(4, 1)
-        rel.G = other.G
-        assert set(rel.roots) == {"Q"}
+        copy = dataclasses.replace(rel, G=other.G)
         calls = self._record(monkeypatch)
-        report = check_pair_up(rel)
-        assert calls == [("general", other.G), ("exact", rel.roots["Q"]), ("general", rel.P)]
+        report = check_pair_up(copy)
+        assert calls == [("general", other.G), ("general", rel.Q), ("general", rel.P)]
         assert report.identity_ok is False
 
-    def test_reassigned_q_drops_only_its_roots(self):
+    def test_terms_cannot_be_reassigned(self):
         rel = oracle_pair_up(4, 0)
-        g_roots = rel.roots["G"]
-        rel.Q = oracle_pair_up(4, 1).Q
-        assert rel.roots == {"G": g_roots}
-        rel.P = rel.P  # P carries no roots
-        assert rel.roots == {"G": g_roots}
+        roots = dict(rel.roots)
+        for term in ("sign", "A", "B", "E", "P", "G", "Q", "certified", "roots"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rel, term, getattr(oracle_pair_up(4, 1), term))
+        assert rel.roots == roots and rel.certified is True
 
     def test_replaced_copy_carries_no_roots(self):
         rel = oracle_pair_up(4, 0)

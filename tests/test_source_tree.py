@@ -11,6 +11,9 @@ oracle mode reaches, fails here before it is ever run.
 * Every key of ``relations.SHAPES`` is the shape of some ``PAIRS`` entry, each
   of which serves a named check, or of a ``cli.ORACLE_MODES`` mode (a mode is
   its shape's name with a hyphen for the underscore).
+* The separation floor is ``interlacing.DEFAULT_FLOOR`` alone: it is assigned
+  once, no function or lambda takes a ``floor`` parameter, and nothing reads
+  ``os.environ`` or ``os.getenv``.
 """
 
 import ast
@@ -112,3 +115,22 @@ def test_no_cache_outlives_a_command():
                     decorated.append(f"{name}.{node.name}")
     assert decorated == ["cli.build_parser"]
     assert uses == 1  # that decorator, and no memo applied any other way
+
+
+def test_one_fixed_floor():
+    floor_params, env_reads, assigned = [], [], []
+    for name, module in _modules().items():
+        if _names_in(module) & {"environ", "getenv"}:
+            env_reads.append(name)
+        for node in ast.walk(module):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                every = (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                if any(arg is not None and arg.arg == "floor" for arg in every):
+                    floor_params.append(f"{name}.{getattr(node, 'name', 'lambda')}")
+            elif isinstance(node, ast.Assign):
+                if any(isinstance(t, ast.Name) and t.id == "DEFAULT_FLOOR" for t in node.targets):
+                    assigned.append(name)
+    assert floor_params == []
+    assert env_reads == []
+    assert assigned == ["interlacing"]

@@ -26,15 +26,15 @@ import signal
 import sys
 from fractions import Fraction
 from functools import cache, partial
-from itertools import starmap
+from itertools import product, starmap
 
 from . import families
 from .families import FamilySpec, InvalidParameterError
 from .relations import (
     BUILD_ROW,
     CHECK_IDS,
-    CHECK_TO_PAIR,
-    PAIRS,
+    CHECKS,
+    ORACLE_MIN_N,
     CheckReport,
     clause_names,
     run_check,
@@ -52,8 +52,11 @@ from .rootfind import RootComputationError
 # (perfbench/tracer.py) wraps it under this module's name.
 from .rootfind import zeros_general, zeros_orthogonal  # noqa: F401
 
-PARAM_FLAGS = tuple(f"--{name}" for name in ("alpha", "beta", "p", "N", "t", "w"))
-ORACLE_MODES = ("down-one", "pair-up")
+#: every family's parameter flags, each once, in ``families.PARAM_NAMES`` order
+PARAM_FLAGS = tuple(
+    dict.fromkeys(f"--{name}" for names in families.PARAM_NAMES.values() for name in names)
+)
+ORACLE_MODES = tuple(ORACLE_MIN_N)
 ORACLE_SEEDS = 100
 
 
@@ -189,7 +192,7 @@ def _report_text(report: CheckReport) -> str:
 
 
 def cmd_check(args) -> int:
-    names = PAIRS[CHECK_TO_PAIR[args.check_id]].param_names
+    names = CHECKS[args.check_id].param_names
     params = _params_from_args(args, names, f"check {args.check_id}")
     try:
         report = run_check(args.check_id, args.n, params)
@@ -216,7 +219,7 @@ def table2_data() -> list[dict]:
         n, alpha, beta = blk["n"], blk["alpha"], blk["beta"]
         base = zeros_orthogonal(families.jacobi(alpha, beta, n))
         shifted = zeros_orthogonal(families.jacobi(alpha + 1, beta + 1, n))
-        e = PAIRS["jacobi-shift"].E(n, alpha=alpha, beta=beta)
+        e = CHECKS["jacobi-3.6"].E(n, alpha=alpha, beta=beta)
         out.append(
             {
                 "block": blk["block"],
@@ -300,20 +303,12 @@ def _sweep_grid(spec: dict) -> list[tuple[int, dict]]:
                 f"sweep spec parameter {name!r} must be a list of values (got {values!r})"
             )
     names = sorted(params)
-    points: list[tuple[int, dict]] = []
-
-    def expand(prefix: dict, remaining: list[str]):
-        if not remaining:
-            for n in ns:
-                points.append((n, dict(prefix)))
-            return
-        name = remaining[0]
+    columns = []
+    for name in names:
         if not params[name]:
             raise InvalidParameterError(f"sweep spec parameter {name!r} lists no values")
-        for raw in params[name]:
-            expand({**prefix, name: parse_fraction(str(raw))}, remaining[1:])
-
-    expand({}, names)
+        columns.append([parse_fraction(str(raw)) for raw in params[name]])
+    points = [(n, dict(zip(names, values))) for values in product(*columns) for n in ns]
     points.sort(key=lambda item: (sorted(item[1].items()), item[0]))
     return points
 
@@ -509,7 +504,7 @@ def cmd_sweep(args) -> int:
                 f"{check_id} (its clauses: {', '.join(names)})"
             )
         points = _sweep_grid(spec)
-        takes = PAIRS[CHECK_TO_PAIR[check_id]].param_names
+        takes = CHECKS[check_id].param_names
         named = sorted(spec.get("params", {}))
         if set(named) != set(takes):
             raise InvalidParameterError(

@@ -62,6 +62,19 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+def _combination(*pairs) -> list[int]:
+    """The integer coefficients of the sum of the products f g over ``pairs``, trimmed."""
+    out: list[int] = []
+    for f, g in pairs:
+        product = _convolve(f, g)
+        out += [0] * (len(product) - len(out))
+        for k, c in enumerate(product):
+            out[k] += c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def _stripped(coeffs: tuple) -> tuple:
     """``coeffs`` without its trailing zeros."""
     end = len(coeffs)
@@ -317,18 +330,15 @@ def monic_linear(root: Scalar) -> Polynomial:
 def products_cancel(terms: Iterable[tuple[int, Polynomial, Polynomial]]) -> bool:
     """True iff the sum of ``weight * left * right`` is exactly zero.
 
-    Each product is the convolution of the stored vectors over the product
-    of their denominators; the products are compared over the lcm of those,
-    so the verdict is exact and no ``Fraction`` is built.
+    Each left factor's numerators are scaled by its weight and brought over
+    the lcm of the products' denominators, so one integer combination of the
+    stored vectors decides it exactly and no ``Fraction`` is built.
     """
-    products = [
-        (weight, _convolve(left.nums, right.nums), left.den * right.den)
-        for weight, left, right in terms
-    ]
-    den = math.lcm(*(d for _, _, d in products))
-    total = [0] * max((len(c) for _, c, _ in products), default=0)
-    for weight, coeffs, d in products:
-        factor = weight * (den // d)
-        for k, c in enumerate(coeffs):
-            total[k] += factor * c
-    return not any(total)
+    terms = tuple(terms)
+    den = math.lcm(*(left.den * right.den for _, left, right in terms))
+    return not _combination(
+        *(
+            ([weight * (den // (left.den * right.den)) * c for c in left.nums], right.nums)
+            for weight, left, right in terms
+        )
+    )

@@ -52,7 +52,7 @@ from .interlacing import (
 )
 from .poly import (
     Polynomial,
-    _convolve,
+    _combination,
     _integer_form,
     monic_linear,
     products_cancel,
@@ -144,19 +144,17 @@ def verify_identity(rel: MixedRelation) -> bool:
 
 
 @dataclass(frozen=True)
-class PairEntry:
-    """One named relation as a function of the degree index n and its parameters.
+class CheckEntry:
+    """The relation behind one named check, as a function of n and its parameters.
 
     Every callable is called as ``f(n, **params)``, with the parameters that
     ``families.PARAM_NAMES`` lists for ``family`` as Fractions.  ``P``, ``G``
     and ``Q`` give the member specs, ``A`` and ``B`` coefficient lists, and
-    ``check`` raises ``InvalidParameterError`` on parameters the relation
-    excludes.  With ``min_n`` None the members' own check on the degree index
+    ``check`` raises ``InvalidParameterError``, naming the check id, on
+    parameters the relation excludes.  With ``min_n`` None the members' own check on the degree index
     applies.
     """
 
-    #: the named check this relation serves
-    check_id: str
     shape: str
     family: str
     P: Callable
@@ -188,10 +186,10 @@ def _shift(x: Fraction, k: int) -> Fraction:
 
 def _krawtchouk_check(n, p, N):
     if N.denominator != 1 or N.numerator < 1:
-        raise InvalidParameterError(f"krawtchouk relation needs integer N >= 1 (got N={N})")
+        raise InvalidParameterError(f"krawtchouk-3.1 needs integer N >= 1 (got N={N})")
     if n + 1 > N.numerator:
         raise InvalidParameterError(
-            f"krawtchouk relation needs n + 1 <= N so both parameter columns exist "
+            f"krawtchouk-3.1 needs n + 1 <= N so both parameter columns exist "
             f"(got n={n}, N={N})"
         )
 
@@ -223,7 +221,7 @@ def _meixner_e(n, t, w):
 def _jacobi_beta_check(n, alpha, beta):
     if beta.numerator <= 0:
         raise InvalidParameterError(
-            f"jacobi-beta relation needs beta > 0 so the lowered parameter stays valid "
+            f"jacobi-3.5 needs beta > 0 so the lowered parameter stays valid "
             f"(got beta={beta})"
         )
 
@@ -276,10 +274,9 @@ def _laguerre_a(n, alpha):
 _HALF_LINE = lambda n, **_: (0.0, None)  # noqa: E731
 _JACOBI_INTERVAL = lambda n, **_: (-1.0, 1.0)  # noqa: E731
 
-#: pair id -> relation, in the order of the named checks
-PAIRS = {
-    "krawtchouk": PairEntry(
-        check_id="krawtchouk-3.1",
+#: check id -> its relation, in the paper's order
+CHECKS = {
+    "krawtchouk-3.1": CheckEntry(
         shape=PAIR_UP,
         family="krawtchouk",
         check=_krawtchouk_check,
@@ -291,8 +288,7 @@ PAIRS = {
         E=_krawtchouk_e,
         support=lambda n, p, N: (0.0, float(N.numerator + 1)),
     ),
-    "meixner": PairEntry(
-        check_id="meixner-3.2",
+    "meixner-3.2": CheckEntry(
         shape=PAIR_UP,
         family="meixner",
         P=lambda n, t, w: families.meixner(t, w, n),
@@ -303,8 +299,7 @@ PAIRS = {
         E=_meixner_e,
         support=_HALF_LINE,
     ),
-    "narayana-christoffel": PairEntry(
-        check_id="narayana-3.3",
+    "narayana-3.3": CheckEntry(
         shape=DOWN_ONE,
         family="narayana-christoffel",
         min_n=2,
@@ -315,8 +310,7 @@ PAIRS = {
         B=lambda n: [Fraction(2 * n + 1, n - 1)],
         E=lambda n: Fraction(1),
     ),
-    "narayana-perturbed": PairEntry(
-        check_id="narayana-3.4",
+    "narayana-3.4": CheckEntry(
         shape=DOWN_ONE,
         family="narayana-perturbed",
         min_n=2,
@@ -327,8 +321,7 @@ PAIRS = {
         B=lambda n: [Fraction(n, n - 1)],
         E=lambda n: Fraction(-1),
     ),
-    "jacobi-beta": PairEntry(
-        check_id="jacobi-3.5",
+    "jacobi-3.5": CheckEntry(
         shape=PAIR_UP,
         family="jacobi",
         min_n=1,
@@ -341,8 +334,7 @@ PAIRS = {
         E=_jacobi_beta_e,
         support=_JACOBI_INTERVAL,
     ),
-    "jacobi-shift": PairEntry(
-        check_id="jacobi-3.6",
+    "jacobi-3.6": CheckEntry(
         shape=DOWN_ONE,
         family="jacobi",
         min_n=1,
@@ -354,8 +346,7 @@ PAIRS = {
         E=_jacobi_shift_e,
         support=_JACOBI_INTERVAL,
     ),
-    "laguerre": PairEntry(
-        check_id="laguerre-3.7",
+    "laguerre-3.7": CheckEntry(
         shape=PAIR_UP,
         family="laguerre",
         P=lambda n, alpha: families.laguerre(alpha, n),
@@ -368,30 +359,28 @@ PAIRS = {
     ),
 }
 
-#: named check id -> pair id
-CHECK_TO_PAIR = {entry.check_id: pair_id for pair_id, entry in PAIRS.items()}
-CHECK_IDS = tuple(CHECK_TO_PAIR)
+CHECK_IDS = tuple(CHECKS)
 
 
-def build_relation(pair_id: str, n: int, params: dict | None = None) -> MixedRelation:
-    """Construct and exactly verify the named relation at one grid point."""
-    entry = PAIRS.get(pair_id)
+def build_relation(check_id: str, n: int, params: dict | None = None) -> MixedRelation:
+    """Construct and exactly verify the relation of a named check at one grid point."""
+    entry = CHECKS.get(check_id)
     if entry is None:
-        raise InvalidParameterError(f"unknown relation pair {pair_id!r}")
+        raise InvalidParameterError(f"unknown check id {check_id!r}")
     names = entry.param_names
     params = dict(params or {})
     if set(params) != set(names):
         raise InvalidParameterError(
-            f"{pair_id} expects parameters {names}, got {tuple(sorted(params))}"
+            f"{check_id} expects parameters {names}, got {tuple(sorted(params))}"
         )
     kw = {name: exact_rational(params[name]) for name in names}
     if entry.min_n is not None and n < entry.min_n:
-        raise InvalidParameterError(f"{pair_id} relation needs n >= {entry.min_n} (got n={n})")
+        raise InvalidParameterError(f"{check_id} needs n >= {entry.min_n} (got n={n})")
     if entry.check is not None:
         entry.check(n, **kw)
     p_spec, g_spec, q_spec = entry.P(n, **kw), entry.G(n, **kw), entry.Q(n, **kw)
     rel = MixedRelation(
-        rel_id=pair_id,
+        rel_id=check_id,
         shape=entry.shape,
         sign=SHAPES[entry.shape][0],
         A=Polynomial(entry.A(n, **kw)),
@@ -546,9 +535,9 @@ def _a_positive(rel: MixedRelation, zg: ZeroSet, grid_points: int = 32) -> bool:
     return True
 
 
-def _new_report(rel: MixedRelation, check_id: str) -> CheckReport:
+def _new_report(rel: MixedRelation) -> CheckReport:
     return CheckReport(
-        check_id=check_id,
+        check_id=rel.rel_id,
         shape=rel.shape,
         params=dict(rel.params),
         e_value=rel.E,
@@ -565,17 +554,18 @@ def _term_zeros(rel: MixedRelation, name: str) -> ZeroSet:
 
 
 def _base_report(rel: MixedRelation) -> tuple[CheckReport, ZeroSet, ZeroSet, ZeroSet]:
-    report = _new_report(rel, rel.rel_id)
+    report = _new_report(rel)
     zg = _term_zeros(rel, "G")
     zq = _term_zeros(rel, "Q")
     zp = _term_zeros(rel, "P")
     e_float = float(rel.E)
-    report.hypotheses["b_at_e_nonzero"] = rel.B.evaluate(rel.E) != 0
-    report.hypotheses["e_not_on_g_zero"] = all(abs(e_float - g) > DEFAULT_FLOOR for g in zg.zeros)
-    report.hypotheses["no_common_zeros_g_p"] = _min_cross_gap(zg, zp) > DEFAULT_FLOOR
-    report.hypotheses["a_positive"] = _a_positive(rel, zg)
+    # E's one position among the zeros of G; "unknown" means within the floor of one.
     position, slot = locate_point(e_float, zg)
     report.e_position = position if slot is None else f"{position}({slot})"
+    report.hypotheses["b_at_e_nonzero"] = rel.B.evaluate(rel.E) != 0
+    report.hypotheses["e_not_on_g_zero"] = position != "unknown"
+    report.hypotheses["no_common_zeros_g_p"] = _min_cross_gap(zg, zp) > DEFAULT_FLOOR
+    report.hypotheses["a_positive"] = _a_positive(rel, zg)
     if any(abs(e_float - q) <= DEFAULT_FLOOR for q in zq.zeros):
         report.notes.append("E sits on a zero of Q (permitted, logged)")
     if not report.hypotheses_ok:
@@ -656,14 +646,13 @@ def check_pair_up(rel: MixedRelation) -> CheckReport:
 
     # Full interlacing of G (degree n+1) onto P (degree n) holds iff E lies
     # outside the zero range of G on the case's side.
-    side_bound = zg.min if case_low else zg.max
-    side_gap = (side_bound - e_float) if case_low else (e_float - side_bound)
     full = interlaces_down(zg, zp)
-    if abs(side_gap) <= DEFAULT_FLOOR or full.kind == INCONCLUSIVE:
+    if full.kind == INCONCLUSIVE:
         report.clauses["full_iff"] = SKIPPED
     else:
+        outside = report.e_position == ("below" if case_low else "above")
         report.clauses["full_iff"] = (
-            PASS if (side_gap > 0) == (full.kind == INTERLACE_DOWN) else FAIL_CLAUSE
+            PASS if outside == (full.kind == INTERLACE_DOWN) else FAIL_CLAUSE
         )
     return report
 
@@ -673,7 +662,6 @@ def check_down_one(rel: MixedRelation) -> CheckReport:
     if rel.shape != DOWN_ONE:
         raise InvalidParameterError(f"check_down_one got shape {rel.shape}")
     report, zg, zq, zp = _base_report(rel)
-    e_float = float(rel.E)
 
     premise = interlaces_down(zg, zq)
     if premise.kind != INTERLACE_DOWN:
@@ -688,11 +676,11 @@ def check_down_one(rel: MixedRelation) -> CheckReport:
     ap = added_point_interlace(zp, rel.E, zg)  # no CommonPointError, as in check_pair_up
     report.clauses["added_point"] = _verdict_clause(ap, ADDED_OK_KINDS)
 
-    if zg.zeros and e_float > zg.max + DEFAULT_FLOOR:
+    if report.e_position == "above":
         report.clauses["full_when_e_above"] = _verdict_clause(alternates(zp, zg), ALTERNATE)
     else:
         report.clauses["full_when_e_above"] = SKIPPED
-    if zg.zeros and e_float < zg.min - DEFAULT_FLOOR:
+    if report.e_position == "below":
         report.clauses["full_when_e_below"] = _verdict_clause(alternates(zg, zp), ALTERNATE)
     else:
         report.clauses["full_when_e_below"] = SKIPPED
@@ -715,11 +703,11 @@ def check_relation(rel: MixedRelation) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def check_narayana_even_quotient(n: int) -> CheckReport:
+def check_narayana_even_quotient(n: int, params: dict | None = None) -> CheckReport:
     """Even-index branch: P and G share the zero -1, so the reference set is
     the exact quotient of G by (x + 1) and the claim is plain interlacing."""
-    rel = build_relation("narayana-perturbed", n)
-    report = _new_report(rel, EVEN_QUOTIENT_CHECK)
+    rel = build_relation(EVEN_QUOTIENT_CHECK, n, params)
+    report = _new_report(rel)
     report.premise_kind = "even-quotient"
     shared = rel.P.evaluate(Fraction(-1)) == 0 and rel.G.evaluate(Fraction(-1)) == 0
     report.clauses["common_zero_at_minus_one"] = PASS if shared else FAIL_CLAUSE
@@ -737,19 +725,14 @@ def check_narayana_even_quotient(n: int) -> CheckReport:
 
 def run_check(check_id: str, n: int, params: dict | None = None) -> CheckReport:
     """Build the relation behind a named check and run its shape checker."""
-    if check_id not in CHECK_TO_PAIR:
-        raise InvalidParameterError(f"unknown check id {check_id!r}")
     if check_id == EVEN_QUOTIENT_CHECK and n % 2 == 0:
-        return check_narayana_even_quotient(n)
-    rel = build_relation(CHECK_TO_PAIR[check_id], n, params)
-    report = check_relation(rel)
-    report.check_id = check_id
-    return report
+        return check_narayana_even_quotient(n, params)
+    return check_relation(build_relation(check_id, n, params))
 
 
 def clause_names(check_id: str) -> tuple[str, ...]:
     """Every row name a sweep of ``check_id`` can write, in row order."""
-    names = REPORT_ROWS + SHAPE_CLAUSES[PAIRS[CHECK_TO_PAIR[check_id]].shape]
+    names = REPORT_ROWS + SHAPE_CLAUSES[CHECKS[check_id].shape]
     if check_id == EVEN_QUOTIENT_CHECK:
         names += EVEN_QUOTIENT_CLAUSES
     return names + (BUILD_ROW,)
@@ -811,19 +794,6 @@ def _scaled_draw(g_nums, q_nums, den: int, e: Fraction) -> _Draw:
         roots={"G": (tuple(g_nums), big), "Q": (tuple(q_nums), big)},
         support=(min(hull) / big - 1.0, max(hull) / big + 1.0),
     )
-
-
-def _combination(*pairs) -> list[int]:
-    """The integer coefficients of the sum of the products f g over ``pairs``, trimmed."""
-    out: list[int] = []
-    for f, g in pairs:
-        product = _convolve(f, g)
-        out += [0] * (len(product) - len(out))
-        for k, c in enumerate(product):
-            out[k] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def _oracle_relation(shape, A, B, e, c, draw: _Draw) -> MixedRelation:

@@ -5,7 +5,7 @@ recurrence.  The terminating 2F1 sums below are a second, independent route
 to the same monic polynomials, and ``hypergeometric_check`` asserts that the
 two agree.  The discrete weights and the closed-form value of a Krawtchouk
 member at its support edge give further exact facts to test the recurrence
-members against.  ``PAIRS_REFERENCE`` transcribes each named relation's
+members against.  ``CHECKS_REFERENCE`` transcribes each named relation's
 displays in ``Fraction`` arithmetic, the form the program's integer table
 must reproduce.
 """
@@ -116,11 +116,11 @@ def _jacobi_beta_e(n, alpha, beta):
     return -1 + 2 * (n + 1) * (n + alpha + 1) / ((2 * n + s + 2) * (2 * n + s + 3))
 
 
-#: pair id -> {term: f(n, **params)}: the member specs P, G and Q, the
+#: check id -> {term: f(n, **params)}: the member specs P, G and Q, the
 #: coefficient lists A and B, the added point E and a support that depends on
 #: the parameters, each display written directly in Fraction arithmetic
-PAIRS_REFERENCE = {
-    "krawtchouk": dict(
+CHECKS_REFERENCE = {
+    "krawtchouk-3.1": dict(
         P=lambda n, p, N: families.krawtchouk(p, N + 1, n),
         G=lambda n, p, N: families.krawtchouk(p, N, n + 1),
         Q=lambda n, p, N: families.krawtchouk(p, N + 1, n + 1),
@@ -129,7 +129,7 @@ PAIRS_REFERENCE = {
         E=lambda n, p, N: N + 1 - p * (n + 1),
         support=lambda n, p, N: (0.0, float(N + 1)),
     ),
-    "meixner": dict(
+    "meixner-3.2": dict(
         P=lambda n, t, w: families.meixner(t, w, n),
         G=lambda n, t, w: families.meixner(t + 1, w, n + 1),
         Q=lambda n, t, w: families.meixner(t, w, n + 1),
@@ -137,7 +137,7 @@ PAIRS_REFERENCE = {
         B=lambda n, t, w: [-t, -1],
         E=lambda n, t, w: -t + w * (n + 1) / (1 - w),
     ),
-    "narayana-christoffel": dict(
+    "narayana-3.3": dict(
         P=lambda n: families.narayana_spec("narayana-christoffel", n),
         G=lambda n: families.narayana_spec("narayana-reduced", n),
         Q=lambda n: families.narayana_spec("narayana-reduced", n - 1),
@@ -145,7 +145,7 @@ PAIRS_REFERENCE = {
         B=lambda n: [Fraction(2 * n + 1, n - 1)],
         E=lambda n: Fraction(1),
     ),
-    "narayana-perturbed": dict(
+    "narayana-3.4": dict(
         P=lambda n: families.narayana_spec("narayana-perturbed", n),
         G=lambda n: families.narayana_spec("narayana-reduced", n),
         Q=lambda n: families.narayana_spec("narayana-reduced", n - 1),
@@ -153,7 +153,7 @@ PAIRS_REFERENCE = {
         B=lambda n: [Fraction(n, n - 1)],
         E=lambda n: Fraction(-1),
     ),
-    "jacobi-beta": dict(
+    "jacobi-3.5": dict(
         P=lambda n, alpha, beta: families.jacobi(alpha, beta, n),
         G=lambda n, alpha, beta: families.jacobi(alpha, beta + 1, n + 1),
         Q=lambda n, alpha, beta: families.jacobi(alpha, beta - 1, n + 1),
@@ -161,7 +161,7 @@ PAIRS_REFERENCE = {
         B=lambda n, alpha, beta: [-1, -1],
         E=_jacobi_beta_e,
     ),
-    "jacobi-shift": dict(
+    "jacobi-3.6": dict(
         P=lambda n, alpha, beta: families.jacobi(alpha, beta, n),
         G=lambda n, alpha, beta: families.jacobi(alpha + 1, beta + 1, n),
         Q=lambda n, alpha, beta: families.jacobi(alpha + 1, beta + 1, n - 1),
@@ -169,7 +169,7 @@ PAIRS_REFERENCE = {
         B=lambda n, alpha, beta: [(2 * n + alpha + beta + 1) / n],
         E=lambda n, alpha, beta: (alpha - beta) / (2 * n + alpha + beta + 2),
     ),
-    "laguerre": dict(
+    "laguerre-3.7": dict(
         P=lambda n, alpha: families.laguerre(alpha, n),
         G=lambda n, alpha: families.laguerre(alpha + 1, n + 1),
         Q=lambda n, alpha: families.laguerre(alpha, n + 1),

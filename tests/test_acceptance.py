@@ -26,7 +26,6 @@ from interlace.families import (
 )
 from interlace.poly import Polynomial
 from interlace.relations import (
-    CHECK_TO_PAIR,
     build_relation,
     check_narayana_even_quotient,
     check_pair_up,
@@ -63,23 +62,23 @@ def _identity_grid():
     for n in range(0, 9):
         for N in range(n + 1, 11):
             for p in KRAWTCHOUK_P:
-                points.append(("krawtchouk", n, {"p": p, "N": F(N)}))
+                points.append(("krawtchouk-3.1", n, {"p": p, "N": F(N)}))
     for n in range(0, 9):
         for t in MEIXNER_T:
             for w in MEIXNER_W:
-                points.append(("meixner", n, {"t": t, "w": w}))
+                points.append(("meixner-3.2", n, {"t": t, "w": w}))
     for n in range(0, 9):
         for alpha in JACOBI_GRID:
-            points.append(("laguerre", n, {"alpha": alpha}))
+            points.append(("laguerre-3.7", n, {"alpha": alpha}))
     for n in range(1, 9):
         for alpha in JACOBI_GRID:
             for beta in JACOBI_GRID:
-                points.append(("jacobi-shift", n, {"alpha": alpha, "beta": beta}))
+                points.append(("jacobi-3.6", n, {"alpha": alpha, "beta": beta}))
                 if beta > 0:
-                    points.append(("jacobi-beta", n, {"alpha": alpha, "beta": beta}))
+                    points.append(("jacobi-3.5", n, {"alpha": alpha, "beta": beta}))
     for n in range(2, 13):
-        points.append(("narayana-christoffel", n, {}))
-        points.append(("narayana-perturbed", n, {}))
+        points.append(("narayana-3.3", n, {}))
+        points.append(("narayana-3.4", n, {}))
     return points
 
 
@@ -128,13 +127,13 @@ def test_criterion_3_exact_identity_suite():
     started = time.perf_counter()
     failures = []
     points = _identity_grid()
-    for pair, n, params in points:
+    for check_id, n, params in points:
         try:
-            rel = build_relation(pair, n, params)
+            rel = build_relation(check_id, n, params)
             if not verify_identity(rel):
-                failures.append((pair, n, params))
+                failures.append((check_id, n, params))
         except Exception as exc:
-            failures.append((pair, n, params, repr(exc)))
+            failures.append((check_id, n, params, repr(exc)))
     _finish(
         "criterion 3: exact identity suite",
         failures,
@@ -150,7 +149,7 @@ def test_criterion_4_named_check_clause_suite():
     full_iff_sides = {True: 0, False: 0}
     checked = 0
 
-    def run_point(check_id, pair, n, params):
+    def run_point(check_id, n, params):
         nonlocal checked
         checked += 1
         if check_id == "narayana-3.4" and n % 2 == 0:
@@ -158,7 +157,7 @@ def test_criterion_4_named_check_clause_suite():
             if not report.passed:
                 failures.append((check_id, n, params, report.clauses))
             return
-        rel = build_relation(pair, n, params)
+        rel = build_relation(check_id, n, params)
         report = check_relation(rel)
         if not report.passed:
             failures.append((check_id, n, params, report.clauses, report.hypotheses))
@@ -186,23 +185,23 @@ def test_criterion_4_named_check_clause_suite():
     for n in range(0, 9):
         for N in range(n + 1, 11):
             for p in KRAWTCHOUK_P:
-                run_point("krawtchouk-3.1", "krawtchouk", n, {"p": p, "N": F(N)})
+                run_point("krawtchouk-3.1", n, {"p": p, "N": F(N)})
     for n in range(0, 9):
         for t in MEIXNER_T:
             for w in MEIXNER_W:
-                run_point("meixner-3.2", "meixner", n, {"t": t, "w": w})
+                run_point("meixner-3.2", n, {"t": t, "w": w})
     for n in range(0, 9):
         for alpha in JACOBI_GRID:
-            run_point("laguerre-3.7", "laguerre", n, {"alpha": alpha})
+            run_point("laguerre-3.7", n, {"alpha": alpha})
     for n in range(1, 9):
         for alpha in JACOBI_GRID:
             for beta in JACOBI_GRID:
-                run_point("jacobi-3.6", "jacobi-shift", n, {"alpha": alpha, "beta": beta})
+                run_point("jacobi-3.6", n, {"alpha": alpha, "beta": beta})
                 if beta > 0:
-                    run_point("jacobi-3.5", "jacobi-beta", n, {"alpha": alpha, "beta": beta})
+                    run_point("jacobi-3.5", n, {"alpha": alpha, "beta": beta})
     for n in range(2, 13):
-        run_point("narayana-3.3", "narayana-christoffel", n, {})
-        run_point("narayana-3.4", "narayana-perturbed", n, {})
+        run_point("narayana-3.3", n, {})
+        run_point("narayana-3.4", n, {})
 
     if not (full_iff_sides[True] and full_iff_sides[False]):
         failures.append(("full-interlace iff not exercised in both directions", full_iff_sides))

@@ -211,6 +211,25 @@ class TestCheckCommand:
         assert code == 2
         assert "n + 1 <= N" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("jacobi-3.5", "--n", "0", "--alpha", "2", "--beta", "14"),
+            ("jacobi-3.6", "--n", "0", "--alpha", "2", "--beta", "14"),
+            ("narayana-3.3", "--n", "1"),
+            ("narayana-3.4", "--n", "1"),
+            ("krawtchouk-3.1", "--n", "5", "--p", "1/3", "--N", "5"),
+            ("jacobi-3.5", "--n", "3", "--alpha", "2", "--beta", "0"),
+        ],
+        ids=lambda argv: " ".join(argv[:3]),
+    )
+    def test_refusal_names_the_check_id(self, capsys, argv):
+        # these messages once named the relation's internal table key
+        # ("jacobi-shift relation needs n >= 1"), which no user types
+        code, out, err = run_cli(capsys, "check", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {argv[0]} needs ") and err.count("\n") == 1
+
     def test_floor_env_ignored(self, capsys, monkeypatch):
         # the separation floor is fixed: a floor of 1 from the environment
         # once made the premise inconclusive and printed "premise: FAILED"
@@ -348,7 +367,7 @@ class TestSweepCommand:
         )
         code, out, err = run_cli(capsys, "sweep", str(spec))
         assert code == 3  # build errors are recorded, not fatal, and not passes
-        assert "error: krawtchouk relation needs n + 1 <= N" in out
+        assert "error: krawtchouk-3.1 needs n + 1 <= N" in out
         assert "1 error" in err
 
     @pytest.mark.parametrize("oracle", [False, True])
@@ -530,6 +549,35 @@ class TestSweepCommand:
         path.write_text(json.dumps({"check": "laguerre-3.7", **spec}))
         code, out, err = run_cli(capsys, "sweep", str(path), "--workers", "1")
         assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (
+                {"beta": [], "alpha": ["0", "1/x"]},
+                "error: cannot parse rational '1/x': Invalid literal for Fraction: '1/x'\n",
+            ),
+            ({"beta": ["1/x"], "alpha": []}, "error: sweep spec parameter 'alpha' lists no values\n"),
+        ],
+        ids=["bad-alpha-before-empty-beta", "empty-alpha-before-bad-beta"],
+    )
+    def test_first_fault_in_name_order(self, capsys, tmp_path, params, message):
+        # With two faults the first parameter in sorted-name order is named,
+        # whatever the spec's key order.
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"check": "jacobi-3.6", "n": "2", "params": params}))
+        code, out, err = run_cli(capsys, "sweep", str(path), "--workers", "1")
+        assert (code, out, err) == (2, "", message)
+
+    def test_grid_points_in_parameter_then_degree_order(self):
+        spec = {"n": "1..2", "params": {"beta": ["1", "-1/2"], "alpha": ["3", "0"]}}
+        points = [(n, {k: str(v) for k, v in params.items()}) for n, params in cli._sweep_grid(spec)]
+        assert points == [
+            (n, {"alpha": alpha, "beta": beta})
+            for alpha in ("0", "3")
+            for beta in ("-1/2", "1")
+            for n in (1, 2)
+        ]
 
     @pytest.mark.parametrize(
         "params, message",

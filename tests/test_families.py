@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from interlace import families
-from interlace.relations import PAIRS
+from interlace.relations import CHECKS
 from interlace.families import (
     ConstructionError,
     FamilySpec,
@@ -508,26 +508,26 @@ class TestExtraPoint:
     """The added point E of each named relation, read from the relation table."""
 
     @staticmethod
-    def extra_point(pair_id, n, **params):
-        return PAIRS[pair_id].E(n, **{k: F(v) for k, v in params.items()})
+    def extra_point(check_id, n, **params):
+        return CHECKS[check_id].E(n, **{k: F(v) for k, v in params.items()})
 
     def test_jacobi_shift_values(self):
-        assert self.extra_point("jacobi-shift", 6, alpha=2, beta=14) == F(-2, 5)
-        assert self.extra_point("jacobi-shift", 7, alpha=14, beta=2) == F(3, 8)
+        assert self.extra_point("jacobi-3.6", 6, alpha=2, beta=14) == F(-2, 5)
+        assert self.extra_point("jacobi-3.6", 7, alpha=14, beta=2) == F(3, 8)
 
     def test_laguerre_value(self):
-        assert self.extra_point("laguerre", 5, alpha=0) == 6
+        assert self.extra_point("laguerre-3.7", 5, alpha=0) == 6
 
     def test_krawtchouk_value(self):
-        assert self.extra_point("krawtchouk", 2, p=F(1, 2), N=4) == F(7, 2)
+        assert self.extra_point("krawtchouk-3.1", 2, p=F(1, 2), N=4) == F(7, 2)
 
     def test_meixner_value(self):
-        got = self.extra_point("meixner", 0, t=1, w=F(1, 2))
+        got = self.extra_point("meixner-3.2", 0, t=1, w=F(1, 2))
         assert got == 0
 
     def test_narayana_values(self):
-        assert self.extra_point("narayana-christoffel", 4) == 1
-        assert self.extra_point("narayana-perturbed", 4) == -1
+        assert self.extra_point("narayana-3.3", 4) == 1
+        assert self.extra_point("narayana-3.4", 4) == -1
 
 
 class TestSpecSerialization:

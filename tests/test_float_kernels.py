@@ -31,7 +31,7 @@ from interlace.families import (
     narayana_spec,
 )
 from interlace.poly import Polynomial
-from interlace.relations import CHECK_TO_PAIR, _a_positive, _min_cross_gap, build_relation
+from interlace.relations import CHECK_IDS, _a_positive, _min_cross_gap, build_relation
 from interlace.rootfind import (
     RootComputationError,
     ZeroSet,
@@ -235,7 +235,7 @@ def test_narayana_check_at_forty_has_a_tight_p_bound(monkeypatch, capsys):
     monkeypatch.setattr(relations, "zeros_general", spy)
     assert cli.main(["check", "narayana-3.3", "--n", "40"]) == 0
     capsys.readouterr()
-    p = build_relation(CHECK_TO_PAIR["narayana-3.3"], 40).P
+    p = build_relation("narayana-3.3", 40).P
     (zp,) = [zs for zs in seen if zs.source == p]
     assert len(zp) == 39
     assert zp.bound < 1e-4
@@ -303,9 +303,9 @@ CHECK_PARAMS = {
 }
 
 
-@pytest.mark.parametrize("check_id", sorted(CHECK_TO_PAIR))
+@pytest.mark.parametrize("check_id", sorted(CHECK_IDS))
 def test_a_positive_matches_on_the_checks(check_id):
     for n in (2, 5, 9):
-        rel = build_relation(CHECK_TO_PAIR[check_id], n, CHECK_PARAMS.get(check_id))
+        rel = build_relation(check_id, n, CHECK_PARAMS.get(check_id))
         zg = relations._term_zeros(rel, "G")
         assert _a_positive(rel, zg) == a_positive_reference(rel, zg)

@@ -145,73 +145,73 @@ def oracle_relations() -> str:
     return "".join(lines)
 
 
-# (pair id, degrees, parameter sets) for every named relation.
+# (check id, degrees, parameter sets) for every named relation.
 NAMED_RELATIONS = (
-    ("krawtchouk", (0, 1, 5, 20), ({"p": "1/3", "N": "25"}, {"p": "1/2", "N": "21"})),
-    ("meixner", (0, 1, 5, 20), ({"t": "1", "w": "1/2"}, {"t": "5/2", "w": "1/3"})),
-    ("laguerre", (0, 1, 5, 20), ({"alpha": "0"}, {"alpha": "-1/2"}, {"alpha": "3"})),
-    ("jacobi-beta", (1, 2, 5, 20), ({"alpha": "2", "beta": "14"}, {"alpha": "-1/2", "beta": "1/2"})),
-    ("jacobi-shift", (1, 2, 5, 20), ({"alpha": "2", "beta": "14"}, {"alpha": "-1/2", "beta": "-1/2"})),
-    ("narayana-christoffel", (2, 3, 8, 20, 60), ({},)),
-    ("narayana-perturbed", (2, 3, 8, 20, 60), ({},)),
+    ("krawtchouk-3.1", (0, 1, 5, 20), ({"p": "1/3", "N": "25"}, {"p": "1/2", "N": "21"})),
+    ("meixner-3.2", (0, 1, 5, 20), ({"t": "1", "w": "1/2"}, {"t": "5/2", "w": "1/3"})),
+    ("laguerre-3.7", (0, 1, 5, 20), ({"alpha": "0"}, {"alpha": "-1/2"}, {"alpha": "3"})),
+    ("jacobi-3.5", (1, 2, 5, 20), ({"alpha": "2", "beta": "14"}, {"alpha": "-1/2", "beta": "1/2"})),
+    ("jacobi-3.6", (1, 2, 5, 20), ({"alpha": "2", "beta": "14"}, {"alpha": "-1/2", "beta": "-1/2"})),
+    ("narayana-3.3", (2, 3, 8, 20, 60), ({},)),
+    ("narayana-3.4", (2, 3, 8, 20, 60), ({},)),
 )
-# (pair id, n, parameters) that must be refused, in the order the checks fire:
+# (check id, n, parameters) that must be refused, in the order the checks fire:
 # each entry's minimum degree, the extra parameter checks, then the members'
 # own parameter checks.
 INVALID_RELATIONS = (
-    ("no-such-pair", 3, {}),
-    ("laguerre", 3, {}),
-    ("laguerre", 3, {"alpha": "0", "beta": "1"}),
-    ("krawtchouk", -1, {"p": "1/3", "N": "5"}),
-    ("krawtchouk", -1, {"p": "1/3", "N": "5/2"}),
-    ("krawtchouk", 3, {"p": "1/3", "N": "5/2"}),
-    ("krawtchouk", 3, {"p": "1/3", "N": "0"}),
-    ("krawtchouk", 5, {"p": "1/3", "N": "5"}),
-    ("krawtchouk", 6, {"p": "1/3", "N": "5"}),
-    ("krawtchouk", 3, {"p": "3/2", "N": "5"}),
-    ("meixner", -1, {"t": "1", "w": "1/2"}),
-    ("meixner", 3, {"t": "1", "w": "1"}),
-    ("meixner", 3, {"t": "0", "w": "1/2"}),
-    ("laguerre", -1, {"alpha": "0"}),
-    ("laguerre", 3, {"alpha": "-1"}),
-    ("jacobi-beta", 0, {"alpha": "2", "beta": "14"}),
-    ("jacobi-beta", 0, {"alpha": "2", "beta": "0"}),
-    ("jacobi-beta", 3, {"alpha": "2", "beta": "0"}),
-    ("jacobi-beta", 3, {"alpha": "2", "beta": "-1/2"}),
-    ("jacobi-beta", 3, {"alpha": "-1", "beta": "1"}),
-    ("jacobi-shift", 0, {"alpha": "2", "beta": "14"}),
-    ("jacobi-shift", 3, {"alpha": "2", "beta": "-1"}),
-    ("narayana-christoffel", 1, {}),
-    ("narayana-christoffel", -1, {}),
-    ("narayana-perturbed", 1, {}),
-    ("narayana-perturbed", 0, {}),
+    ("no-such-check", 3, {}),
+    ("laguerre-3.7", 3, {}),
+    ("laguerre-3.7", 3, {"alpha": "0", "beta": "1"}),
+    ("krawtchouk-3.1", -1, {"p": "1/3", "N": "5"}),
+    ("krawtchouk-3.1", -1, {"p": "1/3", "N": "5/2"}),
+    ("krawtchouk-3.1", 3, {"p": "1/3", "N": "5/2"}),
+    ("krawtchouk-3.1", 3, {"p": "1/3", "N": "0"}),
+    ("krawtchouk-3.1", 5, {"p": "1/3", "N": "5"}),
+    ("krawtchouk-3.1", 6, {"p": "1/3", "N": "5"}),
+    ("krawtchouk-3.1", 3, {"p": "3/2", "N": "5"}),
+    ("meixner-3.2", -1, {"t": "1", "w": "1/2"}),
+    ("meixner-3.2", 3, {"t": "1", "w": "1"}),
+    ("meixner-3.2", 3, {"t": "0", "w": "1/2"}),
+    ("laguerre-3.7", -1, {"alpha": "0"}),
+    ("laguerre-3.7", 3, {"alpha": "-1"}),
+    ("jacobi-3.5", 0, {"alpha": "2", "beta": "14"}),
+    ("jacobi-3.5", 0, {"alpha": "2", "beta": "0"}),
+    ("jacobi-3.5", 3, {"alpha": "2", "beta": "0"}),
+    ("jacobi-3.5", 3, {"alpha": "2", "beta": "-1/2"}),
+    ("jacobi-3.5", 3, {"alpha": "-1", "beta": "1"}),
+    ("jacobi-3.6", 0, {"alpha": "2", "beta": "14"}),
+    ("jacobi-3.6", 3, {"alpha": "2", "beta": "-1"}),
+    ("narayana-3.3", 1, {}),
+    ("narayana-3.3", -1, {}),
+    ("narayana-3.4", 1, {}),
+    ("narayana-3.4", 0, {}),
 )
 
 
 def named_relations() -> str:
     """One line per named relation point, then one per refused point."""
     lines = []
-    for pair_id, ns, param_sets in NAMED_RELATIONS:
+    for check_id, ns, param_sets in NAMED_RELATIONS:
         for params in param_sets:
             for n in ns:
-                rel = build_relation(pair_id, n, params)
+                rel = build_relation(check_id, n, params)
                 specs = json.dumps(
                     {k: spec.to_json() for k, spec in rel.specs.items()}, sort_keys=True
                 )
                 shown = json.dumps({k: str(v) for k, v in rel.params.items()})
                 lines.append(
-                    f"{pair_id} n={n} shape={rel.shape} sign={rel.sign} E={rel.E} "
+                    f"{check_id} n={n} shape={rel.shape} sign={rel.sign} E={rel.E} "
                     f"support={rel.support} params={shown} specs={specs} "
                     f"{_term_digest(rel)}\n"
                 )
-    for pair_id, n, params in INVALID_RELATIONS:
+    for check_id, n, params in INVALID_RELATIONS:
         try:
-            build_relation(pair_id, n, params)
+            build_relation(check_id, n, params)
         except Exception as exc:
             outcome = f"{type(exc).__name__}: {exc}"
         else:
             outcome = "built"
-        lines.append(f"{pair_id} n={n} params={json.dumps(params)} -> {outcome}\n")
+        lines.append(f"{check_id} n={n} params={json.dumps(params)} -> {outcome}\n")
     return "".join(lines)
 
 

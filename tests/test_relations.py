@@ -10,7 +10,7 @@ from interlace.poly import Polynomial, _integer_form
 from interlace.relations import (
     DOWN_ONE,
     PAIR_UP,
-    PAIRS,
+    CHECKS,
     DegenerateDrawError,
     MixedRelation,
     assemble_down_one,
@@ -28,7 +28,7 @@ from interlace.relations import (
 from interlace.rootfind import zeros_general, zeros_orthogonal
 from interlace import families, relations
 
-from exact_reference import PAIRS_REFERENCE
+from exact_reference import CHECKS_REFERENCE
 from float_reference import sign_at_zeros
 
 # The benchmark grid's parameter pools, with negative and fractional values
@@ -36,26 +36,44 @@ from float_reference import sign_at_zeros
 JACOBI_POOL = [
     F(x) for x in ("-1/2", "-1/3", "0", "1", "2", "3/2", "5/2", "7/2", "13", "14", "15")
 ]
+# Parametrized cases keep the ids they were first recorded under: each
+# relation's short name rather than its check id.
+CASE_IDS = {
+    "krawtchouk-3.1": "krawtchouk",
+    "meixner-3.2": "meixner",
+    "narayana-3.3": "narayana-christoffel",
+    "narayana-3.4": "narayana-perturbed",
+    "jacobi-3.5": "jacobi-beta",
+    "jacobi-3.6": "jacobi-shift",
+    "laguerre-3.7": "laguerre",
+}
+
+
+def case_id(value):
+    """The case id of a check id; None (pytest's own id) for any other value."""
+    return CASE_IDS.get(value) if isinstance(value, str) else None
+
+
 TABLE_POOLS = {
-    "krawtchouk": {
+    "krawtchouk-3.1": {
         "p": [F(x) for x in ("1/4", "1/5", "1/2", "2/5", "3/4", "4/5")],
         "N": [F(9), F(10), F(11), F(13)],
     },
-    "meixner": {
+    "meixner-3.2": {
         "t": [F(x) for x in ("1/2", "1/3", "1", "2", "3", "4")],
         "w": [F(x) for x in ("1/4", "1/5", "1/2", "1/3", "3/4", "2/3")],
     },
-    "narayana-christoffel": {},
-    "narayana-perturbed": {},
-    "jacobi-beta": {"alpha": JACOBI_POOL, "beta": [b for b in JACOBI_POOL if b > 0]},
-    "jacobi-shift": {"alpha": JACOBI_POOL, "beta": JACOBI_POOL},
-    "laguerre": {"alpha": JACOBI_POOL},
+    "narayana-3.3": {},
+    "narayana-3.4": {},
+    "jacobi-3.5": {"alpha": JACOBI_POOL, "beta": [b for b in JACOBI_POOL if b > 0]},
+    "jacobi-3.6": {"alpha": JACOBI_POOL, "beta": JACOBI_POOL},
+    "laguerre-3.7": {"alpha": JACOBI_POOL},
 }
 
 
 class TestBuildRelation:
     def test_krawtchouk_transcription(self):
-        rel = build_relation("krawtchouk", 2, {"p": F(1, 2), "N": 4})
+        rel = build_relation("krawtchouk-3.1", 2, {"p": F(1, 2), "N": 4})
         assert verify_identity(rel)
         assert rel.A == Polynomial([F(9, 4)])  # p(1-p)(n+1)(N+1-n)
         assert rel.B == Polynomial([5, -1])
@@ -63,7 +81,7 @@ class TestBuildRelation:
         assert rel.shape == PAIR_UP
 
     def test_laguerre_transcription(self):
-        rel = build_relation("laguerre", 1, {"alpha": 0})
+        rel = build_relation("laguerre-3.7", 1, {"alpha": 0})
         assert verify_identity(rel)
         # the scalar multiplier is (n+1)(n+alpha+1) = 4 here; hand expansion
         # of the right side gives 4x - 4 = 4 * (x - 1)
@@ -72,66 +90,74 @@ class TestBuildRelation:
         assert rhs == Polynomial([-4, 4])
 
     def test_meixner_transcription(self):
-        rel = build_relation("meixner", 3, {"t": 2, "w": F(1, 3)})
+        rel = build_relation("meixner-3.2", 3, {"t": 2, "w": F(1, 3)})
         assert verify_identity(rel)
         assert rel.E == -2 + F(1, 3) * 4 / F(2, 3)
 
     def test_narayana_christoffel_small(self):
         # (5/2) * perturbed = (7/2) * reduced_3 - (x - 1) * reduced_2 at n = 3
-        rel = build_relation("narayana-christoffel", 3, {})
+        rel = build_relation("narayana-3.3", 3, {})
         assert rel.A == Polynomial([F(5, 2)])
         assert rel.B == Polynomial([F(7, 2)])
         assert verify_identity(rel)
 
     def test_unknown_pair(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="unknown check id 'nope'"):
             build_relation("nope", 3, {})
 
     def test_wrong_parameters(self):
         with pytest.raises(InvalidParameterError):
-            build_relation("laguerre", 3, {"p": F(1, 2)})
+            build_relation("laguerre-3.7", 3, {"p": F(1, 2)})
 
     def test_krawtchouk_degree_room(self):
         with pytest.raises(InvalidParameterError, match="n \\+ 1 <= N"):
-            build_relation("krawtchouk", 4, {"p": F(1, 2), "N": 4})
+            build_relation("krawtchouk-3.1", 4, {"p": F(1, 2), "N": 4})
 
     def test_jacobi_beta_needs_positive_beta(self):
         with pytest.raises(InvalidParameterError, match="beta > 0"):
-            build_relation("jacobi-beta", 3, {"alpha": 0, "beta": 0})
+            build_relation("jacobi-3.5", 3, {"alpha": 0, "beta": 0})
 
     @pytest.mark.parametrize(
-        "pair_id, params",
+        "check_id, params",
         [
-            ("laguerre", {"alpha": 0.1}),
-            ("krawtchouk", {"p": F(1, 2), "N": 8.0}),
-            ("jacobi-shift", {"alpha": F(1, 2), "beta": 0.5}),
+            ("laguerre-3.7", {"alpha": 0.1}),
+            ("krawtchouk-3.1", {"p": F(1, 2), "N": 8.0}),
+            ("jacobi-3.6", {"alpha": F(1, 2), "beta": 0.5}),
         ],
+        ids=case_id,
     )
-    def test_float_parameters_refused(self, pair_id, params):
+    def test_float_parameters_refused(self, check_id, params):
         # a binary float is never read as the rational it approximates,
         # the same rule the family constructors apply
         with pytest.raises(InvalidParameterError, match="exact rationals, got float"):
-            build_relation(pair_id, 3, params)
+            build_relation(check_id, 3, params)
 
-    @pytest.mark.parametrize("pair_id", ["jacobi-beta", "jacobi-shift"])
-    def test_member_parameters_checked_before_scalars(self, pair_id):
+    @pytest.mark.parametrize("check_id", ["jacobi-3.5", "jacobi-3.6"], ids=case_id)
+    def test_member_parameters_checked_before_scalars(self, check_id):
         # alpha + beta = -4 puts a zero in the denominators of A, B or E at
         # n = 1; the invalid member must be named before any of them is formed.
         with pytest.raises(InvalidParameterError, match="alpha > -1"):
-            build_relation(pair_id, 1, {"alpha": -5, "beta": 1})
+            build_relation(check_id, 1, {"alpha": -5, "beta": 1})
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_stray_parameters_refused_at_either_parity(self, n):
+        # narayana-3.4 takes its even-n branch at n = 4; both branches build
+        # the same table row, so both refuse a parameter it does not take
+        with pytest.raises(InvalidParameterError, match=r"narayana-3\.4 expects parameters \(\)"):
+            run_check("narayana-3.4", n, {"alpha": 1})
 
 
 class TestIntegerTable:
-    """Each ``PAIRS`` entry, formed on integer numerators, against its Fraction display."""
+    """Each ``CHECKS`` entry, formed on integer numerators, against its Fraction display."""
 
     def test_pools_cover_every_entry(self):
-        assert set(TABLE_POOLS) == set(PAIRS) == set(PAIRS_REFERENCE)
+        assert list(TABLE_POOLS) == list(CHECKS) == list(CHECKS_REFERENCE)
 
-    @pytest.mark.parametrize("pair_id", list(PAIRS))
-    def test_terms_equal_fraction_reference(self, pair_id):
-        entry, ref = PAIRS[pair_id], PAIRS_REFERENCE[pair_id]
+    @pytest.mark.parametrize("check_id", list(CHECKS), ids=case_id)
+    def test_terms_equal_fraction_reference(self, check_id):
+        entry, ref = CHECKS[check_id], CHECKS_REFERENCE[check_id]
         grid = [{}]
-        for name, values in TABLE_POOLS[pair_id].items():
+        for name, values in TABLE_POOLS[check_id].items():
             grid = [{**point, name: v} for point in grid for v in values]
         compared = 0
         for params in grid:
@@ -153,7 +179,7 @@ class TestIntegerTable:
 
 class TestVerifyIdentity:
     def test_perturbation_breaks_identity(self):
-        rel = build_relation("meixner", 3, {"t": 2, "w": F(1, 3)})
+        rel = build_relation("meixner-3.2", 3, {"t": 2, "w": F(1, 3)})
         assert verify_identity(rel)
         bumped = list(rel.P.coeffs)
         bumped[0] += F(1, 10**6)
@@ -162,23 +188,24 @@ class TestVerifyIdentity:
         assert not verify_identity(bad)
 
     @pytest.mark.parametrize(
-        "pair,n,params",
+        "check_id,n,params",
         [
-            ("krawtchouk", 5, {"p": F(3, 4), "N": 8}),
-            ("meixner", 5, {"t": F(1, 2), "w": F(3, 4)}),
-            ("laguerre", 5, {"alpha": F(5, 2)}),
-            ("jacobi-shift", 5, {"alpha": F(-1, 2), "beta": F(14)}),
-            ("jacobi-beta", 5, {"alpha": F(-1, 2), "beta": F(5, 2)}),
-            ("jacobi-shift", 7, {"alpha": F(14), "beta": F(2)}),  # Table 2, block 2
-            ("narayana-christoffel", 7, {}),
-            ("narayana-perturbed", 7, {}),
+            ("krawtchouk-3.1", 5, {"p": F(3, 4), "N": 8}),
+            ("meixner-3.2", 5, {"t": F(1, 2), "w": F(3, 4)}),
+            ("laguerre-3.7", 5, {"alpha": F(5, 2)}),
+            ("jacobi-3.6", 5, {"alpha": F(-1, 2), "beta": F(14)}),
+            ("jacobi-3.5", 5, {"alpha": F(-1, 2), "beta": F(5, 2)}),
+            ("jacobi-3.6", 7, {"alpha": F(14), "beta": F(2)}),  # Table 2, block 2
+            ("narayana-3.3", 7, {}),
+            ("narayana-3.4", 7, {}),
         ],
+        ids=case_id,
     )
-    def test_sample_points_exact(self, pair, n, params):
-        assert verify_identity(build_relation(pair, n, params))
+    def test_sample_points_exact(self, check_id, n, params):
+        assert verify_identity(build_relation(check_id, n, params))
 
     def test_report_describes_reassigned_polynomial(self):
-        rel = build_relation("meixner", 3, {"t": 2, "w": F(1, 3)})
+        rel = build_relation("meixner-3.2", 3, {"t": 2, "w": F(1, 3)})
         bumped = list(rel.P.coeffs)
         bumped[0] += F(1, 10**6)
         report = check_relation(dataclasses.replace(rel, P=Polynomial(bumped)))
@@ -224,26 +251,26 @@ class TestCertifiedOnce:
 
 class TestPairUpChecker:
     def test_laguerre_low_orientation(self):
-        rel = build_relation("laguerre", 4, {"alpha": 0})
+        rel = build_relation("laguerre-3.7", 4, {"alpha": 0})
         report = check_pair_up(rel)
         assert report.passed
         assert report.premise_kind == "q_below_g"
         assert set(report.clauses.values()) == {"pass"}
 
     def test_krawtchouk_high_orientation(self):
-        rel = build_relation("krawtchouk", 3, {"p": F(1, 2), "N": 6})
+        rel = build_relation("krawtchouk-3.1", 3, {"p": F(1, 2), "N": 6})
         report = check_pair_up(rel)
         assert report.passed
         assert report.premise_kind == "g_below_q"
         assert set(report.clauses.values()) == {"pass"}
 
     def test_degree_zero_member(self):
-        rel = build_relation("laguerre", 0, {"alpha": F(-1, 2)})
+        rel = build_relation("laguerre-3.7", 0, {"alpha": F(-1, 2)})
         report = check_pair_up(rel)
         assert report.passed
 
     def test_wrong_shape_rejected(self):
-        rel = build_relation("jacobi-shift", 3, {"alpha": 0, "beta": 1})
+        rel = build_relation("jacobi-3.6", 3, {"alpha": 0, "beta": 1})
         with pytest.raises(InvalidParameterError):
             check_pair_up(rel)
 

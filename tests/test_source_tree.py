@@ -8,18 +8,22 @@ oracle mode reaches, fails here before it is ever run.
   somewhere in ``src/`` outside its own definition: as a name, an attribute,
   or an imported name.  Reference routes that only the tests use live under
   ``tests/`` (``float_reference.py``, ``exact_reference.py``).
-* Every key of ``relations.SHAPES`` is the shape of some ``PAIRS`` entry, each
-  of which serves a named check, or of a ``cli.ORACLE_MODES`` mode (a mode is
-  its shape's name with a hyphen for the underscore).
+* Every key of ``relations.SHAPES`` is the shape of some ``CHECKS`` entry or
+  of an oracle mode, a key of ``relations.ORACLE_MIN_N`` (a mode is its
+  shape's name with a hyphen for the underscore).
+* The README's "Available check ids" sentence lists the keys of
+  ``relations.CHECKS``, in their order.
 * The separation floor is ``interlacing.DEFAULT_FLOOR`` alone: it is assigned
   once, no function or lambda takes a ``floor`` parameter, and nothing reads
   ``os.environ`` or ``os.getenv``.
 """
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "interlace"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "interlace"
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -78,7 +82,7 @@ def test_every_top_level_definition_is_used():
 
 
 def test_every_shape_is_reachable():
-    relations, cli = _modules()["relations"], _modules()["cli"]
+    relations = _modules()["relations"]
     constants = _string_constants(relations)
 
     def value(node: ast.expr) -> str:
@@ -86,13 +90,20 @@ def test_every_shape_is_reachable():
 
     shapes = {value(key) for key in _assigned(relations, "SHAPES").keys}
     reached = set()
-    for entry in _assigned(relations, "PAIRS").values:
+    for entry in _assigned(relations, "CHECKS").values:
         keywords = {kw.arg: kw.value for kw in entry.keywords}
-        if "check_id" in keywords:
-            reached.add(value(keywords["shape"]))
-    for mode in _assigned(cli, "ORACLE_MODES").elts:
+        reached.add(value(keywords["shape"]))
+    for mode in _assigned(relations, "ORACLE_MIN_N").keys:
         reached.add(value(mode).replace("-", "_"))
     assert shapes - reached == set()
+
+
+def test_readme_lists_every_check_id():
+    checks = [key.value for key in _assigned(_modules()["relations"], "CHECKS").keys]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Available check ids: (.*?)\.(?:\s|$)", readme, re.S)
+    assert sentence is not None
+    assert re.findall(r"`([^`]+)`", sentence.group(1)) == checks
 
 
 MEMOS = {"cache", "lru_cache", "cached_property"}

@@ -24,9 +24,10 @@ import os
 import pickle
 import signal
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, partial
-from itertools import product, starmap
+from itertools import accumulate, product, starmap
 
 from . import families
 from .families import FamilySpec, InvalidParameterError
@@ -349,13 +350,10 @@ def _run_oracle_point(mode: str, n: int, seed: int) -> list[dict]:
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
-    fieldnames: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fieldnames:
-                fieldnames.append(key)
+    # Every key is a field name; "ignore" only skips DictWriter's per-row check.
+    fieldnames = list(dict.fromkeys(key for row in rows for key in row))
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames, restval="")
+    writer = csv.DictWriter(buffer, fieldnames=fieldnames, restval="", extrasaction="ignore")
     writer.writeheader()
     writer.writerows(rows)
     return buffer.getvalue()
@@ -365,16 +363,24 @@ class SweepWorkerError(RuntimeError):
     """A forked sweep worker died or sent back no readable results."""
 
 
-def _share_of(i: int, workers: int) -> int:
-    """The share that point ``i`` goes to: a snake deal 0, 1, .., w-1, w-1, .., 0, 0, ...
+def _cut_runs(weights: list[int], workers: int) -> list[int]:
+    """Cuts 0 = c_0 < c_1 < ... < c_k = len(weights) into k = min(workers, len) runs.
 
-    Sweeps list degrees in increasing order inside each parameter set and a
-    point costs more the higher its degree; dealing back and forth gives every
-    share the same mix of cheap and costly points, where round-robin would hand
-    the last share the costliest point of every w.
+    Cut i sits where the running weight comes nearest to i/k of the total,
+    moved only as far as it takes to leave every run at least one point.  No
+    run then weighs more than total/k plus the largest single weight.
     """
-    turn, k = divmod(i, workers)
-    return workers - 1 - k if turn % 2 else k
+    count = min(workers, len(weights))
+    prefix = list(accumulate(weights, initial=0))
+    cuts = [0]
+    for i in range(1, count):
+        target = prefix[-1] * i / count
+        j = bisect_left(prefix, target)  # prefix[j - 1] < target <= prefix[j]
+        if target - prefix[j - 1] < prefix[j] - target:
+            j -= 1
+        cuts.append(min(max(j, cuts[-1] + 1), len(weights) - count + i))
+    cuts.append(len(weights))
+    return cuts
 
 
 def _fork_share(func, share: list[tuple]) -> tuple[int, int]:
@@ -420,31 +426,29 @@ def _join_share(number: int, pid: int, read_fd: int) -> list:
         ) from None
 
 
-def _map_points(func, points: list[tuple], workers: int) -> list:
+def _map_points(func, points: list[tuple], weights: list[int], workers: int) -> list:
     """``func(*point)`` for every point, in input order.
 
     ``workers`` N means N processes: this one plus N - 1 forked children
-    (POSIX ``fork``).  The points are dealt into min(N, points) shares; this
-    process runs share 0 while each child runs one other share, then collects
-    the children's pickled results.  One worker, or fewer than two points,
-    runs everything here.  A child that dies raises ``SweepWorkerError`` once
-    every child is reaped.
+    (POSIX ``fork``).  The points are cut into min(N, points) contiguous runs
+    of near-equal total ``weights`` (``_cut_runs``); this process runs the
+    first run while each child runs one other, then collects the children's
+    pickled results.  One worker, or fewer than two points, runs everything
+    here.  A child that dies raises ``SweepWorkerError`` once every child is
+    reaped.
     """
-    workers = min(workers, len(points))
-    if workers < 2:
+    cuts = _cut_runs(weights, workers)
+    if len(cuts) < 3:
         return list(starmap(func, points))
-    owner = [_share_of(i, workers) for i in range(len(points))]
-    shares: list[list[tuple]] = [[] for _ in range(workers)]
-    for point, k in zip(points, owner):
-        shares[k].append(point)
+    runs = [points[a:b] for a, b in zip(cuts, cuts[1:])]
     children: list[tuple[int, int]] = []
     try:
-        for share in shares[1:]:
-            children.append(_fork_share(func, share))
-        results = [list(starmap(func, shares[0]))]
-        while children:
+        for run in runs[1:]:
+            children.append(_fork_share(func, run))
+        results = list(starmap(func, runs[0]))
+        for number in range(1, len(runs)):
             pid, read_fd = children.pop(0)
-            results.append(_join_share(len(results), pid, read_fd))
+            results += _join_share(number, pid, read_fd)
     finally:
         # Only left on an error: stop and reap the children not yet joined.
         # An unreaped child keeps its pid, so the kill cannot hit another process.
@@ -452,8 +456,7 @@ def _map_points(func, points: list[tuple], workers: int) -> list:
             os.close(read_fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    dealt = [iter(rows) for rows in results]
-    return [next(dealt[k]) for k in owner]
+    return results
 
 
 def cmd_sweep(args) -> int:
@@ -514,8 +517,12 @@ def cmd_sweep(args) -> int:
         run = partial(_run_sweep_point, check_id)
         if wanted:
             keep = {*wanted, BUILD_ROW}
+    # A spec-file sweep's points come sorted by parameter set and then degree,
+    # so a contiguous run builds each set's recurrence chain in one process.
+    # A point of degree n weighs (n + 2)^2, a rough model of its cost.
+    weights = [(n + 2) ** 2 for n, _ in points]
     with _output(args.output) as out:
-        chunks = _map_points(run, points, workers)
+        chunks = _map_points(run, points, weights, workers)
         if keep:
             chunks = [[row for row in rows if row["clause"] in keep] for rows in chunks]
         rows = [row for rows in chunks for row in rows]

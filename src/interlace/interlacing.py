@@ -9,8 +9,10 @@ violating index pair.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 #: The one separation floor, tied to double resolution; nothing resets it.
 DEFAULT_FLOOR = 1e-9
@@ -60,26 +62,29 @@ class Verdict:
 
 
 def _zeros_list(zs) -> list[float]:
-    if hasattr(zs, "zeros"):
-        return [float(z) for z in zs.zeros]
-    return [float(z) for z in zs]
+    return list(map(float, zs.zeros if hasattr(zs, "zeros") else zs))
 
 
-def _scan_chain(chain):
-    """Walk an interleaved chain of (value, set_label, index) entries.
+def _scan(p: list[float], q: list[float], passed: Verdict) -> Verdict:
+    """``passed`` when every neighbouring gap of p1, q1, p2, q2, ... exceeds the floor.
 
-    Returns None when every adjacent pair is strictly increasing beyond the
-    floor, else a Fail or Inconclusive verdict for the first offending pair.
+    Otherwise a Fail or Inconclusive verdict for the first gap that does not,
+    with its (p index, q index) witness: the gap after position m of the
+    interleaved list joins p[(m + 1) // 2] and q[m // 2].
     """
-    for (v1, lab1, i1), (v2, lab2, i2) in zip(chain, chain[1:]):
-        gap = v2 - v1
-        if gap > DEFAULT_FLOOR:
-            continue
-        witness = (i1, i2) if lab1 == "p" else (i2, i1)
-        if abs(gap) <= DEFAULT_FLOOR:
-            return Verdict(INCONCLUSIVE, witness=witness, gap=gap)
-        return Verdict(FAIL, witness=witness, gap=gap)
-    return None
+    merged = [0.0] * (len(p) + len(q))
+    merged[0::2], merged[1::2] = p, q
+    if all(map(DEFAULT_FLOOR.__lt__, map(sub, merged[1:], merged))):
+        return passed
+    m, gap = next(
+        (m, b - a) for m, (a, b) in enumerate(zip(merged, merged[1:])) if not b - a > DEFAULT_FLOOR
+    )
+    kind = INCONCLUSIVE if abs(gap) <= DEFAULT_FLOOR else FAIL
+    return Verdict(kind, witness=((m + 1) // 2, m // 2), gap=gap)
+
+
+_ALTERNATES = Verdict(ALTERNATE)
+_INTERLACES_DOWN = Verdict(INTERLACE_DOWN)
 
 
 def alternates(zp, zq) -> Verdict:
@@ -87,12 +92,7 @@ def alternates(zp, zq) -> Verdict:
     p, q = _zeros_list(zp), _zeros_list(zq)
     if len(p) != len(q):
         raise ValueError(f"alternates needs equal sizes, got {len(p)} and {len(q)}")
-    chain = []
-    for i in range(len(p)):
-        chain.append((p[i], "p", i))
-        chain.append((q[i], "q", i))
-    bad = _scan_chain(chain)
-    return bad if bad is not None else Verdict(ALTERNATE)
+    return _scan(p, q, _ALTERNATES)
 
 
 def interlaces_down(zp, zq) -> Verdict:
@@ -102,35 +102,29 @@ def interlaces_down(zp, zq) -> Verdict:
         raise ValueError(
             f"interlaces_down needs sizes n and n-1, got {len(p)} and {len(q)}"
         )
-    chain = []
-    for i in range(len(q)):
-        chain.append((p[i], "p", i))
-        chain.append((q[i], "q", i))
-    if p:
-        chain.append((p[-1], "p", len(p) - 1))
-    bad = _scan_chain(chain)
-    return bad if bad is not None else Verdict(INTERLACE_DOWN)
+    return _scan(p, q, _INTERLACES_DOWN)
 
 
 def locate_point(e: float, zg) -> tuple[str, int | None]:
-    """Position of e against a zero set: below / interior (with 1-based slot) / above.
+    """Position of e against an ascending zero set: below / interior (with 1-based slot) / above.
 
     Returns ("unknown", None) when e sits within the floor of a set member,
-    where no strict side can be certified.
+    where no strict side can be certified; only the members on either side
+    of e can be that close.
     """
     g = _zeros_list(zg)
-    if not g:
+    j = bisect_right(g, e)
+    if (
+        not g
+        or (j and e - g[j - 1] <= DEFAULT_FLOOR)
+        or (j < len(g) and g[j] - e <= DEFAULT_FLOOR)
+    ):
         return "unknown", None
-    if any(abs(e - x) <= DEFAULT_FLOOR for x in g):
-        return "unknown", None
-    if e < g[0]:
+    if j == 0:
         return "below", None
-    if e > g[-1]:
+    if j == len(g):
         return "above", None
-    for j in range(len(g) - 1):
-        if g[j] < e < g[j + 1]:
-            return "interior", j + 1
-    return "unknown", None
+    return "interior", j
 
 
 def added_point_interlace(zp, e, zg) -> Verdict:
@@ -149,20 +143,15 @@ def added_point_interlace(zp, e, zg) -> Verdict:
         raise ValueError(
             f"added point needs sizes (n, n+1) or (n, n), got {len(p)} and {len(g)}"
         )
-    if any(abs(e - x) <= DEFAULT_FLOOR for x in g):
+    position, slot = locate_point(e, g)
+    if position == "unknown" and g:
         raise CommonPointError(
             f"added point {e} coincides with a zero of the reference set"
         )
     merged = sorted(p + [e])
     for a, b in zip(merged, merged[1:]):
         if b - a <= DEFAULT_FLOOR:
-            return Verdict(
-                INCONCLUSIVE,
-                gap=b - a,
-                e_used=e,
-                e_position=locate_point(e, g)[0],
-            )
-    position, slot = locate_point(e, g)
+            return Verdict(INCONCLUSIVE, gap=b - a, e_used=e, e_position=position)
     if len(merged) == len(g):
         verdict = alternates(merged, g)
         orientation = "P_below_G"

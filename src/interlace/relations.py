@@ -496,15 +496,23 @@ class CheckReport:
 def _min_cross_gap(za: ZeroSet, zb: ZeroSet) -> float:
     """Smallest |a - b| over a zero a of ``za`` and b of ``zb``; inf if one is empty.
 
-    The closest cross pair is adjacent in the merged order of the two sets,
-    and float subtraction is monotone, so the neighbours from different sets
-    give the same float the all-pairs minimum gives.
+    One merge of the two ascending sets: the smaller head is taken next and
+    its gap to the other head is a candidate.  Every pair that is adjacent in
+    the merged order is among the candidates, and float subtraction is
+    monotone, so the result is the float the all-pairs minimum gives.
     """
-    merged = sorted([(a, 0) for a in za.zeros] + [(b, 1) for b in zb.zeros])
-    return min(
-        (y - x for (x, s), (y, t) in zip(merged, merged[1:]) if s != t),
-        default=float("inf"),
-    )
+    a, b = za.zeros, zb.zeros
+    best = float("inf")
+    i = j = 0
+    while i < len(a) and j < len(b):
+        gap = b[j] - a[i]  # exact in sign, so gap >= 0 means a[i] <= b[j]
+        if gap >= 0:
+            i += 1
+        else:
+            gap, j = -gap, j + 1
+        if gap < best:
+            best = gap
+    return best
 
 
 def _sample_interval(rel: MixedRelation, zg: ZeroSet) -> tuple[float, float]:
@@ -520,7 +528,9 @@ def _sample_interval(rel: MixedRelation, zg: ZeroSet) -> tuple[float, float]:
 
 
 def _a_positive(rel: MixedRelation, zg: ZeroSet, grid_points: int = 32) -> bool:
-    """A > 0 at every zero of G plus a fixed grid over the working interval."""
+    """A > 0 at every zero of G plus a fixed grid over the working interval; a constant A by its sign."""
+    if len(rel.A.nums) == 1:
+        return rel.A.nums[0] > 0
     desc = rel.A.float_coeffs()[::-1]
     lo, hi = _sample_interval(rel, zg)
     margin = (hi - lo) / (4 * grid_points)
@@ -766,38 +776,41 @@ def _draw_chain(rng: random.Random, total: int) -> tuple[list[int], int]:
 class _Draw(NamedTuple):
     """Drawn zeros of G and Q and the added point E over their common denominator D.
 
-    With y = D x, G = g(y) / D^deg G and Q = q(y) / D^deg Q.
+    With y = D x, G = g(y) / D^deg G and Q = q(y) / D^deg Q, where g and q
+    are the root products of the numerators ``g`` and ``q``.
     """
 
-    g: list[int]
-    q: list[int]
+    g: tuple[int, ...]  # D times each drawn zero of G
+    q: tuple[int, ...]  # D times each drawn zero of Q
     de: int  # D E
     den: int  # D
-    roots: dict  # term name -> (numerators of its drawn zeros, D)
-    support: tuple[float, float]  # hull of the zeros and E, widened by 1
 
 
 def _scaled_draw(g_nums, q_nums, den: int, e: Fraction) -> _Draw:
     """The draw with zeros g_nums / den and q_nums / den, brought over lcm(den, den of E)."""
     big = math.lcm(den, e.denominator)
-    if big != den:
-        scale = big // den
-        g_nums = [x * scale for x in g_nums]
-        q_nums = [x * scale for x in q_nums]
-    de = e.numerator * (big // e.denominator)
-    hull = (*g_nums, *q_nums, de)
+    scale = big // den
     return _Draw(
-        g=root_product(g_nums),
-        q=root_product(q_nums),
-        de=de,
+        g=tuple(x * scale for x in g_nums),
+        q=tuple(x * scale for x in q_nums),
+        de=e.numerator * (big // e.denominator),
         den=big,
-        roots={"G": (tuple(g_nums), big), "Q": (tuple(q_nums), big)},
-        support=(min(hull) / big - 1.0, max(hull) / big + 1.0),
     )
 
 
-def _oracle_relation(shape, A, B, e, c, draw: _Draw) -> MixedRelation:
-    """A synthetic relation whose monic P is c(D x) up to scale."""
+def _top_two(zeros) -> tuple[int, int]:
+    """The coefficients of y^(m-1) and y^(m-2) in the product of (y - z) over m ``zeros``.
+
+    They are -e1 and e2, the first two elementary symmetric sums with signs,
+    and need no product: 2 e2 = e1^2 - (sum of squares).
+    """
+    e1 = sum(zeros)
+    return -e1, (e1 * e1 - sum(z * z for z in zeros)) // 2
+
+
+def _oracle_relation(shape, A, B, e, c, draw: _Draw, g, q) -> MixedRelation:
+    """A synthetic relation whose monic P is c(D x) up to scale; g, q are the root products."""
+    hull = (*draw.g, *draw.q, draw.de)
     rel = MixedRelation(
         rel_id="oracle-" + shape.replace("_", "-"),
         shape=shape,
@@ -806,12 +819,12 @@ def _oracle_relation(shape, A, B, e, c, draw: _Draw) -> MixedRelation:
         B=B,
         E=e,
         P=Polynomial.from_scaled(c, draw.den, c[-1]),
-        G=Polynomial.from_scaled(draw.g, draw.den),
-        Q=Polynomial.from_scaled(draw.q, draw.den),
-        support=draw.support,
+        G=Polynomial.from_scaled(g, draw.den),
+        Q=Polynomial.from_scaled(q, draw.den),
+        support=(min(hull) / draw.den - 1.0, max(hull) / draw.den + 1.0),
         params={"n": len(c) - 1},
     )
-    object.__setattr__(rel, "roots", draw.roots)
+    object.__setattr__(rel, "roots", {"G": (draw.g, draw.den), "Q": (draw.q, draw.den)})
     return rel
 
 
@@ -828,21 +841,25 @@ def assemble_pair_up(
 
     Over y = D x, B = (b - y) / D with b = D (G_n - Q_n + E), and the
     combination is c(y) / D^(n+2) with c = (b - y) g + (y - D E) q, so
-    A = c_n / D^2 and P_k = c_k / (c_n D^(n-k)).
+    A = c_n / D^2 and P_k = c_k / (c_n D^(n-k)).  b and c_n need only the
+    top two coefficients of g and q, so a draw is refused before the root
+    products are formed.
     """
     n = len(g_nums) - 1
     draw = _scaled_draw(g_nums, q_nums, den, e)
-    g, q, de, den = draw.g, draw.q, draw.de, draw.den
-    b = g[n] - q[n] + de
+    de, den = draw.de, draw.den
+    g_n, g_n1 = _top_two(draw.g)
+    q_n, q_n1 = _top_two(draw.q)
+    b = g_n - q_n + de
     if b == de:  # B(E) = 0
         return None
+    c_n = b * g_n - g_n1 + q_n1 - de * q_n
+    if c_n == 0 or (require_positive_a and c_n < 0):  # degree collapse, or A <= 0
+        return None
+    g, q = root_product(draw.g), root_product(draw.q)
     c = _combination(([b, -1], g), ([-de, 1], q))
-    if len(c) != n + 1:
-        return None
-    if require_positive_a and c[-1] <= 0:
-        return None
-    A = Polynomial.from_ints([c[-1]], den * den)
-    return _oracle_relation(PAIR_UP, A, Polynomial.from_ints([b, -den], den), e, c, draw)
+    A = Polynomial.from_ints([c_n], den * den)
+    return _oracle_relation(PAIR_UP, A, Polynomial.from_ints([b, -den], den), e, c, draw, g, q)
 
 
 #: the lowest degree n each oracle draws at: deg G = deg Q = n + 1 for pair-up,
@@ -901,11 +918,12 @@ def assemble_down_one(
     n = len(g_nums)
     draw = _scaled_draw(g_nums, q_nums, den, e)
     u, v = b_const.numerator, b_const.denominator
-    c = _combination(([u], draw.g), ([v * draw.de, -v], draw.q))
+    g, q = root_product(draw.g), root_product(draw.q)
+    c = _combination(([u], g), ([v * draw.de, -v], q))
     if len(c) != n + 1 or c[-1] <= 0:
         return None
     A = Polynomial.from_ints([c[-1]], v)
-    return _oracle_relation(DOWN_ONE, A, Polynomial([b_const]), e, c, draw)
+    return _oracle_relation(DOWN_ONE, A, Polynomial([b_const]), e, c, draw, g, q)
 
 
 #: the default added point E = -6/5 + (12/5) r / 4096, r uniform on 0..4096,

@@ -16,6 +16,11 @@ A zero set's bound is ``set_bound`` of its per-zero bounds: the largest, or
 inf when some zero has no finite bound.  ``sign_at_zeros`` is the float sign
 test with an a-priori Horner error bound that the program used before its
 polynomials became exact only.  scipy is needed by the tests only.
+
+The interlacing verdicts as they were before their single-pass form are kept
+too: ``alternates`` and ``interlaces_down`` build one tagged (value, set,
+index) chain and scan it, and ``locate_point`` tests e against every zero and
+then walks the slots.
 """
 
 import math
@@ -24,6 +29,14 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from interlace.families import recurrence_coeffs
+from interlace.interlacing import (
+    ALTERNATE,
+    DEFAULT_FLOOR,
+    FAIL,
+    INCONCLUSIVE,
+    INTERLACE_DOWN,
+    Verdict,
+)
 from interlace.rootfind import REALITY_THRESHOLD
 
 EPS = float(np.finfo(float).eps)
@@ -162,3 +175,55 @@ def zeros_general(p, bound_fn=companion_bound):
             raw.append(float(z.real))
     zeros = tuple(newton_polish(x, lambda x: horner_pair(coeffs, x))[0] for x in sorted(raw))
     return zeros, set_bound([bound_fn(coeffs, z) for z in zeros])
+
+
+def _scan_chain(chain):
+    """The first adjacent pair of (value, set label, index) entries not apart by
+    more than the floor, as a Fail or Inconclusive verdict; None if there is none."""
+    for (v1, lab1, i1), (v2, lab2, i2) in zip(chain, chain[1:]):
+        gap = v2 - v1
+        if gap > DEFAULT_FLOOR:
+            continue
+        witness = (i1, i2) if lab1 == "p" else (i2, i1)
+        if abs(gap) <= DEFAULT_FLOOR:
+            return Verdict(INCONCLUSIVE, witness=witness, gap=gap)
+        return Verdict(FAIL, witness=witness, gap=gap)
+    return None
+
+
+def alternates(p, q):
+    """p1 < q1 < ... < pn < qn on a tagged chain; p and q are float lists of one size."""
+    chain = []
+    for i in range(len(p)):
+        chain.append((p[i], "p", i))
+        chain.append((q[i], "q", i))
+    bad = _scan_chain(chain)
+    return bad if bad is not None else Verdict(ALTERNATE)
+
+
+def interlaces_down(p, q):
+    """p1 < q1 < ... < q_{n-1} < pn on a tagged chain; len(p) == len(q) + 1."""
+    chain = []
+    for i in range(len(q)):
+        chain.append((p[i], "p", i))
+        chain.append((q[i], "q", i))
+    if p:
+        chain.append((p[-1], "p", len(p) - 1))
+    bad = _scan_chain(chain)
+    return bad if bad is not None else Verdict(INTERLACE_DOWN)
+
+
+def locate_point(e, g):
+    """Position of e against the float list g, testing every member, then every slot."""
+    if not g:
+        return "unknown", None
+    if any(abs(e - x) <= DEFAULT_FLOOR for x in g):
+        return "unknown", None
+    if e < g[0]:
+        return "below", None
+    if e > g[-1]:
+        return "above", None
+    for j in range(len(g) - 1):
+        if g[j] < e < g[j + 1]:
+            return "interior", j + 1
+    return "unknown", None

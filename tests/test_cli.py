@@ -695,24 +695,33 @@ class TestSweepCommand:
         assert code == 3
 
     @pytest.mark.parametrize(
-        "oracle, counts",
+        "kind, counts",
         # The grid has 3 points, so 4 and 5 workers ask for more processes than points.
-        [(False, ("1", "2", "3", "4", "5")), (True, ("1", "2", "3", "4"))],
-        ids=["grid-with-errors", "oracle"],
+        [
+            ("grid", ("1", "2", "3", "4", "5")),
+            ("oracle", ("1", "2", "3", "4")),
+            ("one-set", ("1", "2", "3")),
+        ],
+        ids=["grid-with-errors", "oracle", "one-parameter-set"],
     )
-    def test_output_identical_across_worker_counts(self, capsys, tmp_path, oracle, counts):
-        if oracle:
+    def test_output_identical_across_worker_counts(self, capsys, tmp_path, kind, counts):
+        spec = tmp_path / "sweep.json"
+        if kind == "oracle":
             argv = ["--oracle", "pair-up", "--n", "1..6", "--seeds", "5"]
-        else:
+        elif kind == "grid":
             # narayana-3.3 raises RootComputationError at n = 51 and 52, so error
             # rows are built in the workers and must cross the process boundary.
-            spec = tmp_path / "sweep.json"
             spec.write_text(json.dumps({"check": "narayana-3.3", "n": [50, 52]}))
+            argv = [str(spec)]
+        else:
+            # One parameter set: a cut splits its chain, and every process
+            # builds the members its run needs.
+            spec.write_text(json.dumps({"check": "laguerre-3.7", "n": "1..40", "params": {"alpha": [0]}}))
             argv = [str(spec)]
         runs = [run_cli(capsys, "sweep", *argv, "--workers", w) for w in counts]
         for run in runs[1:]:
             assert run == runs[0]
-        assert runs[0][0] == (0 if oracle else 3) and runs[0][1].count("\n") > 2
+        assert runs[0][0] == (3 if kind == "grid" else 0) and runs[0][1].count("\n") > 2
 
     def test_pooled_sweep_reaps_every_child(self, capsys):
         code, _, _ = run_cli(
@@ -771,7 +780,7 @@ class TestSweepCommand:
 
         monkeypatch.setattr(cli.pickle, "dumps", truncating)
         with pytest.raises(cli.SweepWorkerError, match="sweep worker 1 sent unreadable results"):
-            cli._map_points(pow, [(2, k) for k in range(6)], 2)
+            cli._map_points(pow, [(2, k) for k in range(6)], [1] * 6, 2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -811,6 +820,52 @@ class TestSweepCommand:
             check=True,
         )
         assert result.stdout == "0 9 []\n"
+
+
+class TestCutRuns:
+    """``cli._cut_runs``: contiguous runs of near-equal weight, none empty."""
+
+    @staticmethod
+    def _runs(weights, workers):
+        cuts = cli._cut_runs(weights, workers)
+        assert cuts[0] == 0 and cuts[-1] == len(weights)
+        return [weights[a:b] for a, b in zip(cuts, cuts[1:])], cuts
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize(
+        "degrees",
+        [
+            [1, 100],
+            [5],
+            list(range(1, 9)) * 5,
+            list(range(1, 41)),
+            [0] * 6,
+            [60, 1, 1, 1, 1, 1, 1],
+            [1, 1, 1, 1, 1, 1, 60],
+            [-2, -2, 3],
+        ],
+        ids=["n-1-100", "one-point", "grid-like", "one-set", "degree-zero", "heavy-first", "heavy-last", "zero-weight"],
+    )
+    def test_runs(self, degrees, workers):
+        weights = [(n + 2) ** 2 for n in degrees]
+        runs, cuts = self._runs(weights, workers)
+        assert cuts == sorted(cuts)  # contiguous and ordered
+        assert len(runs) == min(workers, len(weights))
+        assert all(runs)
+        total, heaviest = sum(weights), max(weights)
+        assert all(sum(run) <= total / len(runs) + heaviest for run in runs)
+
+    def test_equal_weights_split_evenly(self):
+        assert cli._cut_runs([1] * 20, 2) == [0, 10, 20]
+        assert cli._cut_runs([1] * 9, 3) == [0, 3, 6, 9]
+
+    def test_a_run_holds_whole_parameter_sets(self):
+        # Two parameter sets of 8 degrees at 2 workers: each process gets one set.
+        spec = {"check": "laguerre-3.7", "n": "1..8", "params": {"alpha": [0, 1]}}
+        points = cli._sweep_grid(spec)
+        cuts = cli._cut_runs([(n + 2) ** 2 for n, _ in points], 2)
+        assert cuts == [0, 8, 16]
+        assert {p["alpha"] for _, p in points[:8]} == {0}
 
 
 class TestChainScope:

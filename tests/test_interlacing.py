@@ -1,9 +1,14 @@
 """Interlacing verdicts: strictness, witnesses, the added point, invariance."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import float_reference as ref
 
 from interlace.families import jacobi, laguerre, narayana_spec
 from interlace.interlacing import (
@@ -11,6 +16,7 @@ from interlace.interlacing import (
     ADDED_LEFT,
     ADDED_RIGHT,
     ALTERNATE,
+    DEFAULT_FLOOR,
     FAIL,
     INCONCLUSIVE,
     INTERLACE_DOWN,
@@ -94,6 +100,64 @@ class TestLocatePoint:
 
     def test_on_a_zero(self):
         assert locate_point(1.0, [0.0, 1.0, 2.0]) == ("unknown", None)
+
+
+# Neighbouring gaps at and around the floor, ties, negative gaps and wide ones.
+# From 0.0 the first gap is exact; later ones are whatever the sum rounds to.
+EDGE = math.nextafter(DEFAULT_FLOOR, math.inf)
+gaps = st.one_of(
+    st.sampled_from((DEFAULT_FLOOR, -DEFAULT_FLOOR, EDGE, -EDGE, 0.0, 2 * DEFAULT_FLOOR, 0.5, -0.5)),
+    st.floats(-2.0, 2.0),
+)
+
+
+@st.composite
+def chains(draw, extra):
+    """Float lists p, q with len(p) == len(q) + extra, interleaved p1, q1, p2, ... on drawn gaps."""
+    n = draw(st.integers(0, 8))
+    x, values = 0.0, []
+    for gap in draw(st.lists(gaps, min_size=2 * n + extra, max_size=2 * n + extra)):
+        x += gap
+        values.append(x)
+    return values[0::2], values[1::2]
+
+
+class TestAgainstTaggedChain:
+    """The single-pass verdicts equal the tagged-chain scan, witness and gap included."""
+
+    @given(chains(0))
+    @settings(max_examples=400, deadline=None)
+    @example(([0.0], [DEFAULT_FLOOR]))  # a gap of exactly the floor
+    @example(([DEFAULT_FLOOR], [0.0]))  # exactly minus the floor
+    @example(([0.0], [EDGE]))  # the first gap above the floor
+    @example(([0.0, 1.0], [1.0, 2.0]))  # a tie
+    def test_alternates(self, pq):
+        p, q = pq
+        assert alternates(p, q) == ref.alternates(p, q)
+        assert alternates(q, p) == ref.alternates(q, p)
+
+    @given(chains(1))
+    @settings(max_examples=400, deadline=None)
+    @example(([0.0, 1.0], [DEFAULT_FLOOR]))
+    @example(([0.0, 1.0], [1.0 - DEFAULT_FLOOR]))
+    @example(([0.0, 0.0], [0.0]))
+    def test_interlaces_down(self, pq):
+        p, q = pq
+        assert interlaces_down(p, q) == ref.interlaces_down(p, q)
+
+    @given(
+        st.lists(st.sampled_from((0.0, 0.5, 1.0, -1.0, 3.0)) | st.floats(-4.0, 4.0), max_size=8),
+        st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_locate_point(self, g, data):
+        g.sort()
+        shifts = st.sampled_from((0.0, DEFAULT_FLOOR, -DEFAULT_FLOOR, EDGE, -EDGE, 0.25))
+        if g and data.draw(st.booleans()):
+            e = data.draw(st.sampled_from(g)) + data.draw(shifts)
+        else:
+            e = data.draw(st.floats(-5.0, 5.0))
+        assert locate_point(e, g) == ref.locate_point(e, g)
 
 
 class TestAddedPoint:

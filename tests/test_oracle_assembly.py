@@ -165,6 +165,29 @@ class TestPairUp:
                     reasons.add(want if isinstance(want, str) else "accepted")
         assert reasons == {"B(E) = 0", "degree", "sign of A", "accepted"}
 
+    def test_oracle_draws_decided_as_the_full_assembly(self, monkeypatch):
+        # Every draw the benchmark's oracle pass makes (n = 1..24, seeds
+        # 0..19): the early refusal, taken on the top two coefficients of the
+        # root products alone, refuses exactly the draws the full assembly
+        # refuses, and for the same reason, and the RNG draws stay the same.
+        real = relations.assemble_pair_up
+        reasons = []
+
+        def checked(g_nums, q_nums, den, e, require_positive_a=True):
+            rel = real(g_nums, q_nums, den, e, require_positive_a)
+            g, q = ([F(x, den) for x in nums] for nums in (g_nums, q_nums))
+            want = reference_pair_up(g, q, e, require_positive_a)
+            _agrees(rel, want, g, q, e)
+            reasons.append(want if isinstance(want, str) else "accepted")
+            return rel
+
+        monkeypatch.setattr(relations, "assemble_pair_up", checked)
+        for n in range(1, 25):
+            for seed in range(20):
+                oracle_pair_up(n, seed)
+        assert reasons.count("accepted") == 480
+        assert len(reasons) == 726 and reasons.count("sign of A") == 246
+
 
 class TestDownOne:
     @given(st.one_of(small_draws(1, 0), chain_draws(1, 0)), b_consts)

@@ -20,6 +20,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import pickle
 import signal
@@ -27,7 +28,7 @@ import sys
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, partial
-from itertools import accumulate, product, starmap
+from itertools import accumulate, islice, product
 
 from . import families
 from .families import FamilySpec, InvalidParameterError
@@ -38,16 +39,17 @@ from .relations import (
     ORACLE_MIN_N,
     CheckReport,
     clause_names,
+    plan_check,
+    relation_terms,
     run_check,
     check_oracle_degree,
     oracle_down_one,
     oracle_pair_up,
     check_relation,
     check_pair_up,
-    zero_set,
 )
 
-from .rootfind import RootComputationError
+from .rootfind import RootComputationError, Term, zero_set, zero_sets
 
 # zeros_general is not called here, but the benchmark's span tracer
 # (perfbench/tracer.py) wraps it under this module's name.
@@ -152,7 +154,7 @@ def cmd_zeros(args) -> int:
     spec = _spec_from_args(args)
     digits = _digits(args)
     try:
-        zs = zero_set(spec)
+        zs = zero_set(Term(spec=spec))
     except OverflowError as exc:
         raise InvalidParameterError(f"zeros: {exc}") from None
     except RootComputationError as exc:
@@ -165,7 +167,8 @@ def cmd_zeros(args) -> int:
         return 0
     payload = {
         "zeros": [_round_float(z, digits) for z in zs.zeros],
-        "bound": _round_float(zs.bound, 3) if zs.bound else 0.0,
+        # JSON has no inf: a bound that is not finite prints as null
+        "bound": _round_float(zs.bound, 3) if math.isfinite(zs.bound) else None,
         "method": zs.method,
     }
     print(json.dumps(payload))
@@ -321,32 +324,72 @@ def _error_result(exc: Exception) -> str:
     return f"error: {type(exc).__name__}: {exc}"
 
 
-def _run_sweep_point(check_id: str, n: int, params: dict) -> list[dict]:
-    base = {"check": check_id, "n": n}
-    try:
-        report = run_check(check_id, n, params)
-    except Exception as exc:
-        row = dict(base)
-        row.update({k: str(v) for k, v in params.items()})
-        row.update({"clause": BUILD_ROW, "result": _error_result(exc)})
-        return [row]
-    return report.csv_rows(base)
+def _reports(plan, points: list[tuple]) -> list:
+    """The report of each point, or the exception that stopped it.
+
+    ``plan(*point)`` gives the point's (terms, report) pair, as
+    ``relations.plan_check`` does.  The terms of every point are solved in
+    one ``zero_sets`` batch, then each point's report reads its own.
+    """
+    plans = []
+    for point in points:
+        try:
+            plans.append(plan(*point))
+        except Exception as exc:
+            plans.append(exc)
+    built = [plan for plan in plans if not isinstance(plan, Exception)]
+    found = iter(zero_sets([term for terms, _ in built for term in terms]))
+    out = []
+    for plan in plans:
+        if isinstance(plan, Exception):
+            out.append(plan)
+            continue
+        terms, report = plan
+        sets = list(islice(found, len(terms)))
+        try:
+            out.append(report(sets))
+        except Exception as exc:
+            out.append(exc)
+    return out
 
 
-def _run_oracle_point(mode: str, n: int, seed: int) -> list[dict]:
-    row = {"oracle": mode, "n": n, "seed": seed, "orientation": ""}
-    try:
-        if mode == "pair-up":
-            rel = oracle_pair_up(n, seed)
-            report = check_pair_up(rel)
+def _run_sweep_run(check_id: str, points: list[tuple]) -> list[list[dict]]:
+    """The rows of each (n, params) point of one contiguous run."""
+    out = []
+    for (n, params), report in zip(points, _reports(partial(plan_check, check_id), points)):
+        base = {"check": check_id, "n": n}
+        if isinstance(report, Exception):
+            row = dict(base)
+            row.update({k: str(v) for k, v in params.items()})
+            row.update({"clause": BUILD_ROW, "result": _error_result(report)})
+            out.append([row])
         else:
-            rel = oracle_down_one(n, seed)
-            report = check_relation(rel)
-    except Exception as exc:
-        return [{**row, "result": _error_result(exc)}]
-    row["orientation"] = rel.params.get("orientation") or rel.params.get("e_region") or ""
-    row["result"] = "pass" if report.passed else "fail"
-    return [row]
+            out.append(report.csv_rows(base))
+    return out
+
+
+def _plan_oracle(mode: str, n: int, seed: int):
+    """One oracle draw's (terms, report) pair, as ``relations.plan_check`` gives one."""
+    if mode == "pair-up":
+        rel = oracle_pair_up(n, seed)
+        return relation_terms(rel), partial(check_pair_up, rel)
+    rel = oracle_down_one(n, seed)
+    return relation_terms(rel), partial(check_relation, rel)
+
+
+def _run_oracle_run(mode: str, points: list[tuple]) -> list[list[dict]]:
+    """The row of each (n, seed) point of one contiguous run."""
+    out = []
+    for (n, seed), report in zip(points, _reports(partial(_plan_oracle, mode), points)):
+        row = {"oracle": mode, "n": n, "seed": seed, "orientation": ""}
+        if isinstance(report, Exception):
+            out.append([{**row, "result": _error_result(report)}])
+            continue
+        params = report.params
+        row["orientation"] = params.get("orientation") or params.get("e_region") or ""
+        row["result"] = "pass" if report.passed else "fail"
+        out.append([row])
+    return out
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
@@ -384,7 +427,7 @@ def _cut_runs(weights: list[int], workers: int) -> list[int]:
 
 
 def _fork_share(func, share: list[tuple]) -> tuple[int, int]:
-    """Fork a child that runs ``share`` and pickles its results to a pipe.
+    """Fork a child that runs ``func(share)`` and pickles its results to a pipe.
 
     Returns the child's pid and the read end of its pipe.  The child leaves
     through ``os._exit`` whatever happens, so it never runs the parent's exit
@@ -398,7 +441,7 @@ def _fork_share(func, share: list[tuple]) -> tuple[int, int]:
     code = 1  # kept if anything below raises; the parent reports the exit code
     try:
         os.close(read_fd)
-        payload = pickle.dumps(list(starmap(func, share)))
+        payload = pickle.dumps(func(share))
         with open(write_fd, "wb") as pipe:
             pipe.write(payload)
         code = 0
@@ -426,26 +469,27 @@ def _join_share(number: int, pid: int, read_fd: int) -> list:
         ) from None
 
 
-def _map_points(func, points: list[tuple], weights: list[int], workers: int) -> list:
-    """``func(*point)`` for every point, in input order.
+def _map_runs(func, points: list[tuple], weights: list[int], workers: int) -> list:
+    """``func(run)`` for every contiguous run of points, its results joined in input order.
 
+    ``func`` takes a list of points and returns one result per point.
     ``workers`` N means N processes: this one plus N - 1 forked children
     (POSIX ``fork``).  The points are cut into min(N, points) contiguous runs
     of near-equal total ``weights`` (``_cut_runs``); this process runs the
     first run while each child runs one other, then collects the children's
     pickled results.  One worker, or fewer than two points, runs everything
-    here.  A child that dies raises ``SweepWorkerError`` once every child is
-    reaped.
+    here as one run.  A child that dies raises ``SweepWorkerError`` once
+    every child is reaped.
     """
     cuts = _cut_runs(weights, workers)
     if len(cuts) < 3:
-        return list(starmap(func, points))
+        return func(points)
     runs = [points[a:b] for a, b in zip(cuts, cuts[1:])]
     children: list[tuple[int, int]] = []
     try:
         for run in runs[1:]:
             children.append(_fork_share(func, run))
-        results = list(starmap(func, runs[0]))
+        results = func(runs[0])
         for number in range(1, len(runs)):
             pid, read_fd = children.pop(0)
             results += _join_share(number, pid, read_fd)
@@ -473,7 +517,7 @@ def cmd_sweep(args) -> int:
         ns = _parse_n_range(args.n or "1..8")
         check_oracle_degree(args.oracle, ns[0])
         points = [(n, seed) for n in ns for seed in range(seeds)]
-        run = partial(_run_oracle_point, args.oracle)
+        run = partial(_run_oracle_run, args.oracle)
     else:
         if not args.spec_file:
             raise InvalidParameterError("sweep needs a spec file or --oracle")
@@ -514,15 +558,16 @@ def cmd_sweep(args) -> int:
                 f"sweep spec 'params' names {', '.join(named) or 'no parameter'}, but "
                 f"{check_id} takes {', '.join(takes) or 'no parameter'}"
             )
-        run = partial(_run_sweep_point, check_id)
+        run = partial(_run_sweep_run, check_id)
         if wanted:
             keep = {*wanted, BUILD_ROW}
     # A spec-file sweep's points come sorted by parameter set and then degree,
-    # so a contiguous run builds each set's recurrence chain in one process.
+    # so a contiguous run builds each set's recurrence chain in one process,
+    # and solves the zero sets of all its points together.
     # A point of degree n weighs (n + 2)^2, a rough model of its cost.
     weights = [(n + 2) ** 2 for n, _ in points]
     with _output(args.output) as out:
-        chunks = _map_points(run, points, weights, workers)
+        chunks = _map_runs(run, points, weights, workers)
         if keep:
             chunks = [[row for row in rows if row["clause"] in keep] for rows in chunks]
         rows = [row for rows in chunks for row in rows]

@@ -323,12 +323,20 @@ def chain_scope():
         _CHAINS.reset(token)
 
 
+def param_key(spec: FamilySpec) -> tuple:
+    """``spec``'s kind and each parameter's numerator and denominator.
+
+    Equal for specs of equal kind and parameters, whatever their degree.  A
+    key of integers: a Fraction hashes through a modular inverse on every call.
+    """
+    return (spec.kind, *[x for _, v in spec.params for x in (v.numerator, v.denominator)])
+
+
 def _chain(spec: FamilySpec) -> _Chain:
     chains = _CHAINS.get()
     if chains is None:
         return _Chain(_step_rule(spec))
-    # Keyed on integers: a Fraction hashes through a modular inverse on every call.
-    key = (spec.kind, *[x for _, v in spec.params for x in (v.numerator, v.denominator)])
+    key = param_key(spec)
     chain = chains.get(key)
     if chain is None:
         chain = chains[key] = _Chain(_step_rule(spec))
@@ -387,18 +395,16 @@ def _narayana_raw(n: int) -> Polynomial:
     return cur
 
 
-def narayana_coeff(n: int, k: int) -> Fraction:
-    """The triangle entry C(n,k) C(n,k-1) / n for 1 <= k <= n."""
-    if not (1 <= k <= n):
-        raise InvalidParameterError(f"narayana_coeff needs 1 <= k <= n (got n={n}, k={k})")
-    return Fraction(math.comb(n, k) * math.comb(n, k - 1), n)
+def _narayana_nums(n: int) -> list[int]:
+    """n times each triangle entry c_{n,k} = C(n,k) C(n,k-1) / n, k = 1..n."""
+    return [math.comb(n, k) * math.comb(n, k - 1) for k in range(1, n + 1)]
 
 
 def narayana_reduced(n: int) -> Polynomial:
     """Degree n-1 polynomial with coefficient of x^j equal to c_{n,j+1}."""
     if n < 1:
         raise InvalidParameterError(f"narayana_reduced requires n >= 1 (got n={n})")
-    return Polynomial([narayana_coeff(n, j + 1) for j in range(n)])
+    return Polynomial.from_ints(_narayana_nums(n), n)
 
 
 def narayana_rho(n: int, reduced: tuple[Polynomial, Polynomial] | None = None) -> Fraction:
@@ -432,8 +438,9 @@ def narayana_christoffel(n: int) -> Polynomial:
     by_division, remainder = numer.divide_linear(1)
     if remainder != 0:
         raise ConstructionError(f"nonzero remainder dividing out (x - 1) at n={n}")
-    by_formula = Polynomial(
-        [Fraction(3 * n - 2 * j, n + 2) * narayana_coeff(n, j + 1) for j in range(n)]
+    # (3n - 2j) / (n + 2) times c_{n,j+1}
+    by_formula = Polynomial.from_ints(
+        [(3 * n - 2 * j) * c for j, c in enumerate(_narayana_nums(n))], n * (n + 2)
     )
     if by_division != by_formula:
         raise ConstructionError(
@@ -450,8 +457,6 @@ def narayana_perturbed(n: int) -> Polynomial:
     def comb0(m: int, r: int) -> int:
         return math.comb(m, r) if 0 <= r <= m else 0
 
-    coeffs = [
-        Fraction(comb0(n - 1, j) ** 2 + comb0(n - 1, j + 1) * comb0(n - 1, j - 1))
-        for j in range(n)
-    ]
-    return Polynomial(coeffs)
+    return Polynomial.from_ints(
+        [comb0(n - 1, j) ** 2 + comb0(n - 1, j + 1) * comb0(n - 1, j - 1) for j in range(n)]
+    )

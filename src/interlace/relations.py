@@ -28,13 +28,12 @@ from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from . import families
 from .families import (
-    FamilySpec,
     InvalidParameterError,
-    ORTHOGONAL_KINDS,
     exact_rational,
     monic_by_recurrence,
 )
@@ -58,7 +57,11 @@ from .poly import (
     products_cancel,
     root_product,
 )
-from .rootfind import ZeroSet, zeros_exact, zeros_general, zeros_orthogonal
+from .rootfind import Term, ZeroSet, unwrap, zero_sets
+
+# zeros_orthogonal and zeros_general are not called here, but the benchmark's
+# span tracer (perfbench/tracer.py) wraps them under this module's name.
+from .rootfind import zeros_general, zeros_orthogonal  # noqa: F401
 
 PAIR_UP = "pair_up"
 DOWN_ONE = "down_one"
@@ -398,17 +401,6 @@ def build_relation(check_id: str, n: int, params: dict | None = None) -> MixedRe
     return rel
 
 
-def zero_set(spec: FamilySpec | None, poly: Polynomial | None = None) -> ZeroSet:
-    """Real zeros of a family member, of ``poly`` when given.
-
-    Orthogonal kinds take the tridiagonal path; everything else the companion
-    path, on ``poly`` or else on the member built from ``spec``.
-    """
-    if spec is not None and spec.kind in ORTHOGONAL_KINDS:
-        return zeros_orthogonal(spec)
-    return zeros_general(monic_by_recurrence(spec) if poly is None else poly)
-
-
 # ---------------------------------------------------------------------------
 # Check reports
 # ---------------------------------------------------------------------------
@@ -555,19 +547,23 @@ def _new_report(rel: MixedRelation) -> CheckReport:
     )
 
 
-def _term_zeros(rel: MixedRelation, name: str) -> ZeroSet:
-    """Zeros of term ``name``: the exact ones it was built from, else by its zero path."""
-    roots = rel.roots.get(name)
-    if roots is not None:
-        return zeros_exact(*roots)
-    return zero_set(rel.specs.get(name), getattr(rel, name))
+def relation_terms(rel: MixedRelation) -> tuple[Term, Term, Term]:
+    """The zero-set terms of G, Q and P, in the order the checkers read them.
+
+    A term carries the exact zeros it was built from, when it has them, its
+    member spec and its polynomial; ``rootfind`` picks the path.
+    """
+    return tuple(Term(rel.specs.get(name), getattr(rel, name), rel.roots.get(name)) for name in "GQP")
 
 
-def _base_report(rel: MixedRelation) -> tuple[CheckReport, ZeroSet, ZeroSet, ZeroSet]:
+def _base_report(rel: MixedRelation, found) -> tuple[CheckReport, ZeroSet, ZeroSet, ZeroSet]:
+    """The report's shared rows, from ``found``: the ``zero_sets`` results of
+    ``relation_terms(rel)``, solved here when None.  A failed solve raises,
+    G's before Q's before P's."""
     report = _new_report(rel)
-    zg = _term_zeros(rel, "G")
-    zq = _term_zeros(rel, "Q")
-    zp = _term_zeros(rel, "P")
+    if found is None:
+        found = zero_sets(relation_terms(rel))
+    zg, zq, zp = map(unwrap, found)
     e_float = float(rel.E)
     # E's one position among the zeros of G; "unknown" means within the floor of one.
     position, slot = locate_point(e_float, zg)
@@ -600,16 +596,16 @@ def _skip_rest(report: CheckReport, names) -> CheckReport:
     return report
 
 
-def check_pair_up(rel: MixedRelation) -> CheckReport:
+def check_pair_up(rel: MixedRelation, found=None) -> CheckReport:
     """Checker for the shape with G and Q one degree above P.
 
     The premise is alternation of Q and G in either orientation; the clauses
     are the E-position bound, the added-point interlacing statement, and the
-    two-directional full-interlacing iff.
+    two-directional full-interlacing iff.  ``found`` is as for ``_base_report``.
     """
     if rel.shape != PAIR_UP:
         raise InvalidParameterError(f"check_pair_up got shape {rel.shape}")
-    report, zg, zq, zp = _base_report(rel)
+    report, zg, zq, zp = _base_report(rel, found)
     e_float = float(rel.E)
 
     prem_qg = alternates(zq, zg)
@@ -667,11 +663,14 @@ def check_pair_up(rel: MixedRelation) -> CheckReport:
     return report
 
 
-def check_down_one(rel: MixedRelation) -> CheckReport:
-    """Checker for the shape with G at P's degree and Q one degree below."""
+def check_down_one(rel: MixedRelation, found=None) -> CheckReport:
+    """Checker for the shape with G at P's degree and Q one degree below.
+
+    ``found`` is as for ``_base_report``.
+    """
     if rel.shape != DOWN_ONE:
         raise InvalidParameterError(f"check_down_one got shape {rel.shape}")
-    report, zg, zq, zp = _base_report(rel)
+    report, zg, zq, zp = _base_report(rel, found)
 
     premise = interlaces_down(zg, zq)
     if premise.kind != INTERLACE_DOWN:
@@ -704,8 +703,9 @@ SHAPE_CHECKERS = {
 SHAPE_CLAUSES = {PAIR_UP: PAIR_UP_CLAUSES, DOWN_ONE: DOWN_ONE_CLAUSES}
 
 
-def check_relation(rel: MixedRelation) -> CheckReport:
-    return SHAPE_CHECKERS[rel.shape](rel)
+def check_relation(rel: MixedRelation, found=None) -> CheckReport:
+    """The shape checker's report on ``rel``; ``found`` is as for ``_base_report``."""
+    return SHAPE_CHECKERS[rel.shape](rel, found)
 
 
 # ---------------------------------------------------------------------------
@@ -713,24 +713,49 @@ def check_relation(rel: MixedRelation) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def check_narayana_even_quotient(n: int, params: dict | None = None) -> CheckReport:
-    """Even-index branch: P and G share the zero -1, so the reference set is
-    the exact quotient of G by (x + 1) and the claim is plain interlacing."""
+def _plan_even_quotient(n: int, params: dict | None):
+    """The even branch's plan (see ``plan_check``): the zero sets of P and of
+    G / (x + 1), none when (x + 1) does not divide G."""
     rel = build_relation(EVEN_QUOTIENT_CHECK, n, params)
+    quotient, remainder = rel.G.divide_linear(Fraction(-1))
+    terms = (Term(poly=rel.P), Term(poly=quotient)) if remainder == 0 else ()
+    return terms, partial(_even_quotient_report, rel)
+
+
+def _even_quotient_report(rel: MixedRelation, found) -> CheckReport:
     report = _new_report(rel)
     report.premise_kind = "even-quotient"
     shared = rel.P.evaluate(Fraction(-1)) == 0 and rel.G.evaluate(Fraction(-1)) == 0
     report.clauses["common_zero_at_minus_one"] = PASS if shared else FAIL_CLAUSE
-    quotient, remainder = rel.G.divide_linear(Fraction(-1))
-    if remainder != 0:
+    if not found:
         report.clauses["quotient_interlace"] = FAIL_CLAUSE
         report.notes.append("reference polynomial not divisible by (x + 1)")
         return report
-    zp = zeros_general(rel.P)
-    zq = zeros_general(quotient)
+    zp, zq = map(unwrap, found)
     report.clauses["quotient_interlace"] = _verdict_clause(interlaces_down(zp, zq), INTERLACE_DOWN)
     report.notes.append("even branch: zeros of P against zeros of G/(x+1)")
     return report
+
+
+def check_narayana_even_quotient(n: int, params: dict | None = None) -> CheckReport:
+    """Even-index branch: P and G share the zero -1, so the reference set is
+    the exact quotient of G by (x + 1) and the claim is plain interlacing."""
+    terms, report = _plan_even_quotient(n, params)
+    return report(zero_sets(terms))
+
+
+def plan_check(check_id: str, n: int, params: dict | None = None):
+    """What a named check needs solved, and what reports on it.
+
+    Returns (terms, report): the ``Term``s of the zero sets the check reads,
+    and a function that takes their ``zero_sets`` results, in order, and
+    returns the check's report.  Building the relation happens here, so a
+    caller can solve the terms of many checks in one batch.
+    """
+    if check_id == EVEN_QUOTIENT_CHECK and n % 2 == 0:
+        return _plan_even_quotient(n, params)
+    rel = build_relation(check_id, n, params)
+    return relation_terms(rel), partial(check_relation, rel)
 
 
 def run_check(check_id: str, n: int, params: dict | None = None) -> CheckReport:

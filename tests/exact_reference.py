@@ -7,7 +7,9 @@ two agree.  The discrete weights and the closed-form value of a Krawtchouk
 member at its support edge give further exact facts to test the recurrence
 members against.  ``CHECKS_REFERENCE`` transcribes each named relation's
 displays in ``Fraction`` arithmetic, the form the program's integer table
-must reproduce.
+must reproduce.  The Narayana closed forms are kept here as the program
+built them with one ``Fraction`` per coefficient, the form its integer
+vectors must reproduce.
 """
 
 import math
@@ -21,6 +23,39 @@ from interlace.families import (
     monic_by_recurrence,
 )
 from interlace.poly import Polynomial
+
+# ---------------------------------------------------------------------------
+# Narayana closed forms, one Fraction per coefficient
+# ---------------------------------------------------------------------------
+
+
+def narayana_coeff(n: int, k: int) -> Fraction:
+    """The triangle entry C(n,k) C(n,k-1) / n for 1 <= k <= n."""
+    if not (1 <= k <= n):
+        raise InvalidParameterError(f"narayana_coeff needs 1 <= k <= n (got n={n}, k={k})")
+    return Fraction(math.comb(n, k) * math.comb(n, k - 1), n)
+
+
+def narayana_reduced(n: int) -> Polynomial:
+    """Coefficient of x^j equal to c_{n,j+1}, n >= 1."""
+    return Polynomial([narayana_coeff(n, j + 1) for j in range(n)])
+
+
+def narayana_christoffel(n: int) -> Polynomial:
+    """The coefficient-formula route: (3n - 2j) / (n + 2) times c_{n,j+1}, n >= 2."""
+    return Polynomial([Fraction(3 * n - 2 * j, n + 2) * narayana_coeff(n, j + 1) for j in range(n)])
+
+
+def narayana_perturbed(n: int) -> Polynomial:
+    """Coefficient of x^j equal to C(n-1,j)^2 + C(n-1,j+1) C(n-1,j-1), n >= 2."""
+
+    def comb0(m: int, r: int) -> int:
+        return math.comb(m, r) if 0 <= r <= m else 0
+
+    return Polynomial(
+        [Fraction(comb0(n - 1, j) ** 2 + comb0(n - 1, j + 1) * comb0(n - 1, j - 1)) for j in range(n)]
+    )
+
 
 # ---------------------------------------------------------------------------
 # Hypergeometric cross-check route

@@ -17,6 +17,11 @@ inf when some zero has no finite bound.  ``sign_at_zeros`` is the float sign
 test with an a-priori Horner error bound that the program used before its
 polynomials became exact only.  scipy is needed by the tests only.
 
+``solve_alone`` is the zero path as the program ran it one set at a time,
+before ``rootfind.zero_sets`` solved a batch by degree: the same dispatch
+(exact roots, tridiagonal, companion), one LAPACK call per set, the scalar
+polish above, and the same exceptions with the same messages.
+
 The interlacing verdicts as they were before their single-pass form are kept
 too: ``alternates`` and ``interlaces_down`` build one tagged (value, set,
 index) chain and scan it, and ``locate_point`` tests e against every zero and
@@ -28,7 +33,12 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from interlace.families import recurrence_coeffs
+from interlace.families import (
+    ORTHOGONAL_KINDS,
+    InvalidParameterError,
+    monic_by_recurrence,
+    recurrence_coeffs,
+)
 from interlace.interlacing import (
     ALTERNATE,
     DEFAULT_FLOOR,
@@ -37,7 +47,7 @@ from interlace.interlacing import (
     INTERLACE_DOWN,
     Verdict,
 )
-from interlace.rootfind import REALITY_THRESHOLD
+from interlace.rootfind import REALITY_THRESHOLD, RootComputationError, ZeroSet
 
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
@@ -175,6 +185,75 @@ def zeros_general(p, bound_fn=companion_bound):
             raw.append(float(z.real))
     zeros = tuple(newton_polish(x, lambda x: horner_pair(coeffs, x))[0] for x in sorted(raw))
     return zeros, set_bound([bound_fn(coeffs, z) for z in zeros])
+
+
+def _solve_orthogonal_alone(spec):
+    rc = recurrence_coeffs(spec)
+    for k, l in enumerate(rc.lam[1:], start=1):
+        if l <= 0:
+            raise InvalidParameterError(
+                f"off-diagonal recurrence term {k + 1} is not positive ({l}); "
+                f"parameters outside the orthogonality region"
+            )
+    n = spec.n
+    if n == 0:
+        return ZeroSet((), 0.0, "JacobiMatrix", spec)
+    diag = [float(c) for c in rc.c]
+    ls = [float(l) for l in rc.lam]
+    if n == 1:
+        raw = [diag[0]]
+    else:
+        matrix = np.zeros((n, n))
+        matrix.flat[:: n + 1] = diag
+        matrix.flat[n :: n + 1] = [math.sqrt(l) for l in ls[1:]]
+        try:
+            raw = np.linalg.eigvalsh(matrix).tolist()
+        except np.linalg.LinAlgError as exc:
+            raise RootComputationError(
+                f"LAPACK ?syevd failed ({exc}) on the Jacobi matrix of {spec.kind} n={n}"
+            ) from exc
+    polished = [newton_polish(x, lambda x: recurrence_pair(diag, ls, x)) for x in raw]
+    zeros = tuple(z for z, _ in polished)
+    return ZeroSet(zeros, set_bound([b for _, b in polished]), "JacobiMatrix", spec)
+
+
+def _solve_companion_alone(p):
+    coeffs = p.float_coeffs()
+    deg = len(coeffs) - 1
+    if deg < 0:
+        raise RootComputationError("zero polynomial has no well-defined zero set")
+    if deg == 0:
+        return ZeroSet((), 0.0, "Companion", p)
+    if deg == 1:
+        raw = [-coeffs[0] / coeffs[1]]
+    else:
+        raw = []
+        for z in np.roots(coeffs[::-1]).tolist():
+            if abs(z.imag) > REALITY_THRESHOLD * max(1.0, abs(z.real)):
+                raise RootComputationError(
+                    f"companion eigenvalue {z} is not real within threshold "
+                    f"{REALITY_THRESHOLD}; expected an all-real zero set"
+                )
+            raw.append(z.real)
+    zeros = tuple(newton_polish(x, lambda x: horner_pair(coeffs, x))[0] for x in sorted(raw))
+    return ZeroSet(zeros, set_bound([companion_bound(coeffs, z) for z in zeros]), "Companion", p)
+
+
+def solve_alone(term):
+    """The ``ZeroSet`` of one ``rootfind.Term`` solved by itself, or the exception that raised."""
+    try:
+        if term.roots is not None:
+            nums, den = term.roots
+            zeros = tuple(sorted(x / den for x in nums))
+            bound = max((math.ulp(z) / 2 for z in zeros), default=0.0)
+            return ZeroSet(zeros, bound, "Exact", term.roots)
+        if term.spec is not None and term.spec.kind in ORTHOGONAL_KINDS:
+            return _solve_orthogonal_alone(term.spec)
+        return _solve_companion_alone(
+            term.poly if term.poly is not None else monic_by_recurrence(term.spec)
+        )
+    except Exception as exc:
+        return exc
 
 
 def _scan_chain(chain):

@@ -21,7 +21,6 @@ from interlace.families import (
     meixner,
     monic_by_recurrence,
     narayana_christoffel,
-    narayana_coeff,
     narayana_reduced,
 )
 from interlace.poly import Polynomial
@@ -36,6 +35,8 @@ from interlace.relations import (
     verify_identity,
 )
 from interlace.rootfind import zeros_general, zeros_orthogonal
+
+from exact_reference import narayana_coeff
 
 JACOBI_GRID = [F(-1, 2), F(0), F(1), F(5, 2), F(14)]
 KRAWTCHOUK_P = [F(1, 4), F(1, 2), F(3, 4)]

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from itertools import starmap
 from pathlib import Path
 
 import pytest
@@ -148,10 +149,10 @@ class TestZerosCommand:
 
     def test_failed_zero_computation_exits_three(self, capsys, monkeypatch):
         # An internal error, which must not share exit 1 with a clause failure
-        def fail(poly):
+        def fail(term):
             raise RootComputationError("companion eigenvalue 1j is not real")
 
-        monkeypatch.setattr(relations, "zeros_general", fail)
+        monkeypatch.setattr(cli, "zero_set", fail)
         code, out, err = run_cli(capsys, "zeros", "--family", "narayana-reduced", "--n", "5")
         assert (code, out) == (3, "")
         assert err == "error: zeros: companion eigenvalue 1j is not real\n"
@@ -482,7 +483,7 @@ class TestSweepCommand:
     def test_oracle_degree_below_the_mode_minimum_exits_two(
         self, capsys, monkeypatch, oracle, degrees, message
     ):
-        monkeypatch.setattr(cli, "_run_oracle_point", lambda *a, **k: pytest.fail("a point ran"))
+        monkeypatch.setattr(cli, "_run_oracle_run", lambda *a, **k: pytest.fail("a point ran"))
         code, out, err = run_cli(
             capsys, "sweep", "--oracle", oracle, degrees, "--seeds", "1", "--workers", "1"
         )
@@ -610,8 +611,8 @@ class TestSweepCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("a sweep point ran")
 
-        monkeypatch.setattr(cli, "_run_oracle_point", refuse)
-        monkeypatch.setattr(cli, "_run_sweep_point", refuse)
+        monkeypatch.setattr(cli, "_run_oracle_run", refuse)
+        monkeypatch.setattr(cli, "_run_sweep_run", refuse)
         if oracle:
             argv = ["sweep", "--oracle", "pair-up", "--n", "1..2", "--seeds", "2", "--workers", "1"]
         else:
@@ -737,7 +738,7 @@ class TestSweepCommand:
         from interlace import cli
 
         if dead:
-            monkeypatch.setattr(cli, "_run_oracle_point", _exit_in_child(cli._run_oracle_point, 7))
+            monkeypatch.setattr(cli, "_run_oracle_run", _exit_in_child(cli._run_oracle_run, 7))
         argv = ["sweep", "--oracle", "pair-up", "--n", "1..3", "--seeds", "4", "--workers", "4"]
         run_cli(capsys, *argv)  # warm up: imports and caches may open descriptors once
         before = len(list(Path("/proc/self/fd").iterdir()))
@@ -757,7 +758,7 @@ class TestSweepCommand:
     def test_dead_worker_exits_three(self, capsys, monkeypatch, how, message):
         from interlace import cli
 
-        monkeypatch.setattr(cli, "_run_oracle_point", _exit_in_child(cli._run_oracle_point, how))
+        monkeypatch.setattr(cli, "_run_oracle_run", _exit_in_child(cli._run_oracle_run, how))
         code, out, err = run_cli(
             capsys, "sweep", "--oracle", "pair-up", "--n", "1..4", "--seeds", "3", "--workers", "3"
         )
@@ -780,7 +781,7 @@ class TestSweepCommand:
 
         monkeypatch.setattr(cli.pickle, "dumps", truncating)
         with pytest.raises(cli.SweepWorkerError, match="sweep worker 1 sent unreadable results"):
-            cli._map_points(pow, [(2, k) for k in range(6)], [1] * 6, 2)
+            cli._map_runs(lambda run: list(starmap(pow, run)), [(2, k) for k in range(6)], [1] * 6, 2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

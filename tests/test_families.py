@@ -18,7 +18,6 @@ from interlace.families import (
     meixner,
     monic_by_recurrence,
     narayana_christoffel,
-    narayana_coeff,
     narayana_perturbed,
     narayana_reduced,
     narayana_rho,
@@ -28,10 +27,12 @@ from interlace.families import (
 from interlace.rootfind import zeros_orthogonal
 from interlace.poly import Polynomial, _integer_form
 
+import exact_reference
 from exact_reference import (
     hypergeometric_check,
     hypergeometric_poly,
     krawtchouk_edge_value,
+    narayana_coeff,
     pochhammer,
     weight_at,
 )
@@ -359,6 +360,15 @@ class TestNarayana:
             narayana_coeff(3, 0)
         with pytest.raises(InvalidParameterError):
             narayana_coeff(3, 4)
+
+    def test_closed_forms_equal_their_fraction_forms(self):
+        # Each is formed as one integer vector over one denominator; the
+        # Christoffel member still passes its division route and rho check.
+        for n in range(1, 201):
+            assert narayana_reduced(n) == exact_reference.narayana_reduced(n)
+            if n >= 2:
+                assert narayana_christoffel(n) == exact_reference.narayana_christoffel(n)
+                assert narayana_perturbed(n) == exact_reference.narayana_perturbed(n)
 
     def test_reduced_small_members(self):
         assert narayana_reduced(1) == Polynomial([1])

@@ -12,6 +12,7 @@ are checked the same way against their plain forms.
 
 import json
 import math
+import re
 import types
 from fractions import Fraction as F
 
@@ -23,19 +24,25 @@ from scipy.linalg import eigh_tridiagonal
 
 from interlace import cli, relations
 from interlace.families import (
+    FamilySpec,
     jacobi,
     krawtchouk,
     laguerre,
     meixner,
     monic_by_recurrence,
     narayana_spec,
+    recurrence_steps,
 )
 from interlace.poly import Polynomial
 from interlace.relations import CHECK_IDS, _a_positive, _min_cross_gap, build_relation
+from interlace import rootfind
 from interlace.rootfind import (
     RootComputationError,
+    Term,
     ZeroSet,
-    _tridiagonal_eigenvalues,
+    _jacobi_matrices,
+    zero_set,
+    zero_sets,
     zeros_general,
     zeros_orthogonal,
 )
@@ -134,7 +141,7 @@ def raw_tridiagonals(draw):
 def test_tridiagonal_eigenvalues_match_stevd(matrix):
     diag, off = matrix
     want = eigh_tridiagonal(diag, off, eigvals_only=True).tolist()
-    assert _tridiagonal_eigenvalues(diag, off) == want
+    assert np.linalg.eigvalsh(_jacobi_matrices([diag], [off]))[0].tolist() == want
 
 
 def _eigvalsh_fails(a, UPLO="L"):
@@ -176,10 +183,18 @@ def test_bound_is_inf_when_a_zero_has_none():
     assert zs.max == 1e155 and zs.bound == math.inf
 
 
-def test_zeros_command_prints_an_inf_bound(capsys):
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def test_zeros_command_prints_a_null_bound(capsys):
+    # JSON has no Infinity: a set with no finite bound prints null.
     argv = ["zeros", "--family", "meixner", "--t", "1/3", "--w", "999/1000", "--n", "60"]
     assert cli.main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["bound"] == math.inf
+    payload = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert payload["bound"] is None and len(payload["zeros"]) == 60
+    zs = zeros_orthogonal(meixner(F(1, 3), F(999, 1000), 60))
+    assert json.loads(json.dumps(zs.to_json()), parse_constant=_no_constant)["bound"] is None
 
 
 # -- companion path ----------------------------------------------------------
@@ -225,20 +240,208 @@ def test_running_bound_is_tighter_than_the_a_priori_one():
 def test_narayana_check_at_forty_has_a_tight_p_bound(monkeypatch, capsys):
     # The a-priori Horner bound put this zero set at 7.5e-4.
     seen = []
-    real = relations.zeros_general
+    real = relations.zero_sets
 
-    def spy(p):
-        zs = real(p)
-        seen.append(zs)
-        return zs
+    def spy(terms):
+        found = real(terms)
+        seen.extend(found)
+        return found
 
-    monkeypatch.setattr(relations, "zeros_general", spy)
+    monkeypatch.setattr(relations, "zero_sets", spy)
     assert cli.main(["check", "narayana-3.3", "--n", "40"]) == 0
     capsys.readouterr()
     p = build_relation("narayana-3.3", 40).P
     (zp,) = [zs for zs in seen if zs.source == p]
     assert len(zp) == 39
     assert zp.bound < 1e-4
+
+
+# -- the batch entry ---------------------------------------------------------
+
+
+def assert_batch_matches_alone(terms):
+    """Every result of one batch is the set, or the failure, of its term solved alone."""
+    found = zero_sets(terms)
+    assert len(found) == len(terms)
+    for term, got in zip(terms, found):
+        want = ref.solve_alone(term)
+        if isinstance(want, Exception):
+            assert isinstance(got, Exception), (term, got)
+            assert (type(got), str(got)) == (type(want), str(want))
+        else:
+            assert isinstance(got, ZeroSet), (term, got)
+            assert (got.zeros, got.bound, got.method) == (want.zeros, want.bound, want.method)
+
+
+NARAYANA_KINDS = ("narayana-reduced", "narayana-christoffel", "narayana-perturbed")
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=8)
+
+companion_polys = st.one_of(
+    # n >= 51 gives complex companion eigenvalues
+    st.builds(
+        lambda kind, n: monic_by_recurrence(narayana_spec(kind, n)),
+        st.sampled_from(NARAYANA_KINDS),
+        st.integers(min_value=2, max_value=60),
+    ),
+    st.builds(
+        lambda n, seed: relations.oracle_pair_up(n, seed).P,
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=0, max_value=3),
+    ),
+    # x = 0 is a zero: np.roots strips the trailing zero coefficients; a
+    # repeated zero fails the strict order
+    st.lists(small_fractions, max_size=5).map(lambda roots: Polynomial.from_roots([F(0), *roots])),
+    # degree 1
+    st.tuples(small_fractions, small_fractions.filter(bool)).map(lambda c: Polynomial(list(c))),
+)
+
+# Unvalidated members outside the orthogonality region: l_2 <= 0.
+nonpositive_specs = st.builds(
+    lambda a, n: FamilySpec("laguerre", (("alpha", F(-a)),), n),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=2, max_value=8),
+)
+
+exact_terms = st.lists(
+    st.integers(min_value=-(10**6), max_value=10**6), max_size=8, unique=True
+).map(lambda nums: Term(roots=(tuple(nums), 4096)))
+
+terms = st.one_of(
+    orthogonal_specs.map(lambda spec: Term(spec=spec)),
+    companion_polys.map(lambda p: Term(poly=p)),
+    nonpositive_specs.map(lambda spec: Term(spec=spec)),
+    exact_terms,
+)
+
+
+@st.composite
+def batches(draw):
+    """Terms with some repeated: a repeat is solved once and shares its result."""
+    base = draw(st.lists(terms, min_size=1, max_size=10))
+    repeats = draw(st.lists(st.sampled_from(base), max_size=4))
+    return draw(st.permutations(base + repeats))
+
+
+@given(batches())
+@settings(max_examples=100, deadline=None)
+@example(
+    [
+        Term(poly=monic_by_recurrence(narayana_spec("narayana-reduced", 55))),
+        Term(poly=monic_by_recurrence(narayana_spec("narayana-christoffel", 55))),
+        Term(poly=monic_by_recurrence(narayana_spec("narayana-perturbed", 55))),
+        Term(poly=Polynomial.from_roots([F(0), F(1, 2), F(-3)])),
+        Term(poly=Polynomial.from_roots([F(0), F(0), F(2)])),
+        Term(poly=Polynomial([F(1, 3), 2])),
+        Term(spec=FamilySpec("laguerre", (("alpha", F(-3)),), 4)),
+        Term(spec=laguerre(F(1, 2), 4)),
+        Term(spec=laguerre(F(1, 2), 4)),
+        Term(spec=meixner(F(1, 3), F(999, 1000), 60)),
+    ]
+)
+def test_batch_matches_each_set_solved_alone(batch):
+    assert_batch_matches_alone(batch)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8, 13])
+def test_a_degree_group_polished_at_once_matches(n):
+    # 16 members of one degree: at n >= 4 the group holds at least
+    # _VECTOR_ZEROS zeros and takes the NumPy polish.
+    specs = [jacobi(F(i, 4) - F(1, 2), F(3 * i, 5), n) for i in range(8)]
+    specs += [meixner(F(i + 1, 3), F(999, 1000), n) for i in range(8)]
+    assert_batch_matches_alone([Term(spec=spec) for spec in specs])
+    polys = [relations.oracle_pair_up(n, seed).P for seed in range(16)]
+    assert_batch_matches_alone([Term(poly=p) for p in polys])
+
+
+def _started_off(zeros, k):
+    """Starting points off the zeros by relative 1e-2 .. 1e-16, so they stop
+    after one to all three Newton steps; one row starts at inf, and one
+    zero at nan."""
+    if k == 0:
+        return [math.inf] * len(zeros)
+    start = [z * (1 + 10.0 ** -(2 + (k + 2 * j) % 15)) for j, z in enumerate(zeros)]
+    if k == 1:
+        start[0] = math.nan
+    return start
+
+
+@pytest.mark.parametrize("threshold", [1, 30, 50, 60, 10**6])
+def test_numpy_polish_is_the_scalar_loop_zero_by_zero(monkeypatch, threshold):
+    # Of the 63 zeros below, 53, 47 and 25 are still stepping before the
+    # recurrence polish's second, third and last evaluation, and 46 and 24
+    # before Horner's second and third step: the thresholds hand the
+    # stragglers to the scalar loop at each of those points, at none (1) or
+    # at once (10**6).  Compared by repr, so NaN bounds compare too.
+    monkeypatch.setattr(rootfind, "_VECTOR_ZEROS", threshold)
+    specs = [jacobi(F(i, 4) - F(1, 2), F(3 * i, 5), 9) for i in range(7)]
+    rows = [[(a / b, u / v) for a, b, u, v in recurrence_steps(spec)] for spec in specs]
+    raws = [_started_off(zero_set(Term(spec=spec)).zeros, k) for k, spec in enumerate(specs)]
+    got = rootfind._polish_recurrence_rows(rows, raws)
+    polished = [[rootfind._polish_recurrence(row, x) for x in raw] for row, raw in zip(rows, raws)]
+    assert repr(got) == repr(([[z for z, _ in r] for r in polished], [[b for _, b in r] for r in polished]))
+    polys = [relations.oracle_pair_up(9, seed).P for seed in range(7)]
+    rows = [p.float_coeffs()[::-1] for p in polys]
+    raws = [_started_off(zero_set(Term(poly=p)).zeros, k) for k, p in enumerate(polys)]
+    got = rootfind._polish_horner_rows(rows, raws)
+    polished = [[rootfind._polish_horner(row, x) for x in raw] for row, raw in zip(rows, raws)]
+    assert repr(got) == repr(([[z for z, _ in r] for r in polished], [[b for _, b in r] for r in polished]))
+
+
+def test_a_group_beyond_the_stack_budget_is_split_between_sets(monkeypatch):
+    calls = []
+    real_eigvalsh, real_eigvals = np.linalg.eigvalsh, np.linalg.eigvals
+
+    def eigvalsh(a, UPLO="L"):
+        calls.append(a.shape)
+        return real_eigvalsh(a, UPLO)
+
+    def eigvals(a):
+        calls.append(a.shape)
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    # 80^2 entries per Jacobi matrix and 23^2 per companion matrix
+    specs = [jacobi(F(i, 3), F(1, 2), 80) for i in range(7)]
+    polys = [relations.oracle_pair_up(23, seed).P for seed in range(40)]
+    assert_batch_matches_alone([Term(spec=spec) for spec in specs] + [Term(poly=p) for p in polys])
+    stacks = [shape for shape in calls if len(shape) == 3]
+    assert [shape[0] for shape in stacks if shape[1] == 80] == [2, 2, 2, 1]
+    assert [shape[0] for shape in stacks if shape[1] == 23] == [30, 10]
+    assert all(count * order * order <= rootfind._STACK_ENTRIES for count, order, _ in stacks)
+
+
+def test_lapack_failure_is_charged_to_its_own_set(monkeypatch):
+    # One Jacobi matrix of a group fails in LAPACK; the stacked call raises
+    # for the group, and only that set keeps the failure.
+    specs = [jacobi(F(i, 3), 2, 6) for i in range(6)]
+    bad = float(ref.recurrence_coeffs(specs[2]).c[0])
+    real = np.linalg.eigvalsh
+
+    def eigvalsh(a, UPLO="L"):
+        if np.any(a[..., 0, 0] == bad):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(a, UPLO)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    found = zero_sets([Term(spec=spec) for spec in specs])
+    assert [isinstance(r, RootComputationError) for r in found] == [False, False, True, False, False, False]
+    assert str(found[2]) == (
+        "LAPACK ?syevd failed (Eigenvalues did not converge) on the Jacobi matrix of jacobi n=6"
+    )
+    assert isinstance(found[2].__cause__, np.linalg.LinAlgError)
+    assert_batch_matches_alone([Term(spec=spec) for spec in specs])
+
+
+def test_a_failed_term_raises_in_the_checkers_read_order():
+    # Narayana at n = 55: G, Q and P each fail, with their own messages; the
+    # report raises G's, as it did when it solved G first.
+    rel = build_relation("narayana-3.3", 55)
+    found = zero_sets(relations.relation_terms(rel))
+    assert all(isinstance(r, RootComputationError) for r in found)
+    assert len({str(r) for r in found}) == 3
+    with pytest.raises(RootComputationError, match=re.escape(str(found[0]))):
+        relations.check_relation(rel)
 
 
 # -- hypothesis scans --------------------------------------------------------
@@ -307,5 +510,5 @@ CHECK_PARAMS = {
 def test_a_positive_matches_on_the_checks(check_id):
     for n in (2, 5, 9):
         rel = build_relation(check_id, n, CHECK_PARAMS.get(check_id))
-        zg = relations._term_zeros(rel, "G")
+        zg = zero_set(relations.relation_terms(rel)[0])
         assert _a_positive(rel, zg) == a_positive_reference(rel, zg)

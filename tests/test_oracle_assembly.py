@@ -283,19 +283,19 @@ class TestZerosExact:
 class TestReplacedTerms:
     @staticmethod
     def _record(monkeypatch):
+        # Each term the checkers hand to the batch, as the path it takes.
         calls = []
-        exact, general = relations.zeros_exact, relations.zeros_general
+        batch = relations.zero_sets
 
-        def spy_exact(nums, den):
-            calls.append(("exact", (nums, den)))
-            return exact(nums, den)
+        def spy(terms):
+            for term in terms:
+                if term.roots is not None:
+                    calls.append(("exact", term.roots))
+                else:
+                    calls.append(("general", term.poly))
+            return batch(terms)
 
-        def spy_general(p):
-            calls.append(("general", p))
-            return general(p)
-
-        monkeypatch.setattr(relations, "zeros_exact", spy_exact)
-        monkeypatch.setattr(relations, "zeros_general", spy_general)
+        monkeypatch.setattr(relations, "zero_sets", spy)
         return calls
 
     def test_reassigned_g_uses_the_new_zeros(self, monkeypatch):

@@ -519,15 +519,19 @@ def _sample_interval(rel: MixedRelation, zg: ZeroSet) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def _a_positive(rel: MixedRelation, zg: ZeroSet, grid_points: int = 32) -> bool:
+#: the points of the fixed grid on which ``_a_positive`` samples A
+_A_GRID_POINTS = 32
+
+
+def _a_positive(rel: MixedRelation, zg: ZeroSet) -> bool:
     """A > 0 at every zero of G plus a fixed grid over the working interval; a constant A by its sign."""
     if len(rel.A.nums) == 1:
         return rel.A.nums[0] > 0
     desc = rel.A.float_coeffs()[::-1]
     lo, hi = _sample_interval(rel, zg)
-    margin = (hi - lo) / (4 * grid_points)
+    margin = (hi - lo) / (4 * _A_GRID_POINTS)
     lo, hi = lo + margin, hi - margin
-    samples = [lo + (hi - lo) * i / (grid_points - 1) for i in range(grid_points)]
+    samples = [lo + (hi - lo) * i / (_A_GRID_POINTS - 1) for i in range(_A_GRID_POINTS)]
     for x in (*zg.zeros, *samples):
         acc = 0.0
         for c in desc:  # Horner's scheme on the float coefficients
@@ -778,8 +782,15 @@ def clause_names(check_id: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _rational_uniform(rng: random.Random, lo: Fraction, hi: Fraction, denom: int = 4096) -> Fraction:
-    return lo + (hi - lo) * Fraction(rng.randrange(denom + 1), denom)
+#: draws an oracle makes before it gives up on a degree and seed
+_ORACLE_TRIES = 64
+
+#: ``_rational_uniform`` draws from this many equal steps of its interval
+_UNIFORM_STEPS = 4096
+
+
+def _rational_uniform(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
+    return lo + (hi - lo) * Fraction(rng.randrange(_UNIFORM_STEPS + 1), _UNIFORM_STEPS)
 
 
 def _draw_chain(rng: random.Random, total: int) -> tuple[list[int], int]:
@@ -904,7 +915,6 @@ def oracle_pair_up(
     seed: int,
     orientation: str | None = None,
     force_e: str | None = None,
-    max_tries: int = 64,
 ) -> MixedRelation:
     """Random verified pair-up instance; seed-deterministic.
 
@@ -915,7 +925,7 @@ def oracle_pair_up(
     """
     check_oracle_degree("pair-up", n)
     rng = random.Random(f"pair-up:{n}:{seed}:{orientation}:{force_e}")
-    for _ in range(max_tries):
+    for _ in range(_ORACLE_TRIES):
         orient = orientation or rng.choice(("q_below_g", "g_below_q"))
         pts, den = _draw_chain(rng, 2 * (n + 1))
         if orient == "q_below_g":
@@ -988,19 +998,14 @@ def _draw_e(rng: random.Random, g_nums, den: int, e_region: str | None) -> Fract
     return Fraction(u, _E_DEN)
 
 
-def oracle_down_one(
-    n: int,
-    seed: int,
-    e_region: str | None = None,
-    max_tries: int = 64,
-) -> MixedRelation:
+def oracle_down_one(n: int, seed: int, e_region: str | None = None) -> MixedRelation:
     """Random verified down-one instance; seed-deterministic.
 
     ``e_region`` pins E below all zeros of G, inside a gap, or above all.
     """
     check_oracle_degree("down-one", n)
     rng = random.Random(f"down-one:{n}:{seed}:{e_region}")
-    for _ in range(max_tries):
+    for _ in range(_ORACLE_TRIES):
         pts, den = _draw_chain(rng, 2 * n - 1)
         g_nums, q_nums = pts[0::2], pts[1::2]
         e = _draw_e(rng, g_nums, den, e_region)

@@ -20,13 +20,8 @@ rest by path and degree.  A term takes one of three paths:
 
 All matrices of one order go to LAPACK in one stacked call, at most
 ``_STACK_ENTRIES`` matrix entries per call.  Each zero then takes at most
-three Newton steps.  A degree group of at least ``_VECTOR_ZEROS`` zeros is
-polished by one NumPy loop over all of them, which does the scalar loop's
-float operations in the same order with the same stop rules per zero; a
-smaller group runs the scalar loop, which is faster there, and so do the
-zeros still stepping once fewer than ``_VECTOR_ZEROS`` of a group are.  Both
-give the same bits, so a zero set does not depend on what it was solved
-with.
+three Newton steps of its path's polish, on its own, so a zero set does
+not depend on which others it was solved with.
 
 A zero set's bound is the largest of its zeros' bounds, or inf when one of
 them is not finite.
@@ -70,11 +65,6 @@ _STEP_TOL = 4 * _EPS
 #: matrix entries per stacked LAPACK call (128 KiB of doubles); a group of
 #: larger total is split between whole matrices
 _STACK_ENTRIES = 1 << 14
-
-#: the fewest zeros in one degree group that the NumPy polish takes; below
-#: it the per-call cost of NumPy outweighs the scalar loop (the crossover
-#: measured in BENCH_20.json)
-_VECTOR_ZEROS = 64
 
 METHOD_JACOBI = "JacobiMatrix"
 METHOD_COMPANION = "Companion"
@@ -131,20 +121,18 @@ class Term(NamedTuple):
     roots: tuple | None = None
 
 
-def _polish_recurrence(
-    cl: list[tuple[float, float]], x: float, steps: int = _STEPS, converged: bool = False
-) -> tuple[float, float]:
+def _polish_recurrence(cl: list[tuple[float, float]], x: float) -> tuple[float, float]:
     """Newton-polish the eigenvalue ``x`` of a Jacobi matrix; returns (zero, bound).
 
     ``cl`` holds the step pairs (c_k, l_k) of the monic recurrence
     p_{k+1} = (x - c_k) p_k - l_k p_{k-1}, which runs inline for p and p'.
-    At most ``steps`` corrections are taken, and none once ``converged``
-    (a zero resumed after that many steps of ``_polish_recurrence_rows``).
-    The bound is |p| / |p'| at the zero, from the evaluation after the last
-    step, or from the last evaluation when no step was taken.
+    At most ``_STEPS`` corrections are taken.  The bound is |p| / |p'| at the
+    zero, from the evaluation after the last step, or from the last
+    evaluation when no step was taken.
     """
     isfinite = math.isfinite
-    for steps_left in range(steps, -1, -1):
+    converged = False
+    for steps_left in range(_STEPS, -1, -1):
         p_prev, p, d_prev, d = 0.0, 1.0, 0.0, 0.0
         for c, l in cl:
             t = x - c
@@ -160,18 +148,18 @@ def _polish_recurrence(
     return x, abs(p) / max(abs(d), _TINY)
 
 
-def _polish_horner(desc: tuple[float, ...], x: float, steps: int = _STEPS) -> tuple[float, float]:
+def _polish_horner(desc: tuple[float, ...], x: float) -> tuple[float, float]:
     """Newton-polish the companion eigenvalue ``x``; returns (zero, bound).
 
     ``desc`` holds the coefficients from the leading one down; Horner's
-    scheme runs inline for p and p'.  At most ``steps`` corrections are
+    scheme runs inline for p and p'.  At most ``_STEPS`` corrections are
     taken, then one more pass carries Higham's running error bound
     mu <- mu |x| + |p|, so |p(x) - p| <= eps (2 mu - |p|).  The bound is
     (|p| + eps (2 mu - |p|)) / |p'| at the zero: the value there is mostly
     rounding error, so the bound counts it.
     """
     isfinite = math.isfinite
-    for _ in range(steps):
+    for _ in range(_STEPS):
         acc = dacc = 0.0
         for c in desc:
             dacc = dacc * x + acc
@@ -192,116 +180,6 @@ def _polish_horner(desc: tuple[float, ...], x: float, steps: int = _STEPS) -> tu
         mu = mu * ax + abs(acc)
     size = abs(acc)
     return x, (size + _EPS * (2 * mu - size)) / max(abs(dacc), _TINY)
-
-
-# The NumPy polishes below repeat the scalar ones on arrays: row r of ``x``
-# holds the zeros of polynomial r, and ``rows[r]`` its coefficients.  Each
-# elementwise operation is the scalar one, correctly rounded alike, on the
-# same operands in the same order (a sum's two terms may swap: float
-# addition commutes).  p and p' are stacked as pd[0] and pd[1], so one
-# operation serves both where the scalar loop applies the same one to each.
-# A zero that the scalar loop would leave keeps its x from then on, so
-# evaluating it again gives its last p and p' again.  Once fewer than
-# ``_VECTOR_ZEROS`` zeros are still stepping, the scalar loop finishes them
-# from where they are.  Python's max(a, b) is b if b > a else a, NaN
-# included, so it is written out.
-
-
-def _recurrence_rows(steps: list, x: np.ndarray) -> np.ndarray:
-    """p and p' at every zero, stacked, by the recurrence of ``_polish_recurrence``."""
-    pd = np.zeros((2,) + x.shape)
-    pd[0] = 1.0
-    prev = np.zeros_like(pd)
-    for c, l in steps:
-        nxt = (x - c) * pd  # t p and t p'
-        nxt[1] += pd[0]  # p + t p'
-        nxt -= l * prev
-        prev, pd = pd, nxt
-    return pd
-
-
-def _polish_recurrence_rows(rows: list, raws: list) -> tuple[list, list]:
-    """``_polish_recurrence`` on every zero; ``rows[r]`` is row r's (c_k, l_k) pairs.
-
-    Returns the zeros and their bounds, as lists of rows.
-    """
-    x = np.array(raws)
-    cl = np.array(rows)
-    steps = list(zip(cl[:, :, 0].T[:, :, None], cl[:, :, 1].T[:, :, None]))
-    live = np.ones(x.shape, bool)
-    converged = np.zeros(x.shape, bool)
-    bounds = np.zeros(x.shape)
-    with np.errstate(all="ignore"):
-        for steps_left in range(_STEPS, -1, -1):
-            if np.count_nonzero(live) < _VECTOR_ZEROS:
-                break
-            p, d = _recurrence_rows(steps, x)
-            ad = np.abs(d)
-            bounds = np.abs(p) / np.where(_TINY > ad, _TINY, ad)
-            live &= ~(converged | (d == 0.0) | ~np.isfinite(p) | ~np.isfinite(d))
-            if not steps_left:
-                live[...] = False
-                break
-            step = p / d
-            live &= np.isfinite(step)
-            x = np.where(live, x - step, x)
-            ax = np.abs(x)
-            converged = np.abs(step) <= _STEP_TOL * np.where(ax > 1.0, ax, 1.0)
-    zeros, bounds = x.tolist(), bounds.tolist()
-    for r, j in zip(*np.nonzero(live)):
-        zeros[r][j], bounds[r][j] = _polish_recurrence(
-            rows[r], zeros[r][j], steps_left, bool(converged[r, j])
-        )
-    return zeros, bounds
-
-
-def _horner_rows(coeffs: np.ndarray, x: np.ndarray, mu: np.ndarray | None = None) -> np.ndarray:
-    """p and p' at every zero, stacked, by the Horner loop of ``_polish_horner``.
-
-    Given ``mu`` (zeros like ``x``), it also runs mu <- mu |x| + |p| in place.
-    """
-    pd = np.zeros((2,) + x.shape)
-    ax = None if mu is None else np.abs(x)
-    for c in coeffs:
-        nxt = pd * x  # p x and p' x
-        nxt[0] += c
-        nxt[1] += pd[0]  # p' x + p, with the p before this step
-        pd = nxt
-        if mu is not None:
-            mu *= ax
-            mu += np.abs(pd[0])
-    return pd
-
-
-def _polish_horner_rows(rows: list, raws: list) -> tuple[list, list]:
-    """``_polish_horner`` on every zero; ``rows[r]`` is row r's ``desc``.
-
-    Returns the zeros and their bounds, as lists of rows.
-    """
-    x = np.array(raws)
-    coeffs = np.array(rows).T[:, :, None]
-    live = np.ones(x.shape, bool)
-    steps_left = _STEPS
-    with np.errstate(all="ignore"):
-        while steps_left and np.count_nonzero(live) >= _VECTOR_ZEROS:
-            steps_left -= 1
-            acc, dacc = _horner_rows(coeffs, x)
-            live &= ~((dacc == 0.0) | ~np.isfinite(acc) | ~np.isfinite(dacc))
-            step = acc / dacc
-            live &= np.isfinite(step)
-            x = np.where(live, x - step, x)
-            ax = np.abs(x)
-            live &= ~(np.abs(step) <= _STEP_TOL * np.where(ax > 1.0, ax, 1.0))
-        mu = np.zeros_like(x)
-        acc, dacc = _horner_rows(coeffs, x, mu)
-        size = np.abs(acc)
-        ad = np.abs(dacc)
-        bounds = (size + _EPS * (2 * mu - size)) / np.where(_TINY > ad, _TINY, ad)
-    zeros, bounds = x.tolist(), bounds.tolist()
-    if steps_left:  # with no step left, the final pass above was the last one
-        for r, j in zip(*np.nonzero(live)):
-            zeros[r][j], bounds[r][j] = _polish_horner(rows[r], zeros[r][j], steps_left)
-    return zeros, bounds
 
 
 def _jacobi_matrices(diag: list, off: list) -> np.ndarray:
@@ -359,24 +237,15 @@ def _stacked(solve, blocks: np.ndarray) -> list:
     return out
 
 
-def _finish(found: dict, solved: list, vector, scalar, method: str) -> None:
-    """Polish each (key, source, row, raw zeros) of ``solved``, one degree, and keep its ``ZeroSet``.
+def _finish(found: dict, solved: list, polish, method: str) -> None:
+    """Polish each (key, source, row, raw zeros) of ``solved`` and keep its ``ZeroSet``.
 
-    ``vector`` polishes the whole group at once, or ``scalar`` zero by zero
-    a group of fewer than ``_VECTOR_ZEROS`` zeros.
+    ``polish(row, x)`` gives one zero and its bound.
     """
-    if not solved:
-        return
-    keys, sources, rows, raws = zip(*solved)
-    if len(raws) * len(raws[0]) >= _VECTOR_ZEROS:
-        zeros, bounds = vector(rows, raws)
-    else:
-        polished = [[scalar(row, x) for x in raw] for row, raw in zip(rows, raws)]
-        zeros = [[z for z, _ in row] for row in polished]
-        bounds = [[b for _, b in row] for row in polished]
-    for key, source, row, row_bounds in zip(keys, sources, zeros, bounds):
+    for key, source, row, raw in solved:
+        zeros, bounds = zip(*[polish(row, x) for x in raw])
         try:
-            found[key] = ZeroSet(tuple(row), _set_bound(row_bounds), method, source)
+            found[key] = ZeroSet(zeros, _set_bound(bounds), method, source)
         except RootComputationError as exc:
             found[key] = exc
 
@@ -402,7 +271,7 @@ def _solve_tridiagonal(n: int, group: list, found: dict) -> None:
             found[key] = err
         else:
             solved.append((key, spec, cl, raw))
-    _finish(found, solved, _polish_recurrence_rows, _polish_recurrence, METHOD_JACOBI)
+    _finish(found, solved, _polish_recurrence, METHOD_JACOBI)
 
 
 def _companion_eigenvalues(group: list, deg: int) -> list:
@@ -439,7 +308,8 @@ def _companion_eigenvalues(group: list, deg: int) -> list:
 def _solve_companion(deg: int, group: list, found: dict) -> None:
     """Every (key, poly, desc) of ``group``, whose polynomials all have degree deg >= 1."""
     if deg == 1:
-        eig = [[-desc[1] / desc[0]] for _, _, desc in group]
+        # 0.0 - y, not -y: a zero at the origin is +0.0, as np.roots gives it
+        eig = [[0.0 - desc[1] / desc[0]] for _, _, desc in group]
     else:
         eig = _companion_eigenvalues(group, deg)
     solved = []
@@ -459,7 +329,7 @@ def _solve_companion(deg: int, group: list, found: dict) -> None:
                 break
         else:
             solved.append((key, poly, desc, sorted(raw)))
-    _finish(found, solved, _polish_horner_rows, _polish_horner, METHOD_COMPANION)
+    _finish(found, solved, _polish_horner, METHOD_COMPANION)
 
 
 def _key(term: Term) -> tuple:

@@ -130,6 +130,14 @@ class TestZerosCommand:
         assert code == 0
         assert json.loads(out)["zeros"] == [-1.0]
 
+    def test_zero_at_the_origin_prints_without_a_sign(self, capsys):
+        code, out, _ = run_cli(capsys, "zeros", "--family", "narayana", "--n", "1")
+        assert code == 0
+        assert out == '{"zeros": [0.0], "bound": 0.0, "method": "Companion"}\n'
+        assert math.copysign(1.0, json.loads(out)["zeros"][0]) == 1.0
+        code, out, _ = run_cli(capsys, "zeros", "--family", "narayana", "--n", "1", "--plot-data")
+        assert (code, out) == (0, "x,family\n0.0,narayana;n=1\n")
+
     def test_plot_data(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -344,8 +344,7 @@ def test_batch_matches_each_set_solved_alone(batch):
 
 @pytest.mark.parametrize("n", [1, 4, 8, 13])
 def test_a_degree_group_polished_at_once_matches(n):
-    # 16 members of one degree: at n >= 4 the group holds at least
-    # _VECTOR_ZEROS zeros and takes the NumPy polish.
+    # 16 members of one degree share one stacked eigensolve per path.
     specs = [jacobi(F(i, 4) - F(1, 2), F(3 * i, 5), n) for i in range(8)]
     specs += [meixner(F(i + 1, 3), F(999, 1000), n) for i in range(8)]
     assert_batch_matches_alone([Term(spec=spec) for spec in specs])
@@ -365,26 +364,24 @@ def _started_off(zeros, k):
     return start
 
 
-@pytest.mark.parametrize("threshold", [1, 30, 50, 60, 10**6])
-def test_numpy_polish_is_the_scalar_loop_zero_by_zero(monkeypatch, threshold):
-    # Of the 63 zeros below, 53, 47 and 25 are still stepping before the
-    # recurrence polish's second, third and last evaluation, and 46 and 24
-    # before Horner's second and third step: the thresholds hand the
-    # stragglers to the scalar loop at each of those points, at none (1) or
-    # at once (10**6).  Compared by repr, so NaN bounds compare too.
-    monkeypatch.setattr(rootfind, "_VECTOR_ZEROS", threshold)
+def test_polish_from_starts_off_the_zeros_matches_the_reference():
+    # Starts off the zeros reach the one-, two- and three-step stops, the
+    # inf row and the NaN zero, which the eigenvalue starts of the batch
+    # tests do not.  Compared by repr, so NaN zeros and bounds compare too.
     specs = [jacobi(F(i, 4) - F(1, 2), F(3 * i, 5), 9) for i in range(7)]
-    rows = [[(a / b, u / v) for a, b, u, v in recurrence_steps(spec)] for spec in specs]
-    raws = [_started_off(zero_set(Term(spec=spec)).zeros, k) for k, spec in enumerate(specs)]
-    got = rootfind._polish_recurrence_rows(rows, raws)
-    polished = [[rootfind._polish_recurrence(row, x) for x in raw] for row, raw in zip(rows, raws)]
-    assert repr(got) == repr(([[z for z, _ in r] for r in polished], [[b for _, b in r] for r in polished]))
+    for k, spec in enumerate(specs):
+        cl = [(a / b, u / v) for a, b, u, v in recurrence_steps(spec)]
+        cs, ls = [c for c, _ in cl], [l for _, l in cl]
+        for x in _started_off(zero_set(Term(spec=spec)).zeros, k):
+            want = ref.newton_polish(x, lambda x: ref.recurrence_pair(cs, ls, x))
+            assert repr(rootfind._polish_recurrence(cl, x)) == repr(want)
     polys = [relations.oracle_pair_up(9, seed).P for seed in range(7)]
-    rows = [p.float_coeffs()[::-1] for p in polys]
-    raws = [_started_off(zero_set(Term(poly=p)).zeros, k) for k, p in enumerate(polys)]
-    got = rootfind._polish_horner_rows(rows, raws)
-    polished = [[rootfind._polish_horner(row, x) for x in raw] for row, raw in zip(rows, raws)]
-    assert repr(got) == repr(([[z for z, _ in r] for r in polished], [[b for _, b in r] for r in polished]))
+    for k, p in enumerate(polys):
+        coeffs = p.float_coeffs()
+        for x in _started_off(zero_set(Term(poly=p)).zeros, k):
+            zero, _ = ref.newton_polish(x, lambda x: ref.horner_pair(coeffs, x))
+            want = (zero, ref.companion_bound(coeffs, zero))
+            assert repr(rootfind._polish_horner(coeffs[::-1], x)) == repr(want)
 
 
 def test_a_group_beyond_the_stack_budget_is_split_between_sets(monkeypatch):

@@ -125,6 +125,13 @@ class TestCompanionPath:
     def test_reduced_quartic_zeros_negative(self):
         assert all(z < 0 for z in zeros_general(narayana_reduced(4)).zeros)
 
+    @pytest.mark.parametrize("lead", [1, 3, -3])
+    def test_zero_at_the_origin_is_positive_zero(self, lead):
+        # -c0 / c1 is -0.0 for c0 = 0 and c1 > 0; np.roots and every higher
+        # degree give 0.0
+        (zero,) = zeros_general(Polynomial([0, lead])).zeros
+        assert math.copysign(1.0, zero) == 1.0
+
     def test_degree_zero_and_zero_polynomial(self):
         assert zeros_general(Polynomial([5])).zeros == ()
         with pytest.raises(RootComputationError):

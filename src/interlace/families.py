@@ -1,10 +1,10 @@
 """Constructors for the polynomial families under study.
 
 Each member is built monic with exact rational coefficients, one route per
-kind: the orthogonal families and the raw Narayana polynomial from their
-three-term recurrences, the reduced and perturbed Narayana polynomials from
-their closed-form coefficients.  The Christoffel variant is built two
-independent ways that must agree exactly.
+kind: the orthogonal families from their three-term recurrences, the raw,
+reduced and perturbed Narayana polynomials from their closed-form
+coefficients.  The Christoffel variant is built two independent ways that
+must agree exactly.
 
 An orthogonal family's recurrence coefficients depend on the step and the
 parameters only, so one forward run per (kind, parameters) yields every
@@ -361,13 +361,13 @@ def monic_by_recurrence(spec: FamilySpec) -> Polynomial:
     """Build the degree-n member of ``spec`` exactly.
 
     The orthogonal kinds take their member from the chain of their
-    parameters, and the raw Narayana polynomial runs its own forward
-    recurrence; the other Narayana kinds take their closed forms.
+    parameters; the Narayana kinds take their closed forms, the raw
+    polynomial being x times the reduced one.
     """
     if spec.kind in ORTHOGONAL_KINDS:
         return _chain(spec).member(spec.n)
     if spec.kind == "narayana":
-        return _narayana_raw(spec.n)
+        return Polynomial.from_ints([0, *_narayana_nums(spec.n)], spec.n)
     if spec.kind == "narayana-reduced":
         return narayana_reduced(spec.n)
     if spec.kind == "narayana-christoffel":
@@ -375,24 +375,6 @@ def monic_by_recurrence(spec: FamilySpec) -> Polynomial:
     if spec.kind == "narayana-perturbed":
         return narayana_perturbed(spec.n)
     raise InvalidParameterError(f"unknown family kind {spec.kind!r}")
-
-
-def _narayana_step(m: int, cur: Polynomial, prev: Polynomial) -> Polynomial:
-    # (m+2) T_{m+1} = (2m+1)(x+1) T_m - (m-1)(x-1)^2 T_{m-1}
-    sq = Polynomial([1, -2, 1])
-    lhs = cur.mul_linear(-1).scale(Fraction(2 * m + 1, m + 2))
-    rhs = (prev * sq).scale(Fraction(m - 1, m + 2))
-    return lhs - rhs
-
-
-def _narayana_raw(n: int) -> Polynomial:
-    prev = Polynomial.zero()  # N_0, the empty sum
-    cur = Polynomial([0, 1])  # N_1 = x
-    if n == 1:
-        return cur
-    for m in range(1, n):
-        prev, cur = cur, _narayana_step(m, cur, prev)
-    return cur
 
 
 def _narayana_nums(n: int) -> list[int]:

@@ -207,8 +207,6 @@ class Polynomial:
             power *= b
         return Fraction(acc * b, self.den * power)  # power = b^(m+1) here
 
-    __call__ = evaluate
-
     # -- arithmetic --------------------------------------------------------
 
     def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":

@@ -507,38 +507,22 @@ def _min_cross_gap(za: ZeroSet, zb: ZeroSet) -> float:
     return best
 
 
-def _sample_interval(rel: MixedRelation, zg: ZeroSet) -> tuple[float, float]:
-    lo, hi = rel.support
-    anchors = list(zg.zeros) + [float(rel.E)]
-    span_lo, span_hi = min(anchors), max(anchors)
-    pad = 0.05 * (span_hi - span_lo) + 0.5
-    if lo is None:
-        lo = span_lo - pad
-    if hi is None:
-        hi = span_hi + pad
-    return float(lo), float(hi)
+def _a_positive(rel: MixedRelation) -> bool:
+    """A > 0 inside the support, decided exactly; A has degree <= 1.
 
-
-#: the points of the fixed grid on which ``_a_positive`` samples A
-_A_GRID_POINTS = 32
-
-
-def _a_positive(rel: MixedRelation, zg: ZeroSet) -> bool:
-    """A > 0 at every zero of G plus a fixed grid over the working interval; a constant A by its sign."""
-    if len(rel.A.nums) == 1:
-        return rel.A.nums[0] > 0
-    desc = rel.A.float_coeffs()[::-1]
-    lo, hi = _sample_interval(rel, zg)
-    margin = (hi - lo) / (4 * _A_GRID_POINTS)
-    lo, hi = lo + margin, hi - margin
-    samples = [lo + (hi - lo) * i / (_A_GRID_POINTS - 1) for i in range(_A_GRID_POINTS)]
-    for x in (*zg.zeros, *samples):
-        acc = 0.0
-        for c in desc:  # Horner's scheme on the float coefficients
-            acc = acc * x + c
-        if acc <= 0:
-            return False
-    return True
+    A constant A is decided by its sign.  A linear A is smallest at one end of
+    the support, and is positive inside it iff its value there is >= 0; an
+    open end (None) is -inf or +inf, where a linear A is unbounded below.
+    """
+    nums = rel.A.nums
+    if len(nums) > 2:
+        raise InvalidParameterError(
+            f"{rel.rel_id}: a_positive decides A of degree <= 1 only (got degree {len(nums) - 1})"
+        )
+    if len(nums) < 2:
+        return bool(nums) and nums[0] > 0
+    end = rel.support[0 if nums[1] > 0 else 1]
+    return end is not None and rel.A.evaluate(Fraction(end)) >= 0
 
 
 def _new_report(rel: MixedRelation) -> CheckReport:
@@ -575,7 +559,7 @@ def _base_report(rel: MixedRelation, found) -> tuple[CheckReport, ZeroSet, ZeroS
     report.hypotheses["b_at_e_nonzero"] = rel.B.evaluate(rel.E) != 0
     report.hypotheses["e_not_on_g_zero"] = position != "unknown"
     report.hypotheses["no_common_zeros_g_p"] = _min_cross_gap(zg, zp) > DEFAULT_FLOOR
-    report.hypotheses["a_positive"] = _a_positive(rel, zg)
+    report.hypotheses["a_positive"] = _a_positive(rel)
     if any(abs(e_float - q) <= DEFAULT_FLOOR for q in zq.zeros):
         report.notes.append("E sits on a zero of Q (permitted, logged)")
     if not report.hypotheses_ok:
@@ -717,19 +701,14 @@ def check_relation(rel: MixedRelation, found=None) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _plan_even_quotient(n: int, params: dict | None):
-    """The even branch's plan (see ``plan_check``): the zero sets of P and of
-    G / (x + 1), none when (x + 1) does not divide G."""
-    rel = build_relation(EVEN_QUOTIENT_CHECK, n, params)
-    quotient, remainder = rel.G.divide_linear(Fraction(-1))
-    terms = (Term(poly=rel.P), Term(poly=quotient)) if remainder == 0 else ()
-    return terms, partial(_even_quotient_report, rel)
-
-
-def _even_quotient_report(rel: MixedRelation, found) -> CheckReport:
+def check_narayana_even_quotient(rel: MixedRelation, found) -> CheckReport:
+    """Report on narayana-3.4 at even n: P and G share the zero E = -1, and the
+    claim is that the zeros of P interlace those of the exact quotient
+    G / (x - E).  ``found`` holds the ``zero_sets`` results of P and of that
+    quotient, and is empty when (x - E) does not divide G."""
     report = _new_report(rel)
     report.premise_kind = "even-quotient"
-    shared = rel.P.evaluate(Fraction(-1)) == 0 and rel.G.evaluate(Fraction(-1)) == 0
+    shared = rel.P.evaluate(rel.E) == 0 and rel.G.evaluate(rel.E) == 0
     report.clauses["common_zero_at_minus_one"] = PASS if shared else FAIL_CLAUSE
     if not found:
         report.clauses["quotient_interlace"] = FAIL_CLAUSE
@@ -741,32 +720,27 @@ def _even_quotient_report(rel: MixedRelation, found) -> CheckReport:
     return report
 
 
-def check_narayana_even_quotient(n: int, params: dict | None = None) -> CheckReport:
-    """Even-index branch: P and G share the zero -1, so the reference set is
-    the exact quotient of G by (x + 1) and the claim is plain interlacing."""
-    terms, report = _plan_even_quotient(n, params)
-    return report(zero_sets(terms))
-
-
 def plan_check(check_id: str, n: int, params: dict | None = None):
     """What a named check needs solved, and what reports on it.
 
     Returns (terms, report): the ``Term``s of the zero sets the check reads,
     and a function that takes their ``zero_sets`` results, in order, and
     returns the check's report.  Building the relation happens here, so a
-    caller can solve the terms of many checks in one batch.
+    caller can solve the terms of many checks in one batch.  At even n,
+    narayana-3.4 reads the zero sets of P and of G / (x - E) instead.
     """
-    if check_id == EVEN_QUOTIENT_CHECK and n % 2 == 0:
-        return _plan_even_quotient(n, params)
     rel = build_relation(check_id, n, params)
+    if check_id == EVEN_QUOTIENT_CHECK and n % 2 == 0:
+        quotient, remainder = rel.G.divide_linear(rel.E)
+        terms = (Term(poly=rel.P), Term(poly=quotient)) if remainder == 0 else ()
+        return terms, partial(check_narayana_even_quotient, rel)
     return relation_terms(rel), partial(check_relation, rel)
 
 
 def run_check(check_id: str, n: int, params: dict | None = None) -> CheckReport:
-    """Build the relation behind a named check and run its shape checker."""
-    if check_id == EVEN_QUOTIENT_CHECK and n % 2 == 0:
-        return check_narayana_even_quotient(n, params)
-    return check_relation(build_relation(check_id, n, params))
+    """The report of a named check: its plan, with its terms solved in one batch."""
+    terms, report = plan_check(check_id, n, params)
+    return report(zero_sets(terms))
 
 
 def clause_names(check_id: str) -> tuple[str, ...]:

@@ -9,7 +9,8 @@ members against.  ``CHECKS_REFERENCE`` transcribes each named relation's
 displays in ``Fraction`` arithmetic, the form the program's integer table
 must reproduce.  The Narayana closed forms are kept here as the program
 built them with one ``Fraction`` per coefficient, the form its integer
-vectors must reproduce.
+vectors must reproduce, and the raw Narayana polynomial by its three-term
+recurrence, a second route to x times the reduced one.
 """
 
 import math
@@ -55,6 +56,23 @@ def narayana_perturbed(n: int) -> Polynomial:
     return Polynomial(
         [Fraction(comb0(n - 1, j) ** 2 + comb0(n - 1, j + 1) * comb0(n - 1, j - 1)) for j in range(n)]
     )
+
+
+def _narayana_step(m: int, cur: Polynomial, prev: Polynomial) -> Polynomial:
+    # (m+2) T_{m+1} = (2m+1)(x+1) T_m - (m-1)(x-1)^2 T_{m-1}
+    sq = Polynomial([1, -2, 1])
+    lhs = cur.mul_linear(-1).scale(Fraction(2 * m + 1, m + 2))
+    rhs = (prev * sq).scale(Fraction(m - 1, m + 2))
+    return lhs - rhs
+
+
+def narayana_raw(n: int) -> Polynomial:
+    """The raw Narayana polynomial by its three-term recurrence, n >= 1."""
+    prev = Polynomial.zero()  # N_0, the empty sum
+    cur = Polynomial([0, 1])  # N_1 = x
+    for m in range(1, n):
+        prev, cur = cur, _narayana_step(m, cur, prev)
+    return cur
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def zeros_general(p, bound_fn=companion_bound):
     if deg < 1:
         return (), 0.0
     if deg == 1:
-        raw = [-coeffs[0] / coeffs[1]]
+        raw = [0.0 - coeffs[0] / coeffs[1]]  # not -y: a zero at the origin is +0.0
     else:
         raw = []
         for z in np.roots(list(reversed(coeffs))):
@@ -225,7 +225,7 @@ def _solve_companion_alone(p):
     if deg == 0:
         return ZeroSet((), 0.0, "Companion", p)
     if deg == 1:
-        raw = [-coeffs[0] / coeffs[1]]
+        raw = [0.0 - coeffs[0] / coeffs[1]]  # not -y: a zero at the origin is +0.0
     else:
         raw = []
         for z in np.roots(coeffs[::-1]).tolist():

@@ -26,7 +26,6 @@ from interlace.families import (
 from interlace.poly import Polynomial
 from interlace.relations import (
     build_relation,
-    check_narayana_even_quotient,
     check_pair_up,
     check_relation,
     oracle_down_one,
@@ -154,7 +153,7 @@ def test_criterion_4_named_check_clause_suite():
         nonlocal checked
         checked += 1
         if check_id == "narayana-3.4" and n % 2 == 0:
-            report = check_narayana_even_quotient(n)
+            report = run_check("narayana-3.4", n)
             if not report.passed:
                 failures.append((check_id, n, params, report.clauses))
             return

@@ -379,10 +379,12 @@ class TestNarayana:
         assert narayana_reduced(2).evaluate(F(-1)) == 0
 
     def test_raw_equals_x_times_reduced(self):
+        # The closed form against the three-term recurrence it replaced.
         x = Polynomial([0, 1])
-        for n in range(1, 13):
+        for n in range(1, 41):
             raw = monic_by_recurrence(narayana_spec("narayana", n))
             assert raw == x * narayana_reduced(n)
+            assert raw == exact_reference.narayana_raw(n)
 
     def test_recurrence_matches_closed_form(self):
         # The reduced member has one route, the closed form, whichever

@@ -13,7 +13,6 @@ are checked the same way against their plain forms.
 import json
 import math
 import re
-import types
 from fractions import Fraction as F
 
 import numpy as np
@@ -34,7 +33,7 @@ from interlace.families import (
     recurrence_steps,
 )
 from interlace.poly import Polynomial
-from interlace.relations import CHECK_IDS, _a_positive, _min_cross_gap, build_relation
+from interlace.relations import _min_cross_gap, build_relation
 from interlace import rootfind
 from interlace.rootfind import (
     RootComputationError,
@@ -270,7 +269,10 @@ def assert_batch_matches_alone(terms):
             assert (type(got), str(got)) == (type(want), str(want))
         else:
             assert isinstance(got, ZeroSet), (term, got)
-            assert (got.zeros, got.bound, got.method) == (want.zeros, want.bound, want.method)
+            # By repr, so a zero's sign (-0.0 against 0.0) and NaN compare too.
+            assert repr((got.zeros, got.bound, got.method)) == repr(
+                (want.zeros, want.bound, want.method)
+            )
 
 
 NARAYANA_KINDS = ("narayana-reduced", "narayana-christoffel", "narayana-perturbed")
@@ -338,6 +340,7 @@ def batches(draw):
         Term(spec=meixner(F(1, 3), F(999, 1000), 60)),
     ]
 )
+@example([Term(poly=Polynomial([0, 1]))])  # the zero at the origin is 0.0, not -0.0
 def test_batch_matches_each_set_solved_alone(batch):
     assert_batch_matches_alone(batch)
 
@@ -461,51 +464,3 @@ def test_min_cross_gap_is_the_all_pairs_minimum(za, zb):
     want = min((abs(a - b) for a in za.zeros for b in zb.zeros), default=float("inf"))
     assert _min_cross_gap(za, zb) == want
     assert _min_cross_gap(zb, za) == want
-
-
-def a_positive_reference(rel, zg, grid_points=32):
-    """The scan by the reference Horner loop on ``A.float_coeffs()``."""
-    coeffs = rel.A.float_coeffs()
-
-    def value(x):
-        return ref.horner_pair(coeffs, x)[0]
-
-    for z in zg.zeros:
-        if value(z) <= 0:
-            return False
-    lo, hi = relations._sample_interval(rel, zg)
-    margin = (hi - lo) / (4 * grid_points)
-    lo, hi = lo + margin, hi - margin
-    for i in range(grid_points):
-        x = lo + (hi - lo) * i / (grid_points - 1)
-        if value(x) <= 0:
-            return False
-    return True
-
-
-small = st.fractions(min_value=-6, max_value=6, max_denominator=12)
-supports = st.tuples(st.one_of(st.none(), small), st.one_of(st.none(), small))
-
-
-@given(st.lists(small, max_size=4), sorted_sets, small, supports)
-@settings(max_examples=300, deadline=None)
-def test_a_positive_matches_evaluate_loop(a_coeffs, zg, e, support):
-    rel = types.SimpleNamespace(A=Polynomial(a_coeffs), E=e, support=support)
-    assert _a_positive(rel, zg) == a_positive_reference(rel, zg)
-
-
-CHECK_PARAMS = {
-    "jacobi-3.5": {"alpha": F(2), "beta": F(14)},
-    "jacobi-3.6": {"alpha": F(-1, 2), "beta": F(5, 2)},
-    "krawtchouk-3.1": {"p": F(1, 3), "N": F(12)},
-    "laguerre-3.7": {"alpha": F(1, 2)},
-    "meixner-3.2": {"t": F(1), "w": F(1, 2)},
-}
-
-
-@pytest.mark.parametrize("check_id", sorted(CHECK_IDS))
-def test_a_positive_matches_on_the_checks(check_id):
-    for n in (2, 5, 9):
-        rel = build_relation(check_id, n, CHECK_PARAMS.get(check_id))
-        zg = zero_set(relations.relation_terms(rel)[0])
-        assert _a_positive(rel, zg) == a_positive_reference(rel, zg)

@@ -1,9 +1,12 @@
 """Mixed relations: exact identities, shape checkers, random oracles."""
 
 import dataclasses
+import types
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from interlace.families import InvalidParameterError
 from interlace.poly import Polynomial, _integer_form
@@ -17,7 +20,6 @@ from interlace.relations import (
     assemble_pair_up,
     build_relation,
     check_down_one,
-    check_narayana_even_quotient,
     check_pair_up,
     check_relation,
     oracle_down_one,
@@ -317,7 +319,7 @@ class TestDownOneChecker:
 class TestNarayanaEvenBranch:
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_even_quotient(self, n):
-        report = check_narayana_even_quotient(n)
+        report = run_check("narayana-3.4", n)
         assert report.identity_ok
         assert report.clauses["common_zero_at_minus_one"] == "pass"
         assert report.clauses["quotient_interlace"] == "pass"
@@ -327,6 +329,91 @@ class TestNarayanaEvenBranch:
         report = run_check("narayana-3.4", 4, {})
         assert report.premise_kind == "even-quotient"
         assert report.passed
+
+
+small = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+open_unit = st.fractions(min_value=F(1, 1000), max_value=F(999, 1000), max_denominator=1000)
+
+
+@st.composite
+def supports(draw):
+    """(lo, hi) with lo < hi; None marks an open end."""
+    lo = draw(st.one_of(st.none(), small))
+    if draw(st.booleans()):
+        return lo, None
+    if lo is None:
+        return None, draw(small)
+    return lo, lo + draw(st.fractions(min_value=F(1, 12), max_value=12, max_denominator=12))
+
+
+def _inside(support, x):
+    lo, hi = support
+    return (lo is None or lo < x) and (hi is None or x < hi)
+
+
+def _point_at(support, t):
+    """A rational strictly inside ``support`` for each t in (0, 1), onto its whole interior."""
+    lo, hi = support
+    if lo is not None and hi is not None:
+        return lo + (hi - lo) * t
+    if lo is not None:
+        return lo + (1 - t) / t
+    if hi is not None:
+        return hi - (1 - t) / t
+    return (2 * t - 1) / (t * (1 - t))
+
+
+def _landmarks(a, support):
+    """0, the ends +- 1, the midpoint and, for a linear A, its root, the root
+    +- 1 and halfway from the root to each end: those strictly inside."""
+    lo, hi = support
+    ends = [e for e in support if e is not None]
+    points = [F(0)] + [e + d for e in ends for d in (-1, 1)]
+    if len(ends) == 2:
+        points.append((lo + hi) / 2)
+    if len(a) == 2 and a[1] != 0:
+        root = -a[0] / a[1]
+        points += [root, root - 1, root + 1] + [(root + e) / 2 for e in ends]
+    return [x for x in points if _inside(support, x)]
+
+
+CHECK_PARAMS = {
+    "jacobi-3.5": {"alpha": F(2), "beta": F(14)},
+    "jacobi-3.6": {"alpha": F(-1, 2), "beta": F(5, 2)},
+    "krawtchouk-3.1": {"p": F(1, 3), "N": F(12)},
+    "laguerre-3.7": {"alpha": F(1, 2)},
+    "meixner-3.2": {"t": F(1), "w": F(1, 2)},
+}
+
+
+class TestAPositive:
+    """``_a_positive`` against the exact values of A at points of the support."""
+
+    @given(st.lists(small, max_size=2), supports(), st.lists(open_unit, min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    @example([F(1), F(1)], (F(-1), F(1)), [F(1, 2)])  # A = 0 at the closed lower end
+    @example([F(1), F(1)], (None, F(1)), [F(1, 2)])  # unbounded below the open end
+    @example([F(1), F(-1)], (F(-1), None), [F(1, 2)])
+    @example([F(0), F(0)], (None, None), [F(1, 2)])  # A = 0
+    def test_verdict_is_positivity_inside_the_support(self, a, support, ts):
+        # A = a[0] + a[1] x, valued exactly on Fractions.
+        rel = types.SimpleNamespace(rel_id="test", A=Polynomial(a), support=support)
+        points = [_point_at(support, t) for t in ts] + _landmarks(a, support)
+        values = [sum(c * x**k for k, c in enumerate(a)) for x in points]
+        if relations._a_positive(rel):
+            assert all(v > 0 for v in values), (points, values)
+        else:
+            assert any(v <= 0 for v in values), (points, values)
+
+    def test_degree_two_refused(self):
+        rel = types.SimpleNamespace(rel_id="made-up", A=Polynomial([1, 0, 1]), support=(None, None))
+        with pytest.raises(InvalidParameterError, match="made-up: a_positive decides A of degree <= 1"):
+            relations._a_positive(rel)
+
+    @pytest.mark.parametrize("check_id", relations.CHECK_IDS)
+    def test_holds_on_every_check(self, check_id):
+        for n in (2, 5, 9):
+            assert relations._a_positive(build_relation(check_id, n, CHECK_PARAMS.get(check_id)))
 
 
 class TestOracles:

@@ -241,16 +241,6 @@ class Polynomial:
         f = _as_rational(factor)
         return Polynomial.from_ints([x * f.numerator for x in self.nums], self.den * f.denominator)
 
-    def mul_linear(self, root: Scalar) -> "Polynomial":
-        """Return ``(x - root) * self``; degree grows by one for nonzero self."""
-        r = _as_rational(root)
-        a, b = r.numerator, r.denominator
-        out = [0] * (len(self.nums) + 1)
-        for i, c in enumerate(self.nums):  # (b x - a) N over den b
-            out[i + 1] += b * c
-            out[i] -= a * c
-        return Polynomial.from_ints(out, self.den * b)
-
     def divide_linear(self, root: Scalar) -> tuple["Polynomial", Fraction]:
         """Synthetic division by ``(x - root)``; returns (quotient, remainder).
 

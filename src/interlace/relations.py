@@ -2,9 +2,10 @@
 
 A relation is stored with all polynomials exact (integer vectors over one
 denominator) so the identity itself can be certified exactly (coefficientwise
-zero residual).  The checkers then move to floats: they compute the zero
-sets, test the stated hypotheses, and evaluate every conclusion clause of the
-matching interlacing statement, producing a witness-carrying report.
+zero residual).  The checkers of the named relations then move to floats:
+they compute the zero sets, test the stated hypotheses, and evaluate every
+conclusion clause of the matching interlacing statement against the
+separation floor, producing a witness-carrying report.
 
 Two relation shapes are supported, named by the degrees of G and Q
 relative to deg P = n:
@@ -16,22 +17,24 @@ Seed-deterministic random generators build synthetic instances of both
 shapes from scratch (interlaced rational zero draws), giving a constructive
 property-test oracle for the checkers.  The points are drawn as integer
 numerators over one denominator, every term is formed on integers over it,
-and the drawn zeros of G and Q are kept, which the checkers round to floats
-in place of solving for them.
+and the drawn zeros of G and Q are kept (``MixedRelation.roots``).  A
+relation that carries them is decided exactly on them
+(``check_drawn_zeros``): integer merges and signs, no zero set solved and no
+floor.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
 
-from . import families
+from . import certify, families
 from .families import (
     InvalidParameterError,
     exact_rational,
@@ -41,6 +44,7 @@ from .interlacing import (
     ADDED_OK_KINDS,
     ALTERNATE,
     DEFAULT_FLOOR,
+    FAIL,
     INCONCLUSIVE,
     INTERLACE_DOWN,
     Verdict,
@@ -115,7 +119,8 @@ class MixedRelation:
     params: dict = field(default_factory=dict)
     #: exact identity verdict, reached once at construction
     certified: bool = field(init=False, repr=False, compare=False)
-    #: term name ("G", "Q") -> (nums, den): its exact zeros nums[i] / den
+    #: term name ("G", "Q") -> (nums, den): its exact zeros nums[i] / den, over
+    #: one den for both, with E den an integer
     roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -538,35 +543,55 @@ def _new_report(rel: MixedRelation) -> CheckReport:
 def relation_terms(rel: MixedRelation) -> tuple[Term, Term, Term]:
     """The zero-set terms of G, Q and P, in the order the checkers read them.
 
-    A term carries the exact zeros it was built from, when it has them, its
-    member spec and its polynomial; ``rootfind`` picks the path.
+    A term carries its member spec and its polynomial; ``rootfind`` picks
+    the path.
     """
-    return tuple(Term(rel.specs.get(name), getattr(rel, name), rel.roots.get(name)) for name in "GQP")
+    return tuple(Term(rel.specs.get(name), getattr(rel, name)) for name in "GQP")
 
 
-def _base_report(rel: MixedRelation, found) -> tuple[CheckReport, ZeroSet, ZeroSet, ZeroSet]:
-    """The report's shared rows, from ``found``: the ``zero_sets`` results of
-    ``relation_terms(rel)``, solved here when None.  A failed solve raises,
-    G's before Q's before P's."""
-    report = _new_report(rel)
-    if found is None:
-        found = zero_sets(relation_terms(rel))
-    zg, zq, zp = map(unwrap, found)
-    e_float = float(rel.E)
-    # E's one position among the zeros of G; "unknown" means within the floor of one.
-    position, slot = locate_point(e_float, zg)
+def _place_e(
+    report: CheckReport,
+    rel: MixedRelation,
+    position: str,
+    slot: int | None,
+    no_common_zeros_g_p: bool,
+    e_on_q: bool,
+) -> None:
+    """E's one position among the zeros of G, the four hypotheses in report
+    order, and their notes; the facts read from zeros come from the caller."""
     report.e_position = position if slot is None else f"{position}({slot})"
     report.hypotheses["b_at_e_nonzero"] = rel.B.evaluate(rel.E) != 0
     report.hypotheses["e_not_on_g_zero"] = position != "unknown"
-    report.hypotheses["no_common_zeros_g_p"] = _min_cross_gap(zg, zp) > DEFAULT_FLOOR
+    report.hypotheses["no_common_zeros_g_p"] = no_common_zeros_g_p
     report.hypotheses["a_positive"] = _a_positive(rel)
-    if any(abs(e_float - q) <= DEFAULT_FLOOR for q in zq.zeros):
+    if e_on_q:
         report.notes.append("E sits on a zero of Q (permitted, logged)")
     if not report.hypotheses_ok:
         violated = sorted(k for k, v in report.hypotheses.items() if not v)
         report.notes.append(
             "hypotheses violated, conclusions out of scope: " + ", ".join(violated)
         )
+
+
+def _base_report(rel: MixedRelation, found) -> tuple[CheckReport, ZeroSet, ZeroSet, ZeroSet]:
+    """The report's shared rows, from ``found``: the ``zero_sets`` results of
+    ``relation_terms(rel)``, solved here when None or empty.  A failed solve
+    raises, G's before Q's before P's."""
+    report = _new_report(rel)
+    if not found:
+        found = zero_sets(relation_terms(rel))
+    zg, zq, zp = map(unwrap, found)
+    e_float = float(rel.E)
+    # E's one position among the zeros of G; "unknown" means within the floor of one.
+    position, slot = locate_point(e_float, zg)
+    _place_e(
+        report,
+        rel,
+        position,
+        slot,
+        no_common_zeros_g_p=_min_cross_gap(zg, zp) > DEFAULT_FLOOR,
+        e_on_q=any(abs(e_float - q) <= DEFAULT_FLOOR for q in zq.zeros),
+    )
     return report, zg, zq, zp
 
 
@@ -584,15 +609,44 @@ def _skip_rest(report: CheckReport, names) -> CheckReport:
     return report
 
 
+_PREMISE_NOTES = {
+    PAIR_UP: "premise failed: zero sets of Q and G do not alternate",
+    DOWN_ONE: "premise failed: zeros of Q do not interlace below G",
+}
+
+
+def _premise_failed(report: CheckReport, verdict: Verdict) -> CheckReport:
+    """Record the failed premise and skip every clause of the shape."""
+    report.premise = verdict
+    report.notes.append(_PREMISE_NOTES[report.shape])
+    return _skip_rest(report, SHAPE_CLAUSES[report.shape])
+
+
+def _e_position_clause(report: CheckReport, case_low: bool, bound: float, side: int) -> None:
+    """The pair-up E-position bound: E below the largest zero of G (case 1) or
+    above the smallest (case 2).  ``bound`` is that zero, and ``side`` the
+    sign of how far E is on the wanted side of it, 0 when undecided.
+    Evaluated regardless of the other hypotheses; the impossible-region
+    property rests on this clause."""
+    report.clauses["e_position"] = SKIPPED if side == 0 else PASS if side > 0 else FAIL_CLAUSE
+    report.notes.append(
+        f"extreme zero of G {'above' if case_low else 'below'} E: "
+        f"{bound:.9g} vs E = {float(report.e_value):.9g}"
+    )
+
+
 def check_pair_up(rel: MixedRelation, found=None) -> CheckReport:
     """Checker for the shape with G and Q one degree above P.
 
     The premise is alternation of Q and G in either orientation; the clauses
     are the E-position bound, the added-point interlacing statement, and the
-    two-directional full-interlacing iff.  ``found`` is as for ``_base_report``.
+    two-directional full-interlacing iff.  ``found`` is as for ``_base_report``;
+    a relation with drawn zeros and no ``found`` goes to ``check_drawn_zeros``.
     """
     if rel.shape != PAIR_UP:
         raise InvalidParameterError(f"check_pair_up got shape {rel.shape}")
+    if not found and rel.roots:
+        return check_drawn_zeros(rel)
     report, zg, zq, zp = _base_report(rel, found)
     e_float = float(rel.E)
 
@@ -604,25 +658,13 @@ def check_pair_up(rel: MixedRelation, found=None) -> CheckReport:
         if prem_gq.kind == ALTERNATE:
             report.premise_kind, report.premise = "g_below_q", prem_gq
         else:
-            report.premise = prem_qg if prem_qg.kind == INCONCLUSIVE else prem_gq
-            report.notes.append("premise failed: zero sets of Q and G do not alternate")
-            return _skip_rest(report, PAIR_UP_CLAUSES)
+            return _premise_failed(report, prem_qg if prem_qg.kind == INCONCLUSIVE else prem_gq)
 
     case_low = report.premise_kind == "q_below_g"
-
-    # E-position bound: below the largest zero of G (case 1) or above the
-    # smallest (case 2).  Evaluated regardless of the other hypotheses; the
-    # impossible-region property rests on this clause.
     bound = zg.max if case_low else zg.min
     delta = (bound - e_float) if case_low else (e_float - bound)
-    if abs(delta) <= DEFAULT_FLOOR:
-        report.clauses["e_position"] = SKIPPED
-    else:
-        report.clauses["e_position"] = PASS if delta > 0 else FAIL_CLAUSE
-    report.notes.append(
-        f"extreme zero of G {'above' if case_low else 'below'} E: "
-        f"{bound:.9g} vs E = {e_float:.9g}"
-    )
+    side = 0 if abs(delta) <= DEFAULT_FLOOR else 1 if delta > 0 else -1
+    _e_position_clause(report, case_low, bound, side)
 
     if not report.hypotheses_ok:
         return _skip_rest(report, PAIR_UP_CLAUSES)
@@ -654,17 +696,17 @@ def check_pair_up(rel: MixedRelation, found=None) -> CheckReport:
 def check_down_one(rel: MixedRelation, found=None) -> CheckReport:
     """Checker for the shape with G at P's degree and Q one degree below.
 
-    ``found`` is as for ``_base_report``.
+    ``found`` is as for ``check_pair_up``.
     """
     if rel.shape != DOWN_ONE:
         raise InvalidParameterError(f"check_down_one got shape {rel.shape}")
+    if not found and rel.roots:
+        return check_drawn_zeros(rel)
     report, zg, zq, zp = _base_report(rel, found)
 
     premise = interlaces_down(zg, zq)
     if premise.kind != INTERLACE_DOWN:
-        report.premise = premise
-        report.notes.append("premise failed: zeros of Q do not interlace below G")
-        return _skip_rest(report, DOWN_ONE_CLAUSES)
+        return _premise_failed(report, premise)
     report.premise_kind, report.premise = "g_then_q", premise
 
     if not report.hypotheses_ok:
@@ -692,8 +734,93 @@ SHAPE_CLAUSES = {PAIR_UP: PAIR_UP_CLAUSES, DOWN_ONE: DOWN_ONE_CLAUSES}
 
 
 def check_relation(rel: MixedRelation, found=None) -> CheckReport:
-    """The shape checker's report on ``rel``; ``found`` is as for ``_base_report``."""
+    """The shape checker's report on ``rel``; ``found`` is as for ``check_pair_up``."""
     return SHAPE_CHECKERS[rel.shape](rel, found)
+
+
+def check_drawn_zeros(rel: MixedRelation) -> CheckReport:
+    """The shape checker's report on a relation that carries the drawn zeros
+    of G and Q (``rel.roots``), decided exactly on them: no zero set is
+    solved and no ordering is held to the floor.
+
+    With g and q the numerators of those zeros over their denominator D,
+    and E D an integer:
+
+    * the premise merges g and q (``certify.first_break``);
+    * E is placed among g, and ``e_not_on_g_zero`` is E D not in g;
+    * ``no_common_zeros_g_p`` holds iff P(g_i / D) != 0 for every i;
+    * every clause on P reads where P, or (x - E) P, changes sign along
+      -inf, the zeros of G, +inf (``certify.sign_changes``): each merged
+      order with G is one pattern of changes.
+
+    The rows and notes are the float checkers', in their order and format;
+    the extreme zero of G in the E-position note is printed as g / D.
+    """
+    g_nums, den = rel.roots["G"]
+    g, q = sorted(g_nums), sorted(rel.roots["Q"][0])
+    de = rel.E.numerator * (den // rel.E.denominator)
+    report = _new_report(rel)
+    j = bisect_right(g, de)  # g[j - 1] <= E D < g[j]
+    if j and g[j - 1] == de:
+        position, slot = "unknown", None
+    elif j == 0:
+        position, slot = "below", None
+    elif j == len(g):
+        position, slot = "above", None
+    else:
+        position, slot = "interior", j
+    p_signs = certify.signs_at(rel.P.nums, g, den)
+    _place_e(report, rel, position, slot, no_common_zeros_g_p=all(p_signs), e_on_q=de in q)
+    # P and (x - E) P share a leading coefficient; their degrees are n and n + 1.
+    lead, n = (rel.P.nums[-1] > 0) - (rel.P.nums[-1] < 0), rel.P.degree
+    p_changes = certify.sign_changes(p_signs, lead, n)
+    added = [s * ((x > de) - (x < de)) for s, x in zip(p_signs, g)]
+    added_changes = certify.sign_changes(added, lead, n + 1)
+    gaps = (1,) * (len(g) - 1)  # one change between each two neighbouring zeros of G
+
+    def holds(changes, pattern) -> str:
+        return PASS if changes == pattern else FAIL_CLAUSE
+
+    if rel.shape == PAIR_UP:
+        if certify.first_break(q, g) is None:
+            report.premise_kind = "q_below_g"
+        elif (broken := certify.first_break(g, q)) is None:
+            report.premise_kind = "g_below_q"
+        else:
+            return _premise_failed(report, _broken_premise(broken, den))
+        report.premise = Verdict(ALTERNATE)
+        case_low = report.premise_kind == "q_below_g"
+        bound = g[-1] if case_low else g[0]
+        delta = bound - de if case_low else de - bound
+        _e_position_clause(report, case_low, bound / den, (delta > 0) - (delta < 0))
+        if not report.hypotheses_ok:
+            return _skip_rest(report, PAIR_UP_CLAUSES)
+        # (x - E) P alternates with G, its extra zero below G's (case 1) or above.
+        report.clauses["added_point"] = holds(added_changes, (1, *gaps, 0) if case_low else (0, *gaps, 1))
+        outside = report.e_position == ("below" if case_low else "above")
+        full = p_changes == (0, *gaps, 0)  # P interlaces one degree down onto G
+        report.clauses["full_iff"] = PASS if outside == full else FAIL_CLAUSE
+        return report
+
+    broken = certify.first_break(g, q)
+    if broken is not None:
+        return _premise_failed(report, _broken_premise(broken, den))
+    report.premise_kind, report.premise = "g_then_q", Verdict(INTERLACE_DOWN)
+    if not report.hypotheses_ok:
+        return _skip_rest(report, DOWN_ONE_CLAUSES)
+    # (x - E) P interlaces one degree down onto G; P alternates with G, its
+    # zeros first (E above) or G's first (E below).
+    report.clauses["added_point"] = holds(added_changes, (1, *gaps, 1))
+    above, below = position == "above", position == "below"
+    report.clauses["full_when_e_above"] = holds(p_changes, (1, *gaps, 0)) if above else SKIPPED
+    report.clauses["full_when_e_below"] = holds(p_changes, (0, *gaps, 1)) if below else SKIPPED
+    return report
+
+
+def _broken_premise(broken: tuple[int, int, int], den: int) -> Verdict:
+    """The failed premise's verdict from ``certify.first_break``'s (i, j, gap) over ``den``."""
+    i, j, gap = broken
+    return Verdict(FAIL, witness=(i, j), gap=gap / den)
 
 
 # ---------------------------------------------------------------------------

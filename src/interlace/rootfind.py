@@ -3,9 +3,8 @@
 Every zero set is found through one batch entry, ``zero_sets``.  It takes
 the terms that a unit of work needs (one check's G, Q and P, or every term
 of every point in a sweep run), solves equal terms once, and solves the
-rest by path and degree.  A term takes one of three paths:
+rest by path and degree.  A term takes one of two paths:
 
-* Known rational zeros: those zeros rounded to floats, bounded by half an ulp.
 * Families with a classical three-term recurrence: the zeros are the
   eigenvalues of the Jacobi matrix built from the recurrence coefficients
   (Golub-Welsch), found by numpy's ``eigvalsh`` (LAPACK ``?syevd``) on the
@@ -68,7 +67,6 @@ _STACK_ENTRIES = 1 << 14
 
 METHOD_JACOBI = "JacobiMatrix"
 METHOD_COMPANION = "Companion"
-METHOD_EXACT = "Exact"
 
 
 class RootComputationError(RuntimeError):
@@ -111,14 +109,12 @@ class ZeroSet:
 class Term(NamedTuple):
     """What one zero set is found from.
 
-    Exact ``roots`` (nums, den), the zeros nums[i] / den, come first; else a
-    ``spec`` of an orthogonal kind takes the tridiagonal path; else ``poly``,
-    or the member built from ``spec``, takes the companion path.
+    A ``spec`` of an orthogonal kind takes the tridiagonal path; else
+    ``poly``, or the member built from ``spec``, takes the companion path.
     """
 
     spec: FamilySpec | None = None
     poly: Polynomial | None = None
-    roots: tuple | None = None
 
 
 def _polish_recurrence(cl: list[tuple[float, float]], x: float) -> tuple[float, float]:
@@ -333,9 +329,6 @@ def _solve_companion(deg: int, group: list, found: dict) -> None:
 
 
 def _key(term: Term) -> tuple:
-    if term.roots is not None:
-        nums, den = term.roots
-        return ("exact", tuple(nums), den)
     spec = term.spec
     if spec is not None and spec.kind in ORTHOGONAL_KINDS:
         return ("tridiagonal", param_key(spec), spec.n)
@@ -361,9 +354,7 @@ def zero_sets(terms) -> list:
             continue
         found[key] = None
         try:
-            if key[0] == "exact":
-                found[key] = zeros_exact(*term.roots)
-            elif key[0] == "tridiagonal":
+            if key[0] == "tridiagonal":
                 spec = term.spec
                 steps = recurrence_steps(spec)
                 for k, (_, _, u, v) in enumerate(steps[1:], start=1):
@@ -426,14 +417,3 @@ def zeros_general(p: Polynomial) -> ZeroSet:
     imaginary part above the reality threshold is an error, not data to drop.
     """
     return zero_set(Term(poly=p))
-
-
-def zeros_exact(nums, den: int) -> ZeroSet:
-    """The zero set of a polynomial whose zeros are the exact rationals nums[i] / den.
-
-    Each zero is ``nums[i] / den``, which is correctly rounded, so the exact
-    zero is within half an ulp of it; the largest such half ulp is the bound.
-    """
-    zeros = tuple(sorted(x / den for x in nums))
-    bound = max((math.ulp(z) / 2 for z in zeros), default=0.0)
-    return ZeroSet(zeros, bound, METHOD_EXACT, (nums, den))

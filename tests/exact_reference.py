@@ -10,7 +10,8 @@ displays in ``Fraction`` arithmetic, the form the program's integer table
 must reproduce.  The Narayana closed forms are kept here as the program
 built them with one ``Fraction`` per coefficient, the form its integer
 vectors must reproduce, and the raw Narayana polynomial by its three-term
-recurrence, a second route to x times the reduced one.
+recurrence, a second route to x times the reduced one.  ``mul_linear``
+multiplies by one linear factor, which the program no longer needs.
 """
 
 import math
@@ -23,7 +24,18 @@ from interlace.families import (
     InvalidParameterError,
     monic_by_recurrence,
 )
-from interlace.poly import Polynomial
+from interlace.poly import Polynomial, Scalar, _as_rational
+
+def mul_linear(p: Polynomial, root: Scalar) -> Polynomial:
+    """``(x - root) * p``; the degree grows by one for nonzero p."""
+    r = _as_rational(root)
+    a, b = r.numerator, r.denominator
+    out = [0] * (len(p.nums) + 1)
+    for i, c in enumerate(p.nums):  # (b x - a) N over den b
+        out[i + 1] += b * c
+        out[i] -= a * c
+    return Polynomial.from_ints(out, p.den * b)
+
 
 # ---------------------------------------------------------------------------
 # Narayana closed forms, one Fraction per coefficient
@@ -61,7 +73,7 @@ def narayana_perturbed(n: int) -> Polynomial:
 def _narayana_step(m: int, cur: Polynomial, prev: Polynomial) -> Polynomial:
     # (m+2) T_{m+1} = (2m+1)(x+1) T_m - (m-1)(x-1)^2 T_{m-1}
     sq = Polynomial([1, -2, 1])
-    lhs = cur.mul_linear(-1).scale(Fraction(2 * m + 1, m + 2))
+    lhs = mul_linear(cur, -1).scale(Fraction(2 * m + 1, m + 2))
     rhs = (prev * sq).scale(Fraction(m - 1, m + 2))
     return lhs - rhs
 

@@ -19,7 +19,7 @@ polynomials became exact only.  scipy is needed by the tests only.
 
 ``solve_alone`` is the zero path as the program ran it one set at a time,
 before ``rootfind.zero_sets`` solved a batch by degree: the same dispatch
-(exact roots, tridiagonal, companion), one LAPACK call per set, the scalar
+(tridiagonal, companion), one LAPACK call per set, the scalar
 polish above, and the same exceptions with the same messages.
 
 The interlacing verdicts as they were before their single-pass form are kept
@@ -242,11 +242,6 @@ def _solve_companion_alone(p):
 def solve_alone(term):
     """The ``ZeroSet`` of one ``rootfind.Term`` solved by itself, or the exception that raised."""
     try:
-        if term.roots is not None:
-            nums, den = term.roots
-            zeros = tuple(sorted(x / den for x in nums))
-            bound = max((math.ulp(z) / 2 for z in zeros), default=0.0)
-            return ZeroSet(zeros, bound, "Exact", term.roots)
         if term.spec is not None and term.spec.kind in ORTHOGONAL_KINDS:
             return _solve_orthogonal_alone(term.spec)
         return _solve_companion_alone(

@@ -32,6 +32,7 @@ from exact_reference import (
     hypergeometric_check,
     hypergeometric_poly,
     krawtchouk_edge_value,
+    mul_linear,
     narayana_coeff,
     pochhammer,
     weight_at,
@@ -450,7 +451,7 @@ class TestNarayana:
         # n * reduced_n = perturbed_n + (1 + x)(n - 1) reduced_{n-1}, exactly
         for n in range(2, 13):
             lhs = narayana_reduced(n).scale(n)
-            rhs = narayana_perturbed(n) + narayana_reduced(n - 1).mul_linear(-1).scale(n - 1)
+            rhs = narayana_perturbed(n) + mul_linear(narayana_reduced(n - 1), -1).scale(n - 1)
             assert lhs == rhs
 
 

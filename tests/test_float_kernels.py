@@ -304,15 +304,10 @@ nonpositive_specs = st.builds(
     st.integers(min_value=2, max_value=8),
 )
 
-exact_terms = st.lists(
-    st.integers(min_value=-(10**6), max_value=10**6), max_size=8, unique=True
-).map(lambda nums: Term(roots=(tuple(nums), 4096)))
-
 terms = st.one_of(
     orthogonal_specs.map(lambda spec: Term(spec=spec)),
     companion_polys.map(lambda p: Term(poly=p)),
     nonpositive_specs.map(lambda spec: Term(spec=spec)),
-    exact_terms,
 )
 
 

@@ -3,9 +3,9 @@ output byte for byte.
 
 The transcripts under ``tests/golden/`` pin what the command line prints for
 the degree ladder of ``check --json`` runs, ``zeros`` of the four orthogonal
-families at n = 40, ``table2``, a small pair-up oracle sweep, and the exact
-and float coefficients (``poly`` and ``poly --float``) of every family kind
-at n = 8 and 40.  A further
+families at n = 40, ``table2``, small pair-up and down-one oracle sweeps,
+and the exact and float coefficients (``poly`` and ``poly --float``) of
+every family kind at n = 8 and 40.  A further
 file pins the oracle relations themselves, which the sweep output (pass/fail
 and orientation only) cannot: one line per instance with its E and a digest
 of every term.  A third pins every named relation: its shape, sign, E,
@@ -100,6 +100,9 @@ CASES = {
     "table2.txt": [["table2"]],
     "sweep_oracle.txt": [
         ["sweep", "--oracle", "pair-up", "--n", "1..6", "--seeds", "5", "--workers", "2"]
+    ],
+    "sweep_oracle_down_one.txt": [
+        ["sweep", "--oracle", "down-one", "--n", "1..8", "--seeds", "5", "--workers", "2"]
     ],
     "poly.txt": _poly_commands(),
 }

@@ -1,9 +1,9 @@
-"""Open defects, pinned as strict expected failures.
+"""Open defects, pinned as strict expected failures, and the mended ones.
 
 Each test asserts the outcome the exact verdict engine and the certified zero
 sets are meant to give, and names the failure seen today with ``raises=``.
 ``xfail_strict`` is on (``pyproject.toml``), so a fix that leaves its marker
-in place fails the suite: drop the marker with the fix.
+in place fails the suite: drop the marker with the fix, and keep the test.
 """
 
 from fractions import Fraction as F
@@ -62,13 +62,9 @@ def test_d_narayana_check_at_n_60_returns_a_report():
     assert isinstance(run_check("narayana-3.3", 60), CheckReport)
 
 
-@pytest.mark.xfail(
-    raises=AssertionError,
-    strict=True,
-    reason="defect E: the companion polish moves a zero of P past its neighbour "
-    "(seed 0), so the sweep prints an error row",
-)
 def test_e_oracle_sweep_at_n_47_has_no_error_row(capsys):
+    # Mended: the oracle is decided on its drawn zeros, and P's zeros are
+    # never solved.
     code = main(["sweep", "--oracle", "pair-up", "--n", "47", "--seeds", "2", "--workers", "1"])
     out = capsys.readouterr().out
     assert ",error" not in out

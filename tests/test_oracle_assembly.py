@@ -1,11 +1,12 @@
-"""The oracle assemblers against their Fraction reference, and the zero sets
-of the terms an oracle builds from drawn zeros.
+"""The oracle assemblers against their Fraction reference, and the drawn
+zeros an oracle keeps against the zero sets the companion path finds.
 
 ``assemble_pair_up`` and ``assemble_down_one`` take the drawn zeros as
 integer numerators over one denominator and form their terms on integer root
 products over it.  The references below are the straightforward
 ``Polynomial``-level sums they replace, written with per-coefficient
-``Fraction`` arithmetic only (``mul_linear``, ``scale``, ``+``), so they share
+``Fraction`` arithmetic only (``exact_reference.mul_linear``, ``scale``,
+``+``), so they share
 no kernel with the code under test.  Each reference returns the reason for a
 rejected draw, so the tests can tell that every rejection branch is reached.
 """
@@ -31,13 +32,9 @@ from interlace.relations import (
     oracle_down_one,
     oracle_pair_up,
 )
-from interlace.rootfind import (
-    METHOD_EXACT,
-    RootComputationError,
-    zeros_exact,
-    zeros_general,
-)
+from interlace.rootfind import zeros_general
 
+from exact_reference import mul_linear
 from float_reference import horner_pair, horner_with_errbound
 
 # -- the reference ----------------------------------------------------------
@@ -46,7 +43,7 @@ from float_reference import horner_pair, horner_with_errbound
 def _from_roots(zeros) -> Polynomial:
     p = Polynomial([1])
     for z in zeros:
-        p = p.mul_linear(z)
+        p = mul_linear(p, z)
     return p
 
 
@@ -61,7 +58,7 @@ def reference_pair_up(g_zeros, q_zeros, e, require_positive_a=True):
     B = Polynomial([b, -1])
     if B.evaluate(e) == 0:
         return "B(E) = 0"
-    combo = -G.mul_linear(b) + Q.mul_linear(e)  # (b - x) G + (x - E) Q
+    combo = -mul_linear(G, b) + mul_linear(Q, e)  # (b - x) G + (x - E) Q
     if combo.degree != n:
         return "degree"
     a = combo.leading_coefficient
@@ -73,7 +70,7 @@ def reference_pair_up(g_zeros, q_zeros, e, require_positive_a=True):
 def reference_down_one(g_zeros, q_zeros, e, b):
     n = len(g_zeros)
     G, Q = _from_roots(g_zeros), _from_roots(q_zeros)
-    combo = G.scale(b) - Q.mul_linear(e)
+    combo = G.scale(b) - mul_linear(Q, e)
     if combo.degree != n:
         return "degree"
     a = combo.leading_coefficient
@@ -228,22 +225,13 @@ def test_draw_e_matches_nearest_zero_reference(total):
 # -- zero sets of drawn terms -----------------------------------------------
 
 
+def _rounded(roots) -> list[float]:
+    """The drawn zeros nums[i] / den, each correctly rounded, ascending."""
+    nums, den = roots
+    return sorted(x / den for x in nums)
+
+
 class TestZerosExact:
-    def test_each_zero_is_the_rounded_rational(self):
-        roots = (F(1, 3), F(-2, 7), 5, F(10**30 + 1, 10**30))
-        zs = zeros_exact(*_integer_form(roots))
-        assert zs.zeros == tuple(sorted(float(r) for r in roots))
-        assert zs.bound == max(math.ulp(float(r)) / 2 for r in roots)
-        assert zs.method == METHOD_EXACT
-
-    def test_empty(self):
-        zs = zeros_exact((), 1)
-        assert (zs.zeros, zs.bound) == ((), 0.0)
-
-    def test_zeros_that_round_together_are_refused(self):
-        with pytest.raises(RootComputationError):
-            zeros_exact(*_integer_form((F(1), F(10**20 + 1, 10**20))))
-
     @pytest.mark.parametrize("n", [1, 12, 24, 40])
     def test_agrees_with_companion_path_on_oracle_terms(self, n):
         # Per zero, the first-order bound that adds Horner's rounding error to
@@ -251,11 +239,11 @@ class TestZerosExact:
         for seed in range(3):
             rel = oracle_pair_up(n, seed)
             for term in ("G", "Q"):
-                exact = zeros_exact(*rel.roots[term])
+                exact = _rounded(rel.roots[term])
                 companion = zeros_general(getattr(rel, term))
                 assert len(exact) == len(companion) == n + 1
                 coeffs = getattr(rel, term).float_coeffs()
-                for x, z in zip(exact.zeros, companion.zeros):
+                for x, z in zip(exact, companion.zeros):
                     value, rounding = horner_with_errbound(coeffs, z)
                     _, slope = horner_pair(coeffs, z)
                     bound = (abs(value) + rounding) / abs(slope)
@@ -268,9 +256,9 @@ class TestZerosExact:
         for seed in range(3):
             rel = oracle_pair_up(n, seed)
             for term in ("G", "Q"):
-                exact = zeros_exact(*rel.roots[term])
+                exact = _rounded(rel.roots[term])
                 companion = zeros_general(getattr(rel, term))
-                for x, z in zip(exact.zeros, companion.zeros):
+                for x, z in zip(exact, companion.zeros):
                     assert abs(x - z) <= companion.bound, (term, seed, x, z, companion.bound)
 
     def test_every_oracle_draws_its_roots(self):
@@ -283,27 +271,27 @@ class TestZerosExact:
 class TestReplacedTerms:
     @staticmethod
     def _record(monkeypatch):
-        # Each term the checkers hand to the batch, as the path it takes.
+        # The polynomial of each term the checkers hand to the batch.
         calls = []
         batch = relations.zero_sets
 
         def spy(terms):
-            for term in terms:
-                if term.roots is not None:
-                    calls.append(("exact", term.roots))
-                else:
-                    calls.append(("general", term.poly))
+            calls.extend(term.poly for term in terms)
             return batch(terms)
 
         monkeypatch.setattr(relations, "zero_sets", spy)
         return calls
 
     def test_reassigned_g_uses_the_new_zeros(self, monkeypatch):
+        # The drawn relation is decided on its drawn zeros and solves nothing;
+        # a copy with another G carries no zeros and takes the float path.
         rel, other = oracle_pair_up(4, 0), oracle_pair_up(4, 1)
         copy = dataclasses.replace(rel, G=other.G)
         calls = self._record(monkeypatch)
+        assert check_pair_up(rel).passed
+        assert calls == []
         report = check_pair_up(copy)
-        assert calls == [("general", other.G), ("general", rel.Q), ("general", rel.P)]
+        assert calls == [other.G, rel.Q, rel.P]
         assert report.identity_ok is False
 
     def test_terms_cannot_be_reassigned(self):

@@ -214,6 +214,10 @@ class TestVerifyIdentity:
         assert not report.identity_ok
         assert not report.passed
 
+    def test_empty_zero_sets_are_solved_as_none(self):
+        rel = build_relation("laguerre-3.7", 4, {"alpha": 0})
+        assert check_relation(rel, []).to_json() == check_relation(rel).to_json()
+
 
 class TestCertifiedOnce:
     """Each relation runs the exact identity test once, when it is constructed."""

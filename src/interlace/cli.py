@@ -370,8 +370,8 @@ def _run_sweep_run(check_id: str, points: list[tuple]) -> list[list[dict]]:
 def _plan_oracle(mode: str, n: int, seed: int):
     """One oracle draw's (terms, report) pair, as ``relations.plan_check`` gives one.
 
-    There are no terms: given no zero sets, the checker decides the draw
-    exactly on its drawn zeros (``relations.check_drawn_zeros``).
+    There are no terms: given no zero sets, the shape checker decides the
+    draw exactly on its drawn zeros (``relations._DrawnOrders``).
     """
     if mode == "pair-up":
         rel = oracle_pair_up(n, seed)

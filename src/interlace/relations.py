@@ -2,10 +2,14 @@
 
 A relation is stored with all polynomials exact (integer vectors over one
 denominator) so the identity itself can be certified exactly (coefficientwise
-zero residual).  The checkers of the named relations then move to floats:
-they compute the zero sets, test the stated hypotheses, and evaluate every
-conclusion clause of the matching interlacing statement against the
-separation floor, producing a witness-carrying report.
+zero residual).  Each shape has one checker, the only code that states its
+clauses: it tests the stated hypotheses and decides every conclusion clause
+of the matching interlacing statement, producing a witness-carrying report.
+The checker reads each clause as one order of zeros, from one of two
+sources: the float zero sets of G, Q and P held to the separation floor
+(``_FloatOrders``, which leaves an order undecided below it), or the exact
+drawn zeros of G and Q (``_DrawnOrders``, integer merges and signs, no zero
+set solved and no floor).
 
 Two relation shapes are supported, named by the degrees of G and Q
 relative to deg P = n:
@@ -17,10 +21,7 @@ Seed-deterministic random generators build synthetic instances of both
 shapes from scratch (interlaced rational zero draws), giving a constructive
 property-test oracle for the checkers.  The points are drawn as integer
 numerators over one denominator, every term is formed on integers over it,
-and the drawn zeros of G and Q are kept (``MixedRelation.roots``).  A
-relation that carries them is decided exactly on them
-(``check_drawn_zeros``): integer merges and signs, no zero set solved and no
-floor.
+and the drawn zeros of G and Q are kept (``MixedRelation.roots``).
 """
 
 from __future__ import annotations
@@ -549,57 +550,149 @@ def relation_terms(rel: MixedRelation) -> tuple[Term, Term, Term]:
     return tuple(Term(rel.specs.get(name), getattr(rel, name)) for name in "GQP")
 
 
-def _place_e(
-    report: CheckReport,
-    rel: MixedRelation,
-    position: str,
-    slot: int | None,
-    no_common_zeros_g_p: bool,
-    e_on_q: bool,
-) -> None:
-    """E's one position among the zeros of G, the four hypotheses in report
-    order, and their notes; the facts read from zeros come from the caller."""
+def _float_order(lower: ZeroSet, upper: ZeroSet) -> Verdict:
+    """Strict interlacing, ``lower``'s zero first; ``alternates`` or ``interlaces_down`` by size."""
+    return (alternates if len(lower) == len(upper) else interlaces_down)(lower, upper)
+
+
+def _holds(verdict: Verdict) -> bool | None:
+    """Whether a float order holds; None when the floor leaves it undecided."""
+    return None if verdict.kind == INCONCLUSIVE else verdict.kind != FAIL
+
+
+class _FloatOrders:
+    """The orders a checker reads, on the float zero sets of G, Q and P.
+
+    ``found`` holds the ``zero_sets`` results of ``relation_terms(rel)``; a
+    failed set raises, G's before Q's before P's.  Besides E's ``position``
+    and ``slot`` among the zeros of G, ``no_common_zeros_g_p`` and ``e_on_q``,
+    an order source answers ``premise(lower, upper)``, the Verdict on the
+    zeros of ``lower`` ("G" or "Q") interlacing those of ``upper``, lowest
+    first; ``extreme(top)``, G's largest (or smallest) zero as a float and the
+    sign of E minus it; and ``order(subject, first)``, whether the zeros of
+    ``subject`` ("P", or "EP" for (x - E) P) interlace G's with ``first``'s
+    lowest.  Here each is held to ``DEFAULT_FLOOR``, and one it leaves
+    undecided is None (a side of 0, an Inconclusive premise, E "unknown").
+    """
+
+    def __init__(self, rel: MixedRelation, found):
+        zg, zq, zp = map(unwrap, found)
+        self.zeros = {"G": zg, "Q": zq, "P": zp}
+        self.e = e = float(rel.E)
+        self.position, self.slot = locate_point(e, zg)
+        self.no_common_zeros_g_p = _min_cross_gap(zg, zp) > DEFAULT_FLOOR
+        self.e_on_q = any(abs(e - q) <= DEFAULT_FLOOR for q in zq.zeros)
+
+    def premise(self, lower: str, upper: str) -> Verdict:
+        return _float_order(self.zeros[lower], self.zeros[upper])
+
+    def extreme(self, top: bool) -> tuple[float, int]:
+        zg = self.zeros["G"]
+        bound = zg.max if top else zg.min
+        side = self.e - bound
+        return bound, 0 if abs(side) <= DEFAULT_FLOOR else 1 if side > 0 else -1
+
+    def order(self, subject: str, first: str) -> bool | None:
+        zg, zp = self.zeros["G"], self.zeros["P"]
+        if subject == "EP":
+            # added_point_interlace's first gap under the floor, and its flip to
+            # G's zero first, decide SKIPPED against FAIL near the floor.
+            verdict = added_point_interlace(zp, self.e, zg)
+            if verdict.kind == INCONCLUSIVE:
+                return None
+            want = "G_below_P" if first == "G" else "P_below_G"
+            return verdict.kind in ADDED_OK_KINDS and verdict.orientation == want
+        return _holds(_float_order(*((zg, zp) if first == "G" else (zp, zg))))
+
+
+class _DrawnOrders:
+    """The orders of ``_FloatOrders``, decided exactly on the drawn zeros of G
+    and Q (``rel.roots``): no zero set is solved and none is undecided.
+
+    With g and q the numerators of those zeros over their denominator D, and
+    E D an integer: E is placed among g; a premise merges two of the lists
+    (``certify.first_break``); and an order of P, or of (x - E) P, with G
+    reads where it changes sign along -inf, the zeros of G, +inf
+    (``certify.signs_at``, ``certify.sign_changes``): each merged order is
+    one pattern of changes.
+    """
+
+    def __init__(self, rel: MixedRelation):
+        g_nums, self.den = rel.roots["G"]
+        g, q = sorted(g_nums), sorted(rel.roots["Q"][0])
+        self.zeros = {"G": g, "Q": q}
+        self.de = de = rel.E.numerator * (self.den // rel.E.denominator)
+        j = bisect_right(g, de)  # g[j - 1] <= E D < g[j]
+        on_g = j and g[j - 1] == de
+        self.position = (
+            "unknown" if on_g else "below" if j == 0 else "above" if j == len(g) else "interior"
+        )
+        self.slot = j if self.position == "interior" else None
+        self.p_signs = certify.signs_at(rel.P.nums, g, self.den)
+        self.no_common_zeros_g_p = all(self.p_signs)
+        self.e_on_q = de in q
+        lead = rel.P.nums[-1]
+        self.lead, self.n = (lead > 0) - (lead < 0), rel.P.degree
+
+    def premise(self, lower: str, upper: str) -> Verdict:
+        a, b = self.zeros[lower], self.zeros[upper]
+        broken = certify.first_break(a, b)
+        if broken is None:
+            return Verdict(ALTERNATE if len(a) == len(b) else INTERLACE_DOWN)
+        i, j, gap = broken
+        return Verdict(FAIL, witness=(i, j), gap=gap / self.den)
+
+    def extreme(self, top: bool) -> tuple[float, int]:
+        g, de = self.zeros["G"], self.de
+        bound = g[-1] if top else g[0]
+        return bound / self.den, (de > bound) - (de < bound)
+
+    def order(self, subject: str, first: str) -> bool:
+        g, de = self.zeros["G"], self.de
+        signs, degree = self.p_signs, self.n
+        if subject == "EP":
+            # (x - E) P: P's leading coefficient, one degree up
+            signs = [s * ((x > de) - (x < de)) for s, x in zip(signs, g)]
+            degree += 1
+        changes = certify.sign_changes(signs, self.lead, degree)
+        # one zero of the subject below G's lowest iff it comes first, one
+        # between each two neighbouring zeros of G, and the rest above G's highest
+        lowest = int(first == subject)
+        return changes == (lowest, *(1,) * (len(g) - 1), degree - len(g) + 1 - lowest)
+
+
+def _open_report(rel: MixedRelation, found) -> tuple[CheckReport, _FloatOrders | _DrawnOrders]:
+    """A report with E's one position among the zeros of G, the four
+    hypotheses in report order and their notes, and the orders its clauses read.
+
+    ``found`` holds the ``zero_sets`` results of ``relation_terms(rel)``.  A
+    relation that carries drawn zeros and is given none is decided on those.
+    """
+    if found:
+        orders = _FloatOrders(rel, found)
+    elif rel.roots:
+        orders = _DrawnOrders(rel)
+    else:
+        raise ValueError(f"{rel.rel_id}: no zero sets given, and no drawn zeros to decide on")
+    report = _new_report(rel)
+    position, slot = orders.position, orders.slot
     report.e_position = position if slot is None else f"{position}({slot})"
     report.hypotheses["b_at_e_nonzero"] = rel.B.evaluate(rel.E) != 0
     report.hypotheses["e_not_on_g_zero"] = position != "unknown"
-    report.hypotheses["no_common_zeros_g_p"] = no_common_zeros_g_p
+    report.hypotheses["no_common_zeros_g_p"] = orders.no_common_zeros_g_p
     report.hypotheses["a_positive"] = _a_positive(rel)
-    if e_on_q:
+    if orders.e_on_q:
         report.notes.append("E sits on a zero of Q (permitted, logged)")
     if not report.hypotheses_ok:
         violated = sorted(k for k, v in report.hypotheses.items() if not v)
         report.notes.append(
             "hypotheses violated, conclusions out of scope: " + ", ".join(violated)
         )
+    return report, orders
 
 
-def _base_report(rel: MixedRelation, found) -> tuple[CheckReport, ZeroSet, ZeroSet, ZeroSet]:
-    """The report's shared rows, from ``found``: the ``zero_sets`` results of
-    ``relation_terms(rel)``, solved here when None or empty.  A failed solve
-    raises, G's before Q's before P's."""
-    report = _new_report(rel)
-    if not found:
-        found = zero_sets(relation_terms(rel))
-    zg, zq, zp = map(unwrap, found)
-    e_float = float(rel.E)
-    # E's one position among the zeros of G; "unknown" means within the floor of one.
-    position, slot = locate_point(e_float, zg)
-    _place_e(
-        report,
-        rel,
-        position,
-        slot,
-        no_common_zeros_g_p=_min_cross_gap(zg, zp) > DEFAULT_FLOOR,
-        e_on_q=any(abs(e_float - q) <= DEFAULT_FLOOR for q in zq.zeros),
-    )
-    return report, zg, zq, zp
-
-
-def _verdict_clause(verdict: Verdict, want_kind) -> str:
-    if verdict.kind == INCONCLUSIVE:
-        return SKIPPED
-    kinds = want_kind if isinstance(want_kind, (set, frozenset)) else {want_kind}
-    return PASS if verdict.kind in kinds else FAIL_CLAUSE
+def _clause_result(holds: bool | None) -> str:
+    return SKIPPED if holds is None else PASS if holds else FAIL_CLAUSE
 
 
 def _skip_rest(report: CheckReport, names) -> CheckReport:
@@ -622,89 +715,60 @@ def _premise_failed(report: CheckReport, verdict: Verdict) -> CheckReport:
     return _skip_rest(report, SHAPE_CLAUSES[report.shape])
 
 
-def _e_position_clause(report: CheckReport, case_low: bool, bound: float, side: int) -> None:
-    """The pair-up E-position bound: E below the largest zero of G (case 1) or
-    above the smallest (case 2).  ``bound`` is that zero, and ``side`` the
-    sign of how far E is on the wanted side of it, 0 when undecided.
-    Evaluated regardless of the other hypotheses; the impossible-region
-    property rests on this clause."""
-    report.clauses["e_position"] = SKIPPED if side == 0 else PASS if side > 0 else FAIL_CLAUSE
-    report.notes.append(
-        f"extreme zero of G {'above' if case_low else 'below'} E: "
-        f"{bound:.9g} vs E = {float(report.e_value):.9g}"
-    )
-
-
-def check_pair_up(rel: MixedRelation, found=None) -> CheckReport:
+def check_pair_up(rel: MixedRelation, found) -> CheckReport:
     """Checker for the shape with G and Q one degree above P.
 
     The premise is alternation of Q and G in either orientation; the clauses
     are the E-position bound, the added-point interlacing statement, and the
-    two-directional full-interlacing iff.  ``found`` is as for ``_base_report``;
-    a relation with drawn zeros and no ``found`` goes to ``check_drawn_zeros``.
+    two-directional full-interlacing iff.  ``found`` is as for ``_open_report``.
     """
     if rel.shape != PAIR_UP:
         raise InvalidParameterError(f"check_pair_up got shape {rel.shape}")
-    if not found and rel.roots:
-        return check_drawn_zeros(rel)
-    report, zg, zq, zp = _base_report(rel, found)
-    e_float = float(rel.E)
+    report, orders = _open_report(rel, found)
 
-    prem_qg = alternates(zq, zg)
-    if prem_qg.kind == ALTERNATE:
-        report.premise_kind, report.premise = "q_below_g", prem_qg
+    premise = orders.premise("Q", "G")
+    if premise.kind == ALTERNATE:
+        report.premise_kind = "q_below_g"
     else:
-        prem_gq = alternates(zg, zq)
-        if prem_gq.kind == ALTERNATE:
-            report.premise_kind, report.premise = "g_below_q", prem_gq
-        else:
-            return _premise_failed(report, prem_qg if prem_qg.kind == INCONCLUSIVE else prem_gq)
+        flipped = orders.premise("G", "Q")
+        if flipped.kind != ALTERNATE:
+            return _premise_failed(report, premise if premise.kind == INCONCLUSIVE else flipped)
+        report.premise_kind, premise = "g_below_q", flipped
+    report.premise = premise
 
+    # The E-position bound: E below the largest zero of G (case 1) or above
+    # the smallest (case 2).  Evaluated regardless of the other hypotheses;
+    # the impossible-region property rests on this clause.
     case_low = report.premise_kind == "q_below_g"
-    bound = zg.max if case_low else zg.min
-    delta = (bound - e_float) if case_low else (e_float - bound)
-    side = 0 if abs(delta) <= DEFAULT_FLOOR else 1 if delta > 0 else -1
-    _e_position_clause(report, case_low, bound, side)
+    bound, side = orders.extreme(top=case_low)
+    want = -1 if case_low else 1  # the side of that zero E must be on
+    report.clauses["e_position"] = _clause_result(side == want if side else None)
+    report.notes.append(
+        f"extreme zero of G {'above' if case_low else 'below'} E: "
+        f"{bound:.9g} vs E = {float(rel.E):.9g}"
+    )
 
     if not report.hypotheses_ok:
         return _skip_rest(report, PAIR_UP_CLAUSES)
 
-    # e_not_on_g_zero holds here, on the floats and floor that
-    # added_point_interlace tests, so it raises no CommonPointError.
-    ap = added_point_interlace(zp, rel.E, zg)
-    want = "P_below_G" if case_low else "G_below_P"
-    if ap.kind == INCONCLUSIVE:
-        report.clauses["added_point"] = SKIPPED
-    else:
-        report.clauses["added_point"] = (
-            PASS if ap.kind in ADDED_OK_KINDS and ap.orientation == want else FAIL_CLAUSE
-        )
+    # (x - E) P alternates with G, its extra zero below G's (case 1) or above.
+    report.clauses["added_point"] = _clause_result(orders.order("EP", "EP" if case_low else "G"))
 
     # Full interlacing of G (degree n+1) onto P (degree n) holds iff E lies
     # outside the zero range of G on the case's side.
-    full = interlaces_down(zg, zp)
-    if full.kind == INCONCLUSIVE:
-        report.clauses["full_iff"] = SKIPPED
-    else:
-        outside = report.e_position == ("below" if case_low else "above")
-        report.clauses["full_iff"] = (
-            PASS if outside == (full.kind == INTERLACE_DOWN) else FAIL_CLAUSE
-        )
+    full = orders.order("P", "G")
+    outside = orders.position == ("below" if case_low else "above")
+    report.clauses["full_iff"] = _clause_result(None if full is None else outside == full)
     return report
 
 
-def check_down_one(rel: MixedRelation, found=None) -> CheckReport:
-    """Checker for the shape with G at P's degree and Q one degree below.
-
-    ``found`` is as for ``check_pair_up``.
-    """
+def check_down_one(rel: MixedRelation, found) -> CheckReport:
+    """Checker for G at P's degree and Q one below; ``found`` is as for ``_open_report``."""
     if rel.shape != DOWN_ONE:
         raise InvalidParameterError(f"check_down_one got shape {rel.shape}")
-    if not found and rel.roots:
-        return check_drawn_zeros(rel)
-    report, zg, zq, zp = _base_report(rel, found)
+    report, orders = _open_report(rel, found)
 
-    premise = interlaces_down(zg, zq)
+    premise = orders.premise("G", "Q")
     if premise.kind != INTERLACE_DOWN:
         return _premise_failed(report, premise)
     report.premise_kind, report.premise = "g_then_q", premise
@@ -712,115 +776,22 @@ def check_down_one(rel: MixedRelation, found=None) -> CheckReport:
     if not report.hypotheses_ok:
         return _skip_rest(report, DOWN_ONE_CLAUSES)
 
-    ap = added_point_interlace(zp, rel.E, zg)  # no CommonPointError, as in check_pair_up
-    report.clauses["added_point"] = _verdict_clause(ap, ADDED_OK_KINDS)
-
-    if report.e_position == "above":
-        report.clauses["full_when_e_above"] = _verdict_clause(alternates(zp, zg), ALTERNATE)
-    else:
-        report.clauses["full_when_e_above"] = SKIPPED
-    if report.e_position == "below":
-        report.clauses["full_when_e_below"] = _verdict_clause(alternates(zg, zp), ALTERNATE)
-    else:
-        report.clauses["full_when_e_below"] = SKIPPED
+    # (x - E) P interlaces one degree down onto G; P alternates with G, its
+    # zero first (E above) or G's first (E below).
+    report.clauses["added_point"] = _clause_result(orders.order("EP", "EP"))
+    above, below = orders.position == "above", orders.position == "below"
+    report.clauses["full_when_e_above"] = _clause_result(orders.order("P", "P")) if above else SKIPPED
+    report.clauses["full_when_e_below"] = _clause_result(orders.order("P", "G")) if below else SKIPPED
     return report
 
 
-SHAPE_CHECKERS = {
-    PAIR_UP: check_pair_up,
-    DOWN_ONE: check_down_one,
-}
+SHAPE_CHECKERS = {PAIR_UP: check_pair_up, DOWN_ONE: check_down_one}
 SHAPE_CLAUSES = {PAIR_UP: PAIR_UP_CLAUSES, DOWN_ONE: DOWN_ONE_CLAUSES}
 
 
-def check_relation(rel: MixedRelation, found=None) -> CheckReport:
-    """The shape checker's report on ``rel``; ``found`` is as for ``check_pair_up``."""
+def check_relation(rel: MixedRelation, found) -> CheckReport:
+    """The shape checker's report on ``rel``; ``found`` is as for ``_open_report``."""
     return SHAPE_CHECKERS[rel.shape](rel, found)
-
-
-def check_drawn_zeros(rel: MixedRelation) -> CheckReport:
-    """The shape checker's report on a relation that carries the drawn zeros
-    of G and Q (``rel.roots``), decided exactly on them: no zero set is
-    solved and no ordering is held to the floor.
-
-    With g and q the numerators of those zeros over their denominator D,
-    and E D an integer:
-
-    * the premise merges g and q (``certify.first_break``);
-    * E is placed among g, and ``e_not_on_g_zero`` is E D not in g;
-    * ``no_common_zeros_g_p`` holds iff P(g_i / D) != 0 for every i;
-    * every clause on P reads where P, or (x - E) P, changes sign along
-      -inf, the zeros of G, +inf (``certify.sign_changes``): each merged
-      order with G is one pattern of changes.
-
-    The rows and notes are the float checkers', in their order and format;
-    the extreme zero of G in the E-position note is printed as g / D.
-    """
-    g_nums, den = rel.roots["G"]
-    g, q = sorted(g_nums), sorted(rel.roots["Q"][0])
-    de = rel.E.numerator * (den // rel.E.denominator)
-    report = _new_report(rel)
-    j = bisect_right(g, de)  # g[j - 1] <= E D < g[j]
-    if j and g[j - 1] == de:
-        position, slot = "unknown", None
-    elif j == 0:
-        position, slot = "below", None
-    elif j == len(g):
-        position, slot = "above", None
-    else:
-        position, slot = "interior", j
-    p_signs = certify.signs_at(rel.P.nums, g, den)
-    _place_e(report, rel, position, slot, no_common_zeros_g_p=all(p_signs), e_on_q=de in q)
-    # P and (x - E) P share a leading coefficient; their degrees are n and n + 1.
-    lead, n = (rel.P.nums[-1] > 0) - (rel.P.nums[-1] < 0), rel.P.degree
-    p_changes = certify.sign_changes(p_signs, lead, n)
-    added = [s * ((x > de) - (x < de)) for s, x in zip(p_signs, g)]
-    added_changes = certify.sign_changes(added, lead, n + 1)
-    gaps = (1,) * (len(g) - 1)  # one change between each two neighbouring zeros of G
-
-    def holds(changes, pattern) -> str:
-        return PASS if changes == pattern else FAIL_CLAUSE
-
-    if rel.shape == PAIR_UP:
-        if certify.first_break(q, g) is None:
-            report.premise_kind = "q_below_g"
-        elif (broken := certify.first_break(g, q)) is None:
-            report.premise_kind = "g_below_q"
-        else:
-            return _premise_failed(report, _broken_premise(broken, den))
-        report.premise = Verdict(ALTERNATE)
-        case_low = report.premise_kind == "q_below_g"
-        bound = g[-1] if case_low else g[0]
-        delta = bound - de if case_low else de - bound
-        _e_position_clause(report, case_low, bound / den, (delta > 0) - (delta < 0))
-        if not report.hypotheses_ok:
-            return _skip_rest(report, PAIR_UP_CLAUSES)
-        # (x - E) P alternates with G, its extra zero below G's (case 1) or above.
-        report.clauses["added_point"] = holds(added_changes, (1, *gaps, 0) if case_low else (0, *gaps, 1))
-        outside = report.e_position == ("below" if case_low else "above")
-        full = p_changes == (0, *gaps, 0)  # P interlaces one degree down onto G
-        report.clauses["full_iff"] = PASS if outside == full else FAIL_CLAUSE
-        return report
-
-    broken = certify.first_break(g, q)
-    if broken is not None:
-        return _premise_failed(report, _broken_premise(broken, den))
-    report.premise_kind, report.premise = "g_then_q", Verdict(INTERLACE_DOWN)
-    if not report.hypotheses_ok:
-        return _skip_rest(report, DOWN_ONE_CLAUSES)
-    # (x - E) P interlaces one degree down onto G; P alternates with G, its
-    # zeros first (E above) or G's first (E below).
-    report.clauses["added_point"] = holds(added_changes, (1, *gaps, 1))
-    above, below = position == "above", position == "below"
-    report.clauses["full_when_e_above"] = holds(p_changes, (1, *gaps, 0)) if above else SKIPPED
-    report.clauses["full_when_e_below"] = holds(p_changes, (0, *gaps, 1)) if below else SKIPPED
-    return report
-
-
-def _broken_premise(broken: tuple[int, int, int], den: int) -> Verdict:
-    """The failed premise's verdict from ``certify.first_break``'s (i, j, gap) over ``den``."""
-    i, j, gap = broken
-    return Verdict(FAIL, witness=(i, j), gap=gap / den)
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +813,7 @@ def check_narayana_even_quotient(rel: MixedRelation, found) -> CheckReport:
         report.notes.append("reference polynomial not divisible by (x + 1)")
         return report
     zp, zq = map(unwrap, found)
-    report.clauses["quotient_interlace"] = _verdict_clause(interlaces_down(zp, zq), INTERLACE_DOWN)
+    report.clauses["quotient_interlace"] = _clause_result(_holds(interlaces_down(zp, zq)))
     report.notes.append("even branch: zeros of P against zeros of G/(x+1)")
     return report
 

@@ -30,10 +30,11 @@ from interlace.relations import (
     check_relation,
     oracle_down_one,
     oracle_pair_up,
+    relation_terms,
     run_check,
     verify_identity,
 )
-from interlace.rootfind import zeros_general, zeros_orthogonal
+from interlace.rootfind import zero_sets, zeros_general, zeros_orthogonal
 
 from exact_reference import narayana_coeff
 
@@ -158,7 +159,7 @@ def test_criterion_4_named_check_clause_suite():
                 failures.append((check_id, n, params, report.clauses))
             return
         rel = build_relation(check_id, n, params)
-        report = check_relation(rel)
+        report = check_relation(rel, zero_sets(relation_terms(rel)))
         if not report.passed:
             failures.append((check_id, n, params, report.clauses, report.hypotheses))
             return
@@ -223,13 +224,13 @@ def test_criterion_5_oracle_property_suite():
             for seed in range(50):
                 runs += 1
                 rel = oracle_pair_up(n, seed, orientation=orientation)
-                report = check_pair_up(rel)
+                report = check_pair_up(rel, ())
                 if not (report.passed and report.premise_kind == orientation):
                     failures.append(("pair-up", n, orientation, seed, report.clauses))
         for seed in range(100):
             runs += 1
             rel = oracle_down_one(n, seed)
-            report = check_relation(rel)
+            report = check_relation(rel, ())
             if not report.passed:
                 failures.append(("down-one", n, seed, report.clauses))
     forced = 0
@@ -237,7 +238,7 @@ def test_criterion_5_oracle_property_suite():
         for seed in range(25):
             forced += 1
             rel = oracle_pair_up(n, seed, orientation="q_below_g", force_e="above_max")
-            report = check_pair_up(rel)
+            report = check_pair_up(rel, ())
             a_const = rel.A.coeffs[0]
             if a_const > 0 or report.clauses.get("e_position") != "fail" or report.passed:
                 failures.append(("forced", n, seed, a_const, report.clauses))

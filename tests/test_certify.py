@@ -1,13 +1,15 @@
 """The exact route of the random oracles: ``certify``'s integer kernels, and
-``relations.check_drawn_zeros`` against the float checkers.
+the shape checkers on drawn zeros against the same checkers on float zero sets.
 
 The kernels are checked against ``Fraction`` arithmetic: the sign of a
 polynomial at a / b against the sign of ``Polynomial.evaluate``, the first
 break of an alternation against a sort of the tagged entries, and the sign
 changes along a set of points against a count of the known zeros in each
-interval.  The drawn-zero report is checked, field by field, against the
-float checkers given the zero sets the oracle path solved before it was
-exact: each drawn zero correctly rounded, and P by the companion path.
+interval.  A checker given no zero sets reads its orders from the drawn
+zeros (``relations._DrawnOrders``); its report is checked, row by row and
+field by field, against the report it gives on the zero sets the oracle path
+solved before it was exact (``relations._FloatOrders``): each drawn zero
+correctly rounded, and P by the companion path.
 """
 
 import io
@@ -21,13 +23,7 @@ from hypothesis import strategies as st
 from interlace import cli, relations
 from interlace.certify import first_break, sign_changes, signs_at
 from interlace.poly import Polynomial, _integer_form
-from interlace.relations import (
-    check_down_one,
-    check_drawn_zeros,
-    check_pair_up,
-    oracle_down_one,
-    oracle_pair_up,
-)
+from interlace.relations import check_relation, oracle_down_one, oracle_pair_up
 from interlace.rootfind import Term, ZeroSet, zero_sets
 
 
@@ -130,9 +126,9 @@ def test_changes_count_the_zeros_in_each_interval_mod_two(zeros, at, lead):
 
 
 def _float_reports(rels) -> list:
-    """The float checkers' report on each relation, given the zero sets the
-    oracle path used to solve: the drawn zeros of G and Q correctly rounded,
-    and P's zeros by the companion path, all P's solved in one batch."""
+    """The checker's report on each relation, given the zero sets the oracle
+    path used to solve: the drawn zeros of G and Q correctly rounded, and P's
+    zeros by the companion path, all P's solved in one batch."""
     found_p = zero_sets([Term(poly=rel.P) for rel in rels])
     out = []
     for rel, zp in zip(rels, found_p):
@@ -140,14 +136,14 @@ def _float_reports(rels) -> list:
         for name in "GQ":
             nums, den = rel.roots[name]
             rounded.append(ZeroSet(tuple(sorted(x / den for x in nums)), 0.0, "drawn"))
-        checker = check_pair_up if rel.shape == relations.PAIR_UP else check_down_one
-        out.append(checker(rel, [*rounded, zp]))
+        out.append(check_relation(rel, [*rounded, zp]))
     return out
 
 
 def _assert_same_reports(rels) -> None:
     for rel, want in zip(rels, _float_reports(rels)):
-        got = check_drawn_zeros(rel)
+        got = check_relation(rel, ())
+        assert got.csv_rows() == want.csv_rows(), rel.params
         assert got.to_json() == want.to_json(), rel.params
         assert (got.premise, got.hypotheses, got.notes) == (want.premise, want.hypotheses, want.notes)
 
@@ -164,7 +160,7 @@ def test_pair_up_report_agrees_with_the_float_checker(force_e):
         for seed in SEEDS
     ]
     if force_e:
-        assert all(not check_drawn_zeros(rel).passed for rel in rels)
+        assert all(not check_relation(rel, ()).passed for rel in rels)
     _assert_same_reports(rels)
 
 
@@ -187,13 +183,13 @@ def test_a_broken_premise_and_e_on_a_zero_of_q_agree_with_the_float_checker():
     # nothing differently.
     assemble = _assemble
     broken = assemble([F(-1), F(1, 4), F(1)], [F(-1, 2), F(1, 2), F(3, 4)], F(2))
-    report = check_drawn_zeros(broken)
+    report = check_relation(broken, ())
     assert report.premise_kind is None and report.premise.kind == "Fail"
     assert set(report.clauses.values()) == {"skipped"}
     _assert_same_reports([broken])
     # E on a zero of Q: P(E) = B(E) G(E) / A, the note is logged
     on_q = assemble([F(-1), F(1)], [F(-3, 2), F(0)], F(0))
-    assert "E sits on a zero of Q (permitted, logged)" in check_drawn_zeros(on_q).notes
+    assert "E sits on a zero of Q (permitted, logged)" in check_relation(on_q, ()).notes
     _assert_same_reports([on_q])
 
 
@@ -205,7 +201,7 @@ def test_zeros_closer_than_the_floor_are_decided_exactly():
     (floats,) = _float_reports([rel])
     assert floats.premise.kind == "Inconclusive"
     assert set(floats.clauses.values()) == {"skipped"}
-    report = check_drawn_zeros(rel)
+    report = check_relation(rel, ())
     assert report.premise_kind == "q_below_g" and report.hypotheses_ok
     assert report.clauses == {"e_position": "pass", "added_point": "pass", "full_iff": "pass"}
 

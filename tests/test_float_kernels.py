@@ -6,8 +6,8 @@ inlined recurrence loop; ``rootfind.zeros_general`` polishes each companion
 eigenvalue by one inlined Horner loop.  The reference routes in
 ``float_reference`` (scipy's ``eigh_tridiagonal``, which calls ``?stevd``,
 and the generic Newton polish) must give the same zeros with ``==``, and the
-same tridiagonal bound.  The hypothesis scans of ``relations._base_report``
-are checked the same way against their plain forms.
+same tridiagonal bound.  The G/P gap scan of the float order source,
+``relations._min_cross_gap``, is checked the same way against its plain form.
 """
 
 import json
@@ -436,7 +436,7 @@ def test_a_failed_term_raises_in_the_checkers_read_order():
     assert all(isinstance(r, RootComputationError) for r in found)
     assert len({str(r) for r in found}) == 3
     with pytest.raises(RootComputationError, match=re.escape(str(found[0]))):
-        relations.check_relation(rel)
+        relations.check_relation(rel, found)
 
 
 # -- hypothesis scans --------------------------------------------------------

@@ -32,7 +32,7 @@ from interlace.relations import (
     oracle_down_one,
     oracle_pair_up,
 )
-from interlace.rootfind import zeros_general
+from interlace.rootfind import zero_sets, zeros_general
 
 from exact_reference import mul_linear
 from float_reference import horner_pair, horner_with_errbound
@@ -269,29 +269,18 @@ class TestZerosExact:
 
 
 class TestReplacedTerms:
-    @staticmethod
-    def _record(monkeypatch):
-        # The polynomial of each term the checkers hand to the batch.
-        calls = []
-        batch = relations.zero_sets
-
-        def spy(terms):
-            calls.extend(term.poly for term in terms)
-            return batch(terms)
-
-        monkeypatch.setattr(relations, "zero_sets", spy)
-        return calls
-
-    def test_reassigned_g_uses_the_new_zeros(self, monkeypatch):
-        # The drawn relation is decided on its drawn zeros and solves nothing;
-        # a copy with another G carries no zeros and takes the float path.
+    def test_reassigned_g_uses_the_new_zeros(self):
+        # The drawn relation is decided on its drawn zeros; a copy with
+        # another G carries none, so it needs zero sets, solved from its own terms.
         rel, other = oracle_pair_up(4, 0), oracle_pair_up(4, 1)
         copy = dataclasses.replace(rel, G=other.G)
-        calls = self._record(monkeypatch)
-        assert check_pair_up(rel).passed
-        assert calls == []
-        report = check_pair_up(copy)
-        assert calls == [other.G, rel.Q, rel.P]
+        assert check_pair_up(rel, ()).passed
+        assert copy.roots == {}
+        with pytest.raises(ValueError, match="oracle-pair-up: no zero sets given"):
+            check_pair_up(copy, ())
+        terms = relations.relation_terms(copy)
+        assert [term.poly for term in terms] == [other.G, rel.Q, rel.P]
+        report = check_pair_up(copy, zero_sets(terms))
         assert report.identity_ok is False
 
     def test_terms_cannot_be_reassigned(self):

@@ -24,10 +24,11 @@ from interlace.relations import (
     check_relation,
     oracle_down_one,
     oracle_pair_up,
+    relation_terms,
     run_check,
     verify_identity,
 )
-from interlace.rootfind import zeros_general, zeros_orthogonal
+from interlace.rootfind import zero_sets, zeros_general, zeros_orthogonal
 from interlace import families, relations
 
 from exact_reference import CHECKS_REFERENCE
@@ -210,13 +211,18 @@ class TestVerifyIdentity:
         rel = build_relation("meixner-3.2", 3, {"t": 2, "w": F(1, 3)})
         bumped = list(rel.P.coeffs)
         bumped[0] += F(1, 10**6)
-        report = check_relation(dataclasses.replace(rel, P=Polynomial(bumped)))
+        copy = dataclasses.replace(rel, P=Polynomial(bumped))
+        report = check_relation(copy, zero_sets(relation_terms(copy)))
         assert not report.identity_ok
         assert not report.passed
 
-    def test_empty_zero_sets_are_solved_as_none(self):
+    def test_a_relation_without_zero_sets_is_refused(self):
+        # Zero sets come from plan_check's terms; a checker solves none itself.
         rel = build_relation("laguerre-3.7", 4, {"alpha": 0})
-        assert check_relation(rel, []).to_json() == check_relation(rel).to_json()
+        for checker in (check_relation, check_pair_up):
+            for found in (None, [], ()):
+                with pytest.raises(ValueError, match="laguerre-3.7: no zero sets given"):
+                    checker(rel, found)
 
 
 class TestCertifiedOnce:
@@ -250,35 +256,33 @@ class TestCertifiedOnce:
     def test_oracle_relation(self, calls):
         rel = oracle_pair_up(4, 0)
         assert calls == ["oracle-pair-up"]
-        report = check_pair_up(rel)
+        report = check_pair_up(rel, ())
         assert report.identity_ok
         assert calls == ["oracle-pair-up"]
 
 
 class TestPairUpChecker:
     def test_laguerre_low_orientation(self):
-        rel = build_relation("laguerre-3.7", 4, {"alpha": 0})
-        report = check_pair_up(rel)
+        report = run_check("laguerre-3.7", 4, {"alpha": 0})
         assert report.passed
         assert report.premise_kind == "q_below_g"
         assert set(report.clauses.values()) == {"pass"}
 
     def test_krawtchouk_high_orientation(self):
-        rel = build_relation("krawtchouk-3.1", 3, {"p": F(1, 2), "N": 6})
-        report = check_pair_up(rel)
+        report = run_check("krawtchouk-3.1", 3, {"p": F(1, 2), "N": 6})
         assert report.passed
         assert report.premise_kind == "g_below_q"
         assert set(report.clauses.values()) == {"pass"}
 
     def test_degree_zero_member(self):
         rel = build_relation("laguerre-3.7", 0, {"alpha": F(-1, 2)})
-        report = check_pair_up(rel)
+        report = check_pair_up(rel, zero_sets(relation_terms(rel)))
         assert report.passed
 
     def test_wrong_shape_rejected(self):
         rel = build_relation("jacobi-3.6", 3, {"alpha": 0, "beta": 1})
         with pytest.raises(InvalidParameterError):
-            check_pair_up(rel)
+            check_pair_up(rel, zero_sets(relation_terms(rel)))
 
 
 class TestDownOneChecker:
@@ -427,7 +431,7 @@ class TestOracles:
         for seed in range(15):
             rel = oracle_pair_up(n, seed, orientation=orientation)
             assert verify_identity(rel)
-            report = check_pair_up(rel)
+            report = check_pair_up(rel, ())
             assert report.passed, (n, seed, report.to_json())
             assert report.premise_kind == orientation
 
@@ -436,16 +440,16 @@ class TestOracles:
         for seed in range(15):
             rel = oracle_down_one(n, seed)
             assert verify_identity(rel)
-            report = check_down_one(rel)
+            report = check_down_one(rel, ())
             assert report.passed, (n, seed, report.to_json())
 
     def test_down_one_region_control(self):
         for seed in range(15):
-            above = check_down_one(oracle_down_one(5, seed, e_region="above"))
+            above = check_down_one(oracle_down_one(5, seed, e_region="above"), ())
             assert above.clauses["full_when_e_above"] == "pass"
-            below = check_down_one(oracle_down_one(5, seed, e_region="below"))
+            below = check_down_one(oracle_down_one(5, seed, e_region="below"), ())
             assert below.clauses["full_when_e_below"] == "pass"
-            interior = check_down_one(oracle_down_one(5, seed, e_region="interior"))
+            interior = check_down_one(oracle_down_one(5, seed, e_region="interior"), ())
             assert interior.clauses["added_point"] == "pass"
 
     def test_sign_alternation_engine(self):
@@ -465,7 +469,7 @@ class TestOracles:
                 rel = oracle_pair_up(n, seed, orientation="q_below_g", force_e="above_max")
                 assert verify_identity(rel)
                 assert rel.A.coeffs[0] <= 0
-                report = check_pair_up(rel)
+                report = check_pair_up(rel, ())
                 assert not report.hypotheses["a_positive"]
                 assert report.clauses["e_position"] == "fail"
                 assert not report.passed
@@ -499,7 +503,7 @@ class TestAffineInvariance:
         e = F(1, 16)
         first = self._assemble(assemble_pair_up, g_zeros, q_zeros, e)
         assert first is not None and verify_identity(first)
-        report_one = check_pair_up(first)
+        report_one = check_pair_up(first, ())
         second = self._assemble(
             assemble_pair_up,
             self._transform(g_zeros, a, b),
@@ -507,7 +511,7 @@ class TestAffineInvariance:
             a * e + b,
         )
         assert second is not None and verify_identity(second)
-        report_two = check_pair_up(second)
+        report_two = check_pair_up(second, ())
         assert report_one.clauses == report_two.clauses
         assert report_one.premise_kind == report_two.premise_kind
         assert report_one.e_position == report_two.e_position
@@ -525,8 +529,8 @@ class TestAffineInvariance:
             a * e + b,
             F(2),
         )
-        report_one = check_down_one(first)
-        report_two = check_down_one(second)
+        report_one = check_down_one(first, ())
+        report_two = check_down_one(second, ())
         assert report_one.clauses == report_two.clauses
         assert report_one.e_position == report_two.e_position
 

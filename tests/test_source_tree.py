@@ -16,6 +16,8 @@ oracle mode reaches, fails here before it is ever run.
 * The separation floor is ``interlacing.DEFAULT_FLOOR`` alone: it is assigned
   once, no function or lambda takes a ``floor`` parameter, and nothing reads
   ``os.environ`` or ``os.getenv``.
+* Every name the benchmark's span tracer (``perfbench/tracer.py``) patches in
+  a module of the package, by string, is bound at that module's top level.
 """
 
 import ast
@@ -145,3 +147,37 @@ def test_one_fixed_floor():
     assert floor_params == []
     assert env_reads == []
     assert assigned == ["interlacing"]
+
+
+def _top_level_names(module: ast.Module) -> set[str]:
+    """Every name a module binds at its top level: defs, classes, assignments, imports."""
+    names = set()
+    for stmt in module.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names.update(sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name))
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in stmt.names)
+    return names
+
+
+def test_every_traced_name_is_bound():
+    """A name the tracer patches and the package no longer binds fails the
+    benchmark run, and ``pytest perfbench``, but nothing else; this reads
+    ``PATCHES`` and each ``patch(module, "name", ...)`` call of the tracer."""
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    modules = _modules()
+    patched = []
+    for entry in _assigned(tracer, "PATCHES").elts:
+        span, owners = entry.elts
+        patched += [(owner.id, span.value.split(".", 1)[1]) for owner in owners.elts]
+    for node in ast.walk(tracer):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "patch":
+            owner, attr = node.args[:2]
+            if isinstance(owner, ast.Name) and owner.id in modules and isinstance(attr, ast.Constant):
+                patched.append((owner.id, attr.value))
+    assert ("relations", "assemble_pair_up") in patched and len(patched) > 20
+    missing = [f"{m}.{name}" for m, name in patched if name not in _top_level_names(modules[m])]
+    assert missing == []

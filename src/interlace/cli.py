@@ -242,7 +242,8 @@ def table2_data() -> list[dict]:
 def cmd_table2(args) -> int:
     digits = _digits(args)
     with _output(args.output) as out:
-        out.write(_rows_to_csv(_table2_rows(digits)))
+        rows = _table2_rows(digits)
+        out.write(_rows_to_csv(rows, _field_names(rows)))
     return 0
 
 
@@ -395,9 +396,13 @@ def _run_oracle_run(mode: str, points: list[tuple]) -> list[list[dict]]:
     return out
 
 
-def _rows_to_csv(rows: list[dict]) -> str:
-    # Every key is a field name; "ignore" only skips DictWriter's per-row check.
-    fieldnames = list(dict.fromkeys(key for row in rows for key in row))
+def _field_names(rows: list[dict]) -> list[str]:
+    """Every key of every row, in order of first appearance."""
+    return list(dict.fromkeys(key for row in rows for key in row))
+
+
+def _rows_to_csv(rows: list[dict], fieldnames: list[str]) -> str:
+    # Every row's keys are among fieldnames; "ignore" only skips DictWriter's per-row check.
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=fieldnames, restval="", extrasaction="ignore")
     writer.writeheader()
@@ -570,11 +575,13 @@ def cmd_sweep(args) -> int:
     # A point of degree n weighs (n + 2)^2, a rough model of its cost.
     weights = [(n + 2) ** 2 for n, _ in points]
     with _output(args.output) as out:
-        chunks = _map_runs(run, points, weights, workers)
+        rows = [row for rows in _map_runs(run, points, weights, workers) for row in rows]
+        # The header comes from the rows before the filter, so a filter
+        # that keeps no row still prints it.
+        fieldnames = _field_names(rows)
         if keep:
-            chunks = [[row for row in rows if row["clause"] in keep] for rows in chunks]
-        rows = [row for rows in chunks for row in rows]
-        out.write(_rows_to_csv(rows))
+            rows = [row for row in rows if row["clause"] in keep]
+        out.write(_rows_to_csv(rows, fieldnames))
     passed = sum(1 for row in rows if row["result"] == "pass")
     failed = sum(1 for row in rows if row["result"] == "fail")
     errored = sum(1 for row in rows if str(row["result"]).startswith("error"))

@@ -6,24 +6,25 @@ of every point in a sweep run), solves equal terms once, and solves the
 rest by path and degree.  A term takes one of two paths:
 
 * Families with a classical three-term recurrence: the zeros are the
-  eigenvalues of the Jacobi matrix built from the recurrence coefficients
+  eigenvalues of the Jacobi matrix J built from the recurrence coefficients
   (Golub-Welsch), found by numpy's ``eigvalsh`` (LAPACK ``?syevd``) on the
   dense matrix with its lower triangle filled, bit for bit those of the
-  tridiagonal solver ``?stevd``.  Each polish step runs the recurrence for
-  p and p'; the bound is |p(z)| / |p'(z)| at the zero.
+  tridiagonal solver ``?stevd``.  The zeros are those eigenvalues as LAPACK
+  returns them, with no polish.  The bound is n eps ||J||_inf, the largest
+  absolute row sum of the float matrix: by Weyl's inequality a backward
+  stable eigensolver is off by at most p(n) eps ||J||_2 <= p(n) eps
+  ||J||_inf, and n stands in for LAPACK's modest p(n).
 * Everything else: the eigenvalues of the companion matrix as ``np.roots``
   forms it (numpy's ``eigvals``, LAPACK ``?geev``, which balances it),
-  polished by Horner's scheme.  The bound is
-  (|p(z)| + eps (2 mu - |p(z)|)) / |p'(z)|, where mu is Higham's running
-  error bound for the final Horner pass (mu <- mu |z| + |acc|).
+  each then taking at most three Newton steps by Horner's scheme, on its
+  own.  The bound is (|p(z)| + eps (2 mu - |p(z)|)) / |p'(z)|, where mu is
+  Higham's running error bound for the final Horner pass
+  (mu <- mu |z| + |acc|); a companion set's bound is the largest of its
+  zeros' bounds, or inf when one of them is not finite.
 
 All matrices of one order go to LAPACK in one stacked call, at most
-``_STACK_ENTRIES`` matrix entries per call.  Each zero then takes at most
-three Newton steps of its path's polish, on its own, so a zero set does
-not depend on which others it was solved with.
-
-A zero set's bound is the largest of its zeros' bounds, or inf when one of
-them is not finite.
+``_STACK_ENTRIES`` matrix entries per call.  A zero set does not depend on
+which others it was solved with.
 """
 
 from __future__ import annotations
@@ -53,11 +54,11 @@ from .poly import Polynomial
 #: companion eigenvalues with |Im| <= REALITY_THRESHOLD * max(1, |Re|) count as real.
 REALITY_THRESHOLD = 1e-8
 
-#: double-precision constants for the Newton stop test and residual bounds
+#: double-precision constants for the bounds and the Newton stop test
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
-#: Newton corrections per zero, and the step size below which they stop
+#: Newton corrections per companion zero, and the step size below which they stop
 _STEPS = 3
 _STEP_TOL = 4 * _EPS
 
@@ -75,7 +76,12 @@ class RootComputationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """Strictly increasing real zeros plus a residual accuracy bound."""
+    """Strictly increasing real zeros plus an accuracy bound.
+
+    ``bound`` is n eps ||J||_inf on the Jacobi-matrix path and the largest
+    Horner residual bound on the companion path (module docstring); inf
+    when some zero has no finite bound.
+    """
 
     zeros: tuple[float, ...]
     bound: float
@@ -115,33 +121,6 @@ class Term(NamedTuple):
 
     spec: FamilySpec | None = None
     poly: Polynomial | None = None
-
-
-def _polish_recurrence(cl: list[tuple[float, float]], x: float) -> tuple[float, float]:
-    """Newton-polish the eigenvalue ``x`` of a Jacobi matrix; returns (zero, bound).
-
-    ``cl`` holds the step pairs (c_k, l_k) of the monic recurrence
-    p_{k+1} = (x - c_k) p_k - l_k p_{k-1}, which runs inline for p and p'.
-    At most ``_STEPS`` corrections are taken.  The bound is |p| / |p'| at the
-    zero, from the evaluation after the last step, or from the last
-    evaluation when no step was taken.
-    """
-    isfinite = math.isfinite
-    converged = False
-    for steps_left in range(_STEPS, -1, -1):
-        p_prev, p, d_prev, d = 0.0, 1.0, 0.0, 0.0
-        for c, l in cl:
-            t = x - c
-            d_prev, d = d, p + t * d - l * d_prev
-            p_prev, p = p, t * p - l * p_prev
-        if converged or not steps_left or d == 0.0 or not isfinite(p) or not isfinite(d):
-            break
-        step = p / d
-        if not isfinite(step):
-            break
-        x -= step
-        converged = abs(step) <= _STEP_TOL * max(1.0, abs(x))
-    return x, abs(p) / max(abs(d), _TINY)
 
 
 def _polish_horner(desc: tuple[float, ...], x: float) -> tuple[float, float]:
@@ -233,41 +212,30 @@ def _stacked(solve, blocks: np.ndarray) -> list:
     return out
 
 
-def _finish(found: dict, solved: list, polish, method: str) -> None:
-    """Polish each (key, source, row, raw zeros) of ``solved`` and keep its ``ZeroSet``.
-
-    ``polish(row, x)`` gives one zero and its bound.
-    """
-    for key, source, row, raw in solved:
-        zeros, bounds = zip(*[polish(row, x) for x in raw])
-        try:
-            found[key] = ZeroSet(zeros, _set_bound(bounds), method, source)
-        except RootComputationError as exc:
-            found[key] = exc
-
-
 def _solve_tridiagonal(n: int, group: list, found: dict) -> None:
-    """Every (key, spec, cl) of ``group``, whose members all have degree n >= 1."""
-    if n == 1:
-        eig = [[cl[0][0]] for _, _, cl in group]
-    else:
-        diag = [[c for c, _ in cl] for _, _, cl in group]
-        off = [[math.sqrt(l) for _, l in cl[1:]] for _, _, cl in group]
-        eig = [
-            raw if isinstance(raw, Exception) else raw.tolist()
-            for raw in _stacked(np.linalg.eigvalsh, _jacobi_matrices(diag, off))
-        ]
-    solved = []
-    for (key, spec, cl), raw in zip(group, eig):
+    """Every (key, spec, diag, off) of ``group``, whose members all have degree n >= 1.
+
+    A set's zeros are the ascending eigenvalues ``eigvalsh`` returns, and
+    its bound is n eps ||J||_inf (module docstring).
+    """
+    eig = _stacked(
+        np.linalg.eigvalsh,
+        _jacobi_matrices([diag for _, _, diag, _ in group], [off for _, _, _, off in group]),
+    )
+    for (key, spec, diag, off), raw in zip(group, eig):
         if isinstance(raw, Exception):
             err = RootComputationError(
                 f"LAPACK ?syevd failed ({raw}) on the Jacobi matrix of {spec.kind} n={n}"
             )
             err.__cause__ = raw
             found[key] = err
-        else:
-            solved.append((key, spec, cl, raw))
-    _finish(found, solved, _polish_recurrence, METHOD_JACOBI)
+            continue
+        # row i of J is (off[i-1], diag[i], off[i]), off entries being nonnegative
+        norm = max(abs(d) + lo + hi for d, lo, hi in zip(diag, [0.0, *off], [*off, 0.0]))
+        try:
+            found[key] = ZeroSet(tuple(raw.tolist()), n * _EPS * norm, METHOD_JACOBI, spec)
+        except RootComputationError as exc:
+            found[key] = exc
 
 
 def _companion_eigenvalues(group: list, deg: int) -> list:
@@ -308,7 +276,6 @@ def _solve_companion(deg: int, group: list, found: dict) -> None:
         eig = [[0.0 - desc[1] / desc[0]] for _, _, desc in group]
     else:
         eig = _companion_eigenvalues(group, deg)
-    solved = []
     for (key, poly, desc), values in zip(group, eig):
         if isinstance(values, Exception):
             found[key] = values
@@ -324,8 +291,11 @@ def _solve_companion(deg: int, group: list, found: dict) -> None:
                 )
                 break
         else:
-            solved.append((key, poly, desc, sorted(raw)))
-    _finish(found, solved, _polish_horner, METHOD_COMPANION)
+            zeros, bounds = zip(*[_polish_horner(desc, x) for x in sorted(raw)])
+            try:
+                found[key] = ZeroSet(zeros, _set_bound(bounds), METHOD_COMPANION, poly)
+            except RootComputationError as exc:
+                found[key] = exc
 
 
 def _key(term: Term) -> tuple:
@@ -368,8 +338,9 @@ def zero_sets(terms) -> list:
                     found[key] = ZeroSet((), 0.0, METHOD_JACOBI, spec)
                 else:
                     # int / int rounds correctly: each double is bit for bit float(Fraction(a, b))
-                    cl = [(a / b, u / v) for a, b, u, v in steps]
-                    tridiagonal[spec.n].append((key, spec, cl))
+                    diag = [a / b for a, b, _, _ in steps]
+                    off = [math.sqrt(u / v) for _, _, u, v in steps[1:]]
+                    tridiagonal[spec.n].append((key, spec, diag, off))
             else:
                 p = term.poly if term.poly is not None else monic_by_recurrence(term.spec)
                 coeffs = p.float_coeffs()

@@ -1,21 +1,22 @@
 """Reference float kernels: the zero paths as written before they were fused.
 
 ``rootfind`` gets the Jacobi-matrix eigenvalues from numpy's ``eigvalsh``
-and polishes each zero in one inlined loop.  The routes it replaced are kept
-here, so tests can assert that the fused kernels give the same zeros bit for
-bit:
+and polishes each companion zero in one inlined loop.  The routes it
+replaced are kept here, so tests can assert that the fused kernels give the
+same zeros bit for bit:
 
 * ``zeros_orthogonal``: scipy's ``eigh_tridiagonal`` (LAPACK ``?stevd``) on
-  ``float(Fraction)`` entries, then ``newton_polish`` with
-  ``recurrence_pair`` as the value function, bound |p| / |p'|;
+  ``float(Fraction)`` entries, unpolished, with the bound n eps ||J||_inf
+  from ``inf_norm``, the largest absolute row sum of the dense matrix;
 * ``zeros_general``: ``np.roots`` on ``float_coeffs()``, then
   ``newton_polish`` with ``horner_pair`` (the bound differs: see
   ``companion_bound``).
 
-A zero set's bound is ``set_bound`` of its per-zero bounds: the largest, or
-inf when some zero has no finite bound.  ``sign_at_zeros`` is the float sign
-test with an a-priori Horner error bound that the program used before its
-polynomials became exact only.  scipy is needed by the tests only.
+A companion set's bound is ``set_bound`` of its per-zero bounds: the
+largest, or inf when some zero has no finite bound.  ``sign_at_zeros`` is
+the float sign test with an a-priori Horner error bound that the program
+used before its polynomials became exact only.  scipy is needed by the
+tests only.
 
 ``solve_alone`` is the zero path as the program ran it one set at a time,
 before ``rootfind.zero_sets`` solved a batch by degree: the same dispatch
@@ -61,18 +62,6 @@ def horner_pair(coeffs, x):
         dacc = dacc * x + acc
         acc = acc * x + c
     return acc, dacc
-
-
-def recurrence_pair(cs, ls, x):
-    """Value and derivative of the monic recurrence polynomial at x."""
-    p_prev, p_cur = 0.0, 1.0
-    d_prev, d_cur = 0.0, 0.0
-    for c, l in zip(cs, ls):
-        p_next = (x - c) * p_cur - l * p_prev
-        d_next = p_cur + (x - c) * d_cur - l * d_prev
-        p_prev, p_cur = p_cur, p_next
-        d_prev, d_cur = d_cur, d_next
-    return p_cur, d_cur
 
 
 def newton_polish(x, value_fn, steps=3):
@@ -152,22 +141,31 @@ def set_bound(bounds):
     return max(bounds)
 
 
+def jacobi_matrix(spec):
+    """The dense float Jacobi matrix of a recurrence family member of degree n >= 1."""
+    rc = recurrence_coeffs(spec)
+    off = [math.sqrt(float(l)) for l in rc.lam[1:]]
+    return np.diag([float(c) for c in rc.c]) + np.diag(off, -1) + np.diag(off, 1)
+
+
+def inf_norm(matrix):
+    """The largest absolute row sum, each row summed from its first column on."""
+    norm = 0.0
+    for row in matrix.tolist():
+        total = 0.0
+        for x in row:
+            total += abs(x)
+        norm = max(norm, total)
+    return norm
+
+
 def zeros_orthogonal(spec):
     """(zeros, bound) of a recurrence family member by the reference route."""
-    rc = recurrence_coeffs(spec)
     if spec.n == 0:
         return (), 0.0
-    diag = [float(c) for c in rc.c]
-    if spec.n == 1:
-        raw = [diag[0]]
-    else:
-        off = [math.sqrt(float(l)) for l in rc.lam[1:]]
-        raw = list(eigh_tridiagonal(diag, off, eigvals_only=True))
-    ls = [float(l) for l in rc.lam]
-    polished = [
-        newton_polish(float(x), lambda x: recurrence_pair(diag, ls, x)) for x in sorted(raw)
-    ]
-    return tuple(z for z, _ in polished), set_bound([b for _, b in polished])
+    matrix = jacobi_matrix(spec)
+    raw = eigh_tridiagonal(np.diag(matrix), np.diag(matrix, -1), eigvals_only=True)
+    return tuple(raw.tolist()), spec.n * EPS * inf_norm(matrix)
 
 
 def zeros_general(p, bound_fn=companion_bound):
@@ -198,23 +196,14 @@ def _solve_orthogonal_alone(spec):
     n = spec.n
     if n == 0:
         return ZeroSet((), 0.0, "JacobiMatrix", spec)
-    diag = [float(c) for c in rc.c]
-    ls = [float(l) for l in rc.lam]
-    if n == 1:
-        raw = [diag[0]]
-    else:
-        matrix = np.zeros((n, n))
-        matrix.flat[:: n + 1] = diag
-        matrix.flat[n :: n + 1] = [math.sqrt(l) for l in ls[1:]]
-        try:
-            raw = np.linalg.eigvalsh(matrix).tolist()
-        except np.linalg.LinAlgError as exc:
-            raise RootComputationError(
-                f"LAPACK ?syevd failed ({exc}) on the Jacobi matrix of {spec.kind} n={n}"
-            ) from exc
-    polished = [newton_polish(x, lambda x: recurrence_pair(diag, ls, x)) for x in raw]
-    zeros = tuple(z for z, _ in polished)
-    return ZeroSet(zeros, set_bound([b for _, b in polished]), "JacobiMatrix", spec)
+    matrix = jacobi_matrix(spec)
+    try:
+        zeros = tuple(np.linalg.eigvalsh(matrix).tolist())
+    except np.linalg.LinAlgError as exc:
+        raise RootComputationError(
+            f"LAPACK ?syevd failed ({exc}) on the Jacobi matrix of {spec.kind} n={n}"
+        ) from exc
+    return ZeroSet(zeros, n * EPS * inf_norm(matrix), "JacobiMatrix", spec)
 
 
 def _solve_companion_alone(p):

@@ -363,6 +363,46 @@ class TestSweepCommand:
         assert all(line.endswith(allowed) for line in lines[1:])
         assert "0 fail" in err
 
+    def test_clause_filter_keeps_the_named_rows(self, capsys, tmp_path):
+        spec = tmp_path / "sweep.json"
+        spec.write_text(
+            json.dumps(
+                {"check": "narayana-3.4", "n": "2..5", "clauses": ["premise", "quotient_interlace"]}
+            )
+        )
+        code, out, err = run_cli(capsys, "sweep", str(spec), "--workers", "1")
+        assert code == 0
+        # odd n takes the shape checker, which has no quotient_interlace clause
+        assert out.splitlines() == [
+            "check,n,clause,result",
+            "narayana-3.4,2,premise,pass",
+            "narayana-3.4,2,quotient_interlace,pass",
+            "narayana-3.4,3,premise,pass",
+            "narayana-3.4,4,premise,pass",
+            "narayana-3.4,4,quotient_interlace,pass",
+            "narayana-3.4,5,premise,pass",
+        ]
+        assert err == "sweep: 6 pass, 0 fail, 0 error, 6 rows\n"
+
+    def test_clause_filter_that_keeps_no_row_prints_the_header(self, capsys, tmp_path):
+        # No point of this grid fails to build, so no build row is kept.
+        # The header was taken from the kept rows, and a bare line ending
+        # was printed.
+        spec = tmp_path / "sweep.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "check": "jacobi-3.6",
+                    "n": "1..3",
+                    "params": {"alpha": [2], "beta": [14]},
+                    "clauses": ["build"],
+                }
+            )
+        )
+        code, out, err = run_cli(capsys, "sweep", str(spec), "--workers", "1")
+        assert (code, out) == (0, "check,n,alpha,beta,clause,result\r\n")
+        assert err == "sweep: 0 pass, 0 fail, 0 error, 0 rows\n"
+
     def test_grid_point_errors_recorded_in_row(self, capsys, tmp_path):
         spec = tmp_path / "sweep.json"
         spec.write_text(

@@ -1,13 +1,14 @@
 """The fused float kernels against the routes they replaced, bit for bit.
 
 ``rootfind.zeros_orthogonal`` takes the Jacobi-matrix eigenvalues from
-numpy's ``eigvalsh`` (LAPACK ``?syevd``) and polishes each eigenvalue by one
-inlined recurrence loop; ``rootfind.zeros_general`` polishes each companion
+numpy's ``eigvalsh`` (LAPACK ``?syevd``) as they are, with the bound
+n eps ||J||_inf; ``rootfind.zeros_general`` polishes each companion
 eigenvalue by one inlined Horner loop.  The reference routes in
 ``float_reference`` (scipy's ``eigh_tridiagonal``, which calls ``?stevd``,
 and the generic Newton polish) must give the same zeros with ``==``, and the
-same tridiagonal bound.  The G/P gap scan of the float order source,
-``relations._min_cross_gap``, is checked the same way against its plain form.
+same bounds.  Every bound must enclose a zero, by exact signs.  The G/P gap
+scan of the float order source, ``relations._min_cross_gap``, is checked the
+same way against its plain form.
 """
 
 import json
@@ -30,7 +31,6 @@ from interlace.families import (
     meixner,
     monic_by_recurrence,
     narayana_spec,
-    recurrence_steps,
 )
 from interlace.poly import Polynomial
 from interlace.relations import _min_cross_gap, build_relation
@@ -104,6 +104,38 @@ def test_tridiagonal_path_matches_reference(spec):
     assert got.bound == bound
 
 
+def assert_bound_encloses_a_zero(p: Polynomial, zs: ZeroSet):
+    """Each zero z of ``zs``, with the set's bound b, has p(z) = 0 or p(z - b) p(z + b) < 0.
+
+    The signs are exact: ``Polynomial.evaluate`` at the rationals z +- b.
+    """
+    assert math.isfinite(zs.bound), zs.bound
+    b = F(zs.bound)
+    for z in map(F, zs.zeros):
+        encloses = p.evaluate(z) == 0 or p.evaluate(z - b) * p.evaluate(z + b) < 0
+        assert encloses, (float(z), zs.bound)
+
+
+@given(orthogonal_specs)
+@settings(max_examples=200, deadline=None)
+@example(jacobi(2, 14, 1))
+@example(jacobi(2, 14, 6))
+@example(meixner(1, F(1, 2), 40))
+@example(krawtchouk(F(1, 3), 43, 40))
+@example(meixner(F(1, 3), F(999, 1000), 60))
+def test_tridiagonal_bound_encloses_a_zero(spec):
+    assert_bound_encloses_a_zero(monic_by_recurrence(spec), zeros_orthogonal(spec))
+
+
+@pytest.mark.parametrize(
+    "kind", ["narayana-reduced", "narayana-christoffel", "narayana-perturbed"]
+)
+def test_companion_bound_encloses_a_zero_on_narayana(kind):
+    for n in range(2, 41):
+        p = monic_by_recurrence(narayana_spec(kind, n))
+        assert_bound_encloses_a_zero(p, zeros_general(p))
+
+
 @st.composite
 def raw_tridiagonals(draw):
     """(diag, off) at n = 2..80 with entries scaled from 1e-6 to 1e6, or
@@ -153,8 +185,6 @@ def test_lapack_failure_is_a_root_computation_error(monkeypatch):
         RootComputationError, match=r"\?syevd failed \(Eigenvalues did not converge\)"
     ):
         zeros_orthogonal(jacobi(2, 14, 5))
-    # n = 1 needs no eigensolve
-    assert zeros_orthogonal(jacobi(2, 14, 1)).zeros == ref.zeros_orthogonal(jacobi(2, 14, 1))[0]
 
 
 def test_lapack_failure_becomes_a_sweep_error_row(monkeypatch, capsys, tmp_path):
@@ -169,30 +199,29 @@ def test_lapack_failure_becomes_a_sweep_error_row(monkeypatch, capsys, tmp_path)
 
 
 def test_bound_is_inf_when_a_zero_has_none():
-    # The monic recurrence overflows at the largest zeros (2.2e5 at n = 60),
-    # where p and p' are inf and that zero's own bound is NaN.
-    zs = zeros_orthogonal(meixner(F(1, 3), F(999, 1000), 60))
-    assert zs.bound == math.inf
-    # At n = 40 every zero has a finite bound: the set's bound is their largest.
-    zs = zeros_orthogonal(meixner(F(1, 3), F(999, 1000), 40))
-    _, bound = ref.zeros_orthogonal(meixner(F(1, 3), F(999, 1000), 40))
-    assert math.isfinite(zs.bound) and zs.bound == bound
     # Companion path: Horner overflows at the zero 1e155.
     zs = zeros_general(Polynomial.from_roots([F(1), F(2), F(10**155)]))
     assert zs.max == 1e155 and zs.bound == math.inf
+    # The monic recurrence overflowed at the largest zeros of this member
+    # (2.2e5), so a recurrence residual had no bound there; n eps ||J||_inf
+    # is finite.
+    zs = zeros_orthogonal(meixner(F(1, 3), F(999, 1000), 60))
+    assert math.isfinite(zs.bound) and zs.bound == ref.zeros_orthogonal(zs.source)[1]
 
 
 def _no_constant(name):
     raise ValueError(f"{name} is not JSON (RFC 8259)")
 
 
-def test_zeros_command_prints_a_null_bound(capsys):
-    # JSON has no Infinity: a set with no finite bound prints null.
-    argv = ["zeros", "--family", "meixner", "--t", "1/3", "--w", "999/1000", "--n", "60"]
+def test_zeros_command_prints_a_null_bound(monkeypatch, capsys):
+    # JSON has no Infinity: a set with no finite bound prints null.  No
+    # family member's set has one, so the command is handed one.
+    zs = zeros_general(Polynomial.from_roots([F(1), F(2), F(10**155)]))
+    monkeypatch.setattr(cli, "zero_set", lambda term: zs)
+    argv = ["zeros", "--family", "laguerre", "--alpha", "0", "--n", "3"]
     assert cli.main(argv) == 0
     payload = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
-    assert payload["bound"] is None and len(payload["zeros"]) == 60
-    zs = zeros_orthogonal(meixner(F(1, 3), F(999, 1000), 60))
+    assert payload["bound"] is None and len(payload["zeros"]) == 3
     assert json.loads(json.dumps(zs.to_json()), parse_constant=_no_constant)["bound"] is None
 
 
@@ -366,13 +395,6 @@ def test_polish_from_starts_off_the_zeros_matches_the_reference():
     # Starts off the zeros reach the one-, two- and three-step stops, the
     # inf row and the NaN zero, which the eigenvalue starts of the batch
     # tests do not.  Compared by repr, so NaN zeros and bounds compare too.
-    specs = [jacobi(F(i, 4) - F(1, 2), F(3 * i, 5), 9) for i in range(7)]
-    for k, spec in enumerate(specs):
-        cl = [(a / b, u / v) for a, b, u, v in recurrence_steps(spec)]
-        cs, ls = [c for c, _ in cl], [l for _, l in cl]
-        for x in _started_off(zero_set(Term(spec=spec)).zeros, k):
-            want = ref.newton_polish(x, lambda x: ref.recurrence_pair(cs, ls, x))
-            assert repr(rootfind._polish_recurrence(cl, x)) == repr(want)
     polys = [relations.oracle_pair_up(9, seed).P for seed in range(7)]
     for k, p in enumerate(polys):
         coeffs = p.float_coeffs()

@@ -329,7 +329,8 @@ def _reports(plan, points: list[tuple]) -> list:
 
     ``plan(*point)`` gives the point's (terms, report) pair, as
     ``relations.plan_check`` does.  The terms of every point are solved in
-    one ``zero_sets`` batch, then each point's report reads its own.
+    one ``zero_sets`` batch, which is not called when there are none, then
+    each point's report reads its own.
     """
     plans = []
     for point in points:
@@ -338,7 +339,8 @@ def _reports(plan, points: list[tuple]) -> list:
         except Exception as exc:
             plans.append(exc)
     built = [plan for plan in plans if not isinstance(plan, Exception)]
-    found = iter(zero_sets([term for terms, _ in built for term in terms]))
+    batch = [term for terms, _ in built for term in terms]
+    found = iter(zero_sets(batch) if batch else ())
     out = []
     for plan in plans:
         if isinstance(plan, Exception):

@@ -348,6 +348,22 @@ def recurrence_steps(spec: FamilySpec) -> list[Step]:
     return _chain(spec).steps_to(spec.n)
 
 
+def orthogonal_steps(steps: list[Step]) -> list[Step]:
+    """``steps``, once every l_k past the first is seen positive.
+
+    That is the region where a chain's members are orthogonal, with real,
+    simple zeros that interlace those of the next member.  A step's
+    denominator is positive, so its numerator carries the sign.
+    """
+    for k, (_, _, u, v) in enumerate(steps[1:], start=1):
+        if u <= 0:
+            raise InvalidParameterError(
+                f"off-diagonal recurrence term {k + 1} is not positive "
+                f"({Fraction(u, v)}); parameters outside the orthogonality region"
+            )
+    return steps
+
+
 def recurrence_coeffs(spec: FamilySpec) -> RecurrenceCoeffs:
     """Exact recurrence coefficients c_1..c_n and l_1..l_n for ``spec``, as Fractions."""
     steps = recurrence_steps(spec)

@@ -5,11 +5,14 @@ denominator) so the identity itself can be certified exactly (coefficientwise
 zero residual).  Each shape has one checker, the only code that states its
 clauses: it tests the stated hypotheses and decides every conclusion clause
 of the matching interlacing statement, producing a witness-carrying report.
-The checker reads each clause as one order of zeros, from one of two
+The checker reads each clause as one order of zeros, from one of three
 sources: the float zero sets of G, Q and P held to the separation floor
-(``_FloatOrders``, which leaves an order undecided below it), or the exact
-drawn zeros of G and Q (``_DrawnOrders``, integer merges and signs, no zero
-set solved and no floor).
+(``_FloatOrders``, which leaves an order undecided below it; the Narayana
+checks); the exact drawn zeros of G and Q (``_DrawnOrders``, integer merges
+and signs; the random oracles); or the recurrence chain of an orthogonal G
+(``_ChainOrders``, integer counts along G's three-term recurrence and the
+signs the identity gives P; the other five named checks).  The two exact
+sources solve no zero set and hold nothing to a floor.
 
 Two relation shapes are supported, named by the degrees of G and Q
 relative to deg P = n:
@@ -568,11 +571,12 @@ class _FloatOrders:
     and ``slot`` among the zeros of G, ``no_common_zeros_g_p`` and ``e_on_q``,
     an order source answers ``premise(lower, upper)``, the Verdict on the
     zeros of ``lower`` ("G" or "Q") interlacing those of ``upper``, lowest
-    first; ``extreme(top)``, G's largest (or smallest) zero as a float and the
-    sign of E minus it; and ``order(subject, first)``, whether the zeros of
-    ``subject`` ("P", or "EP" for (x - E) P) interlace G's with ``first``'s
-    lowest.  Here each is held to ``DEFAULT_FLOOR``, and one it leaves
-    undecided is None (a side of 0, an Inconclusive premise, E "unknown").
+    first; ``extreme(top)``, the evidence the report's note prints and the
+    sign of E minus G's largest (or smallest) zero; and ``order(subject,
+    first)``, whether the zeros of ``subject`` ("P", or "EP" for (x - E) P)
+    interlace G's with ``first``'s lowest.  Here each is held to
+    ``DEFAULT_FLOOR``, and one it leaves undecided is None (a side of 0, an
+    Inconclusive premise, E "unknown").
     """
 
     def __init__(self, rel: MixedRelation, found):
@@ -586,11 +590,12 @@ class _FloatOrders:
     def premise(self, lower: str, upper: str) -> Verdict:
         return _float_order(self.zeros[lower], self.zeros[upper])
 
-    def extreme(self, top: bool) -> tuple[float, int]:
+    def extreme(self, top: bool) -> tuple[str, int]:
         zg = self.zeros["G"]
         bound = zg.max if top else zg.min
         side = self.e - bound
-        return bound, 0 if abs(side) <= DEFAULT_FLOOR else 1 if side > 0 else -1
+        side = 0 if abs(side) <= DEFAULT_FLOOR else 1 if side > 0 else -1
+        return _bound_evidence(bound, self.e), side
 
     def order(self, subject: str, first: str) -> bool | None:
         zg, zp = self.zeros["G"], self.zeros["P"]
@@ -628,11 +633,11 @@ class _DrawnOrders:
             "unknown" if on_g else "below" if j == 0 else "above" if j == len(g) else "interior"
         )
         self.slot = j if self.position == "interior" else None
+        self.e_sides = _sides(len(g) - j, bool(on_g), len(g))
         self.p_signs = certify.signs_at(rel.P.nums, g, self.den)
         self.no_common_zeros_g_p = all(self.p_signs)
         self.e_on_q = de in q
-        lead = rel.P.nums[-1]
-        self.lead, self.n = (lead > 0) - (lead < 0), rel.P.degree
+        self.lead, self.n = _sign(rel.P.nums[-1]), rel.P.degree
 
     def premise(self, lower: str, upper: str) -> Verdict:
         a, b = self.zeros[lower], self.zeros[upper]
@@ -642,38 +647,195 @@ class _DrawnOrders:
         i, j, gap = broken
         return Verdict(FAIL, witness=(i, j), gap=gap / self.den)
 
-    def extreme(self, top: bool) -> tuple[float, int]:
+    def extreme(self, top: bool) -> tuple[str, int]:
         g, de = self.zeros["G"], self.de
         bound = g[-1] if top else g[0]
-        return bound / self.den, (de > bound) - (de < bound)
+        return _bound_evidence(bound / self.den, de / self.den), (de > bound) - (de < bound)
 
     def order(self, subject: str, first: str) -> bool:
-        g, de = self.zeros["G"], self.de
-        signs, degree = self.p_signs, self.n
-        if subject == "EP":
-            # (x - E) P: P's leading coefficient, one degree up
-            signs = [s * ((x > de) - (x < de)) for s, x in zip(signs, g)]
-            degree += 1
-        changes = certify.sign_changes(signs, self.lead, degree)
-        # one zero of the subject below G's lowest iff it comes first, one
-        # between each two neighbouring zeros of G, and the rest above G's highest
-        lowest = int(first == subject)
-        return changes == (lowest, *(1,) * (len(g) - 1), degree - len(g) + 1 - lowest)
+        return _sign_order(self.p_signs, self.e_sides, self.lead, self.n, subject, first)
 
 
-def _open_report(rel: MixedRelation, found) -> tuple[CheckReport, _FloatOrders | _DrawnOrders]:
+def _bound_evidence(bound: float, e: float) -> str:
+    """The note's evidence for an extreme zero of G that a source holds as a number."""
+    return f"{bound:.9g} vs E = {e:.9g}"
+
+
+def _sign_order(p_signs, e_sides, lead: int, degree: int, subject: str, first: str) -> bool:
+    """Whether the zeros of ``subject`` interlace G's with ``first``'s lowest, read from signs.
+
+    ``p_signs`` are P's signs at the ascending zeros of G, ``lead`` the sign
+    of its leading coefficient and ``degree`` its degree.  For the subject
+    "EP", (x - E) P, ``e_sides`` are the signs of each of those zeros minus
+    E.  Each merged order is one pattern of sign changes along -inf, the
+    zeros of G, +inf (``certify.sign_changes``).
+    """
+    signs = p_signs
+    if subject == "EP":
+        # (x - E) P: P's leading coefficient, one degree up
+        signs = [s * e for s, e in zip(signs, e_sides)]
+        degree += 1
+    changes = certify.sign_changes(signs, lead, degree)
+    # one zero of the subject below G's lowest iff it comes first, one
+    # between each two neighbouring zeros of G, and the rest above G's highest
+    lowest = int(first == subject)
+    m = len(signs)
+    return changes == (lowest, *(1,) * (m - 1), degree - m + 1 - lowest)
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _sides(above: int, on: bool, m: int) -> list[int]:
+    """The sign of g - x at each of the m ascending zeros g of G, for a point x
+    with ``above`` zeros of G above it, which is (``on``) or is not one of them."""
+    return [-1] * (m - above - on) + [0] * on + [1] * above
+
+
+class _ChainOrders:
+    """The orders of ``_FloatOrders``, decided exactly along the recurrence
+    chain of G, an orthogonal family's member p_m: no zero set is solved and
+    none is undecided.
+
+    E, and the roots of A and of L below, are each placed among the zeros of
+    G by one count along the chain (``certify.zeros_above``).
+
+    * The premise.  Q = t G + c1 G1 + c2 G2 exactly, G1 and G2 being the
+      chain's members of degree m - 1 and m - 2 (``certify.chain_coefficients``).
+      Since G = (x - c_m) G1 - l_m G2, Q(g) = L(g) G1(g) at each zero g of
+      G, with L = c1 + c2 (x - c_m) / l_m, and G1 alternates in sign on the
+      zeros of G.  Where L keeps one sign on them Q alternates too, so the
+      premise holds; Q's zero comes first iff Q has G's degree and that sign
+      is Q's leading sign.  Where L's root is a zero of G, or lies between
+      two, the premise fails there.
+    * P, through the identity A(g) P(g) = s (g - E) Q(g) at each zero g of
+      G, s the relation's sign: P's sign there is s sign A(g) sign(g - E)
+      sign Q(g), except where g is E or L's root, rationals at which P's
+      sign is taken directly (``certify.signs_at``).  Each order of P with
+      G is then a pattern of sign changes (``_sign_order``).
+
+    The identity and the chain are all it reads, so it decides only a
+    certified relation whose G is its spec's chain member, and raises on any
+    other.
+    """
+
+    def __init__(self, rel: MixedRelation):
+        spec = rel.specs["G"]
+        m = spec.n
+        chain = families._chain(spec)
+        if not rel.certified or rel.G != chain.member(m):
+            raise ValueError(
+                f"{rel.rel_id}: the chain decides only a certified relation whose G "
+                f"is the degree-{m} member of its spec's chain"
+            )
+        steps = families.orthogonal_steps(chain.steps_to(m))
+
+        def locate(x: Fraction) -> tuple[int, bool]:
+            return certify.zeros_above(steps, x.numerator, x.denominator)
+
+        def sign_at(poly: Polynomial, x: Fraction) -> int:
+            return certify.signs_at(poly.nums, (x.numerator,), x.denominator)[0]
+
+        E, Q = rel.E, rel.Q
+        above, on = locate(E)
+        self.position = (
+            "unknown" if on else "below" if above == m else "above" if above == 0 else "interior"
+        )
+        self.slot = m - above if self.position == "interior" else None
+        self.above, self.m = above, m
+        self.e_sides = _sides(above, on, m)
+        self.e_on_q = not sign_at(Q, E)
+        # the zeros of G that E or L's root sits on, where P's sign is taken directly
+        direct = {m - 1 - above: E} if on else {}
+
+        basis = [chain.member(k) for k in range(m, max(m - 3, -1), -1)]
+        coeffs = certify.chain_coefficients((Q.nums, Q.den), [(p.nums, p.den) for p in basis])
+        if coeffs is None:
+            raise InvalidParameterError(
+                f"{rel.rel_id}: Q is not t G + c1 G1 + c2 G2 on the recurrence chain of G"
+            )
+        (c1, d1), (c2, d2) = (*coeffs[1:], (0, 1), (0, 1))[:2]
+        # L's sign at each zero of G; where it changes among them, the two
+        # zeros of G around L's root, or twice the one it sits on
+        self.broken = root = None
+        if c2:
+            a, b, u, v = steps[m - 1]
+            root = Fraction(a * d1 * v * c2 - b * c1 * u * d2, b * d1 * v * c2)  # c_m - c1 l_m / c2
+            root_at = locate(root)
+            l_signs = [_sign(c2 * d2) * x for x in _sides(*root_at, m)]
+            root_above, root_on = root_at
+            low = m - root_above - 1  # the zero of G at or just below L's root
+            if root_on:
+                direct[low] = root
+                self.broken = low, low
+            elif 0 < root_above < m:
+                self.broken = low, low + 1
+        else:
+            l_signs = [_sign(c1 * d1)] * m
+            if not c1:
+                self.broken = 0, 0
+        self.same_degree = Q.degree == m
+        self.first = "Q" if self.same_degree and l_signs[0] == _sign(Q.nums[-1]) else "G"
+
+        # an A of degree 2 or more is refused as _open_report reads a_positive
+        a_nums = rel.A.nums
+        if len(a_nums) == 2:
+            a_root = Fraction(-a_nums[0], a_nums[1])
+            a_at = root_at if a_root == root else locate(a_root)  # one count in jacobi-3.5
+            a_signs = [_sign(a_nums[1]) * x for x in _sides(*a_at, m)]
+        else:
+            a_signs = [_sign(a_nums[0]) if a_nums else 0] * m
+        # G1 is monic with one zero in each gap between G's: its sign at zero i is (-1)^(m-1-i)
+        s = -rel.sign if m % 2 else rel.sign
+        p_signs = []
+        for a, e, l in zip(a_signs, self.e_sides, l_signs):
+            s = -s
+            p_signs.append(s * a * e * l)
+        for i, x in direct.items():
+            p_signs[i] = sign_at(rel.P, x)
+        self.p_signs = p_signs
+        self.no_common_zeros_g_p = all(p_signs)
+        self.lead, self.n = _sign(rel.P.nums[-1]), rel.P.degree
+
+    def premise(self, lower: str, upper: str) -> Verdict:
+        if self.broken is not None:
+            return Verdict(FAIL, witness=self.broken)
+        if lower != self.first:
+            return Verdict(FAIL, witness=(0, 0))  # the other zero comes first
+        return Verdict(ALTERNATE if self.same_degree else INTERLACE_DOWN)
+
+    def extreme(self, top: bool) -> tuple[str, int]:
+        above, m = self.above, self.m
+        side = self.e_sides[-1 if top else 0]  # the sign of that zero minus E
+        return f"{above} of {m} zeros of G lie above E", -side
+
+    def order(self, subject: str, first: str) -> bool:
+        return _sign_order(self.p_signs, self.e_sides, self.lead, self.n, subject, first)
+
+
+def _open_report(
+    rel: MixedRelation, found
+) -> tuple[CheckReport, _FloatOrders | _DrawnOrders | _ChainOrders]:
     """A report with E's one position among the zeros of G, the four
     hypotheses in report order and their notes, and the orders its clauses read.
 
     ``found`` holds the ``zero_sets`` results of ``relation_terms(rel)``.  A
-    relation that carries drawn zeros and is given none is decided on those.
+    relation given none is decided on its drawn zeros if it carries them,
+    else along the recurrence chain of its G, which must be an orthogonal
+    family's member.
     """
+    spec = rel.specs.get("G")
     if found:
         orders = _FloatOrders(rel, found)
     elif rel.roots:
         orders = _DrawnOrders(rel)
+    elif spec is not None and spec.kind in families.ORTHOGONAL_KINDS:
+        orders = _ChainOrders(rel)
     else:
-        raise ValueError(f"{rel.rel_id}: no zero sets given, and no drawn zeros to decide on")
+        raise ValueError(
+            f"{rel.rel_id}: no zero sets given, and no drawn zeros or recurrence chain to decide on"
+        )
     report = _new_report(rel)
     position, slot = orders.position, orders.slot
     report.e_position = position if slot is None else f"{position}({slot})"
@@ -740,13 +902,10 @@ def check_pair_up(rel: MixedRelation, found) -> CheckReport:
     # the smallest (case 2).  Evaluated regardless of the other hypotheses;
     # the impossible-region property rests on this clause.
     case_low = report.premise_kind == "q_below_g"
-    bound, side = orders.extreme(top=case_low)
+    evidence, side = orders.extreme(top=case_low)
     want = -1 if case_low else 1  # the side of that zero E must be on
     report.clauses["e_position"] = _clause_result(side == want if side else None)
-    report.notes.append(
-        f"extreme zero of G {'above' if case_low else 'below'} E: "
-        f"{bound:.9g} vs E = {float(rel.E):.9g}"
-    )
+    report.notes.append(f"extreme zero of G {'above' if case_low else 'below'} E: {evidence}")
 
     if not report.hypotheses_ok:
         return _skip_rest(report, PAIR_UP_CLAUSES)
@@ -824,21 +983,25 @@ def plan_check(check_id: str, n: int, params: dict | None = None):
     Returns (terms, report): the ``Term``s of the zero sets the check reads,
     and a function that takes their ``zero_sets`` results, in order, and
     returns the check's report.  Building the relation happens here, so a
-    caller can solve the terms of many checks in one batch.  At even n,
-    narayana-3.4 reads the zero sets of P and of G / (x - E) instead.
+    caller can solve the terms of many checks in one batch.  A check whose G
+    is an orthogonal family's member reads none: it is decided along G's
+    recurrence chain (``_ChainOrders``).  At even n, narayana-3.4 reads the
+    zero sets of P and of G / (x - E) instead.
     """
     rel = build_relation(check_id, n, params)
     if check_id == EVEN_QUOTIENT_CHECK and n % 2 == 0:
         quotient, remainder = rel.G.divide_linear(rel.E)
         terms = (Term(poly=rel.P), Term(poly=quotient)) if remainder == 0 else ()
         return terms, partial(check_narayana_even_quotient, rel)
+    if rel.specs["G"].kind in families.ORTHOGONAL_KINDS:
+        return (), partial(check_relation, rel)
     return relation_terms(rel), partial(check_relation, rel)
 
 
 def run_check(check_id: str, n: int, params: dict | None = None) -> CheckReport:
-    """The report of a named check: its plan, with its terms solved in one batch."""
+    """The report of a named check: its plan, with its terms, if any, solved in one batch."""
     terms, report = plan_check(check_id, n, params)
-    return report(zero_sets(terms))
+    return report(zero_sets(terms) if terms else ())
 
 
 def clause_names(check_id: str) -> tuple[str, ...]:

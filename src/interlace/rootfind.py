@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +41,7 @@ from .families import (
     InvalidParameterError,
     ORTHOGONAL_KINDS,
     monic_by_recurrence,
+    orthogonal_steps,
     param_key,
     recurrence_steps,
 )
@@ -278,7 +278,11 @@ def _solve_companion(deg: int, group: list, found: dict) -> None:
         eig = _companion_eigenvalues(group, deg)
     for (key, poly, desc), values in zip(group, eig):
         if isinstance(values, Exception):
-            found[key] = values
+            err = RootComputationError(
+                f"LAPACK ?geev failed ({values}) on the companion matrix of a degree-{deg} polynomial"
+            )
+            err.__cause__ = values
+            found[key] = err
             continue
         raw = []
         for z in values:
@@ -326,14 +330,7 @@ def zero_sets(terms) -> list:
         try:
             if key[0] == "tridiagonal":
                 spec = term.spec
-                steps = recurrence_steps(spec)
-                for k, (_, _, u, v) in enumerate(steps[1:], start=1):
-                    # a step's denominator is positive, so its numerator carries the sign
-                    if u <= 0:
-                        raise InvalidParameterError(
-                            f"off-diagonal recurrence term {k + 1} is not positive "
-                            f"({Fraction(u, v)}); parameters outside the orthogonality region"
-                        )
+                steps = orthogonal_steps(recurrence_steps(spec))
                 if spec.n == 0:
                     found[key] = ZeroSet((), 0.0, METHOD_JACOBI, spec)
                 else:

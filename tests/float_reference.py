@@ -217,7 +217,13 @@ def _solve_companion_alone(p):
         raw = [0.0 - coeffs[0] / coeffs[1]]  # not -y: a zero at the origin is +0.0
     else:
         raw = []
-        for z in np.roots(coeffs[::-1]).tolist():
+        try:
+            eig = np.roots(coeffs[::-1]).tolist()
+        except np.linalg.LinAlgError as exc:
+            raise RootComputationError(
+                f"LAPACK ?geev failed ({exc}) on the companion matrix of a degree-{deg} polynomial"
+            ) from exc
+        for z in eig:
             if abs(z.imag) > REALITY_THRESHOLD * max(1.0, abs(z.real)):
                 raise RootComputationError(
                     f"companion eigenvalue {z} is not real within threshold "

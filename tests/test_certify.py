@@ -1,30 +1,49 @@
-"""The exact route of the random oracles: ``certify``'s integer kernels, and
-the shape checkers on drawn zeros against the same checkers on float zero sets.
+"""The exact routes: ``certify``'s integer kernels, the shape checkers on
+drawn zeros against the same checkers on float zero sets, and the named
+checks decided along G's recurrence chain against the float checkers.
 
 The kernels are checked against ``Fraction`` arithmetic: the sign of a
 polynomial at a / b against the sign of ``Polynomial.evaluate``, the first
 break of an alternation against a sort of the tagged entries, and the sign
 changes along a set of points against a count of the known zeros in each
-interval.  A checker given no zero sets reads its orders from the drawn
-zeros (``relations._DrawnOrders``); its report is checked, row by row and
-field by field, against the report it gives on the zero sets the oracle path
-solved before it was exact (``relations._FloatOrders``): each drawn zero
-correctly rounded, and P by the companion path.
+interval.  ``zeros_above`` is checked against the eigenvalues of the Jacobi
+matrix, and exactly at points that are zeros of G.  A checker given no zero
+sets reads its orders from the drawn zeros (``relations._DrawnOrders``), or
+for a named check from G's chain (``relations._ChainOrders``); its report is
+checked, row by row and field by field, against the report it gives on float
+zero sets (``relations._FloatOrders``): for an oracle, the zero sets its path
+solved before it was exact (each drawn zero correctly rounded, and P by the
+companion path); for a named check, the zero sets ``relation_terms`` names.
 """
 
+import dataclasses
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from interlace import cli, relations
-from interlace.certify import first_break, sign_changes, signs_at
+from interlace import cli, families, relations
+from interlace.certify import chain_coefficients, first_break, sign_changes, signs_at, zeros_above
+from interlace.families import (
+    InvalidParameterError,
+    jacobi,
+    krawtchouk,
+    laguerre,
+    meixner,
+    recurrence_steps,
+)
 from interlace.poly import Polynomial, _integer_form
-from interlace.relations import check_relation, oracle_down_one, oracle_pair_up
-from interlace.rootfind import Term, ZeroSet, zero_sets
+from interlace.relations import (
+    build_relation,
+    check_relation,
+    oracle_down_one,
+    oracle_pair_up,
+    relation_terms,
+)
+from interlace.rootfind import Term, ZeroSet, unwrap, zero_sets, zeros_orthogonal
 
 
 def _sign(x) -> int:
@@ -240,3 +259,276 @@ def test_pair_up_oracle_passes_at_degrees_40_to_48():
     rows = out.splitlines()[1:]
     assert code == 0
     assert len(rows) == 27 and all(row.endswith(",pass") for row in rows)
+
+
+# -- zeros_above: counts along a recurrence chain --------------------------------
+
+above_minus_one = st.fractions(min_value=F(-99, 100), max_value=20, max_denominator=100)
+positive = st.fractions(min_value=F(1, 100), max_value=20, max_denominator=100)
+open_unit = st.fractions(min_value=F(1, 1000), max_value=F(999, 1000), max_denominator=1000)
+up_to_40 = st.integers(min_value=0, max_value=40)
+
+
+@st.composite
+def krawtchouk_specs(draw):
+    n = draw(up_to_40)
+    return krawtchouk(draw(open_unit), draw(st.integers(min_value=max(n, 1), max_value=120)), n)
+
+
+orthogonal_specs = st.one_of(
+    st.builds(jacobi, above_minus_one, above_minus_one, up_to_40),
+    st.builds(laguerre, above_minus_one, up_to_40),
+    krawtchouk_specs(),
+    st.builds(meixner, positive, open_unit, up_to_40),
+)
+
+
+@given(orthogonal_specs, st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=200, deadline=None)
+@example(jacobi(2, 14, 40), 10**6)  # above every zero
+@example(meixner(F(1, 3), F(999, 1000), 40), 0)  # below every zero
+def test_zeros_above_counts_the_eigenvalues_above_a_point(spec, k):
+    zeros = zeros_orthogonal(spec).zeros
+    lo, hi = (F(zeros[0]) - 1, F(zeros[-1]) + 1) if zeros else (F(-1), F(1))
+    x = lo + (hi - lo) * F(k, 10**6)
+    assume(all(abs(z - x) >= F(1, 10**6) for z in zeros))
+    assert zeros_above(recurrence_steps(spec), x.numerator, x.denominator) == (
+        sum(z > x for z in zeros),
+        False,
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_zeros_above_skips_a_zero_term(n):
+    # The Legendre members alternate in parity, so every odd one vanishes at
+    # 0: p_m(0) = 0 for odd m, and p_(m-1)(0) = 0 for even m.
+    steps = recurrence_steps(jacobi(0, 0, n))
+    assert zeros_above(steps, 0, 1) == (n // 2, n % 2 == 1)
+
+
+#: the acceptance grid of the five orthogonal checks, n = 1..8 (the grid
+#: sweeps of the benchmark's seed 0)
+GRID_JACOBI = [F(-1, 2), F(0), F(1), F(5, 2), F(14)]
+
+
+def _grid_points():
+    for n in range(1, 9):
+        for alpha in GRID_JACOBI:
+            yield "laguerre-3.7", n, {"alpha": alpha}
+            for beta in GRID_JACOBI:
+                yield "jacobi-3.6", n, {"alpha": alpha, "beta": beta}
+                if beta > 0:
+                    yield "jacobi-3.5", n, {"alpha": alpha, "beta": beta}
+        for t in (F(1, 2), F(1), F(3)):
+            for w in (F(1, 4), F(1, 2), F(3, 4)):
+                yield "meixner-3.2", n, {"t": t, "w": w}
+        for p in (F(1, 4), F(1, 2), F(3, 4)):
+            for N in (F(9), F(10)):
+                yield "krawtchouk-3.1", n, {"p": p, "N": N}
+
+
+#: the meixner-3.2 points where E is a zero of G that the float checker
+#: reported with a failed premise (defect C)
+C_POINTS = [(61, F(1)), (99, F(1)), (101, F(1)), (60, F(2))]
+
+
+def _common_zero_relations():
+    with families.chain_scope():
+        rels = [build_relation(*point) for point in _grid_points()]
+        rels = [rel for rel in rels if rel.G.evaluate(rel.E) == 0]
+        rels += [build_relation("meixner-3.2", n, {"t": t, "w": F(1, 2)}) for n, t in C_POINTS]
+    return rels
+
+
+def test_zeros_above_at_a_zero_of_g():
+    rels = _common_zero_relations()
+    assert len(rels) > len(C_POINTS)
+    for rel in rels:
+        zeros, e = zeros_orthogonal(rel.specs["G"]).zeros, rel.E
+        near = [z for z in zeros if abs(z - e) < F(1, 10**6)]
+        assert len(near) == 1, (rel.rel_id, rel.params)
+        want = sum(z - e >= F(1, 10**6) for z in zeros)
+        assert zeros_above(recurrence_steps(rel.specs["G"]), e.numerator, e.denominator) == (want, True)
+
+
+# -- fact 2: every premise is a relation on G's chain --------------------------
+
+#: the grid pools every benchmark seed draws from
+POOL_JACOBI = [F(x) for x in ("-1/2", "-1/3", "0", "1", "2", "5/2", "3/2", "7/2", "14", "13", "15")]
+POOL_MEIXNER_T = [F(x) for x in ("1/2", "1/3", "1", "2", "3", "4")]
+POOL_MEIXNER_W = [F(x) for x in ("1/4", "1/5", "1/2", "1/3", "3/4", "2/3")]
+POOL_KRAWTCHOUK_P = [F(x) for x in ("1/4", "1/5", "1/2", "2/5", "3/4", "4/5")]
+
+
+def _pool_params(check_id: str, n: int):
+    if check_id == "laguerre-3.7":
+        return [{"alpha": a} for a in POOL_JACOBI]
+    if check_id == "jacobi-3.6":
+        return [{"alpha": a, "beta": b} for a in POOL_JACOBI for b in POOL_JACOBI]
+    if check_id == "jacobi-3.5":
+        return [{"alpha": a, "beta": b} for a in POOL_JACOBI for b in POOL_JACOBI if b > 0]
+    if check_id == "meixner-3.2":
+        return [{"t": t, "w": w} for t in POOL_MEIXNER_T for w in POOL_MEIXNER_W]
+    sizes = (9, 10, 11) if n < 9 else (n + 3, n + 4)
+    return [{"p": p, "N": F(N)} for p in POOL_KRAWTCHOUK_P for N in sizes]
+
+
+def _pair_sign(pair) -> int:
+    num, den = pair
+    return _sign(num * den)
+
+
+#: check id -> the signs of (t, c1, c2) in Q = t G + c1 G1 + c2 G2
+SIGN_TABLE = {
+    "jacobi-3.6": (0, 1, 0),  # Q = G1
+    "laguerre-3.7": (1, 1, 0),
+    "meixner-3.2": (1, 1, 0),
+    "krawtchouk-3.1": (1, -1, 0),
+    "jacobi-3.5": (1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("check_id", SIGN_TABLE)
+def test_every_premise_is_a_relation_on_the_chain_of_g(check_id):
+    with families.chain_scope():
+        for n in (1, 2, 3, 5, 8, 20, 60):
+            for params in _pool_params(check_id, n):
+                rel = build_relation(check_id, n, params)
+                spec = rel.specs["G"]
+                chain, m = families._chain(spec), spec.n
+                basis = [chain.member(k) for k in (m, m - 1, m - 2)]
+                coeffs = chain_coefficients((rel.Q.nums, rel.Q.den), [(p.nums, p.den) for p in basis])
+                assert tuple(map(_pair_sign, coeffs)) == SIGN_TABLE[check_id], (n, params)
+                if check_id == "jacobi-3.6":
+                    assert rel.Q == basis[1]
+
+
+# -- the chain report against the float checkers ------------------------------
+
+
+@st.composite
+def named_points(draw):
+    """An orthogonal named check at n = 1..12 on drawn parameters."""
+    check_id = draw(st.sampled_from(sorted(SIGN_TABLE)))
+    n = draw(st.integers(min_value=1, max_value=12))
+    if check_id == "krawtchouk-3.1":
+        params = {"p": draw(open_unit), "N": F(draw(st.integers(min_value=n + 1, max_value=n + 40)))}
+    elif check_id == "meixner-3.2":
+        params = {"t": draw(positive), "w": draw(open_unit)}
+    elif check_id == "laguerre-3.7":
+        params = {"alpha": draw(above_minus_one)}
+    else:
+        beta = positive if check_id == "jacobi-3.5" else above_minus_one
+        params = {"alpha": draw(above_minus_one), "beta": draw(beta)}
+    return check_id, n, params
+
+
+def _without_evidence(notes):
+    """The notes with the evidence of the extreme-zero note cut off: the float
+    source prints G's extreme zero, the chain source a count."""
+    return [note.split(":")[0] if note.startswith("extreme zero") else note for note in notes]
+
+
+@given(named_points())
+@settings(max_examples=300, deadline=None)
+@example(("krawtchouk-3.1", 8, {"p": F(1, 3), "N": F(11)}))
+@example(("jacobi-3.5", 8, {"alpha": F(2), "beta": F(14)}))
+def test_chain_report_agrees_with_the_float_checker(point):
+    rel = build_relation(*point)
+    found = zero_sets(relation_terms(rel))
+    zg, zq, zp = map(unwrap, found)
+    merged = sorted([*zg.zeros, *zq.zeros, *zp.zeros, float(rel.E)])
+    assume(all(b - a > 1e-6 for a, b in zip(merged, merged[1:])))
+    want, got = check_relation(rel, found), check_relation(rel, ())
+    assert got.csv_rows() == want.csv_rows(), point
+    assert {**got.to_json(), "notes": None} == {**want.to_json(), "notes": None}, point
+    assert (got.premise, got.hypotheses) == (want.premise, want.hypotheses), point
+    assert _without_evidence(got.notes) == _without_evidence(want.notes), point
+
+
+def test_the_chain_decides_only_a_certified_relation_on_its_own_member():
+    rel = build_relation("laguerre-3.7", 4, {"alpha": 0})
+    assert check_relation(rel, ()).passed
+    uncertified = dataclasses.replace(rel, P=rel.P + Polynomial([1]))
+    assert not uncertified.certified
+    # the same terms, certified, with G named as a member of another chain
+    renamed = dataclasses.replace(rel, specs={**rel.specs, "G": laguerre(F(1, 2), 5)})
+    assert renamed.certified
+    for copy in (uncertified, renamed):
+        with pytest.raises(ValueError, match="laguerre-3.7: the chain decides only a certified relation"):
+            check_relation(copy, ())
+
+
+# -- the chain on hand-made relations: a failing premise, and A vanishing at E --
+
+LEGENDRE_3 = jacobi(0, 0, 3)  # x^3 - 3/5 x, zeros -sqrt(3/5), 0, sqrt(3/5)
+
+
+def _legendre(k: int) -> Polynomial:
+    return families.monic_by_recurrence(jacobi(0, 0, k))
+
+
+def _pair_up_on_legendre_3(Q: Polynomial, e: F) -> relations.MixedRelation:
+    """A pair-up relation with G = LEGENDRE_3, the given Q and E, and B = b - x,
+    b chosen so that B G + (x - E) Q drops to degree 2: A is its leading
+    coefficient and P the monic rest."""
+    G = _legendre(3)
+    b = e + G.coeffs[2] - Q.coeffs[2]  # cancels x^3
+    rest = Polynomial([b, -1]) * G + Polynomial([-e, 1]) * Q
+    assert rest.degree == 2
+    lead = rest.leading_coefficient
+    rel = relations.MixedRelation(
+        "hand", relations.PAIR_UP, 1, Polynomial([lead]), Polynomial([b, -1]), e,
+        rest.scale(1 / lead), G, Q, specs={"G": LEGENDRE_3},
+    )
+    assert rel.certified
+    return rel
+
+
+@pytest.mark.parametrize(
+    "c1, witness",
+    [
+        # L = 1/10 + (x - 0) / l_3 with l_3 = 9/35: its root -9/350 lies
+        # between the zeros 0 and 1 of G
+        (F(1, 10), (0, 1)),
+        # L = x / l_3 vanishes at G's zero 0, which Q shares
+        (F(0), (1, 1)),
+    ],
+)
+def test_a_premise_that_fails_on_the_chain(c1, witness):
+    # Q = G + c1 G1 + G2 does not alternate with G: Q(g) = L(g) G1(g)
+    # changes sign, or vanishes, where L does.
+    Q = _legendre(3) + _legendre(2).scale(c1) + _legendre(1)
+    report = check_relation(_pair_up_on_legendre_3(Q, F(2)), ())
+    assert report.premise_kind is None
+    assert report.premise == relations.Verdict("Fail", witness=witness)
+    assert set(report.clauses.values()) == {"skipped"}
+    assert "premise failed: zero sets of Q and G do not alternate" in report.notes
+
+
+def test_p_sign_where_a_and_g_vanish_at_e_is_read_directly():
+    # A = x vanishes at E = 0, a zero of G: A(0) P(0) = 0 says nothing of
+    # P(0), so the chain reads P's sign there.  P = (x + 1) G / x - G1 =
+    # x^3 - 3/5 x - 4/15, nonzero at every zero of G.
+    G, Q = _legendre(3), _legendre(2)
+    B = Polynomial([1, 1])
+    P = (B * G).divide_linear(0)[0] - Q
+    rel = relations.MixedRelation(
+        "hand", relations.DOWN_ONE, -1, Polynomial([0, 1]), B, F(0), P, G, Q,
+        specs={"G": LEGENDRE_3},
+    )
+    assert rel.certified and P.evaluate(0) == F(-4, 15)
+    report = check_relation(rel, ())
+    assert not report.hypotheses["e_not_on_g_zero"]
+    assert report.hypotheses["no_common_zeros_g_p"]
+    orders = relations._ChainOrders(rel)
+    root = F(3, 5) ** 0.5
+    assert orders.p_signs == [_sign(P.evaluate(F(x))) for x in (-root, 0, root)]
+
+
+def test_a_q_off_the_chain_is_refused():
+    # Q = G + x^2 + 1 = G + G1 + 4/3 is no combination of G, G1 and G2 = x:
+    # the chain has no premise to read, and there is no float fallback.
+    rel = _pair_up_on_legendre_3(_legendre(3) + Polynomial([1, 0, 1]), F(2))
+    with pytest.raises(InvalidParameterError, match="hand: Q is not t G"):
+        check_relation(rel, ())

@@ -175,12 +175,12 @@ def test_tridiagonal_eigenvalues_match_stevd(matrix):
     assert np.linalg.eigvalsh(_jacobi_matrices([diag], [off]))[0].tolist() == want
 
 
-def _eigvalsh_fails(a, UPLO="L"):
+def _lapack_fails(a, UPLO="L"):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
 def test_lapack_failure_is_a_root_computation_error(monkeypatch):
-    monkeypatch.setattr(np.linalg, "eigvalsh", _eigvalsh_fails)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _lapack_fails)
     with pytest.raises(
         RootComputationError, match=r"\?syevd failed \(Eigenvalues did not converge\)"
     ):
@@ -189,12 +189,21 @@ def test_lapack_failure_is_a_root_computation_error(monkeypatch):
 
 def test_lapack_failure_becomes_a_sweep_error_row(monkeypatch, capsys, tmp_path):
     # LinAlgError is a ValueError, which the CLI would report as invalid input.
-    monkeypatch.setattr(np.linalg, "eigvalsh", _eigvalsh_fails)
+    # The Narayana checks are the named checks that still solve zero sets,
+    # on the companion path.
+    monkeypatch.setattr(np.linalg, "eigvals", _lapack_fails)
     spec = tmp_path / "sweep.json"
-    spec.write_text('{"check": "laguerre-3.7", "n": "2..3", "params": {"alpha": [1]}}')
+    spec.write_text('{"check": "narayana-3.3", "n": "3..4"}')
     code = cli.main(["sweep", str(spec), "--workers", "1"])
     out = capsys.readouterr().out
-    assert ",build,error: RootComputationError: LAPACK ?syevd failed" in out
+    assert ",build,error: RootComputationError: LAPACK ?geev failed" in out
+    assert code == 3
+
+
+def test_lapack_failure_in_the_zeros_command_exits_three(monkeypatch, capsys):
+    monkeypatch.setattr(np.linalg, "eigvalsh", _lapack_fails)
+    code = cli.main(["zeros", "--family", "laguerre", "--alpha", "1", "--n", "3"])
+    assert "LAPACK ?syevd failed" in capsys.readouterr().err
     assert code == 3
 
 

@@ -218,10 +218,11 @@ class TestVerifyIdentity:
 
     def test_a_relation_without_zero_sets_is_refused(self):
         # Zero sets come from plan_check's terms; a checker solves none itself.
-        rel = build_relation("laguerre-3.7", 4, {"alpha": 0})
-        for checker in (check_relation, check_pair_up):
+        # A Narayana G has no recurrence chain to decide on instead.
+        rel = build_relation("narayana-3.3", 4)
+        for checker in (check_relation, check_down_one):
             for found in (None, [], ()):
-                with pytest.raises(ValueError, match="laguerre-3.7: no zero sets given"):
+                with pytest.raises(ValueError, match="narayana-3.3: no zero sets given"):
                     checker(rel, found)
 
 

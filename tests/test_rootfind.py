@@ -19,6 +19,7 @@ from interlace.families import (
 )
 from interlace.interlacing import INTERLACE_DOWN, interlaces_down
 from interlace.poly import Polynomial
+from interlace.relations import DOWN_ONE, MixedRelation, check_relation
 from interlace.rootfind import (
     RootComputationError,
     ZeroSet,
@@ -27,6 +28,21 @@ from interlace.rootfind import (
 )
 
 from float_reference import sign_at_zeros
+
+def _chain_relation(spec):
+    """A certified down-one relation on G = the member of ``spec``, Q the one below.
+
+    With E = 0, A = 1 and B = 2, P = 2 G - x Q is monic of G's degree.
+    """
+    G = monic_by_recurrence(spec)
+    Q = monic_by_recurrence(families.FamilySpec(spec.kind, spec.params, spec.n - 1))
+    P = G.scale(2) - Polynomial([0, 1]) * Q
+    rel = MixedRelation(
+        "chain", DOWN_ONE, -1, Polynomial([1]), Polynomial([2]), F(0), P, G, Q, specs={"G": spec}
+    )
+    assert rel.certified
+    return rel
+
 
 # reference zero table, frozen values (abs tol 1e-5)
 BLOCK1_X = [-0.203565, 0.101387, 0.369625, 0.59992, 0.785274, 0.918787]
@@ -64,6 +80,7 @@ class TestSpectralPath:
         with pytest.raises(InvalidParameterError):
             zeros_orthogonal(families.narayana_spec("narayana-reduced", 3))
 
+    @pytest.mark.parametrize("caller", ["zero_sets", "chain"])
     @pytest.mark.parametrize(
         "kind, params, message",
         [
@@ -73,10 +90,15 @@ class TestSpectralPath:
             ("jacobi", (("alpha", F(-3)), ("beta", F(-3))), "term 2 is not positive (-1/3)"),
         ],
     )
-    def test_rejects_a_nonpositive_offdiagonal_term(self, kind, params, message):
+    def test_rejects_a_nonpositive_offdiagonal_term(self, kind, params, message, caller):
+        # Both users of a chain's steps refuse it with one message: the
+        # Jacobi-matrix path, and the chain order source of a relation.
         spec = families.FamilySpec(kind, params, 2)  # unvalidated, outside the region
         with pytest.raises(InvalidParameterError, match=re.escape(message)):
-            zeros_orthogonal(spec)
+            if caller == "zero_sets":
+                zeros_orthogonal(spec)
+            else:
+                check_relation(_chain_relation(spec), ())
 
     @pytest.mark.parametrize("n", [1, 5, 12, 25])
     def test_zeros_inside_family_support(self, n):

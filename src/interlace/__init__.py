@@ -14,6 +14,7 @@ from .relations import (
     MixedRelation,
     build_relation,
     check_relation,
+    relation_terms,
     run_check,
     verify_identity,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "check_relation",
     "interlaces_down",
     "monic_by_recurrence",
+    "relation_terms",
     "run_check",
     "verify_identity",
     "zeros_general",

@@ -9,8 +9,8 @@ The argparse parser is built once per process, on first use, and shared by
 every ``main`` call (``build_parser``).
 Rational parameters are given as "num/den" strings; plain decimals are parsed
 as exact decimal fractions (0.4 becomes 2/5), never as binary floats.
-Orderings are decided against the one fixed separation floor,
-``interlacing.DEFAULT_FLOOR`` (1e-9); no flag or environment variable sets it.
+Every check and sweep point is decided exactly, with no separation floor;
+no flag or environment variable sets one.
 """
 
 from __future__ import annotations
@@ -572,8 +572,7 @@ def cmd_sweep(args) -> int:
         if wanted:
             keep = {*wanted, BUILD_ROW}
     # A spec-file sweep's points come sorted by parameter set and then degree,
-    # so a contiguous run builds each set's recurrence chain in one process,
-    # and solves the zero sets of all its points together.
+    # so a contiguous run builds each set's recurrence chain in one process.
     # A point of degree n weighs (n + 2)^2, a rough model of its cost.
     weights = [(n + 2) ** 2 for n, _ in points]
     with _output(args.output) as out:

@@ -10,6 +10,10 @@ An orthogonal family's recurrence coefficients depend on the step and the
 parameters only, so one forward run per (kind, parameters) yields every
 member and every coefficient prefix.  Inside ``chain_scope()`` that run is
 kept and extended on demand; outside one, each call runs it afresh.
+
+``chain_reading`` reads a member along a chain with no zero solved: an
+orthogonal member along its own, and the reduced Narayana polynomial along
+the chain of the Jacobi polynomial P^(1,1), through t = (1 + x) / (1 - x).
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ import contextvars
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import certify
 from .poly import Polynomial, _integer_form
 
 ORTHOGONAL_KINDS = ("jacobi", "laguerre", "krawtchouk", "meixner")
@@ -75,6 +80,14 @@ class FamilySpec:
     kind: str
     params: tuple[tuple[str, Fraction], ...]
     n: int
+    #: the kind and each parameter's numerator and denominator, formed once per
+    #: spec: equal for specs of equal kind and parameters, whatever their degree.
+    #: A key of integers: a Fraction hashes through a modular inverse on every call.
+    param_key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        key = (self.kind, *[x for _, v in self.params for x in (v.numerator, v.denominator)])
+        object.__setattr__(self, "param_key", key)
 
     @classmethod
     def make(cls, kind: str, n: int, **params) -> "FamilySpec":
@@ -323,20 +336,11 @@ def chain_scope():
         _CHAINS.reset(token)
 
 
-def param_key(spec: FamilySpec) -> tuple:
-    """``spec``'s kind and each parameter's numerator and denominator.
-
-    Equal for specs of equal kind and parameters, whatever their degree.  A
-    key of integers: a Fraction hashes through a modular inverse on every call.
-    """
-    return (spec.kind, *[x for _, v in spec.params for x in (v.numerator, v.denominator)])
-
-
 def _chain(spec: FamilySpec) -> _Chain:
     chains = _CHAINS.get()
     if chains is None:
         return _Chain(_step_rule(spec))
-    key = param_key(spec)
+    key = spec.param_key
     chain = chains.get(key)
     if chain is None:
         chain = chains[key] = _Chain(_step_rule(spec))
@@ -362,6 +366,138 @@ def orthogonal_steps(steps: list[Step]) -> list[Step]:
                 f"({Fraction(u, v)}); parameters outside the orthogonality region"
             )
     return steps
+
+
+# ---------------------------------------------------------------------------
+# Reading a member along a recurrence chain
+# ---------------------------------------------------------------------------
+
+
+class _OwnChain:
+    """An orthogonal family's member p_m, read along its own recurrence chain."""
+
+    def __init__(self, spec: FamilySpec):
+        self.m = spec.n
+        self.chain = _chain(spec)
+        #: the chain's first m steps, once every l_k is seen positive
+        self.steps = orthogonal_steps(self.chain.steps_to(spec.n))
+
+    def zeros_above(self, x: Fraction) -> tuple[int, bool]:
+        """How many zeros of p_m lie above x, and whether x is one of them."""
+        return certify.zeros_above(self.steps, x.numerator, x.denominator)
+
+    def link(self, g: Polynomial, q: Polynomial) -> tuple[bool, list | None]:
+        """Whether g is p_m, and the (t, c1, c2) with q = t p_m + c1 p_(m-1) + c2 p_(m-2)
+        (``certify.chain_coefficients``; None when there are none)."""
+        member, m = self.chain.member, self.m
+        if g != member(m):
+            return False, None
+        basis = [member(k) for k in range(m, max(m - 3, -1), -1)]
+        return True, certify.chain_coefficients((q.nums, q.den), [(p.nums, p.den) for p in basis])
+
+
+def narayana_jacobi(n: int) -> FamilySpec:
+    """The Jacobi member P^(1,1)_(n-1), whose image under t = (1 + x) / (1 - x) is R_n."""
+    return jacobi(1, 1, n - 1)
+
+
+class _NarayanaChain:
+    """The reduced Narayana polynomial R_n, of degree m = n - 1, read along the
+    chain of the Jacobi member p_m = P^(1,1)_m.
+
+    The recurrence (k + 1) R_k = (2k - 1)(1 + x) R_(k-1) - (k - 2)(1 - x)^2 R_(k-2),
+    from R_1 = 1 and R_2 = 1 + x, is that chain seen through t = (1 + x) / (1 - x).
+    Since 1 + x = t (1 - x), it makes R_k = kappa_k (1 - x)^(k-1) p_(k-1)(t), with
+    kappa_k = (2k - 1) kappa_(k-1) / (k + 1) > 0, for the monic p_k whose step j
+    has c = 0 and l = j (j + 2) / ((2j + 1)(2j + 3)): the steps of P^(1,1), which
+    the constructor compares.  The map increases on x < 1, where
+    (1 - x)^(k-1) > 0, so a point x < 1 has as many zeros of R_n above it as t
+    has zeros of p_m, and no zero of R_n lies at or above 1.  That R_n and
+    R_(n-1) are the closed forms is ``link``'s certificate, made for each
+    relation it reads.
+    """
+
+    def __init__(self, spec: FamilySpec):
+        self.n = spec.n
+        self.m = spec.n - 1
+        self.steps = orthogonal_steps(recurrence_steps(narayana_jacobi(spec.n)))
+        for j, (a, _, u, v) in enumerate(self.steps):
+            if a or u * (2 * j + 1) * (2 * j + 3) != v * j * (j + 2):
+                raise ConstructionError(
+                    f"step {j + 1} of P^(1,1) is not the one the Narayana recurrence gives"
+                )
+
+    def zeros_above(self, x: Fraction) -> tuple[int, bool]:
+        """How many zeros of R_n lie above x, and whether x is one of them."""
+        if x >= 1:
+            return 0, False
+        p, q = x.numerator, x.denominator
+        return certify.zeros_above(self.steps, q + p, q - p)  # t = (q + p) / (q - p)
+
+    def link(self, g: Polynomial, q: Polynomial) -> tuple[bool, list | None]:
+        """Whether g is R_n, and (t, c1) = (0, lc q) when q = c1 R_(n-1) (None when not).
+
+        Both are decided by one run of the recurrence (``_narayana_multiples``).
+        """
+        g_ok, q_ok = _narayana_multiples(self.n, g.nums, q.nums)
+        return g_ok and g.is_monic, [(0, 1), (q.nums[-1], q.den)] if q_ok else None
+
+
+def _narayana_multiples(n: int, g_nums, q_nums) -> tuple[bool, bool]:
+    """Whether the integer vectors g_nums and q_nums are multiples of R_n and
+    R_(n-1), with R_k run by the recurrence of ``_NarayanaChain``; n >= 2.
+
+    On integers the recurrence runs as W_k = c_k R_k, c_k = (k + 1)! / 2:
+    W_1 = 1, W_2 = 3 (1 + x) and
+    W_k = (2k - 1)(1 + x) W_(k-1) - k (k - 2)(1 - x)^2 W_(k-2).  A vector
+    nums is a multiple of R_k iff F = c_k nums - nums[-1] W_k is the zero
+    polynomial, and that is decided at one point X = 2^B, with B so large
+    that X exceeds a bound h on every |coefficient| of F: if F(X) = 0 and F
+    is not zero, X divides F's lowest nonzero coefficient, which is smaller
+    than X.  h comes from the l1 norms, ||W_k||_1 <= N_k with N_1 = 1,
+    N_2 = 6 and N_k = 2 (2k - 1) N_(k-1) + 4 k (k - 2) N_(k-2).  The
+    recurrence then runs on the values W_k(X) alone, by shifts and adds,
+    never on coefficient vectors.
+    """
+    c_low, c_high, n_low, n_high = 1, 3, 1, 6  # c_(k-1), c_k, N_(k-1), N_k at k = 2
+    for k in range(3, n + 1):
+        c_low, c_high = c_high, c_high * (k + 1)
+        n_low, n_high = n_high, 2 * (2 * k - 1) * n_high + 4 * k * (k - 2) * n_low
+    wanted = ((c_high, n_high, g_nums), (c_low, n_low, q_nums))
+    b = max(c * sum(map(abs, nums)) + abs(nums[-1]) * bound for c, bound, nums in wanted).bit_length()
+    low, high = 1, 3 + (3 << b)  # W_1(X), W_2(X)
+    for k in range(3, n + 1):
+        low, high = high, (
+            (2 * k - 1) * (high + (high << b))
+            - k * (k - 2) * (low - (low << (b + 1)) + (low << (2 * b)))
+        )
+    out = []
+    for (c, _, nums), value in zip(wanted, (high, low)):
+        at = 0  # nums at X
+        for x in reversed(nums):
+            at = (at << b) + x
+        out.append(c * at == nums[-1] * value)
+    return out[0], out[1]
+
+
+#: the kinds whose members are read along a recurrence chain (``chain_reading``)
+CHAIN_KINDS = ORTHOGONAL_KINDS + ("narayana-reduced",)
+
+
+def chain_reading(spec: FamilySpec) -> _OwnChain | _NarayanaChain:
+    """``spec``'s member read along a recurrence chain, with no zero solved.
+
+    The reading's ``m`` is the member's degree; ``zeros_above(x)`` places a
+    rational x among its zeros by one integer count along the chain
+    (``certify.zeros_above``), and ``link(g, q)`` says whether g is the
+    member and gives q's coefficients on it and the chain members below it.
+    An orthogonal member is read along its own chain, and R_n along P^(1,1)'s.
+    """
+    if spec.kind in ORTHOGONAL_KINDS:
+        return _OwnChain(spec)
+    if spec.kind == "narayana-reduced":
+        return _NarayanaChain(spec)
+    raise InvalidParameterError(f"{spec.kind} has no recurrence chain to read along")
 
 
 def recurrence_coeffs(spec: FamilySpec) -> RecurrenceCoeffs:

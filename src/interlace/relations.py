@@ -7,11 +7,12 @@ clauses: it tests the stated hypotheses and decides every conclusion clause
 of the matching interlacing statement, producing a witness-carrying report.
 The checker reads each clause as one order of zeros, from one of three
 sources: the float zero sets of G, Q and P held to the separation floor
-(``_FloatOrders``, which leaves an order undecided below it; the Narayana
-checks); the exact drawn zeros of G and Q (``_DrawnOrders``, integer merges
-and signs; the random oracles); or the recurrence chain of an orthogonal G
-(``_ChainOrders``, integer counts along G's three-term recurrence and the
-signs the identity gives P; the other five named checks).  The two exact
+(``_FloatOrders``, which leaves an order undecided below it; a comparison
+route that no command takes); the exact drawn zeros of G and Q
+(``_DrawnOrders``, integer merges and signs; the random oracles); or the
+recurrence chain G is read on (``_ChainOrders``, integer counts along a
+three-term recurrence and the signs the identity gives P; every named
+check, the Narayana ones along the chain of P^(1,1)).  The two exact
 sources solve no zero set and hold nothing to a floor.
 
 Two relation shapes are supported, named by the degrees of G and Q
@@ -675,11 +676,13 @@ def _sign_order(p_signs, e_sides, lead: int, degree: int, subject: str, first: s
         # (x - E) P: P's leading coefficient, one degree up
         signs = [s * e for s, e in zip(signs, e_sides)]
         degree += 1
-    changes = certify.sign_changes(signs, lead, degree)
     # one zero of the subject below G's lowest iff it comes first, one
     # between each two neighbouring zeros of G, and the rest above G's highest
     lowest = int(first == subject)
     m = len(signs)
+    if not m:  # one interval, the whole line, holding that one zero or none
+        return degree == lowest
+    changes = certify.sign_changes(signs, lead, degree)
     return changes == (lowest, *(1,) * (m - 1), degree - m + 1 - lowest)
 
 
@@ -695,14 +698,17 @@ def _sides(above: int, on: bool, m: int) -> list[int]:
 
 class _ChainOrders:
     """The orders of ``_FloatOrders``, decided exactly along the recurrence
-    chain of G, an orthogonal family's member p_m: no zero set is solved and
-    none is undecided.
+    chain G is read on (``families.chain_reading``): an orthogonal family's
+    member p_m along its own chain, or the reduced Narayana polynomial along
+    the chain of P^(1,1) seen through t = (1 + x) / (1 - x).  No zero set is
+    solved and none is undecided.
 
     E, and the roots of A and of L below, are each placed among the zeros of
     G by one count along the chain (``certify.zeros_above``).
 
     * The premise.  Q = t G + c1 G1 + c2 G2 exactly, G1 and G2 being the
-      chain's members of degree m - 1 and m - 2 (``certify.chain_coefficients``).
+      chain's members of degree m - 1 and m - 2 (``certify.chain_coefficients``;
+      on the Narayana chain, Q = c1 G1 is certified with G).
       Since G = (x - c_m) G1 - l_m G2, Q(g) = L(g) G1(g) at each zero g of
       G, with L = c1 + c2 (x - c_m) / l_m, and G1 alternates in sign on the
       zeros of G.  Where L keeps one sign on them Q alternates too, so the
@@ -721,23 +727,24 @@ class _ChainOrders:
     """
 
     def __init__(self, rel: MixedRelation):
-        spec = rel.specs["G"]
-        m = spec.n
-        chain = families._chain(spec)
-        if not rel.certified or rel.G != chain.member(m):
+        reading = families.chain_reading(rel.specs["G"])
+        m = reading.m
+        E, Q = rel.E, rel.Q
+        member, coeffs = reading.link(rel.G, Q) if rel.certified else (False, None)
+        if not member:
             raise ValueError(
                 f"{rel.rel_id}: the chain decides only a certified relation whose G "
                 f"is the degree-{m} member of its spec's chain"
             )
-        steps = families.orthogonal_steps(chain.steps_to(m))
-
-        def locate(x: Fraction) -> tuple[int, bool]:
-            return certify.zeros_above(steps, x.numerator, x.denominator)
+        if coeffs is None:
+            raise InvalidParameterError(
+                f"{rel.rel_id}: Q is not t G + c1 G1 + c2 G2 on the recurrence chain of G"
+            )
+        locate = reading.zeros_above
 
         def sign_at(poly: Polynomial, x: Fraction) -> int:
             return certify.signs_at(poly.nums, (x.numerator,), x.denominator)[0]
 
-        E, Q = rel.E, rel.Q
         above, on = locate(E)
         self.position = (
             "unknown" if on else "below" if above == m else "above" if above == 0 else "interior"
@@ -749,18 +756,13 @@ class _ChainOrders:
         # the zeros of G that E or L's root sits on, where P's sign is taken directly
         direct = {m - 1 - above: E} if on else {}
 
-        basis = [chain.member(k) for k in range(m, max(m - 3, -1), -1)]
-        coeffs = certify.chain_coefficients((Q.nums, Q.den), [(p.nums, p.den) for p in basis])
-        if coeffs is None:
-            raise InvalidParameterError(
-                f"{rel.rel_id}: Q is not t G + c1 G1 + c2 G2 on the recurrence chain of G"
-            )
         (c1, d1), (c2, d2) = (*coeffs[1:], (0, 1), (0, 1))[:2]
         # L's sign at each zero of G; where it changes among them, the two
-        # zeros of G around L's root, or twice the one it sits on
+        # zeros of G around L's root, or twice the one it sits on.  c2 is
+        # nonzero on an orthogonal member's own chain only, whose steps are in x.
         self.broken = root = None
         if c2:
-            a, b, u, v = steps[m - 1]
+            a, b, u, v = reading.steps[m - 1]
             root = Fraction(a * d1 * v * c2 - b * c1 * u * d2, b * d1 * v * c2)  # c_m - c1 l_m / c2
             root_at = locate(root)
             l_signs = [_sign(c2 * d2) * x for x in _sides(*root_at, m)]
@@ -822,15 +824,15 @@ def _open_report(
 
     ``found`` holds the ``zero_sets`` results of ``relation_terms(rel)``.  A
     relation given none is decided on its drawn zeros if it carries them,
-    else along the recurrence chain of its G, which must be an orthogonal
-    family's member.
+    else along the recurrence chain its G is read on, which G's spec must
+    name (``families.CHAIN_KINDS``).
     """
     spec = rel.specs.get("G")
     if found:
         orders = _FloatOrders(rel, found)
     elif rel.roots:
         orders = _DrawnOrders(rel)
-    elif spec is not None and spec.kind in families.ORTHOGONAL_KINDS:
+    elif spec is not None and spec.kind in families.CHAIN_KINDS:
         orders = _ChainOrders(rel)
     else:
         raise ValueError(
@@ -958,21 +960,31 @@ def check_relation(rel: MixedRelation, found) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def check_narayana_even_quotient(rel: MixedRelation, found) -> CheckReport:
+def check_narayana_even_quotient(rel: MixedRelation) -> CheckReport:
     """Report on narayana-3.4 at even n: P and G share the zero E = -1, and the
     claim is that the zeros of P interlace those of the exact quotient
-    G / (x - E).  ``found`` holds the ``zero_sets`` results of P and of that
-    quotient, and is empty when (x - E) does not divide G."""
+    G / (x - E).
+
+    Decided along G's chain (``_ChainOrders``), with no zero set solved: the
+    zeros of that quotient are those of G other than E, and P's signs there
+    come from the identity, so the claim is one pattern of sign changes
+    (``_sign_order``), P's zero first.
+    """
     report = _new_report(rel)
     report.premise_kind = "even-quotient"
-    shared = rel.P.evaluate(rel.E) == 0 and rel.G.evaluate(rel.E) == 0
-    report.clauses["common_zero_at_minus_one"] = PASS if shared else FAIL_CLAUSE
-    if not found:
+    orders = _ChainOrders(rel)
+    on = orders.position == "unknown"  # E is a zero of G
+    k = orders.m - 1 - orders.above  # and then its index among them
+    report.clauses["common_zero_at_minus_one"] = (
+        PASS if on and orders.p_signs[k] == 0 else FAIL_CLAUSE
+    )
+    if not on:
         report.clauses["quotient_interlace"] = FAIL_CLAUSE
         report.notes.append("reference polynomial not divisible by (x + 1)")
         return report
-    zp, zq = map(unwrap, found)
-    report.clauses["quotient_interlace"] = _clause_result(_holds(interlaces_down(zp, zq)))
+    others = orders.p_signs[:k] + orders.p_signs[k + 1 :]
+    holds = _sign_order(others, None, orders.lead, orders.n, "P", "P")
+    report.clauses["quotient_interlace"] = _clause_result(holds)
     report.notes.append("even branch: zeros of P against zeros of G/(x+1)")
     return report
 
@@ -982,20 +994,15 @@ def plan_check(check_id: str, n: int, params: dict | None = None):
 
     Returns (terms, report): the ``Term``s of the zero sets the check reads,
     and a function that takes their ``zero_sets`` results, in order, and
-    returns the check's report.  Building the relation happens here, so a
-    caller can solve the terms of many checks in one batch.  A check whose G
-    is an orthogonal family's member reads none: it is decided along G's
-    recurrence chain (``_ChainOrders``).  At even n, narayana-3.4 reads the
-    zero sets of P and of G / (x - E) instead.
+    returns the check's report.  Building the relation happens here.  No
+    named check reads a zero set: each is decided along the recurrence
+    chain its G is read on (``_ChainOrders``), so the terms are empty.  At
+    even n, narayana-3.4 reports on P against G / (x - E) instead.
     """
     rel = build_relation(check_id, n, params)
     if check_id == EVEN_QUOTIENT_CHECK and n % 2 == 0:
-        quotient, remainder = rel.G.divide_linear(rel.E)
-        terms = (Term(poly=rel.P), Term(poly=quotient)) if remainder == 0 else ()
-        return terms, partial(check_narayana_even_quotient, rel)
-    if rel.specs["G"].kind in families.ORTHOGONAL_KINDS:
-        return (), partial(check_relation, rel)
-    return relation_terms(rel), partial(check_relation, rel)
+        return (), lambda found: check_narayana_even_quotient(rel)
+    return (), partial(check_relation, rel)
 
 
 def run_check(check_id: str, n: int, params: dict | None = None) -> CheckReport:

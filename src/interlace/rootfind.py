@@ -3,7 +3,7 @@
 Every zero set is found through one batch entry, ``zero_sets``.  It takes
 the terms that a unit of work needs (one check's G, Q and P, or every term
 of every point in a sweep run), solves equal terms once, and solves the
-rest by path and degree.  A term takes one of two paths:
+rest by path and degree.  A term takes one of three paths:
 
 * Families with a classical three-term recurrence: the zeros are the
   eigenvalues of the Jacobi matrix J built from the recurrence coefficients
@@ -14,6 +14,11 @@ rest by path and degree.  A term takes one of two paths:
   absolute row sum of the float matrix: by Weyl's inequality a backward
   stable eigensolver is off by at most p(n) eps ||J||_2 <= p(n) eps
   ||J||_inf, and n stands in for LAPACK's modest p(n).
+* The reduced Narayana polynomial R_n and the raw one, x R_n: the
+  eigenvalues t of the Jacobi matrix of P^(1,1)_(n-1), found as above, each
+  mapped to x = (t - 1) / (t + 1); R_n is (1 - x)^(n-1) P^(1,1)_(n-1)(t) up
+  to a positive factor (``families.chain_reading``).  The bound is the image
+  of each bracket [t - b, t + b] (``_mapped``).
 * Everything else: the eigenvalues of the companion matrix as ``np.roots``
   forms it (numpy's ``eigvals``, LAPACK ``?geev``, which balances it),
   each then taking at most three Newton steps by Horner's scheme, on its
@@ -41,8 +46,8 @@ from .families import (
     InvalidParameterError,
     ORTHOGONAL_KINDS,
     monic_by_recurrence,
+    narayana_jacobi,
     orthogonal_steps,
-    param_key,
     recurrence_steps,
 )
 
@@ -68,6 +73,10 @@ _STACK_ENTRIES = 1 << 14
 
 METHOD_JACOBI = "JacobiMatrix"
 METHOD_COMPANION = "Companion"
+METHOD_MAPPED = "MappedJacobiMatrix"
+
+#: the Narayana kinds whose zeros are mapped from those of P^(1,1) (module docstring)
+MAPPED_KINDS = ("narayana", "narayana-reduced")
 
 
 class RootComputationError(RuntimeError):
@@ -302,10 +311,37 @@ def _solve_companion(deg: int, group: list, found: dict) -> None:
                 found[key] = exc
 
 
+def _mapped(zs: ZeroSet, spec: FamilySpec) -> ZeroSet:
+    """The zeros of R_n, or of x R_n, from the zero set ``zs`` of P^(1,1)_(n-1).
+
+    Each zero t maps to x = (t - 1) / (t + 1).  The map increases on t > -1,
+    so the bracket [t - b, t + b], b being ``zs``'s bound, maps to the bracket
+    between its ends' images while t - b > -1.  The bound is the largest
+    distance from a mapped zero to an end of its bracket, or inf when a
+    bracket reaches -1.  Every zero of R_n is negative, so x R_n's zero 0 is
+    the largest.
+    """
+    b = zs.bound
+    zeros, bound = [], 0.0
+    for t in zs.zeros:
+        x = (t - 1.0) / (t + 1.0)
+        if t - b > -1.0:
+            low, high = (t - b - 1.0) / (t - b + 1.0), (t + b - 1.0) / (t + b + 1.0)
+            bound = max(bound, x - low, high - x)
+        else:
+            bound = math.inf
+        zeros.append(x)
+    if spec.kind == "narayana":
+        zeros.append(0.0)
+    return ZeroSet(tuple(zeros), bound, METHOD_MAPPED, spec)
+
+
 def _key(term: Term) -> tuple:
     spec = term.spec
     if spec is not None and spec.kind in ORTHOGONAL_KINDS:
-        return ("tridiagonal", param_key(spec), spec.n)
+        return ("tridiagonal", spec.param_key, spec.n)
+    if spec is not None and spec.kind in MAPPED_KINDS:
+        return ("mapped", spec.kind, spec.n)
     return ("companion", spec if term.poly is None else term.poly)
 
 
@@ -321,6 +357,7 @@ def zero_sets(terms) -> list:
     keys = []
     tridiagonal = defaultdict(list)
     companion = defaultdict(list)
+    mapped = []
     for term in terms:
         key = _key(term)
         keys.append(key)
@@ -328,7 +365,9 @@ def zero_sets(terms) -> list:
             continue
         found[key] = None
         try:
-            if key[0] == "tridiagonal":
+            if key[0] == "mapped":
+                mapped.append((key, term.spec))
+            elif key[0] == "tridiagonal":
                 spec = term.spec
                 steps = orthogonal_steps(recurrence_steps(spec))
                 if spec.n == 0:
@@ -354,6 +393,13 @@ def zero_sets(terms) -> list:
         _solve_tridiagonal(n, group, found)
     for deg, group in companion.items():
         _solve_companion(deg, group, found)
+    if mapped:
+        inner = zero_sets([Term(spec=narayana_jacobi(spec.n)) for _, spec in mapped])
+        for (key, spec), result in zip(mapped, inner):
+            try:
+                found[key] = result if isinstance(result, Exception) else _mapped(result, spec)
+            except RootComputationError as exc:
+                found[key] = exc
     return [found[key] for key in keys]
 
 

@@ -2,9 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.  Tolerances are pinned here and nowhere else:
-reference zero values at 1e-5 absolute, identity checks exact, interlacing decisions at
-the 1e-9 separation floor, root-path agreement at 1e-9 scaled by zero
-magnitude, rational-root recovery at 1e-10 relative.
+reference zero values at 1e-5 absolute, identity checks and the named
+checks' interlacing decisions exact, root-path agreement at 1e-9 scaled by
+zero magnitude, rational-root recovery at 1e-10 relative.
 """
 
 import math
@@ -157,8 +157,8 @@ def test_criterion_4_named_check_clause_suite():
             if not report.passed:
                 failures.append((check_id, n, params, report.clauses))
             return
-        # as the CLI reports it: the orthogonal checks along G's chain, the
-        # Narayana checks on float zero sets
+        # as the CLI reports it: along the chain G is read on, that of G's
+        # own family or, for the Narayana checks, that of P^(1,1)
         report = run_check(check_id, n, params)
         rel = build_relation(check_id, n, params)
         if not report.passed:
@@ -211,7 +211,7 @@ def test_criterion_4_named_check_clause_suite():
         "criterion 4: named-check clause suite",
         failures,
         started,
-        f"{checked} checks, orthogonal checks exact, Narayana floor 1e-9, "
+        f"{checked} checks, all exact, "
         f"{len(degenerate)} certified degenerate points, "
         f"iff sides {full_iff_sides[True]}/{full_iff_sides[False]}",
     )

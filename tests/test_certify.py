@@ -14,10 +14,17 @@ checked, row by row and field by field, against the report it gives on float
 zero sets (``relations._FloatOrders``): for an oracle, the zero sets its path
 solved before it was exact (each drawn zero correctly rounded, and P by the
 companion path); for a named check, the zero sets ``relation_terms`` names.
+The Narayana checks read G, the reduced Narayana polynomial R_n, along the
+chain of P^(1,1) through t = (1 + x) / (1 - x): their reports are checked
+against the float route where every float bound is under the floor, at high
+degree, and against a copy whose G is not R_n; the certificate tying R_n and
+R_(n-1) to that chain is checked against bumped coefficients and an altered
+step, and its counts against the float zeros.
 """
 
 import dataclasses
 import io
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
@@ -33,8 +40,11 @@ from interlace.families import (
     krawtchouk,
     laguerre,
     meixner,
+    narayana_reduced,
+    narayana_spec,
     recurrence_steps,
 )
+from interlace.interlacing import interlaces_down
 from interlace.poly import Polynomial, _integer_form
 from interlace.relations import (
     build_relation,
@@ -43,7 +53,7 @@ from interlace.relations import (
     oracle_pair_up,
     relation_terms,
 )
-from interlace.rootfind import Term, ZeroSet, unwrap, zero_sets, zeros_orthogonal
+from interlace.rootfind import Term, ZeroSet, unwrap, zero_sets, zeros_general, zeros_orthogonal
 
 
 def _sign(x) -> int:
@@ -532,3 +542,114 @@ def test_a_q_off_the_chain_is_refused():
     rel = _pair_up_on_legendre_3(_legendre(3) + Polynomial([1, 0, 1]), F(2))
     with pytest.raises(InvalidParameterError, match="hand: Q is not t G"):
         check_relation(rel, ())
+
+
+# -- the Narayana checks, along the chain of P^(1,1) ---------------------------
+
+
+def _float_even_report(rel) -> relations.CheckReport:
+    """narayana-3.4 at even n decided on float zero sets, as its report was
+    before it read the chain: P's zeros against those of G / (x + 1)."""
+    report = relations._new_report(rel)
+    report.premise_kind = "even-quotient"
+    shared = rel.P.evaluate(rel.E) == 0 and rel.G.evaluate(rel.E) == 0
+    report.clauses["common_zero_at_minus_one"] = "pass" if shared else "fail"
+    quotient, remainder = rel.G.divide_linear(rel.E)
+    assert remainder == 0
+    zp, zq = map(unwrap, zero_sets([Term(poly=rel.P), Term(poly=quotient)]))
+    holds = relations._holds(interlaces_down(zp, zq))
+    report.clauses["quotient_interlace"] = relations._clause_result(holds)
+    report.notes.append("even branch: zeros of P against zeros of G/(x+1)")
+    return report
+
+
+@pytest.mark.parametrize("check_id", ["narayana-3.3", "narayana-3.4"])
+def test_narayana_reports_agree_with_the_float_route(check_id):
+    # Up to n = 26 every float bound of these zero sets is under the 1e-9
+    # floor, so the float route decides every order it reads.
+    for n in range(2, 27):
+        rel = build_relation(check_id, n)
+        got = relations.run_check(check_id, n)
+        if check_id == "narayana-3.4" and n % 2 == 0:
+            want = _float_even_report(rel)
+        else:
+            found = zero_sets(relation_terms(rel))
+            assert max(unwrap(zs).bound for zs in found) < 1e-9, n
+            want = check_relation(rel, found)
+        assert got.to_json() == want.to_json(), n
+        assert got.csv_rows() == want.csv_rows(), n
+        assert (got.premise, got.notes) == (want.premise, want.notes), n
+        assert got.passed, n
+
+
+#: seconds a Narayana check at these degrees may take; each takes under 0.1 s
+#: on a 2-CPU host, and the float route it replaced raised from n = 51 on
+HIGH_DEGREE_BUDGET = 2.0
+
+
+@pytest.mark.parametrize(
+    "check_id, n",
+    [("narayana-3.3", n) for n in (51, 60, 100, 200)]
+    + [("narayana-3.4", n) for n in (51, 60, 61, 101, 201)],
+)
+def test_narayana_checks_pass_at_high_degree(check_id, n):
+    start = time.perf_counter()
+    report = relations.run_check(check_id, n)
+    elapsed = time.perf_counter() - start
+    assert report.identity_ok and report.passed
+    # E = 1 lies above every zero of G; E = -1 is a zero of G at even n only
+    if check_id == "narayana-3.3":
+        assert report.clauses["full_when_e_above"] == "pass"
+    else:
+        assert report.clauses["quotient_interlace" if n % 2 == 0 else "added_point"] == "pass"
+    assert elapsed < HIGH_DEGREE_BUDGET, elapsed
+
+
+def test_the_narayana_chain_decides_only_a_certified_relation_on_its_own_member():
+    rel = build_relation("narayana-3.3", 9)
+    assert check_relation(rel, ()).passed
+    uncertified = dataclasses.replace(rel, P=rel.P + Polynomial([1]))
+    assert not uncertified.certified
+    # the same terms, certified, with G named as R_10 rather than R_9
+    renamed = dataclasses.replace(rel, specs={**rel.specs, "G": narayana_spec("narayana-reduced", 10)})
+    assert renamed.certified
+    for copy in (uncertified, renamed):
+        with pytest.raises(ValueError, match="narayana-3.3: the chain decides only a certified relation"):
+            check_relation(copy, ())
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 31, 60])
+def test_the_link_certifies_r_n_and_its_predecessor(n):
+    g, q = narayana_reduced(n).nums, narayana_reduced(n - 1).nums
+    assert families._narayana_multiples(n, g, q) == (True, True)
+    # a multiple is a multiple, the predecessor's place is not G's, and one
+    # unit off in any coefficient is caught
+    assert families._narayana_multiples(n, [3 * x for x in g], [-2 * x for x in q]) == (True, True)
+    assert families._narayana_multiples(n, q, g) == (False, False)
+    for i in {0, len(g) // 2, len(g) - 1}:
+        bumped = list(g)
+        bumped[i] += 1
+        assert families._narayana_multiples(n, bumped, q) == (False, True), i
+
+
+def test_the_link_refuses_a_p11_step_off_the_narayana_recurrence(monkeypatch):
+    real = families._jacobi_step
+
+    def off(a, b, d, k):
+        a_, b_, u, v = real(a, b, d, k)
+        return (a_, b_, u + 1, v) if k == 5 else (a_, b_, u, v)
+
+    monkeypatch.setattr(families, "_jacobi_step", off)
+    with pytest.raises(families.ConstructionError, match="step 6 of P"):
+        relations.run_check("narayana-3.3", 12)
+    assert relations.run_check("narayana-3.3", 6).passed  # steps 1..5 only
+
+
+@pytest.mark.parametrize("n", [8, 9, 20, 21, 40])
+def test_narayana_counts_agree_with_the_float_zeros(n):
+    reading = families.chain_reading(narayana_spec("narayana-reduced", n))
+    zeros = zeros_general(narayana_reduced(n)).zeros
+    for x in (F(-1), F(-1, 3), F(-7, 2), F(-1, 50), F(1), F(7, 2)):
+        above, on = reading.zeros_above(x)
+        assert on == (x == -1 and n % 2 == 0), x
+        assert above == sum(z > float(x) + 1e-6 for z in zeros), x

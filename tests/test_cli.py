@@ -25,6 +25,18 @@ from interlace.rootfind import RootComputationError
 from fractions import Fraction as F
 
 
+def _raising_past_50(plan):
+    """``plan`` with every point past n = 50 raising, as Narayana points did
+    while the check solved their zero sets on the companion path."""
+
+    def planned(check_id, n, params=None):
+        if n > 50:
+            raise RootComputationError(f"companion eigenvalue at n={n} is not real")
+        return plan(check_id, n, params)
+
+    return planned
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -131,9 +143,11 @@ class TestZerosCommand:
         assert json.loads(out)["zeros"] == [-1.0]
 
     def test_zero_at_the_origin_prints_without_a_sign(self, capsys):
+        # x R_1 = x: R_1 has no zero, and x R_n's zero 0 is appended to the
+        # mapped zeros of R_n
         code, out, _ = run_cli(capsys, "zeros", "--family", "narayana", "--n", "1")
         assert code == 0
-        assert out == '{"zeros": [0.0], "bound": 0.0, "method": "Companion"}\n'
+        assert out == '{"zeros": [0.0], "bound": 0.0, "method": "MappedJacobiMatrix"}\n'
         assert math.copysign(1.0, json.loads(out)["zeros"][0]) == 1.0
         code, out, _ = run_cli(capsys, "zeros", "--family", "narayana", "--n", "1", "--plot-data")
         assert (code, out) == (0, "x,family\n0.0,narayana;n=1\n")
@@ -166,7 +180,10 @@ class TestZerosCommand:
         assert err == "error: zeros: companion eigenvalue 1j is not real\n"
 
     def test_coefficient_beyond_a_double_exits_two(self, capsys):
-        code, out, err = run_cli(capsys, "zeros", "--family", "narayana-reduced", "--n", "600")
+        # the Christoffel variant stays on the companion path, which needs
+        # every coefficient as a double; the reduced member is solved on the
+        # Jacobi matrix of P^(1,1) and reads no coefficient
+        code, out, err = run_cli(capsys, "zeros", "--family", "narayana-christoffel", "--n", "600")
         assert (code, out) == (2, "")
         assert err == "error: zeros: the coefficient of x^174 does not fit in a double\n"
 
@@ -259,12 +276,15 @@ class TestCheckCommand:
             assert code == 2 and out == ""
             assert f"error: unrecognized arguments: {' '.join(flag)}" in err
 
-    def test_coefficient_overflow_exits_two(self, capsys):
+    def test_check_past_the_double_range_is_decided_exactly(self, capsys):
         # the coefficient of x^210 of the degree-540 reduced Narayana member
-        # is beyond the largest double; this was a traceback with exit 1
-        code, out, err = run_cli(capsys, "check", "narayana-3.4", "--n", "541")
-        assert (code, out) == (2, "")
-        assert err == "error: check: the coefficient of x^210 does not fit in a double\n"
+        # is beyond the largest double, which exited 2 while the check solved
+        # float zero sets; along the chain of P^(1,1) it reads none
+        code, out, err = run_cli(capsys, "check", "narayana-3.4", "--n", "541", "--json")
+        report = json.loads(out)
+        assert (code, err) == (0, "")
+        assert report["passed"] and report["premise_kind"] == "g_then_q"
+        assert report["e_position"] == "interior(270)"
 
 
 class TestUnusedParameterFlags:
@@ -704,9 +724,9 @@ class TestSweepCommand:
         _, second, _ = run_cli(capsys, "sweep", str(spec), "--workers", "1")
         assert first == second
 
-    def test_point_exception_becomes_error_row(self, capsys, tmp_path):
-        # The companion path gives up on the Christoffel relation past n = 50;
-        # the failing points must become rows, not end the sweep.
+    def test_point_exception_becomes_error_row(self, capsys, tmp_path, monkeypatch):
+        # A point that raises must become a row, not end the sweep.
+        monkeypatch.setattr(cli, "plan_check", _raising_past_50(cli.plan_check))
         spec = tmp_path / "sweep.json"
         spec.write_text(json.dumps({"check": "narayana-3.3", "n": [50, 52]}))
         code, out, err = run_cli(capsys, "sweep", str(spec), "--workers", "1")
@@ -753,13 +773,15 @@ class TestSweepCommand:
         ],
         ids=["grid-with-errors", "oracle", "one-parameter-set"],
     )
-    def test_output_identical_across_worker_counts(self, capsys, tmp_path, kind, counts):
+    def test_output_identical_across_worker_counts(self, capsys, tmp_path, monkeypatch, kind, counts):
         spec = tmp_path / "sweep.json"
         if kind == "oracle":
             argv = ["--oracle", "pair-up", "--n", "1..6", "--seeds", "5"]
         elif kind == "grid":
-            # narayana-3.3 raises RootComputationError at n = 51 and 52, so error
-            # rows are built in the workers and must cross the process boundary.
+            # narayana-3.3 is made to raise RootComputationError at n = 51 and
+            # 52, so error rows are built in the workers and must cross the
+            # process boundary.
+            monkeypatch.setattr(cli, "plan_check", _raising_past_50(cli.plan_check))
             spec.write_text(json.dumps({"check": "narayana-3.3", "n": [50, 52]}))
             argv = [str(spec)]
         else:

@@ -32,6 +32,7 @@ from interlace.families import (
     monic_by_recurrence,
     narayana_spec,
 )
+from interlace.certify import signs_at
 from interlace.poly import Polynomial
 from interlace.relations import _min_cross_gap, build_relation
 from interlace import rootfind
@@ -40,6 +41,7 @@ from interlace.rootfind import (
     Term,
     ZeroSet,
     _jacobi_matrices,
+    unwrap,
     zero_set,
     zero_sets,
     zeros_general,
@@ -136,6 +138,32 @@ def test_companion_bound_encloses_a_zero_on_narayana(kind):
         assert_bound_encloses_a_zero(p, zeros_general(p))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 40, 60, 80, 200])
+def test_mapped_narayana_bound_encloses_a_zero(n):
+    # R_n and x R_n take the eigenvalues of P^(1,1)_(n-1), mapped; their
+    # signs at each bracket's ends are exact, as integer Horner at the dyadic
+    # ends over their common denominator
+    for kind in ("narayana-reduced", "narayana"):
+        p = monic_by_recurrence(narayana_spec(kind, n))
+        zs = zero_set(Term(spec=narayana_spec(kind, n)))
+        assert zs.method == "MappedJacobiMatrix" and len(zs) == p.degree
+        assert math.isfinite(zs.bound)
+        ends = [F(z) + d * F(zs.bound) for z in zs.zeros for d in (-1, 0, 1)]
+        den = max((x.denominator for x in ends), default=1)
+        signs = signs_at(p.nums, [x.numerator * (den // x.denominator) for x in ends], den)
+        for low, mid, high in zip(signs[0::3], signs[1::3], signs[2::3]):
+            assert mid == 0 or low * high < 0, (kind, n)
+
+
+def test_mapped_narayana_zeros_agree_with_the_companion_path():
+    for n in range(2, 41):
+        mapped = zero_set(Term(spec=narayana_spec("narayana-reduced", n)))
+        companion = zeros_general(monic_by_recurrence(narayana_spec("narayana-reduced", n)))
+        slack = mapped.bound + companion.bound
+        for x, z in zip(mapped.zeros, companion.zeros):
+            assert abs(x - z) <= slack, (n, x, z, slack)
+
+
 @st.composite
 def raw_tridiagonals(draw):
     """(diag, off) at n = 2..80 with entries scaled from 1e-6 to 1e6, or
@@ -187,17 +215,18 @@ def test_lapack_failure_is_a_root_computation_error(monkeypatch):
         zeros_orthogonal(jacobi(2, 14, 5))
 
 
-def test_lapack_failure_becomes_a_sweep_error_row(monkeypatch, capsys, tmp_path):
-    # LinAlgError is a ValueError, which the CLI would report as invalid input.
-    # The Narayana checks are the named checks that still solve zero sets,
-    # on the companion path.
+def test_no_sweep_reaches_lapack(monkeypatch, capsys, tmp_path):
+    # A LAPACK failure once became a sweep's error row; now no named check
+    # and no oracle solves a zero set, so a sweep passes with both
+    # eigensolvers failing.
     monkeypatch.setattr(np.linalg, "eigvals", _lapack_fails)
-    spec = tmp_path / "sweep.json"
-    spec.write_text('{"check": "narayana-3.3", "n": "3..4"}')
-    code = cli.main(["sweep", str(spec), "--workers", "1"])
-    out = capsys.readouterr().out
-    assert ",build,error: RootComputationError: LAPACK ?geev failed" in out
-    assert code == 3
+    monkeypatch.setattr(np.linalg, "eigvalsh", _lapack_fails)
+    for check_id in ("narayana-3.3", "narayana-3.4", "laguerre-3.7"):
+        params = ', "params": {"alpha": [0]}' if check_id == "laguerre-3.7" else ""
+        spec = tmp_path / f"{check_id}.json"
+        spec.write_text(f'{{"check": "{check_id}", "n": "2..5"{params}}}')
+        assert cli.main(["sweep", str(spec), "--workers", "1"]) == 0
+        assert ",error" not in capsys.readouterr().out
 
 
 def test_lapack_failure_in_the_zeros_command_exits_three(monkeypatch, capsys):
@@ -274,21 +303,12 @@ def test_running_bound_is_tighter_than_the_a_priori_one():
         assert zs.bound < old / 10, (kind, zs.bound, old)
 
 
-def test_narayana_check_at_forty_has_a_tight_p_bound(monkeypatch, capsys):
-    # The a-priori Horner bound put this zero set at 7.5e-4.
-    seen = []
-    real = relations.zero_sets
-
-    def spy(terms):
-        found = real(terms)
-        seen.extend(found)
-        return found
-
-    monkeypatch.setattr(relations, "zero_sets", spy)
-    assert cli.main(["check", "narayana-3.3", "--n", "40"]) == 0
-    capsys.readouterr()
-    p = build_relation("narayana-3.3", 40).P
-    (zp,) = [zs for zs in seen if zs.source == p]
+def test_narayana_check_at_forty_has_a_tight_p_bound():
+    # The a-priori Horner bound put this zero set at 7.5e-4.  The check reads
+    # no zero set now; its float comparison route solves P on the companion path.
+    rel = build_relation("narayana-3.3", 40)
+    zp = unwrap(zero_sets(relations.relation_terms(rel))[2])
+    assert zp.source == rel.P and zp.method == "Companion"
     assert len(zp) == 39
     assert zp.bound < 1e-4
 
@@ -460,10 +480,11 @@ def test_lapack_failure_is_charged_to_its_own_set(monkeypatch):
 
 
 def test_a_failed_term_raises_in_the_checkers_read_order():
-    # Narayana at n = 55: G, Q and P each fail, with their own messages; the
-    # report raises G's, as it did when it solved G first.
+    # Narayana at n = 55, every term on the companion path: G, Q and P each
+    # fail, with their own messages; the report raises G's, as it did when it
+    # solved G first.
     rel = build_relation("narayana-3.3", 55)
-    found = zero_sets(relations.relation_terms(rel))
+    found = zero_sets([Term(poly=term.poly) for term in relations.relation_terms(rel)])
     assert all(isinstance(r, RootComputationError) for r in found)
     assert len({str(r) for r in found}) == 3
     with pytest.raises(RootComputationError, match=re.escape(str(found[0]))):

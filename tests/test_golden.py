@@ -3,7 +3,7 @@ output byte for byte.
 
 The transcripts under ``tests/golden/`` pin what the command line prints for
 the degree ladder of ``check --json`` runs, ``zeros`` of the four orthogonal
-families at n = 40, ``table2``, small pair-up and down-one oracle sweeps,
+families at n = 40 and of the reduced and raw Narayana polynomials, ``table2``, small pair-up and down-one oracle sweeps,
 and the exact and float coefficients (``poly`` and ``poly --float``) of
 every family kind at n = 8 and 40.  A further
 file pins the oracle relations themselves, which the sweep output (pass/fail
@@ -49,16 +49,10 @@ LADDER_PARAMS = {
     "jacobi-3.6": {"alpha": "2", "beta": "14"},
     "laguerre-3.7": {"alpha": "0"},
 }
-# The companion root path cannot yet solve the Narayana relations at n = 60.
-LADDER_UNSOLVED = {("narayana-3.3", 60), ("narayana-3.4", 60)}
-
-
 def _ladder() -> list[list[str]]:
     out = []
     for n in LADDER_NS:
         for check_id in CHECK_IDS:
-            if (check_id, n) in LADDER_UNSOLVED:
-                continue
             params = LADDER_PARAMS.get(check_id, {"p": "1/3", "N": str(n + 3)})
             argv = ["check", check_id, "--n", str(n), "--json"]
             for name, value in params.items():
@@ -96,6 +90,8 @@ CASES = {
         ["zeros", "--family", "laguerre", "--alpha", "0", "--n", "40"],
         ["zeros", "--family", "krawtchouk", "--p", "1/3", "--N", "43", "--n", "40"],
         ["zeros", "--family", "meixner", "--t", "1", "--w", "1/2", "--n", "40"],
+        ["zeros", "--family", "narayana-reduced", "--n", "60"],
+        ["zeros", "--family", "narayana", "--n", "8"],
     ],
     "table2.txt": [["table2"]],
     "sweep_oracle.txt": [
@@ -219,7 +215,7 @@ def named_relations() -> str:
 
 
 def test_ladder_covers_the_solvable_checks():
-    assert len(CASES["check.txt"]) == 26
+    assert len(CASES["check.txt"]) == 28
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -7,7 +7,8 @@ in place fails the suite: drop the marker with the fix, and keep the test.
 
 A, B and C were float verdicts held to the 1e-9 floor on the orthogonal
 named checks; those checks are now decided along G's recurrence chain, on
-integers, with no zero set solved.
+integers, with no zero set solved.  D was a failed companion eigensolve in
+the Narayana checks, which are now decided along the chain of P^(1,1).
 """
 
 from fractions import Fraction as F
@@ -18,7 +19,6 @@ from interlace import cli, relations
 from interlace.cli import main
 from interlace.families import ORTHOGONAL_KINDS
 from interlace.relations import CHECKS, SKIPPED, CheckReport, run_check
-from interlace.rootfind import RootComputationError
 
 MEIXNER = {"t": F(1), "w": F(1, 2)}
 
@@ -88,13 +88,9 @@ def test_degenerate_controls_stay_degenerate(t, n):
     assert rows["hypotheses"] == "degenerate"
 
 
-@pytest.mark.xfail(
-    raises=RootComputationError,
-    strict=True,
-    reason="defect D: from n = 51 the companion eigensolve of G (narayana-reduced) "
-    "returns a complex pair; G's set is the first to fail",
-)
 def test_d_narayana_check_at_n_60_returns_a_report():
+    # Mended: from n = 51 the companion eigensolve of G (narayana-reduced)
+    # returned a complex pair and the check raised RootComputationError.
     assert isinstance(run_check("narayana-3.3", 60), CheckReport)
 
 
@@ -136,3 +132,28 @@ def test_orthogonal_checks_read_no_float_zero_set(monkeypatch, capsys, tmp_path)
         assert main(["sweep", str(spec), "--workers", "1"]) == 0
         out = capsys.readouterr().out
         assert ",error" not in out and ",fail" not in out
+
+
+#: the ladder's parameters of every check id (``perfbench/workloads.py``, seed 0)
+LADDER_POINTS = {
+    **ORTHOGONAL_POINTS,
+    "jacobi-3.5": {"alpha": F(2), "beta": F(14)},
+    "laguerre-3.7": {"alpha": F(0)},
+    "narayana-3.3": {},
+    "narayana-3.4": {},
+}
+
+
+def test_no_named_check_reads_a_float_zero_set(monkeypatch):
+    # The Narayana checks are decided along the chain of P^(1,1), so no
+    # named check plans a term or calls zero_sets, at any degree.
+    assert sorted(LADDER_POINTS) == sorted(CHECKS)
+    for owner in (relations, cli):
+        monkeypatch.setattr(owner, "zero_sets", _no_zero_sets)
+    for check_id, params in LADDER_POINTS.items():
+        for n in (8, 20, 40, 60):
+            if check_id == "krawtchouk-3.1":
+                params = {"p": F(1, 3), "N": F(n + 3)}
+            terms, _ = relations.plan_check(check_id, n, params)
+            assert terms == ()
+            assert run_check(check_id, n, params).passed, (check_id, n)

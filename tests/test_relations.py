@@ -217,9 +217,9 @@ class TestVerifyIdentity:
         assert not report.passed
 
     def test_a_relation_without_zero_sets_is_refused(self):
-        # Zero sets come from plan_check's terms; a checker solves none itself.
-        # A Narayana G has no recurrence chain to decide on instead.
-        rel = build_relation("narayana-3.3", 4)
+        # A checker solves no zero set itself.  A relation that names no spec
+        # for G has no recurrence chain to decide on instead.
+        rel = dataclasses.replace(build_relation("narayana-3.3", 4), specs={})
         for checker in (check_relation, check_down_one):
             for found in (None, [], ()):
                 with pytest.raises(ValueError, match="narayana-3.3: no zero sets given"):

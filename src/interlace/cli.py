@@ -179,7 +179,9 @@ def _report_text(report: CheckReport) -> str:
     lines.append(
         "params: " + " ".join(f"{k}={v}" for k, v in report.params.items())
     )
-    lines.append(f"E = {report.e_value} ({float(report.e_value):.6g})")
+    e = report.e_float
+    shown = "outside the double range" if e is None else f"{e:.6g}"
+    lines.append(f"E = {report.e_value} ({shown})")
     lines.append(f"identity: {'PASS' if report.identity_ok else 'FAIL'}")
     hyp = " ".join(f"{k}={'yes' if v else 'NO'}" for k, v in report.hypotheses.items())
     if hyp:

@@ -452,13 +452,21 @@ class CheckReport:
             return True
         return self.premise_kind is not None
 
+    @property
+    def e_float(self) -> float | None:
+        """E as a double, or None when E lies outside the double range."""
+        try:
+            return float(self.e_value)
+        except OverflowError:
+            return None
+
     def to_json(self) -> dict:
         return {
             "check": self.check_id,
             "shape": self.shape,
             "params": {k: str(v) for k, v in self.params.items()},
             "E": str(self.e_value),
-            "E_float": float(self.e_value),
+            "E_float": self.e_float,
             "identity_ok": self.identity_ok,
             "hypotheses": dict(self.hypotheses),
             "premise": self.premise.to_json() if self.premise else None,

@@ -30,16 +30,19 @@ rest by path and degree.  A term takes one of three paths:
 All matrices of one order go to LAPACK in one stacked call, at most
 ``_STACK_ENTRIES`` matrix entries per call.  A zero set does not depend on
 which others it was solved with.
+
+numpy is imported by the kernels that call LAPACK, when they run, and not
+by this module: the named checks and the oracle solve no zero set, so a
+process that runs only those never loads it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .families import (
     FamilySpec,
@@ -56,12 +59,16 @@ from .families import (
 from .families import recurrence_coeffs  # noqa: F401
 from .poly import Polynomial
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: companion eigenvalues with |Im| <= REALITY_THRESHOLD * max(1, |Re|) count as real.
 REALITY_THRESHOLD = 1e-8
 
-#: double-precision constants for the bounds and the Newton stop test
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
+#: double-precision constants for the bounds and the Newton stop test, the
+#: bits of numpy's ``finfo(float).eps`` and ``.tiny``
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
 
 #: Newton corrections per companion zero, and the step size below which they stop
 _STEPS = 3
@@ -180,6 +187,8 @@ def _jacobi_matrices(diag: list, off: list) -> np.ndarray:
     one exception seen is a -0.0 on the diagonal, which the tridiagonal path
     never builds.
     """
+    import numpy as np
+
     count, n = len(diag), len(diag[0])
     matrices = np.zeros((count, n, n))
     flat = matrices.reshape(count, n * n)
@@ -205,6 +214,8 @@ def _stacked(solve, blocks: np.ndarray) -> list:
     A call that fails is repeated matrix by matrix, so a failure is charged
     to its own matrix alone.
     """
+    import numpy as np
+
     count, order = len(blocks), blocks.shape[-1]
     per_call = max(1, _STACK_ENTRIES // (order * order))
     out = []
@@ -227,6 +238,8 @@ def _solve_tridiagonal(n: int, group: list, found: dict) -> None:
     A set's zeros are the ascending eigenvalues ``eigvalsh`` returns, and
     its bound is n eps ||J||_inf (module docstring).
     """
+    import numpy as np
+
     eig = _stacked(
         np.linalg.eigvalsh,
         _jacobi_matrices([diag for _, _, diag, _ in group], [off for _, _, _, off in group]),
@@ -255,6 +268,8 @@ def _companion_eigenvalues(group: list, deg: int) -> list:
     entry is a list of floats or complex numbers, or the exception its
     eigensolve raised.
     """
+    import numpy as np
+
     by_order = defaultdict(list)
     for i, (_, _, desc) in enumerate(group):
         t = 0

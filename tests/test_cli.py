@@ -286,6 +286,27 @@ class TestCheckCommand:
         assert report["passed"] and report["premise_kind"] == "g_then_q"
         assert report["e_position"] == "interior(270)"
 
+    # at t = 1e400, E is about -t: the check is decided exactly, but E is
+    # past the largest double, and its float once ended both forms of the
+    # report in an OverflowError traceback
+    HUGE_E = ("check", "meixner-3.2", "--n", "1", "--t", "1e400", "--w", "1/2")
+
+    def test_e_past_the_double_range_prints_a_note(self, capsys):
+        code, out, err = run_cli(capsys, *self.HUGE_E)
+        assert (code, err) == (0, "")
+        (line,) = [line for line in out.splitlines() if line.startswith("E = ")]
+        value, note = line[len("E = "):].split(" ", 1)
+        assert note == "(outside the double range)"
+        assert -F(10) ** 401 < F(value) < -F(10) ** 399
+        assert out.endswith("result: PASS\n")
+
+    def test_e_past_the_double_range_is_null_in_json(self, capsys):
+        code, out, err = run_cli(capsys, *self.HUGE_E, "--json")
+        report = json.loads(out)
+        assert (code, err) == (0, "")
+        assert -F(10) ** 401 < F(report["E"]) < -F(10) ** 399
+        assert report["E_float"] is None and report["passed"] is True
+
 
 class TestUnusedParameterFlags:
     """A parameter flag the check or family does not take was silently dropped."""
@@ -891,6 +912,69 @@ class TestSweepCommand:
             check=True,
         )
         assert result.stdout == "0 9 []\n"
+
+
+class TestStartUp:
+    """numpy loads on the first zero-set solve, and nothing else loads it.
+
+    The named checks and the oracle are decided exactly, so a fresh
+    interpreter that runs one ends with numpy unloaded; ``zeros`` solves a
+    zero set and loads it.  Sweeps run at one worker, so every point runs in
+    the probed process.
+    """
+
+    PROBE = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        from interlace.cli import main
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(json.loads(sys.argv[1]))
+        print(code, "numpy" in sys.modules)
+        """
+    )
+
+    @staticmethod
+    def _probe(argv):
+        src = Path(interlace.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", TestStartUp.PROBE, json.dumps(argv)],
+            cwd=src,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return result.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "jacobi-3.6", "--n", "8", "--alpha", "2", "--beta", "14"],
+            ["check", "narayana-3.3", "--n", "8"],
+            ["sweep", "--oracle", "pair-up", "--n", "1..4", "--seeds", "3", "--workers", "1"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_exact_commands_leave_numpy_unloaded(self, argv):
+        assert self._probe(argv) == "0 False\n"
+
+    def test_grid_sweep_leaves_numpy_unloaded(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"check": "laguerre-3.7", "n": "1..6", "params": {"alpha": [0, "1/2"]}}))
+        assert self._probe(["sweep", str(spec), "--workers", "1"]) == "0 False\n"
+
+    def test_zeros_loads_numpy(self):
+        argv = ["zeros", "--family", "jacobi", "--n", "4", "--alpha", "2", "--beta", "14"]
+        assert self._probe(argv) == "0 True\n"
+
+    def test_double_constants_have_numpy_bits(self):
+        # every bound, and every line of tests/golden/zeros.txt, is computed
+        # from these two
+        import numpy as np
+
+        from interlace import rootfind
+
+        assert rootfind._EPS == np.finfo(float).eps and type(rootfind._EPS) is float
+        assert rootfind._TINY == np.finfo(float).tiny and type(rootfind._TINY) is float
 
 
 class TestCutRuns:

@@ -14,7 +14,6 @@ from .relations import (
     MixedRelation,
     build_relation,
     check_relation,
-    relation_terms,
     run_check,
     verify_identity,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "check_relation",
     "interlaces_down",
     "monic_by_recurrence",
-    "relation_terms",
     "run_check",
     "verify_identity",
     "zeros_general",

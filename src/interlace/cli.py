@@ -9,8 +9,10 @@ The argparse parser is built once per process, on first use, and shared by
 every ``main`` call (``build_parser``).
 Rational parameters are given as "num/den" strings; plain decimals are parsed
 as exact decimal fractions (0.4 becomes 2/5), never as binary floats.
-Every check and sweep point is decided exactly, with no separation floor;
-no flag or environment variable sets one.
+Every check and sweep point is decided exactly, with no separation floor
+and no zero set solved (``relations.run_check``, ``relations.check_relation``),
+and no flag or environment variable sets a floor.  Only ``zeros`` and
+``table2`` solve zero sets, one at a time (``rootfind.zero_set``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import sys
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, partial
-from itertools import accumulate, islice, product
+from itertools import accumulate, product
 
 from . import families
 from .families import FamilySpec, InvalidParameterError
@@ -39,16 +41,17 @@ from .relations import (
     ORACLE_MIN_N,
     CheckReport,
     clause_names,
-    plan_check,
     run_check,
     check_oracle_degree,
     oracle_down_one,
     oracle_pair_up,
     check_relation,
-    check_pair_up,
 )
 
-from .rootfind import RootComputationError, Term, zero_set, zero_sets
+# check_pair_up is not called here, but the benchmark's span tracer
+# (perfbench/tracer.py) wraps it under this module's name.
+from .relations import check_pair_up  # noqa: F401
+from .rootfind import RootComputationError, Term, zero_set
 
 # zeros_general is not called here, but the benchmark's span tracer
 # (perfbench/tracer.py) wraps it under this module's name.
@@ -326,72 +329,33 @@ def _error_result(exc: Exception) -> str:
     return f"error: {type(exc).__name__}: {exc}"
 
 
-def _reports(plan, points: list[tuple]) -> list:
-    """The report of each point, or the exception that stopped it.
-
-    ``plan(*point)`` gives the point's (terms, report) pair, as
-    ``relations.plan_check`` does.  The terms of every point are solved in
-    one ``zero_sets`` batch, which is not called when there are none, then
-    each point's report reads its own.
-    """
-    plans = []
-    for point in points:
-        try:
-            plans.append(plan(*point))
-        except Exception as exc:
-            plans.append(exc)
-    built = [plan for plan in plans if not isinstance(plan, Exception)]
-    batch = [term for terms, _ in built for term in terms]
-    found = iter(zero_sets(batch) if batch else ())
-    out = []
-    for plan in plans:
-        if isinstance(plan, Exception):
-            out.append(plan)
-            continue
-        terms, report = plan
-        sets = list(islice(found, len(terms)))
-        try:
-            out.append(report(sets))
-        except Exception as exc:
-            out.append(exc)
-    return out
-
-
 def _run_sweep_run(check_id: str, points: list[tuple]) -> list[list[dict]]:
-    """The rows of each (n, params) point of one contiguous run."""
+    """The rows of each (n, params) point of one contiguous run; a point that
+    raises gives one row, with the exception, in place of its report."""
     out = []
-    for (n, params), report in zip(points, _reports(partial(plan_check, check_id), points)):
+    for n, params in points:
         base = {"check": check_id, "n": n}
-        if isinstance(report, Exception):
-            row = dict(base)
-            row.update({k: str(v) for k, v in params.items()})
-            row.update({"clause": BUILD_ROW, "result": _error_result(report)})
-            out.append([row])
-        else:
-            out.append(report.csv_rows(base))
+        try:
+            report = run_check(check_id, n, params)
+        except Exception as exc:
+            row = {**base, **{k: str(v) for k, v in params.items()}}
+            out.append([{**row, "clause": BUILD_ROW, "result": _error_result(exc)}])
+            continue
+        out.append(report.csv_rows(base))
     return out
-
-
-def _plan_oracle(mode: str, n: int, seed: int):
-    """One oracle draw's (terms, report) pair, as ``relations.plan_check`` gives one.
-
-    There are no terms: given no zero sets, the shape checker decides the
-    draw exactly on its drawn zeros (``relations._DrawnOrders``).
-    """
-    if mode == "pair-up":
-        rel = oracle_pair_up(n, seed)
-        return (), partial(check_pair_up, rel)
-    rel = oracle_down_one(n, seed)
-    return (), partial(check_relation, rel)
 
 
 def _run_oracle_run(mode: str, points: list[tuple]) -> list[list[dict]]:
-    """The row of each (n, seed) point of one contiguous run."""
+    """The row of each (n, seed) point of one contiguous run: the draw,
+    decided on its drawn zeros (``relations.check_relation``)."""
+    draw = oracle_pair_up if mode == "pair-up" else oracle_down_one
     out = []
-    for (n, seed), report in zip(points, _reports(partial(_plan_oracle, mode), points)):
+    for n, seed in points:
         row = {"oracle": mode, "n": n, "seed": seed, "orientation": ""}
-        if isinstance(report, Exception):
-            out.append([{**row, "result": _error_result(report)}])
+        try:
+            report = check_relation(draw(n, seed))
+        except Exception as exc:
+            out.append([{**row, "result": _error_result(exc)}])
             continue
         params = report.params
         row["orientation"] = params.get("orientation") or params.get("e_region") or ""

@@ -5,15 +5,13 @@ denominator) so the identity itself can be certified exactly (coefficientwise
 zero residual).  Each shape has one checker, the only code that states its
 clauses: it tests the stated hypotheses and decides every conclusion clause
 of the matching interlacing statement, producing a witness-carrying report.
-The checker reads each clause as one order of zeros, from one of three
-sources: the float zero sets of G, Q and P held to the separation floor
-(``_FloatOrders``, which leaves an order undecided below it; a comparison
-route that no command takes); the exact drawn zeros of G and Q
-(``_DrawnOrders``, integer merges and signs; the random oracles); or the
-recurrence chain G is read on (``_ChainOrders``, integer counts along a
-three-term recurrence and the signs the identity gives P; every named
-check, the Narayana ones along the chain of P^(1,1)).  The two exact
-sources solve no zero set and hold nothing to a floor.
+The checker reads each clause as one order of zeros, and ``check_relation``
+gives it the one source that decides those orders for the relation: the
+exact drawn zeros of G and Q (``_DrawnOrders``, integer merges and signs;
+the random oracles), or the recurrence chain G is read on (``_ChainOrders``,
+integer counts along a three-term recurrence and the signs the identity
+gives P; every named check, the Narayana ones along the chain of P^(1,1)).
+Neither solves a zero set or holds anything to a floor.
 
 Two relation shapes are supported, named by the degrees of G and Q
 relative to deg P = n:
@@ -36,7 +34,6 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple
 
 from . import certify, families
@@ -45,19 +42,7 @@ from .families import (
     exact_rational,
     monic_by_recurrence,
 )
-from .interlacing import (
-    ADDED_OK_KINDS,
-    ALTERNATE,
-    DEFAULT_FLOOR,
-    FAIL,
-    INCONCLUSIVE,
-    INTERLACE_DOWN,
-    Verdict,
-    added_point_interlace,
-    alternates,
-    interlaces_down,
-    locate_point,
-)
+from .interlacing import ALTERNATE, FAIL, INCONCLUSIVE, INTERLACE_DOWN, Verdict
 from .poly import (
     Polynomial,
     _combination,
@@ -66,10 +51,11 @@ from .poly import (
     products_cancel,
     root_product,
 )
-from .rootfind import Term, ZeroSet, unwrap, zero_sets
 
-# zeros_orthogonal and zeros_general are not called here, but the benchmark's
-# span tracer (perfbench/tracer.py) wraps them under this module's name.
+# The four interlacing predicates, zeros_orthogonal and zeros_general are not
+# called here, but the benchmark's span tracer (perfbench/tracer.py) wraps
+# them under this module's name.
+from .interlacing import added_point_interlace, alternates, interlaces_down, locate_point  # noqa: F401
 from .rootfind import zeros_general, zeros_orthogonal  # noqa: F401
 
 PAIR_UP = "pair_up"
@@ -503,28 +489,6 @@ class CheckReport:
         return rows
 
 
-def _min_cross_gap(za: ZeroSet, zb: ZeroSet) -> float:
-    """Smallest |a - b| over a zero a of ``za`` and b of ``zb``; inf if one is empty.
-
-    One merge of the two ascending sets: the smaller head is taken next and
-    its gap to the other head is a candidate.  Every pair that is adjacent in
-    the merged order is among the candidates, and float subtraction is
-    monotone, so the result is the float the all-pairs minimum gives.
-    """
-    a, b = za.zeros, zb.zeros
-    best = float("inf")
-    i = j = 0
-    while i < len(a) and j < len(b):
-        gap = b[j] - a[i]  # exact in sign, so gap >= 0 means a[i] <= b[j]
-        if gap >= 0:
-            i += 1
-        else:
-            gap, j = -gap, j + 1
-        if gap < best:
-            best = gap
-    return best
-
-
 def _a_positive(rel: MixedRelation) -> bool:
     """A > 0 inside the support, decided exactly; A has degree <= 1.
 
@@ -553,75 +517,9 @@ def _new_report(rel: MixedRelation) -> CheckReport:
     )
 
 
-def relation_terms(rel: MixedRelation) -> tuple[Term, Term, Term]:
-    """The zero-set terms of G, Q and P, in the order the checkers read them.
-
-    A term carries its member spec and its polynomial; ``rootfind`` picks
-    the path.
-    """
-    return tuple(Term(rel.specs.get(name), getattr(rel, name)) for name in "GQP")
-
-
-def _float_order(lower: ZeroSet, upper: ZeroSet) -> Verdict:
-    """Strict interlacing, ``lower``'s zero first; ``alternates`` or ``interlaces_down`` by size."""
-    return (alternates if len(lower) == len(upper) else interlaces_down)(lower, upper)
-
-
-def _holds(verdict: Verdict) -> bool | None:
-    """Whether a float order holds; None when the floor leaves it undecided."""
-    return None if verdict.kind == INCONCLUSIVE else verdict.kind != FAIL
-
-
-class _FloatOrders:
-    """The orders a checker reads, on the float zero sets of G, Q and P.
-
-    ``found`` holds the ``zero_sets`` results of ``relation_terms(rel)``; a
-    failed set raises, G's before Q's before P's.  Besides E's ``position``
-    and ``slot`` among the zeros of G, ``no_common_zeros_g_p`` and ``e_on_q``,
-    an order source answers ``premise(lower, upper)``, the Verdict on the
-    zeros of ``lower`` ("G" or "Q") interlacing those of ``upper``, lowest
-    first; ``extreme(top)``, the evidence the report's note prints and the
-    sign of E minus G's largest (or smallest) zero; and ``order(subject,
-    first)``, whether the zeros of ``subject`` ("P", or "EP" for (x - E) P)
-    interlace G's with ``first``'s lowest.  Here each is held to
-    ``DEFAULT_FLOOR``, and one it leaves undecided is None (a side of 0, an
-    Inconclusive premise, E "unknown").
-    """
-
-    def __init__(self, rel: MixedRelation, found):
-        zg, zq, zp = map(unwrap, found)
-        self.zeros = {"G": zg, "Q": zq, "P": zp}
-        self.e = e = float(rel.E)
-        self.position, self.slot = locate_point(e, zg)
-        self.no_common_zeros_g_p = _min_cross_gap(zg, zp) > DEFAULT_FLOOR
-        self.e_on_q = any(abs(e - q) <= DEFAULT_FLOOR for q in zq.zeros)
-
-    def premise(self, lower: str, upper: str) -> Verdict:
-        return _float_order(self.zeros[lower], self.zeros[upper])
-
-    def extreme(self, top: bool) -> tuple[str, int]:
-        zg = self.zeros["G"]
-        bound = zg.max if top else zg.min
-        side = self.e - bound
-        side = 0 if abs(side) <= DEFAULT_FLOOR else 1 if side > 0 else -1
-        return _bound_evidence(bound, self.e), side
-
-    def order(self, subject: str, first: str) -> bool | None:
-        zg, zp = self.zeros["G"], self.zeros["P"]
-        if subject == "EP":
-            # added_point_interlace's first gap under the floor, and its flip to
-            # G's zero first, decide SKIPPED against FAIL near the floor.
-            verdict = added_point_interlace(zp, self.e, zg)
-            if verdict.kind == INCONCLUSIVE:
-                return None
-            want = "G_below_P" if first == "G" else "P_below_G"
-            return verdict.kind in ADDED_OK_KINDS and verdict.orientation == want
-        return _holds(_float_order(*((zg, zp) if first == "G" else (zp, zg))))
-
-
 class _DrawnOrders:
-    """The orders of ``_FloatOrders``, decided exactly on the drawn zeros of G
-    and Q (``rel.roots``): no zero set is solved and none is undecided.
+    """The orders ``check_relation`` names, decided exactly on the drawn zeros
+    of G and Q (``rel.roots``): no zero set is solved and none is undecided.
 
     With g and q the numerators of those zeros over their denominator D, and
     E D an integer: E is placed among g; a premise merges two of the lists
@@ -705,7 +603,7 @@ def _sides(above: int, on: bool, m: int) -> list[int]:
 
 
 class _ChainOrders:
-    """The orders of ``_FloatOrders``, decided exactly along the recurrence
+    """The orders ``check_relation`` names, decided exactly along the recurrence
     chain G is read on (``families.chain_reading``): an orthogonal family's
     member p_m along its own chain, or the reduced Narayana polynomial along
     the chain of P^(1,1) seen through t = (1 + x) / (1 - x).  No zero set is
@@ -824,28 +722,10 @@ class _ChainOrders:
         return _sign_order(self.p_signs, self.e_sides, self.lead, self.n, subject, first)
 
 
-def _open_report(
-    rel: MixedRelation, found
-) -> tuple[CheckReport, _FloatOrders | _DrawnOrders | _ChainOrders]:
-    """A report with E's one position among the zeros of G, the four
-    hypotheses in report order and their notes, and the orders its clauses read.
-
-    ``found`` holds the ``zero_sets`` results of ``relation_terms(rel)``.  A
-    relation given none is decided on its drawn zeros if it carries them,
-    else along the recurrence chain its G is read on, which G's spec must
-    name (``families.CHAIN_KINDS``).
-    """
-    spec = rel.specs.get("G")
-    if found:
-        orders = _FloatOrders(rel, found)
-    elif rel.roots:
-        orders = _DrawnOrders(rel)
-    elif spec is not None and spec.kind in families.CHAIN_KINDS:
-        orders = _ChainOrders(rel)
-    else:
-        raise ValueError(
-            f"{rel.rel_id}: no zero sets given, and no drawn zeros or recurrence chain to decide on"
-        )
+def _open_report(rel: MixedRelation, orders) -> CheckReport:
+    """A report with E's one position among the zeros of G, read from the
+    order source ``orders``, and the four hypotheses in report order and
+    their notes."""
     report = _new_report(rel)
     position, slot = orders.position, orders.slot
     report.e_position = position if slot is None else f"{position}({slot})"
@@ -860,7 +740,7 @@ def _open_report(
         report.notes.append(
             "hypotheses violated, conclusions out of scope: " + ", ".join(violated)
         )
-    return report, orders
+    return report
 
 
 def _clause_result(holds: bool | None) -> str:
@@ -887,16 +767,17 @@ def _premise_failed(report: CheckReport, verdict: Verdict) -> CheckReport:
     return _skip_rest(report, SHAPE_CLAUSES[report.shape])
 
 
-def check_pair_up(rel: MixedRelation, found) -> CheckReport:
+def check_pair_up(rel: MixedRelation, orders) -> CheckReport:
     """Checker for the shape with G and Q one degree above P.
 
     The premise is alternation of Q and G in either orientation; the clauses
     are the E-position bound, the added-point interlacing statement, and the
-    two-directional full-interlacing iff.  ``found`` is as for ``_open_report``.
+    two-directional full-interlacing iff, each read from the order source
+    ``orders`` (``check_relation``).
     """
     if rel.shape != PAIR_UP:
         raise InvalidParameterError(f"check_pair_up got shape {rel.shape}")
-    report, orders = _open_report(rel, found)
+    report = _open_report(rel, orders)
 
     premise = orders.premise("Q", "G")
     if premise.kind == ALTERNATE:
@@ -931,11 +812,11 @@ def check_pair_up(rel: MixedRelation, found) -> CheckReport:
     return report
 
 
-def check_down_one(rel: MixedRelation, found) -> CheckReport:
-    """Checker for G at P's degree and Q one below; ``found`` is as for ``_open_report``."""
+def check_down_one(rel: MixedRelation, orders) -> CheckReport:
+    """Checker for G at P's degree and Q one below, on the order source ``orders``."""
     if rel.shape != DOWN_ONE:
         raise InvalidParameterError(f"check_down_one got shape {rel.shape}")
-    report, orders = _open_report(rel, found)
+    report = _open_report(rel, orders)
 
     premise = orders.premise("G", "Q")
     if premise.kind != INTERLACE_DOWN:
@@ -958,9 +839,32 @@ SHAPE_CHECKERS = {PAIR_UP: check_pair_up, DOWN_ONE: check_down_one}
 SHAPE_CLAUSES = {PAIR_UP: PAIR_UP_CLAUSES, DOWN_ONE: DOWN_ONE_CLAUSES}
 
 
-def check_relation(rel: MixedRelation, found) -> CheckReport:
-    """The shape checker's report on ``rel``; ``found`` is as for ``_open_report``."""
-    return SHAPE_CHECKERS[rel.shape](rel, found)
+def check_relation(rel: MixedRelation) -> CheckReport:
+    """The shape checker's report on ``rel``, its orders read from one exact source.
+
+    A relation that carries drawn zeros is decided on them (``_DrawnOrders``),
+    else along the recurrence chain its G is read on (``_ChainOrders``),
+    which G's spec must name (``families.CHAIN_KINDS``).
+
+    Besides E's ``position`` and ``slot`` among the zeros of G,
+    ``no_common_zeros_g_p`` and ``e_on_q``, an order source answers
+    ``premise(lower, upper)``, the Verdict on the zeros of ``lower`` ("G" or
+    "Q") interlacing those of ``upper``, lowest first; ``extreme(top)``, the
+    evidence the report's note prints and the sign of E minus G's largest
+    (or smallest) zero; and ``order(subject, first)``, whether the zeros of
+    ``subject`` ("P", or "EP" for (x - E) P) interlace G's with ``first``'s
+    lowest.  The checkers also take a source that leaves an order undecided
+    (an Inconclusive premise, a side of 0, an order of None), and skip what
+    it leaves; the exact sources leave nothing.
+    """
+    spec = rel.specs.get("G")
+    if rel.roots:
+        orders = _DrawnOrders(rel)
+    elif spec is not None and spec.kind in families.CHAIN_KINDS:
+        orders = _ChainOrders(rel)
+    else:
+        raise ValueError(f"{rel.rel_id}: no drawn zeros or recurrence chain to decide on")
+    return SHAPE_CHECKERS[rel.shape](rel, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -997,26 +901,14 @@ def check_narayana_even_quotient(rel: MixedRelation) -> CheckReport:
     return report
 
 
-def plan_check(check_id: str, n: int, params: dict | None = None):
-    """What a named check needs solved, and what reports on it.
-
-    Returns (terms, report): the ``Term``s of the zero sets the check reads,
-    and a function that takes their ``zero_sets`` results, in order, and
-    returns the check's report.  Building the relation happens here.  No
-    named check reads a zero set: each is decided along the recurrence
-    chain its G is read on (``_ChainOrders``), so the terms are empty.  At
-    even n, narayana-3.4 reports on P against G / (x - E) instead.
-    """
+def run_check(check_id: str, n: int, params: dict | None = None) -> CheckReport:
+    """The report of a named check: its relation built, then decided along G's
+    chain (``check_relation``), or at even n for narayana-3.4 on P against
+    G / (x - E) (``check_narayana_even_quotient``)."""
     rel = build_relation(check_id, n, params)
     if check_id == EVEN_QUOTIENT_CHECK and n % 2 == 0:
-        return (), lambda found: check_narayana_even_quotient(rel)
-    return (), partial(check_relation, rel)
-
-
-def run_check(check_id: str, n: int, params: dict | None = None) -> CheckReport:
-    """The report of a named check: its plan, with its terms, if any, solved in one batch."""
-    terms, report = plan_check(check_id, n, params)
-    return report(zero_sets(terms) if terms else ())
+        return check_narayana_even_quotient(rel)
+    return check_relation(rel)
 
 
 def clause_names(check_id: str) -> tuple[str, ...]:

@@ -1,9 +1,8 @@
-"""Real zeros of the constructed polynomials, with certified ordering.
+"""Real zeros of the constructed polynomials, for the displays.
 
-Every zero set is found through one batch entry, ``zero_sets``.  It takes
-the terms that a unit of work needs (one check's G, Q and P, or every term
-of every point in a sweep run), solves equal terms once, and solves the
-rest by path and degree.  A term takes one of three paths:
+No check reads a zero set: ``zeros`` and ``table2`` print them.  Each set is
+solved alone, through one entry, ``zero_set(term)``, and a term takes one of
+three paths:
 
 * Families with a classical three-term recurrence: the zeros are the
   eigenvalues of the Jacobi matrix J built from the recurrence coefficients
@@ -27,20 +26,14 @@ rest by path and degree.  A term takes one of three paths:
   (mu <- mu |z| + |acc|); a companion set's bound is the largest of its
   zeros' bounds, or inf when one of them is not finite.
 
-All matrices of one order go to LAPACK in one stacked call, at most
-``_STACK_ENTRIES`` matrix entries per call.  A zero set does not depend on
-which others it was solved with.
-
 numpy is imported by the kernels that call LAPACK, when they run, and not
-by this module: the named checks and the oracle solve no zero set, so a
-process that runs only those never loads it.
+by this module, so a process that solves no zero set never loads it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -73,10 +66,6 @@ _TINY = sys.float_info.min
 #: Newton corrections per companion zero, and the step size below which they stop
 _STEPS = 3
 _STEP_TOL = 4 * _EPS
-
-#: matrix entries per stacked LAPACK call (128 KiB of doubles); a group of
-#: larger total is split between whole matrices
-_STACK_ENTRIES = 1 << 14
 
 METHOD_JACOBI = "JacobiMatrix"
 METHOD_COMPANION = "Companion"
@@ -173,13 +162,10 @@ def _polish_horner(desc: tuple[float, ...], x: float) -> tuple[float, float]:
     return x, (size + _EPS * (2 * mu - size)) / max(abs(dacc), _TINY)
 
 
-def _jacobi_matrices(diag: list, off: list) -> np.ndarray:
-    """The dense symmetric tridiagonal matrices (diag, off), lower triangle filled.
+def _jacobi_matrix(diag: list, off: list) -> np.ndarray:
+    """The dense symmetric tridiagonal matrix (diag, off), lower triangle filled.
 
-    ``diag`` holds k rows of n entries and ``off`` k rows of n - 1; the
-    result is (k, n, n).
-
-    numpy's ``eigvalsh`` runs LAPACK ``?syevd`` on each, reading its lower
+    numpy's ``eigvalsh`` runs LAPACK ``?syevd`` on it, reading its lower
     triangle.  ``?syevd`` reduces it by ``?sytrd``, whose reflectors are all
     the identity (tau = 0) on a tridiagonal input, then hands the same
     diagonal and subdiagonal to ``?sterf`` after the same scaling test as
@@ -189,12 +175,12 @@ def _jacobi_matrices(diag: list, off: list) -> np.ndarray:
     """
     import numpy as np
 
-    count, n = len(diag), len(diag[0])
-    matrices = np.zeros((count, n, n))
-    flat = matrices.reshape(count, n * n)
-    flat[:, :: n + 1] = diag
-    flat[:, n :: n + 1] = off
-    return matrices
+    n = len(diag)
+    matrix = np.zeros((n, n))
+    flat = matrix.reshape(n * n)
+    flat[:: n + 1] = diag
+    flat[n :: n + 1] = off
+    return matrix
 
 
 def _set_bound(bounds: list[float]) -> float:
@@ -207,123 +193,62 @@ def _set_bound(bounds: list[float]) -> float:
     return math.inf
 
 
-def _stacked(solve, blocks: np.ndarray) -> list:
-    """``solve`` on each matrix of ``blocks``, in calls of at most ``_STACK_ENTRIES`` entries.
-
-    Returns each matrix's result, or the ``np.linalg.LinAlgError`` it raised.
-    A call that fails is repeated matrix by matrix, so a failure is charged
-    to its own matrix alone.
-    """
+def _solve_tridiagonal(spec: FamilySpec) -> ZeroSet:
+    """The zeros of an orthogonal family's member: the ascending eigenvalues
+    ``eigvalsh`` returns for its Jacobi matrix, with the bound n eps ||J||_inf
+    (module docstring)."""
+    steps = orthogonal_steps(recurrence_steps(spec))
+    n = spec.n
+    if n == 0:
+        return ZeroSet((), 0.0, METHOD_JACOBI, spec)
     import numpy as np
 
-    count, order = len(blocks), blocks.shape[-1]
-    per_call = max(1, _STACK_ENTRIES // (order * order))
-    out = []
-    for lo in range(0, count, per_call):
-        chunk = blocks[lo : lo + per_call]
-        try:
-            out.extend(solve(chunk))
-        except np.linalg.LinAlgError:
-            for matrix in chunk:
-                try:
-                    out.append(solve(matrix))
-                except np.linalg.LinAlgError as exc:
-                    out.append(exc)
-    return out
+    # int / int rounds correctly: each double is bit for bit float(Fraction(a, b))
+    diag = [a / b for a, b, _, _ in steps]
+    off = [math.sqrt(u / v) for _, _, u, v in steps[1:]]
+    try:
+        raw = np.linalg.eigvalsh(_jacobi_matrix(diag, off))
+    except np.linalg.LinAlgError as exc:
+        raise RootComputationError(
+            f"LAPACK ?syevd failed ({exc}) on the Jacobi matrix of {spec.kind} n={n}"
+        ) from exc
+    # row i of J is (off[i-1], diag[i], off[i]), off entries being nonnegative
+    norm = max(abs(d) + lo + hi for d, lo, hi in zip(diag, [0.0, *off], [*off, 0.0]))
+    return ZeroSet(tuple(raw.tolist()), n * _EPS * norm, METHOD_JACOBI, spec)
 
 
-def _solve_tridiagonal(n: int, group: list, found: dict) -> None:
-    """Every (key, spec, diag, off) of ``group``, whose members all have degree n >= 1.
-
-    A set's zeros are the ascending eigenvalues ``eigvalsh`` returns, and
-    its bound is n eps ||J||_inf (module docstring).
-    """
-    import numpy as np
-
-    eig = _stacked(
-        np.linalg.eigvalsh,
-        _jacobi_matrices([diag for _, _, diag, _ in group], [off for _, _, _, off in group]),
-    )
-    for (key, spec, diag, off), raw in zip(group, eig):
-        if isinstance(raw, Exception):
-            err = RootComputationError(
-                f"LAPACK ?syevd failed ({raw}) on the Jacobi matrix of {spec.kind} n={n}"
-            )
-            err.__cause__ = raw
-            found[key] = err
-            continue
-        # row i of J is (off[i-1], diag[i], off[i]), off entries being nonnegative
-        norm = max(abs(d) + lo + hi for d, lo, hi in zip(diag, [0.0, *off], [*off, 0.0]))
-        try:
-            found[key] = ZeroSet(tuple(raw.tolist()), n * _EPS * norm, METHOD_JACOBI, spec)
-        except RootComputationError as exc:
-            found[key] = exc
-
-
-def _companion_eigenvalues(group: list, deg: int) -> list:
-    """The eigenvalues ``np.roots`` finds for each (key, poly, desc) of ``group``, all of degree deg >= 2.
-
-    As in ``np.roots``, a polynomial with t trailing zero coefficients gets
-    the eigenvalues of its companion of order deg - t, then t zeros.  Each
-    entry is a list of floats or complex numbers, or the exception its
-    eigensolve raised.
-    """
-    import numpy as np
-
-    by_order = defaultdict(list)
-    for i, (_, _, desc) in enumerate(group):
-        t = 0
-        while desc[-1 - t] == 0.0:
-            t += 1
-        by_order[deg - t].append(i)
-    out = [None] * len(group)
-    for order, members in by_order.items():
-        tail = [0.0] * (deg - order)
-        if order == 0:
-            for i in members:
-                out[i] = tail
-            continue
-        desc = np.array([group[i][2][: order + 1] for i in members])
-        matrices = np.zeros((len(members), order, order))
-        matrices.reshape(len(members), order * order)[:, order :: order + 1] = 1.0
-        matrices[:, 0, :] = -desc[:, 1:] / desc[:, :1]
-        eig = _stacked(np.linalg.eigvals, matrices)
-        for i, values in zip(members, eig):
-            out[i] = values if isinstance(values, Exception) else values.tolist() + tail
-    return out
-
-
-def _solve_companion(deg: int, group: list, found: dict) -> None:
-    """Every (key, poly, desc) of ``group``, whose polynomials all have degree deg >= 1."""
+def _solve_companion(p: Polynomial) -> ZeroSet:
+    """The zeros of ``p``: the eigenvalues ``np.roots`` finds, each real within
+    ``REALITY_THRESHOLD`` and then polished on its own (``_polish_horner``)."""
+    coeffs = p.float_coeffs()
+    deg = len(coeffs) - 1
+    if deg < 0:
+        raise RootComputationError("zero polynomial has no well-defined zero set")
+    if deg == 0:
+        return ZeroSet((), 0.0, METHOD_COMPANION, p)
+    desc = coeffs[::-1]
     if deg == 1:
         # 0.0 - y, not -y: a zero at the origin is +0.0, as np.roots gives it
-        eig = [[0.0 - desc[1] / desc[0]] for _, _, desc in group]
+        values = [0.0 - desc[1] / desc[0]]
     else:
-        eig = _companion_eigenvalues(group, deg)
-    for (key, poly, desc), values in zip(group, eig):
-        if isinstance(values, Exception):
-            err = RootComputationError(
-                f"LAPACK ?geev failed ({values}) on the companion matrix of a degree-{deg} polynomial"
+        import numpy as np
+
+        try:
+            values = np.roots(desc).tolist()
+        except np.linalg.LinAlgError as exc:
+            raise RootComputationError(
+                f"LAPACK ?geev failed ({exc}) on the companion matrix of a degree-{deg} polynomial"
+            ) from exc
+    raw = []
+    for z in values:
+        if abs(z.imag) > REALITY_THRESHOLD * max(1.0, abs(z.real)):
+            raise RootComputationError(
+                f"companion eigenvalue {z} is not real within threshold "
+                f"{REALITY_THRESHOLD}; expected an all-real zero set"
             )
-            err.__cause__ = values
-            found[key] = err
-            continue
-        raw = []
-        for z in values:
-            if abs(z.imag) <= REALITY_THRESHOLD * max(1.0, abs(z.real)):
-                raw.append(z.real)
-            else:
-                found[key] = RootComputationError(
-                    f"companion eigenvalue {z} is not real within threshold "
-                    f"{REALITY_THRESHOLD}; expected an all-real zero set"
-                )
-                break
-        else:
-            zeros, bounds = zip(*[_polish_horner(desc, x) for x in sorted(raw)])
-            try:
-                found[key] = ZeroSet(zeros, _set_bound(bounds), METHOD_COMPANION, poly)
-            except RootComputationError as exc:
-                found[key] = exc
+        raw.append(z.real)
+    zeros, bounds = zip(*[_polish_horner(desc, x) for x in sorted(raw)])
+    return ZeroSet(zeros, _set_bound(bounds), METHOD_COMPANION, p)
 
 
 def _mapped(zs: ZeroSet, spec: FamilySpec) -> ZeroSet:
@@ -351,83 +276,14 @@ def _mapped(zs: ZeroSet, spec: FamilySpec) -> ZeroSet:
     return ZeroSet(tuple(zeros), bound, METHOD_MAPPED, spec)
 
 
-def _key(term: Term) -> tuple:
-    spec = term.spec
-    if spec is not None and spec.kind in ORTHOGONAL_KINDS:
-        return ("tridiagonal", spec.param_key, spec.n)
-    if spec is not None and spec.kind in MAPPED_KINDS:
-        return ("mapped", spec.kind, spec.n)
-    return ("companion", spec if term.poly is None else term.poly)
-
-
-def zero_sets(terms) -> list:
-    """The zero set of each ``Term``, or the exception its solve raised, in input order.
-
-    Equal terms are solved once and share one result.  The rest are solved
-    by path and degree, as the module docstring says.  A failure is kept as
-    its term's result, the same exception that term raises when solved
-    alone, and never stops another term; ``unwrap`` raises it.
-    """
-    found: dict = {}
-    keys = []
-    tridiagonal = defaultdict(list)
-    companion = defaultdict(list)
-    mapped = []
-    for term in terms:
-        key = _key(term)
-        keys.append(key)
-        if key in found:
-            continue
-        found[key] = None
-        try:
-            if key[0] == "mapped":
-                mapped.append((key, term.spec))
-            elif key[0] == "tridiagonal":
-                spec = term.spec
-                steps = orthogonal_steps(recurrence_steps(spec))
-                if spec.n == 0:
-                    found[key] = ZeroSet((), 0.0, METHOD_JACOBI, spec)
-                else:
-                    # int / int rounds correctly: each double is bit for bit float(Fraction(a, b))
-                    diag = [a / b for a, b, _, _ in steps]
-                    off = [math.sqrt(u / v) for _, _, u, v in steps[1:]]
-                    tridiagonal[spec.n].append((key, spec, diag, off))
-            else:
-                p = term.poly if term.poly is not None else monic_by_recurrence(term.spec)
-                coeffs = p.float_coeffs()
-                deg = len(coeffs) - 1
-                if deg < 0:
-                    raise RootComputationError("zero polynomial has no well-defined zero set")
-                if deg == 0:
-                    found[key] = ZeroSet((), 0.0, METHOD_COMPANION, p)
-                else:
-                    companion[deg].append((key, p, coeffs[::-1]))
-        except Exception as exc:  # kept as this term's result; unwrap raises it
-            found[key] = exc
-    for n, group in tridiagonal.items():
-        _solve_tridiagonal(n, group, found)
-    for deg, group in companion.items():
-        _solve_companion(deg, group, found)
-    if mapped:
-        inner = zero_sets([Term(spec=narayana_jacobi(spec.n)) for _, spec in mapped])
-        for (key, spec), result in zip(mapped, inner):
-            try:
-                found[key] = result if isinstance(result, Exception) else _mapped(result, spec)
-            except RootComputationError as exc:
-                found[key] = exc
-    return [found[key] for key in keys]
-
-
-def unwrap(result) -> ZeroSet:
-    """The zero set ``zero_sets`` gave, or raise the exception it kept in its place."""
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def zero_set(term: Term) -> ZeroSet:
-    """The zero set of one ``Term``; raises what its solve raised."""
-    return unwrap(zero_sets([term])[0])
+    """The zero set of one ``Term``, by the path its kind takes (module docstring)."""
+    spec = term.spec
+    if spec is not None and spec.kind in MAPPED_KINDS:
+        return _mapped(zero_set(Term(spec=narayana_jacobi(spec.n))), spec)
+    if spec is not None and spec.kind in ORTHOGONAL_KINDS:
+        return _solve_tridiagonal(spec)
+    return _solve_companion(term.poly if term.poly is not None else monic_by_recurrence(spec))
 
 
 def zeros_orthogonal(spec: FamilySpec) -> ZeroSet:

@@ -18,18 +18,28 @@ the float sign test with an a-priori Horner error bound that the program
 used before its polynomials became exact only.  scipy is needed by the
 tests only.
 
-``solve_alone`` is the zero path as the program ran it one set at a time,
-before ``rootfind.zero_sets`` solved a batch by degree: the same dispatch
-(tridiagonal, companion), one LAPACK call per set, the scalar
-polish above, and the same exceptions with the same messages.
+``solve_alone`` is the zero path written out from these kernels: the same
+dispatch (tridiagonal, companion), one LAPACK call per set on the matrix
+built the reference way, the scalar polish above, and the same exceptions
+with the same messages, which ``rootfind.zero_set`` must give bit for bit.
 
 The interlacing verdicts as they were before their single-pass form are kept
 too: ``alternates`` and ``interlaces_down`` build one tagged (value, set,
 index) chain and scan it, and ``locate_point`` tests e against every zero and
 then walks the slots.
+
+``FloatOrders`` is the float order source the shape checkers read before
+every order was decided exactly: the float zero sets of G, Q and P, held to
+``DEFAULT_FLOOR``, with an order the floor leaves undecided reported as such.
+``float_report`` runs a relation's shape checker on it, so the tests compare
+the exact sources (``relations._DrawnOrders``, ``relations._ChainOrders``)
+with it on the same relations; ``relation_terms`` names the zero sets it reads.
+``refuse_zero_sets`` makes every binding of ``rootfind.zero_set`` raise, for
+the tests that show a command solves no zero set.
 """
 
 import math
+import sys
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -40,7 +50,9 @@ from interlace.families import (
     monic_by_recurrence,
     recurrence_coeffs,
 )
+from interlace import cli, interlacing, rootfind
 from interlace.interlacing import (
+    ADDED_OK_KINDS,
     ALTERNATE,
     DEFAULT_FLOOR,
     FAIL,
@@ -48,7 +60,8 @@ from interlace.interlacing import (
     INTERLACE_DOWN,
     Verdict,
 )
-from interlace.rootfind import REALITY_THRESHOLD, RootComputationError, ZeroSet
+from interlace.relations import SHAPE_CHECKERS, _bound_evidence
+from interlace.rootfind import REALITY_THRESHOLD, RootComputationError, Term, ZeroSet, zero_set
 
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
@@ -296,3 +309,109 @@ def locate_point(e, g):
         if g[j] < e < g[j + 1]:
             return "interior", j + 1
     return "unknown", None
+
+
+
+# -- the float order source ----------------------------------------------------
+
+
+def relation_terms(rel):
+    """The zero-set terms of G, Q and P, in the order ``FloatOrders`` reads them."""
+    return tuple(Term(rel.specs.get(name), getattr(rel, name)) for name in "GQP")
+
+
+def min_cross_gap(za, zb):
+    """Smallest |a - b| over a zero a of ``za`` and b of ``zb``; inf if one is empty.
+
+    One merge of the two ascending sets: the smaller head is taken next and
+    its gap to the other head is a candidate.  Every pair that is adjacent in
+    the merged order is among the candidates, and float subtraction is
+    monotone, so the result is the float the all-pairs minimum gives.
+    """
+    a, b = za.zeros, zb.zeros
+    best = float("inf")
+    i = j = 0
+    while i < len(a) and j < len(b):
+        gap = b[j] - a[i]  # exact in sign, so gap >= 0 means a[i] <= b[j]
+        if gap >= 0:
+            i += 1
+        else:
+            gap, j = -gap, j + 1
+        if gap < best:
+            best = gap
+    return best
+
+
+def float_order(lower, upper):
+    """Strict interlacing, ``lower``'s zero first; ``alternates`` or ``interlaces_down`` by size."""
+    verdict = interlacing.alternates if len(lower) == len(upper) else interlacing.interlaces_down
+    return verdict(lower, upper)
+
+
+def holds(verdict):
+    """Whether a float order holds; None when the floor leaves it undecided."""
+    return None if verdict.kind == INCONCLUSIVE else verdict.kind != FAIL
+
+
+class FloatOrders:
+    """The orders ``relations.check_relation`` names, on the float zero sets
+    ``found`` of G, Q and P, each held to ``DEFAULT_FLOOR``; one it leaves
+    undecided is None (a side of 0, an Inconclusive premise, E "unknown")."""
+
+    def __init__(self, rel, found):
+        zg, zq, zp = found
+        self.zeros = {"G": zg, "Q": zq, "P": zp}
+        self.e = e = float(rel.E)
+        self.position, self.slot = interlacing.locate_point(e, zg)
+        self.no_common_zeros_g_p = min_cross_gap(zg, zp) > DEFAULT_FLOOR
+        self.e_on_q = any(abs(e - q) <= DEFAULT_FLOOR for q in zq.zeros)
+
+    def premise(self, lower, upper):
+        return float_order(self.zeros[lower], self.zeros[upper])
+
+    def extreme(self, top):
+        zg = self.zeros["G"]
+        bound = zg.max if top else zg.min
+        side = self.e - bound
+        side = 0 if abs(side) <= DEFAULT_FLOOR else 1 if side > 0 else -1
+        return _bound_evidence(bound, self.e), side
+
+    def order(self, subject, first):
+        zg, zp = self.zeros["G"], self.zeros["P"]
+        if subject == "EP":
+            # added_point_interlace's first gap under the floor, and its flip to
+            # G's zero first, decide SKIPPED against FAIL near the floor.
+            verdict = interlacing.added_point_interlace(zp, self.e, zg)
+            if verdict.kind == INCONCLUSIVE:
+                return None
+            want = "G_below_P" if first == "G" else "P_below_G"
+            return verdict.kind in ADDED_OK_KINDS and verdict.orientation == want
+        return holds(float_order(*((zg, zp) if first == "G" else (zp, zg))))
+
+
+def float_report(rel, found=None):
+    """The shape checker's report on ``rel`` from ``FloatOrders``.
+
+    ``found`` holds the zero sets of G, Q and P; by default each term of
+    ``relation_terms(rel)`` is solved by ``rootfind.zero_set``, G's first, so
+    a failed solve raises G's error before Q's before P's.
+    """
+    if found is None:
+        found = [zero_set(term) for term in relation_terms(rel)]
+    return SHAPE_CHECKERS[rel.shape](rel, FloatOrders(rel, found))
+
+
+def refuse_zero_sets(monkeypatch):
+    """Make ``rootfind.zero_set`` raise, under every name a module of the package binds it."""
+
+    def refused(term):
+        raise AssertionError(f"a zero set was asked for: {term}")
+
+    owners = [
+        module
+        for name, module in sys.modules.items()
+        if name.split(".")[0] == "interlace" and getattr(module, "zero_set", None) is rootfind.zero_set
+    ]
+    assert rootfind in owners and cli in owners
+    for module in owners:
+        monkeypatch.setattr(module, "zero_set", refused)

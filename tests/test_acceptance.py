@@ -26,7 +26,6 @@ from interlace.families import (
 from interlace.poly import Polynomial
 from interlace.relations import (
     build_relation,
-    check_pair_up,
     check_relation,
     oracle_down_one,
     oracle_pair_up,
@@ -226,13 +225,13 @@ def test_criterion_5_oracle_property_suite():
             for seed in range(50):
                 runs += 1
                 rel = oracle_pair_up(n, seed, orientation=orientation)
-                report = check_pair_up(rel, ())
+                report = check_relation(rel)
                 if not (report.passed and report.premise_kind == orientation):
                     failures.append(("pair-up", n, orientation, seed, report.clauses))
         for seed in range(100):
             runs += 1
             rel = oracle_down_one(n, seed)
-            report = check_relation(rel, ())
+            report = check_relation(rel)
             if not report.passed:
                 failures.append(("down-one", n, seed, report.clauses))
     forced = 0
@@ -240,7 +239,7 @@ def test_criterion_5_oracle_property_suite():
         for seed in range(25):
             forced += 1
             rel = oracle_pair_up(n, seed, orientation="q_below_g", force_e="above_max")
-            report = check_pair_up(rel, ())
+            report = check_relation(rel)
             a_const = rel.A.coeffs[0]
             if a_const > 0 or report.clauses.get("e_position") != "fail" or report.passed:
                 failures.append(("forced", n, seed, a_const, report.clauses))

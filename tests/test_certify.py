@@ -7,13 +7,14 @@ polynomial at a / b against the sign of ``Polynomial.evaluate``, the first
 break of an alternation against a sort of the tagged entries, and the sign
 changes along a set of points against a count of the known zeros in each
 interval.  ``zeros_above`` is checked against the eigenvalues of the Jacobi
-matrix, and exactly at points that are zeros of G.  A checker given no zero
-sets reads its orders from the drawn zeros (``relations._DrawnOrders``), or
-for a named check from G's chain (``relations._ChainOrders``); its report is
-checked, row by row and field by field, against the report it gives on float
-zero sets (``relations._FloatOrders``): for an oracle, the zero sets its path
-solved before it was exact (each drawn zero correctly rounded, and P by the
-companion path); for a named check, the zero sets ``relation_terms`` names.
+matrix, and exactly at points that are zeros of G.  ``check_relation`` reads
+its orders from the drawn zeros (``relations._DrawnOrders``), or for a named
+check from G's chain (``relations._ChainOrders``); its report is checked,
+row by row and field by field, against the report the same checker gives on
+float zero sets (``float_reference.FloatOrders``): for an oracle, the zero
+sets its path solved before it was exact (each drawn zero correctly rounded,
+and P by the companion path); for a named check, the zero sets
+``float_reference.relation_terms`` names.
 The Narayana checks read G, the reduced Narayana polynomial R_n, along the
 chain of P^(1,1) through t = (1 + x) / (1 - x): their reports are checked
 against the float route where every float bound is under the floor, at high
@@ -51,9 +52,10 @@ from interlace.relations import (
     check_relation,
     oracle_down_one,
     oracle_pair_up,
-    relation_terms,
 )
-from interlace.rootfind import Term, ZeroSet, unwrap, zero_sets, zeros_general, zeros_orthogonal
+from interlace.rootfind import Term, ZeroSet, zero_set, zeros_general, zeros_orthogonal
+
+import float_reference as ref
 
 
 def _sign(x) -> int:
@@ -157,21 +159,20 @@ def test_changes_count_the_zeros_in_each_interval_mod_two(zeros, at, lead):
 def _float_reports(rels) -> list:
     """The checker's report on each relation, given the zero sets the oracle
     path used to solve: the drawn zeros of G and Q correctly rounded, and P's
-    zeros by the companion path, all P's solved in one batch."""
-    found_p = zero_sets([Term(poly=rel.P) for rel in rels])
+    zeros by the companion path."""
     out = []
-    for rel, zp in zip(rels, found_p):
+    for rel in rels:
         rounded = []
         for name in "GQ":
             nums, den = rel.roots[name]
             rounded.append(ZeroSet(tuple(sorted(x / den for x in nums)), 0.0, "drawn"))
-        out.append(check_relation(rel, [*rounded, zp]))
+        out.append(ref.float_report(rel, [*rounded, zero_set(Term(poly=rel.P))]))
     return out
 
 
 def _assert_same_reports(rels) -> None:
     for rel, want in zip(rels, _float_reports(rels)):
-        got = check_relation(rel, ())
+        got = check_relation(rel)
         assert got.csv_rows() == want.csv_rows(), rel.params
         assert got.to_json() == want.to_json(), rel.params
         assert (got.premise, got.hypotheses, got.notes) == (want.premise, want.hypotheses, want.notes)
@@ -189,7 +190,7 @@ def test_pair_up_report_agrees_with_the_float_checker(force_e):
         for seed in SEEDS
     ]
     if force_e:
-        assert all(not check_relation(rel, ()).passed for rel in rels)
+        assert all(not check_relation(rel).passed for rel in rels)
     _assert_same_reports(rels)
 
 
@@ -212,13 +213,13 @@ def test_a_broken_premise_and_e_on_a_zero_of_q_agree_with_the_float_checker():
     # nothing differently.
     assemble = _assemble
     broken = assemble([F(-1), F(1, 4), F(1)], [F(-1, 2), F(1, 2), F(3, 4)], F(2))
-    report = check_relation(broken, ())
+    report = check_relation(broken)
     assert report.premise_kind is None and report.premise.kind == "Fail"
     assert set(report.clauses.values()) == {"skipped"}
     _assert_same_reports([broken])
     # E on a zero of Q: P(E) = B(E) G(E) / A, the note is logged
     on_q = assemble([F(-1), F(1)], [F(-3, 2), F(0)], F(0))
-    assert "E sits on a zero of Q (permitted, logged)" in check_relation(on_q, ()).notes
+    assert "E sits on a zero of Q (permitted, logged)" in check_relation(on_q).notes
     _assert_same_reports([on_q])
 
 
@@ -230,7 +231,7 @@ def test_zeros_closer_than_the_floor_are_decided_exactly():
     (floats,) = _float_reports([rel])
     assert floats.premise.kind == "Inconclusive"
     assert set(floats.clauses.values()) == {"skipped"}
-    report = check_relation(rel, ())
+    report = check_relation(rel)
     assert report.premise_kind == "q_below_g" and report.hypotheses_ok
     assert report.clauses == {"e_position": "pass", "added_point": "pass", "full_iff": "pass"}
 
@@ -247,19 +248,9 @@ def _sweep(argv: list[str]) -> tuple[int, str]:
 
 @pytest.mark.parametrize("mode", ["pair-up", "down-one"])
 def test_oracle_sweep_solves_no_zero_set(monkeypatch, mode):
-    handed = []
-    for owner in (cli, relations):
-        batch = owner.zero_sets
-
-        def spy(terms, batch=batch):
-            terms = list(terms)
-            handed.extend(terms)
-            return batch(terms)
-
-        monkeypatch.setattr(owner, "zero_sets", spy)
+    ref.refuse_zero_sets(monkeypatch)
     code, out = _sweep(["sweep", "--oracle", mode, "--n", "1..12", "--seeds", "5", "--workers", "1"])
     assert code == 0 and out.count(",pass") == 60
-    assert handed == []
 
 
 def test_pair_up_oracle_passes_at_degrees_40_to_48():
@@ -445,11 +436,10 @@ def _without_evidence(notes):
 @example(("jacobi-3.5", 8, {"alpha": F(2), "beta": F(14)}))
 def test_chain_report_agrees_with_the_float_checker(point):
     rel = build_relation(*point)
-    found = zero_sets(relation_terms(rel))
-    zg, zq, zp = map(unwrap, found)
-    merged = sorted([*zg.zeros, *zq.zeros, *zp.zeros, float(rel.E)])
+    found = [zero_set(term) for term in ref.relation_terms(rel)]
+    merged = sorted([*(z for zs in found for z in zs.zeros), float(rel.E)])
     assume(all(b - a > 1e-6 for a, b in zip(merged, merged[1:])))
-    want, got = check_relation(rel, found), check_relation(rel, ())
+    want, got = ref.float_report(rel, found), check_relation(rel)
     assert got.csv_rows() == want.csv_rows(), point
     assert {**got.to_json(), "notes": None} == {**want.to_json(), "notes": None}, point
     assert (got.premise, got.hypotheses) == (want.premise, want.hypotheses), point
@@ -458,7 +448,7 @@ def test_chain_report_agrees_with_the_float_checker(point):
 
 def test_the_chain_decides_only_a_certified_relation_on_its_own_member():
     rel = build_relation("laguerre-3.7", 4, {"alpha": 0})
-    assert check_relation(rel, ()).passed
+    assert check_relation(rel).passed
     uncertified = dataclasses.replace(rel, P=rel.P + Polynomial([1]))
     assert not uncertified.certified
     # the same terms, certified, with G named as a member of another chain
@@ -466,7 +456,7 @@ def test_the_chain_decides_only_a_certified_relation_on_its_own_member():
     assert renamed.certified
     for copy in (uncertified, renamed):
         with pytest.raises(ValueError, match="laguerre-3.7: the chain decides only a certified relation"):
-            check_relation(copy, ())
+            check_relation(copy)
 
 
 # -- the chain on hand-made relations: a failing premise, and A vanishing at E --
@@ -509,7 +499,7 @@ def test_a_premise_that_fails_on_the_chain(c1, witness):
     # Q = G + c1 G1 + G2 does not alternate with G: Q(g) = L(g) G1(g)
     # changes sign, or vanishes, where L does.
     Q = _legendre(3) + _legendre(2).scale(c1) + _legendre(1)
-    report = check_relation(_pair_up_on_legendre_3(Q, F(2)), ())
+    report = check_relation(_pair_up_on_legendre_3(Q, F(2)))
     assert report.premise_kind is None
     assert report.premise == relations.Verdict("Fail", witness=witness)
     assert set(report.clauses.values()) == {"skipped"}
@@ -528,7 +518,7 @@ def test_p_sign_where_a_and_g_vanish_at_e_is_read_directly():
         specs={"G": LEGENDRE_3},
     )
     assert rel.certified and P.evaluate(0) == F(-4, 15)
-    report = check_relation(rel, ())
+    report = check_relation(rel)
     assert not report.hypotheses["e_not_on_g_zero"]
     assert report.hypotheses["no_common_zeros_g_p"]
     orders = relations._ChainOrders(rel)
@@ -541,7 +531,7 @@ def test_a_q_off_the_chain_is_refused():
     # the chain has no premise to read, and there is no float fallback.
     rel = _pair_up_on_legendre_3(_legendre(3) + Polynomial([1, 0, 1]), F(2))
     with pytest.raises(InvalidParameterError, match="hand: Q is not t G"):
-        check_relation(rel, ())
+        check_relation(rel)
 
 
 # -- the Narayana checks, along the chain of P^(1,1) ---------------------------
@@ -556,8 +546,8 @@ def _float_even_report(rel) -> relations.CheckReport:
     report.clauses["common_zero_at_minus_one"] = "pass" if shared else "fail"
     quotient, remainder = rel.G.divide_linear(rel.E)
     assert remainder == 0
-    zp, zq = map(unwrap, zero_sets([Term(poly=rel.P), Term(poly=quotient)]))
-    holds = relations._holds(interlaces_down(zp, zq))
+    zp, zq = zero_set(Term(poly=rel.P)), zero_set(Term(poly=quotient))
+    holds = ref.holds(interlaces_down(zp, zq))
     report.clauses["quotient_interlace"] = relations._clause_result(holds)
     report.notes.append("even branch: zeros of P against zeros of G/(x+1)")
     return report
@@ -573,9 +563,9 @@ def test_narayana_reports_agree_with_the_float_route(check_id):
         if check_id == "narayana-3.4" and n % 2 == 0:
             want = _float_even_report(rel)
         else:
-            found = zero_sets(relation_terms(rel))
-            assert max(unwrap(zs).bound for zs in found) < 1e-9, n
-            want = check_relation(rel, found)
+            found = [zero_set(term) for term in ref.relation_terms(rel)]
+            assert max(zs.bound for zs in found) < 1e-9, n
+            want = ref.float_report(rel, found)
         assert got.to_json() == want.to_json(), n
         assert got.csv_rows() == want.csv_rows(), n
         assert (got.premise, got.notes) == (want.premise, want.notes), n
@@ -607,7 +597,7 @@ def test_narayana_checks_pass_at_high_degree(check_id, n):
 
 def test_the_narayana_chain_decides_only_a_certified_relation_on_its_own_member():
     rel = build_relation("narayana-3.3", 9)
-    assert check_relation(rel, ()).passed
+    assert check_relation(rel).passed
     uncertified = dataclasses.replace(rel, P=rel.P + Polynomial([1]))
     assert not uncertified.certified
     # the same terms, certified, with G named as R_10 rather than R_9
@@ -615,7 +605,7 @@ def test_the_narayana_chain_decides_only_a_certified_relation_on_its_own_member(
     assert renamed.certified
     for copy in (uncertified, renamed):
         with pytest.raises(ValueError, match="narayana-3.3: the chain decides only a certified relation"):
-            check_relation(copy, ())
+            check_relation(copy)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 31, 60])

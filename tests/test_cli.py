@@ -25,16 +25,16 @@ from interlace.rootfind import RootComputationError
 from fractions import Fraction as F
 
 
-def _raising_past_50(plan):
-    """``plan`` with every point past n = 50 raising, as Narayana points did
+def _raising_past_50(run):
+    """``run`` with every point past n = 50 raising, as Narayana points did
     while the check solved their zero sets on the companion path."""
 
-    def planned(check_id, n, params=None):
+    def checked(check_id, n, params=None):
         if n > 50:
             raise RootComputationError(f"companion eigenvalue at n={n} is not real")
-        return plan(check_id, n, params)
+        return run(check_id, n, params)
 
-    return planned
+    return checked
 
 
 def run_cli(capsys, *argv):
@@ -747,7 +747,7 @@ class TestSweepCommand:
 
     def test_point_exception_becomes_error_row(self, capsys, tmp_path, monkeypatch):
         # A point that raises must become a row, not end the sweep.
-        monkeypatch.setattr(cli, "plan_check", _raising_past_50(cli.plan_check))
+        monkeypatch.setattr(cli, "run_check", _raising_past_50(cli.run_check))
         spec = tmp_path / "sweep.json"
         spec.write_text(json.dumps({"check": "narayana-3.3", "n": [50, 52]}))
         code, out, err = run_cli(capsys, "sweep", str(spec), "--workers", "1")
@@ -802,7 +802,7 @@ class TestSweepCommand:
             # narayana-3.3 is made to raise RootComputationError at n = 51 and
             # 52, so error rows are built in the workers and must cross the
             # process boundary.
-            monkeypatch.setattr(cli, "plan_check", _raising_past_50(cli.plan_check))
+            monkeypatch.setattr(cli, "run_check", _raising_past_50(cli.run_check))
             spec.write_text(json.dumps({"check": "narayana-3.3", "n": [50, 52]}))
             argv = [str(spec)]
         else:

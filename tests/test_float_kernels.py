@@ -7,10 +7,11 @@ eigenvalue by one inlined Horner loop.  The reference routes in
 ``float_reference`` (scipy's ``eigh_tridiagonal``, which calls ``?stevd``,
 and the generic Newton polish) must give the same zeros with ``==``, and the
 same bounds.  Every bound must enclose a zero, by exact signs.  The G/P gap
-scan of the float order source, ``relations._min_cross_gap``, is checked the
-same way against its plain form.
+scan of the float order source, ``float_reference.min_cross_gap``, is checked
+against its plain form.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -34,16 +35,14 @@ from interlace.families import (
 )
 from interlace.certify import signs_at
 from interlace.poly import Polynomial
-from interlace.relations import _min_cross_gap, build_relation
+from interlace.relations import build_relation
 from interlace import rootfind
 from interlace.rootfind import (
     RootComputationError,
     Term,
     ZeroSet,
-    _jacobi_matrices,
-    unwrap,
+    _jacobi_matrix,
     zero_set,
-    zero_sets,
     zeros_general,
     zeros_orthogonal,
 )
@@ -200,7 +199,7 @@ def raw_tridiagonals(draw):
 def test_tridiagonal_eigenvalues_match_stevd(matrix):
     diag, off = matrix
     want = eigh_tridiagonal(diag, off, eigvals_only=True).tolist()
-    assert np.linalg.eigvalsh(_jacobi_matrices([diag], [off]))[0].tolist() == want
+    assert np.linalg.eigvalsh(_jacobi_matrix(diag, off)).tolist() == want
 
 
 def _lapack_fails(a, UPLO="L"):
@@ -211,16 +210,25 @@ def test_lapack_failure_is_a_root_computation_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", _lapack_fails)
     with pytest.raises(
         RootComputationError, match=r"\?syevd failed \(Eigenvalues did not converge\)"
-    ):
+    ) as info:
         zeros_orthogonal(jacobi(2, 14, 5))
+    assert str(info.value).endswith("on the Jacobi matrix of jacobi n=5")
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    monkeypatch.setattr(np, "roots", _lapack_fails)
+    with pytest.raises(RootComputationError) as info:
+        zeros_general(Polynomial.from_roots([F(1), F(2), F(3)]))
+    assert str(info.value) == (
+        "LAPACK ?geev failed (Eigenvalues did not converge) on the companion matrix "
+        "of a degree-3 polynomial"
+    )
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_no_sweep_reaches_lapack(monkeypatch, capsys, tmp_path):
     # A LAPACK failure once became a sweep's error row; now no named check
-    # and no oracle solves a zero set, so a sweep passes with both
-    # eigensolvers failing.
-    monkeypatch.setattr(np.linalg, "eigvals", _lapack_fails)
-    monkeypatch.setattr(np.linalg, "eigvalsh", _lapack_fails)
+    # and no oracle solves a zero set, so a sweep passes with the one
+    # zero-set entry refused.
+    ref.refuse_zero_sets(monkeypatch)
     for check_id in ("narayana-3.3", "narayana-3.4", "laguerre-3.7"):
         params = ', "params": {"alpha": [0]}' if check_id == "laguerre-3.7" else ""
         spec = tmp_path / f"{check_id}.json"
@@ -305,32 +313,30 @@ def test_running_bound_is_tighter_than_the_a_priori_one():
 
 def test_narayana_check_at_forty_has_a_tight_p_bound():
     # The a-priori Horner bound put this zero set at 7.5e-4.  The check reads
-    # no zero set now; its float comparison route solves P on the companion path.
+    # no zero set now; its float reference solves P on the companion path.
     rel = build_relation("narayana-3.3", 40)
-    zp = unwrap(zero_sets(relations.relation_terms(rel))[2])
+    zp = zero_set(ref.relation_terms(rel)[2])
     assert zp.source == rel.P and zp.method == "Companion"
     assert len(zp) == 39
     assert zp.bound < 1e-4
 
 
-# -- the batch entry ---------------------------------------------------------
+# -- one set against the reference ----------------------------------------
 
 
-def assert_batch_matches_alone(terms):
-    """Every result of one batch is the set, or the failure, of its term solved alone."""
-    found = zero_sets(terms)
-    assert len(found) == len(terms)
-    for term, got in zip(terms, found):
-        want = ref.solve_alone(term)
-        if isinstance(want, Exception):
-            assert isinstance(got, Exception), (term, got)
-            assert (type(got), str(got)) == (type(want), str(want))
-        else:
-            assert isinstance(got, ZeroSet), (term, got)
-            # By repr, so a zero's sign (-0.0 against 0.0) and NaN compare too.
-            assert repr((got.zeros, got.bound, got.method)) == repr(
-                (want.zeros, want.bound, want.method)
-            )
+def assert_matches_alone(term):
+    """``zero_set(term)`` is the set, or raises the failure, of the reference solve."""
+    want = ref.solve_alone(term)
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as info:
+            zero_set(term)
+        assert str(info.value) == str(want), term
+    else:
+        got = zero_set(term)
+        # By repr, so a zero's sign (-0.0 against 0.0) and NaN compare too.
+        assert repr((got.zeros, got.bound, got.method)) == repr(
+            (want.zeros, want.bound, want.method)
+        )
 
 
 NARAYANA_KINDS = ("narayana-reduced", "narayana-christoffel", "narayana-perturbed")
@@ -369,15 +375,7 @@ terms = st.one_of(
 )
 
 
-@st.composite
-def batches(draw):
-    """Terms with some repeated: a repeat is solved once and shares its result."""
-    base = draw(st.lists(terms, min_size=1, max_size=10))
-    repeats = draw(st.lists(st.sampled_from(base), max_size=4))
-    return draw(st.permutations(base + repeats))
-
-
-@given(batches())
+@given(st.lists(terms, min_size=1, max_size=10))
 @settings(max_examples=100, deadline=None)
 @example(
     [
@@ -389,23 +387,23 @@ def batches(draw):
         Term(poly=Polynomial([F(1, 3), 2])),
         Term(spec=FamilySpec("laguerre", (("alpha", F(-3)),), 4)),
         Term(spec=laguerre(F(1, 2), 4)),
-        Term(spec=laguerre(F(1, 2), 4)),
         Term(spec=meixner(F(1, 3), F(999, 1000), 60)),
     ]
 )
 @example([Term(poly=Polynomial([0, 1]))])  # the zero at the origin is 0.0, not -0.0
-def test_batch_matches_each_set_solved_alone(batch):
-    assert_batch_matches_alone(batch)
+def test_each_set_matches_it_solved_alone(drawn):
+    for term in drawn:
+        assert_matches_alone(term)
 
 
 @pytest.mark.parametrize("n", [1, 4, 8, 13])
 def test_a_degree_group_polished_at_once_matches(n):
-    # 16 members of one degree share one stacked eigensolve per path.
+    # 16 members of one degree on each path, each set solved on its own.
     specs = [jacobi(F(i, 4) - F(1, 2), F(3 * i, 5), n) for i in range(8)]
     specs += [meixner(F(i + 1, 3), F(999, 1000), n) for i in range(8)]
-    assert_batch_matches_alone([Term(spec=spec) for spec in specs])
     polys = [relations.oracle_pair_up(n, seed).P for seed in range(16)]
-    assert_batch_matches_alone([Term(poly=p) for p in polys])
+    for term in [Term(spec=spec) for spec in specs] + [Term(poly=p) for p in polys]:
+        assert_matches_alone(term)
 
 
 def _started_off(zeros, k):
@@ -422,8 +420,8 @@ def _started_off(zeros, k):
 
 def test_polish_from_starts_off_the_zeros_matches_the_reference():
     # Starts off the zeros reach the one-, two- and three-step stops, the
-    # inf row and the NaN zero, which the eigenvalue starts of the batch
-    # tests do not.  Compared by repr, so NaN zeros and bounds compare too.
+    # inf row and the NaN zero, which the eigenvalue starts of the tests
+    # above do not.  Compared by repr, so NaN zeros and bounds compare too.
     polys = [relations.oracle_pair_up(9, seed).P for seed in range(7)]
     for k, p in enumerate(polys):
         coeffs = p.float_coeffs()
@@ -433,62 +431,19 @@ def test_polish_from_starts_off_the_zeros_matches_the_reference():
             assert repr(rootfind._polish_horner(coeffs[::-1], x)) == repr(want)
 
 
-def test_a_group_beyond_the_stack_budget_is_split_between_sets(monkeypatch):
-    calls = []
-    real_eigvalsh, real_eigvals = np.linalg.eigvalsh, np.linalg.eigvals
-
-    def eigvalsh(a, UPLO="L"):
-        calls.append(a.shape)
-        return real_eigvalsh(a, UPLO)
-
-    def eigvals(a):
-        calls.append(a.shape)
-        return real_eigvals(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
-    # 80^2 entries per Jacobi matrix and 23^2 per companion matrix
-    specs = [jacobi(F(i, 3), F(1, 2), 80) for i in range(7)]
-    polys = [relations.oracle_pair_up(23, seed).P for seed in range(40)]
-    assert_batch_matches_alone([Term(spec=spec) for spec in specs] + [Term(poly=p) for p in polys])
-    stacks = [shape for shape in calls if len(shape) == 3]
-    assert [shape[0] for shape in stacks if shape[1] == 80] == [2, 2, 2, 1]
-    assert [shape[0] for shape in stacks if shape[1] == 23] == [30, 10]
-    assert all(count * order * order <= rootfind._STACK_ENTRIES for count, order, _ in stacks)
-
-
-def test_lapack_failure_is_charged_to_its_own_set(monkeypatch):
-    # One Jacobi matrix of a group fails in LAPACK; the stacked call raises
-    # for the group, and only that set keeps the failure.
-    specs = [jacobi(F(i, 3), 2, 6) for i in range(6)]
-    bad = float(ref.recurrence_coeffs(specs[2]).c[0])
-    real = np.linalg.eigvalsh
-
-    def eigvalsh(a, UPLO="L"):
-        if np.any(a[..., 0, 0] == bad):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real(a, UPLO)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    found = zero_sets([Term(spec=spec) for spec in specs])
-    assert [isinstance(r, RootComputationError) for r in found] == [False, False, True, False, False, False]
-    assert str(found[2]) == (
-        "LAPACK ?syevd failed (Eigenvalues did not converge) on the Jacobi matrix of jacobi n=6"
-    )
-    assert isinstance(found[2].__cause__, np.linalg.LinAlgError)
-    assert_batch_matches_alone([Term(spec=spec) for spec in specs])
-
-
 def test_a_failed_term_raises_in_the_checkers_read_order():
     # Narayana at n = 55, every term on the companion path: G, Q and P each
-    # fail, with their own messages; the report raises G's, as it did when it
-    # solved G first.
-    rel = build_relation("narayana-3.3", 55)
-    found = zero_sets([Term(poly=term.poly) for term in relations.relation_terms(rel)])
-    assert all(isinstance(r, RootComputationError) for r in found)
-    assert len({str(r) for r in found}) == 3
-    with pytest.raises(RootComputationError, match=re.escape(str(found[0]))):
-        relations.check_relation(rel, found)
+    # fail, with their own messages; the float reference raises G's, as it
+    # solves G first.  With no specs, every term is a polynomial.
+    rel = dataclasses.replace(build_relation("narayana-3.3", 55), specs={})
+    errors = []
+    for term in ref.relation_terms(rel):
+        with pytest.raises(RootComputationError) as info:
+            zero_set(term)
+        errors.append(str(info.value))
+    assert len(set(errors)) == 3
+    with pytest.raises(RootComputationError, match=re.escape(errors[0])):
+        ref.float_report(rel)
 
 
 # -- hypothesis scans --------------------------------------------------------
@@ -509,5 +464,5 @@ sorted_sets = st.lists(
 @example(ZeroSet((), 0.0, "test"), ZeroSet((1.0,), 0.0, "test"))
 def test_min_cross_gap_is_the_all_pairs_minimum(za, zb):
     want = min((abs(a - b) for a in za.zeros for b in zb.zeros), default=float("inf"))
-    assert _min_cross_gap(za, zb) == want
-    assert _min_cross_gap(zb, za) == want
+    assert ref.min_cross_gap(za, zb) == want
+    assert ref.min_cross_gap(zb, za) == want

@@ -28,14 +28,14 @@ from interlace.relations import (
     _draw_e,
     assemble_down_one,
     assemble_pair_up,
-    check_pair_up,
+    check_relation,
     oracle_down_one,
     oracle_pair_up,
 )
-from interlace.rootfind import zero_sets, zeros_general
+from interlace.rootfind import zeros_general
 
 from exact_reference import mul_linear
-from float_reference import horner_pair, horner_with_errbound
+from float_reference import float_report, horner_pair, horner_with_errbound, relation_terms
 
 # -- the reference ----------------------------------------------------------
 
@@ -271,16 +271,17 @@ class TestZerosExact:
 class TestReplacedTerms:
     def test_reassigned_g_uses_the_new_zeros(self):
         # The drawn relation is decided on its drawn zeros; a copy with
-        # another G carries none, so it needs zero sets, solved from its own terms.
+        # another G carries none, so only the float reference, solving zero
+        # sets from the copy's own terms, reports on it.
         rel, other = oracle_pair_up(4, 0), oracle_pair_up(4, 1)
         copy = dataclasses.replace(rel, G=other.G)
-        assert check_pair_up(rel, ()).passed
+        assert check_relation(rel).passed
         assert copy.roots == {}
-        with pytest.raises(ValueError, match="oracle-pair-up: no zero sets given"):
-            check_pair_up(copy, ())
-        terms = relations.relation_terms(copy)
+        with pytest.raises(ValueError, match="oracle-pair-up: no drawn zeros or recurrence chain"):
+            check_relation(copy)
+        terms = relation_terms(copy)
         assert [term.poly for term in terms] == [other.G, rel.Q, rel.P]
-        report = check_pair_up(copy, zero_sets(terms))
+        report = float_report(copy)
         assert report.identity_ok is False
 
     def test_terms_cannot_be_reassigned(self):

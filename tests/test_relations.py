@@ -19,20 +19,18 @@ from interlace.relations import (
     assemble_down_one,
     assemble_pair_up,
     build_relation,
-    check_down_one,
     check_pair_up,
     check_relation,
     oracle_down_one,
     oracle_pair_up,
-    relation_terms,
     run_check,
     verify_identity,
 )
-from interlace.rootfind import zero_sets, zeros_general, zeros_orthogonal
+from interlace.rootfind import zeros_general, zeros_orthogonal
 from interlace import families, relations
 
 from exact_reference import CHECKS_REFERENCE
-from float_reference import sign_at_zeros
+from float_reference import float_report, sign_at_zeros
 
 # The benchmark grid's parameter pools, with negative and fractional values
 # (alpha = -1/2, beta = -1/3, t = 1/3, p = 4/5) among them.
@@ -212,18 +210,16 @@ class TestVerifyIdentity:
         bumped = list(rel.P.coeffs)
         bumped[0] += F(1, 10**6)
         copy = dataclasses.replace(rel, P=Polynomial(bumped))
-        report = check_relation(copy, zero_sets(relation_terms(copy)))
+        report = float_report(copy)
         assert not report.identity_ok
         assert not report.passed
 
     def test_a_relation_without_zero_sets_is_refused(self):
-        # A checker solves no zero set itself.  A relation that names no spec
-        # for G has no recurrence chain to decide on instead.
+        # No check solves a zero set.  A relation that carries no drawn zeros
+        # and names no spec for G has no recurrence chain to decide on.
         rel = dataclasses.replace(build_relation("narayana-3.3", 4), specs={})
-        for checker in (check_relation, check_down_one):
-            for found in (None, [], ()):
-                with pytest.raises(ValueError, match="narayana-3.3: no zero sets given"):
-                    checker(rel, found)
+        with pytest.raises(ValueError, match="narayana-3.3: no drawn zeros or recurrence chain"):
+            check_relation(rel)
 
 
 class TestCertifiedOnce:
@@ -257,7 +253,7 @@ class TestCertifiedOnce:
     def test_oracle_relation(self, calls):
         rel = oracle_pair_up(4, 0)
         assert calls == ["oracle-pair-up"]
-        report = check_pair_up(rel, ())
+        report = check_relation(rel)
         assert report.identity_ok
         assert calls == ["oracle-pair-up"]
 
@@ -277,13 +273,13 @@ class TestPairUpChecker:
 
     def test_degree_zero_member(self):
         rel = build_relation("laguerre-3.7", 0, {"alpha": F(-1, 2)})
-        report = check_pair_up(rel, zero_sets(relation_terms(rel)))
-        assert report.passed
+        assert check_relation(rel).passed
+        assert float_report(rel).passed
 
     def test_wrong_shape_rejected(self):
         rel = build_relation("jacobi-3.6", 3, {"alpha": 0, "beta": 1})
         with pytest.raises(InvalidParameterError):
-            check_pair_up(rel, zero_sets(relation_terms(rel)))
+            check_pair_up(rel, relations._ChainOrders(rel))
 
 
 class TestDownOneChecker:
@@ -432,7 +428,7 @@ class TestOracles:
         for seed in range(15):
             rel = oracle_pair_up(n, seed, orientation=orientation)
             assert verify_identity(rel)
-            report = check_pair_up(rel, ())
+            report = check_relation(rel)
             assert report.passed, (n, seed, report.to_json())
             assert report.premise_kind == orientation
 
@@ -441,16 +437,16 @@ class TestOracles:
         for seed in range(15):
             rel = oracle_down_one(n, seed)
             assert verify_identity(rel)
-            report = check_down_one(rel, ())
+            report = check_relation(rel)
             assert report.passed, (n, seed, report.to_json())
 
     def test_down_one_region_control(self):
         for seed in range(15):
-            above = check_down_one(oracle_down_one(5, seed, e_region="above"), ())
+            above = check_relation(oracle_down_one(5, seed, e_region="above"))
             assert above.clauses["full_when_e_above"] == "pass"
-            below = check_down_one(oracle_down_one(5, seed, e_region="below"), ())
+            below = check_relation(oracle_down_one(5, seed, e_region="below"))
             assert below.clauses["full_when_e_below"] == "pass"
-            interior = check_down_one(oracle_down_one(5, seed, e_region="interior"), ())
+            interior = check_relation(oracle_down_one(5, seed, e_region="interior"))
             assert interior.clauses["added_point"] == "pass"
 
     def test_sign_alternation_engine(self):
@@ -470,7 +466,7 @@ class TestOracles:
                 rel = oracle_pair_up(n, seed, orientation="q_below_g", force_e="above_max")
                 assert verify_identity(rel)
                 assert rel.A.coeffs[0] <= 0
-                report = check_pair_up(rel, ())
+                report = check_relation(rel)
                 assert not report.hypotheses["a_positive"]
                 assert report.clauses["e_position"] == "fail"
                 assert not report.passed
@@ -504,7 +500,7 @@ class TestAffineInvariance:
         e = F(1, 16)
         first = self._assemble(assemble_pair_up, g_zeros, q_zeros, e)
         assert first is not None and verify_identity(first)
-        report_one = check_pair_up(first, ())
+        report_one = check_relation(first)
         second = self._assemble(
             assemble_pair_up,
             self._transform(g_zeros, a, b),
@@ -512,7 +508,7 @@ class TestAffineInvariance:
             a * e + b,
         )
         assert second is not None and verify_identity(second)
-        report_two = check_pair_up(second, ())
+        report_two = check_relation(second)
         assert report_one.clauses == report_two.clauses
         assert report_one.premise_kind == report_two.premise_kind
         assert report_one.e_position == report_two.e_position
@@ -530,8 +526,8 @@ class TestAffineInvariance:
             a * e + b,
             F(2),
         )
-        report_one = check_down_one(first, ())
-        report_two = check_down_one(second, ())
+        report_one = check_relation(first)
+        report_two = check_relation(second)
         assert report_one.clauses == report_two.clauses
         assert report_one.e_position == report_two.e_position
 

@@ -80,7 +80,7 @@ class TestSpectralPath:
         with pytest.raises(InvalidParameterError):
             zeros_orthogonal(families.narayana_spec("narayana-reduced", 3))
 
-    @pytest.mark.parametrize("caller", ["zero_sets", "chain"])
+    @pytest.mark.parametrize("caller", ["zeros_orthogonal", "chain"])
     @pytest.mark.parametrize(
         "kind, params, message",
         [
@@ -95,10 +95,10 @@ class TestSpectralPath:
         # Jacobi-matrix path, and the chain order source of a relation.
         spec = families.FamilySpec(kind, params, 2)  # unvalidated, outside the region
         with pytest.raises(InvalidParameterError, match=re.escape(message)):
-            if caller == "zero_sets":
+            if caller == "zeros_orthogonal":
                 zeros_orthogonal(spec)
             else:
-                check_relation(_chain_relation(spec), ())
+                check_relation(_chain_relation(spec))
 
     @pytest.mark.parametrize("n", [1, 5, 12, 25])
     def test_zeros_inside_family_support(self, n):

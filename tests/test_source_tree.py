@@ -16,8 +16,9 @@ oracle mode reaches, fails here before it is ever run.
 * The separation floor is ``interlacing.DEFAULT_FLOOR`` alone: it is assigned
   once, no function or lambda takes a ``floor`` parameter, and nothing reads
   ``os.environ`` or ``os.getenv``.
-* Every name the benchmark's span tracer (``perfbench/tracer.py``) patches in
-  a module of the package, by string, is bound at that module's top level.
+* Every name the benchmark's span tracer (``perfbench/tracer.py``) takes from
+  a module of the package is bound at that module's top level: each name it
+  patches by string, imports, or reads as an attribute of a package module.
 """
 
 import ast
@@ -164,12 +165,21 @@ def _top_level_names(module: ast.Module) -> set[str]:
 
 
 def test_every_traced_name_is_bound():
-    """A name the tracer patches and the package no longer binds fails the
-    benchmark run, and ``pytest perfbench``, but nothing else; this reads
-    ``PATCHES`` and each ``patch(module, "name", ...)`` call of the tracer."""
+    """A name the tracer takes from the package and the package no longer
+    binds fails the benchmark run, and ``pytest perfbench``, but nothing
+    else.  This reads ``PATCHES``, each ``patch(module, "name", ...)`` call,
+    each ``from interlace... import name`` and each ``module.name`` read of
+    the tracer, where ``module`` is a package module it imports by name."""
     tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
     modules = _modules()
-    patched = []
+    # the tracer's name for each package module it imports whole
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tracer)
+        if isinstance(node, ast.ImportFrom) and node.module == "interlace"
+        for alias in node.names
+    }
+    patched, used = [], []
     for entry in _assigned(tracer, "PATCHES").elts:
         span, owners = entry.elts
         patched += [(owner.id, span.value.split(".", 1)[1]) for owner in owners.elts]
@@ -178,6 +188,23 @@ def test_every_traced_name_is_bound():
             owner, attr = node.args[:2]
             if isinstance(owner, ast.Name) and owner.id in modules and isinstance(attr, ast.Constant):
                 patched.append((owner.id, attr.value))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("interlace."):
+            used += [(node.module.split(".", 1)[1], alias.name) for alias in node.names]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in imported
+        ):
+            used.append((imported[node.value.id], node.attr))
     assert ("relations", "assemble_pair_up") in patched and len(patched) > 20
-    missing = [f"{m}.{name}" for m, name in patched if name not in _top_level_names(modules[m])]
+    assert {
+        ("interlacing", "INCONCLUSIVE"),
+        ("poly", "Polynomial"),
+        ("relations", "SHAPE_CHECKERS"),
+        ("rootfind", "RootComputationError"),
+        ("cli", "main"),
+    } <= set(used)
+    missing = [
+        f"{m}.{name}" for m, name in patched + used if name not in _top_level_names(modules[m])
+    ]
     assert missing == []

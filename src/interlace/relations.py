@@ -525,11 +525,15 @@ class _DrawnOrders:
     E D an integer: E is placed among g; a premise merges two of the lists
     (``certify.first_break``); and an order of P, or of (x - E) P, with G
     reads where it changes sign along -inf, the zeros of G, +inf
-    (``certify.signs_at``, ``certify.sign_changes``): each merged order is
-    one pattern of changes.
+    (``certify.sign_changes``): each merged order is one pattern of changes.
+    P's sign at each zero of G is read through the identity
+    (``_identity_signs``), Q's sign there from its drawn zeros by bisection,
+    so the relation must be certified; it raises on any other.
     """
 
     def __init__(self, rel: MixedRelation):
+        if not rel.certified:
+            raise ValueError(f"{rel.rel_id}: the drawn zeros decide only a certified relation")
         g_nums, self.den = rel.roots["G"]
         g, q = sorted(g_nums), sorted(rel.roots["Q"][0])
         self.zeros = {"G": g, "Q": q}
@@ -541,7 +545,19 @@ class _DrawnOrders:
         )
         self.slot = j if self.position == "interior" else None
         self.e_sides = _sides(len(g) - j, bool(on_g), len(g))
-        self.p_signs = certify.signs_at(rel.P.nums, g, self.den)
+        # Q's sign at x: its leading sign, flipped once for each zero of Q above x
+        q_lead, top = _sign(rel.Q.nums[-1]), len(q)
+        q_signs = []
+        for x in g:
+            k = bisect_left(q, x)
+            q_signs.append(0 if k < top and q[k] == x else -q_lead if (top - k) % 2 else q_lead)
+        self.p_signs = _identity_signs(
+            rel.sign,
+            certify.signs_at(rel.A.nums, g, self.den),
+            self.e_sides,
+            q_signs,
+            lambda i: certify.signs_at(rel.P.nums, (g[i],), self.den)[0],
+        )
         self.no_common_zeros_g_p = all(self.p_signs)
         self.e_on_q = de in q
         self.lead, self.n = _sign(rel.P.nums[-1]), rel.P.degree
@@ -596,6 +612,30 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def _identity_signs(sign: int, a_signs, e_sides, q_signs, direct: Callable[[int], int]) -> list[int]:
+    """P's sign at each ascending zero of G, read through the certified identity.
+
+    At a zero g of G the identity A P = B G + s (x - E) Q gives
+    A(g) P(g) = s (g - E) Q(g), s the relation's ``sign``, so
+    sign P(g) = s sign A(g) sign(g - E) sign Q(g), from the signs of A, of
+    g - E (``e_sides``) and of Q at each zero; at g = E that is 0, and so is
+    P(E).  Only where A(g) = 0 does it read nothing of P(g): there
+    ``direct(i)`` gives P's sign at zero i, taken directly.  Both exact order
+    sources read P this way.
+    """
+    signs = [sign * a * e * q for a, e, q in zip(a_signs, e_sides, q_signs)]
+    if 0 in a_signs:
+        for i, a in enumerate(a_signs):
+            if not a:
+                signs[i] = direct(i)
+    return signs
+
+
+def _alternating(s: int, m: int) -> list[int]:
+    """s (-1)^(m-1-i) for i = 0, ..., m - 1: s at the last entry."""
+    return ([s, -s] * m)[m - 1 : 2 * m - 1]
+
+
 def _sides(above: int, on: bool, m: int) -> list[int]:
     """The sign of g - x at each of the m ascending zeros g of G, for a point x
     with ``above`` zeros of G above it, which is (``on``) or is not one of them."""
@@ -623,9 +663,9 @@ class _ChainOrders:
       two, the premise fails there.
     * P, through the identity A(g) P(g) = s (g - E) Q(g) at each zero g of
       G, s the relation's sign: P's sign there is s sign A(g) sign(g - E)
-      sign Q(g), except where g is E or L's root, rationals at which P's
-      sign is taken directly (``certify.signs_at``).  Each order of P with
-      G is then a pattern of sign changes (``_sign_order``).
+      sign Q(g) (``_identity_signs``), except at A's root, a rational at
+      which P's sign is taken directly (``certify.signs_at``).  Each order
+      of P with G is then a pattern of sign changes (``_sign_order``).
 
     The identity and the chain are all it reads, so it decides only a
     certified relation whose G is its spec's chain member, and raises on any
@@ -659,50 +699,48 @@ class _ChainOrders:
         self.above, self.m = above, m
         self.e_sides = _sides(above, on, m)
         self.e_on_q = not sign_at(Q, E)
-        # the zeros of G that E or L's root sits on, where P's sign is taken directly
-        direct = {m - 1 - above: E} if on else {}
 
         (c1, d1), (c2, d2) = (*coeffs[1:], (0, 1), (0, 1))[:2]
-        # L's sign at each zero of G; where it changes among them, the two
-        # zeros of G around L's root, or twice the one it sits on.  c2 is
-        # nonzero on an orthogonal member's own chain only, whose steps are in x.
+        # Q's sign at each zero of G, L's times G1's: G1 is monic with one
+        # zero in each gap between G's, so its sign at zero i is (-1)^(m-1-i).
+        # Where L's sign changes among them, the two zeros of G around L's
+        # root, or twice the one it sits on.  c2 is nonzero on an orthogonal
+        # member's own chain only, whose steps are in x.
         self.broken = root = None
         if c2:
             a, b, u, v = reading.steps[m - 1]
             root = Fraction(a * d1 * v * c2 - b * c1 * u * d2, b * d1 * v * c2)  # c_m - c1 l_m / c2
             root_at = locate(root)
-            l_signs = [_sign(c2 * d2) * x for x in _sides(*root_at, m)]
+            l_sign, sides = _sign(c2 * d2), _sides(*root_at, m)
+            l_low = l_sign * sides[0]  # L's sign at G's lowest zero
+            q_signs = [x * g for x, g in zip(sides, _alternating(l_sign, m))]
             root_above, root_on = root_at
             low = m - root_above - 1  # the zero of G at or just below L's root
             if root_on:
-                direct[low] = root
                 self.broken = low, low
             elif 0 < root_above < m:
                 self.broken = low, low + 1
         else:
-            l_signs = [_sign(c1 * d1)] * m
+            l_low = _sign(c1 * d1)
+            q_signs = _alternating(l_low, m)
             if not c1:
                 self.broken = 0, 0
         self.same_degree = Q.degree == m
-        self.first = "Q" if self.same_degree and l_signs[0] == _sign(Q.nums[-1]) else "G"
+        self.first = "Q" if self.same_degree and l_low == _sign(Q.nums[-1]) else "G"
 
         # an A of degree 2 or more is refused as _open_report reads a_positive
         a_nums = rel.A.nums
+        if not a_nums:
+            raise InvalidParameterError(f"{rel.rel_id}: A is 0, so the identity reads no sign of P")
         if len(a_nums) == 2:
             a_root = Fraction(-a_nums[0], a_nums[1])
             a_at = root_at if a_root == root else locate(a_root)  # one count in jacobi-3.5
             a_signs = [_sign(a_nums[1]) * x for x in _sides(*a_at, m)]
         else:
-            a_signs = [_sign(a_nums[0]) if a_nums else 0] * m
-        # G1 is monic with one zero in each gap between G's: its sign at zero i is (-1)^(m-1-i)
-        s = -rel.sign if m % 2 else rel.sign
-        p_signs = []
-        for a, e, l in zip(a_signs, self.e_sides, l_signs):
-            s = -s
-            p_signs.append(s * a * e * l)
-        for i, x in direct.items():
-            p_signs[i] = sign_at(rel.P, x)
-        self.p_signs = p_signs
+            a_signs = [_sign(a_nums[0])] * m
+        self.p_signs = p_signs = _identity_signs(
+            rel.sign, a_signs, self.e_sides, q_signs, lambda i: sign_at(rel.P, a_root)
+        )
         self.no_common_zeros_g_p = all(p_signs)
         self.lead, self.n = _sign(rel.P.nums[-1]), rel.P.degree
 

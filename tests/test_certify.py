@@ -14,7 +14,8 @@ row by row and field by field, against the report the same checker gives on
 float zero sets (``float_reference.FloatOrders``): for an oracle, the zero
 sets its path solved before it was exact (each drawn zero correctly rounded,
 and P by the companion path); for a named check, the zero sets
-``float_reference.relation_terms`` names.
+``float_reference.relation_terms`` names.  On drawn zeros, P's signs read
+through the identity are also checked against its own vector's signs there.
 The Narayana checks read G, the reduced Narayana polynomial R_n, along the
 chain of P^(1,1) through t = (1 + x) / (1 - x): their reports are checked
 against the float route where every float bound is under the floor, at high
@@ -171,11 +172,20 @@ def _float_reports(rels) -> list:
 
 
 def _assert_same_reports(rels) -> None:
+    _assert_identity_signs(rels)
     for rel, want in zip(rels, _float_reports(rels)):
         got = check_relation(rel)
         assert got.csv_rows() == want.csv_rows(), rel.params
         assert got.to_json() == want.to_json(), rel.params
         assert (got.premise, got.hypotheses, got.notes) == (want.premise, want.hypotheses, want.notes)
+
+
+def _assert_identity_signs(rels) -> None:
+    """P's signs at the drawn zeros of G, read through the identity, are
+    those P's own vector gives there."""
+    for rel in rels:
+        nums, den = rel.roots["G"]
+        assert relations._DrawnOrders(rel).p_signs == signs_at(rel.P.nums, sorted(nums), den), rel.params
 
 
 SEEDS = range(20)
@@ -221,6 +231,24 @@ def test_a_broken_premise_and_e_on_a_zero_of_q_agree_with_the_float_checker():
     on_q = assemble([F(-1), F(1)], [F(-3, 2), F(0)], F(0))
     assert "E sits on a zero of Q (permitted, logged)" in check_relation(on_q).notes
     _assert_same_reports([on_q])
+    # a zero 0 that G and Q share: A(0) P(0) = s (0 - E) Q(0) = 0, so P(0) =
+    # 0 (the float checker finds that premise inconclusive, so only the signs
+    # are compared)
+    shared = assemble([F(-1), F(0), F(1)], [F(-1, 2), F(0), F(3, 4)], F(2))
+    assert relations._DrawnOrders(shared).p_signs[1] == 0
+    report = check_relation(shared)
+    assert report.premise.kind == "Fail" and not report.hypotheses["no_common_zeros_g_p"]
+    _assert_identity_signs([shared])
+
+
+def test_the_drawn_zeros_decide_only_a_certified_relation():
+    rel = oracle_pair_up(5, 0)
+    assert check_relation(rel).passed
+    uncertified = dataclasses.replace(rel, P=rel.P + Polynomial([1]))
+    object.__setattr__(uncertified, "roots", rel.roots)
+    assert not uncertified.certified
+    with pytest.raises(ValueError, match="oracle-pair-up: the drawn zeros decide only a certified relation"):
+        check_relation(uncertified)
 
 
 def test_zeros_closer_than_the_floor_are_decided_exactly():
@@ -572,9 +600,34 @@ def test_narayana_reports_agree_with_the_float_route(check_id):
         assert got.passed, n
 
 
-#: seconds a Narayana check at these degrees may take; each takes under 0.1 s
-#: on a 2-CPU host, and the float route it replaced raised from n = 51 on
+#: seconds a check at these degrees may take; each takes under 0.1 s on a
+#: 2-CPU host, and the float route the Narayana checks replaced raised from
+#: n = 51 on
 HIGH_DEGREE_BUDGET = 2.0
+
+
+def _ladder_params(check_id: str, n: int) -> dict:
+    """The benchmark ladder's seed-0 parameters of an orthogonal check at degree n."""
+    return {
+        "jacobi-3.5": {"alpha": F(2), "beta": F(14)},
+        "jacobi-3.6": {"alpha": F(2), "beta": F(14)},
+        "laguerre-3.7": {"alpha": F(0)},
+        "meixner-3.2": {"t": F(1), "w": F(1, 2)},
+        "krawtchouk-3.1": {"p": F(1, 3), "N": F(n + 3)},
+    }[check_id]
+
+
+@pytest.mark.parametrize("n", [100, 200])
+@pytest.mark.parametrize(
+    "check_id", ["jacobi-3.5", "jacobi-3.6", "laguerre-3.7", "meixner-3.2", "krawtchouk-3.1"]
+)
+def test_orthogonal_checks_pass_at_high_degree(check_id, n):
+    start = time.perf_counter()
+    report = relations.run_check(check_id, n, _ladder_params(check_id, n))
+    elapsed = time.perf_counter() - start
+    assert report.identity_ok and report.passed
+    assert report.clauses["added_point"] == "pass"
+    assert elapsed < HIGH_DEGREE_BUDGET, elapsed
 
 
 @pytest.mark.parametrize(

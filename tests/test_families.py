@@ -237,7 +237,7 @@ class TestRecurrenceCoeffs:
             assert (F(c_num, c_den), F(l_num, l_den)) == _reference_jacobi_step(alpha, beta, k)
 
 
-KERNEL_NS = (0, 1, 2, 3, 20, 60)
+KERNEL_NS = (0, 1, 2, 3, 20, 60, 200)
 KERNEL_SPECS = [
     # alpha + beta + 1 = 0 and alpha + beta = 0 hit the cancelled low steps
     lambda n: jacobi(F(-1, 2), F(-1, 2), n),

@@ -10,9 +10,14 @@ every ``main`` call (``build_parser``).
 Rational parameters are given as "num/den" strings; plain decimals are parsed
 as exact decimal fractions (0.4 becomes 2/5), never as binary floats.
 Every check and sweep point is decided exactly, with no separation floor
-and no zero set solved (``relations.run_check``, ``relations.check_relation``),
+and no zero set solved (``relations.decide``, ``relations.check_relation``),
 and no flag or environment variable sets a floor.  Only ``zeros`` and
 ``table2`` solve zero sets, one at a time (``rootfind.zero_set``).
+A sweep cuts its points into contiguous runs, one per worker process.  A
+spec-file run builds the relation of every point, then decides each, then
+writes its own CSV lines; an oracle run draws and decides each instance in
+turn.  The parent prints the header, which the spec or the oracle mode fixes,
+then each run's lines in order, and sums the runs' counts.
 """
 
 from __future__ import annotations
@@ -32,13 +37,15 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, product
 
-from . import families
+from . import families, relations
 from .families import FamilySpec, InvalidParameterError
 from .relations import (
     BUILD_ROW,
     CHECK_IDS,
     CHECKS,
+    FAIL_CLAUSE,
     ORACLE_MIN_N,
+    PASS,
     CheckReport,
     clause_names,
     run_check,
@@ -244,32 +251,26 @@ def table2_data() -> list[dict]:
     return out
 
 
+TABLE2_HEADER = (
+    "block", "n", "alpha", "beta", "E", "k", "x", "z", "left_occupied", "right_occupied"
+)
+
+
 def cmd_table2(args) -> int:
     digits = _digits(args)
     with _output(args.output) as out:
-        rows = _table2_rows(digits)
-        out.write(_rows_to_csv(rows, _field_names(rows)))
+        out.write(_csv_text([TABLE2_HEADER, *_table2_rows(digits)]))
     return 0
 
 
-def _table2_rows(digits: int) -> list[dict]:
+def _table2_rows(digits: int) -> list[list]:
+    """One row per zero pair, its cells in ``TABLE2_HEADER`` order."""
     rows = []
     for blk in table2_data():
+        head = [blk["block"], blk["n"], blk["alpha"], blk["beta"], blk["E"]]
+        flags = [str(blk["left_occupied"]).lower(), str(blk["right_occupied"]).lower()]
         for k, (x, z) in enumerate(zip(blk["x"], blk["z"]), start=1):
-            rows.append(
-                {
-                    "block": blk["block"],
-                    "n": blk["n"],
-                    "alpha": str(blk["alpha"]),
-                    "beta": str(blk["beta"]),
-                    "E": str(blk["E"]),
-                    "k": k,
-                    "x": f"{x:.{digits}g}",
-                    "z": f"{z:.{digits}g}",
-                    "left_occupied": str(blk["left_occupied"]).lower(),
-                    "right_occupied": str(blk["right_occupied"]).lower(),
-                }
-            )
+            rows.append([*head, k, f"{x:.{digits}g}", f"{z:.{digits}g}", *flags])
     return rows
 
 
@@ -329,53 +330,69 @@ def _error_result(exc: Exception) -> str:
     return f"error: {type(exc).__name__}: {exc}"
 
 
-def _run_sweep_run(check_id: str, points: list[tuple]) -> list[list[dict]]:
-    """The rows of each (n, params) point of one contiguous run; a point that
-    raises gives one row, with the exception, in place of its report."""
-    out = []
-    for n, params in points:
-        base = {"check": check_id, "n": n}
-        try:
-            report = run_check(check_id, n, params)
-        except Exception as exc:
-            row = {**base, **{k: str(v) for k, v in params.items()}}
-            out.append([{**row, "clause": BUILD_ROW, "result": _error_result(exc)}])
-            continue
-        out.append(report.csv_rows(base))
-    return out
+def _csv_text(rows) -> str:
+    """``rows``, each a sequence of cells, as CSV lines."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
 
 
-def _run_oracle_run(mode: str, points: list[tuple]) -> list[list[dict]]:
-    """The row of each (n, seed) point of one contiguous run: the draw,
-    decided on its drawn zeros (``relations.check_relation``)."""
+def _run_result(rows: list[list]) -> tuple[str, tuple[int, int, int, int]]:
+    """A run's CSV lines and its pass, fail, error and row counts; each row's
+    result is its last cell."""
+    results = [row[-1] for row in rows]
+    errored = sum(1 for result in results if result.startswith("error"))
+    return _csv_text(rows), (results.count(PASS), results.count(FAIL_CLAUSE), errored, len(rows))
+
+
+def _attempt(func, *args):
+    """``func(*args)``, or the exception it raised."""
+    try:
+        return func(*args)
+    except Exception as exc:
+        return exc
+
+
+def _run_sweep_run(check_id: str, keep: set | None, points: list[tuple]) -> tuple:
+    """The CSV lines and counts (``_run_result``) of one contiguous run of
+    (n, params) points.
+
+    The run builds the relation of every point first, then decides each
+    (``relations.decide``) and writes its rows: the check, n, the check's
+    parameters in ``param_names`` order, the clause and its result.  A point
+    that raises in either phase gives one ``build`` row with the exception.
+    With ``keep`` given, only the rows of the clauses it names are written.
+    """
+    names = CHECKS[check_id].param_names
+    built = [_attempt(relations.build_relation, check_id, n, params) for n, params in points]
+    rows = []
+    for (n, params), rel in zip(points, built):
+        report = rel if isinstance(rel, Exception) else _attempt(relations.decide, rel)
+        if isinstance(report, Exception):
+            results = [(BUILD_ROW, _error_result(report))]
+        else:
+            results = report.row_results()
+        head = [check_id, n, *[str(params[name]) for name in names]]
+        rows += [[*head, clause, result] for clause, result in results if not keep or clause in keep]
+    return _run_result(rows)
+
+
+def _run_oracle_run(mode: str, points: list[tuple]) -> tuple:
+    """The CSV lines and counts (``_run_result``) of one contiguous run of
+    (n, seed) points, each drawn and then decided on its drawn zeros
+    (``relations.check_relation``) before the next is drawn."""
     draw = oracle_pair_up if mode == "pair-up" else oracle_down_one
-    out = []
+    rows = []
     for n, seed in points:
-        row = {"oracle": mode, "n": n, "seed": seed, "orientation": ""}
         try:
             report = check_relation(draw(n, seed))
         except Exception as exc:
-            out.append([{**row, "result": _error_result(exc)}])
+            rows.append([mode, n, seed, "", _error_result(exc)])
             continue
         params = report.params
-        row["orientation"] = params.get("orientation") or params.get("e_region") or ""
-        row["result"] = "pass" if report.passed else "fail"
-        out.append([row])
-    return out
-
-
-def _field_names(rows: list[dict]) -> list[str]:
-    """Every key of every row, in order of first appearance."""
-    return list(dict.fromkeys(key for row in rows for key in row))
-
-
-def _rows_to_csv(rows: list[dict], fieldnames: list[str]) -> str:
-    # Every row's keys are among fieldnames; "ignore" only skips DictWriter's per-row check.
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames, restval="", extrasaction="ignore")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buffer.getvalue()
+        orientation = params.get("orientation") or params.get("e_region") or ""
+        rows.append([mode, n, seed, orientation, PASS if report.passed else FAIL_CLAUSE])
+    return _run_result(rows)
 
 
 class SweepWorkerError(RuntimeError):
@@ -425,7 +442,7 @@ def _fork_share(func, share: list[tuple]) -> tuple[int, int]:
         os._exit(code)
 
 
-def _join_share(number: int, pid: int, read_fd: int) -> list:
+def _join_share(number: int, pid: int, read_fd: int) -> object:
     """Read a child's results to EOF, reap it, and refuse a death or a bad payload."""
     try:
         with open(read_fd, "rb") as pipe:
@@ -446,9 +463,9 @@ def _join_share(number: int, pid: int, read_fd: int) -> list:
 
 
 def _map_runs(func, points: list[tuple], weights: list[int], workers: int) -> list:
-    """``func(run)`` for every contiguous run of points, its results joined in input order.
+    """``func(run)`` for every contiguous run of points, the results in input order.
 
-    ``func`` takes a list of points and returns one result per point.
+    ``func`` takes a list of points and returns one result for the run.
     ``workers`` N means N processes: this one plus N - 1 forked children
     (POSIX ``fork``).  The points are cut into min(N, points) contiguous runs
     of near-equal total ``weights`` (``_cut_runs``); this process runs the
@@ -459,16 +476,16 @@ def _map_runs(func, points: list[tuple], weights: list[int], workers: int) -> li
     """
     cuts = _cut_runs(weights, workers)
     if len(cuts) < 3:
-        return func(points)
+        return [func(points)]
     runs = [points[a:b] for a, b in zip(cuts, cuts[1:])]
     children: list[tuple[int, int]] = []
     try:
         for run in runs[1:]:
             children.append(_fork_share(func, run))
-        results = func(runs[0])
+        results = [func(runs[0])]
         for number in range(1, len(runs)):
             pid, read_fd = children.pop(0)
-            results += _join_share(number, pid, read_fd)
+            results.append(_join_share(number, pid, read_fd))
     finally:
         # Only left on an error: stop and reap the children not yet joined.
         # An unreaped child keeps its pid, so the kill cannot hit another process.
@@ -483,7 +500,6 @@ def cmd_sweep(args) -> int:
     workers = args.workers
     if workers < 1:
         raise InvalidParameterError(f"--workers must be >= 1 (got {workers})")
-    keep = None
     if args.oracle:
         if args.spec_file:
             raise InvalidParameterError("sweep takes a spec file or --oracle, not both")
@@ -494,6 +510,7 @@ def cmd_sweep(args) -> int:
         check_oracle_degree(args.oracle, ns[0])
         points = [(n, seed) for n in ns for seed in range(seeds)]
         run = partial(_run_oracle_run, args.oracle)
+        header = ["oracle", "n", "seed", "orientation", "result"]
     else:
         if not args.spec_file:
             raise InvalidParameterError("sweep needs a spec file or --oracle")
@@ -534,28 +551,18 @@ def cmd_sweep(args) -> int:
                 f"sweep spec 'params' names {', '.join(named) or 'no parameter'}, but "
                 f"{check_id} takes {', '.join(takes) or 'no parameter'}"
             )
-        run = partial(_run_sweep_run, check_id)
-        if wanted:
-            keep = {*wanted, BUILD_ROW}
+        run = partial(_run_sweep_run, check_id, {*wanted, BUILD_ROW} if wanted else None)
+        header = ["check", "n", *takes, "clause", "result"]
     # A spec-file sweep's points come sorted by parameter set and then degree,
     # so a contiguous run builds each set's recurrence chain in one process.
     # A point of degree n weighs (n + 2)^2, a rough model of its cost.
     weights = [(n + 2) ** 2 for n, _ in points]
     with _output(args.output) as out:
-        rows = [row for rows in _map_runs(run, points, weights, workers) for row in rows]
-        # The header comes from the rows before the filter, so a filter
-        # that keeps no row still prints it.
-        fieldnames = _field_names(rows)
-        if keep:
-            rows = [row for row in rows if row["clause"] in keep]
-        out.write(_rows_to_csv(rows, fieldnames))
-    passed = sum(1 for row in rows if row["result"] == "pass")
-    failed = sum(1 for row in rows if row["result"] == "fail")
-    errored = sum(1 for row in rows if str(row["result"]).startswith("error"))
-    print(
-        f"sweep: {passed} pass, {failed} fail, {errored} error, {len(rows)} rows",
-        file=sys.stderr,
-    )
+        texts, counts = zip(*_map_runs(run, points, weights, workers))
+        # Each run wrote its own lines; a filter that keeps no row still prints the header.
+        out.write(_csv_text([header]) + "".join(texts))
+    passed, failed, errored, rows = map(sum, zip(*counts))
+    print(f"sweep: {passed} pass, {failed} fail, {errored} error, {rows} rows", file=sys.stderr)
     if failed:
         return 1
     return 3 if errored else 0

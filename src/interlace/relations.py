@@ -69,7 +69,7 @@ FAIL_CLAUSE = "fail"
 SKIPPED = "skipped"
 
 # Every row name a check can write, in the order its rows come.
-#: the rows of every report, ahead of its clauses (``CheckReport.csv_rows``)
+#: the rows of every report, ahead of its clauses (``CheckReport.row_results``)
 REPORT_ROWS = ("identity", "hypotheses", "premise")
 PAIR_UP_CLAUSES = ("e_position", "added_point", "full_iff")
 DOWN_ONE_CLAUSES = ("added_point", "full_when_e_above", "full_when_e_below")
@@ -463,14 +463,13 @@ class CheckReport:
             "passed": self.passed,
         }
 
-    def csv_rows(self, extra: dict | None = None) -> list[dict]:
-        """One flat row per clause, plus identity and premise pseudo-clauses.
+    def row_results(self) -> list[tuple[str, str]]:
+        """(row name, result) of the identity, hypotheses and premise
+        pseudo-clauses, then of every clause, in row order.
 
         A violated hypothesis on an otherwise clean point is recorded as
         "degenerate" rather than "fail": the statement does not apply there.
         """
-        base = dict(extra or {})
-        base.update({k: str(v) for k, v in self.params.items()})
         if self.hypotheses_ok:
             hyp_result = PASS
         else:
@@ -480,13 +479,14 @@ class CheckReport:
         else:
             prem_result = SKIPPED if not self.hypotheses_ok else FAIL_CLAUSE
         results = (PASS if self.identity_ok else FAIL_CLAUSE, hyp_result, prem_result)
-        rows = [
-            {**base, "clause": name, "result": result}
-            for name, result in zip(REPORT_ROWS, results)
-        ]
-        for name, result in self.clauses.items():
-            rows.append({**base, "clause": name, "result": result})
-        return rows
+        return [*zip(REPORT_ROWS, results), *self.clauses.items()]
+
+    def csv_rows(self, extra: dict | None = None) -> list[dict]:
+        """One flat row per ``row_results`` entry: ``extra``, the parameters,
+        then the clause and its result."""
+        base = dict(extra or {})
+        base.update({k: str(v) for k, v in self.params.items()})
+        return [{**base, "clause": name, "result": result} for name, result in self.row_results()]
 
 
 def _a_positive(rel: MixedRelation) -> bool:
@@ -939,14 +939,18 @@ def check_narayana_even_quotient(rel: MixedRelation) -> CheckReport:
     return report
 
 
-def run_check(check_id: str, n: int, params: dict | None = None) -> CheckReport:
-    """The report of a named check: its relation built, then decided along G's
-    chain (``check_relation``), or at even n for narayana-3.4 on P against
+def decide(rel: MixedRelation) -> CheckReport:
+    """The report on a named check's built relation: decided along G's chain
+    (``check_relation``), or at even n for narayana-3.4 on P against
     G / (x - E) (``check_narayana_even_quotient``)."""
-    rel = build_relation(check_id, n, params)
-    if check_id == EVEN_QUOTIENT_CHECK and n % 2 == 0:
+    if rel.rel_id == EVEN_QUOTIENT_CHECK and rel.params["n"] % 2 == 0:
         return check_narayana_even_quotient(rel)
     return check_relation(rel)
+
+
+def run_check(check_id: str, n: int, params: dict | None = None) -> CheckReport:
+    """The report of a named check: its relation built, then decided (``decide``)."""
+    return decide(build_relation(check_id, n, params))
 
 
 def clause_names(check_id: str) -> tuple[str, ...]:

@@ -25,16 +25,19 @@ from interlace.rootfind import RootComputationError
 from fractions import Fraction as F
 
 
-def _raising_past_50(run):
-    """``run`` with every point past n = 50 raising, as Narayana points did
-    while the check solved their zero sets on the companion path."""
+def _raising_past_50(monkeypatch, phase):
+    """Make every sweep point past n = 50 raise in one phase of its run,
+    ``relations.build_relation`` or ``relations.decide``, as Narayana points
+    did while the check solved their zero sets on the companion path."""
+    real = getattr(relations, phase)
 
-    def checked(check_id, n, params=None):
+    def raising(*args):
+        n = args[0].params["n"] if phase == "decide" else args[1]
         if n > 50:
             raise RootComputationError(f"companion eigenvalue at n={n} is not real")
-        return run(check_id, n, params)
+        return real(*args)
 
-    return checked
+    monkeypatch.setattr(relations, phase, raising)
 
 
 def run_cli(capsys, *argv):
@@ -384,6 +387,18 @@ class TestTable2Command:
         assert not blocks[1]["left_occupied"] and blocks[1]["right_occupied"]
 
 
+#: one or two parameter sets of every check, each valid at n = 2..5
+SWEEP_PARAMS = {
+    "jacobi-3.5": {"alpha": ["2", "-1/2"], "beta": ["14"]},
+    "jacobi-3.6": {"alpha": ["2"], "beta": ["14", "-1/3"]},
+    "krawtchouk-3.1": {"p": ["1/3", "2/3"], "N": ["9"]},
+    "laguerre-3.7": {"alpha": ["0", "5/2"]},
+    "meixner-3.2": {"t": ["1"], "w": ["1/2"]},
+    "narayana-3.3": {},
+    "narayana-3.4": {},
+}
+
+
 class TestSweepCommand:
     def test_grid_sweep(self, capsys, tmp_path):
         spec = tmp_path / "sweep.json"
@@ -459,6 +474,63 @@ class TestSweepCommand:
         assert code == 3  # build errors are recorded, not fatal, and not passes
         assert "error: krawtchouk-3.1 needs n + 1 <= N" in out
         assert "1 error" in err
+
+    @pytest.mark.parametrize("ns", [[1, 5], [5]], ids=["first-point-raises", "every-point-builds"])
+    def test_header_follows_the_checks_parameter_order(self, capsys, tmp_path, ns):
+        # The header came from the first row, and an error row listed the
+        # parameters sorted by name: with N = 1 first it read check,n,N,p.
+        spec = tmp_path / "sweep.json"
+        spec.write_text(
+            json.dumps({"check": "krawtchouk-3.1", "n": "1..2", "params": {"p": ["1/3"], "N": ns}})
+        )
+        code, out, _ = run_cli(capsys, "sweep", str(spec), "--workers", "1")
+        assert out.splitlines()[0] == "check,n,p,N,clause,result"
+        assert code == (3 if 1 in ns else 0)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("check_id", sorted(SWEEP_PARAMS))
+    def test_rows_are_each_points_report_rows(self, capsys, tmp_path, check_id, workers):
+        spec = {"check": check_id, "n": "2..5", "params": SWEEP_PARAMS[check_id]}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(spec))
+        code, out, _ = run_cli(capsys, "sweep", str(path), "--workers", workers)
+        want = [
+            row
+            for n, params in cli._sweep_grid(spec)
+            for row in relations.run_check(check_id, n, params).csv_rows({"check": check_id, "n": n})
+        ]
+        got = list(csv.DictReader(io.StringIO(out)))
+        assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+        assert code == 0
+
+    @pytest.mark.parametrize("kind", ["grid-with-errors-and-filter", "oracle"])
+    def test_summary_identical_across_worker_counts(self, capsys, tmp_path, kind):
+        if kind == "oracle":
+            argv = ["--oracle", "down-one", "--n", "1..4", "--seeds", "3"]
+        else:
+            # N = 2 builds at n = 1 only: the other points give build rows,
+            # which the filter keeps.
+            spec = tmp_path / "sweep.json"
+            spec.write_text(
+                json.dumps(
+                    {
+                        "check": "krawtchouk-3.1",
+                        "n": "1..3",
+                        "params": {"p": ["1/3", "2/3"], "N": [2, 5]},
+                        "clauses": ["premise", "added_point"],
+                    }
+                )
+            )
+            argv = [str(spec)]
+        runs = [run_cli(capsys, "sweep", *argv, "--workers", w) for w in ("1", "2", "3")]
+        assert [err for _, _, err in runs] == [runs[0][2]] * 3
+        results = [row["result"] for row in csv.DictReader(io.StringIO(runs[0][1]))]
+        errors = sum(result.startswith("error") for result in results)
+        assert runs[0][2] == (
+            f"sweep: {results.count('pass')} pass, {results.count('fail')} fail, "
+            f"{errors} error, {len(results)} rows\n"
+        )
+        assert (errors > 0) == (kind != "oracle")
 
     @pytest.mark.parametrize("oracle", [False, True])
     def test_unusable_floor_exits_two(self, capsys, monkeypatch, tmp_path, oracle):
@@ -746,18 +818,21 @@ class TestSweepCommand:
         assert first == second
 
     def test_point_exception_becomes_error_row(self, capsys, tmp_path, monkeypatch):
-        # A point that raises must become a row, not end the sweep.
-        monkeypatch.setattr(cli, "run_check", _raising_past_50(cli.run_check))
+        # A point that raises, in either phase of its run, must become a row,
+        # not end the sweep.
         spec = tmp_path / "sweep.json"
         spec.write_text(json.dumps({"check": "narayana-3.3", "n": [50, 52]}))
-        code, out, err = run_cli(capsys, "sweep", str(spec), "--workers", "1")
-        rows = out.strip().splitlines()[1:]
-        assert {row.split(",")[1] for row in rows} == {"50", "51", "52"}
-        assert any(row.startswith("narayana-3.3,50,identity,") for row in rows)
-        errors = [row for row in rows if ",error: " in row]
-        assert errors and all(",build,error: RootComputationError: " in row for row in errors)
-        assert f"{len(errors)} error" in err
-        assert code == 3
+        for phase in ("build_relation", "decide"):
+            with monkeypatch.context() as patch:
+                _raising_past_50(patch, phase)
+                code, out, err = run_cli(capsys, "sweep", str(spec), "--workers", "1")
+            rows = out.strip().splitlines()[1:]
+            assert {row.split(",")[1] for row in rows} == {"50", "51", "52"}
+            assert any(row.startswith("narayana-3.3,50,identity,") for row in rows)
+            errors = [row for row in rows if ",error: " in row]
+            assert errors and all(",build,error: RootComputationError: " in row for row in errors)
+            assert f"{len(errors)} error" in err
+            assert code == 3
 
     def test_oracle_exception_becomes_error_row(self, capsys, monkeypatch):
         from interlace import cli
@@ -802,7 +877,7 @@ class TestSweepCommand:
             # narayana-3.3 is made to raise RootComputationError at n = 51 and
             # 52, so error rows are built in the workers and must cross the
             # process boundary.
-            monkeypatch.setattr(cli, "run_check", _raising_past_50(cli.run_check))
+            _raising_past_50(monkeypatch, "build_relation")
             spec.write_text(json.dumps({"check": "narayana-3.3", "n": [50, 52]}))
             argv = [str(spec)]
         else:

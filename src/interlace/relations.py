@@ -9,9 +9,11 @@ The checker reads each clause as one order of zeros, and ``check_relation``
 gives it the one source that decides those orders for the relation: the
 exact drawn zeros of G and Q (``_DrawnOrders``, integer merges and signs;
 the random oracles), or the recurrence chain G is read on (``_ChainOrders``,
-integer counts along a three-term recurrence and the signs the identity
-gives P; every named check, the Narayana ones along the chain of P^(1,1)).
-Neither solves a zero set or holds anything to a floor.
+integer counts along a three-term recurrence; every named check, the
+Narayana ones along the chain of P^(1,1)).  A source places points among
+the zeros of G and gives Q's signs there; one core (``_Orders``) reads E's
+place, P's signs through the identity and every order from those.  Neither
+source solves a zero set or holds anything to a floor.
 
 Two relation shapes are supported, named by the degrees of G and Q
 relative to deg P = n:
@@ -106,12 +108,13 @@ class MixedRelation:
     G: Polynomial
     Q: Polynomial
     specs: dict = field(default_factory=dict)
+    #: exact ends (int or Fraction) of the weight's interval; None marks an open end
     support: tuple = (None, None)
     params: dict = field(default_factory=dict)
     #: exact identity verdict, reached once at construction
     certified: bool = field(init=False, repr=False, compare=False)
     #: term name ("G", "Q") -> (nums, den): its exact zeros nums[i] / den, over
-    #: one den for both, with E den an integer
+    #: one den for both
     roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -162,7 +165,8 @@ class CheckEntry:
     A: Callable
     B: Callable
     E: Callable
-    #: float interval the members' weight lives on; None marks an open end
+    #: interval the members' weight lives on, exact ends (int or Fraction);
+    #: None marks an open end
     support: Callable = lambda n, **_: (None, None)
     min_n: int | None = None
     check: Callable | None = None
@@ -270,8 +274,8 @@ def _laguerre_a(n, alpha):
     return [Fraction((n + 1) * (n * d + a + d), d)]
 
 
-_HALF_LINE = lambda n, **_: (0.0, None)  # noqa: E731
-_JACOBI_INTERVAL = lambda n, **_: (-1.0, 1.0)  # noqa: E731
+_HALF_LINE = lambda n, **_: (0, None)  # noqa: E731
+_JACOBI_INTERVAL = lambda n, **_: (-1, 1)  # noqa: E731
 
 #: check id -> its relation, in the paper's order
 CHECKS = {
@@ -285,7 +289,7 @@ CHECKS = {
         A=_krawtchouk_a,
         B=lambda n, p, N: [N.numerator + 1, -1],
         E=_krawtchouk_e,
-        support=lambda n, p, N: (0.0, float(N.numerator + 1)),
+        support=lambda n, p, N: (0, N.numerator + 1),
     ),
     "meixner-3.2": CheckEntry(
         shape=PAIR_UP,
@@ -504,7 +508,7 @@ def _a_positive(rel: MixedRelation) -> bool:
     if len(nums) < 2:
         return bool(nums) and nums[0] > 0
     end = rel.support[0 if nums[1] > 0 else 1]
-    return end is not None and rel.A.evaluate(Fraction(end)) >= 0
+    return end is not None and rel.A.evaluate(end) >= 0
 
 
 def _new_report(rel: MixedRelation) -> CheckReport:
@@ -517,18 +521,64 @@ def _new_report(rel: MixedRelation) -> CheckReport:
     )
 
 
-class _DrawnOrders:
-    """The orders ``check_relation`` names, decided exactly on the drawn zeros
-    of G and Q (``rel.roots``): no zero set is solved and none is undecided.
+class _Orders:
+    """The one core of both exact order sources: the orders ``check_relation``
+    names, read from signs at the m ascending zeros of G.
 
-    With g and q the numerators of those zeros over their denominator D, and
-    E D an integer: E is placed among g; a premise merges two of the lists
-    (``certify.first_break``); and an order of P, or of (x - E) P, with G
-    reads where it changes sign along -inf, the zeros of G, +inf
-    (``certify.sign_changes``): each merged order is one pattern of changes.
-    P's sign at each zero of G is read through the identity
-    (``_identity_signs``), Q's sign there from its drawn zeros by bisection,
-    so the relation must be certified; it raises on any other.
+    A source places a rational x among those zeros (``_place(x)``: how many
+    lie above x, and whether x is one of them), gives Q's sign at each, and
+    answers ``premise``, ``e_on_q`` and the extreme note's wording.  From
+    those the core places E and A's root (deg A <= 1), and reads P's sign at
+    each zero g by fact 1: A(g) P(g) = s (g - E) Q(g) by the identity, s the
+    relation's ``sign``, so sign P(g) = s sign A(g) sign(g - E) sign Q(g),
+    which is 0 at g = E, as P(E) is.  Only at A's root does that read
+    nothing of P(g), so P's sign there is taken directly.  Every order is
+    then one pattern of sign changes (``_sign_order``).
+    """
+
+    def __init__(self, rel: MixedRelation, q_signs: list[int]):
+        m = len(q_signs)
+        above, on = self._place(rel.E)
+        self.m, self.above = m, above
+        self.position = (
+            "unknown" if on else "below" if above == m else "above" if above == 0 else "interior"
+        )
+        self.slot = m - above if self.position == "interior" else None
+        self.e_sides = _sides(above, on, m)
+        a_nums = rel.A.nums  # one of degree 2 or more is refused as _open_report reads a_positive
+        if not a_nums:
+            raise InvalidParameterError(f"{rel.rel_id}: A is 0, so the identity reads no sign of P")
+        a_on = False
+        if len(a_nums) == 2:
+            a_root = Fraction(-a_nums[0], a_nums[1])
+            a_above, a_on = self._place(a_root)
+            a_signs = [_sign(a_nums[1]) * x for x in _sides(a_above, a_on, m)]
+        else:
+            a_signs = [_sign(a_nums[0])] * m
+        signs = [rel.sign * a * e * q for a, e, q in zip(a_signs, self.e_sides, q_signs)]
+        if a_on:  # A(g) = 0 at that zero of G
+            signs[m - a_above - 1] = certify.signs_at(
+                rel.P.nums, (a_root.numerator,), a_root.denominator
+            )[0]
+        self.p_signs = signs
+        self.no_common_zeros_g_p = all(signs)
+        self.lead, self.n = _sign(rel.P.nums[-1]), rel.P.degree
+
+    def extreme(self, top: bool) -> tuple[str, int]:
+        """The note's evidence, and the sign of E minus G's largest (``top``) or smallest zero."""
+        return self._extreme_note(top), -self.e_sides[-1 if top else 0]
+
+    def order(self, subject: str, first: str) -> bool:
+        return _sign_order(self.p_signs, self.e_sides, self.lead, self.n, subject, first)
+
+
+class _DrawnOrders(_Orders):
+    """The order core on the drawn zeros of G and Q (``rel.roots``), integer
+    numerators over one denominator D: a point x is placed among them by
+    bisection on the floor of x D, Q's sign at each zero of G by bisection,
+    and a premise merges two of the lists (``certify.first_break``).  P's
+    signs come through the identity, so it raises on a relation that is not
+    certified.
     """
 
     def __init__(self, rel: MixedRelation):
@@ -537,30 +587,21 @@ class _DrawnOrders:
         g_nums, self.den = rel.roots["G"]
         g, q = sorted(g_nums), sorted(rel.roots["Q"][0])
         self.zeros = {"G": g, "Q": q}
-        self.de = de = rel.E.numerator * (self.den // rel.E.denominator)
-        j = bisect_right(g, de)  # g[j - 1] <= E D < g[j]
-        on_g = j and g[j - 1] == de
-        self.position = (
-            "unknown" if on_g else "below" if j == 0 else "above" if j == len(g) else "interior"
-        )
-        self.slot = j if self.position == "interior" else None
-        self.e_sides = _sides(len(g) - j, bool(on_g), len(g))
+        self.e = rel.E
         # Q's sign at x: its leading sign, flipped once for each zero of Q above x
         q_lead, top = _sign(rel.Q.nums[-1]), len(q)
         q_signs = []
         for x in g:
             k = bisect_left(q, x)
             q_signs.append(0 if k < top and q[k] == x else -q_lead if (top - k) % 2 else q_lead)
-        self.p_signs = _identity_signs(
-            rel.sign,
-            certify.signs_at(rel.A.nums, g, self.den),
-            self.e_sides,
-            q_signs,
-            lambda i: certify.signs_at(rel.P.nums, (g[i],), self.den)[0],
-        )
-        self.no_common_zeros_g_p = all(self.p_signs)
-        self.e_on_q = de in q
-        self.lead, self.n = _sign(rel.P.nums[-1]), rel.P.degree
+        super().__init__(rel, q_signs)
+        self.e_on_q = self._place(rel.E, "Q")[1]
+
+    def _place(self, x: Fraction, term: str = "G") -> tuple[int, bool]:
+        zeros = self.zeros[term]
+        k, r = divmod(x.numerator * self.den, x.denominator)  # x D is k, or between k and k + 1
+        j = bisect_right(zeros, k)
+        return len(zeros) - j, not r and j > 0 and zeros[j - 1] == k
 
     def premise(self, lower: str, upper: str) -> Verdict:
         a, b = self.zeros[lower], self.zeros[upper]
@@ -570,13 +611,9 @@ class _DrawnOrders:
         i, j, gap = broken
         return Verdict(FAIL, witness=(i, j), gap=gap / self.den)
 
-    def extreme(self, top: bool) -> tuple[str, int]:
-        g, de = self.zeros["G"], self.de
-        bound = g[-1] if top else g[0]
-        return _bound_evidence(bound / self.den, de / self.den), (de > bound) - (de < bound)
-
-    def order(self, subject: str, first: str) -> bool:
-        return _sign_order(self.p_signs, self.e_sides, self.lead, self.n, subject, first)
+    def _extreme_note(self, top: bool) -> str:
+        g = self.zeros["G"]
+        return _bound_evidence((g[-1] if top else g[0]) / self.den, float(self.e))
 
 
 def _bound_evidence(bound: float, e: float) -> str:
@@ -612,25 +649,6 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _identity_signs(sign: int, a_signs, e_sides, q_signs, direct: Callable[[int], int]) -> list[int]:
-    """P's sign at each ascending zero of G, read through the certified identity.
-
-    At a zero g of G the identity A P = B G + s (x - E) Q gives
-    A(g) P(g) = s (g - E) Q(g), s the relation's ``sign``, so
-    sign P(g) = s sign A(g) sign(g - E) sign Q(g), from the signs of A, of
-    g - E (``e_sides``) and of Q at each zero; at g = E that is 0, and so is
-    P(E).  Only where A(g) = 0 does it read nothing of P(g): there
-    ``direct(i)`` gives P's sign at zero i, taken directly.  Both exact order
-    sources read P this way.
-    """
-    signs = [sign * a * e * q for a, e, q in zip(a_signs, e_sides, q_signs)]
-    if 0 in a_signs:
-        for i, a in enumerate(a_signs):
-            if not a:
-                signs[i] = direct(i)
-    return signs
-
-
 def _alternating(s: int, m: int) -> list[int]:
     """s (-1)^(m-1-i) for i = 0, ..., m - 1: s at the last entry."""
     return ([s, -s] * m)[m - 1 : 2 * m - 1]
@@ -642,30 +660,23 @@ def _sides(above: int, on: bool, m: int) -> list[int]:
     return [-1] * (m - above - on) + [0] * on + [1] * above
 
 
-class _ChainOrders:
-    """The orders ``check_relation`` names, decided exactly along the recurrence
-    chain G is read on (``families.chain_reading``): an orthogonal family's
-    member p_m along its own chain, or the reduced Narayana polynomial along
-    the chain of P^(1,1) seen through t = (1 + x) / (1 - x).  No zero set is
-    solved and none is undecided.
+class _ChainOrders(_Orders):
+    """The order core along the recurrence chain G is read on
+    (``families.chain_reading``): an orthogonal family's member p_m along its
+    own chain, or the reduced Narayana polynomial along the chain of P^(1,1)
+    seen through t = (1 + x) / (1 - x).  No zero set is solved and none is
+    undecided.
 
-    E, and the roots of A and of L below, are each placed among the zeros of
-    G by one count along the chain (``certify.zeros_above``).
-
-    * The premise.  Q = t G + c1 G1 + c2 G2 exactly, G1 and G2 being the
-      chain's members of degree m - 1 and m - 2 (``certify.chain_coefficients``;
-      on the Narayana chain, Q = c1 G1 is certified with G).
-      Since G = (x - c_m) G1 - l_m G2, Q(g) = L(g) G1(g) at each zero g of
-      G, with L = c1 + c2 (x - c_m) / l_m, and G1 alternates in sign on the
-      zeros of G.  Where L keeps one sign on them Q alternates too, so the
-      premise holds; Q's zero comes first iff Q has G's degree and that sign
-      is Q's leading sign.  Where L's root is a zero of G, or lies between
-      two, the premise fails there.
-    * P, through the identity A(g) P(g) = s (g - E) Q(g) at each zero g of
-      G, s the relation's sign: P's sign there is s sign A(g) sign(g - E)
-      sign Q(g) (``_identity_signs``), except at A's root, a rational at
-      which P's sign is taken directly (``certify.signs_at``).  Each order
-      of P with G is then a pattern of sign changes (``_sign_order``).
+    A point is placed among the zeros of G by one count along the chain
+    (``certify.zeros_above``).  Q = t G + c1 G1 + c2 G2 exactly, G1 and G2
+    being the chain's members of degree m - 1 and m - 2
+    (``certify.chain_coefficients``; on the Narayana chain, Q = c1 G1 is
+    certified with G).  Since G = (x - c_m) G1 - l_m G2, Q(g) = L(g) G1(g)
+    at each zero g of G, with L = c1 + c2 (x - c_m) / l_m, and G1 alternates
+    in sign on the zeros of G.  Where L keeps one sign on them Q alternates
+    too, so the premise holds; Q's zero comes first iff Q has G's degree and
+    that sign is Q's leading sign.  Where L's root is a zero of G, or lies
+    between two, the premise fails there.
 
     The identity and the chain are all it reads, so it decides only a
     certified relation whose G is its spec's chain member, and raises on any
@@ -674,8 +685,7 @@ class _ChainOrders:
 
     def __init__(self, rel: MixedRelation):
         reading = families.chain_reading(rel.specs["G"])
-        m = reading.m
-        E, Q = rel.E, rel.Q
+        m, Q = reading.m, rel.Q
         member, coeffs = reading.link(rel.G, Q) if rel.certified else (False, None)
         if not member:
             raise ValueError(
@@ -686,19 +696,7 @@ class _ChainOrders:
             raise InvalidParameterError(
                 f"{rel.rel_id}: Q is not t G + c1 G1 + c2 G2 on the recurrence chain of G"
             )
-        locate = reading.zeros_above
-
-        def sign_at(poly: Polynomial, x: Fraction) -> int:
-            return certify.signs_at(poly.nums, (x.numerator,), x.denominator)[0]
-
-        above, on = locate(E)
-        self.position = (
-            "unknown" if on else "below" if above == m else "above" if above == 0 else "interior"
-        )
-        self.slot = m - above if self.position == "interior" else None
-        self.above, self.m = above, m
-        self.e_sides = _sides(above, on, m)
-        self.e_on_q = not sign_at(Q, E)
+        self._zeros_above = reading.zeros_above
 
         (c1, d1), (c2, d2) = (*coeffs[1:], (0, 1), (0, 1))[:2]
         # Q's sign at each zero of G, L's times G1's: G1 is monic with one
@@ -706,15 +704,15 @@ class _ChainOrders:
         # Where L's sign changes among them, the two zeros of G around L's
         # root, or twice the one it sits on.  c2 is nonzero on an orthogonal
         # member's own chain only, whose steps are in x.
-        self.broken = root = None
+        self.broken = self._l_root = None
         if c2:
             a, b, u, v = reading.steps[m - 1]
             root = Fraction(a * d1 * v * c2 - b * c1 * u * d2, b * d1 * v * c2)  # c_m - c1 l_m / c2
-            root_at = locate(root)
-            l_sign, sides = _sign(c2 * d2), _sides(*root_at, m)
+            self._l_root, self._l_at = root, reading.zeros_above(root)
+            l_sign, sides = _sign(c2 * d2), _sides(*self._l_at, m)
             l_low = l_sign * sides[0]  # L's sign at G's lowest zero
             q_signs = [x * g for x, g in zip(sides, _alternating(l_sign, m))]
-            root_above, root_on = root_at
+            root_above, root_on = self._l_at
             low = m - root_above - 1  # the zero of G at or just below L's root
             if root_on:
                 self.broken = low, low
@@ -727,22 +725,12 @@ class _ChainOrders:
                 self.broken = 0, 0
         self.same_degree = Q.degree == m
         self.first = "Q" if self.same_degree and l_low == _sign(Q.nums[-1]) else "G"
+        super().__init__(rel, q_signs)
+        self.e_on_q = not certify.signs_at(Q.nums, (rel.E.numerator,), rel.E.denominator)[0]
 
-        # an A of degree 2 or more is refused as _open_report reads a_positive
-        a_nums = rel.A.nums
-        if not a_nums:
-            raise InvalidParameterError(f"{rel.rel_id}: A is 0, so the identity reads no sign of P")
-        if len(a_nums) == 2:
-            a_root = Fraction(-a_nums[0], a_nums[1])
-            a_at = root_at if a_root == root else locate(a_root)  # one count in jacobi-3.5
-            a_signs = [_sign(a_nums[1]) * x for x in _sides(*a_at, m)]
-        else:
-            a_signs = [_sign(a_nums[0])] * m
-        self.p_signs = p_signs = _identity_signs(
-            rel.sign, a_signs, self.e_sides, q_signs, lambda i: sign_at(rel.P, a_root)
-        )
-        self.no_common_zeros_g_p = all(p_signs)
-        self.lead, self.n = _sign(rel.P.nums[-1]), rel.P.degree
+    def _place(self, x: Fraction) -> tuple[int, bool]:
+        # A's root is L's in jacobi-3.5: one count places both
+        return self._l_at if x == self._l_root else self._zeros_above(x)
 
     def premise(self, lower: str, upper: str) -> Verdict:
         if self.broken is not None:
@@ -751,13 +739,8 @@ class _ChainOrders:
             return Verdict(FAIL, witness=(0, 0))  # the other zero comes first
         return Verdict(ALTERNATE if self.same_degree else INTERLACE_DOWN)
 
-    def extreme(self, top: bool) -> tuple[str, int]:
-        above, m = self.above, self.m
-        side = self.e_sides[-1 if top else 0]  # the sign of that zero minus E
-        return f"{above} of {m} zeros of G lie above E", -side
-
-    def order(self, subject: str, first: str) -> bool:
-        return _sign_order(self.p_signs, self.e_sides, self.lead, self.n, subject, first)
+    def _extreme_note(self, top: bool) -> str:
+        return f"{self.above} of {self.m} zeros of G lie above E"
 
 
 def _open_report(rel: MixedRelation, orders) -> CheckReport:
@@ -884,14 +867,14 @@ def check_relation(rel: MixedRelation) -> CheckReport:
     else along the recurrence chain its G is read on (``_ChainOrders``),
     which G's spec must name (``families.CHAIN_KINDS``).
 
-    Besides E's ``position`` and ``slot`` among the zeros of G,
-    ``no_common_zeros_g_p`` and ``e_on_q``, an order source answers
-    ``premise(lower, upper)``, the Verdict on the zeros of ``lower`` ("G" or
-    "Q") interlacing those of ``upper``, lowest first; ``extreme(top)``, the
-    evidence the report's note prints and the sign of E minus G's largest
-    (or smallest) zero; and ``order(subject, first)``, whether the zeros of
-    ``subject`` ("P", or "EP" for (x - E) P) interlace G's with ``first``'s
-    lowest.  The checkers also take a source that leaves an order undecided
+    Both subclass one core (``_Orders``).  Besides E's ``position`` and
+    ``slot`` among the zeros of G, ``no_common_zeros_g_p`` and ``e_on_q``,
+    an order source answers ``premise(lower, upper)``, the Verdict on the
+    zeros of ``lower`` ("G" or "Q") interlacing those of ``upper``, lowest
+    first; ``extreme(top)``, the evidence the report's note prints and the
+    sign of E minus G's largest (or smallest) zero; and
+    ``order(subject, first)``, whether the zeros of ``subject`` ("P", or
+    "EP" for (x - E) P) interlace G's with ``first``'s lowest.  The checkers also take a source that leaves an order undecided
     (an Inconclusive premise, a side of 0, an order of None), and skip what
     it leaves; the exact sources leave nothing.
     """
@@ -1030,7 +1013,6 @@ def _top_two(zeros) -> tuple[int, int]:
 
 def _oracle_relation(shape, A, B, e, c, draw: _Draw, g, q) -> MixedRelation:
     """A synthetic relation whose monic P is c(D x) up to scale; g, q are the root products."""
-    hull = (*draw.g, *draw.q, draw.de)
     rel = MixedRelation(
         rel_id="oracle-" + shape.replace("_", "-"),
         shape=shape,
@@ -1041,7 +1023,6 @@ def _oracle_relation(shape, A, B, e, c, draw: _Draw, g, q) -> MixedRelation:
         P=Polynomial.from_scaled(c, draw.den, c[-1]),
         G=Polynomial.from_scaled(g, draw.den),
         Q=Polynomial.from_scaled(q, draw.den),
-        support=(min(hull) / draw.den - 1.0, max(hull) / draw.den + 1.0),
         params={"n": len(c) - 1},
     )
     object.__setattr__(rel, "roots", {"G": (draw.g, draw.den), "Q": (draw.q, draw.den)})

@@ -192,7 +192,7 @@ CHECKS_REFERENCE = {
         A=lambda n, p, N: [p * (1 - p) * (n + 1) * (N + 1 - n)],
         B=lambda n, p, N: [N + 1, -1],
         E=lambda n, p, N: N + 1 - p * (n + 1),
-        support=lambda n, p, N: (0.0, float(N + 1)),
+        support=lambda n, p, N: (0, N + 1),
     ),
     "meixner-3.2": dict(
         P=lambda n, t, w: families.meixner(t, w, n),

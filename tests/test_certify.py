@@ -241,6 +241,37 @@ def test_a_broken_premise_and_e_on_a_zero_of_q_agree_with_the_float_checker():
     _assert_identity_signs([shared])
 
 
+def test_p_sign_at_a_linear_a_root_on_drawn_zeros_is_read_directly():
+    # G = (x + 1) x (x - 1) and Q = (x + 1/2) x (x - 3/4) share the zero 0,
+    # where A = x vanishes: A(0) P(0) = (0 - E) Q(0) = 0 says nothing of
+    # P(0), so the drawn source reads P's sign there.  With B = 13/4 - x and
+    # E = 2, P = (B G + (x - 2) Q) / x = x^2 + 9/8 x - 5/2, so P(0) = -5/2.
+    g, q, e = [F(-1), F(0), F(1)], [F(-1, 2), F(0), F(3, 4)], F(2)
+    G, Q = Polynomial.from_roots(g), Polynomial.from_roots(q)
+    A, B = Polynomial([0, 1]), Polynomial([F(13, 4), -1])
+    P, remainder = (B * G + Polynomial([-e, 1]) * Q).divide_linear(0)
+    assert remainder == 0 and P == Polynomial([F(-5, 2), F(9, 8), 1])
+    rel = relations.MixedRelation("hand", relations.PAIR_UP, 1, A, B, e, P, G, Q)
+    nums, den = _integer_form([*g, *q])
+    object.__setattr__(rel, "roots", {"G": (nums[:3], den), "Q": (nums[3:], den)})
+    assert rel.certified
+    assert relations._DrawnOrders(rel).p_signs == [-1, -1, -1]
+    _assert_identity_signs([rel])
+    # A changes sign, so a_positive fails and every clause is skipped; the
+    # shared zero breaks the premise, which the drawn zeros decide and the
+    # float checker leaves inconclusive, so only that verdict differs
+    got, (want,) = check_relation(rel), _float_reports([rel])
+    assert got.hypotheses == want.hypotheses == {
+        "b_at_e_nonzero": True,
+        "e_not_on_g_zero": True,
+        "no_common_zeros_g_p": True,
+        "a_positive": False,
+    }
+    assert got.csv_rows() == want.csv_rows()
+    assert (got.e_position, got.clauses, got.notes) == (want.e_position, want.clauses, want.notes)
+    assert got.premise.kind == "Fail" and want.premise.kind == "Inconclusive"
+
+
 def test_the_drawn_zeros_decide_only_a_certified_relation():
     rel = oracle_pair_up(5, 0)
     assert check_relation(rel).passed

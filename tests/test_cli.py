@@ -310,6 +310,24 @@ class TestCheckCommand:
         assert -F(10) ** 401 < F(report["E"]) < -F(10) ** 399
         assert report["E_float"] is None and report["passed"] is True
 
+    # at N = 1e400 the check is decided exactly; the float right end of its
+    # support once ended it, and each point of a sweep, in an OverflowError
+    HUGE_N = ("--p", "1/3", "--N", "1e400")
+
+    def test_check_at_n_past_the_double_range_passes(self, capsys):
+        code, out, err = run_cli(capsys, "check", "krawtchouk-3.1", "--n", "1", *self.HUGE_N)
+        assert (code, err) == (0, "")
+        assert out.endswith("result: PASS\n")
+
+    def test_sweep_at_n_past_the_double_range_has_no_error_row(self, capsys, tmp_path):
+        spec = tmp_path / "sweep.json"
+        spec.write_text(
+            json.dumps({"check": "krawtchouk-3.1", "n": "1..3", "params": {"p": ["1/3"], "N": ["1e400"]}})
+        )
+        code, out, err = run_cli(capsys, "sweep", str(spec))
+        assert (code, err) == (0, "sweep: 18 pass, 0 fail, 0 error, 18 rows\n")
+        assert "error" not in out
+
 
 class TestUnusedParameterFlags:
     """A parameter flag the check or family does not take was silently dropped."""

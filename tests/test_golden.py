@@ -9,9 +9,9 @@ every family kind at n = 8 and 40.  A further
 file pins the oracle relations themselves, which the sweep output (pass/fail
 and orientation only) cannot: one line per instance with its E and a digest
 of every term.  A third pins every named relation: its shape, sign, E,
-support, member specs and a digest of its terms at a few degrees and
-parameter sets, and the exact error text of each invalid point, which sweep
-error rows print.  Three of the commands are also run in an interpreter where
+support (its exact ends shown as doubles), member specs and a digest of its
+terms at a few degrees and parameter sets, and the exact error text of each
+invalid point, which sweep error rows print.  Three of the commands are also run in an interpreter where
 scipy cannot be imported, since the program does not depend on it.  A change
 meant to leave output alone (a faster construction, a refactor) must pass this
 module unchanged.  After a deliberate output change, re-record with
@@ -198,9 +198,11 @@ def named_relations() -> str:
                     {k: spec.to_json() for k, spec in rel.specs.items()}, sort_keys=True
                 )
                 shown = json.dumps({k: str(v) for k, v in rel.params.items()})
+                # the exact ends shown as doubles, None for an open end
+                support = tuple(None if end is None else float(end) for end in rel.support)
                 lines.append(
                     f"{check_id} n={n} shape={rel.shape} sign={rel.sign} E={rel.E} "
-                    f"support={rel.support} params={shown} specs={specs} "
+                    f"support={support} params={shown} specs={specs} "
                     f"{_term_digest(rel)}\n"
                 )
     for check_id, n, params in INVALID_RELATIONS:

@@ -103,8 +103,7 @@ def _agrees(rel, want, g_zeros, q_zeros, e) -> None:
         "G": tuple(g_zeros),
         "Q": tuple(q_zeros),
     }
-    hull = [float(z) for z in (*g_zeros, *q_zeros, e)]
-    assert rel.support == (min(hull) - 1.0, max(hull) + 1.0)
+    assert rel.support == (None, None)  # A is constant, so a_positive reads no end
     for term in (*rel.A.coeffs, *rel.B.coeffs, *rel.P.coeffs, *rel.G.coeffs, *rel.Q.coeffs):
         assert type(term) is F
 

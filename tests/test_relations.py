@@ -416,6 +416,12 @@ class TestAPositive:
             relations._a_positive(rel)
 
     @pytest.mark.parametrize("check_id", relations.CHECK_IDS)
+    def test_support_ends_are_exact(self, check_id):
+        for n in (2, 5, 9):
+            support = build_relation(check_id, n, CHECK_PARAMS.get(check_id)).support
+            assert all(end is None or type(end) in (int, F) for end in support), support
+
+    @pytest.mark.parametrize("check_id", relations.CHECK_IDS)
     def test_holds_on_every_check(self, check_id):
         for n in (2, 5, 9):
             assert relations._a_positive(build_relation(check_id, n, CHECK_PARAMS.get(check_id)))

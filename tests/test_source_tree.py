@@ -16,6 +16,8 @@ oracle mode reaches, fails here before it is ever run.
 * The separation floor is ``interlacing.DEFAULT_FLOOR`` alone: it is assigned
   once, no function or lambda takes a ``floor`` parameter, and nothing reads
   ``os.environ`` or ``os.getenv``.
+* One class of ``relations`` reads every order: it alone defines ``order``
+  and ``extreme``, the core both exact order sources share.
 * Every name the benchmark's span tracer (``perfbench/tracer.py``) takes from
   a module of the package is bound at that module's top level: each name it
   patches by string, imports, or reads as an attribute of a package module.
@@ -107,6 +109,18 @@ def test_readme_lists_every_check_id():
     sentence = re.search(r"Available check ids: (.*?)\.(?:\s|$)", readme, re.S)
     assert sentence is not None
     assert re.findall(r"`([^`]+)`", sentence.group(1)) == checks
+
+
+def test_one_class_reads_every_order():
+    """The order sources share one core: exactly one class of ``relations``
+    defines ``order`` or ``extreme``, and it defines both."""
+    readers = {}
+    for node in ast.walk(_modules()["relations"]):
+        if isinstance(node, ast.ClassDef):
+            methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+            if methods & {"order", "extreme"}:
+                readers[node.name] = methods & {"order", "extreme"}
+    assert list(readers.values()) == [{"order", "extreme"}], readers
 
 
 MEMOS = {"cache", "lru_cache", "cached_property"}

@@ -9,8 +9,11 @@ r / s placed among the zeros of a recurrence chain's member.
   The powers of D are folded into the coefficients once per polynomial,
   w_k = nums[k] D^(m-k), so each point costs plain integer Horner,
   sum w_k a^k = D^m p(a / D), whose sign is the sign of p(a / D).
-* ``first_break``: strict alternation p1 < q1 < p2 < q2 < ... of two
-  integer lists, found by one scan of the interleaved list.
+* ``sign_changes``: where a sign vector at the zeros of G changes, once the
+  signs at -inf and +inf are added.  A polynomial of degree d whose signs
+  change d times along the zeros of G has exactly one simple zero in each
+  interval where the sign changes, and none elsewhere: the premise (Q's
+  zeros against G's) and every order of P are read this way.
 * ``zeros_above``: how many zeros of the chain member p_m lie above r / s,
   by the sign changes along p_0(r / s), ..., p_m(r / s), which the
   recurrence p_(k+1) = (x - c_(k+1)) p_k - l_(k+1) p_(k-1) forms on
@@ -19,17 +22,12 @@ r / s placed among the zeros of a recurrence chain's member.
   many sign changes as p_m has zeros above the point.
 * ``chain_coefficients``: the coefficients c with q = sum c_i basis_i, read
   off the top coefficients and certified by a zero remainder.
-
-``sign_changes`` reads a sign vector at the zeros of G as the number of
-zeros of the polynomial in each interval between them, once the signs at
--inf and +inf are added: a polynomial of degree d whose signs change d times
-along the zeros of G has exactly one simple zero in each interval where the
-sign changes, and none elsewhere.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from operator import ne
 
 
 def signs_at(nums: Sequence[int], points: Iterable[int], den: int) -> list[int]:
@@ -51,25 +49,8 @@ def signs_at(nums: Sequence[int], points: Iterable[int], den: int) -> list[int]:
     return out
 
 
-def first_break(p: Sequence[int], q: Sequence[int]) -> tuple[int, int, int] | None:
-    """Where p1 < q1 < p2 < q2 < ... first fails, for len(p) - len(q) in {0, 1}.
-
-    None when every neighbouring pair of the interleaved list strictly
-    increases.  Otherwise (i, j, gap) for the first pair that does not: it
-    joins p[i] and q[j] (0-based), and ``gap`` is the later entry minus the
-    earlier one, <= 0.
-    """
-    merged = [0] * (len(p) + len(q))
-    merged[0::2], merged[1::2] = p, q
-    for m in range(len(merged) - 1):
-        gap = merged[m + 1] - merged[m]
-        if gap <= 0:
-            return (m + 1) // 2, m // 2, gap
-    return None
-
-
-def sign_changes(signs: Sequence[int], lead: int, degree: int) -> tuple[int, ...] | None:
-    """1 or 0 for each interval of -inf < z_1 < ... < z_k < +inf: does the sign change there?
+def sign_changes(signs: Sequence[int], lead: int, degree: int) -> tuple[bool, ...] | None:
+    """For each interval of -inf < z_1 < ... < z_k < +inf: does the sign change there?
 
     ``signs`` are a polynomial's signs at the k points z_i, ``lead`` the
     sign of its leading coefficient and ``degree`` its degree, which give
@@ -78,7 +59,7 @@ def sign_changes(signs: Sequence[int], lead: int, degree: int) -> tuple[int, ...
     if not all(signs):
         return None
     ext = [-lead if degree % 2 else lead, *signs, lead]
-    return tuple(int(a != b) for a, b in zip(ext, ext[1:]))
+    return tuple(map(ne, ext, ext[1:]))
 
 
 def zeros_above(steps: Sequence[tuple[int, int, int, int]], r: int, s: int) -> tuple[int, bool]:

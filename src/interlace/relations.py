@@ -7,13 +7,13 @@ clauses: it tests the stated hypotheses and decides every conclusion clause
 of the matching interlacing statement, producing a witness-carrying report.
 The checker reads each clause as one order of zeros, and ``check_relation``
 gives it the one source that decides those orders for the relation: the
-exact drawn zeros of G and Q (``_DrawnOrders``, integer merges and signs;
+exact drawn zeros of G and Q (``_DrawnOrders``, integer bisections and signs;
 the random oracles), or the recurrence chain G is read on (``_ChainOrders``,
 integer counts along a three-term recurrence; every named check, the
 Narayana ones along the chain of P^(1,1)).  A source places points among
-the zeros of G and gives Q's signs there; one core (``_Orders``) reads E's
-place, P's signs through the identity and every order from those.  Neither
-source solves a zero set or holds anything to a floor.
+the zeros of G and gives Q's signs there; one core (``_Orders``) reads the
+premise, E's place, P's signs through the identity and every order from
+those.  Neither source solves a zero set or holds anything to a floor.
 
 Two relation shapes are supported, named by the degrees of G and Q
 relative to deg P = n:
@@ -522,18 +522,19 @@ def _new_report(rel: MixedRelation) -> CheckReport:
 
 
 class _Orders:
-    """The one core of both exact order sources: the orders ``check_relation``
-    names, read from signs at the m ascending zeros of G.
+    """The one core of both exact order sources: the premise and the orders
+    ``check_relation`` names, read from signs at the m ascending zeros of G.
 
     A source places a rational x among those zeros (``_place(x)``: how many
     lie above x, and whether x is one of them), gives Q's sign at each, and
-    answers ``premise``, ``e_on_q`` and the extreme note's wording.  From
-    those the core places E and A's root (deg A <= 1), and reads P's sign at
-    each zero g by fact 1: A(g) P(g) = s (g - E) Q(g) by the identity, s the
-    relation's ``sign``, so sign P(g) = s sign A(g) sign(g - E) sign Q(g),
-    which is 0 at g = E, as P(E) is.  Only at A's root does that read
-    nothing of P(g), so P's sign there is taken directly.  Every order is
-    then one pattern of sign changes (``_sign_order``).
+    words the extreme note.  From those the core reads the premise, Q's
+    zeros against G's, as one pattern of sign changes of Q, and places E
+    and A's root (deg A <= 1).  It reads P's sign at each zero g by fact 1:
+    A(g) P(g) = s (g - E) Q(g) by the identity, s the relation's ``sign``,
+    so sign P(g) = s sign A(g) sign(g - E) sign Q(g), which is 0 at g = E,
+    as P(E) is.  Only at A's root does that read nothing of P(g), so P's
+    sign there is taken directly, as is Q's at E (``e_on_q``).  Every order
+    of P is then one pattern of sign changes too (``_sign_order``).
     """
 
     def __init__(self, rel: MixedRelation, q_signs: list[int]):
@@ -563,6 +564,26 @@ class _Orders:
         self.p_signs = signs
         self.no_common_zeros_g_p = all(signs)
         self.lead, self.n = _sign(rel.P.nums[-1]), rel.P.degree
+        Q = rel.Q
+        self.q_signs, self.q_lead, self.q_degree = q_signs, _sign(Q.nums[-1]), Q.degree
+        self.e_on_q = not certify.signs_at(Q.nums, (rel.E.numerator,), rel.E.denominator)[0]
+
+    def premise(self, lower: str, upper: str) -> Verdict:
+        """The Verdict on the zeros of ``lower`` ("G" or "Q") interlacing those
+        of the other, ``upper``, lowest first: one pattern of sign changes of
+        Q along G's zeros (``_sign_order``).  A failure's witness indexes
+        G's zeros: (k, k) for the first zero of G that Q shares, else
+        (k - 1, k) for the first gap of G across which Q keeps its sign,
+        else (0, 0), where the zero that comes first is not ``lower``'s.
+        """
+        signs, m = self.q_signs, self.m
+        if _sign_order(signs, None, self.q_lead, self.q_degree, "Q", lower):
+            return Verdict(ALTERNATE if self.q_degree == m else INTERLACE_DOWN)
+        if 0 in signs:
+            k = signs.index(0)
+            return Verdict(FAIL, witness=(k, k))
+        k = next((k for k in range(1, m) if signs[k - 1] == signs[k]), None)
+        return Verdict(FAIL, witness=(0, 0) if k is None else (k - 1, k))
 
     def extreme(self, top: bool) -> tuple[str, int]:
         """The note's evidence, and the sign of E minus G's largest (``top``) or smallest zero."""
@@ -574,11 +595,10 @@ class _Orders:
 
 class _DrawnOrders(_Orders):
     """The order core on the drawn zeros of G and Q (``rel.roots``), integer
-    numerators over one denominator D: a point x is placed among them by
-    bisection on the floor of x D, Q's sign at each zero of G by bisection,
-    and a premise merges two of the lists (``certify.first_break``).  P's
-    signs come through the identity, so it raises on a relation that is not
-    certified.
+    numerators over one denominator D: a point x is placed among those of G
+    by bisection on the floor of x D, and Q's sign at each zero of G by
+    bisection among those of Q.  P's signs come through the identity, so it
+    raises on a relation that is not certified.
     """
 
     def __init__(self, rel: MixedRelation):
@@ -586,7 +606,7 @@ class _DrawnOrders(_Orders):
             raise ValueError(f"{rel.rel_id}: the drawn zeros decide only a certified relation")
         g_nums, self.den = rel.roots["G"]
         g, q = sorted(g_nums), sorted(rel.roots["Q"][0])
-        self.zeros = {"G": g, "Q": q}
+        self.g = g
         self.e = rel.E
         # Q's sign at x: its leading sign, flipped once for each zero of Q above x
         q_lead, top = _sign(rel.Q.nums[-1]), len(q)
@@ -595,25 +615,15 @@ class _DrawnOrders(_Orders):
             k = bisect_left(q, x)
             q_signs.append(0 if k < top and q[k] == x else -q_lead if (top - k) % 2 else q_lead)
         super().__init__(rel, q_signs)
-        self.e_on_q = self._place(rel.E, "Q")[1]
 
-    def _place(self, x: Fraction, term: str = "G") -> tuple[int, bool]:
-        zeros = self.zeros[term]
+    def _place(self, x: Fraction) -> tuple[int, bool]:
+        g = self.g
         k, r = divmod(x.numerator * self.den, x.denominator)  # x D is k, or between k and k + 1
-        j = bisect_right(zeros, k)
-        return len(zeros) - j, not r and j > 0 and zeros[j - 1] == k
-
-    def premise(self, lower: str, upper: str) -> Verdict:
-        a, b = self.zeros[lower], self.zeros[upper]
-        broken = certify.first_break(a, b)
-        if broken is None:
-            return Verdict(ALTERNATE if len(a) == len(b) else INTERLACE_DOWN)
-        i, j, gap = broken
-        return Verdict(FAIL, witness=(i, j), gap=gap / self.den)
+        j = bisect_right(g, k)
+        return len(g) - j, not r and j > 0 and g[j - 1] == k
 
     def _extreme_note(self, top: bool) -> str:
-        g = self.zeros["G"]
-        return _bound_evidence((g[-1] if top else g[0]) / self.den, float(self.e))
+        return _bound_evidence(self.g[-1 if top else 0] / self.den, float(self.e))
 
 
 def _bound_evidence(bound: float, e: float) -> str:
@@ -673,10 +683,7 @@ class _ChainOrders(_Orders):
     (``certify.chain_coefficients``; on the Narayana chain, Q = c1 G1 is
     certified with G).  Since G = (x - c_m) G1 - l_m G2, Q(g) = L(g) G1(g)
     at each zero g of G, with L = c1 + c2 (x - c_m) / l_m, and G1 alternates
-    in sign on the zeros of G.  Where L keeps one sign on them Q alternates
-    too, so the premise holds; Q's zero comes first iff Q has G's degree and
-    that sign is Q's leading sign.  Where L's root is a zero of G, or lies
-    between two, the premise fails there.
+    in sign on the zeros of G: Q's signs there are L's times G1's.
 
     The identity and the chain are all it reads, so it decides only a
     certified relation whose G is its spec's chain member, and raises on any
@@ -685,8 +692,8 @@ class _ChainOrders(_Orders):
 
     def __init__(self, rel: MixedRelation):
         reading = families.chain_reading(rel.specs["G"])
-        m, Q = reading.m, rel.Q
-        member, coeffs = reading.link(rel.G, Q) if rel.certified else (False, None)
+        m = reading.m
+        member, coeffs = reading.link(rel.G, rel.Q) if rel.certified else (False, None)
         if not member:
             raise ValueError(
                 f"{rel.rel_id}: the chain decides only a certified relation whose G "
@@ -701,43 +708,22 @@ class _ChainOrders(_Orders):
         (c1, d1), (c2, d2) = (*coeffs[1:], (0, 1), (0, 1))[:2]
         # Q's sign at each zero of G, L's times G1's: G1 is monic with one
         # zero in each gap between G's, so its sign at zero i is (-1)^(m-1-i).
-        # Where L's sign changes among them, the two zeros of G around L's
-        # root, or twice the one it sits on.  c2 is nonzero on an orthogonal
-        # member's own chain only, whose steps are in x.
-        self.broken = self._l_root = None
+        # c2 is nonzero on an orthogonal member's own chain only, whose steps
+        # are in x.
+        self._l_root = None
         if c2:
             a, b, u, v = reading.steps[m - 1]
             root = Fraction(a * d1 * v * c2 - b * c1 * u * d2, b * d1 * v * c2)  # c_m - c1 l_m / c2
             self._l_root, self._l_at = root, reading.zeros_above(root)
-            l_sign, sides = _sign(c2 * d2), _sides(*self._l_at, m)
-            l_low = l_sign * sides[0]  # L's sign at G's lowest zero
-            q_signs = [x * g for x, g in zip(sides, _alternating(l_sign, m))]
-            root_above, root_on = self._l_at
-            low = m - root_above - 1  # the zero of G at or just below L's root
-            if root_on:
-                self.broken = low, low
-            elif 0 < root_above < m:
-                self.broken = low, low + 1
+            l_sides = _sides(*self._l_at, m)
+            q_signs = [x * g for x, g in zip(l_sides, _alternating(_sign(c2 * d2), m))]
         else:
-            l_low = _sign(c1 * d1)
-            q_signs = _alternating(l_low, m)
-            if not c1:
-                self.broken = 0, 0
-        self.same_degree = Q.degree == m
-        self.first = "Q" if self.same_degree and l_low == _sign(Q.nums[-1]) else "G"
+            q_signs = _alternating(_sign(c1 * d1), m)
         super().__init__(rel, q_signs)
-        self.e_on_q = not certify.signs_at(Q.nums, (rel.E.numerator,), rel.E.denominator)[0]
 
     def _place(self, x: Fraction) -> tuple[int, bool]:
         # A's root is L's in jacobi-3.5: one count places both
         return self._l_at if x == self._l_root else self._zeros_above(x)
-
-    def premise(self, lower: str, upper: str) -> Verdict:
-        if self.broken is not None:
-            return Verdict(FAIL, witness=self.broken)
-        if lower != self.first:
-            return Verdict(FAIL, witness=(0, 0))  # the other zero comes first
-        return Verdict(ALTERNATE if self.same_degree else INTERLACE_DOWN)
 
     def _extreme_note(self, top: bool) -> str:
         return f"{self.above} of {self.m} zeros of G lie above E"
@@ -865,18 +851,23 @@ def check_relation(rel: MixedRelation) -> CheckReport:
 
     A relation that carries drawn zeros is decided on them (``_DrawnOrders``),
     else along the recurrence chain its G is read on (``_ChainOrders``),
-    which G's spec must name (``families.CHAIN_KINDS``).
+    which G's spec must name (``families.CHAIN_KINDS``).  Either gives only
+    its placement of a point among the zeros of G, Q's signs there and the
+    extreme note's wording; the core both subclass (``_Orders``) reads the
+    rest.
 
-    Both subclass one core (``_Orders``).  Besides E's ``position`` and
-    ``slot`` among the zeros of G, ``no_common_zeros_g_p`` and ``e_on_q``,
-    an order source answers ``premise(lower, upper)``, the Verdict on the
-    zeros of ``lower`` ("G" or "Q") interlacing those of ``upper``, lowest
-    first; ``extreme(top)``, the evidence the report's note prints and the
-    sign of E minus G's largest (or smallest) zero; and
-    ``order(subject, first)``, whether the zeros of ``subject`` ("P", or
-    "EP" for (x - E) P) interlace G's with ``first``'s lowest.  The checkers also take a source that leaves an order undecided
-    (an Inconclusive premise, a side of 0, an order of None), and skip what
-    it leaves; the exact sources leave nothing.
+    A checker reads from its order source E's ``position`` and ``slot``
+    among the zeros of G, ``no_common_zeros_g_p`` and ``e_on_q``, and asks
+    it ``premise(lower, upper)``, the Verdict on the zeros of ``lower`` ("G"
+    or "Q") interlacing those of ``upper``, lowest first; ``extreme(top)``,
+    the evidence the report's note prints and the sign of E minus G's
+    largest (or smallest) zero; and ``order(subject, first)``, whether the
+    zeros of ``subject`` ("P", or "EP" for (x - E) P) interlace G's with
+    ``first``'s lowest.
+
+    The checkers also take a source that leaves an order undecided (an
+    Inconclusive premise, a side of 0, an order of None), and skip what it
+    leaves; the exact sources leave nothing.
     """
     spec = rel.specs.get("G")
     if rel.roots:

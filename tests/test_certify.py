@@ -3,11 +3,13 @@ drawn zeros against the same checkers on float zero sets, and the named
 checks decided along G's recurrence chain against the float checkers.
 
 The kernels are checked against ``Fraction`` arithmetic: the sign of a
-polynomial at a / b against the sign of ``Polynomial.evaluate``, the first
-break of an alternation against a sort of the tagged entries, and the sign
-changes along a set of points against a count of the known zeros in each
-interval.  ``zeros_above`` is checked against the eigenvalues of the Jacobi
-matrix, and exactly at points that are zeros of G.  ``check_relation`` reads
+polynomial at a / b against the sign of ``Polynomial.evaluate``, and the
+sign changes along a set of points against a count of the known zeros in
+each interval.  The premise the order core reads from Q's signs at the drawn
+zeros of G is checked against a merge of the two zero lists, and its
+witness against a count of Q's zeros in each gap of G.  ``zeros_above`` is
+checked against the eigenvalues of the Jacobi matrix, and exactly at points
+that are zeros of G.  ``check_relation`` reads
 its orders from the drawn zeros (``relations._DrawnOrders``), or for a named
 check from G's chain (``relations._ChainOrders``); its report is checked,
 row by row and field by field, against the report the same checker gives on
@@ -35,7 +37,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from interlace import cli, families, relations
-from interlace.certify import chain_coefficients, first_break, sign_changes, signs_at, zeros_above
+from interlace.certify import chain_coefficients, sign_changes, signs_at, zeros_above
 from interlace.families import (
     InvalidParameterError,
     jacobi,
@@ -91,7 +93,7 @@ def test_sign_at_an_exact_rational_zero_is_zero(zeros, den, cofactor, data):
     assert p.evaluate(F(z, den)) == 0
 
 
-# -- first_break -------------------------------------------------------------
+# -- the premise on drawn zeros against a merge --------------------------------
 
 
 def _reference_break(p, q):
@@ -108,29 +110,55 @@ def _reference_break(p, q):
     return None
 
 
+def _reference_witness(g, q):
+    """A failed premise's witness, from the ascending zeros themselves: (k, k)
+    for the first zero of G that Q shares, else (k - 1, k) for the first gap
+    of G holding an even number of zeros of Q (no sign change of Q), else
+    (0, 0)."""
+    for k, x in enumerate(g):
+        if x in q:
+            return k, k
+    for k in range(1, len(g)):
+        if sum(g[k - 1] < z < g[k] for z in q) % 2 == 0:
+            return k - 1, k
+    return 0, 0
+
+
 @st.composite
-def alternation_pairs(draw):
-    """Two integer lists of sizes k and k or k - 1, often out of order."""
-    p = draw(st.lists(st.integers(-30, 30), max_size=8))
-    size = len(p) - draw(st.integers(0, min(1, len(p))))
-    return p, draw(st.lists(st.integers(-30, 30), min_size=size, max_size=size))
+def drawn_zero_lists(draw):
+    """A shape, ascending integer zeros of G and Q of its sizes, often out of
+    order, their denominator and E."""
+    shape = draw(st.sampled_from((relations.PAIR_UP, relations.DOWN_ONE)))
+    m = draw(st.integers(1, 7))
+    size = m if shape == relations.PAIR_UP else m - 1
+    g, q = (sorted(draw(st.lists(st.integers(-30, 30), min_size=k, max_size=k))) for k in (m, size))
+    e = F(draw(st.integers(-40, 40)), draw(st.integers(1, 7)))
+    return shape, g, q, draw(st.integers(1, 6)), e
 
 
-@given(alternation_pairs())
-@settings(max_examples=300)
-@example(([1, 3], [2]))
-@example(([1, 3], [3]))
-def test_first_break_matches_the_reference(pair):
-    p, q = pair
-    assert first_break(p, q) == _reference_break(p, q)
-
-
-def test_first_break_on_sorted_chains():
-    chain = list(range(0, 20, 2))
-    assert first_break(chain[0::2], chain[1::2]) is None
-    assert first_break(chain[1::2], chain[0::2]) == (0, 0, -2)
-    assert first_break([1, 5], [5]) == (1, 0, 0)
-    assert first_break([], []) is None
+@given(drawn_zero_lists())
+@settings(max_examples=300, deadline=None)
+@example((relations.PAIR_UP, [0, 4, 8], [2, 6, 10], 1, F(20)))  # G's zero first
+@example((relations.PAIR_UP, [1, 3], [3, 5], 2, F(-1)))  # a shared zero
+@example((relations.DOWN_ONE, [1, 5], [5], 1, F(9)))
+@example((relations.DOWN_ONE, [-4, 0, 4], [1, 3], 1, F(2)))  # two zeros of Q in one gap
+def test_drawn_premise_matches_the_merge_reference(drawn):
+    shape, g, q, den, e = drawn
+    if shape == relations.PAIR_UP:
+        rel = relations.assemble_pair_up(g, q, den, e, require_positive_a=False)
+        kind, orientations = "Alternate", [("Q", "G"), ("G", "Q")]
+    else:
+        rel = relations.assemble_down_one(g, q, den, e, F(2))
+        kind, orientations = "InterlaceDown", [("G", "Q")]
+    assume(rel is not None)
+    orders, zeros = relations._DrawnOrders(rel), {"G": g, "Q": q}
+    for lower, upper in orientations:
+        verdict = orders.premise(lower, upper)
+        if _reference_break(zeros[lower], zeros[upper]) is None:
+            assert verdict == relations.Verdict(kind), (lower, g, q)
+        else:
+            witness = _reference_witness(g, q)
+            assert verdict == relations.Verdict("Fail", witness=witness), (lower, g, q)
 
 
 # -- sign_changes ------------------------------------------------------------
@@ -226,7 +254,17 @@ def test_a_broken_premise_and_e_on_a_zero_of_q_agree_with_the_float_checker():
     report = check_relation(broken)
     assert report.premise_kind is None and report.premise.kind == "Fail"
     assert set(report.clauses.values()) == {"skipped"}
-    _assert_same_reports([broken])
+    _assert_identity_signs([broken])
+    (want,) = _float_reports([broken])
+    assert report.csv_rows() == want.csv_rows()
+    # hypotheses, premise kind, clauses and notes
+    assert {**report.to_json(), "premise": None} == {**want.to_json(), "premise": None}
+    # Only the witness differs: the exact one indexes G's zeros, and the gap
+    # (1/4, 1) of G holds both 1/2 and 3/4, so Q keeps its sign across it;
+    # the float one indexes the merged lists, G first, where 1 > 3/4.
+    assert report.premise == relations.Verdict("Fail", witness=(1, 2))
+    assert report.premise.gap is None
+    assert want.premise == relations.Verdict("Fail", witness=(2, 2), gap=-0.25)
     # E on a zero of Q: P(E) = B(E) G(E) / A, the note is logged
     on_q = assemble([F(-1), F(1)], [F(-3, 2), F(0)], F(0))
     assert "E sits on a zero of Q (permitted, logged)" in check_relation(on_q).notes
@@ -237,7 +275,8 @@ def test_a_broken_premise_and_e_on_a_zero_of_q_agree_with_the_float_checker():
     shared = assemble([F(-1), F(0), F(1)], [F(-1, 2), F(0), F(3, 4)], F(2))
     assert relations._DrawnOrders(shared).p_signs[1] == 0
     report = check_relation(shared)
-    assert report.premise.kind == "Fail" and not report.hypotheses["no_common_zeros_g_p"]
+    assert report.premise == relations.Verdict("Fail", witness=(1, 1))
+    assert not report.hypotheses["no_common_zeros_g_p"]
     _assert_identity_signs([shared])
 
 
@@ -270,6 +309,21 @@ def test_p_sign_at_a_linear_a_root_on_drawn_zeros_is_read_directly():
     assert got.csv_rows() == want.csv_rows()
     assert (got.e_position, got.clauses, got.notes) == (want.e_position, want.clauses, want.notes)
     assert got.premise.kind == "Fail" and want.premise.kind == "Inconclusive"
+
+
+def test_a_down_one_premise_that_fails_on_drawn_zeros():
+    # Both zeros of Q lie in the gap (0, 1) of G, and none in (-1, 0): Q
+    # keeps its sign across that first gap.
+    nums, den = _integer_form([F(-1), F(0), F(1), F(1, 2), F(3, 4)])
+    rel = relations.assemble_down_one(nums[:3], nums[3:], den, F(2), F(2))
+    report = check_relation(rel)
+    assert report.premise_kind is None
+    assert report.premise == relations.Verdict("Fail", witness=(0, 1))
+    assert "premise failed: zeros of Q do not interlace below G" in report.notes
+    assert report.clauses == dict.fromkeys(relations.DOWN_ONE_CLAUSES, "skipped")
+    (want,) = _float_reports([rel])
+    assert report.csv_rows() == want.csv_rows()
+    assert report.notes == want.notes and want.premise.kind == "Fail"
 
 
 def test_the_drawn_zeros_decide_only_a_certified_relation():
@@ -563,6 +617,25 @@ def test_a_premise_that_fails_on_the_chain(c1, witness):
     assert report.premise == relations.Verdict("Fail", witness=witness)
     assert set(report.clauses.values()) == {"skipped"}
     assert "premise failed: zero sets of Q and G do not alternate" in report.notes
+
+
+def test_a_down_one_premise_that_fails_on_the_chain():
+    # Q = G1 - G2 = x^2 - x - 1/3: L = 1 - x / l_3 with l_3 = 9/35 has its
+    # root 9/35 between the zeros 0 and sqrt(3/5) of G, so Q keeps its sign
+    # across that gap (its zeros are near -0.26 and 1.26).  With B = 2 and
+    # A = 1, P = 2 G - (x - 2) Q.
+    G, Q, e = _legendre(3), _legendre(2) - _legendre(1), F(2)
+    B = Polynomial([2])
+    P = B * G - Polynomial([-e, 1]) * Q
+    rel = relations.MixedRelation(
+        "hand", relations.DOWN_ONE, -1, Polynomial([1]), B, e, P, G, Q, specs={"G": LEGENDRE_3}
+    )
+    assert rel.certified
+    report = check_relation(rel)
+    assert report.premise_kind is None
+    assert report.premise == relations.Verdict("Fail", witness=(1, 2))
+    assert "premise failed: zeros of Q do not interlace below G" in report.notes
+    assert report.clauses == dict.fromkeys(relations.DOWN_ONE_CLAUSES, "skipped")
 
 
 def test_p_sign_where_a_and_g_vanish_at_e_is_read_directly():

@@ -16,8 +16,9 @@ oracle mode reaches, fails here before it is ever run.
 * The separation floor is ``interlacing.DEFAULT_FLOOR`` alone: it is assigned
   once, no function or lambda takes a ``floor`` parameter, and nothing reads
   ``os.environ`` or ``os.getenv``.
-* One class of ``relations`` reads every order: it alone defines ``order``
-  and ``extreme``, the core both exact order sources share.
+* One class of ``relations`` reads the premise and every order: it alone
+  defines ``order``, ``extreme`` and ``premise`` and sets ``e_on_q``, the
+  core both exact order sources share.
 * Every name the benchmark's span tracer (``perfbench/tracer.py``) takes from
   a module of the package is bound at that module's top level: each name it
   patches by string, imports, or reads as an attribute of a package module.
@@ -113,14 +114,24 @@ def test_readme_lists_every_check_id():
 
 def test_one_class_reads_every_order():
     """The order sources share one core: exactly one class of ``relations``
-    defines ``order`` or ``extreme``, and it defines both."""
-    readers = {}
+    defines ``order``, ``extreme`` or ``premise``, and it defines all three;
+    it alone sets ``e_on_q``."""
+    readings = {"order", "extreme", "premise"}
+    readers, setters = {}, []
     for node in ast.walk(_modules()["relations"]):
         if isinstance(node, ast.ClassDef):
             methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
-            if methods & {"order", "extreme"}:
-                readers[node.name] = methods & {"order", "extreme"}
-    assert list(readers.values()) == [{"order", "extreme"}], readers
+            if methods & readings:
+                readers[node.name] = methods & readings
+            stores = (
+                sub.attr
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+            )
+            if "e_on_q" in stores:
+                setters.append(node.name)
+    assert list(readers.values()) == [readings], readers
+    assert setters == list(readers), setters
 
 
 MEMOS = {"cache", "lru_cache", "cached_property"}

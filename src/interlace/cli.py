@@ -12,7 +12,8 @@ as exact decimal fractions (0.4 becomes 2/5), never as binary floats.
 Every check and sweep point is decided exactly, with no separation floor
 and no zero set solved (``relations.decide``, ``relations.check_relation``),
 and no flag or environment variable sets a floor.  Only ``zeros`` and
-``table2`` solve zero sets, one at a time (``rootfind.zero_set``).
+``table2`` solve zero sets, one family member at a time, both through
+``rootfind.zero_set(spec)``; ``cmd_zeros`` is the one JSON encoder of a set.
 A sweep cuts its points into contiguous runs, one per worker process.  A
 spec-file run builds the relation of every point, then decides each, then
 writes its own CSV lines; an oracle run draws and decides each instance in
@@ -58,10 +59,10 @@ from .relations import (
 # check_pair_up is not called here, but the benchmark's span tracer
 # (perfbench/tracer.py) wraps it under this module's name.
 from .relations import check_pair_up  # noqa: F401
-from .rootfind import RootComputationError, Term, zero_set
+from .rootfind import RootComputationError, zero_set
 
-# zeros_general is not called here, but the benchmark's span tracer
-# (perfbench/tracer.py) wraps it under this module's name.
+# zeros_general and zeros_orthogonal are not called here, but the benchmark's
+# span tracer (perfbench/tracer.py) wraps them under this module's name.
 from .rootfind import zeros_general, zeros_orthogonal  # noqa: F401
 
 #: every family's parameter flags, each once, in ``families.PARAM_NAMES`` order
@@ -163,7 +164,7 @@ def cmd_zeros(args) -> int:
     spec = _spec_from_args(args)
     digits = _digits(args)
     try:
-        zs = zero_set(Term(spec=spec))
+        zs = zero_set(spec)
     except OverflowError as exc:
         raise InvalidParameterError(f"zeros: {exc}") from None
     except RootComputationError as exc:
@@ -232,8 +233,8 @@ def table2_data() -> list[dict]:
     out = []
     for blk in TABLE2_BLOCKS:
         n, alpha, beta = blk["n"], blk["alpha"], blk["beta"]
-        base = zeros_orthogonal(families.jacobi(alpha, beta, n))
-        shifted = zeros_orthogonal(families.jacobi(alpha + 1, beta + 1, n))
+        base = zero_set(families.jacobi(alpha, beta, n))
+        shifted = zero_set(families.jacobi(alpha + 1, beta + 1, n))
         e = CHECKS["jacobi-3.6"].E(n, alpha=alpha, beta=beta)
         out.append(
             {

@@ -485,13 +485,6 @@ class CheckReport:
         results = (PASS if self.identity_ok else FAIL_CLAUSE, hyp_result, prem_result)
         return [*zip(REPORT_ROWS, results), *self.clauses.items()]
 
-    def csv_rows(self, extra: dict | None = None) -> list[dict]:
-        """One flat row per ``row_results`` entry: ``extra``, the parameters,
-        then the clause and its result."""
-        base = dict(extra or {})
-        base.update({k: str(v) for k, v in self.params.items()})
-        return [{**base, "clause": name, "result": result} for name, result in self.row_results()]
-
 
 def _a_positive(rel: MixedRelation) -> bool:
     """A > 0 inside the support, decided exactly; A has degree <= 1.
@@ -526,10 +519,11 @@ class _Orders:
     ``check_relation`` names, read from signs at the m ascending zeros of G.
 
     A source places a rational x among those zeros (``_place(x)``: how many
-    lie above x, and whether x is one of them), gives Q's sign at each, and
-    words the extreme note.  From those the core reads the premise, Q's
-    zeros against G's, as one pattern of sign changes of Q, and places E
-    and A's root (deg A <= 1).  It reads P's sign at each zero g by fact 1:
+    lie above x, and whether x is one of them) and gives Q's sign at each.
+    From those the core reads the premise, Q's zeros against G's, as one
+    pattern of sign changes of Q, places E and A's root (deg A <= 1), and
+    words the extreme note by the count of G's zeros above E.  It reads P's
+    sign at each zero g by fact 1:
     A(g) P(g) = s (g - E) Q(g) by the identity, s the relation's ``sign``,
     so sign P(g) = s sign A(g) sign(g - E) sign Q(g), which is 0 at g = E,
     as P(E) is.  Only at A's root does that read nothing of P(g), so P's
@@ -586,8 +580,10 @@ class _Orders:
         return Verdict(FAIL, witness=(0, 0) if k is None else (k - 1, k))
 
     def extreme(self, top: bool) -> tuple[str, int]:
-        """The note's evidence, and the sign of E minus G's largest (``top``) or smallest zero."""
-        return self._extreme_note(top), -self.e_sides[-1 if top else 0]
+        """The note's evidence, the count of G's zeros above E, and the sign
+        of E minus G's largest (``top``) or smallest zero."""
+        evidence = f"{self.above} of {self.m} zeros of G lie above E"
+        return evidence, -self.e_sides[-1 if top else 0]
 
     def order(self, subject: str, first: str) -> bool:
         return _sign_order(self.p_signs, self.e_sides, self.lead, self.n, subject, first)
@@ -607,7 +603,6 @@ class _DrawnOrders(_Orders):
         g_nums, self.den = rel.roots["G"]
         g, q = sorted(g_nums), sorted(rel.roots["Q"][0])
         self.g = g
-        self.e = rel.E
         # Q's sign at x: its leading sign, flipped once for each zero of Q above x
         q_lead, top = _sign(rel.Q.nums[-1]), len(q)
         q_signs = []
@@ -621,14 +616,6 @@ class _DrawnOrders(_Orders):
         k, r = divmod(x.numerator * self.den, x.denominator)  # x D is k, or between k and k + 1
         j = bisect_right(g, k)
         return len(g) - j, not r and j > 0 and g[j - 1] == k
-
-    def _extreme_note(self, top: bool) -> str:
-        return _bound_evidence(self.g[-1 if top else 0] / self.den, float(self.e))
-
-
-def _bound_evidence(bound: float, e: float) -> str:
-    """The note's evidence for an extreme zero of G that a source holds as a number."""
-    return f"{bound:.9g} vs E = {e:.9g}"
 
 
 def _sign_order(p_signs, e_sides, lead: int, degree: int, subject: str, first: str) -> bool:
@@ -724,9 +711,6 @@ class _ChainOrders(_Orders):
     def _place(self, x: Fraction) -> tuple[int, bool]:
         # A's root is L's in jacobi-3.5: one count places both
         return self._l_at if x == self._l_root else self._zeros_above(x)
-
-    def _extreme_note(self, top: bool) -> str:
-        return f"{self.above} of {self.m} zeros of G lie above E"
 
 
 def _open_report(rel: MixedRelation, orders) -> CheckReport:
@@ -852,9 +836,9 @@ def check_relation(rel: MixedRelation) -> CheckReport:
     A relation that carries drawn zeros is decided on them (``_DrawnOrders``),
     else along the recurrence chain its G is read on (``_ChainOrders``),
     which G's spec must name (``families.CHAIN_KINDS``).  Either gives only
-    its placement of a point among the zeros of G, Q's signs there and the
-    extreme note's wording; the core both subclass (``_Orders``) reads the
-    rest.
+    its placement of a point among the zeros of G and Q's signs there; the
+    core both subclass (``_Orders``) reads the rest, the extreme note's
+    wording included.
 
     A checker reads from its order source E's ``position`` and ``slot``
     among the zeros of G, ``no_common_zeros_g_p`` and ``e_on_q``, and asks

@@ -1,8 +1,8 @@
 """Real zeros of the constructed polynomials, for the displays.
 
-No check reads a zero set: ``zeros`` and ``table2`` print them.  Each set is
-solved alone, through one entry, ``zero_set(term)``, and a term takes one of
-three paths:
+No check reads a zero set: ``zeros`` and ``table2`` print them, each
+through the one entry ``zero_set(spec)``, which solves one family member's
+set alone by the path its kind takes:
 
 * Families with a classical three-term recurrence: the zeros are the
   eigenvalues of the Jacobi matrix J built from the recurrence coefficients
@@ -26,8 +26,10 @@ three paths:
   (mu <- mu |z| + |acc|); a companion set's bound is the largest of its
   zeros' bounds, or inf when one of them is not finite.
 
-numpy is imported by the kernels that call LAPACK, when they run, and not
-by this module, so a process that solves no zero set never loads it.
+``zeros_orthogonal(spec)`` and ``zeros_general(p)`` call the first and the
+last path's solver directly, the latter on any polynomial.  numpy is
+imported by the kernels that call LAPACK, when they run, and not by this
+module, so a process that solves no zero set never loads it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .families import (
     FamilySpec,
@@ -91,7 +93,6 @@ class ZeroSet:
     zeros: tuple[float, ...]
     bound: float
     method: str
-    source: object = None
 
     def __post_init__(self):
         for a, b in zip(self.zeros, self.zeros[1:]):
@@ -99,33 +100,6 @@ class ZeroSet:
                 raise RootComputationError(
                     f"zeros not strictly increasing: {a} then {b}"
                 )
-
-    def __len__(self) -> int:
-        return len(self.zeros)
-
-    @property
-    def min(self) -> float:
-        return self.zeros[0]
-
-    @property
-    def max(self) -> float:
-        return self.zeros[-1]
-
-    def to_json(self) -> dict:
-        """The JSON form; a bound that is not finite is null (JSON has no inf)."""
-        bound = self.bound if math.isfinite(self.bound) else None
-        return {"zeros": list(self.zeros), "bound": bound, "method": self.method}
-
-
-class Term(NamedTuple):
-    """What one zero set is found from.
-
-    A ``spec`` of an orthogonal kind takes the tridiagonal path; else
-    ``poly``, or the member built from ``spec``, takes the companion path.
-    """
-
-    spec: FamilySpec | None = None
-    poly: Polynomial | None = None
 
 
 def _polish_horner(desc: tuple[float, ...], x: float) -> tuple[float, float]:
@@ -200,7 +174,7 @@ def _solve_tridiagonal(spec: FamilySpec) -> ZeroSet:
     steps = orthogonal_steps(recurrence_steps(spec))
     n = spec.n
     if n == 0:
-        return ZeroSet((), 0.0, METHOD_JACOBI, spec)
+        return ZeroSet((), 0.0, METHOD_JACOBI)
     import numpy as np
 
     # int / int rounds correctly: each double is bit for bit float(Fraction(a, b))
@@ -214,7 +188,7 @@ def _solve_tridiagonal(spec: FamilySpec) -> ZeroSet:
         ) from exc
     # row i of J is (off[i-1], diag[i], off[i]), off entries being nonnegative
     norm = max(abs(d) + lo + hi for d, lo, hi in zip(diag, [0.0, *off], [*off, 0.0]))
-    return ZeroSet(tuple(raw.tolist()), n * _EPS * norm, METHOD_JACOBI, spec)
+    return ZeroSet(tuple(raw.tolist()), n * _EPS * norm, METHOD_JACOBI)
 
 
 def _solve_companion(p: Polynomial) -> ZeroSet:
@@ -225,7 +199,7 @@ def _solve_companion(p: Polynomial) -> ZeroSet:
     if deg < 0:
         raise RootComputationError("zero polynomial has no well-defined zero set")
     if deg == 0:
-        return ZeroSet((), 0.0, METHOD_COMPANION, p)
+        return ZeroSet((), 0.0, METHOD_COMPANION)
     desc = coeffs[::-1]
     if deg == 1:
         # 0.0 - y, not -y: a zero at the origin is +0.0, as np.roots gives it
@@ -248,7 +222,7 @@ def _solve_companion(p: Polynomial) -> ZeroSet:
             )
         raw.append(z.real)
     zeros, bounds = zip(*[_polish_horner(desc, x) for x in sorted(raw)])
-    return ZeroSet(zeros, _set_bound(bounds), METHOD_COMPANION, p)
+    return ZeroSet(zeros, _set_bound(bounds), METHOD_COMPANION)
 
 
 def _mapped(zs: ZeroSet, spec: FamilySpec) -> ZeroSet:
@@ -273,17 +247,16 @@ def _mapped(zs: ZeroSet, spec: FamilySpec) -> ZeroSet:
         zeros.append(x)
     if spec.kind == "narayana":
         zeros.append(0.0)
-    return ZeroSet(tuple(zeros), bound, METHOD_MAPPED, spec)
+    return ZeroSet(tuple(zeros), bound, METHOD_MAPPED)
 
 
-def zero_set(term: Term) -> ZeroSet:
-    """The zero set of one ``Term``, by the path its kind takes (module docstring)."""
-    spec = term.spec
-    if spec is not None and spec.kind in MAPPED_KINDS:
-        return _mapped(zero_set(Term(spec=narayana_jacobi(spec.n))), spec)
-    if spec is not None and spec.kind in ORTHOGONAL_KINDS:
+def zero_set(spec: FamilySpec) -> ZeroSet:
+    """The zero set of the member ``spec``, by the path its kind takes (module docstring)."""
+    if spec.kind in MAPPED_KINDS:
+        return _mapped(_solve_tridiagonal(narayana_jacobi(spec.n)), spec)
+    if spec.kind in ORTHOGONAL_KINDS:
         return _solve_tridiagonal(spec)
-    return _solve_companion(term.poly if term.poly is not None else monic_by_recurrence(spec))
+    return _solve_companion(monic_by_recurrence(spec))
 
 
 def zeros_orthogonal(spec: FamilySpec) -> ZeroSet:
@@ -292,7 +265,7 @@ def zeros_orthogonal(spec: FamilySpec) -> ZeroSet:
         raise InvalidParameterError(
             f"zeros_orthogonal needs a recurrence family, not {spec.kind}"
         )
-    return zero_set(Term(spec=spec))
+    return _solve_tridiagonal(spec)
 
 
 def zeros_general(p: Polynomial) -> ZeroSet:
@@ -301,4 +274,4 @@ def zeros_general(p: Polynomial) -> ZeroSet:
     The families fed through this path are real rooted, so an eigenvalue with
     imaginary part above the reality threshold is an error, not data to drop.
     """
-    return zero_set(Term(poly=p))
+    return _solve_companion(p)

@@ -18,10 +18,13 @@ the float sign test with an a-priori Horner error bound that the program
 used before its polynomials became exact only.  scipy is needed by the
 tests only.
 
-``solve_alone`` is the zero path written out from these kernels: the same
-dispatch (tridiagonal, companion), one LAPACK call per set on the matrix
-built the reference way, the scalar polish above, and the same exceptions
-with the same messages, which ``rootfind.zero_set`` must give bit for bit.
+A term is a ``FamilySpec`` or a ``Polynomial``; ``solve`` sends a spec
+through ``rootfind.zero_set`` and a polynomial through
+``rootfind.zeros_general``.  ``solve_alone`` is that zero path written out
+from these kernels: the same dispatch (tridiagonal, companion), one LAPACK
+call per set on the matrix built the reference way, the scalar polish
+above, and the same exceptions with the same messages, which ``solve`` must
+give bit for bit.
 
 The interlacing verdicts as they were before their single-pass form are kept
 too: ``alternates`` and ``interlaces_down`` build one tagged (value, set,
@@ -34,23 +37,23 @@ every order was decided exactly: the float zero sets of G, Q and P, held to
 ``float_report`` runs a relation's shape checker on it, so the tests compare
 the exact sources (``relations._DrawnOrders``, ``relations._ChainOrders``)
 with it on the same relations; ``relation_terms`` names the zero sets it reads.
-``refuse_zero_sets`` makes every binding of ``rootfind.zero_set`` raise, for
-the tests that show a command solves no zero set.
+``refuse_zero_sets`` makes both of ``rootfind``'s solvers raise, so every
+route to a zero set does, for the tests that show a command solves none.
 """
 
 import math
-import sys
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from interlace.families import (
     ORTHOGONAL_KINDS,
+    FamilySpec,
     InvalidParameterError,
     monic_by_recurrence,
     recurrence_coeffs,
 )
-from interlace import cli, interlacing, rootfind
+from interlace import interlacing, rootfind
 from interlace.interlacing import (
     ADDED_OK_KINDS,
     ALTERNATE,
@@ -60,8 +63,8 @@ from interlace.interlacing import (
     INTERLACE_DOWN,
     Verdict,
 )
-from interlace.relations import SHAPE_CHECKERS, _bound_evidence
-from interlace.rootfind import REALITY_THRESHOLD, RootComputationError, Term, ZeroSet, zero_set
+from interlace.relations import SHAPE_CHECKERS
+from interlace.rootfind import REALITY_THRESHOLD, RootComputationError, ZeroSet
 
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
@@ -208,7 +211,7 @@ def _solve_orthogonal_alone(spec):
             )
     n = spec.n
     if n == 0:
-        return ZeroSet((), 0.0, "JacobiMatrix", spec)
+        return ZeroSet((), 0.0, "JacobiMatrix")
     matrix = jacobi_matrix(spec)
     try:
         zeros = tuple(np.linalg.eigvalsh(matrix).tolist())
@@ -216,7 +219,7 @@ def _solve_orthogonal_alone(spec):
         raise RootComputationError(
             f"LAPACK ?syevd failed ({exc}) on the Jacobi matrix of {spec.kind} n={n}"
         ) from exc
-    return ZeroSet(zeros, n * EPS * inf_norm(matrix), "JacobiMatrix", spec)
+    return ZeroSet(zeros, n * EPS * inf_norm(matrix), "JacobiMatrix")
 
 
 def _solve_companion_alone(p):
@@ -225,7 +228,7 @@ def _solve_companion_alone(p):
     if deg < 0:
         raise RootComputationError("zero polynomial has no well-defined zero set")
     if deg == 0:
-        return ZeroSet((), 0.0, "Companion", p)
+        return ZeroSet((), 0.0, "Companion")
     if deg == 1:
         raw = [0.0 - coeffs[0] / coeffs[1]]  # not -y: a zero at the origin is +0.0
     else:
@@ -244,17 +247,24 @@ def _solve_companion_alone(p):
                 )
             raw.append(z.real)
     zeros = tuple(newton_polish(x, lambda x: horner_pair(coeffs, x))[0] for x in sorted(raw))
-    return ZeroSet(zeros, set_bound([companion_bound(coeffs, z) for z in zeros]), "Companion", p)
+    return ZeroSet(zeros, set_bound([companion_bound(coeffs, z) for z in zeros]), "Companion")
+
+
+def solve(term):
+    """The ``ZeroSet`` of a spec by ``rootfind.zero_set``, or of a polynomial
+    by ``rootfind.zeros_general``."""
+    return rootfind.zero_set(term) if isinstance(term, FamilySpec) else rootfind.zeros_general(term)
 
 
 def solve_alone(term):
-    """The ``ZeroSet`` of one ``rootfind.Term`` solved by itself, or the exception that raised."""
+    """The ``ZeroSet`` of one spec or polynomial solved by itself, or the
+    exception that raised."""
     try:
-        if term.spec is not None and term.spec.kind in ORTHOGONAL_KINDS:
-            return _solve_orthogonal_alone(term.spec)
-        return _solve_companion_alone(
-            term.poly if term.poly is not None else monic_by_recurrence(term.spec)
-        )
+        if not isinstance(term, FamilySpec):
+            return _solve_companion_alone(term)
+        if term.kind in ORTHOGONAL_KINDS:
+            return _solve_orthogonal_alone(term)
+        return _solve_companion_alone(monic_by_recurrence(term))
     except Exception as exc:
         return exc
 
@@ -316,8 +326,9 @@ def locate_point(e, g):
 
 
 def relation_terms(rel):
-    """The zero-set terms of G, Q and P, in the order ``FloatOrders`` reads them."""
-    return tuple(Term(rel.specs.get(name), getattr(rel, name)) for name in "GQP")
+    """The terms of G, Q and P, in the order ``FloatOrders`` reads them: each
+    one's spec when the relation has one, else its polynomial."""
+    return tuple(rel.specs.get(name) or getattr(rel, name) for name in "GQP")
 
 
 def min_cross_gap(za, zb):
@@ -344,7 +355,8 @@ def min_cross_gap(za, zb):
 
 def float_order(lower, upper):
     """Strict interlacing, ``lower``'s zero first; ``alternates`` or ``interlaces_down`` by size."""
-    verdict = interlacing.alternates if len(lower) == len(upper) else interlacing.interlaces_down
+    same = len(lower.zeros) == len(upper.zeros)
+    verdict = interlacing.alternates if same else interlacing.interlaces_down
     return verdict(lower, upper)
 
 
@@ -370,11 +382,11 @@ class FloatOrders:
         return float_order(self.zeros[lower], self.zeros[upper])
 
     def extreme(self, top):
-        zg = self.zeros["G"]
-        bound = zg.max if top else zg.min
-        side = self.e - bound
+        zg = self.zeros["G"].zeros
+        above = sum(g > self.e for g in zg)
+        side = self.e - (zg[-1] if top else zg[0])
         side = 0 if abs(side) <= DEFAULT_FLOOR else 1 if side > 0 else -1
-        return _bound_evidence(bound, self.e), side
+        return f"{above} of {len(zg)} zeros of G lie above E", side
 
     def order(self, subject, first):
         zg, zp = self.zeros["G"], self.zeros["P"]
@@ -393,25 +405,20 @@ def float_report(rel, found=None):
     """The shape checker's report on ``rel`` from ``FloatOrders``.
 
     ``found`` holds the zero sets of G, Q and P; by default each term of
-    ``relation_terms(rel)`` is solved by ``rootfind.zero_set``, G's first, so
-    a failed solve raises G's error before Q's before P's.
+    ``relation_terms(rel)`` is solved by ``solve``, G's first, so a failed
+    solve raises G's error before Q's before P's.
     """
     if found is None:
-        found = [zero_set(term) for term in relation_terms(rel)]
+        found = [solve(term) for term in relation_terms(rel)]
     return SHAPE_CHECKERS[rel.shape](rel, FloatOrders(rel, found))
 
 
 def refuse_zero_sets(monkeypatch):
-    """Make ``rootfind.zero_set`` raise, under every name a module of the package binds it."""
+    """Make ``rootfind``'s two solvers raise: every zero set, by ``zero_set``,
+    ``zeros_orthogonal`` or ``zeros_general``, is solved by one of them."""
 
     def refused(term):
         raise AssertionError(f"a zero set was asked for: {term}")
 
-    owners = [
-        module
-        for name, module in sys.modules.items()
-        if name.split(".")[0] == "interlace" and getattr(module, "zero_set", None) is rootfind.zero_set
-    ]
-    assert rootfind in owners and cli in owners
-    for module in owners:
-        monkeypatch.setattr(module, "zero_set", refused)
+    for name in ("_solve_tridiagonal", "_solve_companion"):
+        monkeypatch.setattr(rootfind, name, refused)

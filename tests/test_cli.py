@@ -512,11 +512,12 @@ class TestSweepCommand:
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(spec))
         code, out, _ = run_cli(capsys, "sweep", str(path), "--workers", workers)
-        want = [
-            row
-            for n, params in cli._sweep_grid(spec)
-            for row in relations.run_check(check_id, n, params).csv_rows({"check": check_id, "n": n})
-        ]
+        want = []
+        for n, params in cli._sweep_grid(spec):
+            report = relations.run_check(check_id, n, params)
+            # report.params starts with n, then the check's parameters in order
+            base = {"check": check_id, **{k: str(v) for k, v in report.params.items()}}
+            want += [{**base, "clause": name, "result": result} for name, result in report.row_results()]
         got = list(csv.DictReader(io.StringIO(out)))
         assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
         assert code == 0

@@ -39,7 +39,6 @@ from interlace.relations import build_relation
 from interlace import rootfind
 from interlace.rootfind import (
     RootComputationError,
-    Term,
     ZeroSet,
     _jacobi_matrix,
     zero_set,
@@ -144,8 +143,8 @@ def test_mapped_narayana_bound_encloses_a_zero(n):
     # ends over their common denominator
     for kind in ("narayana-reduced", "narayana"):
         p = monic_by_recurrence(narayana_spec(kind, n))
-        zs = zero_set(Term(spec=narayana_spec(kind, n)))
-        assert zs.method == "MappedJacobiMatrix" and len(zs) == p.degree
+        zs = zero_set(narayana_spec(kind, n))
+        assert zs.method == "MappedJacobiMatrix" and len(zs.zeros) == p.degree
         assert math.isfinite(zs.bound)
         ends = [F(z) + d * F(zs.bound) for z in zs.zeros for d in (-1, 0, 1)]
         den = max((x.denominator for x in ends), default=1)
@@ -156,7 +155,7 @@ def test_mapped_narayana_bound_encloses_a_zero(n):
 
 def test_mapped_narayana_zeros_agree_with_the_companion_path():
     for n in range(2, 41):
-        mapped = zero_set(Term(spec=narayana_spec("narayana-reduced", n)))
+        mapped = zero_set(narayana_spec("narayana-reduced", n))
         companion = zeros_general(monic_by_recurrence(narayana_spec("narayana-reduced", n)))
         slack = mapped.bound + companion.bound
         for x, z in zip(mapped.zeros, companion.zeros):
@@ -247,12 +246,13 @@ def test_lapack_failure_in_the_zeros_command_exits_three(monkeypatch, capsys):
 def test_bound_is_inf_when_a_zero_has_none():
     # Companion path: Horner overflows at the zero 1e155.
     zs = zeros_general(Polynomial.from_roots([F(1), F(2), F(10**155)]))
-    assert zs.max == 1e155 and zs.bound == math.inf
+    assert zs.zeros[-1] == 1e155 and zs.bound == math.inf
     # The monic recurrence overflowed at the largest zeros of this member
     # (2.2e5), so a recurrence residual had no bound there; n eps ||J||_inf
     # is finite.
-    zs = zeros_orthogonal(meixner(F(1, 3), F(999, 1000), 60))
-    assert math.isfinite(zs.bound) and zs.bound == ref.zeros_orthogonal(zs.source)[1]
+    spec = meixner(F(1, 3), F(999, 1000), 60)
+    zs = zeros_orthogonal(spec)
+    assert math.isfinite(zs.bound) and zs.bound == ref.zeros_orthogonal(spec)[1]
 
 
 def _no_constant(name):
@@ -263,12 +263,11 @@ def test_zeros_command_prints_a_null_bound(monkeypatch, capsys):
     # JSON has no Infinity: a set with no finite bound prints null.  No
     # family member's set has one, so the command is handed one.
     zs = zeros_general(Polynomial.from_roots([F(1), F(2), F(10**155)]))
-    monkeypatch.setattr(cli, "zero_set", lambda term: zs)
+    monkeypatch.setattr(cli, "zero_set", lambda spec: zs)
     argv = ["zeros", "--family", "laguerre", "--alpha", "0", "--n", "3"]
     assert cli.main(argv) == 0
     payload = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
     assert payload["bound"] is None and len(payload["zeros"]) == 3
-    assert json.loads(json.dumps(zs.to_json()), parse_constant=_no_constant)["bound"] is None
 
 
 # -- companion path ----------------------------------------------------------
@@ -285,7 +284,8 @@ def assert_companion_matches(p: Polynomial):
     "kind", ["narayana-reduced", "narayana-christoffel", "narayana-perturbed"]
 )
 def test_companion_path_matches_reference_on_narayana(kind):
-    for n in range(2, 41):
+    # up to n = 50, the README's ceiling for the companion path
+    for n in range(2, 51):
         assert_companion_matches(monic_by_recurrence(narayana_spec(kind, n)))
 
 
@@ -315,9 +315,9 @@ def test_narayana_check_at_forty_has_a_tight_p_bound():
     # The a-priori Horner bound put this zero set at 7.5e-4.  The check reads
     # no zero set now; its float reference solves P on the companion path.
     rel = build_relation("narayana-3.3", 40)
-    zp = zero_set(ref.relation_terms(rel)[2])
-    assert zp.source == rel.P and zp.method == "Companion"
-    assert len(zp) == 39
+    zp = ref.solve(ref.relation_terms(rel)[2])
+    assert zp.zeros == zeros_general(rel.P).zeros and zp.method == "Companion"
+    assert len(zp.zeros) == 39
     assert zp.bound < 1e-4
 
 
@@ -325,14 +325,14 @@ def test_narayana_check_at_forty_has_a_tight_p_bound():
 
 
 def assert_matches_alone(term):
-    """``zero_set(term)`` is the set, or raises the failure, of the reference solve."""
+    """``solve(term)`` is the set, or raises the failure, of the reference solve."""
     want = ref.solve_alone(term)
     if isinstance(want, Exception):
         with pytest.raises(type(want)) as info:
-            zero_set(term)
+            ref.solve(term)
         assert str(info.value) == str(want), term
     else:
-        got = zero_set(term)
+        got = ref.solve(term)
         # By repr, so a zero's sign (-0.0 against 0.0) and NaN compare too.
         assert repr((got.zeros, got.bound, got.method)) == repr(
             (want.zeros, want.bound, want.method)
@@ -368,29 +368,25 @@ nonpositive_specs = st.builds(
     st.integers(min_value=2, max_value=8),
 )
 
-terms = st.one_of(
-    orthogonal_specs.map(lambda spec: Term(spec=spec)),
-    companion_polys.map(lambda p: Term(poly=p)),
-    nonpositive_specs.map(lambda spec: Term(spec=spec)),
-)
+terms = st.one_of(orthogonal_specs, companion_polys, nonpositive_specs)
 
 
 @given(st.lists(terms, min_size=1, max_size=10))
 @settings(max_examples=100, deadline=None)
 @example(
     [
-        Term(poly=monic_by_recurrence(narayana_spec("narayana-reduced", 55))),
-        Term(poly=monic_by_recurrence(narayana_spec("narayana-christoffel", 55))),
-        Term(poly=monic_by_recurrence(narayana_spec("narayana-perturbed", 55))),
-        Term(poly=Polynomial.from_roots([F(0), F(1, 2), F(-3)])),
-        Term(poly=Polynomial.from_roots([F(0), F(0), F(2)])),
-        Term(poly=Polynomial([F(1, 3), 2])),
-        Term(spec=FamilySpec("laguerre", (("alpha", F(-3)),), 4)),
-        Term(spec=laguerre(F(1, 2), 4)),
-        Term(spec=meixner(F(1, 3), F(999, 1000), 60)),
+        monic_by_recurrence(narayana_spec("narayana-reduced", 55)),
+        monic_by_recurrence(narayana_spec("narayana-christoffel", 55)),
+        monic_by_recurrence(narayana_spec("narayana-perturbed", 55)),
+        Polynomial.from_roots([F(0), F(1, 2), F(-3)]),
+        Polynomial.from_roots([F(0), F(0), F(2)]),
+        Polynomial([F(1, 3), 2]),
+        FamilySpec("laguerre", (("alpha", F(-3)),), 4),
+        laguerre(F(1, 2), 4),
+        meixner(F(1, 3), F(999, 1000), 60),
     ]
 )
-@example([Term(poly=Polynomial([0, 1]))])  # the zero at the origin is 0.0, not -0.0
+@example([Polynomial([0, 1])])  # the zero at the origin is 0.0, not -0.0
 def test_each_set_matches_it_solved_alone(drawn):
     for term in drawn:
         assert_matches_alone(term)
@@ -402,7 +398,7 @@ def test_a_degree_group_polished_at_once_matches(n):
     specs = [jacobi(F(i, 4) - F(1, 2), F(3 * i, 5), n) for i in range(8)]
     specs += [meixner(F(i + 1, 3), F(999, 1000), n) for i in range(8)]
     polys = [relations.oracle_pair_up(n, seed).P for seed in range(16)]
-    for term in [Term(spec=spec) for spec in specs] + [Term(poly=p) for p in polys]:
+    for term in specs + polys:
         assert_matches_alone(term)
 
 
@@ -425,7 +421,7 @@ def test_polish_from_starts_off_the_zeros_matches_the_reference():
     polys = [relations.oracle_pair_up(9, seed).P for seed in range(7)]
     for k, p in enumerate(polys):
         coeffs = p.float_coeffs()
-        for x in _started_off(zero_set(Term(poly=p)).zeros, k):
+        for x in _started_off(zeros_general(p).zeros, k):
             zero, _ = ref.newton_polish(x, lambda x: ref.horner_pair(coeffs, x))
             want = (zero, ref.companion_bound(coeffs, zero))
             assert repr(rootfind._polish_horner(coeffs[::-1], x)) == repr(want)
@@ -439,7 +435,7 @@ def test_a_failed_term_raises_in_the_checkers_read_order():
     errors = []
     for term in ref.relation_terms(rel):
         with pytest.raises(RootComputationError) as info:
-            zero_set(term)
+            ref.solve(term)
         errors.append(str(info.value))
     assert len(set(errors)) == 3
     with pytest.raises(RootComputationError, match=re.escape(errors[0])):

@@ -85,7 +85,7 @@ def test_degenerate_controls_stay_degenerate(t, n):
     assert not report.hypotheses["e_not_on_g_zero"]
     assert report.passed and not report.hypotheses_ok
     assert not any(note.startswith("premise failed") for note in report.notes)
-    rows = {row["clause"]: row["result"] for row in report.csv_rows()}
+    rows = dict(report.row_results())
     assert rows["hypotheses"] == "degenerate"
 
 

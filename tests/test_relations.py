@@ -548,12 +548,12 @@ class TestReportSerialization:
         assert obj["clauses"]["added_point"] == "pass"
         assert obj["premise"]["kind"] == "Alternate"
 
-    def test_csv_rows(self):
+    def test_row_results(self):
         report = run_check("laguerre-3.7", 4, {"alpha": 0})
-        rows = report.csv_rows({"check": "laguerre-3.7", "n": 4})
-        clause_names = {row["clause"] for row in rows}
+        rows = report.row_results()
+        clause_names = {name for name, _ in rows}
         assert {"identity", "hypotheses", "premise", "added_point"} <= clause_names
-        assert all(row["result"] in ("pass", "fail", "skipped") for row in rows)
+        assert all(result in ("pass", "fail", "skipped") for _, result in rows)
 
     def test_unknown_check_id(self):
         with pytest.raises(InvalidParameterError):
@@ -584,7 +584,7 @@ class TestClauseNames:
         ],
     )
     def test_every_row_is_listed_in_order(self, check_id, n, params):
-        rows = [row["clause"] for row in run_check(check_id, n, params).csv_rows()]
+        rows = [name for name, _ in run_check(check_id, n, params).row_results()]
         assert rows[:3] == list(relations.REPORT_ROWS)
         assert _is_subsequence(rows, relations.clause_names(check_id)), rows
 

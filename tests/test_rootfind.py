@@ -1,5 +1,7 @@
 """Zero computation: spectral and companion paths, bounds, sign evaluation."""
 
+import dataclasses
+import json
 import math
 import random
 import re
@@ -7,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from interlace import families
+from interlace import cli, families
 from interlace.families import (
     InvalidParameterError,
     jacobi,
@@ -195,13 +197,17 @@ class TestZeroSet:
         with pytest.raises(RootComputationError):
             ZeroSet((0.0, 0.0), 0.0, "Companion")
 
-    def test_json_shape(self):
-        zs = ZeroSet((1.0, 2.0), 1e-15, "JacobiMatrix")
-        assert zs.to_json() == {"zeros": [1.0, 2.0], "bound": 1e-15, "method": "JacobiMatrix"}
+    def test_json_shape(self, monkeypatch, capsys):
+        # The zeros command is the one JSON encoder of a set: its zeros, its
+        # bound to three digits, and its method.
+        zs = ZeroSet((1.0, 2.0), 1.2345e-15, "JacobiMatrix")
+        monkeypatch.setattr(cli, "zero_set", lambda spec: zs)
+        assert cli.main(["zeros", "--family", "laguerre", "--alpha", "0", "--n", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"zeros": [1.0, 2.0], "bound": 1.23e-15, "method": "JacobiMatrix"}
 
-    def test_len_min_max(self):
-        zs = ZeroSet((-1.0, 3.0), 0.0, "Companion")
-        assert len(zs) == 2 and zs.min == -1.0 and zs.max == 3.0
+    def test_holds_only_what_the_displays_print(self):
+        assert [f.name for f in dataclasses.fields(ZeroSet)] == ["zeros", "bound", "method"]
 
 
 class TestSignAtZeros:
